@@ -8,7 +8,13 @@
 
     Retransmissions are {e inferred} (sequence number at or below the
     flow's highest seen), never read from the packet's sender-side
-    [retx] flag: a middlebox could not know it. *)
+    [retx] flag: a middlebox could not know it.
+
+    {b Precondition: the clock is monotone.} Successive reads of [now]
+    must never decrease. {!active_flow_count} and {!tick} visit only the
+    flows whose deadline has come, kept in two min-heaps; a clock that
+    stepped back would find flows the heaps have already passed over.
+    {!clock_monotone} reports whether the precondition has held. *)
 
 type t
 
@@ -34,7 +40,9 @@ val tick : t -> unit
 (** Housekeeping: roll epochs of flows that have gone quiet (their
     state machine must advance through silent epochs even with no
     packets arriving) and forget flows idle beyond the configured
-    timeout. Call periodically (the discipline schedules this). *)
+    timeout. Call periodically (the discipline schedules this). Costs
+    O(log n) per flow whose epoch boundary or idle expiry has come, not
+    O(n). *)
 
 val state : t -> flow:int -> Flow_state.t
 (** Unknown flows report {!Flow_state.initial}. *)
@@ -66,7 +74,20 @@ val is_new_flow : t -> flow:int -> bool
 
 val active_flow_count : t -> int
 (** Flows seen within the last few epochs — the denominator of the
-    fair share. *)
+    fair share. O(log n) per flow whose window closed since the last
+    call. *)
+
+val active_flow_count_scan : t -> int
+(** {!active_flow_count} recomputed by scanning every tracked flow —
+    O(n), for invariant checking. *)
+
+val overdue_flows : t -> int
+(** Tracked flows that are due an epoch roll or idle expiry right now
+    but that the next {!tick} would not visit. Always 0 unless the
+    tick heap is broken. O(n), for invariant checking. *)
+
+val clock_monotone : t -> bool
+(** No read of [now] so far has gone back in time. *)
 
 val tracked_flow_count : t -> int
 (** Never exceeds [max_tracked_flows]: inserting into a full table

@@ -3,6 +3,7 @@ module Packet = Taq_net.Packet
 module Disc = Taq_net.Disc
 module Check = Taq_check.Check
 module Obs = Taq_obs.Obs
+module Int_tbl = Taq_util.Int_tbl
 
 let log_src = Logs.Src.create "taq" ~doc:"TAQ middlebox decisions"
 
@@ -33,13 +34,18 @@ type t = {
   mutable n_admission_rejected : int;
   mutable n_forced_recovery : int;
   mutable n_restarts : int;
-  drop_counts : (Taq_queues.class_, int) Hashtbl.t;
+  drop_counts : int array;  (* by [Taq_queues.class_index] *)
   check : Check.t;
   chk_pools : (int, unit) Hashtbl.t;  (* pool keys seen, check-only *)
   obs : Obs.t;
-  obs_last_class : (int, Taq_queues.class_) Hashtbl.t;
+  obs_last_class : Taq_queues.class_ Int_tbl.t;
       (* last class each flow's data was queued into — maintained only
          when obs is enabled, to count class transitions *)
+  (* Pre-resolved [taq.drop.<class>] and [taq.transition.<from>_to_<to>]
+     counters, indexed by [Taq_queues.class_index] (dummy refs when obs
+     is off). *)
+  obs_drops : int ref array;
+  obs_transitions : int ref array array;
 }
 
 (* Scheduling rank used only to decide push-out: an arrival may evict a
@@ -55,11 +61,37 @@ let create ?check ?obs ~sim ~config () =
   let check = match check with Some c -> c | None -> Sim.check sim in
   let obs = match obs with Some o -> o | None -> Sim.obs sim in
   let now () = Sim.now sim in
+  let classes = Array.of_list Taq_queues.all_classes in
+  let n_classes = Array.length classes in
+  let name = Taq_queues.class_to_string in
+  let obs_drops, obs_transitions =
+    if Obs.enabled obs then
+      ( Array.map (fun c -> Obs.labeled_ref obs ("taq.drop." ^ name c)) classes,
+        Array.map
+          (fun prev ->
+            Array.map
+              (fun cls ->
+                if cls = prev then ref 0
+                else
+                  Obs.labeled_ref obs
+                    (Printf.sprintf "taq.transition.%s_to_%s" (name prev)
+                       (name cls)))
+              classes)
+          classes )
+    else
+      (* Off: one sink absorbs the increments, and set-up builds no
+         counter names. *)
+      let sink = ref 0 in
+      let row = Array.make n_classes sink in
+      (row, Array.make n_classes row)
+  in
   {
     check;
     chk_pools = Hashtbl.create 16;
     obs;
-    obs_last_class = Hashtbl.create 64;
+    obs_last_class = Int_tbl.create 64;
+    obs_drops;
+    obs_transitions;
     sim;
     config;
     tracker = Flow_tracker.create ~obs ~config ~now ();
@@ -82,7 +114,7 @@ let create ?check ?obs ~sim ~config () =
     n_admission_rejected = 0;
     n_forced_recovery = 0;
     n_restarts = 0;
-    drop_counts = Hashtbl.create 8;
+    drop_counts = Array.make n_classes 0;
   }
 
 (* Middlebox restart (control-plane state loss): the flow tracker —
@@ -112,7 +144,7 @@ let restart t =
   Hashtbl.reset t.chk_pools;
   (* The box forgot every flow: class transitions restart from scratch
      too, mirroring the control-plane state loss. *)
-  Hashtbl.reset t.obs_last_class;
+  Int_tbl.reset t.obs_last_class;
   t.n_restarts <- t.n_restarts + 1;
   if Obs.enabled t.obs then Obs.labeled t.obs "taq.restarts" 1;
   if Obs.tracing t.obs then
@@ -159,11 +191,23 @@ let verify t ~where =
         where total total_bytes);
   Check.require c Check.Core (Taq_queues.recovery_sorted q) (fun () ->
       Printf.sprintf "%s: recovery queue priorities out of order" where);
-  let active = Flow_tracker.active_flow_count t.tracker
-  and tracked = Flow_tracker.tracked_flow_count t.tracker in
+  let tr = t.tracker in
+  let active = Flow_tracker.active_flow_count tr
+  and tracked = Flow_tracker.tracked_flow_count tr in
   Check.require c Check.Core (active <= tracked) (fun () ->
       Printf.sprintf "%s: active flows %d > tracked flows %d" where active
         tracked);
+  (* The tracker's deadline heaps against full scans. *)
+  let scanned = Flow_tracker.active_flow_count_scan tr in
+  Check.require c Check.Core (active = scanned) (fun () ->
+      Printf.sprintf "%s: incremental active count %d <> scanned %d" where
+        active scanned);
+  let overdue = Flow_tracker.overdue_flows tr in
+  Check.require c Check.Core (overdue = 0) (fun () ->
+      Printf.sprintf "%s: %d tracked flows overdue outside the tick heap" where
+        overdue);
+  Check.require c Check.Core (Flow_tracker.clock_monotone tr) (fun () ->
+      Printf.sprintf "%s: flow tracker clock went backwards" where);
   Option.iter
     (fun a ->
       let known = Admission.admitted_count a + Admission.waiting_count a in
@@ -228,10 +272,9 @@ let lazy_tick t =
 
 let count_drop t cls =
   t.n_dropped <- t.n_dropped + 1;
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.drop_counts cls) in
-  Hashtbl.replace t.drop_counts cls (prev + 1);
-  if Obs.enabled t.obs then
-    Obs.labeled t.obs ("taq.drop." ^ Taq_queues.class_to_string cls) 1
+  let i = Taq_queues.class_index cls in
+  t.drop_counts.(i) <- t.drop_counts.(i) + 1;
+  incr t.obs_drops.(i)
 
 let pool_key (p : Packet.t) = if p.pool >= 0 then p.pool else -p.flow - 2
 
@@ -343,23 +386,20 @@ let enqueue_data t (p : Packet.t) =
     else cls
   in
   if Obs.enabled t.obs then begin
-    (match Hashtbl.find_opt t.obs_last_class p.flow with
-    | Some prev when prev = cls -> ()
-    | Some prev ->
-        Obs.labeled t.obs
-          (Printf.sprintf "taq.transition.%s_to_%s"
-             (Taq_queues.class_to_string prev)
-             (Taq_queues.class_to_string cls))
-          1;
+    match Int_tbl.find t.obs_last_class p.flow with
+    | prev when prev = cls -> ()
+    | prev ->
+        let row = t.obs_transitions.(Taq_queues.class_index prev) in
+        incr row.(Taq_queues.class_index cls);
         if Obs.tracing t.obs then
           Obs.instant t.obs
             ~name:
               (Printf.sprintf "%s->%s"
                  (Taq_queues.class_to_string prev)
                  (Taq_queues.class_to_string cls))
-            ~cat:"taq" ~flow:p.flow ~ts_s:(Sim.now t.sim) ()
-    | None -> ());
-    Hashtbl.replace t.obs_last_class p.flow cls
+            ~cat:"taq" ~flow:p.flow ~ts_s:(Sim.now t.sim) ();
+        Int_tbl.replace t.obs_last_class p.flow cls
+    | exception Not_found -> Int_tbl.replace t.obs_last_class p.flow cls
   end;
   let priority =
     match cls with
@@ -457,5 +497,9 @@ let stats t =
     forced_recovery_drops = t.n_forced_recovery;
     restarts = t.n_restarts;
     drops_by_class =
-      Hashtbl.fold (fun cls n acc -> (cls, n) :: acc) t.drop_counts [];
+      List.filter_map
+        (fun cls ->
+          let n = t.drop_counts.(Taq_queues.class_index cls) in
+          if n > 0 then Some (cls, n) else None)
+        Taq_queues.all_classes;
   }

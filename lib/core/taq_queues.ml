@@ -15,6 +15,13 @@ let class_to_string = function
   | Below_fair_share -> "below-fair-share"
   | Above_fair_share -> "above-fair-share"
 
+let class_index = function
+  | Recovery -> 0
+  | New_flow -> 1
+  | Over_penalized -> 2
+  | Below_fair_share -> 3
+  | Above_fair_share -> 4
+
 type t = {
   config : Taq_config.t;
   now : unit -> float;
@@ -33,6 +40,9 @@ type t = {
   mutable tokens_at : float;
   token_rate : float;  (* bytes per second *)
   token_burst : float;
+  (* Per-flow packet counts of the deque a push-out scans; reset before
+     each use (see [pop_fattest_flow]). *)
+  counts : (int, int) Hashtbl.t;
 }
 
 let create ~config ~now =
@@ -55,6 +65,7 @@ let create ~config ~now =
     (* A small burst allowance so single retransmissions are never
        blocked by quantization. *)
     token_burst = Float.max 3000.0 (token_rate *. 0.25);
+    counts = Hashtbl.create 16;
   }
 
 let refill_tokens t =
@@ -201,41 +212,32 @@ let select_victim t =
    deque. Spreading push-out victims across flows this way avoids
    wiping out a small flow's entire 1–2 packet burst in one buffer
    overflow — the correlated loss that turns a simple timeout into a
-   repetitive one. Queues are buffer-bounded, so the scan is cheap. *)
-let pop_fattest_flow dq =
-  match Deque.peek_front dq with
-  | None -> None
-  | Some _ ->
-      let counts = Hashtbl.create 16 in
-      Deque.iter
-        (fun (p : Packet.t) ->
-          let c = Option.value ~default:0 (Hashtbl.find_opt counts p.flow) in
-          Hashtbl.replace counts p.flow (c + 1))
-        dq;
-      let victim_flow = ref (-1) and best = ref 0 in
-      Hashtbl.iter
-        (fun flow c ->
-          if c > !best then begin
-            best := c;
-            victim_flow := flow
-          end)
-        counts;
-      (* Rebuild the deque without the victim flow's newest packet. *)
-      let keep = ref [] and victim = ref None in
-      let rec drain () =
-        match Deque.pop_back dq with
-        | None -> ()
-        | Some p ->
-            if !victim = None && p.Packet.flow = !victim_flow then
-              victim := Some p
-            else keep := p :: !keep;
-            drain ()
-      in
-      drain ();
-      (* [keep] is in front-to-back order: popping from the back while
-         prepending reverses twice. *)
-      List.iter (fun p -> Deque.push_back dq p) !keep;
-      !victim
+   repetitive one. Queues are buffer-bounded, so the scan is cheap.
+   Among equally fat flows the first in [counts]' iteration order
+   wins. [Hashtbl.reset] restores the initial bucket array, so that
+   order is the one a fresh table would give, whatever earlier
+   push-outs grew the table to. *)
+let pop_fattest_flow t dq =
+  if Deque.is_empty dq then None
+  else begin
+    let counts = t.counts in
+    Hashtbl.reset counts;
+    Deque.iter
+      (fun (p : Packet.t) ->
+        let c = try Hashtbl.find counts p.flow with Not_found -> 0 in
+        Hashtbl.replace counts p.flow (c + 1))
+      dq;
+    let victim_flow = ref (-1) and best = ref 0 in
+    Hashtbl.iter
+      (fun flow c ->
+        if c > !best then begin
+          best := c;
+          victim_flow := flow
+        end)
+      counts;
+    let victim_flow = !victim_flow in
+    Deque.remove_last (fun (p : Packet.t) -> p.flow = victim_flow) dq
+  end
 
 let drop_from t cls =
   let victim =
@@ -248,7 +250,7 @@ let drop_from t cls =
             t.recovery <- List.rev rest_rev;
             Some p)
     | New_flow | Over_penalized | Below_fair_share | Above_fair_share ->
-        pop_fattest_flow (deque_of t cls)
+        pop_fattest_flow t (deque_of t cls)
   in
   Option.iter (fun p -> account_remove t p) victim;
   victim

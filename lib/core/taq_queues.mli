@@ -28,6 +28,9 @@ val class_to_string : class_ -> string
 val all_classes : class_ list
 (** Every class, in scheduler-priority order. *)
 
+val class_index : class_ -> int
+(** Position in {!all_classes}: 0 to 4, for class-indexed arrays. *)
+
 type t
 
 val create : config:Taq_config.t -> now:(unit -> float) -> t

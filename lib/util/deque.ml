@@ -51,6 +51,25 @@ let peek_front t = if t.len = 0 then None else t.buf.(t.head)
 let peek_back t =
   if t.len = 0 then None else t.buf.((t.head + t.len - 1) mod cap t)
 
+let remove_last pred t =
+  let c = cap t in
+  let rec find k =
+    (* [k] counts from the front; scan backwards from the newest. *)
+    if k < 0 then None
+    else
+      match t.buf.((t.head + k) mod c) with
+      | Some x as found when pred x ->
+          for j = k to t.len - 2 do
+            t.buf.((t.head + j) mod c) <- t.buf.((t.head + j + 1) mod c)
+          done;
+          t.buf.((t.head + t.len - 1) mod c) <- None;
+          t.len <- t.len - 1;
+          found
+      | Some _ -> find (k - 1)
+      | None -> assert false
+  in
+  find (t.len - 1)
+
 let iter f t =
   for i = 0 to t.len - 1 do
     match t.buf.((t.head + i) mod cap t) with

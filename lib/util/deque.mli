@@ -22,6 +22,11 @@ val peek_front : 'a t -> 'a option
 
 val peek_back : 'a t -> 'a option
 
+val remove_last : ('a -> bool) -> 'a t -> 'a option
+(** Remove and return the element nearest the back that satisfies the
+    predicate, in place: the elements behind it close the gap and keep
+    their order. O(distance from the back). *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 (** Front to back. *)
 

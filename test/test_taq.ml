@@ -305,6 +305,275 @@ let test_tracker_pool_fairness () =
     (Flow_tracker.below_fair_share t ~flow:1
     && Flow_tracker.below_fair_share t ~flow:3)
 
+(* --- Flow_tracker against the scanning reference ------------------------------ *)
+
+(* [Flow_tracker_ref] is the tracker before its deadline heaps. Both are
+   driven with the same operations on the same clock; after each one,
+   every count, counter and per-flow accessor must agree, floats to the
+   bit. *)
+
+module Ref = Flow_tracker_ref
+module Obs = Taq_obs.Obs
+
+type tracker_op =
+  | Syn of int * int  (** flow, pool *)
+  | Data of int * int  (** flow, seq *)
+  | Drop of int
+  | Tick
+  | Step of float
+  | Land of int * int * int * bool
+      (** Set the clock onto a boundary of a flow — 0: its active window
+          closes, 1: its epoch ends, 2: it goes idle — moved by -1, 0 or
+          +1 ulp; then tick if the flag is set. *)
+
+let diff_flows = 8 (* flow ids 0..7; id 8 is never seen *)
+
+let show_op = function
+  | Syn (f, p) -> Printf.sprintf "syn %d/%d" f p
+  | Data (f, s) -> Printf.sprintf "data %d#%d" f s
+  | Drop f -> Printf.sprintf "drop %d" f
+  | Tick -> "tick"
+  | Step dt -> Printf.sprintf "step %h" dt
+  | Land (f, b, u, tk) ->
+      Printf.sprintf "land %d %s%+d%s" f
+        (match b with 0 -> "window" | 1 -> "epoch" | _ -> "idle")
+        u
+        (if tk then " tick" else "")
+
+let gen_tracker_op =
+  let open QCheck.Gen in
+  let flow = int_bound (diff_flows - 1) in
+  frequency
+    [
+      (2, map2 (fun f p -> Syn (f, p)) flow (int_range (-1) 2));
+      (6, map2 (fun f s -> Data (f, s)) flow (int_bound 30));
+      (2, map (fun f -> Drop f) flow);
+      (2, return Tick);
+      ( 4,
+        map
+          (fun dt -> Step dt)
+          (oneof
+             [ float_bound_inclusive 0.05; float_bound_inclusive 1.0;
+               float_range 1.0 12.0 ]) );
+      ( 4,
+        map4
+          (fun f b u tk -> Land (f, b, u, tk))
+          flow (int_bound 2) (int_range (-1) 1) bool );
+    ]
+
+let gen_tracker_config =
+  let open QCheck.Gen in
+  map4
+    (fun epoch_source flow_idle_timeout max_tracked_flows
+         (fairness_model, pool_fairness) ->
+      {
+        (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
+        Taq_config.epoch_source;
+        flow_idle_timeout;
+        max_tracked_flows;
+        fairness_model;
+        pool_fairness;
+      })
+    (oneofl
+       [
+         Taq_config.Oracle 0.1;
+         Taq_config.Oracle 0.4;
+         (* Windows of 1–10 s, so an epoch estimate that shrinks pulls
+            the window in. *)
+         Taq_config.Estimated
+           { default_epoch = 1.0; min_epoch = 0.05; max_epoch = 2.0; alpha = 0.5 };
+         Taq_config.Estimated
+           { default_epoch = 0.1; min_epoch = 0.02; max_epoch = 0.5; alpha = 0.3 };
+       ])
+    (oneofl [ 1.5; 4.0; 120.0 ])
+    (oneofl [ 3; 5; 65536 ])
+    (oneofl
+       [
+         (Fair_share.Fair_queuing, false);
+         (Fair_share.Proportional_rtt, false);
+         (Fair_share.Fair_queuing, true);
+       ])
+
+let arb_tracker_run =
+  QCheck.make
+    ~print:(fun (_, ops) -> String.concat "; " (List.map show_op ops))
+    QCheck.Gen.(pair gen_tracker_config (list_size (int_range 1 250) gen_tracker_op))
+
+(* Every observable of the two trackers, as comparable strings, so a
+   failure names the first field that differs. Floats go by their bits
+   (%h is exact). *)
+let tracker_view ~count ~tracked ~peak ~evictions ~pools ~share ~counters
+    ~per_flow =
+  Printf.sprintf "active=%d tracked=%d peak=%d cap_evictions=%d pools=%d share=%h %s"
+    count tracked peak evictions pools share counters
+  :: List.init (diff_flows + 1) per_flow
+
+let counters_of obs =
+  String.concat ","
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Obs.snapshot obs).counters)
+
+let ref_view r obs =
+  tracker_view ~count:(Ref.active_flow_count r) ~tracked:(Ref.tracked_flow_count r)
+    ~peak:(Ref.peak_tracked r) ~evictions:(Ref.cap_evictions r)
+    ~pools:(Ref.active_pool_count r) ~share:(Ref.fair_share_bps r)
+    ~counters:(counters_of obs) ~per_flow:(fun flow ->
+      Printf.sprintf
+        "flow %d: %s silent=%d epoch=%h epochs=%d rate=%h outstanding=%d \
+         recent=%d overpen=%b new=%b pool=%d below=%b share=%h pool_rate=%h"
+        flow
+        (Flow_state.to_string (Ref.state r ~flow))
+        (Ref.silence_epochs r ~flow) (Ref.epoch_len r ~flow)
+        (Ref.epochs_observed r ~flow) (Ref.rate_bps r ~flow)
+        (Ref.outstanding_drops r ~flow) (Ref.recent_drops r ~flow)
+        (Ref.is_overpenalized r ~flow) (Ref.is_new_flow r ~flow)
+        (Ref.pool_of r ~flow) (Ref.below_fair_share r ~flow)
+        (Ref.fair_share_bps ~flow r) (Ref.pool_rate_bps r ~flow))
+
+let new_view t obs =
+  tracker_view ~count:(Flow_tracker.active_flow_count t)
+    ~tracked:(Flow_tracker.tracked_flow_count t) ~peak:(Flow_tracker.peak_tracked t)
+    ~evictions:(Flow_tracker.cap_evictions t)
+    ~pools:(Flow_tracker.active_pool_count t) ~share:(Flow_tracker.fair_share_bps t)
+    ~counters:(counters_of obs) ~per_flow:(fun flow ->
+      Printf.sprintf
+        "flow %d: %s silent=%d epoch=%h epochs=%d rate=%h outstanding=%d \
+         recent=%d overpen=%b new=%b pool=%d below=%b share=%h pool_rate=%h"
+        flow
+        (Flow_state.to_string (Flow_tracker.state t ~flow))
+        (Flow_tracker.silence_epochs t ~flow) (Flow_tracker.epoch_len t ~flow)
+        (Flow_tracker.epochs_observed t ~flow) (Flow_tracker.rate_bps t ~flow)
+        (Flow_tracker.outstanding_drops t ~flow) (Flow_tracker.recent_drops t ~flow)
+        (Flow_tracker.is_overpenalized t ~flow) (Flow_tracker.is_new_flow t ~flow)
+        (Flow_tracker.pool_of t ~flow) (Flow_tracker.below_fair_share t ~flow)
+        (Flow_tracker.fair_share_bps ~flow t) (Flow_tracker.pool_rate_bps t ~flow))
+
+(* Where a [Land] puts the clock, read off the reference's flow record. *)
+let land_target (config : Taq_config.t) r ~flow ~boundary ~ulps =
+  match Hashtbl.find_opt r.Ref.flows flow with
+  | None -> None
+  | Some (f : Ref.flow) ->
+      let epoch = Epoch_estimator.epoch f.est in
+      let at =
+        match boundary with
+        | 0 -> f.last_seen +. Float.max 1.0 (5.0 *. epoch)
+        | 1 -> f.epoch_start +. epoch
+        | _ -> f.last_seen +. config.flow_idle_timeout
+      in
+      Some (if ulps < 0 then Float.pred at else if ulps > 0 then Float.succ at else at)
+
+(* Drive both trackers through [ops]; compare after every operation when
+   [every], else only after ticks and at the end (so the heaps see long
+   stretches without a count query). *)
+let run_tracker_diff ~every (config, ops) =
+  let clock = ref 0.0 in
+  let now () = !clock in
+  let obs_r = Obs.create () and obs_n = Obs.create () in
+  let r = Ref.create ~obs:obs_r ~config ~now () in
+  let t = Flow_tracker.create ~obs:obs_n ~config ~now () in
+  let compare step =
+    let a = ref_view r obs_r and b = new_view t obs_n in
+    List.iter2
+      (fun x y ->
+        if x <> y then
+          QCheck.Test.fail_reportf "after op %d:\n  ref: %s\n  new: %s" step x y)
+      a b;
+    if Flow_tracker.active_flow_count_scan t <> Flow_tracker.active_flow_count t
+    then QCheck.Test.fail_reportf "after op %d: scan disagrees" step;
+    if Flow_tracker.overdue_flows t <> 0 then
+      QCheck.Test.fail_reportf "after op %d: overdue flows outside the heap" step
+  in
+  List.iteri
+    (fun step op ->
+      let tick () =
+        Ref.tick r;
+        Flow_tracker.tick t
+      in
+      (match op with
+      | Syn (flow, pool) ->
+          Ref.observe_syn r ~flow ~pool;
+          Flow_tracker.observe_syn t ~flow ~pool
+      | Data (flow, seq) ->
+          let p = mk_data ~flow ~pool:(flow mod 3) ~seq () in
+          let a = Ref.observe_data r p and b = Flow_tracker.observe_data t p in
+          if (a = Ref.Retransmission) <> (b = Flow_tracker.Retransmission) then
+            QCheck.Test.fail_reportf "op %d: classification differs" step
+      | Drop flow ->
+          let p = mk_data ~flow ~seq:0 () in
+          Ref.observe_drop r p;
+          Flow_tracker.observe_drop t p
+      | Tick -> tick ()
+      | Step dt -> clock := !clock +. dt
+      | Land (flow, boundary, ulps, then_tick) -> (
+          match land_target config r ~flow ~boundary ~ulps with
+          | Some at when at >= !clock ->
+              clock := at;
+              if then_tick then tick ()
+          | Some _ | None -> ()));
+      if every || op = Tick then compare step)
+    ops;
+  compare (List.length ops);
+  Flow_tracker.clock_monotone t
+
+let prop_tracker_matches_reference =
+  QCheck.Test.make ~name:"flow tracker = scanning reference, every op" ~count:300
+    arb_tracker_run (run_tracker_diff ~every:true)
+
+let prop_tracker_matches_reference_sparse =
+  QCheck.Test.make ~name:"flow tracker = scanning reference, sparse queries"
+    ~count:300 arb_tracker_run (run_tracker_diff ~every:false)
+
+let test_tracker_epoch_shrink_pulls_deadlines () =
+  (* A flow whose epoch estimate shrinks from 2 s to ~0.1 s: its active
+     window drops from 10 s to 1 s and its epoch boundary comes ~1.9 s
+     earlier, so both heap keys must move in (decrease-key), or the
+     count and the tick would miss the new deadlines. *)
+  let clock = ref 0.0 in
+  let config =
+    {
+      (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
+      Taq_config.epoch_source =
+        Taq_config.Estimated
+          { default_epoch = 2.0; min_epoch = 0.05; max_epoch = 2.0; alpha = 1.0 };
+    }
+  in
+  let now () = !clock in
+  let r = Ref.create ~obs:Obs.off ~config ~now () in
+  let t = Flow_tracker.create ~obs:Obs.off ~config ~now () in
+  let both f g =
+    f r;
+    g t
+  in
+  both (Ref.observe_syn ~flow:1 ~pool:(-1)) (Flow_tracker.observe_syn ~flow:1 ~pool:(-1));
+  Alcotest.(check int) "active after syn" 1 (Flow_tracker.active_flow_count t);
+  clock := 0.1;
+  let p = mk_data ~flow:1 ~seq:0 () in
+  both
+    (fun r -> ignore (Ref.observe_data r p))
+    (fun t -> ignore (Flow_tracker.observe_data t p));
+  Alcotest.(check (float 1e-12)) "epoch shrank" 0.1 (Flow_tracker.epoch_len t ~flow:1);
+  (* The window is now 1 s: at 1.1 s the flow is still active, one ulp
+     later it is not. *)
+  clock := 1.1;
+  Alcotest.(check int) "active at window end" (Ref.active_flow_count r)
+    (Flow_tracker.active_flow_count t);
+  clock := Float.succ 1.1;
+  Alcotest.(check int) "inactive one ulp later" 0 (Ref.active_flow_count r);
+  Alcotest.(check int) "heap agrees" 0 (Flow_tracker.active_flow_count t);
+  both Ref.tick Flow_tracker.tick;
+  Alcotest.(check int) "epochs rolled by the tick" (Ref.epochs_observed r ~flow:1)
+    (Flow_tracker.epochs_observed t ~flow:1);
+  Alcotest.(check bool) "rolled at all" true (Flow_tracker.epochs_observed t ~flow:1 > 0);
+  Alcotest.(check int) "nothing overdue" 0 (Flow_tracker.overdue_flows t)
+
+let test_tracker_clock_monotone () =
+  let t, clock = tracker_fixture () in
+  clock := 1.0;
+  ignore (Flow_tracker.observe_data t (mk_data ~seq:0 ()));
+  Alcotest.(check bool) "forward" true (Flow_tracker.clock_monotone t);
+  clock := 0.5;
+  ignore (Flow_tracker.active_flow_count t);
+  Alcotest.(check bool) "went back" false (Flow_tracker.clock_monotone t)
+
 (* --- Fair_share --------------------------------------------------------------- *)
 
 let test_fair_share_basic () =
@@ -409,6 +678,40 @@ let test_queues_accounting () =
   ignore (Taq_queues.dequeue q);
   Alcotest.(check int) "drained" 0 (Taq_queues.total_packets q);
   Alcotest.(check int) "no bytes" 0 (Taq_queues.total_bytes q)
+
+let test_queues_pushout_tie_break () =
+  (* Push-out takes the newest packet of the fattest flow. Between
+     equally fat flows the winner is the first in a fresh 16-bucket
+     Hashtbl's iteration order: flow 4 before flow 1 (a table grown to
+     64 buckets would list flow 1 first). Pinned because every
+     golden depends on it, including after an earlier push-out has
+     grown the counts table. *)
+  let q, _clock = queues_fixture () in
+  let below = Taq_queues.Below_fair_share in
+  let rec drain acc =
+    match Taq_queues.dequeue q with
+    | Some (p : Packet.t) -> drain (p.flow :: acc)
+    | None -> List.rev acc
+  in
+  let tie round =
+    List.iteri
+      (fun seq flow -> Taq_queues.enqueue q below (mk_data ~flow ~seq ()))
+      [ 1; 4; 1; 4 ];
+    (match Taq_queues.drop_from q below with
+    | Some p ->
+        Alcotest.(check int) (round ^ ": victim flow") 4 p.Packet.flow;
+        Alcotest.(check int) (round ^ ": its newest packet") 3 p.Packet.seq
+    | None -> Alcotest.fail "no victim");
+    Alcotest.(check (list int)) (round ^ ": the rest keep their order") [ 1; 4; 1 ]
+      (drain [])
+  in
+  tie "fresh";
+  for flow = 100 to 169 do
+    Taq_queues.enqueue q below (mk_data ~flow ())
+  done;
+  ignore (Taq_queues.drop_from q below);
+  Alcotest.(check int) "one of 70 pushed out" 69 (List.length (drain []));
+  tie "after growth"
 
 (* --- Admission ------------------------------------------------------------------- *)
 
@@ -1073,7 +1376,13 @@ let () =
           Alcotest.test_case "idle expiry" `Quick test_tracker_expires_idle_flows;
           Alcotest.test_case "rates and shares" `Quick test_tracker_rate_and_fair_share;
           Alcotest.test_case "pool fairness" `Quick test_tracker_pool_fairness;
+          Alcotest.test_case "epoch shrink" `Quick
+            test_tracker_epoch_shrink_pulls_deadlines;
+          Alcotest.test_case "clock monotone" `Quick test_tracker_clock_monotone;
         ] );
+      ( "flow_tracker_vs_reference",
+        List.map (QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_taq_tracker"))
+          [ prop_tracker_matches_reference; prop_tracker_matches_reference_sparse ] );
       ( "fair_share",
         [
           Alcotest.test_case "basic" `Quick test_fair_share_basic;
@@ -1087,6 +1396,7 @@ let () =
           Alcotest.test_case "token bucket" `Quick test_queues_token_bucket_limits_recovery;
           Alcotest.test_case "victim selection" `Quick test_queues_victim_selection;
           Alcotest.test_case "accounting" `Quick test_queues_accounting;
+          Alcotest.test_case "push-out tie-break" `Quick test_queues_pushout_tie_break;
         ] );
       ( "admission",
         [

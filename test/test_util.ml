@@ -315,7 +315,7 @@ let prop_deque_behaves_like_list =
   (* Model-based: a deque driven by random push/pop operations agrees
      with a reference list implementation. *)
   QCheck.Test.make ~name:"deque agrees with list model" ~count:300
-    QCheck.(list (pair (int_range 0 2) small_int))
+    QCheck.(list (pair (int_range 0 3) small_int))
     (fun ops ->
       let d = Deque.create () in
       let model = ref [] in
@@ -333,13 +333,29 @@ let prop_deque_behaves_like_list =
               | h :: rest ->
                   model := rest;
                   got = Some h)
-          | _ -> (
+          | 2 -> (
               let got = Deque.pop_back d in
               match List.rev !model with
               | [] -> got = None
               | last :: rest_rev ->
                   model := List.rev rest_rev;
-                  got = Some last))
+                  got = Some last)
+          | _ ->
+              (* In-place removal of the newest element of x's residue
+                 class mod 3; the rest keep their order. *)
+              let matches y = y mod 3 = x mod 3 in
+              let got = Deque.remove_last matches d in
+              let rec drop_last = function
+                | [] -> (None, [])
+                | y :: rest -> (
+                    match drop_last rest with
+                    | (Some _ as found), rest' -> (found, y :: rest')
+                    | None, _ when matches y -> (Some y, rest)
+                    | None, _ -> (None, y :: rest))
+              in
+              let expected, rest = drop_last !model in
+              model := rest;
+              got = expected)
         ops
       && Deque.length d = List.length !model)
 
