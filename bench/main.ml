@@ -137,35 +137,6 @@ let usage () =
     (String.concat ", " Registry.names);
   exit 2
 
-let enable_check spec =
-  match Taq_check.Check.groups_of_string spec with
-  | Ok groups -> Taq_check.Check.set_policy ~mode:Taq_check.Check.Raise ~groups ()
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-
-(* [--faults=PLAN] installs the ambient fault plan (a plan expression
-   or a scenario name) before any target runs; every environment the
-   figure targets build picks it up — handy for benchmarking figure
-   pipelines under adverse conditions. *)
-let enable_faults spec =
-  match Taq_fault.Scenarios.plan_of_string spec with
-  | Ok plan -> Taq_fault.Plan.set_ambient plan
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-
-(* [--obs[=SPEC]] overrides the default counters policy: the bench
-   needs counters for BENCH.json, but --obs=trace:PATH buys a Chrome
-   trace of the figure pipelines and --obs=off measures the true
-   zero-instrumentation wall-clock. *)
-let enable_obs spec =
-  match Obs.policy_of_spec spec with
-  | Ok p -> Obs.set_policy p
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-
 type opts = {
   full : bool;
   jobs : int;
@@ -175,24 +146,48 @@ type opts = {
   baseline_out : string option;
 }
 
+(* [--check[=GROUPS]], [--faults=PLAN] and [--obs[=SPEC]] make up the
+   run spec, installed before any target runs. Counters are on unless
+   --obs says otherwise: BENCH.json carries per-target deterministic
+   counters so the regression gate has something exact to compare;
+   --obs=trace:PATH buys a Chrome trace of the figure pipelines and
+   --obs=off measures the true zero-instrumentation wall-clock.
+   [--faults] applies its plan to every environment a figure target
+   builds — handy for benchmarking figure pipelines under adverse
+   conditions. *)
 let parse_args args =
   let full = ref false
   and jobs = ref 1
   and names = ref []
-  and obs_set = ref false
+  and check = ref None
+  and faults = ref None
+  and obs = ref (Some "counters")
   and compare_path = ref None
   and tolerance = ref None
   and baseline_out = ref None in
-  let prefixed prefix arg =
-    let n = String.length prefix in
-    if String.length arg > n && String.sub arg 0 n = prefix then
-      Some (String.sub arg n (String.length arg - n))
-    else None
+  let set_jobs n =
+    match int_of_string_opt n with
+    | Some n when n >= 1 -> jobs := n
+    | _ -> usage ()
   in
   let set_tolerance s =
     match float_of_string_opt s with
     | Some pct when pct >= 0.0 -> tolerance := Some pct
     | _ -> usage ()
+  in
+  (* Flags taking a value, as --NAME=VALUE, and as --NAME VALUE too
+     where marked [true]. The run-spec flags take theirs inline only,
+     so [--check fig2] is bare --check plus target fig2. *)
+  let valued =
+    [
+      ("--check", false, fun v -> check := Some v);
+      ("--faults", false, fun v -> faults := Some v);
+      ("--obs", false, fun v -> obs := Some v);
+      ("--compare", true, fun v -> compare_path := Some v);
+      ("--tolerance", true, set_tolerance);
+      ("--write-baseline", true, fun v -> baseline_out := Some v);
+      ("--jobs", true, set_jobs);
+    ]
   in
   let rec go = function
     | [] -> ()
@@ -203,73 +198,40 @@ let parse_args args =
         full := false;
         go rest
     | "--check" :: rest ->
-        enable_check "all";
+        check := Some "all";
         go rest
     | "--obs" :: rest ->
-        obs_set := true;
-        enable_obs "counters";
+        obs := Some "counters";
         go rest
-    | "--compare" :: path :: rest ->
-        compare_path := Some path;
-        go rest
-    | "--tolerance" :: pct :: rest ->
-        set_tolerance pct;
-        go rest
-    | "--write-baseline" :: path :: rest ->
-        baseline_out := Some path;
-        go rest
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            jobs := n;
-            go rest
-        | _ -> usage ())
     | arg :: rest -> (
-        match
-          ( prefixed "--check=" arg,
-            prefixed "--faults=" arg,
-            prefixed "--obs=" arg,
-            prefixed "--compare=" arg,
-            prefixed "--tolerance=" arg,
-            prefixed "--write-baseline=" arg,
-            prefixed "--jobs=" arg )
-        with
-        | Some spec, _, _, _, _, _, _ ->
-            enable_check spec;
+        let flag, value =
+          match String.index_opt arg '=' with
+          | Some i when i + 1 < String.length arg ->
+              ( String.sub arg 0 i,
+                Some (String.sub arg (i + 1) (String.length arg - i - 1)) )
+          | Some _ | None -> (arg, None)
+        in
+        let entry = List.find_opt (fun (f, _, _) -> f = flag) valued in
+        match (entry, value, rest) with
+        | Some (_, _, set), Some v, _ ->
+            set v;
             go rest
-        | _, Some spec, _, _, _, _, _ ->
-            enable_faults spec;
+        | Some (_, true, set), None, v :: rest ->
+            set v;
             go rest
-        | _, _, Some spec, _, _, _, _ ->
-            obs_set := true;
-            enable_obs spec;
-            go rest
-        | _, _, _, Some path, _, _, _ ->
-            compare_path := Some path;
-            go rest
-        | _, _, _, _, Some pct, _, _ ->
-            set_tolerance pct;
-            go rest
-        | _, _, _, _, _, Some path, _ ->
-            baseline_out := Some path;
-            go rest
-        | _, _, _, _, _, _, Some n -> (
-            match int_of_string_opt n with
-            | Some n when n >= 1 ->
-                jobs := n;
-                go rest
-            | _ -> usage ())
-        | None, None, None, None, None, None, None ->
-            if String.length arg > 1 && arg.[0] = '-' then usage ()
-            else begin
-              names := arg :: !names;
-              go rest
-            end)
+        | _ when String.length arg > 1 && arg.[0] = '-' -> usage ()
+        | _ ->
+            names := arg :: !names;
+            go rest)
   in
   go args;
-  (* Counters on by default: BENCH.json carries per-target deterministic
-     counters so the regression gate has something exact to compare. *)
-  if not !obs_set then enable_obs "counters";
+  (match
+     Run_spec.of_flags ?check:!check ?obs:!obs ?faults:!faults ()
+   with
+  | Ok spec -> Run_spec.install spec
+  | Error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2);
   {
     full = !full;
     jobs = !jobs;
@@ -362,7 +324,7 @@ let () =
       Printf.printf "wrote %s (baseline)\n%!" path);
   (* A Chrome trace, when --obs=trace:PATH asked for one: merge every
      target's ring with whatever the main domain traced. *)
-  (match Obs.trace_path () with
+  (match Run_spec.trace_path (Run_spec.current ()) with
   | None -> ()
   | Some path ->
       let merged =

@@ -18,12 +18,12 @@ module Obs = Taq_obs.Obs
 module Fault_plan = Taq_fault.Plan
 module Scenarios = Taq_fault.Scenarios
 
-(* --- invariant checking ------------------------------------------------ *)
+(* --- run spec ----------------------------------------------------------- *)
 
-(* [--check] / [--check=GROUPS] installs the ambient invariant policy
-   before any simulation (or worker domain) starts; every Sim, Link,
-   Taq_disc and Tcp_sender created afterwards is instrumented. Raise
-   mode: the first violation aborts the run with a nonzero exit. *)
+(* [--check], [--obs], [--faults] and [--resil] make up the run spec
+   (Run_spec): parsed once by [spec_term], installed once by the
+   subcommand before any simulation (or worker domain) starts, and
+   resolved into per-environment instances by Common.make_env. *)
 let check_arg =
   Arg.(
     value
@@ -34,22 +34,6 @@ let check_arg =
            subset of engine, net, queueing, tcp, core, guard, fluid, resil \
            (default: all). The first violation aborts the run.")
 
-let setup_check spec =
-  match spec with
-  | None -> Ok false
-  | Some s -> (
-      match Check.groups_of_string s with
-      | Ok groups ->
-          Check.set_policy ~mode:Check.Raise ~groups ();
-          Ok true
-      | Error msg -> Error msg)
-
-(* --- observability ----------------------------------------------------- *)
-
-(* [--obs] / [--obs=SPEC] installs the ambient observability policy
-   before any simulation (or worker domain) starts, mirroring --check:
-   every environment built afterwards carries deterministic perf
-   counters (and, with trace, a Chrome trace_event ring). *)
 let obs_arg =
   Arg.(
     value
@@ -63,35 +47,6 @@ let obs_arg =
            counters) and $(b,off). Counters are deterministic: equal seeds \
            print equal values for any --jobs count.")
 
-let setup_obs spec =
-  match spec with
-  | None -> Ok false
-  | Some s -> (
-      match Obs.policy_of_spec s with
-      | Ok p ->
-          Obs.set_policy p;
-          Ok (Obs.policy_enabled ())
-      | Error msg -> Error msg)
-
-(* Print the counter report and, when tracing was requested, write the
-   Chrome trace file from a merged snapshot. *)
-let finish_obs snap =
-  print_string (Obs.report snap);
-  match Obs.trace_path () with
-  | None -> ()
-  | Some path ->
-      Taq_obs.Trace.write_file ~path snap.Obs.events;
-      Printf.printf "  chrome trace: %d event(s) written to %s\n"
-        (List.length snap.Obs.events)
-        path
-
-(* --- fault injection --------------------------------------------------- *)
-
-(* [--faults=PLAN] installs the ambient fault plan before any
-   simulation (or worker domain) starts; every environment built
-   afterwards attaches an injector seeded from its own root PRNG.
-   PLAN is either a plan expression ("flap@5+2;corrupt@8-12:p=0.01")
-   or a registered scenario name ("flap-slow-start"). *)
 let faults_arg =
   Arg.(
     value
@@ -103,24 +58,8 @@ let faults_arg =
            $(b,taq_sim faults --list). The plan is seeded from each run's \
            PRNG, so equal seeds give byte-identical fault timelines.")
 
-let setup_faults spec =
-  match spec with
-  | None -> Ok None
-  | Some s -> (
-      match Scenarios.plan_of_string s with
-      | Ok plan ->
-          Fault_plan.set_ambient plan;
-          Ok (Some plan)
-      | Error msg -> Error msg)
-
-(* --- resilience SLOs ---------------------------------------------------- *)
-
-(* [--resil] / [--resil=SPEC] installs the ambient resilience policy
-   before any simulation (or worker domain) starts, mirroring --check:
-   every environment built afterwards attaches a read-only
-   steady-state/recovery monitor against its fault plan. The monitor
-   never perturbs the trajectory, so metrics with and without --resil
-   are byte-identical. *)
+(* The resilience monitor is read-only, so metrics with and without
+   --resil are byte-identical. *)
 let resil_arg =
   Arg.(
     value
@@ -136,15 +75,63 @@ let resil_arg =
            uses the defaults. Deterministic: equal seeds report equal \
            recovery times at any --jobs count.")
 
-let setup_resil spec =
+(* A subcommand without one of the four flags passes [absent] for it. *)
+let absent = Term.const None
+
+(* Whether a flag was given at all, whatever its value. *)
+let given arg = Term.(const Option.is_some $ arg)
+
+let spec_term ?(check = check_arg) ?(obs = obs_arg) ?(faults = faults_arg)
+    ?(resil = resil_arg) () =
+  Term.(
+    const (fun check obs faults resil ->
+        Run_spec.of_flags ?check ?obs ?faults ?resil ())
+    $ check $ obs $ faults $ resil)
+
+(* Install the parsed spec and run [k] with it: a bad flag value or an
+   invariant violation fails the subcommand with its message. *)
+let with_spec spec k =
   match spec with
-  | None -> Ok None
-  | Some s -> (
-      match Taq_resil.Policy.params_of_spec s with
-      | Ok p ->
-          Taq_resil.Policy.set_ambient p;
-          Ok (Some p)
-      | Error msg -> Error msg)
+  | Error msg -> `Error (false, msg)
+  | Ok spec -> (
+      Run_spec.install spec;
+      try k spec
+      with Check.Violation msg ->
+        `Error (false, Printf.sprintf "invariant violation: %s" msg))
+
+(* A clause starting at or past the horizon would silently inject
+   nothing — reject it up front with the parser's actionable message. *)
+let within_horizon spec ~duration k =
+  match spec.Run_spec.faults with
+  | Some plan -> (
+      match Fault_plan.check_within ~run_until:duration plan with
+      | Ok () -> k ()
+      | Error msg -> `Error (false, msg))
+  | None -> k ()
+
+(* Print the counter report and, when tracing was requested, write the
+   Chrome trace file from a merged snapshot. *)
+let finish_obs spec snap =
+  print_string (Obs.report snap);
+  match Run_spec.trace_path spec with
+  | None -> ()
+  | Some path ->
+      Taq_obs.Trace.write_file ~path snap.Obs.events;
+      Printf.printf "  chrome trace: %d event(s) written to %s\n"
+        (List.length snap.Obs.events)
+        path
+
+(* --- disciplines -------------------------------------------------------- *)
+
+(* Parses to the canonical name: keys and reports never see aliases. *)
+let name_conv of_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (of_string s)),
+      Format.pp_print_string )
+
+let disc_conv = name_conv Common.disc_of_string
+
+let disc_list = String.concat ", " Common.disc_names
 
 (* --- traffic backend ---------------------------------------------------- *)
 
@@ -179,14 +166,6 @@ let fluid_dt_arg =
     & info [ "fluid-dt" ] ~docv:"S"
         ~doc:"Hybrid backend only: fluid integration step, seconds.")
 
-(* Unresolved backend request: capacity- and buffer-independent, so a
-   sweep can carry one spec across the grid and resolve it per point. *)
-type backend_spec = {
-  bk_kind : [ `Packet | `Hybrid ];
-  bk_bg_flows : int;
-  bk_fluid_dt : float;
-}
-
 let resolve_backend backend ~bg_flows ~fluid_dt ~rtt ~capacity_bps ~buffer_pkts
     =
   match backend with
@@ -211,91 +190,35 @@ let experiment_cmd =
   let full_arg =
     Arg.(value & flag & info [ "full" ] ~doc:"Full-fidelity parameters.")
   in
-  let run name full check obs faults =
-    match setup_check check with
-    | Error msg -> `Error (false, msg)
-    | Ok enabled -> (
-        match setup_obs obs with
-        | Error msg -> `Error (false, msg)
-        | Ok obs_enabled -> (
-        match setup_faults faults with
-        | Error msg -> `Error (false, msg)
-        | Ok _plan -> (
-        match Registry.find name with
-        | Some t -> (
-            try
-              t.Registry.run ~full;
-              if enabled then
-                Printf.eprintf "invariant checks: clean (experiment %s)\n" name;
-              if obs_enabled then finish_obs (Obs.root_snapshot ());
-              `Ok ()
-            with Check.Violation msg ->
-              `Error (false, Printf.sprintf "invariant violation: %s" msg))
-        | None ->
-            `Error
-              (false, Printf.sprintf "unknown experiment %S (known: %s)" name
-                        (String.concat ", " Registry.names)))))
+  let run name full spec =
+    with_spec spec @@ fun spec ->
+    match Registry.find name with
+    | Some t ->
+        t.Registry.run ~full;
+        if Run_spec.check_enabled spec then
+          Printf.eprintf "invariant checks: clean (experiment %s)\n" name;
+        if Run_spec.obs_enabled spec then
+          finish_obs spec (Obs.root_snapshot ());
+        `Ok ()
+    | None ->
+        `Error
+          (false, Printf.sprintf "unknown experiment %S (known: %s)" name
+                    (String.concat ", " Registry.names))
   in
   let doc = "Reproduce one of the paper's figures" in
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
-      ret (const run $ name_arg $ full_arg $ check_arg $ obs_arg $ faults_arg))
+      ret (const run $ name_arg $ full_arg $ spec_term ~resil:absent ()))
 
 (* --- sim ---------------------------------------------------------------- *)
-
-let queue_tag = function
-  | `Droptail -> "droptail"
-  | `Red -> "red"
-  | `Sfq -> "sfq"
-  | `Drr -> "drr"
-  | `Choke -> "choke"
-  | `Choked -> "choked"
-  | `Codel -> "codel"
-  | `Las -> "las"
-  | `Taq -> "taq"
-  | `Taq_ac -> "taq+ac"
-
-let queue_conv =
-  let parse = function
-    | "droptail" | "dt" -> Ok `Droptail
-    | "red" -> Ok `Red
-    | "sfq" -> Ok `Sfq
-    | "drr" -> Ok `Drr
-    | "choke" -> Ok `Choke
-    | "choked" -> Ok `Choked
-    | "codel" -> Ok `Codel
-    | "las" -> Ok `Las
-    | "taq" -> Ok `Taq
-    | "taq+ac" | "taq-ac" -> Ok `Taq_ac
-    | s -> Error (`Msg (Printf.sprintf "unknown queue %S" s))
-  in
-  let print ppf q = Format.pp_print_string ppf (queue_tag q) in
-  Arg.conv (parse, print)
-
-(* Build the [Common.queue] selector for one run; TAQ variants get a
-   capacity-aware config (and the overload guard when requested). *)
-let resolve_queue ?guard_cap ~capacity_bps ~buffer_pkts = function
-  | `Droptail -> Common.Droptail
-  | `Red -> Common.Red
-  | `Sfq -> Common.Sfq
-  | `Drr -> Common.Drr
-  | `Choke -> Common.Choke
-  | `Choked -> Common.Choked
-  | `Codel -> Common.Codel
-  | `Las -> Common.Las
-  | `Taq -> Common.Taq (Common.taq_config ?guard_cap ~capacity_bps ~buffer_pkts ())
-  | `Taq_ac ->
-      Common.Taq
-        (Common.taq_config ~admission:true ?guard_cap ~capacity_bps
-           ~buffer_pkts ())
 
 let sim_cmd =
   let queue =
     Arg.(
       value
-      & opt queue_conv `Droptail
+      & opt disc_conv "droptail"
       & info [ "q"; "queue" ] ~docv:"QUEUE"
-          ~doc:"Queue discipline: droptail, red, sfq, drr, taq or taq+ac.")
+          ~doc:(Printf.sprintf "Queue discipline: one of %s." disc_list))
   in
   let capacity =
     Arg.(
@@ -339,29 +262,9 @@ let sim_cmd =
              the packet log as CSV to $(docv).")
   in
   let run queue capacity flows rtt duration buffer_rtts seed guard pcap backend
-      bg_flows fluid_dt check obs faults resil =
-   match setup_check check with
-   | Error msg -> `Error (false, msg)
-   | Ok check_enabled ->
-   match setup_obs obs with
-   | Error msg -> `Error (false, msg)
-   | Ok obs_enabled ->
-   match setup_faults faults with
-   | Error msg -> `Error (false, msg)
-   | Ok plan ->
-   (* A clause starting at or past the horizon would silently inject
-      nothing — reject it up front with the parser's actionable message. *)
-   match
-     match plan with
-     | Some p -> Fault_plan.check_within ~run_until:duration p
-     | None -> Ok ()
-   with
-   | Error msg -> `Error (false, msg)
-   | Ok () ->
-   match setup_resil resil with
-   | Error msg -> `Error (false, msg)
-   | Ok _resil ->
-   (try
+      bg_flows fluid_dt spec =
+    with_spec spec @@ fun spec ->
+    within_horizon spec ~duration @@ fun () ->
     let buffer_pkts =
       Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
     in
@@ -370,7 +273,8 @@ let sim_cmd =
         ~buffer_pkts
     in
     let q =
-      resolve_queue ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts queue
+      Common.queue_of_disc ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts
+        queue
     in
     let env =
       Common.make_env ~backend ~queue:q ~capacity_bps:capacity ~buffer_pkts
@@ -447,11 +351,11 @@ let sim_cmd =
           (fun row ->
             Printf.printf "  %s\n" (Taq_resil.Monitor.row_line row))
           rows);
-    if check_enabled then print_string (Check.report env.Common.check);
-    if obs_enabled then finish_obs (Obs.snapshot env.Common.obs);
+    if Run_spec.check_enabled spec then
+      print_string (Check.report env.Common.check);
+    if Run_spec.obs_enabled spec then
+      finish_obs spec (Obs.snapshot env.Common.obs);
     `Ok ()
-   with Check.Violation msg ->
-     `Error (false, Printf.sprintf "invariant violation: %s" msg))
   in
   let doc = "Ad-hoc dumbbell contention run" in
   Cmd.v (Cmd.info "sim" ~doc)
@@ -459,7 +363,7 @@ let sim_cmd =
       ret
         (const run $ queue $ capacity $ flows $ rtt $ duration $ buffer_rtts
        $ seed $ guard $ pcap $ backend_arg $ bg_flows_arg $ fluid_dt_arg
-       $ check_arg $ obs_arg $ faults_arg $ resil_arg))
+       $ spec_term ()))
 
 (* --- sweep ---------------------------------------------------------------- *)
 
@@ -467,30 +371,19 @@ let sim_cmd =
    from the task key (splitmix over the key), so the result is the same
    whichever worker domain runs it, in whatever order. Output goes
    through the Out sink so the harness captures it per task. *)
-let sweep_point ~queue ~capacity ~fair_share ~rtt ~duration ~buffer_rtts ~guard
-    ~backend ~rep ~seed () =
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
-  in
-  let backend =
-    resolve_backend backend.bk_kind ~bg_flows:backend.bk_bg_flows
-      ~fluid_dt:backend.bk_fluid_dt ~rtt ~capacity_bps:capacity ~buffer_pkts
-  in
-  let q =
-    resolve_queue ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts queue
-  in
+let sweep_point ~queue ~backend ~capacity ~fair_share ~rtt ~duration
+    ~buffer_pkts ~rep ~seed () =
   let flows =
     Common.flows_for_fair_share ~capacity_bps:capacity ~fair_share_bps:fair_share
   in
   let env =
-    Common.make_env ~backend ~queue:q ~capacity_bps:capacity ~buffer_pkts ~seed
-      ()
+    Common.make_env ~backend ~queue ~capacity_bps:capacity ~buffer_pkts ~seed ()
   in
   let ids = Common.spawn_long_flows env ~n:flows ~rtt ~rtt_jitter:0.1 () in
   Common.run env ~until:duration;
   let out = Taq_util.Out.printf in
   out "queue=%s backend=%s capacity=%.0f fair_share=%.0f flows=%d rep=%d seed=%d\n"
-    (Common.queue_name q)
+    (Common.queue_name queue)
     (Common.backend_name backend)
     capacity fair_share flows rep seed;
   out "  jain_short=%.3f jain_long=%.3f utilization=%.3f loss_rate=%.4f\n"
@@ -512,12 +405,13 @@ let sweep_cmd =
   let queues =
     Arg.(
       value
-      & opt (list queue_conv) []
+      & opt (list disc_conv) []
       & info [ "queues" ] ~docv:"QUEUES"
           ~doc:
-            "Comma-separated disciplines (droptail, red, sfq, drr, choke, \
-             choked, codel, las, taq, taq+ac). Default: droptail,taq — or \
-             the full zoo with $(b,--matrix).")
+            (Printf.sprintf
+               "Comma-separated disciplines (%s). Default: droptail,taq — or \
+                the full zoo with $(b,--matrix)."
+               disc_list))
   in
   let matrix =
     Arg.(
@@ -659,8 +553,8 @@ let sweep_cmd =
   in
   let run queues matrix tcps workloads fault_axis capacities fair_shares reps
       rtt duration buffer_rtts guard backend bg_flows fluid_dt jobs
-      results_dir no_cache resume timeout_s retries chaos check obs faults
-      resil =
+      results_dir no_cache resume timeout_s retries chaos faults_given
+      resil_given spec =
     if reps < 1 then `Error (false, "--reps must be >= 1")
     else if chaos && timeout_s = None then
       `Error (false, "--chaos requires --timeout-s (it injects a hanging task)")
@@ -671,13 +565,13 @@ let sweep_cmd =
           --no-cache")
     else if matrix && backend <> `Packet then
       `Error (false, "--matrix cells are packet-backend only; drop --backend")
-    else if matrix && faults <> None then
+    else if matrix && faults_given then
       `Error
         (false,
          "--matrix owns its fault injection: pick scenarios with \
           --fault-axis (none, flap, flood, brownout, jitter) instead of \
           --faults")
-    else if matrix && resil <> None then
+    else if matrix && resil_given then
       `Error
         (false,
          "--matrix cells always run the resilience monitor with canonical \
@@ -685,99 +579,55 @@ let sweep_cmd =
           reports); drop --resil")
     else if (not matrix) && fault_axis <> Matrix.default_fault_axis then
       `Error (false, "--fault-axis is a matrix axis; it requires --matrix")
-    else begin
-      match setup_check check with
-      | Error msg -> `Error (false, msg)
-      | Ok check_enabled ->
-      match setup_obs obs with
-      | Error msg -> `Error (false, msg)
-      | Ok obs_enabled ->
-      match setup_faults faults with
-      | Error msg -> `Error (false, msg)
-      | Ok fault_plan ->
+    else
+      with_spec spec @@ fun spec ->
       (* Classic-grid hardening: a clause past the sweep duration would
          silently inject nothing in every point. *)
-      match
-        match fault_plan with
-        | Some p -> Fault_plan.check_within ~run_until:duration p
-        | None -> Ok ()
-      with
-      | Error msg -> `Error (false, msg)
-      | Ok () ->
-      match setup_resil resil with
-      | Error msg -> `Error (false, msg)
-      | Ok resil_params ->
-      (* The task key is the point's full identity: every parameter that
-         affects the output is in it — including the canonical fault
-         plan, so faulted and fault-free sweeps never share cache
-         entries — and it doubles as the cache key and seed source. *)
-      let fault_suffix =
-        match fault_plan with
-        | Some plan when not (Fault_plan.is_empty plan) ->
-            Printf.sprintf "/faults=%s" (Fault_plan.to_string plan)
-        | Some _ | None -> ""
-      in
-      let guard_suffix =
-        match guard with
-        | Some cap -> Printf.sprintf "/guard=%d" cap
-        | None -> ""
-      in
-      (* Monitored sweeps print extra resilience lines per point, so
-         the parameters join the key: monitored and unmonitored points
-         never share cache entries. *)
-      let resil_suffix =
-        match resil_params with
-        | Some p ->
-            Printf.sprintf "/resil=%s" (Taq_resil.Policy.params_to_string p)
-        | None -> ""
-      in
-      let backend_spec =
-        { bk_kind = backend; bk_bg_flows = bg_flows; bk_fluid_dt = fluid_dt }
-      in
-      (* A point is (key, run): the key is the full identity (cache key
-         and seed source), the closure computes the point writing its
-         report through Out. The classic grid and the matrix build
-         different point lists over the same orchestration below. *)
+      within_horizon spec ~duration @@ fun () ->
+      let check_enabled = Run_spec.check_enabled spec in
+      let obs_enabled = Run_spec.obs_enabled spec in
+      (* A point is (key, run): the key (Task_key) is the full identity
+         — cache key and seed source — and the closure computes the
+         point writing its report through Out. The classic grid and the
+         matrix build different point lists over the same orchestration
+         below. *)
       let classic_points () =
-        let queues = if queues = [] then [ `Droptail; `Taq ] else queues in
+        let queues = if queues = [] then [ "droptail"; "taq" ] else queues in
         List.concat_map
           (fun queue ->
             List.concat_map
               (fun capacity ->
-                (* The fluid params (and hence the key suffix) depend on
-                   the point's capacity through the buffer sizing. *)
-                let backend_suffix =
-                  let buffer_pkts =
-                    Common.buffer_for_rtts ~capacity_bps:capacity ~rtt
-                      ~rtts:buffer_rtts
-                  in
-                  Common.backend_key_suffix
-                    (resolve_backend backend ~bg_flows ~fluid_dt ~rtt
-                       ~capacity_bps:capacity ~buffer_pkts)
+                (* The queue and the fluid params (and hence the key)
+                   depend on the point's capacity through the buffer
+                   sizing. *)
+                let buffer_pkts =
+                  Common.buffer_for_rtts ~capacity_bps:capacity ~rtt
+                    ~rtts:buffer_rtts
+                in
+                let backend =
+                  resolve_backend backend ~bg_flows ~fluid_dt ~rtt
+                    ~capacity_bps:capacity ~buffer_pkts
+                in
+                let q =
+                  Common.queue_of_disc ?guard_cap:guard ~capacity_bps:capacity
+                    ~buffer_pkts queue
                 in
                 List.concat_map
                   (fun fair_share ->
                     List.init reps (fun rep ->
-                        let key =
-                          Printf.sprintf
-                            "sweep/v1/queue=%s/cap=%.0f/fs=%.0f/rtt=%g/dur=%g/buf=%g/rep=%d%s%s%s%s"
-                            (queue_tag queue) capacity fair_share rtt duration
-                            buffer_rtts rep fault_suffix guard_suffix
-                            resil_suffix backend_suffix
-                        in
-                        ( key,
+                        ( Task_key.sweep ~queue ~capacity ~fair_share ~rtt
+                            ~duration ~buffer_rtts ~rep ?guard_cap:guard
+                            ~backend spec,
                           fun ~seed () ->
-                            sweep_point ~queue ~capacity ~fair_share ~rtt
-                              ~duration ~buffer_rtts ~guard
-                              ~backend:backend_spec ~rep ~seed () )))
+                            sweep_point ~queue:q ~backend ~capacity
+                              ~fair_share ~rtt ~duration ~buffer_pkts ~rep
+                              ~seed () )))
                   fair_shares)
               capacities)
           queues
       in
       let matrix_points () =
-        let discs =
-          if queues = [] then Matrix.disc_names else List.map queue_tag queues
-        in
+        let discs = if queues = [] then Matrix.default_discs else queues in
         List.concat_map
           (fun disc ->
             List.concat_map
@@ -791,17 +641,8 @@ let sweep_cmd =
                          with
                         | Ok () -> ()
                         | Error msg -> failwith msg);
-                        (* fault=none keys stay bare, so the fault axis
-                           never reseeds (or un-caches) the pre-axis
-                           matrix cells. *)
-                        let cell_fault_suffix =
-                          if fault = "none" then "" else "/fault=" ^ fault
-                        in
-                        let key =
-                          Printf.sprintf "matrix/v1/disc=%s/tcp=%s/wl=%s%s%s"
-                            disc tcp workload cell_fault_suffix guard_suffix
-                        in
-                        ( key,
+                        ( Task_key.matrix ~disc ~tcp ~workload ~fault
+                            ?guard_cap:guard (),
                           fun ~seed () ->
                             Matrix.run_cell ~disc ~tcp ~workload ~fault
                               ?guard_cap:guard ~seed () ))
@@ -818,7 +659,9 @@ let sweep_cmd =
       | Error msg -> `Error (false, msg)
       | Ok points ->
       Harness.Pool.install_signal_cancellation ~label:"sweep" ();
-      let cache = Harness.Cache.create ~dir:results_dir () in
+      (* The cache's, journal's and pool's own counters. *)
+      let obs = Run_spec.observer spec in
+      let cache = Harness.Cache.create ~obs ~dir:results_dir () in
       let hash key = Harness.Cache.key ~parts:[ key ] in
       let obs_hash key = Harness.Cache.key ~parts:[ key; "obs" ] in
       (* Durability: a write-ahead journal under the results dir records
@@ -833,7 +676,8 @@ let sweep_cmd =
         let tbl = Hashtbl.create 64 in
         if resume then begin
           let finished =
-            Harness.Journal.finished (Harness.Journal.replay ~path:journal_path)
+            Harness.Journal.finished
+              (Harness.Journal.replay ~obs ~path:journal_path ())
           in
           List.iter
             (fun (key, _) ->
@@ -861,7 +705,7 @@ let sweep_cmd =
         if no_cache then None
         else
           Some
-            (Harness.Journal.open_append ~path:journal_path
+            (Harness.Journal.open_append ~obs ~path:journal_path
                ~fresh:(not resume) ())
       in
       let cached key =
@@ -929,7 +773,7 @@ let sweep_cmd =
         | _ -> ()
       in
       let computed =
-        Harness.Pool.run ~jobs ?timeout_s ~retries ~on_start ~on_done
+        Harness.Pool.run ~obs ~jobs ?timeout_s ~retries ~on_start ~on_done
           (jobs_list @ chaos_tasks)
       in
       (match journal with Some j -> Harness.Journal.close j | None -> ());
@@ -1080,7 +924,7 @@ let sweep_cmd =
                     (Hashtbl.find_opt by_key key))
             points
         in
-        finish_obs (Obs.merge_all (Obs.root_snapshot () :: task_snaps))
+        finish_obs spec (Obs.merge_all (Obs.root_snapshot () :: task_snaps))
       end;
       if !n_cancelled > 0 then begin
         Printf.printf
@@ -1097,7 +941,6 @@ let sweep_cmd =
             !misses;
         `Ok ()
       end
-    end
   in
   let doc = "Parameter-grid sweep on a Domain worker pool (with result cache)" in
   Cmd.v (Cmd.info "sweep" ~doc)
@@ -1107,7 +950,7 @@ let sweep_cmd =
        $ capacities $ fair_shares $ reps $ rtt $ duration $ buffer_rtts
        $ guard $ backend_arg $ bg_flows_arg $ fluid_dt_arg $ jobs
        $ results_dir $ no_cache $ resume $ timeout_s $ retries $ chaos
-       $ check_arg $ obs_arg $ faults_arg $ resil_arg))
+       $ given faults_arg $ given resil_arg $ spec_term ()))
 
 (* --- faults --------------------------------------------------------------- *)
 
@@ -1131,7 +974,7 @@ let faults_cmd =
   let queues =
     Arg.(
       value
-      & opt (list queue_conv) [ `Droptail; `Taq ]
+      & opt (list (name_conv Fault_drill.disc_of_string)) [ "droptail"; "taq" ]
       & info [ "queues" ] ~docv:"QUEUES"
           ~doc:"Comma-separated disciplines to drill each scenario against.")
   in
@@ -1142,7 +985,7 @@ let faults_cmd =
           ~doc:"Worker domains. Drills are seeded from their task keys, so \
                 outcomes are byte-identical for any jobs count.")
   in
-  let run list_flag scenario queues jobs check obs resil =
+  let run list_flag scenario queues jobs spec =
     if list_flag then begin
       List.iter
         (fun s ->
@@ -1153,133 +996,99 @@ let faults_cmd =
       `Ok ()
     end
     else
-      match setup_check check with
+      with_spec spec @@ fun spec ->
+      let scenarios =
+        match scenario with
+        | None -> Ok Scenarios.all
+        | Some name -> (
+            match Scenarios.find name with
+            | Some s -> Ok [ s ]
+            | None ->
+                Error
+                  (Printf.sprintf "unknown scenario %S (known: %s)" name
+                     (String.concat ", " Scenarios.names)))
+      in
+      match scenarios with
       | Error msg -> `Error (false, msg)
-      | Ok check_enabled -> (
-          match setup_obs obs with
-          | Error msg -> `Error (false, msg)
-          | Ok obs_enabled -> (
-          match setup_resil resil with
-          | Error msg -> `Error (false, msg)
-          | Ok _resil -> (
-          let scenarios =
-            match scenario with
-            | None -> Ok Scenarios.all
-            | Some name -> (
-                match Scenarios.find name with
-                | Some s -> Ok [ s ]
-                | None ->
-                    Error
-                      (Printf.sprintf "unknown scenario %S (known: %s)" name
-                         (String.concat ", " Scenarios.names)))
-          in
-          match scenarios with
-          | Error msg -> `Error (false, msg)
-          | Ok scenarios -> (
-              try
-                let queue_of = function
-                  | `Droptail -> Common.Droptail
-                  | `Red -> Common.Red
-                  | `Sfq -> Common.Sfq
-                  | `Drr -> Common.Drr
-                  | `Choke -> Common.Choke
-                  | `Choked -> Common.Choked
-                  | `Codel -> Common.Codel
-                  | `Las -> Common.Las
-                  | `Taq | `Taq_ac -> Common.taq_marker
-                in
-                let tasks =
-                  List.concat_map
-                    (fun s ->
-                      (* A restart-only plan injects nothing without a
-                         middlebox: drill it against TAQ only. *)
-                      let queues =
-                        if Fault_plan.middlebox_only s.Scenarios.plan then
-                          List.filter
-                            (function `Taq | `Taq_ac -> true | _ -> false)
-                            queues
-                        else queues
-                      in
-                      List.map
-                        (fun q ->
-                          let key =
-                            Printf.sprintf "faults/v1/%s/queue=%s"
-                              s.Scenarios.name
-                              (Common.queue_name (queue_of q))
-                          in
-                          Harness.Task.make ~key (fun ~seed ->
-                              Fault_drill.run ~scenario:s.Scenarios.name
-                                ~plan:s.Scenarios.plan ~queue:(queue_of q)
-                                ~seed ()))
-                        queues)
-                    scenarios
-                in
-                Harness.Pool.install_signal_cancellation ~label:"fault drills"
-                  ();
-                let results =
-                  Harness.Pool.run ~jobs
-                    ~on_done:(fun ~completed ~total r ->
-                      Printf.eprintf "[%d/%d] %s (%.1f s)\n%!" completed total
-                        r.Harness.Pool.key r.Harness.Pool.elapsed_s)
-                    tasks
-                in
-                (* A SIGINT/SIGTERM mid-registry prints the drills that
-                   did finish and exits with the cancellation code. *)
-                let finished, cancelled =
-                  List.partition
-                    (fun r -> not (Harness.Pool.cancelled r))
-                    results
-                in
-                let outcomes =
-                  List.map Harness.Pool.value_exn finished
-                in
-                Fault_drill.print outcomes;
-                if obs_enabled then
-                  finish_obs
-                    (Obs.merge_all
-                       (Obs.root_snapshot ()
-                       :: List.map
-                            (fun (r : _ Harness.Pool.result) ->
-                              r.Harness.Pool.obs)
-                            finished));
-                if cancelled <> [] then begin
-                  Printf.printf
-                    "\nfault drills cancelled: %d drill(s) not executed\n"
-                    (List.length cancelled);
-                  Stdlib.exit Harness.Pool.cancelled_exit_code
-                end;
-                let bad =
-                  List.filter (fun o -> not o.Fault_drill.ok) outcomes
-                in
-                if bad <> [] then
-                  `Error
-                    (false,
-                     Printf.sprintf "%d fault drill(s) failed: %s"
-                       (List.length bad)
-                       (String.concat "; "
-                          (List.map
-                             (fun o ->
-                               Printf.sprintf "%s/%s (%s)"
-                                 o.Fault_drill.scenario o.Fault_drill.queue
-                                 (String.concat "; " o.Fault_drill.problems))
-                             bad)))
-                else begin
-                  if check_enabled then
-                    Printf.printf "invariant checks: clean (%d drill(s))\n"
-                      (List.length outcomes);
-                  `Ok ()
-                end
-              with
-              | Check.Violation msg ->
-                  `Error (false, Printf.sprintf "invariant violation: %s" msg)
-              | Failure msg -> `Error (false, msg)))))
+      | Ok scenarios -> (
+          try
+            let tasks =
+              List.concat_map
+                (fun s ->
+                  (* A restart-only plan injects nothing without a
+                     middlebox: drill it against TAQ only. *)
+                  let queues =
+                    if Fault_plan.middlebox_only s.Scenarios.plan then
+                      List.filter (( = ) "taq") queues
+                    else queues
+                  in
+                  List.map
+                    (fun queue ->
+                      Harness.Task.make
+                        ~key:(Task_key.faults ~scenario:s.Scenarios.name ~queue)
+                        (fun ~seed ->
+                          (* The drill rebuilds TAQ's config for its plan. *)
+                          Fault_drill.run ~scenario:s.Scenarios.name
+                            ~plan:s.Scenarios.plan
+                            ~queue:(Common.queue_of_disc queue) ~seed ()))
+                    queues)
+                scenarios
+            in
+            Harness.Pool.install_signal_cancellation ~label:"fault drills" ();
+            let results =
+              Harness.Pool.run ~obs:(Run_spec.observer spec) ~jobs
+                ~on_done:(fun ~completed ~total r ->
+                  Printf.eprintf "[%d/%d] %s (%.1f s)\n%!" completed total
+                    r.Harness.Pool.key r.Harness.Pool.elapsed_s)
+                tasks
+            in
+            (* A SIGINT/SIGTERM mid-registry prints the drills that did
+               finish and exits with the cancellation code. *)
+            let finished, cancelled =
+              List.partition (fun r -> not (Harness.Pool.cancelled r)) results
+            in
+            let outcomes = List.map Harness.Pool.value_exn finished in
+            Fault_drill.print outcomes;
+            if Run_spec.obs_enabled spec then
+              finish_obs spec
+                (Obs.merge_all
+                   (Obs.root_snapshot ()
+                   :: List.map
+                        (fun (r : _ Harness.Pool.result) -> r.Harness.Pool.obs)
+                        finished));
+            if cancelled <> [] then begin
+              Printf.printf
+                "\nfault drills cancelled: %d drill(s) not executed\n"
+                (List.length cancelled);
+              Stdlib.exit Harness.Pool.cancelled_exit_code
+            end;
+            let bad = List.filter (fun o -> not o.Fault_drill.ok) outcomes in
+            if bad <> [] then
+              `Error
+                (false,
+                 Printf.sprintf "%d fault drill(s) failed: %s"
+                   (List.length bad)
+                   (String.concat "; "
+                      (List.map
+                         (fun o ->
+                           Printf.sprintf "%s/%s (%s)" o.Fault_drill.scenario
+                             o.Fault_drill.queue
+                             (String.concat "; " o.Fault_drill.problems))
+                         bad)))
+            else begin
+              if Run_spec.check_enabled spec then
+                Printf.printf "invariant checks: clean (%d drill(s))\n"
+                  (List.length outcomes);
+              `Ok ()
+            end
+          with Failure msg -> `Error (false, msg))
   in
   let doc = "Run the canonical fault-scenario registry and assert recovery" in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
       ret
-        (const run $ list_flag $ scenario $ queues $ jobs $ check_arg
-       $ obs_arg $ resil_arg))
+        (const run $ list_flag $ scenario $ queues $ jobs
+       $ spec_term ~faults:absent ()))
 
 (* --- model --------------------------------------------------------------- *)
 
@@ -1369,9 +1178,9 @@ let replay_cmd =
   let queue =
     Arg.(
       value
-      & opt queue_conv `Droptail
+      & opt disc_conv "droptail"
       & info [ "q"; "queue" ] ~docv:"QUEUE"
-          ~doc:"Queue discipline: droptail, red, sfq, drr, taq or taq+ac.")
+          ~doc:(Printf.sprintf "Queue discipline: one of %s." disc_list))
   in
   let capacity =
     Arg.(
@@ -1385,29 +1194,20 @@ let replay_cmd =
   in
   let run trace_path queue capacity duration =
     let trace = Taq_workload.Trace.load_csv ~path:trace_path in
-    let q =
-      match queue with
-      | `Taq -> Common.taq_marker
-      | `Taq_ac ->
-          Common.Taq
-            (Common.taq_config ~admission:true ~capacity_bps:capacity
-               ~buffer_pkts:
-                 (Common.buffer_for_rtts ~capacity_bps:capacity ~rtt:0.3
-                    ~rtts:1.0)
-               ())
-      | spec ->
-          resolve_queue ~capacity_bps:capacity
-            ~buffer_pkts:
-              (Common.buffer_for_rtts ~capacity_bps:capacity ~rtt:0.3
-                 ~rtts:1.0)
-            spec
-    in
     let p =
       {
         Fig1_scatter.default with
         Fig1_scatter.capacity_bps = capacity;
         duration;
       }
+    in
+    (* Replay's geometry: a buffer of one propagation RTT. *)
+    let q =
+      Common.queue_of_disc ~capacity_bps:capacity
+        ~buffer_pkts:
+          (Common.buffer_for_rtts ~capacity_bps:capacity ~rtt:p.Fig1_scatter.rtt
+             ~rtts:1.0)
+        queue
     in
     Printf.printf "replaying %d records (%d clients) at %.0f bps under %s\n\n"
       (Array.length trace)
@@ -1539,64 +1339,59 @@ let mega_cmd =
              --checkpoint.")
   in
   let run flows shards capacity fg_flows rtt duration fluid_dt seed jobs
-      results_dir do_checkpoint resume check obs =
-   match setup_check check with
-   | Error msg -> `Error (false, msg)
-   | Ok check_enabled ->
-   match setup_obs obs with
-   | Error msg -> `Error (false, msg)
-   | Ok obs_enabled ->
-   (try
-    let p =
-      {
-        Mega_tier.total_flows = flows;
-        shards;
-        capacity_bps = capacity;
-        fg_flows;
-        rtt;
-        duration;
-        buffer_rtts = 1.0;
-        dt = fluid_dt;
-        seed;
-      }
-    in
-    let checkpoint =
-      if not (do_checkpoint || resume) then None
-      else begin
-        Harness.Pool.install_signal_cancellation ~label:"mega run" ();
-        let journal =
-          Harness.Journal.open_append
-            ~path:(Filename.concat results_dir "mega.journal")
-            ~fresh:(not resume) ()
-        in
-        Some
-          {
-            Mega_tier.ck_cache = Harness.Cache.create ~dir:results_dir ();
-            ck_journal = Some journal;
-            ck_resume = resume;
-          }
-      end
-    in
-    let r = Mega_tier.run ~jobs ?checkpoint p in
-    (match checkpoint with
-    | Some { Mega_tier.ck_journal = Some j; _ } -> Harness.Journal.close j
-    | Some _ | None -> ());
-    Mega_tier.print r;
-    if check_enabled then
-      Printf.printf "invariant checks: clean (%d shard(s))\n" shards;
-    if obs_enabled then
-      finish_obs
-        (Obs.merge_all (Obs.root_snapshot () :: r.Mega_tier.obs_snaps));
-    `Ok ()
-   with
-   | Mega_tier.Interrupted ->
-       Printf.printf
-         "mega run cancelled: completed shards are journaled — rerun with \
-          --resume to finish\n";
-       Stdlib.exit Harness.Pool.cancelled_exit_code
-   | Check.Violation msg ->
-       `Error (false, Printf.sprintf "invariant violation: %s" msg)
-   | Failure msg -> `Error (false, msg))
+      results_dir do_checkpoint resume spec =
+    with_spec spec @@ fun spec ->
+    try
+      let p =
+        {
+          Mega_tier.total_flows = flows;
+          shards;
+          capacity_bps = capacity;
+          fg_flows;
+          rtt;
+          duration;
+          buffer_rtts = 1.0;
+          dt = fluid_dt;
+          seed;
+        }
+      in
+      let checkpoint =
+        if not (do_checkpoint || resume) then None
+        else begin
+          Harness.Pool.install_signal_cancellation ~label:"mega run" ();
+          let obs = Run_spec.observer spec in
+          let journal =
+            Harness.Journal.open_append ~obs
+              ~path:(Filename.concat results_dir "mega.journal")
+              ~fresh:(not resume) ()
+          in
+          Some
+            {
+              Mega_tier.ck_cache =
+                Harness.Cache.create ~obs ~dir:results_dir ();
+              ck_journal = Some journal;
+              ck_resume = resume;
+            }
+        end
+      in
+      let r = Mega_tier.run ~jobs ?checkpoint p in
+      (match checkpoint with
+      | Some { Mega_tier.ck_journal = Some j; _ } -> Harness.Journal.close j
+      | Some _ | None -> ());
+      Mega_tier.print r;
+      if Run_spec.check_enabled spec then
+        Printf.printf "invariant checks: clean (%d shard(s))\n" shards;
+      if Run_spec.obs_enabled spec then
+        finish_obs spec
+          (Obs.merge_all (Obs.root_snapshot () :: r.Mega_tier.obs_snaps));
+      `Ok ()
+    with
+    | Mega_tier.Interrupted ->
+        Printf.printf
+          "mega run cancelled: completed shards are journaled — rerun with \
+           --resume to finish\n";
+        Stdlib.exit Harness.Pool.cancelled_exit_code
+    | Failure msg -> `Error (false, msg)
   in
   let doc = "Million-flow hybrid tier on the Domain worker pool" in
   Cmd.v (Cmd.info "mega" ~doc)
@@ -1604,7 +1399,7 @@ let mega_cmd =
       ret
         (const run $ flows $ shards $ capacity $ fg_flows $ rtt $ duration
        $ fluid_dt $ seed $ jobs $ results_dir $ do_checkpoint $ resume
-       $ check_arg $ obs_arg))
+       $ spec_term ~faults:absent ~resil:absent ()))
 
 let () =
   let doc = "TAQ: Timeout Aware Queuing (EuroSys'14) reproduction toolkit" in

@@ -148,21 +148,3 @@ let merge_into ~dst t =
         dst.n_messages <- dst.n_messages + 1
       end)
     (messages t)
-
-(* Ambient policy: a write-once process-wide (mask, mode) pair. We use an
-   Atomic (not Domain.DLS) so policy installed on the main domain before
-   [Harness.Pool] spawns workers is visible inside those workers. The
-   mutable counter state stays per-instance, so concurrent domains never
-   share arrays. *)
-
-let policy : (int * mode) option Atomic.t = Atomic.make None
-
-let set_policy ?(mode = Raise) ~groups () =
-  Atomic.set policy (Some (mask_of_groups groups, mode))
-
-let policy_enabled () = Atomic.get policy <> None
-
-let ambient () =
-  match Atomic.get policy with
-  | None -> off
-  | Some (mask, mode) -> make_state mask mode

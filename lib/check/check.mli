@@ -2,16 +2,12 @@
 
     A {!t} is a set of toggleable check groups plus per-group counters.
     Instrumented modules hold a [t] (threaded through their [create]
-    functions, defaulting to {!ambient}) and guard every hook site with
-    {!on}, so a disabled group costs a single [land] + compare and
-    writes nothing — zero-cost when off, and domain-safe because all
-    mutable state lives in the instance, not in globals.
-
-    Policy (which groups are enabled, and whether a violation raises or
-    is merely counted) may be installed process-wide with {!set_policy}
-    before any domains are spawned; {!ambient} then manufactures
-    instances obeying that policy anywhere in the stack without
-    plumbing changes. *)
+    functions, defaulting to {!off} or to their simulator's checker)
+    and guard every hook site with {!on}, so a disabled group costs a
+    single [land] + compare and writes nothing — zero-cost when off,
+    and domain-safe because all mutable state lives in the instance,
+    not in globals. Which groups a run checks is part of its run spec
+    ([Taq_experiments.Run_spec]), resolved once per environment. *)
 
 type group =
   | Engine     (** clock monotonicity, event-heap ordering *)
@@ -75,15 +71,3 @@ val report : t -> string
 val merge_into : dst:t -> t -> unit
 (** Fold [t]'s counters and messages into [dst] (for aggregating
     per-worker instances after a parallel sweep). *)
-
-(** {1 Ambient policy} *)
-
-val set_policy : ?mode:mode -> groups:group list -> unit -> unit
-(** Install the process-wide policy consulted by {!ambient}. Intended
-    to be called once, from the CLI, before any domains spawn. *)
-
-val policy_enabled : unit -> bool
-
-val ambient : unit -> t
-(** A fresh instance obeying the installed policy, or {!off} when no
-    policy is installed. *)

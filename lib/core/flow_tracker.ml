@@ -159,9 +159,7 @@ type t = {
 }
 
 let create ?obs ~config ~now () =
-  let obs =
-    match obs with Some o -> o | None -> Taq_obs.Obs.ambient ()
-  in
+  let obs = Option.value obs ~default:Taq_obs.Obs.off in
   {
     config;
     now;

@@ -22,7 +22,7 @@ type classification = New_data | Retransmission
 
 val create :
   ?obs:Taq_obs.Obs.t -> config:Taq_config.t -> now:(unit -> float) -> unit -> t
-(** [obs] (default [Taq_obs.Obs.ambient ()]) receives the
+(** [obs] (default [Taq_obs.Obs.off]) receives the
     [tracker.flows_created], [tracker.evictions] and
     [tracker.cap_evictions] labeled counters. *)
 

@@ -29,8 +29,8 @@ type t = {
 }
 
 let create ?check ?obs ~guard ~cap ~now () =
-  let check = match check with Some c -> c | None -> Check.ambient () in
-  let obs = match obs with Some o -> o | None -> Obs.ambient () in
+  let check = Option.value check ~default:Check.off in
+  let obs = Option.value obs ~default:Obs.off in
   let t0 = now () in
   {
     guard;

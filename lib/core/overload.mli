@@ -52,8 +52,8 @@ val create :
   unit ->
   t
 (** [cap] is [Taq_config.max_tracked_flows], used only for the
-    tracked-flows invariant; [check]/[obs] default to the ambient
-    instances. *)
+    tracked-flows invariant; [check]/[obs] default to
+    [Taq_check.Check.off]/[Taq_obs.Obs.off]. *)
 
 val mode : t -> mode
 

@@ -3,8 +3,8 @@
     Ties on time are broken by insertion order (FIFO), which the
     network simulation relies on for deterministic packet ordering.
     Payloads are ints (the simulator stores event-slot handles);
-    steady-state push/pop allocates nothing. {!Event_heap_ref} is the
-    retained boxed implementation used as a differential-testing
+    steady-state push/pop allocates nothing. test/event_heap_ref.ml
+    keeps the boxed implementation as a differential-testing
     reference. *)
 
 type t

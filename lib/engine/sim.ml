@@ -55,8 +55,8 @@ type t = {
 }
 
 let create ?check ?obs () =
-  let check = match check with Some c -> c | None -> Check.ambient () in
-  let obs = match obs with Some o -> o | None -> Obs.ambient () in
+  let check = Option.value check ~default:Check.off in
+  let obs = Option.value obs ~default:Obs.off in
   {
     clock = [| 0.0 |];
     calendar = Event_heap.create ();

@@ -30,9 +30,9 @@ val none : handle
 
 val create : ?check:Taq_check.Check.t -> ?obs:Taq_obs.Obs.t -> unit -> t
 (** A simulator with the clock at 0. [check] (default
-    [Taq_check.Check.ambient ()]) enables the [Engine] invariant group:
+    [Taq_check.Check.off]) enables the [Engine] invariant group:
     clock monotonicity and event heap ordering verified on every
-    {!step}. [obs] (default [Taq_obs.Obs.ambient ()]) receives the
+    {!step}. [obs] (default [Taq_obs.Obs.off]) receives the
     scheduler counters ([sim.events_*], [sim.heap_*]); components built
     on this simulator default their own observability instance from it
     so one env shares one instance. *)

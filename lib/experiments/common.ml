@@ -50,11 +50,6 @@ type backend = Packet | Hybrid of Taq_fluid.Model.params
 
 let backend_name = function Packet -> "packet" | Hybrid _ -> "hybrid"
 
-let backend_key_suffix = function
-  | Packet -> ""
-  | Hybrid p ->
-      Printf.sprintf "/backend=hybrid/fluid=%s" (Taq_fluid.Model.params_to_string p)
-
 let pkt_bytes = 500
 
 let default_tcp = Tcp_config.make ~use_syn:false ()
@@ -69,6 +64,33 @@ let taq_config ?(admission = false) ?guard_cap ~capacity_bps ~buffer_pkts () =
   | None -> config
   | Some cap -> Taq_config.with_guard ~max_tracked_flows:cap config
 
+(* Every discipline by name, in canonical order: the one table the CLI,
+   the sweep matrix and the fault drills resolve names through. A TAQ
+   row carries its admission flag; its config is built per run. *)
+let disc_table =
+  [
+    ("droptail", `Fixed Droptail); ("red", `Fixed Red); ("sfq", `Fixed Sfq);
+    ("drr", `Fixed Drr); ("choke", `Fixed Choke); ("choked", `Fixed Choked);
+    ("codel", `Fixed Codel); ("las", `Fixed Las); ("taq", `Taq false);
+    ("taq+ac", `Taq true);
+  ]
+
+let disc_aliases = [ ("dt", "droptail"); ("taq-ac", "taq+ac") ]
+
+let disc_names = List.map fst disc_table
+
+let disc_of_string s =
+  let name = Option.value (List.assoc_opt s disc_aliases) ~default:s in
+  if List.mem_assoc name disc_table then Ok name
+  else Error (Printf.sprintf "unknown queue %S" s)
+
+let queue_of_disc ?guard_cap ?(capacity_bps = 1.0) ?(buffer_pkts = 1) name =
+  match Result.map (fun n -> List.assoc n disc_table) (disc_of_string name) with
+  | Error msg -> invalid_arg ("Common.queue_of_disc: " ^ msg)
+  | Ok (`Fixed q) -> q
+  | Ok (`Taq admission) ->
+      Taq (taq_config ~admission ?guard_cap ~capacity_bps ~buffer_pkts ())
+
 let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
     ~capacity_bps ~buffer_pkts ?(slice = 20.0) ?(evolution_window = 5.0)
     ?(seed = 1) () =
@@ -76,8 +98,11 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
      every TCP sender share it, so counters aggregate in one place. The
      observability instance works the same way: one per env, shared by
      the simulator, link, discipline and fault injector via [Sim.obs]. *)
-  let check = match check with Some c -> c | None -> Check.ambient () in
-  let obs = match obs with Some o -> o | None -> Obs.ambient () in
+  let spec = Run_spec.current () in
+  let check =
+    match check with Some c -> c | None -> Run_spec.checker spec
+  in
+  let obs = match obs with Some o -> o | None -> Run_spec.observer spec in
   let sim = Sim.create ~check ~obs () in
   let prng = Taq_util.Prng.create ~seed in
   let taq = ref None in
@@ -131,13 +156,11 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
   let disc = Taq_queueing.Observed.wrap ~obs disc in
   let net = Dumbbell.create ~check ~sim ~capacity_bps ~disc () in
   let loss = Taq_metrics.Loss_monitor.attach (Dumbbell.link net) in
-  (* Fault injection: an explicit plan wins; otherwise the ambient
-     plan installed by --faults (if any). The injector's PRNG is split
-     from the env root only when a plan is present, so fault-free runs
-     keep byte-identical random streams with or without this layer. *)
-  let fault_plan =
-    match faults with Some p -> Some p | None -> Taq_fault.Plan.ambient ()
-  in
+  (* Fault injection: an explicit plan wins; otherwise the run spec's
+     --faults plan (if any). The injector's PRNG is split from the env
+     root only when a plan is present, so fault-free runs keep
+     byte-identical random streams with or without this layer. *)
+  let fault_plan = match faults with Some p -> Some p | None -> spec.faults in
   let faults =
     match fault_plan with
     | Some plan when not (Taq_fault.Plan.is_empty plan) ->
@@ -155,12 +178,12 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
              ~link:(Dumbbell.link net) ~params ~until:Float.infinity ())
   in
   (* Resilience monitor: an explicit parameter set wins; otherwise the
-     ambient policy installed by --resil (if any). The monitor is
+     run spec's --resil parameters (if any). The monitor is
      read-only (no PRNG draws, no queue perturbation), so attaching it
      never changes the simulated trajectory — metrics with and without
      --resil are byte-identical. It is armed by {!run}. *)
   let resil_params =
-    match resil with Some p -> Some p | None -> Taq_resil.Policy.ambient ()
+    match resil with Some p -> Some p | None -> spec.resil
   in
   let resil =
     match resil_params with
@@ -264,4 +287,4 @@ let buffer_for_rtts ~capacity_bps ~rtt ~rtts =
 let taq_marker =
   (* Placeholder replaced with a per-run capacity-aware config by the
      experiment drivers. *)
-  Taq (Taq_config.default ~capacity_pkts:1 ~capacity_bps:1.0)
+  queue_of_disc "taq"

@@ -16,6 +16,25 @@ type queue =
 
 val queue_name : queue -> string
 
+(** {1 Disciplines by name} *)
+
+val disc_names : string list
+(** Every discipline's canonical name, in table order: droptail, red,
+    sfq, drr, choke, choked, codel, las, taq, taq+ac. *)
+
+val disc_of_string : string -> (string, string) result
+(** The canonical name of a disc name or alias ([dt] for droptail,
+    [taq-ac] for taq+ac), or an error naming the unknown name. *)
+
+val queue_of_disc :
+  ?guard_cap:int -> ?capacity_bps:float -> ?buffer_pkts:int -> string ->
+  queue
+(** The queue a disc name or alias selects. TAQ variants get
+    {!taq_config} (with admission control for taq+ac) at the given
+    capacity and buffer; without them, at the placeholder geometry of
+    {!taq_marker}, for drivers that rebuild TAQ's config per run.
+    @raise Invalid_argument on an unknown name. *)
+
 type env = {
   sim : Taq_engine.Sim.t;
   net : Taq_net.Dumbbell.t;
@@ -31,13 +50,13 @@ type env = {
       (** the env-wide observability instance (shared the same way);
           snapshot it with [Taq_obs.Obs.snapshot] after a run *)
   faults : Taq_fault.Injector.t option;
-      (** present when a fault plan (explicit or ambient [--faults])
-          was installed on this environment *)
+      (** present when a fault plan (explicit or the run spec's
+          [--faults]) was installed on this environment *)
   fluid : Taq_fluid.Source.t option;
       (** present when the env was built with [backend = Hybrid _] *)
   resil : Taq_resil.Monitor.t option;
       (** present when resilience monitoring was requested (explicit
-          [resil] parameter or ambient [--resil] policy); armed by
+          [resil] parameter or the run spec's [--resil]); armed by
           {!run}, harvested with {!resil_rows} *)
 }
 
@@ -54,11 +73,6 @@ type backend = Packet | Hybrid of Taq_fluid.Model.params
 
 val backend_name : backend -> string
 (** ["packet" | "hybrid"]. *)
-
-val backend_key_suffix : backend -> string
-(** What a sweep/mega task key must append so that hybrid points never
-    alias packet points in the cache: [""] for [Packet],
-    ["/backend=hybrid/fluid=<canonical params>"] for [Hybrid]. *)
 
 val make_env :
   ?check:Taq_check.Check.t ->
@@ -77,24 +91,20 @@ val make_env :
 (** A fresh simulator, dumbbell and recorders. The env is fully
     self-contained — flow ids and packet uids are allocated by the
     env's own network, so independent envs can run concurrently in
-    separate domains. [check] (default [Taq_check.Check.ambient ()])
-    instruments every layer; when the Queueing group is enabled the
-    installed discipline is additionally wrapped in
-    {!Taq_queueing.Checked} shadow-model cross-checking. [obs]
-    (default [Taq_obs.Obs.ambient ()]) threads one observability
-    instance through the simulator, link, discipline (via
-    {!Taq_queueing.Observed}) and fault injector; pass an explicit
-    instance to isolate a single env's counters. [faults]
-    (default [Taq_fault.Plan.ambient ()], i.e. the CLI's [--faults]
-    plan when one was installed) attaches a fault injector to the
-    bottleneck, seeded from a split of the env's root PRNG; fault-free
-    envs draw exactly the random streams they always did. [resil]
-    (default [Taq_resil.Policy.ambient ()], i.e. the CLI's [--resil]
-    parameters when installed) attaches a {!Taq_resil.Monitor} to the
-    bottleneck against the resolved fault plan; the monitor is
+    separate domains. [check], [obs], [faults] and [resil] default to
+    what the installed {!Run_spec.current} asks for; an explicit
+    argument wins. [check] instruments every layer; when the Queueing
+    group is enabled the installed discipline is additionally wrapped
+    in {!Taq_queueing.Checked} shadow-model cross-checking. [obs]
+    threads one observability instance through the simulator, link,
+    discipline (via {!Taq_queueing.Observed}) and fault injector; pass
+    an explicit instance to isolate a single env's counters. [faults]
+    attaches a fault injector to the bottleneck, seeded from a split
+    of the env's root PRNG; fault-free envs draw exactly the random
+    streams they always did. [resil] attaches a {!Taq_resil.Monitor}
+    to the bottleneck against the resolved fault plan; the monitor is
     read-only, so attaching it never changes the simulated trajectory.
-    [backend]
-    (default [Packet]) selects the traffic backend: [Hybrid p]
+    [backend] (default [Packet]) selects the traffic backend: [Hybrid p]
     attaches a {!Taq_fluid.Source} to the bottleneck (ticking every
     [p.dt] for the whole run) and, for indiscriminate disciplines
     (everything but TAQ), interposes the {!Taq_fluid.Shared_loss}
@@ -164,6 +174,6 @@ val buffer_for_rtts :
 (** Buffer size in packets equal to [rtts] round-trips of delay. *)
 
 val taq_marker : queue
-(** A TAQ queue selector whose config is rebuilt per run from the
-    run's capacity and buffer (experiment drivers replace it via
-    {!taq_config}). *)
+(** [queue_of_disc "taq"]: a TAQ queue selector whose config is rebuilt
+    per run from the run's capacity and buffer (experiment drivers
+    replace it via {!taq_config}). *)

@@ -25,6 +25,16 @@ type outcome = {
    legitimate drill flows never come near it on their own. *)
 let flood_guard_cap = 256
 
+let disc_of_string s =
+  match Common.disc_of_string s with
+  | Ok "taq+ac" ->
+      Error
+        (Printf.sprintf
+           "%s: each drill already chooses TAQ's admission control and \
+            overload guard for its scenario (flood plans drill both); use taq"
+           s)
+  | r -> r
+
 let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
     ?(capacity_bps = 400e3) ?(duration = 90.0) ?(seed = 1) () =
   let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0 in
@@ -117,7 +127,7 @@ let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
       if tracked_at_end = 0 then
         problem "TAQ tracks no flows after the flood (nothing re-learned)"
   | Some _ | None -> ());
-  (* Recovery times per monitored metric, when the ambient --resil
+  (* Recovery times per monitored metric, when the run spec's --resil
      policy attached a monitor to this drill's environment. *)
   let recovery =
     match Common.resil_rows env with

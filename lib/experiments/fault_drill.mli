@@ -52,6 +52,11 @@ val flood_guard_cap : int
 (** 256 — the [max_tracked_flows] cap flood drills (and the matrix's
     flood cells) configure on TAQ's overload guard. *)
 
+val disc_of_string : string -> (string, string) result
+(** {!Common.disc_of_string} for a drill grid, which rejects taq+ac:
+    {!run} chooses TAQ's admission control and guard from the plan
+    itself, so a taq+ac drill would only repeat the taq one. *)
+
 val run :
   scenario:string ->
   plan:Taq_fault.Plan.t ->

@@ -58,12 +58,6 @@ let run_trace p ~queue ~trace =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
   in
-  let queue =
-    match queue with
-    | Common.Taq _ ->
-        Common.Taq (Common.taq_config ~capacity_bps:p.capacity_bps ~buffer_pkts ())
-    | q -> q
-  in
   let env =
     Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
       ~seed:p.seed ()

@@ -53,6 +53,8 @@ val run : params -> result
 val run_trace :
   params -> queue:Common.queue -> trace:Taq_workload.Trace.t -> result
 (** Replay an arbitrary trace (e.g. one loaded from CSV) under any
-    queue; [params.trace]/[trace_seed] are ignored. *)
+    queue, used as given: a TAQ [queue] should carry a config for
+    [params.capacity_bps] and a buffer of one [params.rtt].
+    [params.trace]/[trace_seed] are ignored. *)
 
 val print : result -> unit

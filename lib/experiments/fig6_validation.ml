@@ -102,8 +102,14 @@ let variant_name = function
   | Tcp_config.Newreno -> "newreno"
   | Tcp_config.Sack -> "sack"
 
+(* These runs build their simulator without Common.make_env, so they
+   take the run spec's checker and counters here. *)
+let spec_sim () =
+  let spec = Run_spec.current () in
+  Sim.create ~check:(Run_spec.checker spec) ~obs:(Run_spec.observer spec) ()
+
 let run_bernoulli p_params ~variant ~p =
-  let sim = Sim.create () in
+  let sim = spec_sim () in
   let disc = Taq_net.Disc.fifo_of_queue ~name:"clean" ~capacity_pkts:10_000 () in
   let net = Dumbbell.create ~sim ~capacity_bps:1e8 ~disc () in
   let tcp =
@@ -147,7 +153,7 @@ let run_bottleneck p_params ~capacity_bps ~flows_per_mbps =
     Stdlib.max 8
       (int_of_float (capacity_bps /. 1e6 *. float_of_int flows_per_mbps))
   in
-  let sim = Sim.create () in
+  let sim = spec_sim () in
   let buffer_pkts =
     Taq_queueing.Droptail.capacity_for_rtt ~capacity_bps ~rtt:p_params.rtt
       ~pkt_bytes:Common.pkt_bytes

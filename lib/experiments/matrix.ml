@@ -16,8 +16,7 @@ let n_mice = 24
 let mouse_segments = 8
 let mouse_start i = 3.0 +. (0.9 *. float_of_int i)
 
-let disc_names =
-  [ "droptail"; "red"; "sfq"; "drr"; "choke"; "choked"; "codel"; "las"; "taq" ]
+let default_discs = List.filter (fun d -> d <> "taq+ac") Common.disc_names
 
 let workload_names = [ "longmix"; "mice" ]
 
@@ -52,27 +51,8 @@ let plan_of_fault name =
       | Ok plan -> Ok plan
       | Error msg -> Error (Printf.sprintf "matrix fault %s: %s" name msg))
 
-let queue_of_disc ?guard_cap = function
-  | "droptail" -> Some Common.Droptail
-  | "red" -> Some Common.Red
-  | "sfq" -> Some Common.Sfq
-  | "drr" -> Some Common.Drr
-  | "choke" -> Some Common.Choke
-  | "choked" -> Some Common.Choked
-  | "codel" -> Some Common.Codel
-  | "las" -> Some Common.Las
-  | "taq" ->
-      Some
-        (Common.Taq (Common.taq_config ?guard_cap ~capacity_bps ~buffer_pkts ()))
-  | "taq+ac" ->
-      Some
-        (Common.Taq
-           (Common.taq_config ~admission:true ?guard_cap ~capacity_bps
-              ~buffer_pkts ()))
-  | _ -> None
-
 let validate ?(fault = "none") ~disc ~tcp ~workload () =
-  if queue_of_disc disc = None then
+  if not (List.mem disc Common.disc_names) then
     Error (Printf.sprintf "unknown matrix disc %S" disc)
   else if Tcp_config.of_name tcp = None then
     Error
@@ -155,17 +135,13 @@ let run_cell ~disc ~tcp ~workload ?(fault = "none") ?guard_cap ~seed () =
     | None, "flood" -> Some Fault_drill.flood_guard_cap
     | None, _ -> None
   in
-  let queue =
-    match queue_of_disc ?guard_cap disc with
-    | Some q -> q
-    | None -> assert false
-  in
+  let queue = Common.queue_of_disc ?guard_cap ~capacity_bps ~buffer_pkts disc in
   let profile =
     match Tcp_config.of_name tcp with Some t -> t | None -> assert false
   in
   let elephant_tcp = { profile with Tcp_config.use_syn = false } in
   (* Explicit faults + resilience parameters: the matrix axis owns the
-     plan (the ambient --faults plan must not leak into cells) and
+     plan (the run spec's --faults plan must not leak into cells) and
      every cell is monitored with the canonical default SLO parameters
      so recovery columns mean the same thing in every report. *)
   let env =

@@ -20,10 +20,10 @@
     Everything is seeded: the cell's PRNG seed comes from the sweep
     task key, so reports are byte-identical at any [--jobs]. *)
 
-val disc_names : string list
-(** The full zoo, in canonical order: droptail, red, sfq, drr, choke,
-    choked, codel, las, taq. (taq+ac is accepted by {!run_cell} but
-    not part of the default matrix.) *)
+val default_discs : string list
+(** The full zoo, in {!Common.disc_names} order: droptail, red, sfq,
+    drr, choke, choked, codel, las, taq. (taq+ac is accepted by
+    {!run_cell} but not part of the default matrix.) *)
 
 val workload_names : string list
 (** ["longmix"; "mice"]. *)
@@ -64,9 +64,9 @@ val run_cell :
 (** Run one cell under fault-axis scenario [fault] (default ["none"])
     and print its [cell ...] report line plus one [resil ...] line per
     monitored metric via {!Taq_util.Out}. The cell owns its fault plan
-    and resilience parameters (canonical defaults), so ambient
-    [--faults]/[--resil] never leak in; ambient check/obs policies
-    apply exactly as in every other experiment. Flood cells configure
+    and resilience parameters (canonical defaults), so the run spec's
+    [--faults]/[--resil] never leak in; its check/obs policies apply
+    exactly as in every other experiment. Flood cells configure
     TAQ's overload guard ({!Fault_drill.flood_guard_cap}) unless
     [guard_cap] is given. @raise Failure on unknown coordinates. *)
 

@@ -162,7 +162,7 @@ let restore_shard ck ~finished ~key ~shard =
       | Some payload -> (
           match shard_of_wire payload with
           | Some r when r.shard = shard ->
-              if not (Taq_obs.Obs.policy_enabled ()) then
+              if not (Run_spec.obs_enabled (Run_spec.current ())) then
                 Some (r, Taq_obs.Obs.empty_snapshot)
               else (
                 match
@@ -180,7 +180,7 @@ let restore_shard ck ~finished ~key ~shard =
 let checkpoint_shard ck ~key r snap =
   let payload = wire_of_shard r in
   Harness.Cache.store ck.ck_cache ~key:(payload_entry_key key) payload;
-  if Taq_obs.Obs.policy_enabled () then
+  if Run_spec.obs_enabled (Run_spec.current ()) then
     Harness.Cache.store ck.ck_cache ~key:(obs_entry_key key)
       (Taq_obs.Obs.snapshot_to_string snap);
   match ck.ck_journal with
@@ -194,6 +194,8 @@ let run ?(jobs = 1) ?checkpoint p =
   if p.shards <= 0 then invalid_arg "Mega_tier.run: shards";
   if p.total_flows < p.shards then invalid_arg "Mega_tier.run: total_flows";
   let keys = List.init p.shards (fun shard -> shard_key p ~shard) in
+  (* The pool's and the journal replay's own counters. *)
+  let obs = Run_spec.observer (Run_spec.current ()) in
   let task_of shard =
     Harness.Task.make ~key:(shard_key p ~shard) (fun ~seed ->
         run_shard p ~shard ~seed)
@@ -207,7 +209,7 @@ let run ?(jobs = 1) ?checkpoint p =
              (the bench harness relies on this — see the .mli). *)
           (List.map Harness.Task.run tasks, [], 0)
         else
-          let results = Harness.Pool.run ~jobs tasks in
+          let results = Harness.Pool.run ~obs ~jobs tasks in
           ( List.map
               (fun (r : shard_result Harness.Pool.result) ->
                 match r.Harness.Pool.value with
@@ -228,7 +230,8 @@ let run ?(jobs = 1) ?checkpoint p =
             match ck.ck_journal with
             | Some j ->
                 Harness.Journal.finished
-                  (Harness.Journal.replay ~path:(Harness.Journal.path j))
+                  (Harness.Journal.replay ~obs ~path:(Harness.Journal.path j)
+                     ())
             | None -> Hashtbl.create 1
           else Hashtbl.create 1
         in
@@ -259,7 +262,8 @@ let run ?(jobs = 1) ?checkpoint p =
         (* Checkpointed runs always go through the pool (even jobs 1):
            per-shard snapshots must exist so a resume can restore them. *)
         let results =
-          Harness.Pool.run ~jobs:(Stdlib.max 1 jobs) ~on_start ~on_done tasks
+          Harness.Pool.run ~obs ~jobs:(Stdlib.max 1 jobs) ~on_start ~on_done
+            tasks
         in
         if
           Harness.Pool.cancel_requested ()

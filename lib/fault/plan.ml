@@ -342,15 +342,3 @@ let middlebox_only t =
   t <> [] && List.for_all (function Restart _ -> true | _ -> false) t
 
 let has_flood t = List.exists (function Flood _ -> true | _ -> false) t
-
-(* --- ambient plan ------------------------------------------------------- *)
-
-(* Write-once, installed from the CLI before any worker domain spawns
-   (same contract as Taq_check.Check.set_policy). *)
-let ambient_plan : t option Atomic.t = Atomic.make None
-
-let set_ambient p =
-  if not (Atomic.compare_and_set ambient_plan None (Some p)) then
-    invalid_arg "Taq_fault.Plan.set_ambient: ambient plan already installed"
-
-let ambient () = Atomic.get ambient_plan

@@ -101,15 +101,3 @@ val middlebox_only : t -> bool
 val has_flood : t -> bool
 (** The plan contains a [Flood] clause — drills use this to enable the
     overload guard on the TAQ config under test. *)
-
-(** {1 Ambient plan}
-
-    Mirrors [Taq_check.Check]'s ambient policy: the CLI installs the
-    parsed [--faults] plan once, before any worker domain spawns;
-    every environment built afterwards (experiments, sweep points,
-    bench targets) picks it up without plumbing changes. *)
-
-val set_ambient : t -> unit
-(** Write-once; raises [Invalid_argument] on a second call. *)
-
-val ambient : unit -> t option

@@ -6,9 +6,9 @@ type t = {
   mutable evictions : int;
   mutable io_errors : int;
   (* Observability mirrors of the counters above, resolved once at
-     creation (ambient instance → the root collector, since caches
-     are created on the main domain). Bumped only inside this cache's
-     mutex sections, so cross-domain updates are already serialized. *)
+     creation from the caller's instance. Bumped only inside this
+     cache's mutex sections, so cross-domain updates are already
+     serialized. *)
   obs_hits : int ref;
   obs_misses : int ref;
   obs_evictions : int ref;
@@ -17,8 +17,7 @@ type t = {
 
 let default_dir = "_results"
 
-let create ?(dir = default_dir) () =
-  let obs = Taq_obs.Obs.ambient () in
+let create ?(obs = Taq_obs.Obs.off) ?(dir = default_dir) () =
   {
     dir;
     mutex = Mutex.create ();

@@ -19,7 +19,9 @@ type t
 val default_dir : string
 (** ["_results"]. *)
 
-val create : ?dir:string -> unit -> t
+val create : ?obs:Taq_obs.Obs.t -> ?dir:string -> unit -> t
+(** [obs] (default [Taq_obs.Obs.off]) receives the [cache.hits],
+    [cache.misses], [cache.evictions] and [cache.io_errors] counters. *)
 
 val dir : t -> string
 

@@ -137,8 +137,7 @@ let degrade t msg =
   t.io_errors <- t.io_errors + 1;
   incr t.obs_io_errors
 
-let open_append ~path ~fresh () =
-  let obs = Taq_obs.Obs.ambient () in
+let open_append ?(obs = Taq_obs.Obs.off) ~path ~fresh () =
   let t =
     {
       path;
@@ -190,7 +189,7 @@ let close t =
   t.chan <- None;
   Mutex.unlock t.mutex
 
-let replay ~path =
+let replay ?(obs = Taq_obs.Obs.off) ~path () =
   if not (Sys.file_exists path) then []
   else
     match
@@ -208,7 +207,6 @@ let replay ~path =
             (fun acc r -> acc + String.length (line_of_record r))
             0 records
         in
-        let obs = Taq_obs.Obs.ambient () in
         Taq_obs.Obs.labeled obs "journal.replayed" (List.length records);
         if consumed < String.length stream then
           Taq_obs.Obs.labeled obs "journal.torn_tail_bytes"

@@ -48,8 +48,10 @@ type record =
 
 type t
 
-val open_append : path:string -> fresh:bool -> unit -> t
-(** Open (creating parent directories as needed) for appending.
+val open_append :
+  ?obs:Taq_obs.Obs.t -> path:string -> fresh:bool -> unit -> t
+(** Open (creating parent directories as needed) for appending; [obs]
+    (default [Taq_obs.Obs.off]) receives the append counters.
     [fresh = true] truncates any previous journal — a run that is not
     resuming starts its ledger from scratch; [fresh = false] keeps
     existing records and appends after them. Never raises: on I/O
@@ -69,9 +71,10 @@ val append : t -> record -> unit
 
 val close : t -> unit
 
-val replay : path:string -> record list
+val replay : ?obs:Taq_obs.Obs.t -> path:string -> unit -> record list
 (** Decode the longest valid prefix of the journal at [path]; [[]] if
-    the file is missing or unreadable. Replay is read-only and
+    the file is missing or unreadable. [obs] (default
+    [Taq_obs.Obs.off]) receives the replay counters. Replay is read-only and
     idempotent: replaying twice yields the same records, and replaying
     after further appends yields the old records followed by the new
     ones. *)

@@ -9,9 +9,9 @@ type 'a result = {
 
 (* --- cooperative cancellation ------------------------------------------ *)
 
-(* One process-wide flag, following the write-once ambient pattern of
-   Check/Obs/Plan: the CLI installs signal handlers on the main domain
-   before any pool runs, worker domains poll the flag between tasks.
+(* One process-wide flag (run state, not run configuration): the CLI
+   installs signal handlers on the main domain before any pool runs,
+   worker domains poll the flag between tasks.
    The first signal asks the pool to finish in-flight tasks and mark
    the rest cancelled; the second exits immediately. *)
 
@@ -111,7 +111,7 @@ end
    moves on immediately and the hang is recorded, not inherited. *)
 let run_attempt ~timeout_s task =
   (* Each attempt runs under its own observability collector, so the
-     snapshot covers exactly the ambient instances the task created —
+     snapshot covers exactly the obs instances the task created —
      on whichever domain the body happens to execute. *)
   let body () =
     Taq_obs.Obs.collecting (fun () ->
@@ -195,8 +195,8 @@ let unexecuted_result key msg =
     obs = Taq_obs.Obs.empty_snapshot;
   }
 
-let run ?(jobs = 1) ?timeout_s ?retries ?backoff_s ?backoff_cap_s
-    ?max_respawns ?on_start ?on_done tasks =
+let run ?(obs = Taq_obs.Obs.off) ?(jobs = 1) ?timeout_s ?retries ?backoff_s
+    ?backoff_cap_s ?max_respawns ?on_start ?on_done tasks =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   let results : 'a result option array = Array.make n None in
@@ -231,7 +231,6 @@ let run ?(jobs = 1) ?timeout_s ?retries ?backoff_s ?backoff_cap_s
   in
   (* Worker deaths and respawns are infrastructure events, not task
      outcomes; they surface as obs counters (and stderr warnings). *)
-  let obs = Taq_obs.Obs.ambient () in
   let deaths = ref 0 and respawned = ref 0 and lost = ref 0 in
   if jobs <= 1 || n <= 1 then
     (* Degraded mode: strictly sequential, in-process, no domains

@@ -37,6 +37,7 @@ type 'a result = {
 }
 
 val run :
+  ?obs:Taq_obs.Obs.t ->
   ?jobs:int ->
   ?timeout_s:float ->
   ?retries:int ->
@@ -53,7 +54,8 @@ val run :
     via [Fun.protect], the exception kills only that worker, and
     supervision respawns it). [on_start key] fires just before a task's
     first attempt — the durability layer journals a [Start] record
-    there. Default [jobs] is 1.
+    there. Default [jobs] is 1. [obs] (default [Taq_obs.Obs.off])
+    receives the pool's own infrastructure counters below.
 
     Resilience knobs:
     - [timeout_s]: per-task deadline. The attempt body runs on a

@@ -260,7 +260,7 @@ let on_deliver_front t dummy =
 let create ?check ?obs ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver
     () =
   if capacity_bps <= 0.0 then invalid_arg "Link.create: capacity";
-  let check = match check with Some c -> c | None -> Check.ambient () in
+  let check = match check with Some c -> c | None -> Sim.check sim in
   let obs = match obs with Some o -> o | None -> Sim.obs sim in
   let dummy = dummy_packet () in
   let t =

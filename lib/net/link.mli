@@ -33,7 +33,7 @@ val create :
     network's packet-pool hook, called for every drop victim after all
     drop listeners and accounting have observed it — the victim is
     dead at that point and its record may be recycled. [check] (default
-    [Taq_check.Check.ambient ()]) enables
+    [Taq_engine.Sim.check sim]) enables
     the [Net] group: packet and byte conservation
     ([accepted = transmitted + on_wire + pushed_out + queued]) verified
     after every send and transmission completion. [obs] (default

@@ -1,8 +1,7 @@
 (* Perf observability: deterministic counters + optional tracing.
-   Mirrors the write-once ambient-policy pattern of Taq_check.Check:
-   policy is installed process-wide before domains spawn, instances
-   are per-environment (never shared across domains), and everything
-   is a single-branch no-op when disabled. *)
+   Instances are per-environment (never shared across domains), built
+   from a run's [--obs] policy by [of_policy], and everything is a
+   single-branch no-op when disabled. *)
 
 (* --- fixed counters ------------------------------------------------------ *)
 
@@ -314,7 +313,7 @@ let report snap =
          (List.length snap.events) snap.trace_dropped);
   Buffer.contents b
 
-(* --- ambient policy ------------------------------------------------------ *)
+(* --- policy ------------------------------------------------------------- *)
 
 type policy = {
   policy_counters : bool;
@@ -364,26 +363,10 @@ let policy_of_spec spec =
     in
     go base parts
 
-(* Same rationale as Check's policy Atomic: installed on the main
-   domain before Harness.Pool spawns workers, read anywhere. *)
-let policy_slot : policy option Atomic.t = Atomic.make None
-
-let set_policy p = Atomic.set policy_slot (Some p)
-
-let policy () = Atomic.get policy_slot
-
-let policy_enabled () =
-  match Atomic.get policy_slot with
-  | Some p -> p.policy_counters || p.policy_trace <> None
-  | None -> false
-
-let trace_path () =
-  match Atomic.get policy_slot with Some p -> p.policy_trace | None -> None
-
 (* --- collectors ----------------------------------------------------------
 
-   Ambient instances register themselves with the current collector so
-   their counters can be found again at snapshot time. The harness
+   Instances built by [of_policy] register with the current collector
+   so their counters can be found again at snapshot time. The harness
    installs a domain-local collector around each task (see
    Harness.Pool), which is what makes per-task aggregation exact under
    any jobs count: integer counters are summed task-by-task in input
@@ -408,23 +391,19 @@ let register t =
       root.instances <- t :: root.instances;
       Mutex.unlock root_mutex
 
-let ambient () =
-  match Atomic.get policy_slot with
-  | None -> off
-  | Some p ->
-      if (not p.policy_counters) && p.policy_trace = None then off
-      else begin
-        let t =
-          make_instance ~enabled:p.policy_counters
-            ~trace:
-              (match p.policy_trace with
-              | None -> None
-              | Some _ ->
-                  Some (Trace.create ~capacity:p.policy_trace_capacity ()))
-        in
-        register t;
-        t
-      end
+let of_policy p =
+  if (not p.policy_counters) && p.policy_trace = None then off
+  else begin
+    let t =
+      make_instance ~enabled:p.policy_counters
+        ~trace:
+          (match p.policy_trace with
+          | None -> None
+          | Some _ -> Some (Trace.create ~capacity:p.policy_trace_capacity ()))
+    in
+    register t;
+    t
+  end
 
 let snapshot_of_instances instances =
   merge_all (List.rev_map snapshot instances)

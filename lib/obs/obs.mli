@@ -1,14 +1,11 @@
 (** Perf-observability layer: deterministic counters + optional traces.
 
-    Follows the write-once ambient-policy pattern of
-    [Taq_check.Check]: a process-wide policy is installed once by the
-    CLI ({!set_policy}, before any worker domains spawn), after which
-    {!ambient} manufactures per-environment instances anywhere in the
-    stack with no plumbing changes. All mutable state lives in the
-    instance, never in globals, so instances are domain-safe by
-    construction; every hot-path hook is guarded by a single
-    [t.enabled] branch, so a disabled instance costs one load+compare
-    and writes nothing.
+    A run's [--obs] {!policy} is part of its run spec
+    ([Taq_experiments.Run_spec]); {!of_policy} turns it into one
+    instance per environment. All mutable state lives in the instance,
+    never in globals, so instances are domain-safe by construction;
+    every hot-path hook is guarded by a single [t.enabled] branch, so a
+    disabled instance costs one load+compare and writes nothing.
 
     Counters are {e deterministic}: under fixed seeds the same
     simulation produces bit-identical counter values on any machine,
@@ -17,7 +14,7 @@
     be gated within a tolerance. Noisy measurements (GC words) are
     carried separately in the snapshot and never gated exactly.
 
-    Aggregation: ambient instances register with the current
+    Aggregation: {!of_policy} instances register with the current
     {e collector} — per-task (installed by [Harness.Pool] via
     {!collecting}) or the process-global root. Integer counters are
     summed, so per-task snapshots fold to identical totals for
@@ -49,8 +46,8 @@ val off : t
 (** The shared disabled instance: never mutated, zero-cost. *)
 
 val create : ?trace_capacity:int -> ?tracing:bool -> unit -> t
-(** A fresh enabled instance, mostly for tests and embedders that
-    thread [?obs] explicitly instead of relying on {!ambient}.
+(** A fresh enabled instance that registers with no collector, for
+    tests and embedders that snapshot it themselves.
     [tracing] (default false) attaches a {!Trace} ring. *)
 
 val enabled : t -> bool
@@ -126,7 +123,7 @@ val snapshot_of_string : string -> (snapshot, string) result
 val report : snapshot -> string
 (** Human-readable counter/gauge table. *)
 
-(** {1 Ambient policy} *)
+(** {1 Policy} *)
 
 type policy = {
   policy_counters : bool;
@@ -141,29 +138,21 @@ val policy_of_spec : string -> (policy, string) result
     [trace], [trace:PATH] and [off]; the empty string means
     [counters]. [trace] implies [counters]. *)
 
-val set_policy : policy -> unit
-(** Install the process-wide policy consulted by {!ambient}. Intended
-    to be called once, from the CLI, before any domains spawn. *)
-
-val policy : unit -> policy option
-val policy_enabled : unit -> bool
-val trace_path : unit -> string option
-
-val ambient : unit -> t
-(** A fresh instance obeying the installed policy — registered with
-    the current collector — or {!off} when no policy is installed. *)
+val of_policy : policy -> t
+(** A fresh instance obeying [policy] — registered with the current
+    collector — or {!off} when the policy enables nothing. *)
 
 (** {1 Collectors} *)
 
 val collecting : (unit -> 'a) -> 'a * snapshot
 (** [collecting f] installs a fresh domain-local collector, runs [f],
     and returns its result together with the merged snapshot of every
-    ambient instance created during [f] on this domain (plus this
+    {!of_policy} instance created during [f] on this domain (plus this
     domain's GC-word deltas). Used by [Harness.Pool] around each task
     attempt; nests (the previous collector is restored). *)
 
 val root_snapshot : unit -> snapshot
-(** Merged snapshot of ambient instances created outside any
+(** Merged snapshot of {!of_policy} instances created outside any
     {!collecting} scope (main-domain environments, the result cache). *)
 
 val reset_root : unit -> unit

@@ -74,14 +74,3 @@ let params_of_spec spec =
                  eps-drop, eps-occ-frac, eps-occ-floor)"
                 k))
     (Ok default) parts
-
-(* Write-once ambient policy, installed from the CLI before any worker
-   domain spawns (same contract as Taq_check.Check.set_policy and
-   Taq_fault.Plan.set_ambient). *)
-let ambient_params : params option Atomic.t = Atomic.make None
-
-let set_ambient p =
-  if not (Atomic.compare_and_set ambient_params None (Some p)) then
-    invalid_arg "Taq_resil.Policy.set_ambient: policy already installed"
-
-let ambient () = Atomic.get ambient_params

@@ -1,4 +1,4 @@
-(** Resilience-monitor parameters and the [--resil] ambient policy.
+(** Resilience-monitor parameters: what [--resil] configures.
 
     The parameters pin down the SLO vocabulary: how often the monitor
     samples ([period]), how many consecutive in-tolerance samples count
@@ -33,14 +33,3 @@ val params_of_spec : string -> (params, string) result
 (** Parse a [--resil] SPEC: comma-separated [key=value] overrides of
     {!default} (keys: period, sustain, eps-jain, eps-drop,
     eps-occ-frac, eps-occ-floor). The empty string is {!default}. *)
-
-(** {1 Ambient policy}
-
-    Mirrors [Taq_fault.Plan]'s ambient plan: the CLI installs the
-    parsed [--resil] parameters once, before any worker domain spawns;
-    every environment built afterwards attaches a monitor. *)
-
-val set_ambient : params -> unit
-(** Write-once; raises [Invalid_argument] on a second call. *)
-
-val ambient : unit -> params option

@@ -45,7 +45,7 @@ type t = {
 
 let create ?obs ~config ~now () =
   let obs =
-    match obs with Some o -> o | None -> Taq_obs.Obs.ambient ()
+    match obs with Some o -> o | None -> Taq_obs.Obs.off
   in
   {
     config;

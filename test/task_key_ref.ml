@@ -1,0 +1,45 @@
+(* Reference task-key formats, frozen verbatim from the inline key
+   code of the sweep and fault-drill drivers. Existing result dirs and
+   journals are keyed by exactly these strings, and every point's seed
+   derives from them, so Task_key must print them byte for byte:
+   test_fault's differential property holds it to that. *)
+
+module Common = Taq_experiments.Common
+module Fault_plan = Taq_fault.Plan
+
+let backend_key_suffix = function
+  | Common.Packet -> ""
+  | Common.Hybrid p ->
+      Printf.sprintf "/backend=hybrid/fluid=%s" (Taq_fluid.Model.params_to_string p)
+
+let guard_suffix guard =
+  match guard with
+  | Some cap -> Printf.sprintf "/guard=%d" cap
+  | None -> ""
+
+let sweep ~queue ~capacity ~fair_share ~rtt ~duration ~buffer_rtts ~rep
+    ~fault_plan ~guard ~resil_params ~backend =
+  let fault_suffix =
+    match fault_plan with
+    | Some plan when not (Fault_plan.is_empty plan) ->
+        Printf.sprintf "/faults=%s" (Fault_plan.to_string plan)
+    | Some _ | None -> ""
+  in
+  let resil_suffix =
+    match resil_params with
+    | Some p ->
+        Printf.sprintf "/resil=%s" (Taq_resil.Policy.params_to_string p)
+    | None -> ""
+  in
+  Printf.sprintf
+    "sweep/v1/queue=%s/cap=%.0f/fs=%.0f/rtt=%g/dur=%g/buf=%g/rep=%d%s%s%s%s"
+    queue capacity fair_share rtt duration buffer_rtts rep fault_suffix
+    (guard_suffix guard) resil_suffix (backend_key_suffix backend)
+
+let matrix ~disc ~tcp ~workload ~fault ~guard =
+  let cell_fault_suffix = if fault = "none" then "" else "/fault=" ^ fault in
+  Printf.sprintf "matrix/v1/disc=%s/tcp=%s/wl=%s%s%s" disc tcp workload
+    cell_fault_suffix (guard_suffix guard)
+
+let faults ~scenario ~queue =
+  Printf.sprintf "faults/v1/%s/queue=%s" scenario (Common.queue_name queue)

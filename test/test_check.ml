@@ -398,7 +398,7 @@ let prop_flow_permutation =
    sequentially or on 4 worker domains. This is the guard against
    scheduling-dependent nondeterminism (hidden shared state, ambient
    PRNGs, domain-local sinks). *)
-let mini_sweep_tasks () =
+let mini_sweep_tasks ?(checked = false) () =
   List.map
     (fun (queue, name, fair_share) ->
       let key = Printf.sprintf "mini/%s/fs=%.0f" name fair_share in
@@ -410,8 +410,9 @@ let mini_sweep_tasks () =
                   ~fair_share_bps:fair_share
               in
               let env =
-                Common.make_env ~queue ~capacity_bps:capacity ~buffer_pkts:20
-                  ~seed ()
+                Common.make_env
+                  ~check:(if checked then Check.create () else Check.off)
+                  ~queue ~capacity_bps:capacity ~buffer_pkts:20 ~seed ()
               in
               let ids =
                 Common.spawn_long_flows env ~n:flows ~rtt:0.1 ~rtt_jitter:0.1 ()
@@ -429,32 +430,27 @@ let mini_sweep_tasks () =
        "taq", 10e3);
     ]
 
-let outputs ~jobs =
-  Harness.Pool.run ~jobs (mini_sweep_tasks ())
+let outputs ?checked ~jobs () =
+  Harness.Pool.run ~jobs (mini_sweep_tasks ?checked ())
   |> List.map (fun (r : string Harness.Pool.result) ->
          match r.Harness.Pool.value with
          | Ok s -> (r.Harness.Pool.key, s)
          | Error e -> Alcotest.fail (r.Harness.Pool.key ^ ": " ^ e))
 
 let test_seed_determinism_jobs () =
-  let seq = outputs ~jobs:1 and par = outputs ~jobs:4 in
+  let seq = outputs ~jobs:1 () and par = outputs ~jobs:4 () in
   Alcotest.(check (list (pair string string)))
     "jobs=4 byte-identical to jobs=1" seq par
 
 let test_seed_determinism_rerun () =
   Alcotest.(check (list (pair string string)))
-    "jobs=4 stable across runs" (outputs ~jobs:4) (outputs ~jobs:4)
+    "jobs=4 stable across runs" (outputs ~jobs:4 ()) (outputs ~jobs:4 ())
 
 (* Instrumentation must not change behaviour: the same mini sweep with
    every check group enabled produces the same metrics. *)
 let test_checks_do_not_perturb () =
-  let plain = outputs ~jobs:1 in
-  Check.set_policy ~mode:Check.Raise ~groups:Check.all_groups ();
-  let checked =
-    Fun.protect
-      ~finally:(fun () -> Check.set_policy ~mode:Check.Raise ~groups:[] ())
-      (fun () -> outputs ~jobs:4)
-  in
+  let plain = outputs ~jobs:1 () in
+  let checked = outputs ~checked:true ~jobs:4 () in
   Alcotest.(check (list (pair string string)))
     "checked run byte-identical to unchecked" plain checked
 

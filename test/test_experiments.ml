@@ -252,6 +252,40 @@ let test_fig1_spread () =
     true
     (r.Fig1_scatter.spread_orders > 1.0)
 
+(* Replaying under taq+ac must run admission control: run_trace uses
+   the queue it is given, TAQ config included. *)
+let test_fig1_replay_admission () =
+  let trace =
+    Taq_workload.Trace.generate
+      ~params:
+        {
+          Taq_workload.Trace.default_params with
+          Taq_workload.Trace.clients = 20;
+          duration = 600.0;
+        }
+      ~seed:101 ()
+  in
+  let p =
+    {
+      Fig1_scatter.default with
+      Fig1_scatter.capacity_bps = 600e3;
+      duration = 300.0;
+    }
+  in
+  let replay disc =
+    let buffer_pkts =
+      Common.buffer_for_rtts ~capacity_bps:p.Fig1_scatter.capacity_bps
+        ~rtt:p.Fig1_scatter.rtt ~rtts:1.0
+    in
+    Fig1_scatter.run_trace p ~trace
+      ~queue:
+        (Common.queue_of_disc ~capacity_bps:p.Fig1_scatter.capacity_bps
+           ~buffer_pkts disc)
+  in
+  Alcotest.(check bool)
+    "taq+ac replays differently from taq" true
+    (replay "taq" <> replay "taq+ac")
+
 (* --- hangs --------------------------------------------------------------------- *)
 
 let test_hangs_contention_increases_hangs () =
@@ -358,7 +392,12 @@ let () =
       ("fig9", [ Alcotest.test_case "taq reduces stalls" `Slow test_fig9_taq_reduces_stalls ]);
       ("fig10", [ Alcotest.test_case "short flows" `Slow test_fig10_short_flows_complete_and_scale ]);
       ("fig12", [ Alcotest.test_case "cdfs" `Slow test_fig12_produces_cdfs ]);
-      ("fig1", [ Alcotest.test_case "spread" `Slow test_fig1_spread ]);
+      ( "fig1",
+        [
+          Alcotest.test_case "spread" `Slow test_fig1_spread;
+          Alcotest.test_case "replay honours admission" `Slow
+            test_fig1_replay_admission;
+        ] );
       ("hangs", [ Alcotest.test_case "contention" `Slow test_hangs_contention_increases_hangs ]);
       ("ablations", [ Alcotest.test_case "structure" `Slow test_ablations_structure ]);
       ( "registry",

@@ -12,6 +12,9 @@ module Scenarios = Taq_fault.Scenarios
 module Injector = Taq_fault.Injector
 module Common = Taq_experiments.Common
 module Fault_drill = Taq_experiments.Fault_drill
+module Matrix = Taq_experiments.Matrix
+module Run_spec = Taq_experiments.Run_spec
+module Task_key = Taq_experiments.Task_key
 module Check = Taq_check.Check
 
 let ok_plan s =
@@ -545,6 +548,127 @@ let prop_finite_plan_recovers =
       Common.run env ~until:120.0;
       !completed = flows && Check.total_violations check = 0)
 
+(* --- property: task keys byte-equal to the reference formats ------------ *)
+
+(* Keys are cache keys, journal keys and seed sources at once, so the
+   Task_key printer must reproduce the formats older result dirs were
+   filled with (Task_key_ref) over every run-spec component it
+   prints: fault plans (empty ones included), guard caps, resilience
+   parameters and hybrid backends, at arbitrary point coordinates. *)
+let gen_resil_params =
+  QCheck.Gen.(
+    let* period = float_range 0.05 5.0 in
+    let* sustain = int_range 1 10 in
+    let* eps_jain = float_range 0.001 0.5 in
+    let* eps_drop = float_range 0.001 0.5 in
+    let* eps_occ_frac = float_range 0.01 2.0 in
+    let* eps_occ_floor = float_range 0.5 50.0 in
+    return
+      {
+        Taq_resil.Policy.period;
+        sustain;
+        eps_jain;
+        eps_drop;
+        eps_occ_frac;
+        eps_occ_floor;
+      })
+
+let gen_backend =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Common.Packet);
+        ( 1,
+          let* n_flows = int_range 1 100_000 in
+          let* rtt_prop = float_range 0.01 1.0 in
+          let* dt = float_range 0.001 0.5 in
+          let* capacity_bps = float_range 1e5 1e10 in
+          let* buffer_bytes = int_range 500 10_000_000 in
+          return
+            (Common.Hybrid
+               (Taq_fluid.Model.make_params ~rtt_prop ~dt ~n_flows
+                  ~capacity_bps ~buffer_bytes ())) );
+      ])
+
+let gen_sweep_keys =
+  QCheck.Gen.(
+    let* queue = oneofl Common.disc_names in
+    let* capacity = float_range 1e4 3e9 in
+    let* fair_share = float_range 1e3 1e6 in
+    let* rtt = float_range 0.001 2.0 in
+    let* duration = float_range 1.0 20_000.0 in
+    let* buffer_rtts = float_range 0.05 8.0 in
+    let* rep = int_range 0 20 in
+    let* fault_plan =
+      frequency
+        [
+          (1, return None);
+          (1, return (Some []));
+          (3, map Option.some gen_plan);
+        ]
+    in
+    let* guard = opt (int_range 1 100_000) in
+    let* resil_params = opt gen_resil_params in
+    let* backend = gen_backend in
+    let spec =
+      { Run_spec.off with faults = fault_plan; resil = resil_params }
+    in
+    return
+      ( Task_key_ref.sweep ~queue ~capacity ~fair_share ~rtt ~duration
+          ~buffer_rtts ~rep ~fault_plan ~guard ~resil_params ~backend,
+        Task_key.sweep ~queue ~capacity ~fair_share ~rtt ~duration
+          ~buffer_rtts ~rep ?guard_cap:guard ~backend spec ))
+
+let gen_matrix_keys =
+  QCheck.Gen.(
+    let* disc = oneofl Common.disc_names in
+    let* tcp = oneofl Matrix.tcp_names in
+    let* workload = oneofl Matrix.workload_names in
+    let* fault = oneofl Matrix.fault_names in
+    let* guard = opt (int_range 1 100_000) in
+    return
+      ( Task_key_ref.matrix ~disc ~tcp ~workload ~fault ~guard,
+        Task_key.matrix ~disc ~tcp ~workload ~fault ?guard_cap:guard () ))
+
+let gen_drill_keys =
+  QCheck.Gen.(
+    let* scenario = oneofl Scenarios.names in
+    let* queue =
+      oneofl (List.filter (fun d -> d <> "taq+ac") Common.disc_names)
+    in
+    return
+      ( Task_key_ref.faults ~scenario ~queue:(Common.queue_of_disc queue),
+        Task_key.faults ~scenario ~queue ))
+
+let prop_task_keys_match_reference =
+  QCheck.Test.make ~name:"task keys: byte-equal to the reference formats"
+    ~count:300
+    (QCheck.make
+       ~print:(fun keys ->
+         String.concat "\n"
+           (List.map (fun (r, k) -> Printf.sprintf "ref %s\nkey %s" r k) keys))
+       QCheck.Gen.(
+         let* sweep = gen_sweep_keys in
+         let* cell = gen_matrix_keys in
+         let* drill = gen_drill_keys in
+         return [ sweep; cell; drill ]))
+    (List.for_all (fun (reference, key) -> reference = key))
+
+(* faults --queues: taq+ac would only repeat the taq drill. *)
+let test_drill_rejects_taq_ac () =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s rejected" name)
+        true
+        (Result.is_error (Fault_drill.disc_of_string name)))
+    [ "taq+ac"; "taq-ac"; "bogus" ];
+  Alcotest.(check (result string string))
+    "taq drilled as taq" (Ok "taq") (Fault_drill.disc_of_string "taq");
+  Alcotest.(check (result string string))
+    "aliases resolve" (Ok "droptail")
+    (Fault_drill.disc_of_string "dt")
+
 (* --- property: any finite flood => bounded state + bounded degradation ------- *)
 
 let prop_flood_guard_arc =
@@ -553,7 +677,8 @@ let prop_flood_guard_arc =
      trip, keep the tracker bounded, and be back to Normal by the end
      of the run — for every flood kind. The drill's Guard-group
      invariants (cap bound, dwell floors, conservation across mode
-     switches) run in whatever ambient check mode is installed. *)
+     switches) run under whatever check groups the installed run spec
+     enables (none here). *)
   QCheck.Test.make ~name:"flood: cap bounded + guard back to normal" ~count:6
     (QCheck.make
        ~print:(fun (rate, dur, kind) ->
@@ -633,6 +758,8 @@ let () =
           Alcotest.test_case "flood arc" `Quick test_drill_flood_arc;
           Alcotest.test_case "jobs=1 == jobs=4" `Quick
             test_drill_jobs_invariant;
+          Alcotest.test_case "taq+ac rejected" `Quick
+            test_drill_rejects_taq_ac;
         ] );
       ( "properties",
         [
@@ -645,5 +772,8 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Qcheck_seed.rand ~file:"test_fault")
             prop_flood_guard_arc;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Qcheck_seed.rand ~file:"test_fault")
+            prop_task_keys_match_reference;
         ] );
     ]

@@ -724,20 +724,21 @@ let test_journal_append_replay () =
       in
       List.iter (Journal.append j) records;
       Journal.close j;
-      let replayed = Journal.replay ~path in
+      let replayed = Journal.replay ~path () in
       Alcotest.(check bool) "replay returns all records" true
         (replayed = records);
       (* Idempotence: replaying again yields the same list. *)
       Alcotest.(check bool) "replay idempotent" true
-        (Journal.replay ~path = replayed);
+        (Journal.replay ~path () = replayed);
       (* Appending after a replay keeps old records and adds new ones. *)
       let j2 = Journal.open_append ~path ~fresh:false () in
       Journal.append j2 (Journal.Start "appended-later");
       Journal.close j2;
       Alcotest.(check bool) "append-after-replay extends the prefix" true
-        (Journal.replay ~path = records @ [ Journal.Start "appended-later" ]);
+        (Journal.replay ~path ()
+        = records @ [ Journal.Start "appended-later" ]);
       (* [finished] keeps the digest of every completed key. *)
-      let fin = Journal.finished (Journal.replay ~path) in
+      let fin = Journal.finished (Journal.replay ~path ()) in
       List.iter
         (fun key ->
           Alcotest.(check (option string))
@@ -747,7 +748,7 @@ let test_journal_append_replay () =
         tricky_keys;
       Alcotest.(check (list string))
         "started_unfinished sees the torn Start" [ "appended-later" ]
-        (Journal.started_unfinished (Journal.replay ~path)))
+        (Journal.started_unfinished (Journal.replay ~path ())))
 
 let test_journal_degrades_on_io_error () =
   (* Parent "directory" is a file: the journal must come back degraded
@@ -836,122 +837,114 @@ let prop_journal_corruption_yields_prefix =
    the merged task counters are identical to the uninterrupted run's.
    (CI repeats this against the real binary with a real SIGKILL.) *)
 let test_durable_resume_counters_identical () =
-  Obs.set_policy
+  let counters =
     {
       Obs.policy_counters = true;
       policy_trace = None;
       policy_trace_capacity = 4096;
-    };
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_policy
-        {
-          Obs.policy_counters = false;
-          policy_trace = None;
-          policy_trace_capacity = 4096;
-        })
-    (fun () ->
-      with_temp_cache (fun cache ->
-          let keys = List.init 6 (fun i -> Printf.sprintf "durable/p%d" i) in
-          let task_of key =
-            Task.make ~key (fun ~seed ->
-                (* A deterministic per-task counter footprint. *)
-                let obs = Obs.ambient () in
-                Obs.labeled obs "durable.work" (seed mod 1000);
-                Obs.labeled obs "durable.tasks" 1;
-                Printf.sprintf "out:%s:%d" key seed)
+    }
+  in
+  with_temp_cache (fun cache ->
+      let keys = List.init 6 (fun i -> Printf.sprintf "durable/p%d" i) in
+      let task_of key =
+        Task.make ~key (fun ~seed ->
+            (* A deterministic per-task counter footprint. *)
+            let obs = Obs.of_policy counters in
+            Obs.labeled obs "durable.work" (seed mod 1000);
+            Obs.labeled obs "durable.tasks" 1;
+            Printf.sprintf "out:%s:%d" key seed)
+      in
+      (* Reference: uninterrupted run, all six computed. *)
+      let reference = Pool.run ~jobs:2 (List.map task_of keys) in
+      let ref_merged =
+        Obs.merge_all
+          (List.map (fun (r : string Pool.result) -> r.Pool.obs) reference)
+      in
+      (* "Killed" run: the first three tasks completed and were
+         persisted (payload + obs snapshot + journal Finish); the
+         kill landed before the rest. *)
+      let journal_path = Filename.concat (Cache.dir cache) "test.journal" in
+      let j = Journal.open_append ~path:journal_path ~fresh:true () in
+      List.iteri
+        (fun i (r : string Pool.result) ->
+          if i < 3 then begin
+            let key = r.Pool.key in
+            let payload = Pool.value_exn r in
+            Journal.append j (Journal.Start key);
+            Cache.store cache ~key:(Cache.key ~parts:[ key ]) payload;
+            Cache.store cache
+              ~key:(Cache.key ~parts:[ key; "obs" ])
+              (Obs.snapshot_to_string r.Pool.obs);
+            Journal.append j
+              (Journal.Finish
+                 { key; digest = Digest.to_hex (Digest.string payload) })
+          end)
+        reference;
+      Journal.close j;
+      (* Resume: restore journaled-complete tasks, compute the rest. *)
+      let finished = Journal.finished (Journal.replay ~path:journal_path ()) in
+      let restored =
+        List.filter_map
+          (fun key ->
+            match Hashtbl.find_opt finished key with
+            | None -> None
+            | Some digest -> (
+                match Cache.find cache ~key:(Cache.key ~parts:[ key ]) with
+                | Some payload
+                  when Digest.to_hex (Digest.string payload) = digest -> (
+                    match
+                      Cache.find cache ~key:(Cache.key ~parts:[ key; "obs" ])
+                    with
+                    | Some s -> (
+                        match Obs.snapshot_of_string s with
+                        | Ok snap -> Some (key, (payload, snap))
+                        | Error _ -> None)
+                    | None -> None)
+                | _ -> None))
+          keys
+      in
+      Alcotest.(check int) "three tasks restored" 3 (List.length restored);
+      let todo =
+        List.filter (fun k -> not (List.mem_assoc k restored)) keys
+      in
+      let computed = Pool.run ~jobs:2 (List.map task_of todo) in
+      let by_key = Hashtbl.create 16 in
+      List.iter
+        (fun (r : string Pool.result) ->
+          Hashtbl.replace by_key r.Pool.key (Pool.value_exn r, r.Pool.obs))
+        computed;
+      (* Merge in task order, restored-or-computed. *)
+      let merged =
+        Obs.merge_all
+          (List.map
+             (fun key ->
+               match List.assoc_opt key restored with
+               | Some (_, snap) -> snap
+               | None -> snd (Hashtbl.find by_key key))
+             keys)
+      in
+      Alcotest.(check bool)
+        "merged task counters identical to the uninterrupted run" true
+        (merged.Obs.counters = ref_merged.Obs.counters
+        && merged.Obs.gauges = ref_merged.Obs.gauges);
+      (* And the payloads line up too. *)
+      List.iter
+        (fun key ->
+          let expected =
+            Pool.value_exn
+              (List.find
+                 (fun (r : string Pool.result) -> r.Pool.key = key)
+                 reference)
           in
-          (* Reference: uninterrupted run, all six computed. *)
-          let reference = Pool.run ~jobs:2 (List.map task_of keys) in
-          let ref_merged =
-            Obs.merge_all
-              (List.map (fun (r : string Pool.result) -> r.Pool.obs) reference)
+          let actual =
+            match List.assoc_opt key restored with
+            | Some (payload, _) -> payload
+            | None -> fst (Hashtbl.find by_key key)
           in
-          (* "Killed" run: the first three tasks completed and were
-             persisted (payload + obs snapshot + journal Finish); the
-             kill landed before the rest. *)
-          let journal_path = Filename.concat (Cache.dir cache) "test.journal" in
-          let j = Journal.open_append ~path:journal_path ~fresh:true () in
-          List.iteri
-            (fun i (r : string Pool.result) ->
-              if i < 3 then begin
-                let key = r.Pool.key in
-                let payload = Pool.value_exn r in
-                Journal.append j (Journal.Start key);
-                Cache.store cache ~key:(Cache.key ~parts:[ key ]) payload;
-                Cache.store cache
-                  ~key:(Cache.key ~parts:[ key; "obs" ])
-                  (Obs.snapshot_to_string r.Pool.obs);
-                Journal.append j
-                  (Journal.Finish
-                     { key; digest = Digest.to_hex (Digest.string payload) })
-              end)
-            reference;
-          Journal.close j;
-          (* Resume: restore journaled-complete tasks, compute the rest. *)
-          let finished = Journal.finished (Journal.replay ~path:journal_path) in
-          let restored =
-            List.filter_map
-              (fun key ->
-                match Hashtbl.find_opt finished key with
-                | None -> None
-                | Some digest -> (
-                    match Cache.find cache ~key:(Cache.key ~parts:[ key ]) with
-                    | Some payload
-                      when Digest.to_hex (Digest.string payload) = digest -> (
-                        match
-                          Cache.find cache ~key:(Cache.key ~parts:[ key; "obs" ])
-                        with
-                        | Some s -> (
-                            match Obs.snapshot_of_string s with
-                            | Ok snap -> Some (key, (payload, snap))
-                            | Error _ -> None)
-                        | None -> None)
-                    | _ -> None))
-              keys
-          in
-          Alcotest.(check int) "three tasks restored" 3 (List.length restored);
-          let todo =
-            List.filter (fun k -> not (List.mem_assoc k restored)) keys
-          in
-          let computed = Pool.run ~jobs:2 (List.map task_of todo) in
-          let by_key = Hashtbl.create 16 in
-          List.iter
-            (fun (r : string Pool.result) ->
-              Hashtbl.replace by_key r.Pool.key (Pool.value_exn r, r.Pool.obs))
-            computed;
-          (* Merge in task order, restored-or-computed. *)
-          let merged =
-            Obs.merge_all
-              (List.map
-                 (fun key ->
-                   match List.assoc_opt key restored with
-                   | Some (_, snap) -> snap
-                   | None -> snd (Hashtbl.find by_key key))
-                 keys)
-          in
-          Alcotest.(check bool)
-            "merged task counters identical to the uninterrupted run" true
-            (merged.Obs.counters = ref_merged.Obs.counters
-            && merged.Obs.gauges = ref_merged.Obs.gauges);
-          (* And the payloads line up too. *)
-          List.iter
-            (fun key ->
-              let expected =
-                Pool.value_exn
-                  (List.find
-                     (fun (r : string Pool.result) -> r.Pool.key = key)
-                     reference)
-              in
-              let actual =
-                match List.assoc_opt key restored with
-                | Some (payload, _) -> payload
-                | None -> fst (Hashtbl.find by_key key)
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "payload for %s identical" key)
-                expected actual)
-            keys))
+          Alcotest.(check string)
+            (Printf.sprintf "payload for %s identical" key)
+            expected actual)
+        keys)
 
 (* --- suite ----------------------------------------------------------------- *)
 

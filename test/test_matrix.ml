@@ -21,6 +21,7 @@
    regeneration against the committed file to catch drift. *)
 
 module Matrix = Taq_experiments.Matrix
+module Task_key = Taq_experiments.Task_key
 
 (* The CLI's default matrix TCP axis (sweep --matrix without --tcps). *)
 let tcps = [ "newreno"; "cubic" ]
@@ -37,18 +38,16 @@ let cells =
                 Matrix.default_fault_axis)
             Matrix.workload_names)
         tcps)
-    Matrix.disc_names
+    Matrix.default_discs
 
-(* Must mirror the sweep driver's task key exactly (no guard; bare key
-   for fault=none, /fault=F otherwise): the key is the seed source, so
-   a key drift here would silently decouple these goldens from what
-   `sweep --matrix` actually runs. *)
-let key ~disc ~tcp ~workload ~fault =
-  Printf.sprintf "matrix/v1/disc=%s/tcp=%s/wl=%s%s" disc tcp workload
-    (if fault = "none" then "" else "/fault=" ^ fault)
-
+(* Seeded from the sweep driver's own task key (no guard), so these
+   goldens run exactly what `sweep --matrix` runs; test_fault's key
+   differential pins that key's format. *)
 let compute_block ~disc ~tcp ~workload ~fault =
-  let seed = Taq_harness.Task.seed_of_key (key ~disc ~tcp ~workload ~fault) in
+  let seed =
+    Taq_harness.Task.seed_of_key
+      (Task_key.matrix ~disc ~tcp ~workload ~fault ())
+  in
   String.trim
     (Taq_harness.Capture.text (fun () ->
          Matrix.run_cell ~disc ~tcp ~workload ~fault ~seed ()))

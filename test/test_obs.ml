@@ -239,6 +239,15 @@ let test_counters_consistent () =
 
 (* --- aggregation determinism across the Pool ----------------------------- *)
 
+(* Each task builds its env's counters from the policy itself, so the
+   instance registers with the pool's per-task collector. *)
+let counters_policy =
+  {
+    Obs.policy_counters = true;
+    policy_trace = None;
+    policy_trace_capacity = Trace.default_capacity;
+  }
+
 let mini_sweep_tasks () =
   List.map
     (fun (queue, name) ->
@@ -246,8 +255,8 @@ let mini_sweep_tasks () =
       Harness.Task.make ~key (fun ~seed ->
           Harness.Capture.text (fun () ->
               let env =
-                Common.make_env ~queue ~capacity_bps:200e3 ~buffer_pkts:20
-                  ~seed ()
+                Common.make_env ~obs:(Obs.of_policy counters_policy) ~queue
+                  ~capacity_bps:200e3 ~buffer_pkts:20 ~seed ()
               in
               let _ids = Common.spawn_long_flows env ~n:4 ~rtt:0.1 () in
               Common.run env ~until:8.0;
@@ -258,24 +267,6 @@ let mini_sweep_tasks () =
       (Common.Taq (Common.taq_config ~capacity_bps:200e3 ~buffer_pkts:20 ()),
        "taq");
     ]
-
-let with_counters_policy f =
-  Obs.set_policy
-    {
-      Obs.policy_counters = true;
-      policy_trace = None;
-      policy_trace_capacity = Trace.default_capacity;
-    };
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_policy
-        {
-          Obs.policy_counters = false;
-          policy_trace = None;
-          policy_trace_capacity = Trace.default_capacity;
-        };
-      Obs.reset_root ())
-    f
 
 let merged_counters ~jobs =
   let results = Harness.Pool.run ~jobs (mini_sweep_tasks ()) in
@@ -291,14 +282,13 @@ let merged_counters ~jobs =
   (merged.Obs.counters, merged.Obs.gauges)
 
 let test_jobs_identical () =
-  with_counters_policy (fun () ->
-      let c1, g1 = merged_counters ~jobs:1 in
-      let c4, g4 = merged_counters ~jobs:4 in
-      Alcotest.(check bool) "captured something" true (c1 <> []);
-      Alcotest.(check (list (pair string int)))
-        "counters identical at jobs=1 and jobs=4" c1 c4;
-      Alcotest.(check (list (pair string int)))
-        "gauges identical at jobs=1 and jobs=4" g1 g4)
+  let c1, g1 = merged_counters ~jobs:1 in
+  let c4, g4 = merged_counters ~jobs:4 in
+  Alcotest.(check bool) "captured something" true (c1 <> []);
+  Alcotest.(check (list (pair string int)))
+    "counters identical at jobs=1 and jobs=4" c1 c4;
+  Alcotest.(check (list (pair string int)))
+    "gauges identical at jobs=1 and jobs=4" g1 g4
 
 (* --- the bench-regression gate ------------------------------------------- *)
 

@@ -9,6 +9,11 @@ module Policy = Taq_resil.Policy
 module Monitor = Taq_resil.Monitor
 module Common = Taq_experiments.Common
 module Plan = Taq_fault.Plan
+module Run_spec = Taq_experiments.Run_spec
+module Check = Taq_check.Check
+module Obs = Taq_obs.Obs
+module Sim = Taq_engine.Sim
+module Packet = Taq_net.Packet
 
 (* --- Policy: spec parsing ---------------------------------------------------- *)
 
@@ -248,17 +253,53 @@ let test_monitor_row_line () =
          recovery = Monitor.No_recovery;
        })
 
-(* --- Ambient policy (last: the write is process-global) ---------------------- *)
+(* --- Run spec (last: the install is process-global) --------------------- *)
 
-let test_ambient_write_once () =
-  Alcotest.(check bool) "ambient starts unset" true (Policy.ambient () = None);
-  Policy.set_ambient Policy.default;
+(* The write-once spec is the only process-wide configuration, and
+   only Common.make_env reads it: a simulator, TAQ disc and flow
+   tracker built directly stay off however much the spec enables. *)
+let test_run_spec_write_once () =
   Alcotest.(check bool)
-    "ambient readable after install" true
-    (Policy.ambient () = Some Policy.default);
+    "nothing installed: all off" true
+    (Run_spec.current () = Run_spec.off);
+  let spec =
+    match Run_spec.of_flags ~check:"all" ~obs:"counters" ~resil:"" () with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  Run_spec.install spec;
+  Alcotest.(check bool) "installed spec is current" true
+    (Run_spec.current () = spec);
   Alcotest.check_raises "second install rejected"
-    (Invalid_argument "Taq_resil.Policy.set_ambient: policy already installed")
-    (fun () -> Policy.set_ambient Policy.default)
+    (Invalid_argument "Run_spec.install: a run spec is already installed")
+    (fun () -> Run_spec.install Run_spec.off);
+  Obs.reset_root ();
+  let sim = Sim.create () in
+  let config =
+    Taq_core.Taq_config.default ~capacity_pkts:20 ~capacity_bps:1e6
+  in
+  let taq = Taq_core.Taq_disc.create ~sim ~config () in
+  let tracker =
+    Taq_core.Flow_tracker.create ~config ~now:(fun () -> Sim.now sim) ()
+  in
+  let alloc = Packet.alloc () in
+  let packet i =
+    Packet.make ~alloc ~flow:(i mod 4) ~kind:Packet.Data ~seq:(i / 4)
+      ~size:500 ~sent_at:0.0 ()
+  in
+  for i = 0 to 19 do
+    ignore ((Taq_core.Taq_disc.disc taq).Taq_net.Disc.enqueue (packet i));
+    ignore (Taq_core.Flow_tracker.observe_data tracker (packet i));
+    ignore (Sim.schedule sim ~at:(float_of_int i) ignore)
+  done;
+  Sim.run ~until:30.0 sim;
+  Alcotest.(check bool)
+    "simulator checker off" false
+    (List.exists (Check.on (Sim.check sim)) Check.all_groups);
+  Alcotest.(check bool) "simulator obs off" false (Obs.enabled (Sim.obs sim));
+  Alcotest.(check (list (pair string int)))
+    "nothing registered with the root collector" []
+    (Obs.root_snapshot ()).Obs.counters
 
 let () =
   Alcotest.run "taq_resil"
@@ -287,6 +328,6 @@ let () =
             test_monitor_read_only;
           Alcotest.test_case "row_line rendering" `Quick test_monitor_row_line;
         ] );
-      ( "ambient",
-        [ Alcotest.test_case "write-once" `Quick test_ambient_write_once ] );
+      ( "run spec",
+        [ Alcotest.test_case "write-once" `Quick test_run_spec_write_once ] );
     ]
