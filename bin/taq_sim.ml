@@ -661,76 +661,25 @@ let sweep_cmd =
       Harness.Pool.install_signal_cancellation ~label:"sweep" ();
       (* The cache's, journal's and pool's own counters. *)
       let obs = Run_spec.observer spec in
-      let cache = Harness.Cache.create ~obs ~dir:results_dir () in
-      let hash key = Harness.Cache.key ~parts:[ key ] in
-      let obs_hash key = Harness.Cache.key ~parts:[ key; "obs" ] in
-      (* Durability: a write-ahead journal under the results dir records
-         every point's start and (digest-stamped) finish. --resume
-         replays it and restores journaled-complete points — payload
-         verified against the journal's digest, obs snapshot (when
-         counters are on) re-read from its own cache entry, so the
-         merged report and counter table come out byte-identical to an
-         uninterrupted run. *)
-      let journal_path = Filename.concat results_dir "sweep.journal" in
-      let restored =
-        let tbl = Hashtbl.create 64 in
-        if resume then begin
-          let finished =
-            Harness.Journal.finished
-              (Harness.Journal.replay ~obs ~path:journal_path ())
-          in
-          List.iter
-            (fun (key, _) ->
-              match Hashtbl.find_opt finished key with
-              | None -> ()
-              | Some digest -> (
-                  match Harness.Cache.find cache ~key:(hash key) with
-                  | Some output
-                    when Digest.to_hex (Digest.string output) = digest -> (
-                      if not obs_enabled then
-                        Hashtbl.replace tbl key (output, Obs.empty_snapshot)
-                      else
-                        match Harness.Cache.find cache ~key:(obs_hash key) with
-                        | Some s -> (
-                            match Obs.snapshot_of_string s with
-                            | Ok snap -> Hashtbl.replace tbl key (output, snap)
-                            | Error _ -> ())
-                        | None -> ())
-                  | Some _ | None -> ()))
-            points
-        end;
-        tbl
-      in
-      let journal =
+      (* Durability: points already in the results dir are served, the
+         rest run and are persisted as each finishes, with a
+         write-ahead journal under the results dir; --resume replays it
+         so the merged report and counter table come out byte-identical
+         to an uninterrupted run. *)
+      let store =
         if no_cache then None
         else
           Some
-            (Harness.Journal.open_append ~obs ~path:journal_path
-               ~fresh:(not resume) ())
+            {
+              Harness.Durable.cache =
+                Harness.Cache.create ~obs ~dir:results_dir ();
+              journal = "sweep.journal";
+              resume;
+            }
       in
-      let cached key =
-        if no_cache then None else Harness.Cache.find cache ~key:(hash key)
-      in
-      (* Split into restored points, cache hits (served from disk) and
-         tasks to compute. *)
-      let jobs_list =
-        List.filter_map
-          (fun (key, run) ->
-            if Hashtbl.mem restored key then None
-            else
-              match cached key with
-              | Some _ -> None
-              | None ->
-                  Some
-                    (Harness.Task.make ~key (fun ~seed ->
-                         Harness.Capture.text (run ~seed))))
-          points
-      in
-      let point_set = Hashtbl.create 64 in
-      List.iter (fun (key, _) -> Hashtbl.replace point_set key ()) points;
       (* Deliberately unhealthy tasks: exercise the pool's quarantine
-         path in-situ (CI runs this). They are excluded from the exit
-         status below. *)
+         path in-situ (CI runs this). They never finish, so they are
+         never stored; they are excluded from the exit status below. *)
       let chaos_tasks =
         if not chaos then []
         else
@@ -744,44 +693,21 @@ let sweep_cmd =
                 "unreachable");
           ]
       in
-      (* Stores and journal records happen as each point finishes (not
-         after the pool drains): a SIGKILL one task later loses nothing
-         already completed. The payload is persisted before the Finish
-         record, so the journal never testifies to an absent entry. *)
-      let on_start key =
-        match journal with
-        | Some j when Hashtbl.mem point_set key ->
-            Harness.Journal.append j (Harness.Journal.Start key)
-        | Some _ | None -> ()
-      in
       let on_done ~completed ~total (r : string Harness.Pool.result) =
         Printf.eprintf "[%d/%d] %s (%.1f s, %s)\n%!" completed total
-          r.Harness.Pool.key r.Harness.Pool.elapsed_s (Harness.Pool.status r);
-        match r.Harness.Pool.value with
-        | Ok output when (not no_cache) && Hashtbl.mem point_set r.Harness.Pool.key ->
-            let key = r.Harness.Pool.key in
-            Harness.Cache.store cache ~key:(hash key) output;
-            if obs_enabled then
-              Harness.Cache.store cache ~key:(obs_hash key)
-                (Obs.snapshot_to_string r.Harness.Pool.obs);
-            (match journal with
-            | Some j ->
-                Harness.Journal.append j
-                  (Harness.Journal.Finish
-                     { key; digest = Digest.to_hex (Digest.string output) })
-            | None -> ())
-        | _ -> ()
+          r.Harness.Pool.key r.Harness.Pool.elapsed_s (Harness.Pool.status r)
       in
-      let computed =
-        Harness.Pool.run ~obs ~jobs ?timeout_s ~retries ~on_start ~on_done
-          (jobs_list @ chaos_tasks)
+      let outcomes =
+        Harness.Durable.run ~obs ~jobs ?timeout_s ~retries ~on_done ?store
+          (List.map
+             (fun (key, run) ->
+               Harness.Task.make ~key (fun ~seed ->
+                   Harness.Capture.text (run ~seed)))
+             points
+          @ chaos_tasks)
       in
-      (match journal with Some j -> Harness.Journal.close j | None -> ());
-      let by_key = Hashtbl.create 64 in
-      List.iter
-        (fun (r : string Harness.Pool.result) ->
-          Hashtbl.replace by_key r.Harness.Pool.key r)
-        computed;
+      let n_points = List.length points in
+      let point_outcomes = List.filteri (fun i _ -> i < n_points) outcomes in
       let summary =
         Taq_util.Table.create ~columns:[ "task"; "seconds"; "source" ]
       in
@@ -789,55 +715,45 @@ let sweep_cmd =
       let n_restored = ref 0 and n_cancelled = ref 0 in
       (* Outputs in points order, for the matrix report below. *)
       let outputs = ref [] in
-      let emit key output =
-        outputs := (key, output) :: !outputs;
+      let emit output =
+        outputs := output :: !outputs;
         print_string output
       in
-      List.iter
-        (fun (key, _) ->
-          match Hashtbl.find_opt restored key with
-          | Some (output, _) ->
+      List.iter2
+        (fun (key, _) (outcome : Harness.Durable.outcome) ->
+          match outcome with
+          | Restored s ->
               incr n_restored;
-              emit key output;
+              emit s.Harness.Durable.payload;
               Taq_util.Table.add_row summary [ key; "-"; "journal" ]
-          | None -> (
-              match Hashtbl.find_opt by_key key with
-              | Some r when Harness.Pool.cancelled r ->
-                  incr n_cancelled;
-                  Taq_util.Table.add_row summary [ key; "-"; "cancelled" ]
-              | Some r -> (
-                  match r.Harness.Pool.value with
-                  | Ok output ->
-                      (* Already stored and journaled by on_done. *)
-                      incr misses;
-                      emit key output;
-                      Taq_util.Table.add_row summary
-                        [
-                          key;
-                          Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
-                          "computed";
-                        ]
-                  | Error msg ->
-                      incr failures;
-                      Printf.printf "%s FAILED: %s\n" key msg;
-                      Taq_util.Table.add_row summary
-                        [
-                          key;
-                          Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
-                          Harness.Pool.status r;
-                        ])
-              | None -> (
-                  (* Not computed this run: serve from the cache. A hit
-                     that went stale between the probe and here (e.g. a
-                     corrupted entry evicted by a concurrent reader) is a
-                     harness bug only if it was never computed at all. *)
-                  match Harness.Cache.find cache ~key:(hash key) with
-                  | Some output ->
-                      incr hits;
-                      emit key output;
-                      Taq_util.Table.add_row summary [ key; "-"; "cache hit" ]
-                  | None -> assert false)))
-        points;
+          | Hit s ->
+              incr hits;
+              emit s.Harness.Durable.payload;
+              Taq_util.Table.add_row summary [ key; "-"; "cache hit" ]
+          | Ran r when Harness.Pool.cancelled r ->
+              incr n_cancelled;
+              Taq_util.Table.add_row summary [ key; "-"; "cancelled" ]
+          | Ran r -> (
+              match r.Harness.Pool.value with
+              | Ok output ->
+                  incr misses;
+                  emit output;
+                  Taq_util.Table.add_row summary
+                    [
+                      key;
+                      Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
+                      "computed";
+                    ]
+              | Error msg ->
+                  incr failures;
+                  Printf.printf "%s FAILED: %s\n" key msg;
+                  Taq_util.Table.add_row summary
+                    [
+                      key;
+                      Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
+                      Harness.Pool.status r;
+                    ]))
+        points point_outcomes;
       (* The merged matrix report: one row per cell in matrix order,
          with the per-cell fairness and drop-rate columns parsed back
          out of the cell lines. Byte-identical at any --jobs because
@@ -850,7 +766,7 @@ let sweep_cmd =
                 "util"; "completed"; "rec_jain"; "rec_drop"; "rec_occ" ]
         in
         List.iter
-          (fun (_, output) ->
+          (fun output ->
             (* One cell per point output, so the output's resil lines
                belong to the cell parsed from the same text. *)
             let resil = Matrix.resil_of_output output in
@@ -885,17 +801,18 @@ let sweep_cmd =
         Taq_util.Table.print ~oc:stdout report
       end;
       (* Chaos tasks are reported but never gate the exit status. *)
-      List.iter
-        (fun (r : string Harness.Pool.result) ->
-          if String.length r.Harness.Pool.key >= 6
-             && String.sub r.Harness.Pool.key 0 6 = "chaos/" then
-            Taq_util.Table.add_row summary
-              [
-                r.Harness.Pool.key;
-                Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
-                Printf.sprintf "chaos (%s)" (Harness.Pool.status r);
-              ])
-        computed;
+      List.iteri
+        (fun i (outcome : Harness.Durable.outcome) ->
+          match outcome with
+          | Ran r when i >= n_points ->
+              Taq_util.Table.add_row summary
+                [
+                  r.Harness.Pool.key;
+                  Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
+                  Printf.sprintf "chaos (%s)" (Harness.Pool.status r);
+                ]
+          | _ -> ())
+        outcomes;
       Printf.printf "\n-- sweep summary (%d points, jobs=%d) --\n\n"
         (List.length points) jobs;
       Taq_util.Table.print ~oc:stdout summary;
@@ -903,29 +820,19 @@ let sweep_cmd =
         (if resume then Printf.sprintf ", %d restored" !n_restored else "")
         (if no_cache then " [cache disabled]" else "")
         results_dir;
-      if obs_enabled then begin
-        (* Per-task snapshots (collected by the pool around each
-           attempt, or restored from the journal's obs entries) merged
-           in input order, plus the root collector (instances created
-           outside any task, e.g. the cache). Integer sums commute, so
-           --jobs 4 prints exactly what --jobs 1 prints — and a resumed
-           run prints exactly what an uninterrupted one would, modulo
-           the root collector's own journal./cache./pool. infra
-           counters, which reflect real process history. *)
-        let task_snaps =
-          List.filter_map
-            (fun (key, _) ->
-              match Hashtbl.find_opt restored key with
-              | Some (_, snap) -> Some snap
-              | None ->
-                  Option.map
-                    (fun (r : string Harness.Pool.result) ->
-                      r.Harness.Pool.obs)
-                    (Hashtbl.find_opt by_key key))
-            points
-        in
-        finish_obs spec (Obs.merge_all (Obs.root_snapshot () :: task_snaps))
-      end;
+      if obs_enabled then
+        (* Per-point snapshots (collected by the pool around each
+           attempt, or served from the results dir) merged in input
+           order, plus the root collector (instances created outside
+           any task, e.g. the cache). Integer sums commute, so --jobs 4
+           prints exactly what --jobs 1 prints — and a resumed or warm
+           run prints exactly what a cold one would, modulo the root
+           collector's own journal./cache./pool. infra counters, which
+           reflect real process history. *)
+        finish_obs spec
+          (Obs.merge_all
+             (Obs.root_snapshot ()
+             :: List.map Harness.Durable.obs point_outcomes));
       if !n_cancelled > 0 then begin
         Printf.printf
           "\nsweep cancelled: %d point(s) not executed%s\n" !n_cancelled
@@ -1355,29 +1262,21 @@ let mega_cmd =
           seed;
         }
       in
-      let checkpoint =
+      let store =
         if not (do_checkpoint || resume) then None
         else begin
           Harness.Pool.install_signal_cancellation ~label:"mega run" ();
-          let obs = Run_spec.observer spec in
-          let journal =
-            Harness.Journal.open_append ~obs
-              ~path:(Filename.concat results_dir "mega.journal")
-              ~fresh:(not resume) ()
-          in
           Some
             {
-              Mega_tier.ck_cache =
-                Harness.Cache.create ~obs ~dir:results_dir ();
-              ck_journal = Some journal;
-              ck_resume = resume;
+              Harness.Durable.cache =
+                Harness.Cache.create ~obs:(Run_spec.observer spec)
+                  ~dir:results_dir ();
+              journal = "mega.journal";
+              resume;
             }
         end
       in
-      let r = Mega_tier.run ~jobs ?checkpoint p in
-      (match checkpoint with
-      | Some { Mega_tier.ck_journal = Some j; _ } -> Harness.Journal.close j
-      | Some _ | None -> ());
+      let r = Mega_tier.run ~jobs ?store p in
       Mega_tier.print r;
       if Run_spec.check_enabled spec then
         Printf.printf "invariant checks: clean (%d shard(s))\n" shards;

@@ -91,6 +91,18 @@ let queue_of_disc ?guard_cap ?(capacity_bps = 1.0) ?(buffer_pkts = 1) name =
   | Ok (`Taq admission) ->
       Taq (taq_config ~admission ?guard_cap ~capacity_bps ~buffer_pkts ())
 
+let resize ~capacity_bps ~buffer_pkts = function
+  | Taq marker ->
+      let config = taq_config ~capacity_bps ~buffer_pkts () in
+      Taq
+        {
+          config with
+          admission = marker.admission;
+          max_tracked_flows = marker.max_tracked_flows;
+          guard = marker.guard;
+        }
+  | q -> q
+
 let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
     ~capacity_bps ~buffer_pkts ?(slice = 20.0) ?(evolution_window = 5.0)
     ?(seed = 1) () =
@@ -285,6 +297,5 @@ let buffer_for_rtts ~capacity_bps ~rtt ~rtts =
     (int_of_float (capacity_bps *. rtt *. rtts /. (8.0 *. float_of_int pkt_bytes)))
 
 let taq_marker =
-  (* Placeholder replaced with a per-run capacity-aware config by the
-     experiment drivers. *)
+  (* Placeholder geometry, resized per run by the experiment drivers. *)
   queue_of_disc "taq"

@@ -32,7 +32,7 @@ val queue_of_disc :
 (** The queue a disc name or alias selects. TAQ variants get
     {!taq_config} (with admission control for taq+ac) at the given
     capacity and buffer; without them, at the placeholder geometry of
-    {!taq_marker}, for drivers that rebuild TAQ's config per run.
+    {!taq_marker}, for drivers that {!resize} it per run.
     @raise Invalid_argument on an unknown name. *)
 
 type env = {
@@ -174,6 +174,10 @@ val buffer_for_rtts :
 (** Buffer size in packets equal to [rtts] round-trips of delay. *)
 
 val taq_marker : queue
-(** [queue_of_disc "taq"]: a TAQ queue selector whose config is rebuilt
-    per run from the run's capacity and buffer (experiment drivers
-    replace it via {!taq_config}). *)
+(** [queue_of_disc "taq"]: a TAQ queue selector at a placeholder
+    geometry, which experiment drivers {!resize} per run. *)
+
+val resize : capacity_bps:float -> buffer_pkts:int -> queue -> queue
+(** [queue] sized for a run: a TAQ config is rebuilt by {!taq_config}
+    at the run's capacity and buffer, keeping its admission control,
+    tracker cap and overload guard; other disciplines are unchanged. *)

@@ -40,18 +40,16 @@ let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
   let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0 in
   let flood = Plan.has_flood plan in
   let queue =
-    (* Rebuild the TAQ marker with a capacity-aware config, mirroring
-       the experiment drivers. Flood plans get the overload guard (the
-       machinery under drill) plus admission control, whose waiting
-       table is one of the guard's pressure signals. *)
+    (* Size the queue for the drill, as the experiment drivers do.
+       Flood plans get the overload guard (the machinery under drill)
+       plus admission control, whose waiting table is one of the
+       guard's pressure signals. *)
     match queue with
     | Common.Taq _ when flood ->
         Common.Taq
           (Common.taq_config ~admission:true ~guard_cap:flood_guard_cap
              ~capacity_bps ~buffer_pkts ())
-    | Common.Taq _ ->
-        Common.Taq (Common.taq_config ~capacity_bps ~buffer_pkts ())
-    | q -> q
+    | q -> Common.resize ~capacity_bps ~buffer_pkts q
   in
   let env = Common.make_env ~faults:plan ~queue ~capacity_bps ~buffer_pkts ~seed () in
   let completed = ref 0 in

@@ -49,11 +49,7 @@ let run_one p ~fair_share_pkts ~buffer_rtts ~seed =
       ~rtts:buffer_rtts
   in
   let queue =
-    match p.queue with
-    | Common.Taq _ ->
-        Common.Taq
-          (Common.taq_config ~capacity_bps:p.capacity_bps ~buffer_pkts ())
-    | q -> q
+    Common.resize ~capacity_bps:p.capacity_bps ~buffer_pkts p.queue
   in
   let env =
     Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts

@@ -35,12 +35,7 @@ let run_one p queue =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
   in
-  let queue =
-    match queue with
-    | Common.Taq _ ->
-        Common.Taq (Common.taq_config ~capacity_bps:p.capacity_bps ~buffer_pkts ())
-    | q -> q
-  in
+  let queue = Common.resize ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
   let env =
     Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
       ~evolution_window:p.window ~seed:p.seed ()

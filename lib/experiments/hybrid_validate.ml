@@ -62,12 +62,6 @@ type row = {
   problems : string list;
 }
 
-let resolve_queue p queue ~buffer_pkts =
-  match queue with
-  | Common.Taq _ ->
-      Common.Taq (Common.taq_config ~capacity_bps:p.capacity_bps ~buffer_pkts ())
-  | q -> q
-
 (* Foreground Jain over the first fg_flows ids; both runs spawn the
    foreground cohort first, so the ids line up. *)
 let foreground_jain env ids =
@@ -78,7 +72,7 @@ let run_point p queue =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt
       ~rtts:p.buffer_rtts
   in
-  let queue = resolve_queue p queue ~buffer_pkts in
+  let queue = Common.resize ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
   (* Reference: everyone is a real packet-level flow. *)
   let ref_env =
     Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts

@@ -49,12 +49,6 @@ type result = {
   restored_shards : int;
 }
 
-type checkpoint = {
-  ck_cache : Harness.Cache.t;
-  ck_journal : Harness.Journal.t option;
-  ck_resume : bool;
-}
-
 exception Interrupted
 
 let shard_key p ~shard =
@@ -101,13 +95,12 @@ let run_shard p ~shard ~seed =
     utilization = Common.utilization env;
   }
 
-(* --- shard checkpoints ---------------------------------------------------
+(* --- shard wire form -------------------------------------------------------
 
-   One cache entry per completed shard, referenced from the write-ahead
-   journal by payload digest. Floats travel as hex literals ([%h]), so
-   a restored shard is bit-identical to the one that was computed —
-   which is what keeps a resumed run's merged cohort and counter table
-   byte-identical to an uninterrupted one. *)
+   A shard task's payload. Floats travel as hex literals ([%h]), so a
+   shard served from a checkpoint is bit-identical to the one that was
+   computed — which is what keeps a resumed run's merged cohort and
+   counter table byte-identical to an uninterrupted one. *)
 
 let wire_of_shard r =
   Printf.sprintf "megashard1 %d %h %h %h %h %h|%s" r.shard
@@ -144,152 +137,54 @@ let shard_of_wire w =
               })
             (Mega.summary_of_wire tail))
 
-let obs_entry_key key = Harness.Cache.key ~parts:[ key; "obs" ]
-
-let payload_entry_key key = Harness.Cache.key ~parts:[ key ]
-
-(* A journaled shard is restorable iff the journal's digest matches the
-   cache payload, the payload parses, and (when counters are on) its
-   obs snapshot entry parses too — any doubt means recompute. *)
-let restore_shard ck ~finished ~key ~shard =
-  match Hashtbl.find_opt finished key with
-  | None -> None
-  | Some digest -> (
-      match Harness.Cache.find ck.ck_cache ~key:(payload_entry_key key) with
-      | None -> None
-      | Some payload when Digest.to_hex (Digest.string payload) <> digest ->
-          None
-      | Some payload -> (
-          match shard_of_wire payload with
-          | Some r when r.shard = shard ->
-              if not (Run_spec.obs_enabled (Run_spec.current ())) then
-                Some (r, Taq_obs.Obs.empty_snapshot)
-              else (
-                match
-                  Harness.Cache.find ck.ck_cache ~key:(obs_entry_key key)
-                with
-                | None -> None
-                | Some s -> (
-                    match Taq_obs.Obs.snapshot_of_string s with
-                    | Ok snap -> Some (r, snap)
-                    | Error _ -> None))
-          | _ -> None))
-
-(* Persist a completed shard and only then journal its Finish record:
-   the journal must never testify to a payload that is not on disk. *)
-let checkpoint_shard ck ~key r snap =
-  let payload = wire_of_shard r in
-  Harness.Cache.store ck.ck_cache ~key:(payload_entry_key key) payload;
-  if Run_spec.obs_enabled (Run_spec.current ()) then
-    Harness.Cache.store ck.ck_cache ~key:(obs_entry_key key)
-      (Taq_obs.Obs.snapshot_to_string snap);
-  match ck.ck_journal with
-  | None -> ()
-  | Some j ->
-      Harness.Journal.append j
-        (Harness.Journal.Finish
-           { key; digest = Digest.to_hex (Digest.string payload) })
-
-let run ?(jobs = 1) ?checkpoint p =
+let run ?(jobs = 1) ?store p =
   if p.shards <= 0 then invalid_arg "Mega_tier.run: shards";
   if p.total_flows < p.shards then invalid_arg "Mega_tier.run: total_flows";
-  let keys = List.init p.shards (fun shard -> shard_key p ~shard) in
-  (* The pool's and the journal replay's own counters. *)
-  let obs = Run_spec.observer (Run_spec.current ()) in
-  let task_of shard =
-    Harness.Task.make ~key:(shard_key p ~shard) (fun ~seed ->
-        run_shard p ~shard ~seed)
+  let tasks =
+    List.init p.shards (fun shard ->
+        Harness.Task.make ~key:(shard_key p ~shard) (fun ~seed ->
+            wire_of_shard (run_shard p ~shard ~seed)))
   in
-  let shard_results, obs_snaps, restored_shards =
-    match checkpoint with
-    | None ->
-        let tasks = List.init p.shards task_of in
-        if jobs <= 1 then
-          (* In-process: counters accumulate in the caller's collector
-             (the bench harness relies on this — see the .mli). *)
-          (List.map Harness.Task.run tasks, [], 0)
-        else
-          let results = Harness.Pool.run ~obs ~jobs tasks in
-          ( List.map
-              (fun (r : shard_result Harness.Pool.result) ->
-                match r.Harness.Pool.value with
-                | Ok v -> v
-                | Error msg ->
-                    failwith
-                      (Printf.sprintf "mega shard %s failed: %s"
-                         r.Harness.Pool.key msg))
-              results,
-            List.map
-              (fun (r : shard_result Harness.Pool.result) ->
-                r.Harness.Pool.obs)
-              results,
-            0 )
-    | Some ck ->
-        let finished =
-          if ck.ck_resume then
-            match ck.ck_journal with
-            | Some j ->
-                Harness.Journal.finished
-                  (Harness.Journal.replay ~obs ~path:(Harness.Journal.path j)
-                     ())
-            | None -> Hashtbl.create 1
-          else Hashtbl.create 1
-        in
-        let restored = Hashtbl.create 16 in
-        List.iteri
-          (fun shard key ->
-            match restore_shard ck ~finished ~key ~shard with
-            | Some rs -> Hashtbl.replace restored key rs
-            | None -> ())
-          keys;
-        let tasks =
-          List.init p.shards Fun.id
-          |> List.filter (fun shard ->
-                 not (Hashtbl.mem restored (shard_key p ~shard)))
-          |> List.map task_of
-        in
-        let on_start key =
-          match ck.ck_journal with
-          | None -> ()
-          | Some j -> Harness.Journal.append j (Harness.Journal.Start key)
-        in
-        let on_done ~completed:_ ~total:_
-            (r : shard_result Harness.Pool.result) =
-          match r.Harness.Pool.value with
-          | Ok v -> checkpoint_shard ck ~key:r.Harness.Pool.key v r.Harness.Pool.obs
-          | Error _ -> ()
-        in
-        (* Checkpointed runs always go through the pool (even jobs 1):
-           per-shard snapshots must exist so a resume can restore them. *)
-        let results =
-          Harness.Pool.run ~obs ~jobs:(Stdlib.max 1 jobs) ~on_start ~on_done
-            tasks
-        in
-        if
-          Harness.Pool.cancel_requested ()
-          || List.exists Harness.Pool.cancelled results
-        then raise Interrupted;
-        let computed = Hashtbl.create 16 in
-        List.iter
-          (fun (r : shard_result Harness.Pool.result) ->
+  let wires, obs_snaps, restored_shards =
+    if jobs <= 1 && Option.is_none store then
+      (* In-process: counters accumulate in the caller's collector
+         (the bench harness relies on this — see the .mli). *)
+      (List.map Harness.Task.run tasks, [], 0)
+    else
+      (* The journal's and the pool's own counters. *)
+      let obs = Run_spec.observer (Run_spec.current ()) in
+      let outcomes = Harness.Durable.run ~obs ~jobs ?store tasks in
+      let cancelled = function
+        | Harness.Durable.Ran r -> Harness.Pool.cancelled r
+        | Restored _ | Hit _ -> false
+      in
+      if Harness.Pool.cancel_requested () || List.exists cancelled outcomes
+      then raise Interrupted;
+      let wire = function
+        | Harness.Durable.Restored s | Hit s -> s.Harness.Durable.payload
+        | Ran r -> (
             match r.Harness.Pool.value with
-            | Ok v -> Hashtbl.replace computed r.Harness.Pool.key (v, r.Harness.Pool.obs)
+            | Ok w -> w
             | Error msg ->
                 failwith
-                  (Printf.sprintf "mega shard %s failed: %s"
-                     r.Harness.Pool.key msg))
-          results;
-        let pairs =
-          List.map
-            (fun key ->
-              match Hashtbl.find_opt restored key with
-              | Some rs -> rs
-              | None -> Hashtbl.find computed key)
-            keys
-        in
-        ( List.map fst pairs,
-          List.map snd pairs,
-          Hashtbl.length restored )
+                  (Printf.sprintf "mega shard %s failed: %s" r.Harness.Pool.key
+                     msg))
+      in
+      ( List.map wire outcomes,
+        List.map Harness.Durable.obs outcomes,
+        List.length
+          (List.filter
+             (function Harness.Durable.Restored _ -> true | _ -> false)
+             outcomes) )
+  in
+  let shard_results =
+    List.mapi
+      (fun shard w ->
+        match shard_of_wire w with
+        | Some r when r.shard = shard -> r
+        | _ ->
+            failwith (Printf.sprintf "mega shard %d: unreadable result" shard))
+      wires
   in
   let cohort =
     List.fold_left

@@ -12,12 +12,12 @@
     merge in index order, so the totals — and every [fluid.*] counter
     — are byte-identical at any [--jobs] count.
 
-    With [jobs = 1] shards run in-process via {!Taq_harness.Task.run}
-    (no domains, no per-task collectors), so a caller's own obs
-    collector — the bench harness's, say — sees the counters directly;
-    with [jobs > 1] they fan out over a {!Taq_harness.Pool} and the
-    per-shard snapshots come back in {!result.obs_snaps} for the
-    caller to merge. *)
+    With [jobs = 1] and no store, shards run in-process via
+    {!Taq_harness.Task.run} (no domains, no per-task collectors), so a
+    caller's own obs collector — the bench harness's, say — sees the
+    counters directly; otherwise they run through
+    {!Taq_harness.Durable} on the pool and the per-shard snapshots come
+    back in {!result.obs_snaps} for the caller to merge. *)
 
 type params = {
   total_flows : int;  (** modeled background population across all shards *)
@@ -54,21 +54,11 @@ type result = {
   cohort : Taq_workload.Mega.summary;  (** merged digest of all shards *)
   obs_snaps : Taq_obs.Obs.snapshot list;
       (** per-shard obs snapshots in shard order; empty when
-          [jobs <= 1] without a checkpoint (counters went to the
-          caller's collector) *)
+          [jobs <= 1] without a store (counters went to the caller's
+          collector) *)
   restored_shards : int;
-      (** shards served from checkpoints instead of recomputed *)
-}
-
-type checkpoint = {
-  ck_cache : Taq_harness.Cache.t;
-      (** holds one payload entry (and one obs-snapshot entry when
-          counters are on) per completed shard *)
-  ck_journal : Taq_harness.Journal.t option;
-      (** the write-ahead ledger; [None] ⇒ shards are cached but a
-          resume cannot trust them (nothing testifies to completion) *)
-  ck_resume : bool;
-      (** replay the journal first and recompute only missing shards *)
+      (** shards the journal testified to, served from their
+          checkpoints instead of recomputed *)
 }
 
 exception Interrupted
@@ -82,17 +72,18 @@ val shard_key : params -> shard:int -> string
     cohort seed) is folded in, and the per-shard simulation seed
     derives from it. *)
 
-val run : ?jobs:int -> ?checkpoint:checkpoint -> params -> result
+val run : ?jobs:int -> ?store:Taq_harness.Durable.store -> params -> result
 (** Execute all shards (default [jobs = 1]).
 
-    With [checkpoint]: every completed shard is persisted (result
-    payload + obs snapshot, hex-float exact) and journaled before the
-    run proceeds, and with [ck_resume = true] journaled shards whose
-    digests verify are restored instead of recomputed — merged cohort,
-    per-shard table and counter totals are byte-identical to an
-    uninterrupted run because shards merge in index order. A
-    checkpointed run always goes through the pool, even at [jobs = 1],
-    so per-shard snapshots exist to restore.
+    With [store] the shards run through {!Taq_harness.Durable}: every
+    completed shard is checkpointed (its {!shard_key} task's payload is
+    the shard result in hex-float wire form) as it finishes, and shards
+    the store holds are served instead of recomputed — counted in
+    {!result.restored_shards} when resuming and the journal testifies
+    to them. The merged cohort, per-shard table and counter totals are
+    byte-identical to an uninterrupted run because shards merge in
+    index order. A run with a store always goes through the pool, even
+    at [jobs = 1], so per-shard snapshots exist to store.
 
     @raise Interrupted
       if cooperative cancellation fired mid-run (completed shards are

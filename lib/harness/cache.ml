@@ -1,16 +1,12 @@
 type t = {
   dir : string;
   mutex : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
   mutable io_errors : int;
   (* Observability mirrors of the counters above, resolved once at
      creation from the caller's instance. Bumped only inside this
      cache's mutex sections, so cross-domain updates are already
      serialized. *)
-  obs_hits : int ref;
-  obs_misses : int ref;
   obs_evictions : int ref;
   obs_io_errors : int ref;
 }
@@ -21,12 +17,8 @@ let create ?(obs = Taq_obs.Obs.off) ?(dir = default_dir) () =
   {
     dir;
     mutex = Mutex.create ();
-    hits = 0;
-    misses = 0;
     evictions = 0;
     io_errors = 0;
-    obs_hits = Taq_obs.Obs.labeled_ref obs "cache.hits";
-    obs_misses = Taq_obs.Obs.labeled_ref obs "cache.misses";
     obs_evictions = Taq_obs.Obs.labeled_ref obs "cache.evictions";
     obs_io_errors = Taq_obs.Obs.labeled_ref obs "cache.io_errors";
   }
@@ -155,27 +147,6 @@ let store t ~key:k data =
       Printf.eprintf
         "taq cache: store failed (%s) — continuing uncached (dir: %s)\n%!"
         msg t.dir
-
-let find_or_compute t ~key:k f =
-  match find t ~key:k with
-  | Some data ->
-      Mutex.lock t.mutex;
-      t.hits <- t.hits + 1;
-      incr t.obs_hits;
-      Mutex.unlock t.mutex;
-      (`Hit, data)
-  | None ->
-      let data = f () in
-      store t ~key:k data;
-      Mutex.lock t.mutex;
-      t.misses <- t.misses + 1;
-      incr t.obs_misses;
-      Mutex.unlock t.mutex;
-      (`Miss, data)
-
-let hits t = t.hits
-
-let misses t = t.misses
 
 let evictions t = t.evictions
 

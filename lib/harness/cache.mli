@@ -2,11 +2,12 @@
 
     Entries live under a cache directory (default [_results/]) as
     [<md5-hex>.txt], keyed by a hash of the run's identity — target
-    name, parameters, full flag — built with {!key}. Re-running a
-    sweep therefore recomputes only the parameter points whose entries
-    are missing; everything else is served from disk and reported as a
-    hit. Stores are write-then-rename, so readers never observe torn
-    entries even with concurrent writers.
+    name, parameters, full flag — built with {!key}. {!Durable} lays
+    tasks out in it, so re-running a sweep recomputes only the
+    parameter points whose entries are missing; everything else is
+    served from disk and reported as a hit. Stores are
+    write-then-rename, so readers never observe torn entries even with
+    concurrent writers.
 
     The read path self-heals: every entry carries a
     [TAQCACHEv1 <length> <md5>] integrity trailer, verified by {!find}
@@ -20,8 +21,8 @@ val default_dir : string
 (** ["_results"]. *)
 
 val create : ?obs:Taq_obs.Obs.t -> ?dir:string -> unit -> t
-(** [obs] (default [Taq_obs.Obs.off]) receives the [cache.hits],
-    [cache.misses], [cache.evictions] and [cache.io_errors] counters. *)
+(** [obs] (default [Taq_obs.Obs.off]) receives the [cache.evictions]
+    and [cache.io_errors] counters. *)
 
 val dir : t -> string
 
@@ -42,15 +43,6 @@ val store : t -> key:string -> string -> unit
     dropped, a warning is printed once per cache, and {!io_errors} /
     the [cache.io_errors] obs counter are bumped — the run continues
     uncached rather than aborting. *)
-
-val find_or_compute :
-  t -> key:string -> (unit -> string) -> [ `Hit | `Miss ] * string
-(** Serve from disk, or compute, store and return. Updates the
-    hit/miss counters (thread-safe). *)
-
-val hits : t -> int
-
-val misses : t -> int
 
 val evictions : t -> int
 (** Corrupted entries deleted by {!find} over this instance's

@@ -221,17 +221,3 @@ let finished records =
       | Finish { key; digest } -> Hashtbl.replace tbl key digest)
     records;
   tbl
-
-let started_unfinished records =
-  let done_ = finished records in
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (function
-      | Finish _ -> None
-      | Start key ->
-          if Hashtbl.mem done_ key || Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.replace seen key ();
-            Some key
-          end)
-    records

@@ -39,6 +39,25 @@ let test_env_taq_accessible () =
   in
   Alcotest.(check bool) "taq disc exposed" true (env.Common.taq <> None)
 
+let test_resize_keeps_marker_settings () =
+  let sized q =
+    match Common.resize ~capacity_bps:1e6 ~buffer_pkts:40 q with
+    | Common.Taq c -> c
+    | _ -> Alcotest.fail "resize must keep TAQ a TAQ queue"
+  in
+  Alcotest.(check bool)
+    "plain marker: the evaluation config" true
+    (sized Common.taq_marker
+    = Common.taq_config ~capacity_bps:1e6 ~buffer_pkts:40 ());
+  Alcotest.(check bool)
+    "taq+ac with a guard keeps both" true
+    (sized (Common.queue_of_disc ~guard_cap:7 "taq+ac")
+    = Common.taq_config ~admission:true ~guard_cap:7 ~capacity_bps:1e6
+        ~buffer_pkts:40 ());
+  Alcotest.(check bool)
+    "other disciplines untouched" true
+    (Common.resize ~capacity_bps:1e6 ~buffer_pkts:40 Common.Red = Common.Red)
+
 (* --- Fairness driver (figs 2/8/11) -------------------------------------- *)
 
 let tiny_fairness queues =
@@ -61,6 +80,14 @@ let test_fairness_row_structure () =
         (r.Fig_fairness.utilization > 0.5 && r.Fig_fairness.utilization <= 1.01);
       Alcotest.(check bool) "flows derived" true (r.Fig_fairness.flows >= 10))
     rows
+
+(* The driver resizes the marker it is given: a tracker cap far below
+   the flow count must change the run (it used to be dropped). *)
+let test_fairness_keeps_guard () =
+  let run queue = Fig_fairness.run (tiny_fairness [ queue ]) in
+  Alcotest.(check bool)
+    "guarded taq runs differently from taq" true
+    (run Common.taq_marker <> run (Common.queue_of_disc ~guard_cap:4 "taq"))
 
 let test_fairness_improves_with_share () =
   (* More per-flow bandwidth means better short-term fairness — the
@@ -375,10 +402,14 @@ let () =
           Alcotest.test_case "buffer for rtts" `Quick test_buffer_for_rtts;
           Alcotest.test_case "queue kinds" `Quick test_env_queue_kinds;
           Alcotest.test_case "taq accessible" `Quick test_env_taq_accessible;
+          Alcotest.test_case "resize keeps marker settings" `Quick
+            test_resize_keeps_marker_settings;
         ] );
       ( "fairness",
         [
           Alcotest.test_case "row structure" `Quick test_fairness_row_structure;
+          Alcotest.test_case "keeps the marker's guard" `Slow
+            test_fairness_keeps_guard;
           Alcotest.test_case "share monotone" `Slow test_fairness_improves_with_share;
           Alcotest.test_case "taq beats dt" `Slow test_taq_beats_droptail_in_driver;
         ] );

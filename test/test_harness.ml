@@ -1,14 +1,18 @@
 (* Tests for taq_harness: the Domain pool (every task runs exactly
    once, results stay input-ordered at jobs in {1,4}), deterministic
    task-seed derivation, per-task output capture, the on-disk result
-   cache, and a qcheck property that parallel and sequential runs of
-   the same task list produce identical per-task outputs. *)
+   cache, the journal, the durable runner (kill-and-resume, warm
+   reruns, mega checkpoints), and a qcheck property that parallel and
+   sequential runs of the same task list produce identical per-task
+   outputs. *)
 
 module Task = Taq_harness.Task
 module Pool = Taq_harness.Pool
 module Capture = Taq_harness.Capture
 module Cache = Taq_harness.Cache
 module Journal = Taq_harness.Journal
+module Durable = Taq_harness.Durable
+module Mega_tier = Taq_experiments.Mega_tier
 module Obs = Taq_obs.Obs
 
 let contains ~needle hay =
@@ -286,29 +290,54 @@ let with_temp_cache f =
       end)
     (fun () -> f (Cache.create ~dir ()))
 
+(* A store over [cache], journaling to [journal] in its directory. *)
+let store ?(journal = "test.journal") ?(resume = false) cache =
+  { Durable.cache; journal; resume }
+
+let payload_of = function
+  | Durable.Restored s | Durable.Hit s -> s.Durable.payload
+  | Durable.Ran r -> Pool.value_exn r
+
+(* Where each outcome came from, for whole-run assertions. *)
+let sources =
+  List.map (function
+    | Durable.Restored _ -> "restored"
+    | Durable.Hit _ -> "hit"
+    | Durable.Ran r when Pool.cancelled r -> "cancelled"
+    | Durable.Ran _ -> "ran")
+
+let times n source = List.init n (Fun.const source)
+
 let test_cache_miss_then_hit () =
   with_temp_cache (fun cache ->
-      let key = Cache.key ~parts:[ "sweep"; "droptail"; "cap=600000" ] in
-      Alcotest.(check (option string)) "empty cache" None
-        (Cache.find cache ~key);
+      let key = "sweep/droptail/cap=600000" in
       let computed = ref 0 in
-      let status, data =
-        Cache.find_or_compute cache ~key (fun () ->
+      let task payload =
+        Task.make ~key (fun ~seed:_ ->
             incr computed;
-            "payload")
+            payload)
       in
-      Alcotest.(check bool) "first lookup is a miss" true (status = `Miss);
-      Alcotest.(check string) "computed payload" "payload" data;
-      let status2, data2 =
-        Cache.find_or_compute cache ~key (fun () ->
-            incr computed;
-            "recomputed!")
-      in
-      Alcotest.(check bool) "second lookup is a hit" true (status2 = `Hit);
-      Alcotest.(check string) "served from disk" "payload" data2;
+      (match Durable.run ~store:(store cache) [ task "payload" ] with
+      | [ Durable.Ran r ] ->
+          Alcotest.(check string) "computed payload" "payload"
+            (Pool.value_exn r)
+      | _ -> Alcotest.fail "first run must be a miss");
+      (match Durable.run ~store:(store cache) [ task "recomputed!" ] with
+      | [ Durable.Hit s ] ->
+          Alcotest.(check string) "served from disk" "payload" s.Durable.payload
+      | _ -> Alcotest.fail "second run must be a hit");
       Alcotest.(check int) "computed exactly once" 1 !computed;
-      Alcotest.(check int) "hit counter" 1 (Cache.hits cache);
-      Alcotest.(check int) "miss counter" 1 (Cache.misses cache))
+      (* Tasks sharing a key each run on a cold store, and are each
+         served once it is warm. *)
+      let twice () =
+        Durable.run ~store:(store cache)
+          [ Task.make ~key:"dup" (fun ~seed:_ -> "d");
+            Task.make ~key:"dup" (fun ~seed:_ -> "d") ]
+      in
+      Alcotest.(check (list string)) "duplicates run" (times 2 "ran")
+        (sources (twice ()));
+      Alcotest.(check (list string)) "duplicates served" (times 2 "hit")
+        (sources (twice ())))
 
 let test_cache_key_sensitivity () =
   (* Every part matters, and concatenation cannot alias distinct
@@ -362,12 +391,8 @@ let test_cache_torn_entry_evicted () =
       Alcotest.(check bool)
         "torn file removed from disk" false
         (Sys.file_exists (entry_path cache ~key));
-      (* The standard read path recomputes and re-stores. *)
-      let status, data =
-        Cache.find_or_compute cache ~key (fun () -> "recomputed")
-      in
-      Alcotest.(check bool) "recompute is a miss" true (status = `Miss);
-      Alcotest.(check string) "fresh value" "recomputed" data;
+      (* The caller recomputes and re-stores. *)
+      Cache.store cache ~key "recomputed";
       Alcotest.(check (option string))
         "healed entry serves again" (Some "recomputed") (Cache.find cache ~key))
 
@@ -423,63 +448,61 @@ let test_cache_trailer_roundtrips_tricky_payloads () =
 let test_chaos_sweep_still_correct () =
   (* The acceptance scenario from the robustness issue: one crashing
      task, one hanging task and one corrupted cache entry, all in the
-     same sweep — every healthy point must still come back correct. *)
+     same durable run — every healthy point must still come back
+     correct. *)
   with_temp_cache (fun cache ->
       let healthy = [ "p0"; "p1"; "p2"; "p3" ] in
       let value_of key = "value:" ^ key in
-      (* Pre-populate two entries, then corrupt one of them. *)
-      let hash key = Cache.key ~parts:[ key ] in
-      Cache.store cache ~key:(hash "p0") (value_of "p0");
-      Cache.store cache ~key:(hash "p1") (value_of "p1");
-      clobber (entry_path cache ~key:(hash "p1")) (fun raw -> "XX" ^ raw);
-      let computed = ref [] in
-      let task_of key =
-        Task.make ~key (fun ~seed:_ ->
-            computed := key :: !computed;
-            value_of key)
+      let task_of key = Task.make ~key (fun ~seed:_ -> value_of key) in
+      (* Fill two entries, then corrupt one of them. *)
+      ignore
+        (Durable.run ~store:(store cache) (List.map task_of [ "p0"; "p1" ]));
+      clobber
+        (entry_path cache ~key:(Cache.key ~parts:[ "p1" ]))
+        (fun raw -> "XX" ^ raw);
+      let outcomes =
+        Durable.run ~jobs:4 ~timeout_s:0.3 ~retries:1 ~store:(store cache)
+          (List.map task_of healthy
+          @ [
+              Task.make ~key:"chaos/crash" (fun ~seed:_ ->
+                  failwith "chaos crash");
+              Task.make ~key:"chaos/hang" (fun ~seed:_ ->
+                  Unix.sleepf 3.0;
+                  "unreachable");
+            ])
       in
-      (* Cache probe first (as the sweep driver does), then the pool
-         runs the misses plus the two unhealthy tasks. *)
-      let to_run =
-        List.filter
-          (fun key -> Cache.find cache ~key:(hash key) = None)
-          healthy
+      (* The corrupted entry joins the misses. *)
+      (match outcomes with
+      | [ Durable.Hit _; Durable.Ran p1; Durable.Ran _; Durable.Ran _;
+          Durable.Ran crash; Durable.Ran hang ] ->
+          Alcotest.(check string) "p1 recomputed" (value_of "p1")
+            (Pool.value_exn p1);
+          Alcotest.(check bool)
+            "crash quarantined" true
+            (Result.is_error crash.Pool.value);
+          Alcotest.(check bool) "hang timed out" true hang.Pool.timed_out
+      | _ -> Alcotest.fail "expected p0 served and the rest run");
+      (* The chaos tasks never finish: the journal holds their starts
+         and nothing else. *)
+      let records =
+        Journal.replay
+          ~path:(Filename.concat (Cache.dir cache) "test.journal")
+          ()
       in
-      Alcotest.(check (list string))
-        "corrupted entry joins the misses" [ "p1"; "p2"; "p3" ] to_run;
-      let tasks =
-        List.map task_of to_run
-        @ [
-            Task.make ~key:"chaos/crash" (fun ~seed:_ ->
-                failwith "chaos crash");
-            Task.make ~key:"chaos/hang" (fun ~seed:_ ->
-                Unix.sleepf 3.0;
-                "unreachable");
-          ]
-      in
-      let results = Pool.run ~jobs:4 ~timeout_s:0.3 ~retries:1 tasks in
-      List.iter
-        (fun (r : string Pool.result) ->
-          match r.Pool.key with
-          | "chaos/crash" ->
-              Alcotest.(check bool)
-                "crash quarantined" true
-                (Result.is_error r.Pool.value)
-          | "chaos/hang" ->
-              Alcotest.(check bool) "hang timed out" true r.Pool.timed_out
-          | key ->
-              if not (List.mem key to_run) then
-                Alcotest.failf "unexpected task %s" key;
-              Cache.store cache ~key:(hash key) (Pool.value_exn r))
-        results;
-      (* Every healthy point now serves its correct value. *)
       List.iter
         (fun key ->
-          Alcotest.(check (option string))
-            (Printf.sprintf "point %s correct after the chaos" key)
-            (Some (value_of key))
-            (Cache.find cache ~key:(hash key)))
-        healthy;
+          Alcotest.(check bool) (key ^ " started") true
+            (List.mem (Journal.Start key) records);
+          Alcotest.(check bool) (key ^ " never finished") false
+            (Hashtbl.mem (Journal.finished records) key))
+        [ "chaos/crash"; "chaos/hang" ];
+      (* Every healthy point now serves its correct value. *)
+      let served = Durable.run ~store:(store cache) (List.map task_of healthy) in
+      Alcotest.(check (list string))
+        "every healthy point served" (times 4 "hit") (sources served);
+      Alcotest.(check (list string))
+        "each correct after the chaos" (List.map value_of healthy)
+        (List.map payload_of served);
       Alcotest.(check int) "the corrupted entry was evicted once" 1
         (Cache.evictions cache))
 
@@ -745,10 +768,7 @@ let test_journal_append_replay () =
             (Printf.sprintf "finished digest for %S" key)
             (Some (Digest.to_hex (Digest.string key)))
             (Hashtbl.find_opt fin key))
-        tricky_keys;
-      Alcotest.(check (list string))
-        "started_unfinished sees the torn Start" [ "appended-later" ]
-        (Journal.started_unfinished (Journal.replay ~path ())))
+        tricky_keys)
 
 let test_journal_degrades_on_io_error () =
   (* Parent "directory" is a file: the journal must come back degraded
@@ -828,123 +848,154 @@ let prop_journal_corruption_yields_prefix =
       in
       is_prefix_of ~prefix:(Journal.decode damaged) records)
 
-(* --- Durable sweep: kill-mid-run emulation + byte-identical resume ----------- *)
+(* --- Durable runner: kill-and-resume, warm reruns, trust rule ------------- *)
 
-(* The full acceptance arc, in-process: run a reference sweep with
-   per-task obs snapshots; then emulate a crash by journaling only the
-   tasks a killed run would have persisted; then resume — restore the
-   journaled tasks from the cache, compute only the rest — and check
-   the merged task counters are identical to the uninterrupted run's.
-   (CI repeats this against the real binary with a real SIGKILL.) *)
+let counters_policy =
+  {
+    Obs.policy_counters = true;
+    policy_trace = None;
+    policy_trace_capacity = 4096;
+  }
+
+(* Tasks with a deterministic per-task counter footprint. *)
+let durable_tasks () =
+  List.init 6 (fun i ->
+      let key = Printf.sprintf "durable/p%d" i in
+      Task.make ~key (fun ~seed ->
+          let obs = Obs.of_policy counters_policy in
+          Obs.labeled obs "durable.work" (seed mod 1000);
+          Obs.labeled obs "durable.tasks" 1;
+          Printf.sprintf "out:%s:%d" key seed))
+
+let merged outcomes = Obs.merge_all (List.map Durable.obs outcomes)
+
+let check_same_as ~reference label outcomes =
+  let a = merged reference and b = merged outcomes in
+  Alcotest.(check bool)
+    (label ^ ": merged task counters identical")
+    true
+    (a.Obs.counters = b.Obs.counters && a.Obs.gauges = b.Obs.gauges);
+  Alcotest.(check (list string))
+    (label ^ ": payloads identical")
+    (List.map payload_of reference)
+    (List.map payload_of outcomes)
+
+(* The full acceptance arc, in-process: an uninterrupted reference;
+   then a real interrupted run (cooperative cancellation after the
+   third completion, so the rest never start); then a resume, which
+   must restore exactly the three persisted tasks and merge to the
+   reference's counters and payloads. (CI repeats this against the
+   real binary with a real SIGKILL.) *)
 let test_durable_resume_counters_identical () =
-  let counters =
-    {
-      Obs.policy_counters = true;
-      policy_trace = None;
-      policy_trace_capacity = 4096;
-    }
+  let obs = Obs.create () in
+  with_temp_cache (fun cache ->
+      let run ?on_done ?(jobs = 2) ~resume () =
+        Durable.run ~obs ~jobs ?on_done ~store:(store ~resume cache)
+          (durable_tasks ())
+      in
+      let reference = Durable.run ~obs ~jobs:2 (durable_tasks ()) in
+      Fun.protect ~finally:Pool.reset_cancel (fun () ->
+          Alcotest.(check (list string))
+            "killed after three completions"
+            (times 3 "ran" @ times 3 "cancelled")
+            (sources
+               (run ~jobs:1 ~resume:false
+                  ~on_done:(fun ~completed ~total:_ _ ->
+                    if completed = 3 then Pool.request_cancel ())
+                  ())));
+      let resumed = run ~resume:true () in
+      Alcotest.(check (list string))
+        "the three persisted tasks restored, the rest recomputed"
+        (times 3 "restored" @ times 3 "ran")
+        (sources resumed);
+      check_same_as ~reference "resumed" resumed;
+      let again = run ~resume:true () in
+      Alcotest.(check (list string))
+        "resuming the finished run restores all" (times 6 "restored")
+        (sources again);
+      check_same_as ~reference "resumed again" again)
+
+(* A warm rerun serves every task with the counters it was computed
+   with; a store filled with counters off holds no snapshots, so with
+   counters on its tasks are recomputed rather than served bare. *)
+let test_durable_warm_counters () =
+  let counted = Obs.create () in
+  let run ?(obs = counted) cache =
+    Durable.run ~obs ~jobs:2 ~store:(store cache) (durable_tasks ())
   in
   with_temp_cache (fun cache ->
-      let keys = List.init 6 (fun i -> Printf.sprintf "durable/p%d" i) in
-      let task_of key =
-        Task.make ~key (fun ~seed ->
-            (* A deterministic per-task counter footprint. *)
-            let obs = Obs.of_policy counters in
-            Obs.labeled obs "durable.work" (seed mod 1000);
-            Obs.labeled obs "durable.tasks" 1;
-            Printf.sprintf "out:%s:%d" key seed)
+      let cold = run cache in
+      let warm = run cache in
+      Alcotest.(check (list string)) "cold" (times 6 "ran") (sources cold);
+      Alcotest.(check (list string)) "warm" (times 6 "hit") (sources warm);
+      check_same_as ~reference:cold "warm" warm);
+  with_temp_cache (fun cache ->
+      let reference = Durable.run ~obs:counted (durable_tasks ()) in
+      Alcotest.(check (list string))
+        "counters off: computed" (times 6 "ran")
+        (sources (run ~obs:Obs.off cache));
+      let recomputed = run cache in
+      Alcotest.(check (list string))
+        "no snapshots stored: recomputed" (times 6 "ran")
+        (sources recomputed);
+      check_same_as ~reference "recomputed" recomputed;
+      Alcotest.(check (list string))
+        "then served" (times 6 "hit") (sources (run cache)))
+
+(* The journal testifies to a digest, not to a key: a payload stored
+   again with other bytes after its Finish is served, but as a hit. *)
+let test_durable_digest_mismatch_is_hit () =
+  with_temp_cache (fun cache ->
+      ignore (Durable.run ~store:(store cache) (durable_tasks ()));
+      Cache.store cache ~key:(Cache.key ~parts:[ "durable/p2" ]) "rewritten";
+      let resumed =
+        Durable.run ~store:(store ~resume:true cache) (durable_tasks ())
       in
-      (* Reference: uninterrupted run, all six computed. *)
-      let reference = Pool.run ~jobs:2 (List.map task_of keys) in
-      let ref_merged =
-        Obs.merge_all
-          (List.map (fun (r : string Pool.result) -> r.Pool.obs) reference)
-      in
-      (* "Killed" run: the first three tasks completed and were
-         persisted (payload + obs snapshot + journal Finish); the
-         kill landed before the rest. *)
-      let journal_path = Filename.concat (Cache.dir cache) "test.journal" in
-      let j = Journal.open_append ~path:journal_path ~fresh:true () in
-      List.iteri
-        (fun i (r : string Pool.result) ->
-          if i < 3 then begin
-            let key = r.Pool.key in
-            let payload = Pool.value_exn r in
-            Journal.append j (Journal.Start key);
-            Cache.store cache ~key:(Cache.key ~parts:[ key ]) payload;
-            Cache.store cache
-              ~key:(Cache.key ~parts:[ key; "obs" ])
-              (Obs.snapshot_to_string r.Pool.obs);
-            Journal.append j
-              (Journal.Finish
-                 { key; digest = Digest.to_hex (Digest.string payload) })
-          end)
-        reference;
-      Journal.close j;
-      (* Resume: restore journaled-complete tasks, compute the rest. *)
-      let finished = Journal.finished (Journal.replay ~path:journal_path ()) in
-      let restored =
-        List.filter_map
-          (fun key ->
-            match Hashtbl.find_opt finished key with
-            | None -> None
-            | Some digest -> (
-                match Cache.find cache ~key:(Cache.key ~parts:[ key ]) with
-                | Some payload
-                  when Digest.to_hex (Digest.string payload) = digest -> (
-                    match
-                      Cache.find cache ~key:(Cache.key ~parts:[ key; "obs" ])
-                    with
-                    | Some s -> (
-                        match Obs.snapshot_of_string s with
-                        | Ok snap -> Some (key, (payload, snap))
-                        | Error _ -> None)
-                    | None -> None)
-                | _ -> None))
-          keys
-      in
-      Alcotest.(check int) "three tasks restored" 3 (List.length restored);
-      let todo =
-        List.filter (fun k -> not (List.mem_assoc k restored)) keys
-      in
-      let computed = Pool.run ~jobs:2 (List.map task_of todo) in
-      let by_key = Hashtbl.create 16 in
-      List.iter
-        (fun (r : string Pool.result) ->
-          Hashtbl.replace by_key r.Pool.key (Pool.value_exn r, r.Pool.obs))
-        computed;
-      (* Merge in task order, restored-or-computed. *)
-      let merged =
-        Obs.merge_all
-          (List.map
-             (fun key ->
-               match List.assoc_opt key restored with
-               | Some (_, snap) -> snap
-               | None -> snd (Hashtbl.find by_key key))
-             keys)
-      in
-      Alcotest.(check bool)
-        "merged task counters identical to the uninterrupted run" true
-        (merged.Obs.counters = ref_merged.Obs.counters
-        && merged.Obs.gauges = ref_merged.Obs.gauges);
-      (* And the payloads line up too. *)
-      List.iter
-        (fun key ->
-          let expected =
-            Pool.value_exn
-              (List.find
-                 (fun (r : string Pool.result) -> r.Pool.key = key)
-                 reference)
-          in
-          let actual =
-            match List.assoc_opt key restored with
-            | Some (payload, _) -> payload
-            | None -> fst (Hashtbl.find by_key key)
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "payload for %s identical" key)
-            expected actual)
-        keys)
+      Alcotest.(check (list string))
+        "all but the rewritten task restored"
+        (times 2 "restored" @ [ "hit" ] @ times 3 "restored")
+        (sources resumed);
+      Alcotest.(check string)
+        "the rewritten bytes are served" "rewritten"
+        (payload_of (List.nth resumed 2)))
+
+(* Mega checkpoints end to end: a checkpointed run, then a resumed one
+   that restores every shard bit-identically. *)
+let test_mega_checkpoint_resume () =
+  let p =
+    {
+      Mega_tier.quick with
+      total_flows = 2000;
+      shards = 2;
+      capacity_bps = 4e6;
+      duration = 1.0;
+    }
+  in
+  let bits r =
+    let s = r.Mega_tier.summary in
+    ( r.Mega_tier.shard,
+      s.Taq_workload.Mega.n,
+      List.map Int64.bits_of_float
+        [
+          r.Mega_tier.fluid_arrived_bytes; r.fluid_dropped_bytes; r.fg_jain;
+          r.fg_loss; r.utilization; s.mean_rtt; s.mean_pkt_bytes; s.min_rtt;
+          s.max_rtt;
+        ] )
+  in
+  with_temp_cache (fun cache ->
+      let store ~resume = store ~journal:"mega.journal" ~resume cache in
+      let fresh = Mega_tier.run ~jobs:2 ~store:(store ~resume:false) p in
+      let resumed = Mega_tier.run ~store:(store ~resume:true) p in
+      Alcotest.(check int) "fresh run restores nothing" 0
+        fresh.Mega_tier.restored_shards;
+      Alcotest.(check int) "every shard restored" p.Mega_tier.shards
+        resumed.Mega_tier.restored_shards;
+      Alcotest.(check bool) "shard results bit-identical" true
+        (List.map bits fresh.Mega_tier.shard_results
+        = List.map bits resumed.Mega_tier.shard_results);
+      Alcotest.(check string) "cohort identical"
+        (Taq_workload.Mega.summary_to_wire fresh.Mega_tier.cohort)
+        (Taq_workload.Mega.summary_to_wire resumed.Mega_tier.cohort))
 
 (* --- suite ----------------------------------------------------------------- *)
 
@@ -1035,6 +1086,12 @@ let () =
         [
           Alcotest.test_case "kill-mid-sweep resume: counters identical"
             `Quick test_durable_resume_counters_identical;
+          Alcotest.test_case "warm rerun: hits carry their counters" `Quick
+            test_durable_warm_counters;
+          Alcotest.test_case "digest mismatch: hit, not restored" `Quick
+            test_durable_digest_mismatch_is_hit;
+          Alcotest.test_case "mega checkpoint resume" `Quick
+            test_mega_checkpoint_resume;
         ] );
       ( "properties",
         [
