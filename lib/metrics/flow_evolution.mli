@@ -20,7 +20,9 @@ val note_start : t -> flow:int -> time:float -> unit
 (** The flow began (SYN sent / first transmission attempt). *)
 
 val note_activity : t -> flow:int -> time:float -> unit
-(** The flow made progress (delivered a data packet). *)
+(** The flow made progress (delivered a data packet). Any int is a flow
+    id; each flow keeps one bit per window up to its latest.
+    @raise Invalid_argument if [time] is negative. *)
 
 val note_finish : t -> flow:int -> time:float -> unit
 (** The flow completed (it stops being classified afterwards). *)

@@ -2,7 +2,7 @@ type pool_state = {
   start : float;
   mutable last_data : float;
   mutable finished : float;  (* infinity while running *)
-  mutable gaps : float list;  (* closed silent intervals *)
+  mutable max_gap : float;  (* longest closed silent interval, 0 if none *)
 }
 
 type t = { pools : (int, pool_state) Hashtbl.t }
@@ -12,14 +12,14 @@ let create () = { pools = Hashtbl.create 64 }
 let note_session_start t ~pool ~time =
   if not (Hashtbl.mem t.pools pool) then
     Hashtbl.replace t.pools pool
-      { start = time; last_data = time; finished = infinity; gaps = [] }
+      { start = time; last_data = time; finished = infinity; max_gap = 0.0 }
 
 let note_data t ~pool ~time =
   match Hashtbl.find_opt t.pools pool with
   | None -> ()
   | Some st ->
       let gap = time -. st.last_data in
-      if gap > 0.0 then st.gaps <- gap :: st.gaps;
+      if gap > st.max_gap then st.max_gap <- gap;
       st.last_data <- time
 
 let note_session_end t ~pool ~time =
@@ -29,25 +29,17 @@ let note_session_end t ~pool ~time =
       if st.finished = infinity then begin
         st.finished <- time;
         let gap = time -. st.last_data in
-        if gap > 0.0 then st.gaps <- gap :: st.gaps;
+        if gap > st.max_gap then st.max_gap <- gap;
         st.last_data <- time
       end
 
-let gaps t ~pool ~until =
-  match Hashtbl.find_opt t.pools pool with
-  | None -> [||]
-  | Some st ->
-      let closed = st.gaps in
-      let all =
-        if st.finished = infinity && until > st.last_data then
-          (until -. st.last_data) :: closed
-        else closed
-      in
-      Array.of_list (List.rev all)
-
 let max_hang t ~pool ~until =
-  let g = gaps t ~pool ~until in
-  Array.fold_left Float.max 0.0 g
+  match Hashtbl.find_opt t.pools pool with
+  | None -> 0.0
+  | Some st ->
+      if st.finished = infinity && until > st.last_data then
+        Float.max st.max_gap (until -. st.last_data)
+      else st.max_gap
 
 let fraction_with_hang t ~pools ~min_hang ~until =
   let n = Array.length pools in

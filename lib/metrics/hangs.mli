@@ -14,11 +14,11 @@ val note_data : t -> pool:int -> time:float -> unit
 
 val note_session_end : t -> pool:int -> time:float -> unit
 
-val gaps : t -> pool:int -> until:float -> float array
-(** All silent intervals of the pool, including the trailing one up to
-    [until] (or session end if earlier). Unknown pools yield [[||]]. *)
-
 val max_hang : t -> pool:int -> until:float -> float
+(** The longest silent interval of the pool, including the trailing one
+    up to [until] (or session end if earlier). Only the running maximum
+    is kept, so the state stays one record per pool however much data
+    arrives. Unknown pools yield [0.]. *)
 
 val fraction_with_hang :
   t -> pools:int array -> min_hang:float -> until:float -> float

@@ -10,7 +10,10 @@ val create : slice:float -> t
     short-term fairness and the whole run for long-term). *)
 
 val record : t -> flow:int -> time:float -> bytes:int -> unit
-(** Attribute [bytes] of goodput to [flow] at [time]. *)
+(** Attribute [bytes] of goodput to [flow] at [time]. Any int is a flow
+    id. Each flow keeps one counter per slice up to its latest, so
+    memory grows with the horizon, not with the number of records.
+    @raise Invalid_argument if [time] is negative. *)
 
 val slice_length : t -> float
 

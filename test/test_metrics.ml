@@ -73,6 +73,40 @@ let test_slicer_mean_jain_skips_empty () =
   Slicer.record s ~flow:2 ~time:25.0 ~bytes:10;
   checkf "empty slices skipped" 1.0 (Slicer.mean_jain s ~flows:[| 1; 2 |] ())
 
+(* Ids are table keys, not packed into a key with the slice, so any int
+   is a flow. *)
+let extreme_flows = [| -1; 1 lsl 40; max_int |]
+
+let test_slicer_any_flow_id () =
+  let s = Slicer.create ~slice:10.0 in
+  Array.iteri
+    (fun i flow ->
+      Slicer.record s ~flow ~time:5.0 ~bytes:(i + 1);
+      Slicer.record s ~flow
+        ~time:(25.0 +. float_of_int i)
+        ~bytes:(10 * (i + 1)))
+    extreme_flows;
+  Array.iteri
+    (fun i flow ->
+      let name = string_of_int flow in
+      Alcotest.(check int) (name ^ " slice 0") (i + 1)
+        (Slicer.bytes_in_slice s ~slice:0 ~flow);
+      Alcotest.(check int) (name ^ " slice 1") 0
+        (Slicer.bytes_in_slice s ~slice:1 ~flow);
+      Alcotest.(check int) (name ^ " slice 2") (10 * (i + 1))
+        (Slicer.bytes_in_slice s ~slice:2 ~flow);
+      Alcotest.(check int) (name ^ " total") (11 * (i + 1))
+        (Slicer.flow_total s ~flow))
+    extreme_flows;
+  Alcotest.(check int) "neighbour of max_int" 0
+    (Slicer.flow_total s ~flow:(max_int - 1))
+
+let test_slicer_negative_time () =
+  let s = Slicer.create ~slice:10.0 in
+  match Slicer.record s ~flow:1 ~time:(-0.5) ~bytes:1 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "negative time must raise"
+
 (* --- Flow_evolution ----------------------------------------------------------- *)
 
 let test_evolution_classify () =
@@ -133,17 +167,41 @@ let test_evolution_fractions () =
   checkf "always maintained" 1.0 (Flow_evolution.maintained_fraction s);
   checkf "never stalled" 0.0 (Flow_evolution.stalled_fraction s)
 
+let test_evolution_any_flow_id () =
+  let t = Flow_evolution.create ~window:10.0 in
+  Array.iter
+    (fun flow -> Flow_evolution.note_start t ~flow ~time:0.0)
+    extreme_flows;
+  (* -1 active in windows 0 and 1, 1 lsl 40 only in 0, max_int only in 1:
+     one of each class but stalled in window 1. *)
+  Flow_evolution.note_activity t ~flow:(-1) ~time:5.0;
+  Flow_evolution.note_activity t ~flow:(-1) ~time:15.0;
+  Flow_evolution.note_activity t ~flow:(1 lsl 40) ~time:5.0;
+  Flow_evolution.note_activity t ~flow:max_int ~time:15.0;
+  let s = Flow_evolution.series t ~until:19.0 in
+  Alcotest.(check int) "maintained" 1 s.Flow_evolution.maintained.(1);
+  Alcotest.(check int) "dropped" 1 s.Flow_evolution.dropped.(1);
+  Alcotest.(check int) "arriving" 1 s.Flow_evolution.arriving.(1);
+  Alcotest.(check int) "stalled" 0 s.Flow_evolution.stalled.(1)
+
+let test_evolution_negative_time () =
+  let t = Flow_evolution.create ~window:10.0 in
+  match Flow_evolution.note_activity t ~flow:1 ~time:(-0.5) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "negative time must raise"
+
 (* --- Hangs ----------------------------------------------------------------------- *)
 
 let test_hangs_gaps () =
   let h = Hangs.create () in
   Hangs.note_session_start h ~pool:1 ~time:0.0;
+  (* Gaps of 5, 1 and 24 s, in that order. *)
   Hangs.note_data h ~pool:1 ~time:5.0;
+  checkf "first gap" 5.0 (Hangs.max_hang h ~pool:1 ~until:5.0);
   Hangs.note_data h ~pool:1 ~time:6.0;
+  checkf "shorter gap keeps the max" 5.0 (Hangs.max_hang h ~pool:1 ~until:6.0);
   Hangs.note_data h ~pool:1 ~time:30.0;
-  let g = Hangs.gaps h ~pool:1 ~until:30.0 in
-  Alcotest.(check int) "three gaps" 3 (Array.length g);
-  checkf "max hang" 24.0 (Hangs.max_hang h ~pool:1 ~until:30.0)
+  checkf "max of the three gaps" 24.0 (Hangs.max_hang h ~pool:1 ~until:30.0)
 
 let test_hangs_trailing_gap_counts () =
   let h = Hangs.create () in
@@ -171,6 +229,58 @@ let test_hangs_session_end_closes () =
   Hangs.note_session_end h ~pool:1 ~time:10.0;
   (* After the session ended, later "until" must not extend the gap. *)
   checkf "gap frozen at end" 9.0 (Hangs.max_hang h ~pool:1 ~until:100.0)
+
+(* --- Memory ---------------------------------------------------------------------- *)
+
+(* The tables' footprint at a 12 000 s horizon (150 flows, 20 s slices,
+   5 s windows), one record per flow per slice or window. Tables keyed
+   by a (slice, flow) pair hold a bucket cell per pair: about 426k
+   words for the slicer and 1.70M for the evolution. *)
+let soak_flows = 150
+
+let words x = Obj.reachable_words (Obj.repr x)
+
+let test_slicer_memory () =
+  let slices = 600 in
+  let s = Slicer.create ~slice:20.0 in
+  for slice = 0 to slices - 1 do
+    for flow = 0 to soak_flows - 1 do
+      Slicer.record s ~flow ~time:(float_of_int slice *. 20.0) ~bytes:500
+    done
+  done;
+  (* A dense per-flow array that doubles wastes at most half of itself:
+     two words per (slice, flow) pair. *)
+  let bound = 2 * slices * soak_flows in
+  let w = words s in
+  if w > bound then Alcotest.failf "slicer holds %d words, bound %d" w bound
+
+let test_evolution_memory () =
+  let windows = 2400 in
+  let t = Flow_evolution.create ~window:5.0 in
+  for w = 0 to windows - 1 do
+    for flow = 0 to soak_flows - 1 do
+      Flow_evolution.note_activity t ~flow ~time:(float_of_int w *. 5.0)
+    done
+  done;
+  (* One bit per (window, flow) pair in a bitmap that doubles: four bits
+     per pair leaves room for per-flow overhead. *)
+  let bound = windows * soak_flows * 4 / Sys.int_size in
+  let w = words t in
+  if w > bound then Alcotest.failf "evolution holds %d words, bound %d" w bound
+
+let test_hangs_memory_flat () =
+  let fill calls =
+    let h = Hangs.create () in
+    for pool = 0 to 2 do
+      Hangs.note_session_start h ~pool ~time:0.0;
+      for i = 1 to calls do
+        Hangs.note_data h ~pool ~time:(float_of_int i)
+      done
+    done;
+    words h
+  in
+  Alcotest.(check int) "10^5 calls per pool cost what 10 do" (fill 10)
+    (fill 100_000)
 
 (* --- Cdf --------------------------------------------------------------------------- *)
 
@@ -406,6 +516,237 @@ let prop_cdf_quantile_in_range =
       let v = Cdf.quantile c q in
       v >= Cdf.min c && v <= Cdf.max c)
 
+(* --- Per-flow cells against the packed-key references ------------------------ *)
+
+(* [Slicer_ref] and [Flow_evolution_ref] are the tables before per-flow
+   cells. Both pairs are driven with the same operations; at every
+   [Query] and at the end, every reading of the tables must agree,
+   floats to the bit, and the evolution series must be equal records. *)
+
+module type SLICER = sig
+  type t
+
+  val create : slice:float -> t
+  val record : t -> flow:int -> time:float -> bytes:int -> unit
+  val slice_count : t -> int
+  val bytes_in_slice : t -> slice:int -> flow:int -> int
+  val flow_total : t -> flow:int -> int
+  val jain_per_slice : t -> flows:int array -> float array
+  val mean_jain :
+    t -> flows:int array -> ?first:int -> ?last:int -> unit -> float
+  val long_term_jain : t -> flows:int array -> float
+  val silent_fraction : t -> flows:int array -> slice:int -> float
+  val top_share :
+    t -> flows:int array -> slice:int -> top_fraction:float -> float
+end
+
+module type EVOLUTION = sig
+  type t
+  type series
+
+  val create : window:float -> t
+  val note_start : t -> flow:int -> time:float -> unit
+  val note_activity : t -> flow:int -> time:float -> unit
+  val note_finish : t -> flow:int -> time:float -> unit
+  val series : t -> until:float -> series
+end
+
+type metrics_op =
+  | Deliver of int * float * int  (** flow, time, bytes *)
+  | Start of int * float
+  | Finish of int * float
+  | Query
+
+type metrics_run = {
+  slice : float;
+  window : float;
+  flows : int array;  (** the ids the operations draw from *)
+  ops : metrics_op list;
+}
+
+(* Times span this many slices. *)
+let diff_slices = 60
+
+let show_metrics_op = function
+  | Deliver (f, t, b) -> Printf.sprintf "deliver %d@%h+%d" f t b
+  | Start (f, t) -> Printf.sprintf "start %d@%h" f t
+  | Finish (f, t) -> Printf.sprintf "finish %d@%h" f t
+  | Query -> "query"
+
+let gen_metrics_run =
+  let open QCheck.Gen in
+  let* slice = oneofl [ 0.5; 1.0; 20.0 /. 3.0 ] in
+  (* 240, 60 or 24 windows: the first outgrows an 8-byte bitmap. *)
+  let* window = map (fun k -> k *. slice) (oneofl [ 0.25; 1.0; 2.5 ]) in
+  let* flows =
+    array_size (int_range 1 6)
+      (oneof [ int_bound ((1 lsl 22) - 1); oneofl [ 0; 1; (1 lsl 22) - 1 ] ])
+  in
+  let span = float_of_int diff_slices *. slice in
+  (* Anywhere in the span, or on a slice or window boundary and one ulp
+     below it. *)
+  let time =
+    oneof
+      [
+        float_bound_exclusive span;
+        map3
+          (fun len k below ->
+            let at = float_of_int k *. len in
+            if below && k > 0 then Float.pred at else at)
+          (oneofl [ slice; window ])
+          (int_bound diff_slices) bool;
+      ]
+  in
+  let flow = oneofa flows in
+  let op =
+    frequency
+      [
+        (8, map3 (fun f t b -> Deliver (f, t, b)) flow time (int_range 1 1500));
+        (2, map2 (fun f t -> Start (f, t)) flow time);
+        (1, map2 (fun f t -> Finish (f, t)) flow time);
+        (1, return Query);
+      ]
+  in
+  let+ ops = list_size (int_range 1 300) op in
+  { slice; window; flows; ops }
+
+let arb_metrics_run =
+  QCheck.make
+    ~shrink:(fun r yield ->
+      QCheck.Shrink.list r.ops (fun ops -> yield { r with ops }))
+    ~print:(fun r ->
+      Printf.sprintf "slice=%h window=%h flows=[%s]\n%s" r.slice r.window
+        (String.concat ";" (Array.to_list (Array.map string_of_int r.flows)))
+        (String.concat "; " (List.map show_metrics_op r.ops)))
+    gen_metrics_run
+
+module Tables (S : SLICER) (E : EVOLUTION) = struct
+  type t = { s : S.t; e : E.t }
+
+  let create r = { s = S.create ~slice:r.slice; e = E.create ~window:r.window }
+
+  let apply t = function
+    | Deliver (flow, time, bytes) ->
+        S.record t.s ~flow ~time ~bytes;
+        E.note_activity t.e ~flow ~time
+    | Start (flow, time) -> E.note_start t.e ~flow ~time
+    | Finish (flow, time) -> E.note_finish t.e ~flow ~time
+    | Query -> ()
+
+  (* Slicer readings, labelled, floats by their bits. [probe] is the
+     run's flows plus one that never delivers. [cells] reads every
+     (slice, flow) pair from slice -1 to one past the last; [aggregates]
+     reads what is computed from the cells. *)
+  let cells t ~probe =
+    let n = S.slice_count t.s in
+    let flow f =
+      [
+        ( Printf.sprintf "flow %d total" f,
+          [| Int64.of_int (S.flow_total t.s ~flow:f) |] );
+        ( Printf.sprintf "flow %d slices" f,
+          Array.init (n + 2) (fun i ->
+              Int64.of_int (S.bytes_in_slice t.s ~slice:(i - 1) ~flow:f)) );
+      ]
+    in
+    ("slice_count", [| Int64.of_int n |])
+    :: List.concat_map flow (Array.to_list probe)
+
+  let aggregates t ~probe =
+    let n = S.slice_count t.s in
+    let floats = Array.map Int64.bits_of_float in
+    let slice s =
+      ( Printf.sprintf "slice %d silent, top 0.1/0.4/1" s,
+        floats
+          (Array.append
+             [| S.silent_fraction t.s ~flows:probe ~slice:s |]
+             (Array.map
+                (fun top_fraction ->
+                  S.top_share t.s ~flows:probe ~slice:s ~top_fraction)
+                [| 0.1; 0.4; 1.0 |])) )
+    in
+    [
+      ("jain_per_slice", floats (S.jain_per_slice t.s ~flows:probe));
+      ( "mean_jain all, 1.., n/3..n/2",
+        floats
+          [|
+            S.mean_jain t.s ~flows:probe ();
+            S.mean_jain t.s ~flows:probe ~first:1 ();
+            S.mean_jain t.s ~flows:probe ~first:(n / 3) ~last:(n / 2) ();
+          |] );
+      ("long_term_jain", floats [| S.long_term_jain t.s ~flows:probe |]);
+    ]
+    @ List.init n slice
+
+  let series t ~until = E.series t.e ~until
+end
+
+module Old = Tables (Slicer_ref) (Flow_evolution_ref)
+module New = Tables (Slicer) (Flow_evolution)
+
+let series_of_ref (x : Flow_evolution_ref.series) =
+  {
+    Flow_evolution.window = x.Flow_evolution_ref.window;
+    times = x.times;
+    maintained = x.maintained;
+    dropped = x.dropped;
+    arriving = x.arriving;
+    stalled = x.stalled;
+    live = x.live;
+  }
+
+let show_series (x : Flow_evolution.series) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf
+    "window=%h times=%d maintained=%s dropped=%s arriving=%s stalled=%s live=%s"
+    x.window (Array.length x.times) (ints x.maintained) (ints x.dropped)
+    (ints x.arriving) (ints x.stalled) (ints x.live)
+
+let run_metrics_diff r =
+  let absent =
+    List.find (fun f -> not (Array.mem f r.flows)) (List.init 7 Fun.id)
+  in
+  let probe = Array.append r.flows [| absent |] in
+  let span = float_of_int diff_slices *. r.slice in
+  let a = Old.create r and b = New.create r in
+  let compare ~final step =
+    let readings cells aggregates t =
+      if final then cells t ~probe @ aggregates t ~probe else cells t ~probe
+    in
+    let show v =
+      String.concat "," (Array.to_list (Array.map (Printf.sprintf "%Lx") v))
+    in
+    List.iter2
+      (fun (label, x) (_, y) ->
+        if x <> y then
+          QCheck.Test.fail_reportf "after op %d, %s:\n  ref: %s\n  new: %s"
+            step label (show x) (show y))
+      (readings Old.cells Old.aggregates a)
+      (readings New.cells New.aggregates b);
+    List.iter
+      (fun until ->
+        let x = series_of_ref (Old.series a ~until)
+        and y = New.series b ~until in
+        if x <> y then
+          QCheck.Test.fail_reportf
+            "after op %d, series until %h:\n  ref: %s\n  new: %s" step until
+            (show_series x) (show_series y))
+      [ span; span /. 3.0 ]
+  in
+  (* The aggregates are one function of the cells in both, so the cells
+     and the series are compared at every [Query], everything at the end. *)
+  List.iteri
+    (fun step op ->
+      Old.apply a op;
+      New.apply b op;
+      if op = Query then compare ~final:false step)
+    r.ops;
+  compare ~final:true (List.length r.ops);
+  true
+
+let prop_metrics_match_reference =
+  QCheck.Test.make ~name:"per-flow cells = packed-key references" ~count:300
+    arb_metrics_run run_metrics_diff
+
 let () =
   Alcotest.run "taq_metrics"
     [
@@ -417,6 +758,8 @@ let () =
           Alcotest.test_case "silent fraction" `Quick test_slicer_silent_fraction;
           Alcotest.test_case "top share" `Quick test_slicer_top_share;
           Alcotest.test_case "skips empty" `Quick test_slicer_mean_jain_skips_empty;
+          Alcotest.test_case "any flow id" `Quick test_slicer_any_flow_id;
+          Alcotest.test_case "negative time" `Quick test_slicer_negative_time;
         ] );
       ( "flow_evolution",
         [
@@ -425,6 +768,8 @@ let () =
           Alcotest.test_case "arrival" `Quick test_evolution_arrival_after_silence;
           Alcotest.test_case "finish" `Quick test_evolution_finished_flows_leave;
           Alcotest.test_case "fractions" `Quick test_evolution_fractions;
+          Alcotest.test_case "any flow id" `Quick test_evolution_any_flow_id;
+          Alcotest.test_case "negative time" `Quick test_evolution_negative_time;
         ] );
       ( "hangs",
         [
@@ -432,6 +777,12 @@ let () =
           Alcotest.test_case "trailing" `Quick test_hangs_trailing_gap_counts;
           Alcotest.test_case "fraction" `Quick test_hangs_fraction;
           Alcotest.test_case "session end" `Quick test_hangs_session_end_closes;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "slicer cells" `Quick test_slicer_memory;
+          Alcotest.test_case "evolution bitmaps" `Quick test_evolution_memory;
+          Alcotest.test_case "hangs flat" `Quick test_hangs_memory_flat;
         ] );
       ( "cdf",
         [
@@ -458,6 +809,12 @@ let () =
         [
           Alcotest.test_case "rates" `Quick test_loss_monitor_rates;
           Alcotest.test_case "ignores control" `Quick test_loss_monitor_ignores_control;
+        ] );
+      ( "cells_vs_reference",
+        [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Qcheck_seed.rand ~file:"test_metrics_cells")
+            prop_metrics_match_reference;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_metrics") prop_cdf_quantile_in_range ]);
     ]
