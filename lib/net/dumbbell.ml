@@ -113,7 +113,7 @@ let create ?check ~sim ~capacity_bps ?(link_delay = 0.0) ~disc () =
     | Some { fwd_tap = None; _ } | None ->
         forward p;
         (* Untapped delivery consumed the packet (endpoints must not
-           retain it — see {!Packet.copy}); recycle the record. *)
+           retain it); recycle the record. *)
         Packet.release alloc p
   in
   let link =

@@ -36,10 +36,8 @@ val register_flow :
     queueing. [deliver_fwd] receives packets that crossed the
     bottleneck (the receiver side); [deliver_rev] receives return-path
     packets (the sender side). Packet records are pooled: a delivery
-    callback must not retain the packet past its own return — take a
-    {!Packet.copy} to hold one across simulated time (as the lossy
-    overlay underlay does). Raises [Invalid_argument] if the flow is
-    already registered. *)
+    callback must not retain the packet past its own return. Raises
+    [Invalid_argument] if the flow is already registered. *)
 
 val unregister_flow : t -> flow:int -> unit
 (** Forget a finished flow (late packets to it are discarded). *)

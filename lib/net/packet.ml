@@ -85,19 +85,6 @@ let make ~alloc ~flow ?(pool = -1) ~kind ~seq ~size ?(retx = false)
     ?(sacks = []) ~sent_at () =
   make_exact ~alloc ~flow ~pool ~kind ~seq ~size ~retx ~sacks ~sent_at
 
-let copy p =
-  {
-    uid = p.uid;
-    flow = p.flow;
-    pool = p.pool;
-    kind = p.kind;
-    seq = p.seq;
-    size = p.size;
-    retx = p.retx;
-    sacks = p.sacks;
-    sent_at = p.sent_at;
-  }
-
 let kind_to_string = function
   | Syn -> "SYN"
   | Syn_ack -> "SYN-ACK"

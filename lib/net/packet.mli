@@ -10,8 +10,7 @@
     packet with a fresh {!field-uid}. Fields are declared mutable for the
     allocator's sake only — every other component must treat a packet
     as immutable, and must not retain one past the call that delivered
-    it (take a {!copy} to hold a packet across simulated time, as the
-    lossy-underlay overlay does). *)
+    it. *)
 
 type kind =
   | Syn  (** connection request (subject to admission control) *)
@@ -86,11 +85,6 @@ val release : alloc -> t -> unit
     may call this, at points where no other reference can exist.
     Idempotent: releasing an already-released packet is a no-op (the
     uid is already negative). *)
-
-val copy : t -> t
-(** A private unpooled copy (same uid and fields). For components that
-    must hold a packet across simulated time while the originating
-    network may recycle the record. *)
 
 val is_live : t -> bool
 (** [true] while the record is allocated; [false] once released. *)

@@ -163,8 +163,6 @@ let instant t ~name ~cat ?(flow = -1) ~ts_s () =
 type snapshot = {
   counters : (string * int) list;  (* sorted by name, zero entries dropped *)
   gauges : (string * int) list;  (* sorted by name, merged with max *)
-  gc_minor_words : float;
-  gc_major_words : float;
   events : Trace.event list;
   trace_dropped : int;
 }
@@ -173,8 +171,6 @@ let empty_snapshot =
   {
     counters = [];
     gauges = [];
-    gc_minor_words = 0.0;
-    gc_major_words = 0.0;
     events = [];
     trace_dropped = 0;
   }
@@ -209,8 +205,6 @@ let snapshot (t : t) =
   {
     counters = List.sort by_name (fixed @ lab);
     gauges = List.sort by_name (fixed_gauges @ lab_gauges);
-    gc_minor_words = 0.0;
-    gc_major_words = 0.0;
     events = (match t.trace with None -> [] | Some tr -> Trace.events tr);
     trace_dropped = (match t.trace with None -> 0 | Some tr -> Trace.dropped tr);
   }
@@ -229,8 +223,6 @@ let merge a b =
   {
     counters = merge_assoc ( + ) a.counters b.counters;
     gauges = merge_assoc Stdlib.max a.gauges b.gauges;
-    gc_minor_words = a.gc_minor_words +. b.gc_minor_words;
-    gc_major_words = a.gc_major_words +. b.gc_major_words;
     events = a.events @ b.events;
     trace_dropped = a.trace_dropped + b.trace_dropped;
   }
@@ -251,10 +243,9 @@ let gauges_to_json snap =
   Json.Obj
     (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) snap.gauges)
 
-(* Wire form for durable runs: counters + gauges only. GC words are
-   machine noise (deliberately absent from [report] too) and trace
-   events have their own file format, so the part worth persisting is
-   exactly the part whose merge is deterministic. *)
+(* Wire form for durable runs: counters + gauges only. Trace events
+   have their own file format, so the part worth persisting is exactly
+   the part whose merge is deterministic. *)
 let snapshot_to_string snap =
   Json.to_string
     (Json.Obj
@@ -304,9 +295,6 @@ let report snap =
       Taq_util.Table.add_row table [ name ^ " (max)"; string_of_int v ])
     snap.gauges;
   Buffer.add_string b (Taq_util.Table.to_string table);
-  (* GC words are deliberately NOT printed: they are noisy, and this
-     report must stay byte-identical across --jobs counts. They travel
-     in the snapshot for consumers (bench) that want them. *)
   if snap.events <> [] || snap.trace_dropped > 0 then
     Buffer.add_string b
       (Printf.sprintf "  trace: %d event(s) held, %d overwritten\n"
@@ -412,18 +400,10 @@ let collecting f =
   let c = { instances = [] } in
   let old = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some c);
-  let gc0 = Gc.quick_stat () in
   let v =
     Fun.protect ~finally:(fun () -> Domain.DLS.set current_key old) f
   in
-  let gc1 = Gc.quick_stat () in
-  let snap = snapshot_of_instances c.instances in
-  ( v,
-    {
-      snap with
-      gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
-      gc_major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
-    } )
+  (v, snapshot_of_instances c.instances)
 
 let root_snapshot () =
   Mutex.lock root_mutex;

@@ -10,9 +10,8 @@
     Counters are {e deterministic}: under fixed seeds the same
     simulation produces bit-identical counter values on any machine,
     any jobs count, any scheduling order — which is what lets
-    [bench --compare] gate on them exactly, where wall-clock can only
-    be gated within a tolerance. Noisy measurements (GC words) are
-    carried separately in the snapshot and never gated exactly.
+    [bench --compare] gate on them exactly. Host-time and allocation
+    costs are measured by [bench/perf], not here.
 
     Aggregation: {!of_policy} instances register with the current
     {e collector} — per-task (installed by [Harness.Pool] via
@@ -90,8 +89,6 @@ type snapshot = {
   counters : (string * int) list;
       (** deterministic; sorted by name, zeros dropped *)
   gauges : (string * int) list;  (** deterministic; merged with [max] *)
-  gc_minor_words : float;  (** noisy — never gate exactly *)
-  gc_major_words : float;
   events : Trace.event list;
   trace_dropped : int;
 }
@@ -110,13 +107,12 @@ val gauges_to_json : snapshot -> Json.t
 
 val snapshot_to_string : snapshot -> string
 (** Compact JSON wire form of a snapshot's counters and gauges — the
-    deterministic part worth persisting for crash-resumable runs. GC
-    word counts (machine noise) and trace events (their own file
-    format) are deliberately dropped. *)
+    deterministic part worth persisting for crash-resumable runs.
+    Trace events (their own file format) are deliberately dropped. *)
 
 val snapshot_of_string : string -> (snapshot, string) result
 (** Parse {!snapshot_to_string} output back into a snapshot (counters
-    and gauges sorted; GC words zero, no events). Round-trip is exact:
+    and gauges sorted, no events). Round-trip is exact:
     counter values are integers, which {!Json} prints without a
     decimal point. *)
 
@@ -147,9 +143,9 @@ val of_policy : policy -> t
 val collecting : (unit -> 'a) -> 'a * snapshot
 (** [collecting f] installs a fresh domain-local collector, runs [f],
     and returns its result together with the merged snapshot of every
-    {!of_policy} instance created during [f] on this domain (plus this
-    domain's GC-word deltas). Used by [Harness.Pool] around each task
-    attempt; nests (the previous collector is restored). *)
+    {!of_policy} instance created during [f] on this domain. Used by
+    [Harness.Pool] around each task attempt; nests (the previous
+    collector is restored). *)
 
 val root_snapshot : unit -> snapshot
 (** Merged snapshot of {!of_policy} instances created outside any

@@ -1,29 +1,20 @@
 (** [BENCH.json] documents and the bench-regression gate.
 
-    The bench harness writes one {!target} per figure target:
-    wall-clock seconds (noisy), deterministic {!Obs} counters/gauges
-    (exact under fixed seeds) and GC minor words (noisy). The gate
-    ({!diff}) fails when any deterministic counter drifts {e at all}
-    against a committed baseline, and — only when a tolerance is
-    supplied — when wall-clock regresses beyond it. CI runs the gate
-    counters-only so it never flakes on machine speed. *)
+    The bench harness writes one {!target} per registry target: its
+    deterministic {!Obs} counters and gauges, exact under fixed seeds
+    and independent of [--jobs]. The gate ({!diff}) fails when any of
+    them drifts {e at all} against a committed baseline, so it never
+    flakes on machine speed. Host time is gated by [bench/perf]. *)
 
 type target = {
   name : string;
-  seconds : float;
-  events_per_sec : float;
-      (** executed simulator events per wall-clock second — the
-          machine-speed-normalised throughput line ([Events_executed]
-          over [seconds]); noisy, gated only behind the tolerance *)
   counters : (string * int) list;
   gauges : (string * int) list;
-  gc_minor_words : float;
 }
 
-type bench = { scale : string; jobs : int; targets : target list }
+type bench = { scale : string; targets : target list }
 
-val make_target :
-  name:string -> seconds:float -> snapshot:Obs.snapshot -> target
+val make_target : name:string -> snapshot:Obs.snapshot -> target
 
 (** Targets are emitted sorted by name (their counters and gauges are
     already name-sorted), making serialized documents canonical: two
@@ -34,23 +25,14 @@ val load : path:string -> (bench, string) result
 val save : path:string -> bench -> unit
 
 val diff :
-  ?tolerance_pct:float ->
-  baseline:bench ->
-  current:bench ->
-  unit ->
-  (string list, string list) result
-(** [Ok notes] when every baseline target present in [current] matches
-    it exactly on counters and gauges (missing keys count as 0) and,
-    when [tolerance_pct] is given, the noisy measurements stay within
-    the slack: seconds and GC minor words at most
-    [baseline * (1 + pct/100)], events/sec at least
-    [baseline / (1 + pct/100)] (throughput regresses downward).
-    [Error failures] otherwise. A scale mismatch (quick vs full) is a
-    failure; a baseline target that was not run is only a note. *)
+  baseline:bench -> current:bench -> (string list, string list) result
+(** [Ok notes] when every target in [current] is in [baseline] and
+    matches it exactly on counters and gauges (missing keys count as
+    0); [Error failures] otherwise. A scale mismatch (quick vs full)
+    and a run target absent from the baseline are failures; a baseline
+    target that was not run is only a note. *)
 
 val compare_files :
-  ?tolerance_pct:float ->
   baseline_path:string ->
   current_path:string ->
-  unit ->
   (string list, string list) result

@@ -1,6 +1,5 @@
 (* Tests for taq_net: packets, the FIFO discipline helper, link
-   transmission timing and accounting, dumbbell delivery, overlay
-   loss concealment. *)
+   transmission timing and accounting, dumbbell delivery. *)
 
 open Taq_net
 module Sim = Taq_engine.Sim
@@ -188,101 +187,6 @@ let test_dumbbell_duplicate_registration_rejected () =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate registration should raise"
-
-
-
-(* --- Overlay (controlled-loss virtual link) ------------------------------- *)
-
-let test_overlay_conceals_loss () =
-  let sim = Sim.create ()
-  and prng = Taq_util.Prng.create ~seed:61 in
-  let delivered = ref 0 in
-  let ov =
-    Overlay.create ~sim ~prng ~raw_loss:0.2 ~hop_delay:0.01
-      ~deliver:(fun _ -> incr delivered)
-      ()
-  in
-  let n = 20_000 in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         for seq = 1 to n do
-           Overlay.send ov (mk_pkt ~seq ())
-         done));
-  Sim.run sim;
-  let residual = Overlay.residual_loss_rate ov in
-  (* Raw loss 0.2 with 4 attempts: residual ~ 0.2^4 = 0.0016. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "residual %.4f << raw 0.2" residual)
-    true (residual < 0.01);
-  let st = Overlay.stats ov in
-  Alcotest.(check int) "conservation" n (st.Overlay.delivered + st.Overlay.lost);
-  Alcotest.(check bool) "recovery happened" true (st.Overlay.retransmissions > 0)
-
-let test_overlay_budget_limits_recovery () =
-  (* With a tiny redundancy budget, recovery stops and losses become
-     visible again. *)
-  let sim = Sim.create ()
-  and prng = Taq_util.Prng.create ~seed:62 in
-  let ov =
-    Overlay.create ~sim ~prng ~raw_loss:0.3 ~hop_delay:0.01
-      ~redundancy_budget:0.01
-      ~deliver:(fun _ -> ())
-      ()
-  in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         for seq = 1 to 5_000 do
-           Overlay.send ov (mk_pkt ~seq ())
-         done));
-  Sim.run sim;
-  let residual = Overlay.residual_loss_rate ov in
-  Alcotest.(check bool)
-    (Printf.sprintf "residual %.3f near raw" residual)
-    true (residual > 0.2)
-
-let test_overlay_recovery_costs_latency () =
-  (* A packet that needed one retry arrives 2 hop-delays later than a
-     clean one. *)
-  let sim = Sim.create ()
-  and prng = Taq_util.Prng.create ~seed:63 in
-  let arrivals = ref [] in
-  let ov =
-    Overlay.create ~sim ~prng ~raw_loss:0.5 ~hop_delay:0.1
-      ~deliver:(fun p -> arrivals := (p.Packet.seq, Sim.now sim) :: !arrivals)
-      ()
-  in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         for seq = 1 to 200 do
-           Overlay.send ov (mk_pkt ~seq ())
-         done));
-  Sim.run sim;
-  (* Every arrival time is hop_delay + k * 2*hop_delay for k >= 0. *)
-  List.iter
-    (fun (_, at) ->
-      let k = (at -. 0.1) /. 0.2 in
-      if Float.abs (k -. Float.round k) > 1e-9 then
-        Alcotest.failf "arrival at %g is not hop + k*2hop" at)
-    !arrivals
-
-let test_overlay_zero_loss_passthrough () =
-  let sim = Sim.create ()
-  and prng = Taq_util.Prng.create ~seed:64 in
-  let delivered = ref 0 in
-  let ov =
-    Overlay.create ~sim ~prng ~raw_loss:0.0 ~hop_delay:0.05
-      ~deliver:(fun _ -> incr delivered)
-      ()
-  in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         for seq = 1 to 100 do
-           Overlay.send ov (mk_pkt ~seq ())
-         done));
-  Sim.run sim;
-  Alcotest.(check int) "all delivered" 100 !delivered;
-  Alcotest.(check int) "no retransmissions" 0
-    (Overlay.stats ov).Overlay.retransmissions
 
 (* --- qcheck properties -------------------------------------------------- *)
 
@@ -501,13 +405,6 @@ let () =
         [
           Alcotest.test_case "recycles under tcp drops" `Quick
             test_pool_recycles_under_tcp_drops;
-        ] );
-      ( "overlay",
-        [
-          Alcotest.test_case "conceals loss" `Quick test_overlay_conceals_loss;
-          Alcotest.test_case "budget" `Quick test_overlay_budget_limits_recovery;
-          Alcotest.test_case "latency cost" `Quick test_overlay_recovery_costs_latency;
-          Alcotest.test_case "zero loss" `Quick test_overlay_zero_loss_passthrough;
         ] );
       ("properties", qcheck_props);
     ]

@@ -12,8 +12,8 @@
      on produces byte-for-byte the same metrics as with Obs.off;
    - aggregation determinism: the merged per-task counters of a mini
      sweep over a Harness.Pool are identical at jobs=1 and jobs=4;
-   - the bench-regression gate: exact counter drift fails, wall-clock
-     only fails when a tolerance is given, scale mismatch fails, and
+   - the bench-regression gate: exact counter drift fails, a run
+     target missing from the baseline fails, scale mismatch fails, and
      BENCH.json documents survive a save/load round-trip. *)
 
 module Obs = Taq_obs.Obs
@@ -292,21 +292,17 @@ let test_jobs_identical () =
 
 (* --- the bench-regression gate ------------------------------------------- *)
 
-let target ?(seconds = 1.0) ?(events_per_sec = 0.0) ?(gc_minor_words = 0.0)
-    ?(counters = []) ?(gauges = []) name =
+let target ?(counters = []) ?(gauges = []) name =
   {
     Regression.name;
-    seconds;
-    events_per_sec;
     counters = List.sort compare counters;
     gauges = List.sort compare gauges;
-    gc_minor_words;
   }
 
-let bench ?(scale = "quick") targets = { Regression.scale; jobs = 1; targets }
+let bench ?(scale = "quick") targets = { Regression.scale; targets }
 
-let check_diff ?tolerance_pct ~baseline ~current expect_ok name =
-  match Regression.diff ?tolerance_pct ~baseline ~current () with
+let check_diff ~baseline ~current expect_ok name =
+  match Regression.diff ~baseline ~current with
   | Ok _ -> Alcotest.(check bool) name true expect_ok
   | Error _ -> Alcotest.(check bool) name false expect_ok
 
@@ -321,44 +317,18 @@ let test_gate_exact_match () =
     bench [ target "fig1" ~counters:[ ("a", 1); ("b", 2); ("c", 9) ] ]
   in
   check_diff ~baseline:b ~current:extra false "new counter fails";
-  let skipped = bench [ target "other" ] in
-  check_diff ~baseline:b ~current:skipped true "unrun target only a note"
-
-let test_gate_tolerance () =
-  let b = bench [ target "fig1" ~seconds:1.0 ] in
-  let slow = bench [ target "fig1" ~seconds:1.2 ] in
-  check_diff ~baseline:b ~current:slow true "seconds free without tolerance";
-  check_diff ~tolerance_pct:25.0 ~baseline:b ~current:slow true
-    "within tolerance passes";
-  check_diff ~tolerance_pct:10.0 ~baseline:b ~current:slow false
-    "beyond tolerance fails"
-
-let test_gate_throughput_and_gc () =
-  (* events/sec gates downward (less throughput = regression), GC
-     minor words gate upward (more allocation = regression); both only
-     behind the tolerance, like seconds. *)
-  let b =
-    bench [ target "fig1" ~events_per_sec:1000.0 ~gc_minor_words:1e6 ]
+  check_diff ~baseline:b ~current:(bench []) true "unrun target only a note";
+  (* A target the baseline has never seen must not pass ungated. *)
+  let unknown =
+    bench [ target "fig1" ~counters:[ ("a", 1); ("b", 2) ]; target "fig2" ]
   in
-  let slower = bench [ target "fig1" ~events_per_sec:850.0 ~gc_minor_words:1e6 ] in
-  check_diff ~baseline:b ~current:slower true
-    "throughput free without tolerance";
-  check_diff ~tolerance_pct:25.0 ~baseline:b ~current:slower true
-    "throughput dip within tolerance passes";
-  check_diff ~tolerance_pct:10.0 ~baseline:b ~current:slower false
-    "throughput dip beyond tolerance fails";
-  let faster = bench [ target "fig1" ~events_per_sec:2000.0 ~gc_minor_words:1e6 ] in
-  check_diff ~tolerance_pct:10.0 ~baseline:b ~current:faster true
-    "faster than baseline passes";
-  let alloc = bench [ target "fig1" ~events_per_sec:1000.0 ~gc_minor_words:2e6 ] in
-  check_diff ~baseline:b ~current:alloc true "gc free without tolerance";
-  check_diff ~tolerance_pct:25.0 ~baseline:b ~current:alloc false
-    "alloc growth beyond tolerance fails";
-  let alloc_ok =
-    bench [ target "fig1" ~events_per_sec:1000.0 ~gc_minor_words:1.1e6 ]
-  in
-  check_diff ~tolerance_pct:25.0 ~baseline:b ~current:alloc_ok true
-    "alloc growth within tolerance passes"
+  match Regression.diff ~baseline:b ~current:unknown with
+  | Ok _ -> Alcotest.fail "target absent from the baseline passed"
+  | Error fs ->
+      Alcotest.(check (list string))
+        "absent target fails, naming the way to regenerate"
+        [ "fig2: not in the baseline (regenerate it with --write-baseline)" ]
+        fs
 
 let test_gate_scale_mismatch () =
   let b = bench ~scale:"quick" [ target "fig1" ] in
@@ -369,10 +339,10 @@ let test_bench_save_load () =
   let b =
     bench
       [
-        target "fig1" ~seconds:0.25
+        target "fig1"
           ~counters:[ ("link.offered", 111434); ("sim.heap_push", 463571) ]
           ~gauges:[ ("sim.heap_max_depth", 1820) ];
-        target "micro" ~seconds:2.5;
+        target "fig2";
       ]
   in
   let path = Filename.temp_file "taq_bench" ".json" in
@@ -400,12 +370,12 @@ let test_compare_files () =
       Regression.save ~path:pb b;
       Regression.save ~path:pc b;
       (match
-         Regression.compare_files ~baseline_path:pb ~current_path:pc ()
+         Regression.compare_files ~baseline_path:pb ~current_path:pc
        with
       | Ok _ -> ()
       | Error es -> Alcotest.fail (String.concat "; " es));
       Regression.save ~path:pc drift;
-      match Regression.compare_files ~baseline_path:pb ~current_path:pc () with
+      match Regression.compare_files ~baseline_path:pb ~current_path:pc with
       | Ok _ -> Alcotest.fail "drifted files accepted"
       | Error es ->
           Alcotest.(check bool) "failure reported" true (es <> []))
@@ -505,9 +475,6 @@ let () =
       ( "gate",
         [
           Alcotest.test_case "exact counter match" `Quick test_gate_exact_match;
-          Alcotest.test_case "wall-clock tolerance" `Quick test_gate_tolerance;
-          Alcotest.test_case "throughput + gc tolerance" `Quick
-            test_gate_throughput_and_gc;
           Alcotest.test_case "scale mismatch" `Quick test_gate_scale_mismatch;
           Alcotest.test_case "save/load round-trip" `Quick test_bench_save_load;
           Alcotest.test_case "compare_files" `Quick test_compare_files;

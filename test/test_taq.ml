@@ -1207,46 +1207,6 @@ let test_taq_preserves_utilization () =
     true (u >= 0.9)
 
 
-let test_taq_over_lossy_overlay () =
-  (* Section 4.4: when TAQ middleboxes are overlay nodes, the path
-     between them loses packets TAQ cannot control; a controlled-loss
-     virtual link (Overlay) conceals the underlay loss so TAQ's drop
-     decisions remain the only losses. Flows over TAQ + overlay must
-     complete despite a 15% raw underlay loss. *)
-  let sim = Sim.create () in
-  let config = Taq_config.default ~capacity_pkts:30 ~capacity_bps:400_000.0 in
-  let taq = Taq_disc.create ~sim ~config () in
-  let net =
-    Dumbbell.create ~sim ~capacity_bps:400_000.0 ~disc:(Taq_disc.disc taq) ()
-  in
-  let prng = Taq_util.Prng.create ~seed:99 in
-  let completions = ref 0 in
-  let tcp = Tcp_config.make ~use_syn:false () in
-  for _ = 1 to 10 do
-    let session =
-      Tcp_session.create ~net ~config:tcp ~rtt_prop:0.1 ~total_segments:60
-        ~on_complete:(fun _ -> incr completions)
-        ~unregister_on_complete:false ()
-    in
-    let flow = Tcp_session.flow_id session in
-    (* Re-register the forward path through a lossy-underlay overlay. *)
-    let overlay =
-      Taq_net.Overlay.create ~sim ~prng:(Taq_util.Prng.split prng)
-        ~raw_loss:0.15 ~hop_delay:0.01
-        ~deliver:(fun p -> Tcp_receiver.on_packet (Tcp_session.receiver session) p)
-        ()
-    in
-    Dumbbell.unregister_flow net ~flow;
-    Dumbbell.register_flow net ~flow ~rtt_prop:0.1
-      ~deliver_fwd:(fun p -> Taq_net.Overlay.send overlay p)
-      ~deliver_rev:(fun p -> Tcp_sender.on_ack (Tcp_session.sender session) p);
-    Tcp_session.start session
-  done;
-  Sim.run ~until:300.0 sim;
-  Alcotest.(check int) "all flows complete over the lossy underlay" 10
-    !completions
-
-
 let test_taq_idle_persistent_flow_classified_idle () =
   (* A persistent connection that pauses between objects must read as
      Idle at the middlebox (Figure 7's dummy state), not as a timeout
@@ -1441,7 +1401,6 @@ let () =
         [
           Alcotest.test_case "taq beats droptail" `Slow test_taq_beats_droptail_fairness;
           Alcotest.test_case "utilization preserved" `Slow test_taq_preserves_utilization;
-          Alcotest.test_case "taq over lossy overlay" `Slow test_taq_over_lossy_overlay;
           Alcotest.test_case "idle persistent flow" `Quick
             test_taq_idle_persistent_flow_classified_idle;
         ] );
