@@ -27,8 +27,8 @@ val save : path:string -> bench -> unit
 val diff :
   baseline:bench -> current:bench -> (string list, string list) result
 (** [Ok notes] when every target in [current] is in [baseline] and
-    matches it exactly on counters and gauges (missing keys count as
-    0); [Error failures] otherwise. A scale mismatch (quick vs full)
+    matches it exactly on counters and gauges (a key on one side only
+    is drift); [Error failures] otherwise. A scale mismatch (quick vs full)
     and a run target absent from the baseline are failures; a baseline
     target that was not run is only a note. *)
 
