@@ -10,7 +10,14 @@
    slot/generation event handles; test/event_heap_ref.ml keeps the
    boxed reference implementation the differential tests run against.
    (A 4-ary variant was measured and lost to the binary sift on the
-   fig3 workload, so the arity stays 2.) *)
+   fig3 workload, so the arity stays 2; so did a bottom-up
+   [remove_top] that walks the hole to a leaf and sifts the last entry
+   up: slower on bench/perf's dt-long in every pair measured.)
+
+   Times cross the hot operations in float-array cells rather than as
+   float arguments or results: dune's dev profile compiles with
+   [-opaque], so a float passed to or returned from another module is
+   boxed, and [Sim] would allocate on every event. *)
 
 type t = {
   mutable times : float array;
@@ -63,11 +70,15 @@ let grow t =
   t.seqs <- seqs;
   t.payloads <- payloads
 
-let push t ~time payload =
-  if t.size = Array.length t.times then grow t;
-  let times = t.times and seqs = t.seqs and payloads = t.payloads in
+let reserve_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  seq
+
+let push_seq t ~seq cell payload =
+  if t.size = Array.length t.times then grow t;
+  let times = t.times and seqs = t.seqs and payloads = t.payloads in
+  let time = cell.(0) in
   (* Sift up with a hole: parents later than the new entry slide down,
      then the entry lands once — each step moves all three arrays. *)
   let i = ref t.size in
@@ -88,6 +99,8 @@ let push t ~time payload =
   times.(!i) <- time;
   seqs.(!i) <- seq;
   payloads.(!i) <- payload
+
+let push t ~time payload = push_seq t ~seq:(reserve_seq t) [| time |] payload
 
 (* Move the last entry to the root and sift it down (hole-style, like
    [push]). Callers have already consumed the root. *)
@@ -130,11 +143,14 @@ let[@inline] top_time t =
   if t.size = 0 then invalid_arg "Event_heap.top_time: empty";
   t.times.(0)
 
-let pop_payload t =
-  if t.size = 0 then invalid_arg "Event_heap.pop_payload: empty";
-  let payload = t.payloads.(0) in
-  remove_top t;
-  payload
+let pop_due t clock =
+  if t.size > 0 && t.times.(0) <= clock.(1) then begin
+    clock.(0) <- t.times.(0);
+    let payload = t.payloads.(0) in
+    remove_top t;
+    payload
+  end
+  else -1
 
 let pop t =
   if t.size = 0 then None

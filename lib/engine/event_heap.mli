@@ -24,16 +24,33 @@ val capacity : t -> int
     keeps capacity so reused heaps stay warm. *)
 
 val push : t -> time:float -> int -> unit
+(** [push t ~time p] files [p] at [time] under a fresh sequence number:
+    [push_seq t ~seq:(reserve_seq t) [| time |] p]. Allocates the cell;
+    tests and cold paths only. *)
+
+val reserve_seq : t -> int
+(** Take the next tie-break sequence number without filing anything.
+    An entry filed later under it ({!push_seq}) sorts exactly where a
+    {!push} made at reservation time would have: among entries at its
+    time, after those whose number was taken earlier and before those
+    taken later. *)
+
+val push_seq : t -> seq:int -> float array -> int -> unit
+(** [push_seq t ~seq cell p] files [p] at time [cell.(0)] under [seq],
+    which must come from {!reserve_seq} and be filed at most once.
+    Allocation-free: the time is read from the cell, not passed as a
+    (boxed) float. *)
 
 val top_time : t -> float
 (** Earliest timestamp without removing. Raises [Invalid_argument] when
-    empty — the allocation-free fast path for callers that checked
-    {!is_empty}. *)
+    empty. Returns a boxed float: checks and cold paths. *)
 
-val pop_payload : t -> int
-(** Remove the earliest event and return its payload (allocation-free;
-    pair with {!top_time} read first). Raises [Invalid_argument] when
-    empty. *)
+val pop_due : t -> float array -> int
+(** [pop_due t clock] removes the earliest entry if its time is at most
+    [clock.(1)], writes that time into [clock.(0)] and returns its
+    payload; otherwise it returns [-1] and changes nothing. The
+    simulator's allocation-free pop: payloads it files are
+    non-negative, so [-1] is unambiguous. *)
 
 val pop : t -> (float * int) option
 (** Remove and return the earliest event. Allocates the result; tests

@@ -5,13 +5,17 @@
     run in scheduling order. The clock only moves when events run —
     there is no time stepping.
 
-    Scheduling is allocation-free in steady state: actions live in a
-    pooled slot table with a free list, the calendar is a flat
-    struct-of-arrays heap, and a {!handle} is an immediate int packing
-    the slot index with its generation. Firing or cancelling bumps the
-    slot's generation, so a handle held past its event's lifetime is
-    merely stale: {!cancel} and {!is_pending} on it are O(1) safe
-    no-ops even after the slot has been recycled for a newer event. *)
+    Scheduling and firing allocate nothing in steady state: actions
+    live in a pooled slot table with a free list, a {!handle} is an
+    immediate int packing the slot index with its generation, events
+    due at the current instant wait in a FIFO lane, later ones in a
+    flat struct-of-arrays heap, and times cross module boundaries in
+    float-array cells rather than as (boxed) floats. test_engine pins
+    0 minor words per self-rescheduling event. Firing or cancelling
+    bumps the slot's generation, so a handle held past its event's
+    lifetime is merely stale: {!cancel} and {!is_pending} on it are
+    O(1) safe no-ops even after the slot has been recycled for a newer
+    event. *)
 
 type t
 
@@ -30,12 +34,16 @@ val none : handle
 
 val create : ?check:Taq_check.Check.t -> ?obs:Taq_obs.Obs.t -> unit -> t
 (** A simulator with the clock at 0. [check] (default
-    [Taq_check.Check.off]) enables the [Engine] invariant group:
-    clock monotonicity and event heap ordering verified on every
-    {!step}. [obs] (default [Taq_obs.Obs.off]) receives the
-    scheduler counters ([sim.events_*], [sim.heap_*]); components built
-    on this simulator default their own observability instance from it
-    so one env shares one instance. *)
+    [Taq_check.Check.off]) enables the [Engine] invariant group, read
+    once here: clock monotonicity and heap ordering on every heap pop,
+    and on every lane entry that no heap entry is due at or before
+    now. [obs] (default [Taq_obs.Obs.off]), also read once, receives
+    the scheduler counters: [sim.events_scheduled] per entry filed,
+    [sim.events_executed]/[sim.events_skipped] per entry run or found
+    cancelled, [sim.heap_push]/[sim.heap_pop] per real heap operation
+    (the lane is not the heap). Components built on this simulator
+    default their own observability instance from it so one env
+    shares one instance. *)
 
 val check : t -> Taq_check.Check.t
 (** The invariant checker this simulator was created with. *)
@@ -74,6 +82,36 @@ val every : t -> period:float -> until:float -> (unit -> unit) -> unit
     so they interleave deterministically with packet events. Raises
     [Invalid_argument] on a non-positive [period]. *)
 
+(** {1 Re-armable timers}
+
+    A retransmission timer is re-armed on every ACK. As
+    [cancel old; schedule_after ~delay f] that is a heap push and a
+    later dead pop per ACK; a timer keeps one pending entry instead
+    and usually just stores the new deadline. *)
+
+type timer
+
+val timer : t -> timer
+(** A disarmed timer on this simulator. *)
+
+val arm : timer -> delay:float -> (unit -> unit) -> unit
+(** [arm tm ~delay f] runs [f] once, at [now + delay] (negative delays
+    clamped to 0), unless re-armed or disarmed first. Observably it is
+    [cancel old; old <- schedule_after t ~delay f] — [f] runs at the
+    same instant and in the same order among that instant's events —
+    also when called from inside an event, including [f]'s own. What
+    differs is the counters: the entry may fire early and re-file
+    itself at the deadline, an executed event that runs nothing. *)
+
+val disarm : timer -> unit
+(** Cancel the pending deadline, if any. *)
+
+val armed : timer -> bool
+(** Whether a deadline is pending: [false] once its action has started
+    running, after {!disarm}, and before the first {!arm}. *)
+
+(** {1 Cancellation and running} *)
+
 val cancel : t -> handle -> unit
 (** Cancelling an already-run, already-cancelled or {!none} handle is a
     no-op: the generation check makes stale handles inert. *)
@@ -92,5 +130,5 @@ val step : t -> bool
 (** Execute exactly the next event; [false] if none remained. *)
 
 val pending_events : t -> int
-(** Number of scheduled (possibly cancelled) events — for tests and
-    leak hunting. *)
+(** Number of calendar entries, heap plus lane, possibly cancelled (a
+    timer's pending entry counts) — for tests and leak hunting. *)

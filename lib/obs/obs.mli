@@ -22,10 +22,13 @@
 (** {1 Fixed counters} — hot-path counters with precomputed indices. *)
 
 type counter =
-  | Events_scheduled  (** [Sim.schedule]/[schedule_after] calls *)
-  | Events_executed  (** events whose action actually ran *)
-  | Events_skipped  (** events popped after cancellation *)
-  | Heap_push
+  | Events_scheduled  (** calendar entries filed, lane or heap *)
+  | Events_executed  (** entries whose action ran (a timer's early
+                         fire included) *)
+  | Events_skipped  (** entries taken off the calendar after
+                        cancellation *)
+  | Heap_push  (** real heap operations: the same-instant lane is not
+                   the heap *)
   | Heap_pop
   | Link_offered
   | Link_transmitted

@@ -52,12 +52,13 @@ type t = {
   mutable in_recovery : bool;
   mutable recover : int;  (* highest seq sent when recovery began *)
   mutable backoff : int;
-  (* Timer handles are generation-stamped ints ([Sim.none] when idle);
-     [rtx_fn] is the one retransmission-timeout closure, allocated at
-     [create] so arming the timer on every ack allocates nothing. *)
-  mutable rtx_timer : Sim.handle;
-  mutable syn_timer : Sim.handle;
+  (* Re-armable timers: re-arming the RTO on every ack is usually a
+     float store. [rtx_fn] and [syn_fn] are their actions, allocated
+     once at [create] so arming allocates nothing. *)
+  rtx_timer : Sim.timer;
+  syn_timer : Sim.timer;
   mutable rtx_fn : unit -> unit;
+  mutable syn_fn : unit -> unit;
   mutable syn_retries : int;
   (* counters *)
   mutable n_data_sent : int;
@@ -156,14 +157,6 @@ let on_timeout_event t f = t.timeout_listeners <- f :: t.timeout_listeners
 
 let on_progress t f = t.progress_listeners <- f :: t.progress_listeners
 
-let cancel_timer t =
-  Sim.cancel t.sim t.rtx_timer;
-  t.rtx_timer <- Sim.none
-
-let cancel_syn_timer t =
-  Sim.cancel t.sim t.syn_timer;
-  t.syn_timer <- Sim.none
-
 let current_rto t =
   Float.min t.config.C.max_rto (Rto.timeout t.rto *. float_of_int t.backoff)
 
@@ -243,7 +236,6 @@ let send_segment t ~seq ~retx =
 
 let rec on_rtx_timeout t =
   if t.state = Established && t.snd_una < t.next_seq then begin
-    t.rtx_timer <- Sim.none;
     t.n_timeouts <- t.n_timeouts + 1;
     let now = Sim.now t.sim in
     notify_all t.timeout_listeners now;
@@ -260,12 +252,11 @@ let rec on_rtx_timeout t =
     try_send t;
     if Check.on t.check Check.Tcp then verify t ~where:"rtx-timeout"
   end
-  else t.rtx_timer <- Sim.none
 
 and arm_timer t =
-  cancel_timer t;
   if t.state = Established && t.snd_una < t.next_seq then
-    t.rtx_timer <- Sim.schedule_after t.sim ~delay:(current_rto t) t.rtx_fn
+    Sim.arm t.rtx_timer ~delay:(current_rto t) t.rtx_fn
+  else Sim.disarm t.rtx_timer
 
 and try_send t =
   if t.state = Established then begin
@@ -288,7 +279,35 @@ and try_send t =
         end
       end
     done;
-    if not (Sim.is_pending t.sim t.rtx_timer) then arm_timer t
+    if not (Sim.armed t.rtx_timer) then arm_timer t
+  end
+
+(* --- connection establishment ----------------------------------------- *)
+
+let rec send_syn t =
+  t.n_syn_sent <- t.n_syn_sent + 1;
+  t.w.syn_sent_at <- Sim.now t.sim;
+  let pkt =
+    Packet.make ~alloc:t.alloc ~flow:t.flow ~pool:t.pool ~kind:Packet.Syn
+      ~seq:0 ~size:t.config.C.header_bytes ~sent_at:(Sim.now t.sim) ()
+  in
+  emit t pkt;
+  let delay =
+    if t.config.C.syn_retry_doubling then
+      Float.min t.config.C.max_rto
+        (t.config.C.syn_timeout *. (2.0 ** float_of_int t.syn_retries))
+    else t.config.C.syn_timeout
+  in
+  Sim.arm t.syn_timer ~delay t.syn_fn
+
+and on_syn_timeout t =
+  if t.state = Syn_sent then begin
+    t.syn_retries <- t.syn_retries + 1;
+    if t.syn_retries > t.config.C.max_syn_retries then begin
+      t.state <- Failed;
+      t.on_fail (Sim.now t.sim)
+    end
+    else send_syn t
   end
 
 let create ?check ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
@@ -326,9 +345,10 @@ let create ?check ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
       in_recovery = false;
       recover = -1;
       backoff = 1;
-      rtx_timer = Sim.none;
-      syn_timer = Sim.none;
-      rtx_fn = (fun () -> ());
+      rtx_timer = Sim.timer sim;
+      syn_timer = Sim.timer sim;
+      rtx_fn = ignore;
+      syn_fn = ignore;
       syn_retries = 0;
       n_data_sent = 0;
       n_retx_sent = 0;
@@ -343,41 +363,14 @@ let create ?check ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
     }
   in
   t.rtx_fn <- (fun () -> on_rtx_timeout t);
+  t.syn_fn <- (fun () -> on_syn_timeout t);
   t
-
-(* --- connection establishment ----------------------------------------- *)
-
-let rec send_syn t =
-  t.n_syn_sent <- t.n_syn_sent + 1;
-  t.w.syn_sent_at <- Sim.now t.sim;
-  let pkt =
-    Packet.make ~alloc:t.alloc ~flow:t.flow ~pool:t.pool ~kind:Packet.Syn
-      ~seq:0 ~size:t.config.C.header_bytes ~sent_at:(Sim.now t.sim) ()
-  in
-  emit t pkt;
-  let delay =
-    if t.config.C.syn_retry_doubling then
-      Float.min t.config.C.max_rto
-        (t.config.C.syn_timeout *. (2.0 ** float_of_int t.syn_retries))
-    else t.config.C.syn_timeout
-  in
-  t.syn_timer <-
-    Sim.schedule_after t.sim ~delay (fun () ->
-        t.syn_timer <- Sim.none;
-        if t.state = Syn_sent then begin
-          t.syn_retries <- t.syn_retries + 1;
-          if t.syn_retries > t.config.C.max_syn_retries then begin
-            t.state <- Failed;
-            t.on_fail (Sim.now t.sim)
-          end
-          else send_syn t
-        end)
 
 let complete t =
   if t.state <> Complete then begin
     t.state <- Complete;
-    cancel_timer t;
-    cancel_syn_timer t;
+    Sim.disarm t.rtx_timer;
+    Sim.disarm t.syn_timer;
     t.on_complete (Sim.now t.sim)
   end
 
@@ -549,7 +542,7 @@ let handle_dupack t =
 let on_ack t (p : Packet.t) =
   match (t.state, p.kind) with
   | Syn_sent, Packet.Syn_ack ->
-      cancel_syn_timer t;
+      Sim.disarm t.syn_timer;
       if t.syn_retries = 0 then begin
         Rto.observe t.rto (Sim.now t.sim -. t.w.syn_sent_at);
         t.backoff <- 1

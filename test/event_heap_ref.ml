@@ -1,9 +1,10 @@
-(* The original boxed-entry event heap, retained verbatim as the
+(* The original boxed-entry event heap, retained as the
    reference implementation for the differential test battery: the
    flat struct-of-arrays [Event_heap] must reproduce this heap's pop
    order (including the FIFO tie-break on equal times) and its
    [size]/[max_size] trajectories under arbitrary push/pop/clear
-   interleavings. Not used on any production path. *)
+   interleavings, reserved sequence numbers filed late, and due-bounded
+   pops. Not used on any production path. *)
 
 type 'a entry = { time : float; seq : int; payload : 'a }
 
@@ -38,9 +39,13 @@ let grow t entry =
     t.entries <- bigger
   end
 
-let push t ~time payload =
-  let entry = { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let push_seq t ~seq cell payload =
+  let entry = { time = cell.(0); seq; payload } in
   grow t entry;
   (* Sift up. *)
   let i = ref t.size in
@@ -57,6 +62,8 @@ let push t ~time payload =
     end
     else continue := false
   done
+
+let push t ~time payload = push_seq t ~seq:(reserve_seq t) [| time |] payload
 
 let pop t =
   if t.size = 0 then None
@@ -89,3 +96,10 @@ let pop t =
   end
 
 let peek_time t = if t.size = 0 then None else Some t.entries.(0).time
+
+let pop_due t clock =
+  match peek_time t with
+  | Some time when time <= clock.(1) ->
+      clock.(0) <- time;
+      Option.map snd (pop t)
+  | Some _ | None -> None

@@ -21,8 +21,19 @@ val max_size : 'a t -> int
 
 val push : 'a t -> time:float -> 'a -> unit
 
+val reserve_seq : 'a t -> int
+
+val push_seq : 'a t -> seq:int -> float array -> 'a -> unit
+(** Files at time [cell.(0)] under a seq taken earlier from
+    {!reserve_seq}. *)
+
 val pop : 'a t -> (float * 'a) option
 
 val peek_time : 'a t -> float option
 
 val clear : 'a t -> unit
+
+val pop_due : 'a t -> float array -> 'a option
+(** [pop_due t clock]: when the earliest entry's time is at most
+    [clock.(1)], remove it, write its time into [clock.(0)] and return
+    its payload; otherwise [None]. *)

@@ -52,9 +52,9 @@ let test_heap_empty () =
   (match Event_heap.top_time h with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "top_time on empty should raise");
-  match Event_heap.pop_payload h with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "pop_payload on empty should raise"
+  let clock = [| 0.0; Float.infinity |] in
+  Alcotest.(check int) "pop_due none" (-1) (Event_heap.pop_due h clock);
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 clock.(0)
 
 let test_heap_interleaved () =
   let h = Event_heap.create () in
@@ -217,6 +217,32 @@ let test_sim_same_time_event_scheduled_during_event () =
   Sim.run sim;
   Alcotest.(check (list string)) "both ran" [ "first"; "second" ] (List.rev !log)
 
+(* Allocation-free hot path: after warm-up, an event that reschedules
+   itself with [schedule_after] (one shared closure, constant delay)
+   allocates nothing across scheduling, filing, popping and firing —
+   and neither does re-arming a timer with a later deadline from every
+   hop, whose pending entry fires early and re-files itself. *)
+let test_sim_allocation_free () =
+  let sim = Sim.create () in
+  let tm = Sim.timer sim in
+  let remaining = ref 0 in
+  let rec hop () =
+    decr remaining;
+    Sim.arm tm ~delay:1.0 ignore;
+    if !remaining > 0 then ignore (Sim.schedule_after sim ~delay:0.25 hop)
+  in
+  let cycle n =
+    remaining := n;
+    ignore (Sim.schedule_after sim ~delay:0.25 hop);
+    Sim.run sim
+  in
+  cycle 1_000;
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  cycle n;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words per event" 0.0 (words /. float_of_int n)
+
 (* --- pooled slot table: stale-handle semantics ------------------------- *)
 
 let test_sim_stale_handle_inert () =
@@ -297,20 +323,33 @@ let prop_heap_drains_sorted =
       drain neg_infinity true)
 
 (* Differential battery: the flat struct-of-arrays heap run lock-step
-   against the retained boxed reference under random push/pop/clear
-   interleavings. Times are drawn from a small discrete grid so ties
-   are frequent — the FIFO tie-break must match exactly — and after
-   every operation the size/max_size trajectories must agree. *)
+   against the retained boxed reference under random interleavings of
+   push, pop, clear, seq reservations filed late ([reserve_seq] then
+   [push_seq], oldest or newest outstanding reservation first) and
+   due-bounded pops ([pop_due]). Times and limits are drawn from a
+   small discrete grid so ties are frequent — the FIFO tie-break must
+   match exactly — and after every operation the size/max_size
+   trajectories must agree. *)
 let prop_heap_matches_reference =
-  (* op encoding: 0..7 push at time (op / 2.), 8..9 pop, 10 clear *)
-  let op_gen = QCheck.Gen.int_range 0 10 in
+  (* (kind, arg): 0 push at arg/2, 1 pop, 2 clear, 3 reserve a seq,
+     4 file a reserved seq at arg/2, 5 pop_due with limit arg/2 *)
+  let op_gen = QCheck.Gen.(pair (int_range 0 5) (int_range 0 7)) in
+  let pp = function
+    | None -> "None"
+    | Some (t, v) -> Printf.sprintf "(%g,%d)" t v
+  in
   QCheck.Test.make ~name:"flat heap == boxed reference (differential)"
     ~count:500
-    QCheck.(make ~print:Print.(list int) Gen.(list_size (int_range 0 300) op_gen))
+    QCheck.(
+      make
+        ~print:Print.(list (pair int int))
+        Gen.(list_size (int_range 0 300) op_gen))
     (fun ops ->
       let flat = Event_heap.create () in
       let boxed = Event_heap_ref.create () in
       let payload = ref 0 in
+      let reserved = ref [] in
+      let clock_flat = [| 0.0; 0.0 |] and clock_ref = [| 0.0; 0.0 |] in
       let agree where =
         if Event_heap.size flat <> Event_heap_ref.size boxed then
           QCheck.Test.fail_reportf "%s: size %d <> ref %d" where
@@ -323,32 +362,56 @@ let prop_heap_matches_reference =
           QCheck.Test.fail_reportf "%s: peek_time disagrees" where
       in
       List.iter
-        (fun op ->
-          if op <= 7 then begin
-            let time = float_of_int op /. 2.0 in
-            incr payload;
-            Event_heap.push flat ~time !payload;
-            Event_heap_ref.push boxed ~time !payload;
-            agree "push"
-          end
-          else if op <= 9 then begin
-            let a = Event_heap.pop flat and b = Event_heap_ref.pop boxed in
-            if a <> b then
-              QCheck.Test.fail_reportf
-                "pop disagrees: flat=%s ref=%s"
-                (match a with
-                | None -> "None"
-                | Some (t, v) -> Printf.sprintf "(%g,%d)" t v)
-                (match b with
-                | None -> "None"
-                | Some (t, v) -> Printf.sprintf "(%g,%d)" t v);
-            agree "pop"
-          end
-          else begin
-            Event_heap.clear flat;
-            Event_heap_ref.clear boxed;
-            agree "clear"
-          end)
+        (fun (kind, arg) ->
+          let time = float_of_int arg /. 2.0 in
+          match kind with
+          | 0 ->
+              incr payload;
+              Event_heap.push flat ~time !payload;
+              Event_heap_ref.push boxed ~time !payload;
+              agree "push"
+          | 1 ->
+              let a = Event_heap.pop flat and b = Event_heap_ref.pop boxed in
+              if a <> b then
+                QCheck.Test.fail_reportf "pop disagrees: flat=%s ref=%s"
+                  (pp a) (pp b);
+              agree "pop"
+          | 2 ->
+              Event_heap.clear flat;
+              Event_heap_ref.clear boxed;
+              agree "clear"
+          | 3 ->
+              let a = Event_heap.reserve_seq flat
+              and b = Event_heap_ref.reserve_seq boxed in
+              if a <> b then
+                QCheck.Test.fail_reportf "reserve_seq: %d <> ref %d" a b;
+              reserved := !reserved @ [ a ]
+          | 4 -> (
+              match !reserved with
+              | [] -> ()
+              | oldest :: rest ->
+                  let seq, left =
+                    if arg land 1 = 0 then (oldest, rest)
+                    else
+                      let r = List.rev !reserved in
+                      (List.hd r, List.rev (List.tl r))
+                  in
+                  reserved := left;
+                  incr payload;
+                  Event_heap.push_seq flat ~seq [| time |] !payload;
+                  Event_heap_ref.push_seq boxed ~seq [| time |] !payload;
+                  agree "push_seq")
+          | _ ->
+              clock_flat.(1) <- time;
+              clock_ref.(1) <- time;
+              let a = Event_heap.pop_due flat clock_flat
+              and b = Event_heap_ref.pop_due boxed clock_ref in
+              let b = Option.value b ~default:(-1) in
+              if a <> b || clock_flat.(0) <> clock_ref.(0) then
+                QCheck.Test.fail_reportf
+                  "pop_due to %g: flat=%d at %g, ref=%d at %g" time a
+                  clock_flat.(0) b clock_ref.(0);
+              agree "pop_due")
         ops;
       (* Drain both completely: total order including all remaining
          ties must coincide. *)
@@ -360,56 +423,156 @@ let prop_heap_matches_reference =
       drain ();
       true)
 
-(* Metamorphic pooled-scheduler property. Events are scheduled first
-   (so they get the earlier FIFO seqs), then for some a canceller event
-   is scheduled at a random time. At equal timestamps the event fires
-   before its canceller (earlier seq), so the model is: event i fires
-   iff it has no canceller strictly earlier than its own time. The
-   fired order must equal the model's (time, schedule-seq) sort. *)
+(* The batteries run [Sim] with its Engine invariants on, so a lane
+   entry that overtakes a due heap entry raises even before the logs
+   are compared. *)
+let engine_check = Taq_check.Check.create ~groups:[ Taq_check.Check.Engine ] ()
+
+(* The engine's semantics as a list model: one calendar sorted by
+   (time, scheduling order), no lane, no timer primitive, cancel by
+   removal. The lane and timer batteries run one script against this
+   model and against [Sim] and require the same log. *)
+module Model = struct
+  type t = {
+    mutable now : float;
+    mutable next_id : int;
+    mutable pending : (float * int * (unit -> unit)) list;
+  }
+
+  let create () = { now = 0.0; next_id = 0; pending = [] }
+
+  let schedule_after t ~delay f =
+    let at = t.now +. Float.max delay 0.0 and id = t.next_id in
+    t.next_id <- id + 1;
+    (* Ids grow, so a new entry goes after every entry at its time. *)
+    let rec insert = function
+      | ((a, _, _) as e) :: rest when a <= at -> e :: insert rest
+      | rest -> (at, id, f) :: rest
+    in
+    t.pending <- insert t.pending;
+    id
+
+  let cancel t id = t.pending <- List.filter (fun (_, i, _) -> i <> id) t.pending
+
+  let is_pending t id = List.exists (fun (_, i, _) -> i = id) t.pending
+
+  let run ?until t =
+    let stop = Option.value until ~default:Float.infinity in
+    let rec go () =
+      match t.pending with
+      | (at, _, f) :: rest when at <= stop ->
+          t.pending <- rest;
+          t.now <- at;
+          f ();
+          go ()
+      | _ -> ()
+    in
+    go ();
+    match until with Some s when s > t.now -> t.now <- s | Some _ | None -> ()
+end
+
+(* One script, two engines: an [api] is the part of the engine API a
+   script uses. *)
+type ('h, 'tm) api = {
+  now : unit -> float;
+  after : float -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  run : float option -> unit;
+  timer : unit -> 'tm;
+  arm : 'tm -> float -> (unit -> unit) -> unit;
+  disarm : 'tm -> unit;
+  armed : 'tm -> bool;
+}
+
+let sim_api sim =
+  {
+    now = (fun () -> Sim.now sim);
+    after = (fun delay f -> Sim.schedule_after sim ~delay f);
+    cancel = Sim.cancel sim;
+    run = (fun until -> Sim.run ?until sim);
+    timer = (fun () -> Sim.timer sim);
+    arm = (fun tm delay f -> Sim.arm tm ~delay f);
+    disarm = Sim.disarm;
+    armed = Sim.armed;
+  }
+
+(* A model timer is [cancel old; old <- schedule_after ~delay f]. *)
+let model_api m =
+  {
+    now = (fun () -> m.Model.now);
+    after = (fun delay f -> Model.schedule_after m ~delay f);
+    cancel = Model.cancel m;
+    run = (fun until -> Model.run ?until m);
+    timer = (fun () -> ref (-1));
+    arm =
+      (fun h delay f ->
+        Model.cancel m !h;
+        h := Model.schedule_after m ~delay f);
+    disarm =
+      (fun h ->
+        Model.cancel m !h;
+        h := -1);
+    armed = (fun h -> Model.is_pending m !h);
+  }
+
+let same_log name ~sim ~model =
+  if sim <> model then
+    QCheck.Test.fail_reportf "%s: sim [%s] <> model [%s]" name
+      (String.concat "; " sim) (String.concat "; " model)
+
+(* Pooled scheduler and lane against the list model. Events are
+   scheduled first, then for some a canceller at a random grid time (a
+   canceller at the event's own time runs after it). Each event may
+   start a chain of zero-delay children, all lane entries in [Sim];
+   between two [run ~until] calls more events, chains included, are
+   scheduled at [now] or later. Times sit on an integer grid, so ties
+   are the rule. Afterwards every handle is stale, and stale cancels
+   spare a fresh round that recycles the slots. *)
 let prop_pooled_scheduler_matches_model =
   let grid = 8 in
   QCheck.Test.make ~name:"pooled scheduler == list model (metamorphic)"
     ~count:300
     QCheck.(
-      list_of_size
-        Gen.(int_range 0 60)
-        (pair (int_range 0 (grid - 1)) (option (int_range 0 (grid - 1)))))
-    (fun plan ->
-      let sim = Sim.create () in
-      let fired = ref [] in
-      let handles =
-        List.mapi
-          (fun i (at, _) ->
-            Sim.schedule sim ~at:(float_of_int at) (fun () ->
-                fired := i :: !fired))
-          plan
+      triple
+        (list_of_size
+           Gen.(int_range 0 60)
+           (triple (int_range 0 (grid - 1))
+              (option (int_range 0 (grid - 1)))
+              (int_range 0 2)))
+        (int_range 0 (grid - 1))
+        (small_list (pair (int_range 0 2) (int_range 0 2))))
+    (fun (plan, mid, extra) ->
+      let script d =
+        let log = ref [] in
+        let rec chain id k () =
+          log := Printf.sprintf "%d@%g" id (d.now ()) :: !log;
+          if k > 0 then ignore (d.after 0.0 (chain (id + 1000) (k - 1)))
+        in
+        let handles =
+          List.mapi
+            (fun i (at, _, k) -> d.after (float_of_int at) (chain i k))
+            plan
+        in
+        List.iter2
+          (fun (_, cancel_at, _) h ->
+            Option.iter
+              (fun c -> ignore (d.after (float_of_int c) (fun () -> d.cancel h)))
+              cancel_at)
+          plan handles;
+        d.run (Some (float_of_int mid));
+        List.iteri
+          (fun j (delay, k) ->
+            ignore (d.after (float_of_int delay) (chain (500 + j) k)))
+          extra;
+        d.run None;
+        (List.rev !log, handles)
       in
-      List.iteri
-        (fun i (_, cancel_at) ->
-          match cancel_at with
-          | None -> ()
-          | Some c ->
-              let h = List.nth handles i in
-              ignore
-                (Sim.schedule sim ~at:(float_of_int c) (fun () ->
-                     Sim.cancel sim h)))
-        plan;
-      Sim.run sim;
-      let expected =
-        List.mapi (fun i (at, cancel_at) -> (i, at, cancel_at)) plan
-        |> List.filter (fun (_, at, cancel_at) ->
-               match cancel_at with None -> true | Some c -> c >= at)
-        |> List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b)
-        |> List.map (fun (i, _, _) -> i)
-      in
-      let got = List.rev !fired in
-      if got <> expected then
-        QCheck.Test.fail_reportf "fired [%s] <> model [%s]"
-          (String.concat ";" (List.map string_of_int got))
-          (String.concat ";" (List.map string_of_int expected));
-      (* Post-run, every handle is stale: is_pending is false and a
-         blanket cancel must not disturb a fresh second round that
-         recycles all the slots. *)
+      let sim = Sim.create ~check:engine_check () in
+      let got, handles = script (sim_api sim) in
+      let expected, _ = script (model_api (Model.create ())) in
+      same_log "fired" ~sim:got ~model:expected;
+      if Sim.pending_events sim <> 0 then
+        QCheck.Test.fail_report "calendar not empty after run";
       if List.exists (Sim.is_pending sim) handles then
         QCheck.Test.fail_report "handle still pending after run";
       let second = ref 0 in
@@ -422,6 +585,61 @@ let prop_pooled_scheduler_matches_model =
         QCheck.Test.fail_report "stale cancel killed a recycled slot";
       Sim.run sim;
       !second = n)
+
+(* Re-armable timers against [cancel old; schedule_after ~delay f] on
+   the list model. Pokes at integer grid times arm a timer (delay 0–3,
+   so a deadline can move earlier, later, to now, or to a time shared
+   with pokes and other deadlines) or disarm it, logging [armed]
+   first; a firing timer logs [armed] (false: it is running) and may
+   re-arm itself from inside its own event, at delay 0 too. The run is
+   split by [run ~until] at a grid time. *)
+let prop_timer_matches_cancel_reschedule =
+  let grid = 8 and timers = 3 in
+  QCheck.Test.make ~name:"timer == cancel + schedule_after (list model)"
+    ~count:400
+    QCheck.(
+      triple
+        (list_of_size
+           Gen.(int_range 0 40)
+           (triple (int_range 0 (grid - 1)) (int_range 0 (timers - 1))
+              (option (int_range 0 3))))
+        (array_of_size (Gen.return timers) (option (int_range 0 3)))
+        (int_range 0 (grid - 1)))
+    (fun (pokes, rearm, mid) ->
+      let script d =
+        let log = ref [] in
+        let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+        let tms = Array.init timers (fun _ -> d.timer ()) in
+        let fires = Array.make timers 0 in
+        let rec action j () =
+          note "T%d@%g armed=%b" j (d.now ()) (d.armed tms.(j));
+          fires.(j) <- fires.(j) + 1;
+          match rearm.(j) with
+          | Some delay when fires.(j) < 3 ->
+              d.arm tms.(j) (float_of_int delay) (action j)
+          | Some _ | None -> ()
+        in
+        List.iteri
+          (fun i (at, j, op) ->
+            ignore
+              (d.after (float_of_int at) (fun () ->
+                   note "P%d@%g armed=%b" i (d.now ()) (d.armed tms.(j));
+                   match op with
+                   | Some delay -> d.arm tms.(j) (float_of_int delay) (action j)
+                   | None -> d.disarm tms.(j))))
+          pokes;
+        d.run (Some (float_of_int mid));
+        note "mid armed=%s"
+          (String.concat ","
+             (Array.to_list
+                (Array.map (fun tm -> string_of_bool (d.armed tm)) tms)));
+        d.run None;
+        List.rev !log
+      in
+      let sim = Sim.create ~check:engine_check () in
+      same_log "timer log" ~sim:(script (sim_api sim))
+        ~model:(script (model_api (Model.create ())));
+      true)
 
 (* The int-payload fast path ([schedule_i]) must be indistinguishable
    from [schedule] with a capturing closure: same firing order against
@@ -510,6 +728,7 @@ let () =
           Alcotest.test_case "cascading" `Quick test_sim_cascading_events;
           Alcotest.test_case "same-time from event" `Quick
             test_sim_same_time_event_scheduled_during_event;
+          Alcotest.test_case "allocation-free" `Quick test_sim_allocation_free;
           Alcotest.test_case "stale handle inert" `Quick
             test_sim_stale_handle_inert;
           Alcotest.test_case "stale after fire" `Quick
@@ -524,6 +743,7 @@ let () =
             prop_cancelled_events_never_fire;
             prop_heap_matches_reference;
             prop_pooled_scheduler_matches_model;
+            prop_timer_matches_cancel_reschedule;
             prop_schedule_i_matches_schedule;
           ] );
     ]
