@@ -395,11 +395,13 @@ let dispatch t h =
   end
   else if t.counting then Obs.incr t.obs Obs.Events_skipped
 
-(* Run the next entry due at or before [clock.(2)]; [false] if none. *)
+(* Run the next entry due at or before [clock.(2)]; [false] if none.
+   With the lane non-empty only heap entries due now may go first, and
+   none at all when the horizon lies before now. *)
 let next t =
   let c = t.clock in
   let lane = t.lane_len > 0 in
-  c.(1) <- (if lane then c.(0) else c.(2));
+  c.(1) <- (if lane && c.(0) < c.(2) then c.(0) else c.(2));
   let prev = c.(0) in
   let h = Event_heap.pop_due t.calendar c in
   if h >= 0 then begin
