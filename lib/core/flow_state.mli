@@ -37,6 +37,17 @@ val initial : t
 val step : t -> observation -> t
 (** Advance one epoch. *)
 
+val step_counts :
+  t ->
+  new_pkts:int ->
+  retx_pkts:int ->
+  drops:int ->
+  prev_new_pkts:int ->
+  outstanding_drops:int ->
+  t
+(** {!step} with the observation's fields passed one by one, so a
+    caller that rolls an epoch builds no record. *)
+
 val is_silent : t -> bool
 (** In a timeout-silence or extended-silence period. *)
 

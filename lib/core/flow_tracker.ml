@@ -4,10 +4,10 @@ type classification = New_data | Retransmission
 
 type flow = {
   id : int;
+  slot : int;  (* index into the tracker's slab *)
   mutable pool : int;
   est : Epoch_estimator.t;
   mutable state : Flow_state.t;
-  mutable epoch_start : float;
   mutable new_pkts : int;
   mutable retx_pkts : int;
   mutable bytes_this_epoch : int;
@@ -20,16 +20,19 @@ type flow = {
   mutable epochs_observed : int;
   rate : Taq_util.Ewma.t;
   mutable last_seen : float;
-  (* Positions in the two deadline heaps below; -1 when absent. *)
-  mutable active_pos : int;
-  mutable due_pos : int;
 }
 
-(* A binary min-heap of flows keyed by a deadline, with each flow's
-   position kept on the flow record so it can be re-keyed or removed in
-   O(log n). Keys and flows live in flat parallel arrays, grown by
-   doubling on demand. Two instances exist per tracker; [active]
-   selects which position field of [flow] an instance owns.
+(* Per-slot arrays grow by doubling; new cells hold [fill]. *)
+let grow_to a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* A binary min-heap of slots keyed by a deadline. Keys and slots live
+   in flat parallel arrays and [pos] maps a slot to its heap position
+   (-1 when absent), so an entry is re-keyed or removed in O(log n). A
+   sift moves floats and ints only: it stores no pointer and pays no
+   write barrier.
 
    Keys are lower bounds: a key never sits above its flow's true
    deadline. Deadlines that move earlier are re-keyed eagerly
@@ -37,51 +40,48 @@ type flow = {
    when the entry reaches the top. *)
 module Deadlines = struct
   type t = {
-    active : bool;
     mutable keys : float array;
-    mutable flows : flow array;
+    mutable slots : int array;
+    mutable pos : int array;  (* by slot *)
     mutable size : int;
   }
 
-  let create ~active = { active; keys = [||]; flows = [||]; size = 0 }
+  let create () = { keys = [||]; slots = [||]; pos = [||]; size = 0 }
 
-  let[@inline] pos h f = if h.active then f.active_pos else f.due_pos
+  let reserve h n = h.pos <- grow_to h.pos n (-1)
 
-  let[@inline] set_pos h f i =
-    if h.active then f.active_pos <- i else f.due_pos <- i
-
-  let[@inline] mem h f = pos h f >= 0
+  let[@inline] mem h s = h.pos.(s) >= 0
 
   let[@inline] min_key h = if h.size = 0 then infinity else h.keys.(0)
 
-  let[@inline] top h = h.flows.(0)
+  let[@inline] top h = h.slots.(0)
 
-  let[@inline] key h f = h.keys.(pos h f)
+  let[@inline] key h s = h.keys.(h.pos.(s))
 
-  (* Sift up from hole [i] and land [f] there: parents with later keys
+  (* Sift up from hole [i] and land [s] there: parents with later keys
      slide down one level each. *)
-  let sift_up h i k f =
-    let keys = h.keys and flows = h.flows in
+  let sift_up h i k s =
+    let keys = h.keys and slots = h.slots and pos = h.pos in
     let i = ref i in
     let continue = ref true in
     while !continue && !i > 0 do
       let parent = (!i - 1) / 2 in
       let pk = keys.(parent) in
       if k < pk then begin
-        let pf = flows.(parent) in
+        let ps = slots.(parent) in
         keys.(!i) <- pk;
-        flows.(!i) <- pf;
-        set_pos h pf !i;
+        slots.(!i) <- ps;
+        pos.(ps) <- !i;
         i := parent
       end
       else continue := false
     done;
     keys.(!i) <- k;
-    flows.(!i) <- f;
-    set_pos h f !i
+    slots.(!i) <- s;
+    pos.(s) <- !i
 
-  let sift_down h i k f =
-    let keys = h.keys and flows = h.flows and n = h.size in
+  let sift_down h i k s =
+    let keys = h.keys and slots = h.slots and pos = h.pos and n = h.size in
     let i = ref i in
     let continue = ref true in
     while !continue do
@@ -92,62 +92,174 @@ module Deadlines = struct
         let c = if r < n && keys.(r) < keys.(l) then r else l in
         let ck = keys.(c) in
         if ck < k then begin
-          let cf = flows.(c) in
+          let cs = slots.(c) in
           keys.(!i) <- ck;
-          flows.(!i) <- cf;
-          set_pos h cf !i;
+          slots.(!i) <- cs;
+          pos.(cs) <- !i;
           i := c
         end
         else continue := false
       end
     done;
     keys.(!i) <- k;
-    flows.(!i) <- f;
-    set_pos h f !i
+    slots.(!i) <- s;
+    pos.(s) <- !i
 
-  let push h f k =
+  let push h s k =
     let cap = Array.length h.keys in
     if h.size = cap then begin
       let ncap = Stdlib.max 16 (2 * cap) in
-      let keys = Array.make ncap 0.0 and flows = Array.make ncap f in
-      Array.blit h.keys 0 keys 0 h.size;
-      Array.blit h.flows 0 flows 0 h.size;
-      h.keys <- keys;
-      h.flows <- flows
+      h.keys <- grow_to h.keys ncap 0.0;
+      h.slots <- grow_to h.slots ncap 0
     end;
     h.size <- h.size + 1;
-    sift_up h (h.size - 1) k f
+    sift_up h (h.size - 1) k s
 
-  let remove h f =
-    let i = pos h f in
-    set_pos h f (-1);
+  let remove h s =
+    let i = h.pos.(s) in
+    h.pos.(s) <- -1;
     let n = h.size - 1 in
     h.size <- n;
     if i < n then begin
-      let k = h.keys.(n) and last = h.flows.(n) in
+      let k = h.keys.(n) and last = h.slots.(n) in
       if i > 0 && k < h.keys.((i - 1) / 2) then sift_up h i k last
       else sift_down h i k last
-    end;
-    (* Do not keep a forgotten flow reachable from a vacated slot. *)
-    if n > 0 then h.flows.(n) <- h.flows.(0)
+    end
 
-  let[@inline] decrease h f k = if k < key h f then sift_up h (pos h f) k f
+  let[@inline] decrease h s k = if k < key h s then sift_up h h.pos.(s) k s
 
   (* The lazy key increase: the top entry's deadline has moved later. *)
-  let[@inline] rekey_top h k = sift_down h 0 k h.flows.(0)
+  let[@inline] rekey_top h k = sift_down h 0 k h.slots.(0)
 end
+
+(* A hashed timing wheel of slots keyed by a deadline: [n_buckets]
+   buckets of [width] seconds, each an intrusive doubly linked list
+   threaded through per-slot [next]/[prev] arrays. An entry with key
+   [k] is filed in absolute bucket [max cursor (bucket_of k)], at index
+   [land mask]; insert, remove and decrease-key are O(1). A drain walks
+   the buckets from [cursor] up to its bound's and visits the entries
+   whose key is at most the bound; keys further out that hash to the
+   same bucket are skipped. Keys are lower bounds, as in [Deadlines].
+
+   Exactness: [bucket_of] is monotone (correctly rounded division, then
+   [floor]), so key <= bound implies bucket_of key <= bucket_of bound
+   and no due entry sits in a bucket past the walk. An entry filed
+   below the cursor is clamped to it, and the cursor's bucket is walked
+   by every drain. *)
+module Wheel = struct
+  let width = 0.05
+
+  let n_buckets = 64 (* a power of two *)
+
+  let mask = n_buckets - 1
+
+  type t = {
+    mutable cursor : int;  (* absolute bucket the next drain starts at *)
+    mutable heads : int array;  (* by bucket index; -1 when empty *)
+    mutable keys : float array;  (* by slot *)
+    mutable next : int array;  (* by slot; -1 at a bucket's tail *)
+    mutable prev : int array;  (* by slot; -1 at a bucket's head *)
+    mutable home : int array;  (* by slot: bucket index, -1 when absent *)
+    mutable held : int;  (* entries held back by a drain, via [next] *)
+  }
+
+  let[@inline] bucket_of k = int_of_float (Float.floor (k /. width))
+
+  let create ~now =
+    {
+      cursor = bucket_of now;
+      heads = [||];
+      keys = [||];
+      next = [||];
+      prev = [||];
+      home = [||];
+      held = -1;
+    }
+
+  let reserve w n =
+    if Array.length w.heads = 0 then w.heads <- Array.make n_buckets (-1);
+    w.keys <- grow_to w.keys n 0.0;
+    w.next <- grow_to w.next n (-1);
+    w.prev <- grow_to w.prev n (-1);
+    w.home <- grow_to w.home n (-1)
+
+  let[@inline] mem w s = w.home.(s) >= 0
+
+  let[@inline] key w s = w.keys.(s)
+
+  let[@inline] index w k =
+    let b = bucket_of k in
+    (if b < w.cursor then w.cursor else b) land mask
+
+  let link w s k =
+    let b = index w k in
+    let first = w.heads.(b) in
+    w.keys.(s) <- k;
+    w.home.(s) <- b;
+    w.prev.(s) <- -1;
+    w.next.(s) <- first;
+    if first >= 0 then w.prev.(first) <- s;
+    w.heads.(b) <- s
+
+  let unlink w s =
+    let b = w.home.(s) and p = w.prev.(s) and n = w.next.(s) in
+    if p >= 0 then w.next.(p) <- n else w.heads.(b) <- n;
+    if n >= 0 then w.prev.(n) <- p;
+    w.home.(s) <- -1
+
+  let decrease w s k =
+    if k < w.keys.(s) then
+      if index w k = w.home.(s) then w.keys.(s) <- k
+      else begin
+        unlink w s;
+        link w s k
+      end
+
+  (* An entry whose fresh key still falls within the drain's bound is
+     held back and re-filed once the drain has moved the cursor. Filed
+     at once, it could be visited again by the same drain, or land in a
+     bucket behind the new cursor that no later drain walks. *)
+  let hold w s k =
+    w.keys.(s) <- k;
+    w.next.(s) <- w.held;
+    w.held <- s
+
+  let release_held w =
+    let s = ref w.held in
+    w.held <- -1;
+    while !s >= 0 do
+      let slot = !s in
+      s := w.next.(slot);
+      link w slot w.keys.(slot)
+    done
+
+  (* Whether a drain up to [bound] or later visits [s]. *)
+  let will_visit w s ~bound =
+    mem w s && w.keys.(s) <= bound && w.home.(s) = index w w.keys.(s)
+end
+
+let wheel_width = Wheel.width
 
 type t = {
   config : Taq_config.t;
   now : unit -> float;
   flows : (int, flow) Hashtbl.t;
+  (* The slab: every tracked flow owns a dense slot, the index [active]
+     and [due] file it under. Vacated slots are reused before the slab
+     grows; the per-slot arrays grow with it, on first use. *)
+  mutable slab : flow array;  (* a vacated slot holds [vacant] *)
+  mutable epoch_start : float array;  (* by slot, unboxed *)
+  mutable free : int array;  (* vacated slots, a stack *)
+  mutable n_free : int;
+  mutable n_slots : int;  (* slots handed out so far *)
+  vacant : flow;
   (* Flows counted by [active_flow_count], keyed by the expiry of their
      active window. Every tracked flow outside it is inactive. *)
   active : Deadlines.t;
   (* Every tracked flow, keyed by its next epoch boundary or idle
      expiry, whichever comes first. *)
-  due : Deadlines.t;
-  mutable clock : float;  (* latest time read; the heaps need it monotone *)
+  due : Wheel.t;
+  mutable clock : float;  (* latest time read; the heap and wheel need it monotone *)
   mutable clock_monotone : bool;
   mutable cap_evictions : int;
   mutable peak_tracked : int;
@@ -158,14 +270,43 @@ type t = {
   obs_cap_evictions : int ref;
 }
 
+let make_flow config ~id ~slot ~pool ~now =
+  {
+    id;
+    slot;
+    pool;
+    est = Epoch_estimator.create config.Taq_config.epoch_source;
+    state = Flow_state.initial;
+    new_pkts = 0;
+    retx_pkts = 0;
+    bytes_this_epoch = 0;
+    drops_this_epoch = 0;
+    drops_prev_epoch = 0;
+    prev_new_pkts = 0;
+    highest_seq = -1;
+    outstanding_drops = 0;
+    silence_epochs = 0;
+    epochs_observed = 0;
+    rate = Taq_util.Ewma.create ~alpha:0.3;
+    last_seen = now;
+  }
+
 let create ?obs ~config ~now () =
   let obs = Option.value obs ~default:Taq_obs.Obs.off in
+  let start = now () in
   {
     config;
     now;
     flows = Hashtbl.create 256;
-    active = Deadlines.create ~active:true;
-    due = Deadlines.create ~active:false;
+    slab = [||];
+    epoch_start = [||];
+    free = [||];
+    n_free = 0;
+    n_slots = 0;
+    vacant = make_flow config ~id:(-1) ~slot:(-1) ~pool:(-1) ~now:start;
+    active = Deadlines.create ();
+    (* A restart creates a tracker mid-run: the wheel starts there. *)
+    due = Wheel.create ~now:start;
     clock = neg_infinity;
     clock_monotone = true;
     cap_evictions = 0;
@@ -180,50 +321,53 @@ let read_clock t =
   if now < t.clock then t.clock_monotone <- false else t.clock <- now;
   now
 
-(* Heap pops run up to [now] plus this slack. A flow whose predicate
-   flipped at [now] has a deadline within a few ulp of [now] (both are
-   rounded sums and differences of the same operands); the slack is
-   many orders of magnitude above that at any simulated time, so no
-   due flow is ever skipped. Popping a little early is harmless: every
-   decision re-evaluates the exact predicate. *)
+(* Pops and drains run up to [now] plus this slack. A flow whose
+   predicate flipped at [now] has a deadline within a few ulp of [now]
+   (both are rounded sums and differences of the same operands); the
+   slack is many orders of magnitude above that at any simulated time,
+   so no due flow is ever skipped. Visiting a little early is harmless:
+   every decision re-evaluates the exact predicate. *)
 let[@inline] due_bound now = now +. (1e-9 *. (1.0 +. Float.abs now))
 
-let window f = Float.max 1.0 (5.0 *. Epoch_estimator.epoch f.est)
+let[@inline] window ~epoch = Float.max 1.0 (5.0 *. epoch)
 
-let active_key f = f.last_seen +. window f
+let[@inline] active_key f ~epoch = f.last_seen +. window ~epoch
 
-let due_key t f =
-  let boundary = f.epoch_start +. Epoch_estimator.epoch f.est
+let[@inline] due_key t f ~epoch =
+  let boundary = t.epoch_start.(f.slot) +. epoch
   and idle = f.last_seen +. t.config.Taq_config.flow_idle_timeout in
   if boundary < idle then boundary else idle
 
-let new_flow t ~id ~pool =
-  {
-    id;
-    pool;
-    est = Epoch_estimator.create t.config.Taq_config.epoch_source;
-    state = Flow_state.initial;
-    epoch_start = t.now ();
-    new_pkts = 0;
-    retx_pkts = 0;
-    bytes_this_epoch = 0;
-    drops_this_epoch = 0;
-    drops_prev_epoch = 0;
-    prev_new_pkts = 0;
-    highest_seq = -1;
-    outstanding_drops = 0;
-    silence_epochs = 0;
-    epochs_observed = 0;
-    rate = Taq_util.Ewma.create ~alpha:0.3;
-    last_seen = t.now ();
-    active_pos = -1;
-    due_pos = -1;
-  }
+(* Hand out a slot, growing the slab and every per-slot array together
+   when no vacated slot is left. *)
+let alloc_slot t =
+  if t.n_free > 0 then begin
+    t.n_free <- t.n_free - 1;
+    t.free.(t.n_free)
+  end
+  else begin
+    let s = t.n_slots in
+    if s = Array.length t.slab then begin
+      let n = Stdlib.max 16 (2 * s) in
+      t.slab <- grow_to t.slab n t.vacant;
+      t.epoch_start <- grow_to t.epoch_start n 0.0;
+      t.free <- grow_to t.free n 0;
+      Deadlines.reserve t.active n;
+      Wheel.reserve t.due n
+    end;
+    t.n_slots <- s + 1;
+    s
+  end
 
 let forget t f =
+  let s = f.slot in
   Hashtbl.remove t.flows f.id;
-  if Deadlines.mem t.active f then Deadlines.remove t.active f;
-  Deadlines.remove t.due f
+  if Deadlines.mem t.active s then Deadlines.remove t.active s;
+  if Wheel.mem t.due s then Wheel.unlink t.due s;
+  (* Do not keep a forgotten flow reachable from its vacated slot. *)
+  t.slab.(s) <- t.vacant;
+  t.free.(t.n_free) <- s;
+  t.n_free <- t.n_free + 1
 
 (* The hard state bound: inserting into a full table evicts the
    least-recently-seen entry first (ties broken by lowest id for
@@ -257,10 +401,15 @@ let lookup t ~flow ~pool =
   | exception Not_found ->
       if Hashtbl.length t.flows >= t.config.Taq_config.max_tracked_flows then
         evict_lru t;
-      let f = new_flow t ~id:flow ~pool in
+      let now = t.now () in
+      let slot = alloc_slot t in
+      let f = make_flow t.config ~id:flow ~slot ~pool ~now in
+      t.slab.(slot) <- f;
+      t.epoch_start.(slot) <- now;
       Hashtbl.replace t.flows flow f;
-      Deadlines.push t.active f (active_key f);
-      Deadlines.push t.due f (due_key t f);
+      let epoch = Epoch_estimator.epoch f.est in
+      Deadlines.push t.active slot (active_key f ~epoch);
+      Wheel.link t.due slot (due_key t f ~epoch);
       incr t.obs_flows_created;
       let n = Hashtbl.length t.flows in
       if n > t.peak_tracked then t.peak_tracked <- n;
@@ -268,22 +417,18 @@ let lookup t ~flow ~pool =
 
 (* [f] was just seen: it is active again, and its window may have
    shrunk with the epoch estimate. *)
-let refresh_active t f =
-  let k = active_key f in
-  if Deadlines.mem t.active f then Deadlines.decrease t.active f k
-  else Deadlines.push t.active f k
+let refresh_active t f ~epoch =
+  let k = active_key f ~epoch in
+  if Deadlines.mem t.active f.slot then Deadlines.decrease t.active f.slot k
+  else Deadlines.push t.active f.slot k
 
+(* Builds nothing: the state machine takes the counts one by one, and
+   the epoch start is rolled in place by [catch_up]. *)
 let roll_one_epoch f ~epoch =
-  let obs =
-    {
-      Flow_state.new_pkts = f.new_pkts;
-      retx_pkts = f.retx_pkts;
-      drops = f.drops_this_epoch;
-      prev_new_pkts = f.prev_new_pkts;
-      outstanding_drops = f.outstanding_drops;
-    }
-  in
-  f.state <- Flow_state.step f.state obs;
+  f.state <-
+    Flow_state.step_counts f.state ~new_pkts:f.new_pkts
+      ~retx_pkts:f.retx_pkts ~drops:f.drops_this_epoch
+      ~prev_new_pkts:f.prev_new_pkts ~outstanding_drops:f.outstanding_drops;
   if f.new_pkts = 0 && f.retx_pkts = 0 then
     f.silence_epochs <- f.silence_epochs + 1
   else f.silence_epochs <- 0;
@@ -295,25 +440,21 @@ let roll_one_epoch f ~epoch =
   f.retx_pkts <- 0;
   f.bytes_this_epoch <- 0;
   f.drops_this_epoch <- 0;
-  f.epoch_start <- f.epoch_start +. epoch;
   f.epochs_observed <- f.epochs_observed + 1
 
 (* Advance the flow's epoch boundary up to [now]; several epochs may
-   have elapsed silently. Bounded per call so a flow returning after a
-   very long idle period cannot stall the queue. *)
-let catch_up t f =
-  let now = t.now () in
+   have elapsed silently. [epoch] is the flow's current estimate: no
+   roll changes it. Bounded per call so a flow returning after a very
+   long idle period cannot stall the queue. *)
+let catch_up t f ~now ~epoch =
+  let starts = t.epoch_start and s = f.slot in
   let budget = ref 64 in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    let epoch = Epoch_estimator.epoch f.est in
-    if now -. f.epoch_start >= epoch then begin
-      roll_one_epoch f ~epoch;
-      decr budget
-    end
-    else continue := false
+  while !budget > 0 && now -. starts.(s) >= epoch do
+    roll_one_epoch f ~epoch;
+    starts.(s) <- starts.(s) +. epoch;
+    decr budget
   done;
-  if !budget = 0 then f.epoch_start <- now
+  if !budget = 0 then starts.(s) <- now
 
 let observe_syn t ~flow ~pool =
   let now = read_clock t in
@@ -321,17 +462,18 @@ let observe_syn t ~flow ~pool =
   f.pool <- pool;
   f.last_seen <- now;
   Epoch_estimator.note_syn f.est ~time:now;
-  refresh_active t f
+  refresh_active t f ~epoch:(Epoch_estimator.epoch f.est)
 
 let observe_data t (p : Packet.t) =
   let now = read_clock t in
   let f = lookup t ~flow:p.flow ~pool:p.pool in
-  catch_up t f;
+  catch_up t f ~now ~epoch:(Epoch_estimator.epoch f.est);
   f.last_seen <- now;
   Epoch_estimator.note_packet f.est ~time:now;
   (* The epoch estimate may have shrunk, pulling both deadlines in. *)
-  refresh_active t f;
-  Deadlines.decrease t.due f (due_key t f);
+  let epoch = Epoch_estimator.epoch f.est in
+  refresh_active t f ~epoch;
+  Wheel.decrease t.due f.slot (due_key t f ~epoch);
   f.bytes_this_epoch <- f.bytes_this_epoch + p.size;
   if p.seq <= f.highest_seq then begin
     f.retx_pkts <- f.retx_pkts + 1;
@@ -351,41 +493,42 @@ let observe_drop t (p : Packet.t) =
       f.outstanding_drops <- f.outstanding_drops + 1
   | exception Not_found -> ()
 
-(* Entries popped at [now] whose fresh deadline still falls within the
-   slack are held back until the pop loop ends, then re-pushed. *)
-let rec restore h key_of = function
-  | [] -> ()
-  | f :: rest ->
-      Deadlines.push h f (key_of f);
-      restore h key_of rest
-
 (* Only flows whose key is due are visited. For every other flow the
    epoch boundary has not come, so [catch_up] would not roll, and the
-   idle check is false. Flows are independent, so skipping them is
-   exact. *)
+   idle check is false. Flows are independent, so skipping them, and
+   visiting the due ones in bucket rather than key order, is exact. *)
 let tick t =
   let now = read_clock t in
   let bound = due_bound now in
   let timeout = t.config.Taq_config.flow_idle_timeout in
-  let h = t.due in
-  let held = ref [] and expired = ref 0 in
-  while Deadlines.min_key h <= bound do
-    let f = Deadlines.top h in
-    catch_up t f;
-    if now -. f.last_seen > timeout then begin
-      forget t f;
-      incr expired
-    end
-    else begin
-      let k = due_key t f in
-      if k > bound then Deadlines.rekey_top h k
-      else begin
-        Deadlines.remove h f;
-        held := f :: !held
-      end
-    end
-  done;
-  if !held <> [] then restore h (due_key t) !held;
+  let w = t.due in
+  let last = Wheel.bucket_of bound in
+  let expired = ref 0 in
+  (* However far the clock jumped, each bucket is walked once. *)
+  if Array.length w.heads > 0 then
+    for b = w.cursor to w.cursor + Stdlib.min (last - w.cursor) Wheel.mask do
+      let next = ref w.heads.(b land Wheel.mask) in
+      while !next >= 0 do
+        let s = !next in
+        next := w.next.(s);
+        if Wheel.key w s <= bound then begin
+          Wheel.unlink w s;
+          let f = t.slab.(s) in
+          let epoch = Epoch_estimator.epoch f.est in
+          catch_up t f ~now ~epoch;
+          if now -. f.last_seen > timeout then begin
+            forget t f;
+            incr expired
+          end
+          else begin
+            let k = due_key t f ~epoch in
+            if k > bound then Wheel.link w s k else Wheel.hold w s k
+          end
+        end
+      done
+    done;
+  if last > w.cursor then w.cursor <- last;
+  Wheel.release_held w;
   if !expired > 0 then t.obs_evictions := !(t.obs_evictions) + !expired
 
 (* Per-flow accessors read unknown flows as a fresh flow would.
@@ -439,7 +582,18 @@ let is_new_flow t ~flow =
           false)
   | exception Not_found -> true
 
-let[@inline] is_active now f = now -. f.last_seen <= window f
+let[@inline] is_active now f =
+  now -. f.last_seen <= window ~epoch:(Epoch_estimator.epoch f.est)
+
+(* Entries popped at [now] whose fresh key still falls within the
+   slack are held back until the pop loop ends, then re-pushed. *)
+let rec restore t = function
+  | [] -> ()
+  | s :: rest ->
+      let f = t.slab.(s) in
+      Deadlines.push t.active s
+        (active_key f ~epoch:(Epoch_estimator.epoch f.est));
+      restore t rest
 
 (* Pop the flows whose window may have closed: the ones still active
    are re-keyed to their current expiry, the rest leave the heap. *)
@@ -449,18 +603,19 @@ let active_flow_count t =
   let h = t.active in
   let held = ref [] in
   while Deadlines.min_key h <= bound do
-    let f = Deadlines.top h in
+    let s = Deadlines.top h in
+    let f = t.slab.(s) in
     if is_active now f then begin
-      let k = active_key f in
+      let k = active_key f ~epoch:(Epoch_estimator.epoch f.est) in
       if k > bound then Deadlines.rekey_top h k
       else begin
-        Deadlines.remove h f;
-        held := f :: !held
+        Deadlines.remove h s;
+        held := s :: !held
       end
     end
-    else Deadlines.remove h f
+    else Deadlines.remove h s
   done;
-  if !held <> [] then restore h active_key !held;
+  if !held <> [] then restore t !held;
   h.size
 
 let tracked_flow_count t = Hashtbl.length t.flows
@@ -477,13 +632,14 @@ let overdue_flows t =
   Hashtbl.fold
     (fun _ f n ->
       let due =
-        now -. f.epoch_start >= Epoch_estimator.epoch f.est
+        now -. t.epoch_start.(f.slot) >= Epoch_estimator.epoch f.est
         || now -. f.last_seen > t.config.Taq_config.flow_idle_timeout
       in
-      if
-        due && not (Deadlines.mem t.due f && Deadlines.key t.due f <= bound)
-      then n + 1
-      else n)
+      (* A drain visits the flow its slot maps to. *)
+      let visited =
+        t.slab.(f.slot) == f && Wheel.will_visit t.due f.slot ~bound
+      in
+      if due && not visited then n + 1 else n)
     t.flows 0
 
 let clock_monotone t = t.clock_monotone

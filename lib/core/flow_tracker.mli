@@ -12,9 +12,9 @@
 
     {b Precondition: the clock is monotone.} Successive reads of [now]
     must never decrease. {!active_flow_count} and {!tick} visit only the
-    flows whose deadline has come, kept in two min-heaps; a clock that
-    stepped back would find flows the heaps have already passed over.
-    {!clock_monotone} reports whether the precondition has held. *)
+    flows whose deadline has come, kept in a min-heap and a timing wheel;
+    a clock that stepped back would find flows they have already passed
+    over. {!clock_monotone} reports whether the precondition has held. *)
 
 type t
 
@@ -41,8 +41,13 @@ val tick : t -> unit
     state machine must advance through silent epochs even with no
     packets arriving) and forget flows idle beyond the configured
     timeout. Call periodically (the discipline schedules this). Costs
-    O(log n) per flow whose epoch boundary or idle expiry has come, not
-    O(n). *)
+    O(1) per flow whose epoch boundary or idle expiry has come, plus one
+    step per {!wheel_width} of simulated time since the last call (at
+    most a full turn of the wheel), not O(n). *)
+
+val wheel_width : float
+(** Width in seconds of a bucket of the wheel {!tick} drains: a module
+    constant, exposed so tests can land the clock on a bucket edge. *)
 
 val state : t -> flow:int -> Flow_state.t
 (** Unknown flows report {!Flow_state.initial}. *)
@@ -84,7 +89,7 @@ val active_flow_count_scan : t -> int
 val overdue_flows : t -> int
 (** Tracked flows that are due an epoch roll or idle expiry right now
     but that the next {!tick} would not visit. Always 0 unless the
-    tick heap is broken. O(n), for invariant checking. *)
+    tick's wheel is broken. O(n), for invariant checking. *)
 
 val clock_monotone : t -> bool
 (** No read of [now] so far has gone back in time. *)

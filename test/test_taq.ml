@@ -325,8 +325,10 @@ type tracker_op =
       (** Set the clock onto a boundary of a flow — 0: its active window
           closes, 1: its epoch ends, 2: it goes idle — moved by -1, 0 or
           +1 ulp; then tick if the flag is set. *)
-
-let diff_flows = 8 (* flow ids 0..7; id 8 is never seen *)
+  | Edge of int * int * bool
+      (** Set the clock onto the edge of the [n]-th wheel bucket after
+          the current one, moved by -1, 0 or +1 ulp; then tick if the
+          flag is set. *)
 
 let show_op = function
   | Syn (f, p) -> Printf.sprintf "syn %d/%d" f p
@@ -339,10 +341,13 @@ let show_op = function
         (match b with 0 -> "window" | 1 -> "epoch" | _ -> "idle")
         u
         (if tk then " tick" else "")
+  | Edge (n, u, tk) ->
+      Printf.sprintf "edge +%d %+d%s" n u (if tk then " tick" else "")
 
-let gen_tracker_op =
+(* Flow ids 0..flows-1; id [flows] is never seen. *)
+let gen_tracker_op ~flows =
   let open QCheck.Gen in
-  let flow = int_bound (diff_flows - 1) in
+  let flow = int_bound (flows - 1) in
   frequency
     [
       (2, map2 (fun f p -> Syn (f, p)) flow (int_range (-1) 2));
@@ -359,9 +364,13 @@ let gen_tracker_op =
         map4
           (fun f b u tk -> Land (f, b, u, tk))
           flow (int_bound 2) (int_range (-1) 1) bool );
+      ( 2,
+        map3
+          (fun n u tk -> Edge (n, u, tk))
+          (int_bound 3) (int_range (-1) 1) bool );
     ]
 
-let gen_tracker_config =
+let gen_tracker_config ~caps =
   let open QCheck.Gen in
   map4
     (fun epoch_source flow_idle_timeout max_tracked_flows
@@ -386,7 +395,7 @@ let gen_tracker_config =
            { default_epoch = 0.1; min_epoch = 0.02; max_epoch = 0.5; alpha = 0.3 };
        ])
     (oneofl [ 1.5; 4.0; 120.0 ])
-    (oneofl [ 3; 5; 65536 ])
+    (oneofl caps)
     (oneofl
        [
          (Fair_share.Fair_queuing, false);
@@ -394,26 +403,41 @@ let gen_tracker_config =
          (Fair_share.Fair_queuing, true);
        ])
 
-let arb_tracker_run =
+(* A restart builds a tracker mid-run, so both start on a clock drawn
+   from the beginning, the middle and late in a run. *)
+let gen_tracker_start =
+  QCheck.Gen.(
+    oneof
+      [
+        return 0.0;
+        return 997.3;
+        map (fun dt -> 12_000.0 +. dt) (float_bound_inclusive 0.05);
+      ])
+
+let arb_tracker_run ~flows ~caps =
   QCheck.make
-    ~print:(fun (_, ops) -> String.concat "; " (List.map show_op ops))
-    QCheck.Gen.(pair gen_tracker_config (list_size (int_range 1 250) gen_tracker_op))
+    ~print:(fun (_, start, ops) ->
+      Printf.sprintf "start %h: %s" start
+        (String.concat "; " (List.map show_op ops)))
+    QCheck.Gen.(
+      triple (gen_tracker_config ~caps) gen_tracker_start
+        (list_size (int_range 1 250) (gen_tracker_op ~flows)))
 
 (* Every observable of the two trackers, as comparable strings, so a
    failure names the first field that differs. Floats go by their bits
    (%h is exact). *)
-let tracker_view ~count ~tracked ~peak ~evictions ~pools ~share ~counters
-    ~per_flow =
+let tracker_view ~flows ~count ~tracked ~peak ~evictions ~pools ~share
+    ~counters ~per_flow =
   Printf.sprintf "active=%d tracked=%d peak=%d cap_evictions=%d pools=%d share=%h %s"
     count tracked peak evictions pools share counters
-  :: List.init (diff_flows + 1) per_flow
+  :: List.init (flows + 1) per_flow
 
 let counters_of obs =
   String.concat ","
     (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Obs.snapshot obs).counters)
 
-let ref_view r obs =
-  tracker_view ~count:(Ref.active_flow_count r) ~tracked:(Ref.tracked_flow_count r)
+let ref_view ~flows r obs =
+  tracker_view ~flows ~count:(Ref.active_flow_count r) ~tracked:(Ref.tracked_flow_count r)
     ~peak:(Ref.peak_tracked r) ~evictions:(Ref.cap_evictions r)
     ~pools:(Ref.active_pool_count r) ~share:(Ref.fair_share_bps r)
     ~counters:(counters_of obs) ~per_flow:(fun flow ->
@@ -429,8 +453,8 @@ let ref_view r obs =
         (Ref.pool_of r ~flow) (Ref.below_fair_share r ~flow)
         (Ref.fair_share_bps ~flow r) (Ref.pool_rate_bps r ~flow))
 
-let new_view t obs =
-  tracker_view ~count:(Flow_tracker.active_flow_count t)
+let new_view ~flows t obs =
+  tracker_view ~flows ~count:(Flow_tracker.active_flow_count t)
     ~tracked:(Flow_tracker.tracked_flow_count t) ~peak:(Flow_tracker.peak_tracked t)
     ~evictions:(Flow_tracker.cap_evictions t)
     ~pools:(Flow_tracker.active_pool_count t) ~share:(Flow_tracker.fair_share_bps t)
@@ -447,6 +471,9 @@ let new_view t obs =
         (Flow_tracker.pool_of t ~flow) (Flow_tracker.below_fair_share t ~flow)
         (Flow_tracker.fair_share_bps ~flow t) (Flow_tracker.pool_rate_bps t ~flow))
 
+let nudge at ~ulps =
+  if ulps < 0 then Float.pred at else if ulps > 0 then Float.succ at else at
+
 (* Where a [Land] puts the clock, read off the reference's flow record. *)
 let land_target (config : Taq_config.t) r ~flow ~boundary ~ulps =
   match Hashtbl.find_opt r.Ref.flows flow with
@@ -459,19 +486,25 @@ let land_target (config : Taq_config.t) r ~flow ~boundary ~ulps =
         | 1 -> f.epoch_start +. epoch
         | _ -> f.last_seen +. config.flow_idle_timeout
       in
-      Some (if ulps < 0 then Float.pred at else if ulps > 0 then Float.succ at else at)
+      Some (nudge at ~ulps)
+
+(* Where an [Edge] puts the clock: the wheel buckets are
+   [Flow_tracker.wheel_width] wide, numbered from time 0. *)
+let edge_target clock ~ahead ~ulps =
+  let w = Flow_tracker.wheel_width in
+  nudge (Float.of_int (int_of_float (Float.floor (clock /. w)) + 1 + ahead) *. w) ~ulps
 
 (* Drive both trackers through [ops]; compare after every operation when
-   [every], else only after ticks and at the end (so the heaps see long
-   stretches without a count query). *)
-let run_tracker_diff ~every (config, ops) =
-  let clock = ref 0.0 in
+   [every], else only after ticks and at the end (so the heap and the
+   wheel see long stretches without a count query). *)
+let run_tracker_diff ~flows ~every (config, start, ops) =
+  let clock = ref start in
   let now () = !clock in
   let obs_r = Obs.create () and obs_n = Obs.create () in
   let r = Ref.create ~obs:obs_r ~config ~now () in
   let t = Flow_tracker.create ~obs:obs_n ~config ~now () in
   let compare step =
-    let a = ref_view r obs_r and b = new_view t obs_n in
+    let a = ref_view ~flows r obs_r and b = new_view ~flows t obs_n in
     List.iter2
       (fun x y ->
         if x <> y then
@@ -480,7 +513,7 @@ let run_tracker_diff ~every (config, ops) =
     if Flow_tracker.active_flow_count_scan t <> Flow_tracker.active_flow_count t
     then QCheck.Test.fail_reportf "after op %d: scan disagrees" step;
     if Flow_tracker.overdue_flows t <> 0 then
-      QCheck.Test.fail_reportf "after op %d: overdue flows outside the heap" step
+      QCheck.Test.fail_reportf "after op %d: overdue flows the tick would miss" step
   in
   List.iteri
     (fun step op ->
@@ -508,7 +541,13 @@ let run_tracker_diff ~every (config, ops) =
           | Some at when at >= !clock ->
               clock := at;
               if then_tick then tick ()
-          | Some _ | None -> ()));
+          | Some _ | None -> ())
+      | Edge (ahead, ulps, then_tick) ->
+          let at = edge_target !clock ~ahead ~ulps in
+          if at >= !clock then begin
+            clock := at;
+            if then_tick then tick ()
+          end);
       if every || op = Tick then compare step)
     ops;
   compare (List.length ops);
@@ -516,11 +555,22 @@ let run_tracker_diff ~every (config, ops) =
 
 let prop_tracker_matches_reference =
   QCheck.Test.make ~name:"flow tracker = scanning reference, every op" ~count:300
-    arb_tracker_run (run_tracker_diff ~every:true)
+    (arb_tracker_run ~flows:8 ~caps:[ 3; 5; 65536 ])
+    (run_tracker_diff ~flows:8 ~every:true)
 
 let prop_tracker_matches_reference_sparse =
   QCheck.Test.make ~name:"flow tracker = scanning reference, sparse queries"
-    ~count:300 arb_tracker_run (run_tracker_diff ~every:false)
+    ~count:300
+    (arb_tracker_run ~flows:8 ~caps:[ 3; 5; 65536 ])
+    (run_tracker_diff ~flows:8 ~every:false)
+
+(* Forty flow ids: wheel buckets hold several flows at once, and slots
+   are vacated and reused through idle expiry and cap eviction. *)
+let prop_tracker_matches_reference_crowded =
+  QCheck.Test.make ~name:"flow tracker = scanning reference, 40 flows"
+    ~count:100
+    (arb_tracker_run ~flows:40 ~caps:[ 5; 20; 65536 ])
+    (run_tracker_diff ~flows:40 ~every:true)
 
 let test_tracker_epoch_shrink_pulls_deadlines () =
   (* A flow whose epoch estimate shrinks from 2 s to ~0.1 s: its active
@@ -564,6 +614,76 @@ let test_tracker_epoch_shrink_pulls_deadlines () =
     (Flow_tracker.epochs_observed t ~flow:1);
   Alcotest.(check bool) "rolled at all" true (Flow_tracker.epochs_observed t ~flow:1 > 0);
   Alcotest.(check int) "nothing overdue" 0 (Flow_tracker.overdue_flows t)
+
+(* Silent flows roll one epoch per boundary on every tick that reaches
+   them; a roll must not build a record or box the epoch start. The
+   observation record and the boxed start cost 18.2 words per roll. *)
+let test_tracker_silent_roll_allocation () =
+  let clock = ref 0.0 in
+  let config =
+    {
+      (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
+      Taq_config.flow_idle_timeout = 1e6;
+    }
+  in
+  let t = Flow_tracker.create ~config ~now:(fun () -> !clock) () in
+  let flows = 400 in
+  for flow = 0 to flows - 1 do
+    ignore (Flow_tracker.observe_data t (mk_data ~flow ~seq:0 ()))
+  done;
+  let epochs () =
+    let n = ref 0 in
+    for flow = 0 to flows - 1 do
+      n := !n + Flow_tracker.epochs_observed t ~flow
+    done;
+    !n
+  in
+  let before = Gc.minor_words () in
+  for i = 1 to 2_000 do
+    clock := 0.05 *. float_of_int i;
+    Flow_tracker.tick t
+  done;
+  let words = Gc.minor_words () -. before in
+  let rolled = epochs () in
+  (* 100 s of 0.2 s epochs; the last boundary may round past the end. *)
+  Alcotest.(check bool) "every flow rolled ~500 epochs" true (rolled >= flows * 499);
+  let per_roll = words /. float_of_int rolled in
+  if per_roll > 10.0 then
+    Alcotest.failf "%.1f minor words per rolled epoch, bound 10" per_roll
+
+(* Ten thousand flows churn through idle expiry, a hundred at a time:
+   vacated slots are reused, so the tracker's footprint after the last
+   wave is what one wave left, and no forgotten flow stays reachable
+   from the slab (each would hold tens of words). *)
+let test_tracker_churn_memory_flat () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let churn waves =
+    let clock = ref 0.0 in
+    let config =
+      {
+        (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
+        Taq_config.flow_idle_timeout = 2.0;
+      }
+    in
+    let t = Flow_tracker.create ~config ~now:(fun () -> !clock) () in
+    let fresh = words t in
+    for wave = 0 to waves - 1 do
+      for i = 0 to 99 do
+        ignore
+          (Flow_tracker.observe_data t (mk_data ~flow:((wave * 100) + i) ~seq:0 ()))
+      done;
+      clock := !clock +. 3.0;
+      Flow_tracker.tick t
+    done;
+    Alcotest.(check int) "all expired" 0 (Flow_tracker.tracked_flow_count t);
+    (fresh, words t)
+  in
+  let fresh, one = churn 1 and _, many = churn 100 in
+  Alcotest.(check int) "10^4 churned flows leave what 100 do" one many;
+  (* 128 slots: a few words per slot in the slab, heap and wheel arrays. *)
+  let bound = fresh + (16 * 128) in
+  if many > bound then
+    Alcotest.failf "tracker holds %d words after churn, bound %d" many bound
 
 let test_tracker_clock_monotone () =
   let t, clock = tracker_fixture () in
@@ -712,6 +832,146 @@ let test_queues_pushout_tie_break () =
   ignore (Taq_queues.drop_from q below);
   Alcotest.(check int) "one of 70 pushed out" 69 (List.length (drain []));
   tie "after growth"
+
+(* A retransmission that ranks last appends, and push-out takes the
+   tail: neither walks or copies the queue. The sorted list cost 110
+   words at depth 10 and 920 at depth 100. *)
+let test_queues_recovery_cost_flat () =
+  let cost depth =
+    let q, _clock = queues_fixture () in
+    let p = mk_data () in
+    let round () =
+      Taq_queues.enqueue q Taq_queues.Recovery ~priority:0.0 p;
+      ignore (Taq_queues.drop_from q Taq_queues.Recovery)
+    in
+    for _ = 1 to depth do
+      Taq_queues.enqueue q Taq_queues.Recovery ~priority:0.0 p
+    done;
+    round ();
+    let before = Gc.minor_words () in
+    round ();
+    Gc.minor_words () -. before
+  in
+  let shallow = cost 10 and deep = cost 100 in
+  Alcotest.(check (float 0.0)) "depth 100 costs what depth 10 does" shallow deep;
+  if deep > 16.0 then
+    Alcotest.failf "%.0f words per enqueue + push-out, bound 16" deep
+
+(* --- Taq_queues against the sorted-list reference ------------------------------ *)
+
+(* [Taq_queues_ref] keeps the Recovery class as a sorted list. Both are
+   driven with the same operations on the same clock; every packet
+   served or pushed out, and every length and byte count, must agree. *)
+
+module Qref = Taq_queues_ref
+
+type queue_op =
+  | Enq of int * int * int  (** class index, priority, size *)
+  | Deq
+  | Victim  (** push out from the class [select_victim] names *)
+  | Drop_from of int
+  | Wait of float
+
+let show_queue_op = function
+  | Enq (c, p, sz) -> Printf.sprintf "enq %d p%d %dB" c p sz
+  | Deq -> "deq"
+  | Victim -> "victim"
+  | Drop_from c -> Printf.sprintf "drop_from %d" c
+  | Wait dt -> Printf.sprintf "wait %g" dt
+
+(* Few priorities, so ties are common; recovery-heavy, so the ring
+   wraps and grows; packets of up to 6 kB against a 7.8 kB bucket, and
+   waits of zero to 50 ms, so dequeues meet the bucket full and empty. *)
+let gen_queue_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun c p sz -> Enq (c, p, sz))
+          (frequency [ (3, return 0); (2, int_range 1 4) ])
+          (int_bound 3)
+          (oneofl [ 40; 500; 1500; 6000 ]) );
+      (4, return Deq);
+      (2, return Victim);
+      (1, map (fun c -> Drop_from c) (int_bound 4));
+      (2, map (fun dt -> Wait dt) (oneofl [ 0.0; 0.001; 0.05 ]));
+    ]
+
+let arb_queue_run =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+    QCheck.Gen.(list_size (int_range 1 400) gen_queue_op)
+
+let run_queue_diff ops =
+  let clock = ref 0.0 in
+  let config = Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6 in
+  let now () = !clock in
+  let r = Qref.create ~config ~now and q = Taq_queues.create ~config ~now in
+  let classes = Array.of_list Taq_queues.all_classes
+  and ref_classes = Array.of_list Qref.all_classes in
+  let seq = ref 0 in
+  let tag = function
+    | None -> "none"
+    | Some (p : Packet.t) -> Printf.sprintf "%d#%d" p.flow p.seq
+  in
+  let same step what a b =
+    if a <> b then QCheck.Test.fail_reportf "op %d, %s: ref %s, new %s" step what a b
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Enq (c, prio, size) ->
+          incr seq;
+          let p = mk_data ~flow:(!seq mod 3) ~seq:!seq ~size () in
+          let priority = float_of_int prio in
+          Qref.enqueue r ref_classes.(c) ~priority p;
+          Taq_queues.enqueue q classes.(c) ~priority p
+      | Deq -> same step "dequeue" (tag (Qref.dequeue r)) (tag (Taq_queues.dequeue q))
+      | Victim -> (
+          let a = Option.map Qref.class_index (Qref.select_victim r)
+          and b = Option.map Taq_queues.class_index (Taq_queues.select_victim q) in
+          same step "victim class"
+            (Option.fold ~none:"none" ~some:string_of_int a)
+            (Option.fold ~none:"none" ~some:string_of_int b);
+          match b with
+          | Some c ->
+              same step "push-out"
+                (tag (Qref.drop_from r ref_classes.(c)))
+                (tag (Taq_queues.drop_from q classes.(c)))
+          | None -> ())
+      | Drop_from c ->
+          same step "drop_from"
+            (tag (Qref.drop_from r ref_classes.(c)))
+            (tag (Taq_queues.drop_from q classes.(c)))
+      | Wait dt -> clock := !clock +. dt);
+      Array.iteri
+        (fun i cls ->
+          same step
+            (Taq_queues.class_to_string cls ^ " length/bytes")
+            (Printf.sprintf "%d/%d" (Qref.class_length r ref_classes.(i))
+               (Qref.class_bytes r ref_classes.(i)))
+            (Printf.sprintf "%d/%d" (Taq_queues.class_length q cls)
+               (Taq_queues.class_bytes q cls)))
+        classes;
+      same step "totals"
+        (Printf.sprintf "%d/%d" (Qref.total_packets r) (Qref.total_bytes r))
+        (Printf.sprintf "%d/%d" (Taq_queues.total_packets q) (Taq_queues.total_bytes q));
+      if not (Taq_queues.recovery_sorted q) then
+        QCheck.Test.fail_reportf "op %d: recovery out of order" step)
+    ops;
+  (* Drain both: the same packets leave in the same order. *)
+  let rec drain n =
+    let a = tag (Qref.dequeue r) and b = tag (Taq_queues.dequeue q) in
+    same n "drain" a b;
+    if b <> "none" then drain (n + 1)
+  in
+  drain (List.length ops);
+  true
+
+let prop_queues_match_reference =
+  QCheck.Test.make ~name:"taq queues = sorted-list reference" ~count:300
+    arb_queue_run run_queue_diff
 
 (* --- Admission ------------------------------------------------------------------- *)
 
@@ -1339,10 +1599,17 @@ let () =
           Alcotest.test_case "epoch shrink" `Quick
             test_tracker_epoch_shrink_pulls_deadlines;
           Alcotest.test_case "clock monotone" `Quick test_tracker_clock_monotone;
+          Alcotest.test_case "silent roll allocation" `Quick
+            test_tracker_silent_roll_allocation;
+          Alcotest.test_case "churn memory flat" `Quick test_tracker_churn_memory_flat;
         ] );
       ( "flow_tracker_vs_reference",
         List.map (QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_taq_tracker"))
-          [ prop_tracker_matches_reference; prop_tracker_matches_reference_sparse ] );
+          [
+            prop_tracker_matches_reference;
+            prop_tracker_matches_reference_sparse;
+            prop_tracker_matches_reference_crowded;
+          ] );
       ( "fair_share",
         [
           Alcotest.test_case "basic" `Quick test_fair_share_basic;
@@ -1357,7 +1624,11 @@ let () =
           Alcotest.test_case "victim selection" `Quick test_queues_victim_selection;
           Alcotest.test_case "accounting" `Quick test_queues_accounting;
           Alcotest.test_case "push-out tie-break" `Quick test_queues_pushout_tie_break;
+          Alcotest.test_case "recovery cost flat" `Quick test_queues_recovery_cost_flat;
         ] );
+      ( "taq_queues_vs_reference",
+        List.map (QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_taq_queues"))
+          [ prop_queues_match_reference ] );
       ( "admission",
         [
           Alcotest.test_case "low loss admits" `Quick test_admission_low_loss_admits;
