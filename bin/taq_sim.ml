@@ -121,6 +121,21 @@ let finish_obs spec snap =
         (List.length snap.Obs.events)
         path
 
+(* --- numbers -------------------------------------------------------------- *)
+
+(* Every float flag parses through [finite]. A NaN or infinite rate,
+   time or probability would run a simulation that transmits nothing
+   and still exit 0. It rejects what [Float.is_finite] rejects, as the
+   fault-plan parser does. *)
+let finite =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser Arg.float s with
+        | Ok x when Float.is_finite x -> Ok x
+        | Ok _ -> Error (`Msg (Printf.sprintf "expected a finite number, got %S" s))
+        | Error _ as e -> e),
+      Arg.conv_printer Arg.float )
+
 (* --- disciplines -------------------------------------------------------- *)
 
 (* Parses to the canonical name: keys and reports never see aliases. *)
@@ -162,7 +177,7 @@ let bg_flows_arg =
 
 let fluid_dt_arg =
   Arg.(
-    value & opt float 0.05
+    value & opt finite 0.05
     & info [ "fluid-dt" ] ~docv:"S"
         ~doc:"Hybrid backend only: fluid integration step, seconds.")
 
@@ -222,21 +237,21 @@ let sim_cmd =
   in
   let capacity =
     Arg.(
-      value & opt float 600e3
+      value & opt finite 600e3
       & info [ "c"; "capacity" ] ~docv:"BPS" ~doc:"Bottleneck capacity, bits/s.")
   in
   let flows =
     Arg.(value & opt int 60 & info [ "n"; "flows" ] ~docv:"N" ~doc:"Long-lived flows.")
   in
   let rtt =
-    Arg.(value & opt float 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
+    Arg.(value & opt finite 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
   in
   let duration =
-    Arg.(value & opt float 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
+    Arg.(value & opt finite 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
   in
   let buffer_rtts =
     Arg.(
-      value & opt float 1.0
+      value & opt finite 1.0
       & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
@@ -458,13 +473,13 @@ let sweep_cmd =
   let capacities =
     Arg.(
       value
-      & opt (list float) [ 600e3 ]
+      & opt (list finite) [ 600e3 ]
       & info [ "capacities" ] ~docv:"BPS,.." ~doc:"Bottleneck capacities, bits/s.")
   in
   let fair_shares =
     Arg.(
       value
-      & opt (list float) [ 4e3; 10e3; 20e3; 40e3 ]
+      & opt (list finite) [ 4e3; 10e3; 20e3; 40e3 ]
       & info [ "fair-shares" ] ~docv:"BPS,.." ~doc:"Per-flow fair shares, bits/s.")
   in
   let reps =
@@ -474,14 +489,14 @@ let sweep_cmd =
           ~doc:"Replicas per point (each derives its own seed from the task key).")
   in
   let rtt =
-    Arg.(value & opt float 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
+    Arg.(value & opt finite 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
   in
   let duration =
-    Arg.(value & opt float 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
+    Arg.(value & opt finite 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
   in
   let buffer_rtts =
     Arg.(
-      value & opt float 1.0
+      value & opt finite 1.0
       & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
   in
   let jobs =
@@ -516,7 +531,7 @@ let sweep_cmd =
   let timeout_s =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite) None
       & info [ "timeout-s" ] ~docv:"S"
           ~doc:
             "Per-task deadline in seconds. A point that exceeds it is \
@@ -1002,7 +1017,7 @@ let faults_cmd =
 let model_cmd =
   let p_arg =
     Arg.(
-      value & opt (some float) None
+      value & opt (some finite) None
       & info [ "p" ] ~docv:"P" ~doc:"Loss probability; prints the stationary distribution.")
   in
   let wmax = Arg.(value & opt int 6 & info [ "wmax" ] ~docv:"W" ~doc:"Model Wmax.") in
@@ -1091,12 +1106,12 @@ let replay_cmd =
   in
   let capacity =
     Arg.(
-      value & opt float 2000e3
+      value & opt finite 2000e3
       & info [ "c"; "capacity" ] ~docv:"BPS" ~doc:"Access-link capacity, bits/s.")
   in
   let duration =
     Arg.(
-      value & opt float 1800.0
+      value & opt finite 1800.0
       & info [ "d"; "duration" ] ~docv:"S" ~doc:"Replay window (trace clipped).")
   in
   let run trace_path queue capacity duration =
@@ -1139,7 +1154,7 @@ let trace_cmd =
   in
   let duration =
     Arg.(
-      value & opt float 7200.0
+      value & opt finite 7200.0
       & info [ "duration" ] ~docv:"S" ~doc:"Trace window in seconds.")
   in
   let seed = Arg.(value & opt int 101 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
@@ -1184,7 +1199,7 @@ let mega_cmd =
   in
   let capacity =
     Arg.(
-      value & opt float 2.4e9
+      value & opt finite 2.4e9
       & info [ "c"; "capacity" ] ~docv:"BPS"
           ~doc:"Aggregate bottleneck capacity, split across shards.")
   in
@@ -1195,16 +1210,16 @@ let mega_cmd =
           ~doc:"Packet-level foreground flows per shard.")
   in
   let rtt =
-    Arg.(value & opt float 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Base RTT.")
+    Arg.(value & opt finite 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Base RTT.")
   in
   let duration =
     Arg.(
-      value & opt float 5.0
+      value & opt finite 5.0
       & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
   in
   let fluid_dt =
     Arg.(
-      value & opt float 0.05
+      value & opt finite 0.05
       & info [ "fluid-dt" ] ~docv:"S" ~doc:"Fluid integration step, seconds.")
   in
   let seed =

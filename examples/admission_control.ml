@@ -52,7 +52,7 @@ let () =
       Web_session.request session ~size:15_000
     done;
     let at = Taq_util.Prng.float prng 20.0 in
-    ignore (Sim.schedule sim ~at (fun () -> Web_session.start session))
+    Sim.schedule sim ~at (fun () -> Web_session.start session)
   done;
   (* Observe the admission controller as the run progresses. *)
   let rec report () =
@@ -64,9 +64,9 @@ let () =
           (Admission.waiting_count a)
     | None -> ());
     if Sim.now sim +. 30.0 <= duration then
-      ignore (Sim.schedule_after sim ~delay:30.0 report)
+      Sim.schedule_after sim ~delay:30.0 report
   in
-  ignore (Sim.schedule sim ~at:10.0 report);
+  Sim.schedule sim ~at:10.0 report;
   Sim.run ~until:duration sim;
   let st = Taq_disc.stats taq in
   let times = Array.of_list !download_times in

@@ -47,7 +47,7 @@ let run ~label ~make_disc =
       Web_session.request session ~size:object_bytes
     done;
     let at = Taq_util.Prng.float prng 10.0 in
-    ignore (Sim.schedule sim ~at (fun () -> Web_session.start session))
+    Sim.schedule sim ~at (fun () -> Web_session.start session)
   done;
   Sim.run ~until:duration sim;
   let pools = Array.init users Fun.id in

@@ -7,12 +7,12 @@
    (the FIFO tie-break) and an [int array] of payloads — and sift-up /
    sift-down move all three in lockstep, so steady-state push/pop
    allocates nothing. Payloads are ints because the simulator stores
-   slot/generation event handles; test/event_heap_ref.ml keeps the
-   boxed reference implementation the differential tests run against.
-   (A 4-ary variant was measured and lost to the binary sift on the
-   fig3 workload, so the arity stays 2; so did a bottom-up
-   [remove_top] that walks the hole to a leaf and sifts the last entry
-   up: slower on bench/perf's dt-long in every pair measured.)
+   event-slot indices; test/event_heap_ref.ml keeps the boxed reference
+   implementation the differential tests run against. (A 4-ary variant
+   was measured and lost to the binary sift on the fig3 workload, so
+   the arity stays 2; so did a bottom-up [remove_top] that walks the
+   hole to a leaf and sifts the last entry up: slower on bench/perf's
+   dt-long in every pair measured.)
 
    Times cross the hot operations in float-array cells rather than as
    float arguments or results: dune's dev profile compiles with
@@ -25,37 +25,17 @@ type t = {
   mutable payloads : int array;
   mutable size : int;
   mutable next_seq : int;
-  mutable max_size : int;
-      (* high-water mark since creation (or the last [clear]); two int
-         ops per push, so it is maintained unconditionally and the
-         observability layer reads it for free *)
 }
 
 (* Slots at indices >= size are garbage and never read. We grow by
-   doubling and never shrink (heaps in a simulation stay warm) —
-   [clear] therefore keeps the arrays and only resets the counters. *)
+   doubling and never shrink (heaps in a simulation stay warm). *)
 
 let create () =
-  {
-    times = [||];
-    seqs = [||];
-    payloads = [||];
-    size = 0;
-    next_seq = 0;
-    max_size = 0;
-  }
+  { times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
 
 let[@inline] is_empty t = t.size = 0
 
 let[@inline] size t = t.size
-
-let[@inline] max_size t = t.max_size
-
-let capacity t = Array.length t.times
-
-let clear t =
-  t.size <- 0;
-  t.max_size <- 0
 
 let grow t =
   let cap = Array.length t.times in
@@ -83,7 +63,6 @@ let push_seq t ~seq cell payload =
      then the entry lands once — each step moves all three arrays. *)
   let i = ref t.size in
   t.size <- t.size + 1;
-  if t.size > t.max_size then t.max_size <- t.size;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
@@ -99,8 +78,6 @@ let push_seq t ~seq cell payload =
   times.(!i) <- time;
   seqs.(!i) <- seq;
   payloads.(!i) <- payload
-
-let push t ~time payload = push_seq t ~seq:(reserve_seq t) [| time |] payload
 
 (* Move the last entry to the root and sift it down (hole-style, like
    [push]). Callers have already consumed the root. *)
@@ -151,13 +128,3 @@ let pop_due t clock =
     payload
   end
   else -1
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let time = t.times.(0) and payload = t.payloads.(0) in
-    remove_top t;
-    Some (time, payload)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.times.(0)

@@ -1,11 +1,12 @@
 (** Binary min-heap of timestamped events, flat struct-of-arrays layout.
 
-    Ties on time are broken by insertion order (FIFO), which the
-    network simulation relies on for deterministic packet ordering.
-    Payloads are ints (the simulator stores event-slot handles);
-    steady-state push/pop allocates nothing. test/event_heap_ref.ml
-    keeps the boxed implementation as a differential-testing
-    reference. *)
+    Ties on time are broken by sequence number, taken from
+    {!reserve_seq} in filing order (FIFO), which the network
+    simulation relies on for deterministic packet ordering. Payloads
+    are non-negative ints (the simulator stores event-slot indices);
+    steady-state filing and popping allocate nothing.
+    test/event_heap_ref.ml keeps the boxed implementation as a
+    differential-testing reference. *)
 
 type t
 
@@ -15,23 +16,10 @@ val is_empty : t -> bool
 
 val size : t -> int
 
-val max_size : t -> int
-(** High-water mark of {!size} since creation (or the last {!clear}) —
-    the observability layer exports it as a gauge. *)
-
-val capacity : t -> int
-(** Allocated slots. Grows by doubling and never shrinks: {!clear}
-    keeps capacity so reused heaps stay warm. *)
-
-val push : t -> time:float -> int -> unit
-(** [push t ~time p] files [p] at [time] under a fresh sequence number:
-    [push_seq t ~seq:(reserve_seq t) [| time |] p]. Allocates the cell;
-    tests and cold paths only. *)
-
 val reserve_seq : t -> int
 (** Take the next tie-break sequence number without filing anything.
-    An entry filed later under it ({!push_seq}) sorts exactly where a
-    {!push} made at reservation time would have: among entries at its
+    An entry filed later under it ({!push_seq}) sorts exactly where an
+    entry filed at reservation time would have: among entries at its
     time, after those whose number was taken earlier and before those
     taken later. *)
 
@@ -49,15 +37,5 @@ val pop_due : t -> float array -> int
 (** [pop_due t clock] removes the earliest entry if its time is at most
     [clock.(1)], writes that time into [clock.(0)] and returns its
     payload; otherwise it returns [-1] and changes nothing. The
-    simulator's allocation-free pop: payloads it files are
-    non-negative, so [-1] is unambiguous. *)
-
-val pop : t -> (float * int) option
-(** Remove and return the earliest event. Allocates the result; tests
-    and cold paths only. *)
-
-val peek_time : t -> float option
-(** Earliest timestamp without removing, as an option. *)
-
-val clear : t -> unit
-(** Drop all entries and reset {!max_size}, keeping capacity. *)
+    simulator's allocation-free pop: payloads are non-negative, so
+    [-1] is unambiguous. *)

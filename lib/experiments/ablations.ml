@@ -115,9 +115,8 @@ let run_pthresh_sweep ?(thresholds = [ 0.02; 0.05; 0.1; 0.2; 0.4 ]) p =
           Taq_workload.Web_session.request session ~size:15_000
         done;
         let at = Taq_util.Prng.float prng 30.0 in
-        ignore
-          (Taq_engine.Sim.schedule env.Common.sim ~at (fun () ->
-               Taq_workload.Web_session.start session))
+        Taq_engine.Sim.schedule env.Common.sim ~at (fun () ->
+            Taq_workload.Web_session.start session)
       done;
       Common.run env ~until:p.duration;
       let xs = Array.of_list !times in

@@ -274,7 +274,7 @@ let spawn_finite_flow env ?(tcp = default_tcp) ?(pool = -1) ~segments ~rtt
   in
   (match at with
   | None -> start ()
-  | Some time -> ignore (Sim.schedule env.sim ~at:time start));
+  | Some time -> Sim.schedule env.sim ~at:time start);
   flow
 
 let run env ~until =

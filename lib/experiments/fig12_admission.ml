@@ -94,7 +94,7 @@ let run_queue p choice =
         let think =
           Taq_util.Prng.exponential client_prng ~mean:p.think_mean
         in
-        ignore (Sim.schedule_after env.Common.sim ~delay:think next_page)
+        Sim.schedule_after env.Common.sim ~delay:think next_page
       end
     in
     let session =
@@ -104,10 +104,9 @@ let run_queue p choice =
     session_ref := Some session;
     sessions := session :: !sessions;
     let at = Taq_util.Prng.float client_prng 30.0 in
-    ignore
-      (Sim.schedule env.Common.sim ~at (fun () ->
-           Web_session.start session;
-           next_page ()))
+    Sim.schedule env.Common.sim ~at (fun () ->
+        Web_session.start session;
+        next_page ())
   done;
   Common.run env ~until:p.duration;
   let in_bucket (lo, hi) size = size >= lo && size <= hi in

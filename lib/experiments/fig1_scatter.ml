@@ -80,10 +80,9 @@ let run_trace p ~queue ~trace =
   Array.iter
     (fun r ->
       if r.Trace.time < p.duration then
-        ignore
-          (Taq_engine.Sim.schedule env.Common.sim ~at:r.Trace.time (fun () ->
-               Web_session.request (session_for r.Trace.client)
-                 ~size:r.Trace.size)))
+        Taq_engine.Sim.schedule env.Common.sim ~at:r.Trace.time (fun () ->
+            Web_session.request (session_for r.Trace.client)
+              ~size:r.Trace.size))
     trace;
   Common.run env ~until:p.duration;
   (* Bucket completed downloads by size: logarithmic decades from

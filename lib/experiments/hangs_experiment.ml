@@ -64,9 +64,8 @@ let run_one p queue ~users ~conns =
       Taq_workload.Web_session.request session ~size:object_bytes
     done;
     let at = Taq_util.Prng.float prng 10.0 in
-    ignore
-      (Taq_engine.Sim.schedule env.Common.sim ~at (fun () ->
-           Taq_workload.Web_session.start session))
+    Taq_engine.Sim.schedule env.Common.sim ~at (fun () ->
+        Taq_workload.Web_session.start session)
   done;
   Common.run env ~until:p.duration;
   let pools = Array.init users Fun.id in

@@ -71,13 +71,11 @@ let run_one p queue mode =
         for _ = 1 to p.objects_per_client do
           Web_session.request session ~size:p.object_bytes
         done;
-        ignore
-          (Sim.schedule env.Common.sim ~at:start_at (fun () ->
-               Web_session.start session));
+        Sim.schedule env.Common.sim ~at:start_at (fun () ->
+            Web_session.start session);
         (* Connection count is read once, just before the run ends. *)
-        ignore
-          (Sim.schedule env.Common.sim ~at:(p.duration -. 0.001) (fun () ->
-               flows := !flows + List.length (Web_session.flow_ids session)))
+        Sim.schedule env.Common.sim ~at:(p.duration -. 0.001) (fun () ->
+            flows := !flows + List.length (Web_session.flow_ids session))
     | Persistent ->
         let session =
           Persistent_session.create ~net:env.Common.net ~tcp ~pool:client
@@ -89,13 +87,12 @@ let run_one p queue mode =
                 :: !times)
             ()
         in
-        ignore
-          (Sim.schedule env.Common.sim ~at:start_at (fun () ->
-               Persistent_session.start session;
-               for _ = 1 to p.objects_per_client do
-                 Persistent_session.request session ~size:p.object_bytes
-               done;
-               flows := !flows + List.length (Persistent_session.flow_ids session)))
+        Sim.schedule env.Common.sim ~at:start_at (fun () ->
+            Persistent_session.start session;
+            for _ = 1 to p.objects_per_client do
+              Persistent_session.request session ~size:p.object_bytes
+            done;
+            flows := !flows + List.length (Persistent_session.flow_ids session))
   done;
   Common.run env ~until:p.duration;
   let xs = Array.of_list !times in

@@ -80,7 +80,7 @@ let fwd_tap t pkt forward =
         let delay = Prng.uniform t.prng ~lo:0.0 ~hi:(ms /. 1000.0) in
         t.jittered <- t.jittered + 1;
         fired t "jitter";
-        ignore (Sim.schedule_after t.sim ~delay (fun () -> forward pkt))
+        Sim.schedule_after t.sim ~delay (fun () -> forward pkt)
     | Plan.Reorder { w; p; delay } :: rest when in_window w ~now ->
         if Prng.bernoulli t.prng ~p then begin
           t.reordered <- t.reordered + 1;
@@ -88,7 +88,7 @@ let fwd_tap t pkt forward =
           (* Hold the packet back; packets delivered in the meantime
              overtake it. The continuation re-resolves the flow at
              firing time, so a finished flow swallows it. *)
-          ignore (Sim.schedule_after t.sim ~delay (fun () -> forward pkt))
+          Sim.schedule_after t.sim ~delay (fun () -> forward pkt)
         end
         else apply rest
     | _ :: rest -> apply rest
@@ -108,7 +108,7 @@ let rev_tap t pkt forward =
   | Some delay ->
       t.acks_delayed <- t.acks_delayed + 1;
       fired t "ack_delay";
-      ignore (Sim.schedule_after t.sim ~delay (fun () -> forward pkt))
+      Sim.schedule_after t.sim ~delay (fun () -> forward pkt)
   | None -> forward pkt
 
 let wants_fwd_tap = function
@@ -153,26 +153,23 @@ let install ?taq ~net ~prng plan =
   List.iter
     (function
       | Plan.Flap { at; down_for } ->
-          ignore
-            (Sim.schedule sim ~at (fun () ->
-                 t.flaps <- t.flaps + 1;
-                 fired t "flap";
-                 Link.set_up link false));
-          ignore
-            (Sim.schedule sim ~at:(at +. down_for) (fun () ->
-                 Link.set_up link true))
+          Sim.schedule sim ~at (fun () ->
+              t.flaps <- t.flaps + 1;
+              fired t "flap";
+              Link.set_up link false);
+          Sim.schedule sim ~at:(at +. down_for) (fun () ->
+              Link.set_up link true)
       | Plan.Restart { at } -> (
           match taq with
           | None -> () (* no control-plane state to lose *)
           | Some disc ->
-              ignore
-                (Sim.schedule sim ~at (fun () ->
-                     t.tracked_before_restart <-
-                       Taq_core.Flow_tracker.tracked_flow_count
-                         (Taq_core.Taq_disc.tracker disc);
-                     Taq_core.Taq_disc.restart disc;
-                     t.restarts <- t.restarts + 1;
-                     fired t "restart")))
+              Sim.schedule sim ~at (fun () ->
+                  t.tracked_before_restart <-
+                    Taq_core.Flow_tracker.tracked_flow_count
+                      (Taq_core.Taq_disc.tracker disc);
+                  Taq_core.Taq_disc.restart disc;
+                  t.restarts <- t.restarts + 1;
+                  fired t "restart"))
       | Plan.Flood { at; dur; rate; kind } ->
           let kind =
             match Taq_workload.Flood.kind_of_string kind with
@@ -196,14 +193,12 @@ let install ?taq ~net ~prng plan =
              only packets starting afterwards see the derated rate —
              conservation-safe by construction (arrivals just queue
              behind the slower transmitter). *)
-          ignore
-            (Sim.schedule sim ~at (fun () ->
-                 t.brownouts <- t.brownouts + 1;
-                 fired t "brownout";
-                 Link.set_rate_factor link frac));
-          ignore
-            (Sim.schedule sim ~at:(at +. dur) (fun () ->
-                 Link.set_rate_factor link 1.0))
+          Sim.schedule sim ~at (fun () ->
+              t.brownouts <- t.brownouts + 1;
+              fired t "brownout";
+              Link.set_rate_factor link frac);
+          Sim.schedule sim ~at:(at +. dur) (fun () ->
+              Link.set_rate_factor link 1.0)
       | Plan.Corrupt _ | Plan.Duplicate _ | Plan.Reorder _ | Plan.Ack_delay _
       | Plan.Loss _ | Plan.Jitter _ ->
           ())

@@ -34,9 +34,9 @@ let attach t sender =
           t.observations <- t.observations + 1
         end;
         sent_this_epoch := 0;
-        ignore (Sim.schedule_after t.sim ~delay:t.epoch tick)
+        Sim.schedule_after t.sim ~delay:t.epoch tick
   in
-  ignore (Sim.schedule_after t.sim ~delay:t.epoch tick)
+  Sim.schedule_after t.sim ~delay:t.epoch tick
 
 let observations t = t.observations
 

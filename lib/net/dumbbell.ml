@@ -175,11 +175,11 @@ let return_delay t flow =
 
 let send_fwd t p =
   let d = access_delay t p.Packet.flow in
-  ignore (Sim.schedule_after_i t.sim ~delay:d t.fwd_step (pslot t p))
+  Sim.schedule_after_i t.sim ~delay:d t.fwd_step (pslot t p)
 
 let send_rev t p =
   let d = return_delay t p.Packet.flow in
-  ignore (Sim.schedule_after_i t.sim ~delay:d t.rev_step (pslot t p))
+  Sim.schedule_after_i t.sim ~delay:d t.rev_step (pslot t p)
 
 let set_fwd_interceptor t tap = t.fwd_tap <- tap
 

@@ -225,7 +225,7 @@ let start_transmission t =
         if Check.on t.check Check.Net then t.chk_tx_size <- p.Packet.size;
         t.tx_pkt <- p;
         t.tx_dt.(0) <- tx_time t p;
-        ignore (Sim.schedule_after t.sim ~delay:t.tx_dt.(0) t.tx_done));
+        Sim.schedule_after t.sim ~delay:t.tx_dt.(0) t.tx_done);
     account_dequeue_drops t
   end
 
@@ -249,7 +249,7 @@ let on_tx_done t dummy =
       ~ts_s:(Sim.now t.sim -. dt) ~dur_s:dt ();
   if Check.on t.check Check.Net then verify_conservation t ~where:"tx-complete";
   ring_push t p;
-  ignore (Sim.schedule_after t.sim ~delay:t.prop_delay t.deliver_front);
+  Sim.schedule_after t.sim ~delay:t.prop_delay t.deliver_front;
   start_transmission t
 
 let on_deliver_front t dummy =

@@ -56,9 +56,8 @@ let inject t =
   Dumbbell.register_flow t.net ~flow ~rtt_prop:0.05
     ~deliver_fwd:(fun _ -> Dumbbell.unregister_flow t.net ~flow)
     ~deliver_rev:(fun _ -> ());
-  ignore
-    (Sim.schedule_after sim ~delay:reclaim_after (fun () ->
-         Dumbbell.unregister_flow t.net ~flow));
+  Sim.schedule_after sim ~delay:reclaim_after (fun () ->
+      Dumbbell.unregister_flow t.net ~flow);
   let p =
     Packet.make
       ~alloc:(Dumbbell.packet_alloc t.net)
@@ -71,10 +70,9 @@ let inject t =
 let rec arrival t ~at =
   let sim = Dumbbell.sim t.net in
   if at < t.at +. t.duration then
-    ignore
-      (Sim.schedule sim ~at (fun () ->
-           inject t;
-           arrival t ~at:(at +. Prng.exponential t.prng ~mean:(1.0 /. t.rate))))
+    Sim.schedule sim ~at (fun () ->
+        inject t;
+        arrival t ~at:(at +. Prng.exponential t.prng ~mean:(1.0 /. t.rate)))
 
 let install ?(flow_base = 1_000_000) ?(on_send = fun () -> ()) ~net ~prng
     ~kind ~rate ~at ~duration () =

@@ -1,10 +1,10 @@
 (* The original boxed-entry event heap, retained as the
    reference implementation for the differential test battery: the
    flat struct-of-arrays [Event_heap] must reproduce this heap's pop
-   order (including the FIFO tie-break on equal times) and its
-   [size]/[max_size] trajectories under arbitrary push/pop/clear
-   interleavings, reserved sequence numbers filed late, and due-bounded
-   pops. Not used on any production path. *)
+   order (including the FIFO tie-break on equal times) and its [size]
+   trajectory under arbitrary interleavings of pushes, pops, reserved
+   sequence numbers filed late, and due-bounded pops. Not used on any
+   production path. *)
 
 type 'a entry = { time : float; seq : int; payload : 'a }
 
@@ -12,21 +12,13 @@ type 'a t = {
   mutable entries : 'a entry array;
   mutable size : int;
   mutable next_seq : int;
-  mutable max_size : int;
 }
 
-let create () = { entries = [||]; size = 0; next_seq = 0; max_size = 0 }
+let create () = { entries = [||]; size = 0; next_seq = 0 }
 
 let is_empty t = t.size = 0
 
 let size t = t.size
-
-let max_size t = t.max_size
-
-let clear t =
-  t.entries <- [||];
-  t.size <- 0;
-  t.max_size <- 0
 
 let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -50,7 +42,6 @@ let push_seq t ~seq cell payload =
   (* Sift up. *)
   let i = ref t.size in
   t.size <- t.size + 1;
-  if t.size > t.max_size then t.max_size <- t.size;
   t.entries.(!i) <- entry;
   let continue = ref true in
   while !continue && !i > 0 do

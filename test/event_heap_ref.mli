@@ -4,10 +4,10 @@
     Same contract as the flat heap (min-heap on time, FIFO tie-break by
     insertion order) with the original boxed [{ time; seq; payload }]
     representation. The test battery runs both lockstep under random
-    push/pop/clear interleavings and requires identical pop order and
-    identical [size]/[max_size] trajectories. Not used on production
-    paths — allocation behaviour is exactly what the flat heap exists
-    to avoid. *)
+    interleavings of pushes, pops, late-filed seq reservations and
+    due-bounded pops, and requires identical pop order and identical
+    [size] trajectories. Not used on production paths — allocation
+    behaviour is exactly what the flat heap exists to avoid. *)
 
 type 'a t
 
@@ -16,8 +16,6 @@ val create : unit -> 'a t
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int
-
-val max_size : 'a t -> int
 
 val push : 'a t -> time:float -> 'a -> unit
 
@@ -30,8 +28,6 @@ val push_seq : 'a t -> seq:int -> float array -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 
 val peek_time : 'a t -> float option
-
-val clear : 'a t -> unit
 
 val pop_due : 'a t -> float array -> 'a option
 (** [pop_due t clock]: when the earliest entry's time is at most

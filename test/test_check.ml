@@ -337,14 +337,13 @@ let test_link_scaling () =
     in
     let alloc = Packet.alloc () in
     for i = 1 to 30 do
-      ignore
-        (Sim.schedule sim
-           ~at:(float_of_int i *. 0.05)
-           (fun () ->
-             Link.send link
-               (Packet.make ~alloc ~flow:(i mod 3) ~kind:Packet.Data ~seq:i
-                  ~size:(k * (100 + (37 * i mod 400)))
-                  ~sent_at:0.0 ())))
+      Sim.schedule sim
+        ~at:(float_of_int i *. 0.05)
+        (fun () ->
+          Link.send link
+            (Packet.make ~alloc ~flow:(i mod 3) ~kind:Packet.Data ~seq:i
+               ~size:(k * (100 + (37 * i mod 400)))
+               ~sent_at:0.0 ()))
     done;
     Sim.run sim;
     Link.stats link

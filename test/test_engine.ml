@@ -1,21 +1,33 @@
 (* Tests for the discrete-event engine: heap ordering, FIFO tie-break,
-   scheduling, cancellation, run-until semantics — plus the
-   differential battery that locks the flat struct-of-arrays heap and
-   the pooled slot-table scheduler to their boxed reference
-   semantics. *)
+   scheduling, timers superseding their pending entries, run-until
+   semantics, NaN rejection — plus the differential battery that locks
+   the flat struct-of-arrays heap and the pooled slot-table scheduler
+   to their reference semantics. *)
 
 open Taq_engine
 
 (* --- Event_heap ------------------------------------------------------- *)
 
+(* The heap keeps only what [Sim] calls. A push under a fresh seq, an
+   unbounded pop and a peek are built from it here. *)
+let push h ~time p =
+  Event_heap.push_seq h ~seq:(Event_heap.reserve_seq h) [| time |] p
+
+let pop h =
+  let clock = [| 0.0; Float.infinity |] in
+  match Event_heap.pop_due h clock with
+  | -1 -> None
+  | p -> Some (clock.(0), p)
+
+let peek_time h =
+  if Event_heap.is_empty h then None else Some (Event_heap.top_time h)
+
 let test_heap_ordering () =
   let h = Event_heap.create () in
-  List.iteri
-    (fun i t -> Event_heap.push h ~time:t i)
-    [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
+  List.iteri (fun i t -> push h ~time:t i) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
   let order = ref [] in
   let rec drain () =
-    match Event_heap.pop h with
+    match pop h with
     | None -> ()
     | Some (t, _) ->
         order := t :: !order;
@@ -28,11 +40,11 @@ let test_heap_ordering () =
 let test_heap_fifo_ties () =
   let h = Event_heap.create () in
   for i = 0 to 9 do
-    Event_heap.push h ~time:1.0 i
+    push h ~time:1.0 i
   done;
   let order = ref [] in
   let rec drain () =
-    match Event_heap.pop h with
+    match pop h with
     | None -> ()
     | Some (_, v) ->
         order := v :: !order;
@@ -47,8 +59,7 @@ let test_heap_fifo_ties () =
 let test_heap_empty () =
   let h = Event_heap.create () in
   Alcotest.(check bool) "empty" true (Event_heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Event_heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Event_heap.peek_time h = None);
+  Alcotest.(check int) "size" 0 (Event_heap.size h);
   (match Event_heap.top_time h with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "top_time on empty should raise");
@@ -58,13 +69,13 @@ let test_heap_empty () =
 
 let test_heap_interleaved () =
   let h = Event_heap.create () in
-  Event_heap.push h ~time:2.0 1;
-  Event_heap.push h ~time:1.0 2;
-  (match Event_heap.pop h with
+  push h ~time:2.0 1;
+  push h ~time:1.0 2;
+  (match pop h with
   | Some (_, 2) -> ()
   | _ -> Alcotest.fail "expected payload 2");
-  Event_heap.push h ~time:0.5 3;
-  (match Event_heap.pop h with
+  push h ~time:0.5 3;
+  (match pop h with
   | Some (_, 3) -> ()
   | _ -> Alcotest.fail "expected payload 3");
   Alcotest.(check int) "one left" 1 (Event_heap.size h)
@@ -74,11 +85,11 @@ let test_heap_large_random () =
   let h = Event_heap.create () in
   let n = 10_000 in
   for i = 1 to n do
-    Event_heap.push h ~time:(Taq_util.Prng.float prng 1000.0) i
+    push h ~time:(Taq_util.Prng.float prng 1000.0) i
   done;
   let last = ref neg_infinity in
   let rec drain count =
-    match Event_heap.pop h with
+    match pop h with
     | None -> count
     | Some (t, _) ->
         if t < !last then Alcotest.failf "heap disorder: %g after %g" t !last;
@@ -87,87 +98,115 @@ let test_heap_large_random () =
   in
   Alcotest.(check int) "all drained" n (drain 0)
 
-let test_heap_clear_keeps_capacity () =
-  let h = Event_heap.create () in
-  for i = 1 to 100 do
-    Event_heap.push h ~time:(float_of_int i) i
-  done;
-  let cap = Event_heap.capacity h in
-  Alcotest.(check bool) "grew" true (cap >= 100);
-  Event_heap.clear h;
-  Alcotest.(check int) "empty after clear" 0 (Event_heap.size h);
-  Alcotest.(check int) "max_size reset" 0 (Event_heap.max_size h);
-  Alcotest.(check int) "capacity kept (warm heap)" cap (Event_heap.capacity h);
-  (* The cleared heap is immediately reusable without reallocating. *)
-  for i = 1 to 50 do
-    Event_heap.push h ~time:(float_of_int (51 - i)) i
-  done;
-  Alcotest.(check int) "capacity unchanged on reuse" cap
-    (Event_heap.capacity h);
-  Alcotest.(check int) "max_size tracks anew" 50 (Event_heap.max_size h);
-  match Event_heap.pop h with
-  | Some (1.0, 50) -> ()
-  | _ -> Alcotest.fail "reused heap must order correctly"
-
 (* --- Sim -------------------------------------------------------------- *)
+
+(* The batteries run [Sim] with its Engine invariants on, so a lane
+   entry that overtakes a due heap entry raises even before the logs
+   are compared. *)
+let engine_check = Taq_check.Check.create ~groups:[ Taq_check.Check.Engine ] ()
+
+let skipped obs =
+  Taq_obs.Obs.counter_value (Taq_obs.Obs.snapshot obs) "sim.events_skipped"
+
+let rejects name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.failf "%s accepted a NaN" name
 
 let test_sim_runs_in_order () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.schedule sim ~at:2.0 (fun () -> log := 2 :: !log));
-  ignore (Sim.schedule sim ~at:1.0 (fun () -> log := 1 :: !log));
-  ignore (Sim.schedule sim ~at:3.0 (fun () -> log := 3 :: !log));
+  Sim.schedule sim ~at:2.0 (fun () -> log := 2 :: !log);
+  Sim.schedule sim ~at:1.0 (fun () -> log := 1 :: !log);
+  Sim.schedule sim ~at:3.0 (fun () -> log := 3 :: !log);
   Sim.run sim;
   Alcotest.(check (list int)) "in time order" [ 1; 2; 3 ] (List.rev !log)
 
 let test_sim_clock_advances () =
   let sim = Sim.create () in
   let observed = ref nan in
-  ignore (Sim.schedule sim ~at:1.5 (fun () -> observed := Sim.now sim));
+  Sim.schedule sim ~at:1.5 (fun () -> observed := Sim.now sim);
   Sim.run sim;
   Alcotest.(check (float 1e-12)) "clock at event time" 1.5 !observed
 
 let test_sim_schedule_after () =
   let sim = Sim.create () in
   let observed = ref nan in
-  ignore
-    (Sim.schedule sim ~at:1.0 (fun () ->
-         ignore
-           (Sim.schedule_after sim ~delay:0.5 (fun () -> observed := Sim.now sim))));
+  Sim.schedule sim ~at:1.0 (fun () ->
+      Sim.schedule_after sim ~delay:0.5 (fun () -> observed := Sim.now sim));
   Sim.run sim;
   Alcotest.(check (float 1e-12)) "relative delay" 1.5 !observed
 
 let test_sim_past_rejected () =
   let sim = Sim.create () in
-  ignore (Sim.schedule sim ~at:5.0 (fun () -> ()));
+  Sim.schedule sim ~at:5.0 (fun () -> ());
   Sim.run sim;
   match Sim.schedule sim ~at:1.0 (fun () -> ()) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "scheduling in the past should raise"
+  | () -> Alcotest.fail "scheduling in the past should raise"
 
-let test_sim_cancel () =
-  let sim = Sim.create () in
-  let fired = ref false in
-  let h = Sim.schedule sim ~at:1.0 (fun () -> fired := true) in
-  Alcotest.(check bool) "pending" true (Sim.is_pending sim h);
-  Sim.cancel sim h;
-  Sim.run sim;
-  Alcotest.(check bool) "not fired" false !fired;
-  Alcotest.(check bool) "not pending" false (Sim.is_pending sim h)
+(* A timer re-armed earlier supersedes its pending entry. The entry
+   stays on the calendar: it pops at its own time, moves the clock,
+   runs nothing and is counted once as skipped. *)
+let test_sim_superseded_entry_skipped () =
+  let obs = Taq_obs.Obs.create () in
+  let sim = Sim.create ~obs () in
+  let tm = Sim.timer sim in
+  let log = ref [] in
+  let note s () = log := Printf.sprintf "%s@%g" s (Sim.now sim) :: !log in
+  Sim.arm tm ~delay:5.0 (note "old");
+  Sim.arm tm ~delay:2.0 (note "new");
+  Alcotest.(check int) "both entries filed" 2 (Sim.pending_events sim);
+  Alcotest.(check bool) "step 1" true (Sim.step sim);
+  Alcotest.(check (list string)) "new deadline ran" [ "new@2" ] !log;
+  Alcotest.(check bool) "step 2" true (Sim.step sim);
+  Alcotest.(check (float 0.0)) "superseded entry moved the clock" 5.0
+    (Sim.now sim);
+  Alcotest.(check (list string)) "and ran nothing" [ "new@2" ] !log;
+  Alcotest.(check int) "counted once as skipped" 1 (skipped obs);
+  Alcotest.(check bool) "calendar drained" false (Sim.step sim);
+  Alcotest.(check int) "still once" 1 (skipped obs)
 
-let test_sim_cancel_from_event () =
-  let sim = Sim.create () in
-  let fired = ref false in
-  let h = Sim.schedule sim ~at:2.0 (fun () -> fired := true) in
-  ignore (Sim.schedule sim ~at:1.0 (fun () -> Sim.cancel sim h));
+(* The same from inside an event: the superseded entry shares its
+   instant with a later-filed event and pops first, running nothing. *)
+let test_sim_superseded_from_event () =
+  let obs = Taq_obs.Obs.create () in
+  let sim = Sim.create ~check:engine_check ~obs () in
+  let tm = Sim.timer sim in
+  let log = ref [] in
+  let note s () = log := Printf.sprintf "%s@%g" s (Sim.now sim) :: !log in
+  Sim.arm tm ~delay:4.0 (note "T");
+  Sim.schedule sim ~at:1.0 (fun () ->
+      note "E" ();
+      Sim.arm tm ~delay:1.0 (note "T'"));
+  Sim.schedule sim ~at:4.0 (note "after");
   Sim.run sim;
-  Alcotest.(check bool) "cancelled by earlier event" false !fired
+  Alcotest.(check (list string))
+    "old action never runs" [ "E@1"; "T'@2"; "after@4" ] (List.rev !log);
+  Alcotest.(check int) "counted once as skipped" 1 (skipped obs);
+  Alcotest.(check int) "calendar drained" 0 (Sim.pending_events sim)
+
+(* A superseded entry keeps its slot until it leaves the calendar. Were
+   the slot freed at [arm], the event filed at t=1 would take it and the
+   dead entry would run that event's action at t=5. *)
+let test_sim_superseded_slot_kept () =
+  let sim = Sim.create ~check:engine_check () in
+  let tm = Sim.timer sim in
+  let log = ref [] in
+  let note s () = log := Printf.sprintf "%s@%g" s (Sim.now sim) :: !log in
+  Sim.arm tm ~delay:5.0 (note "T5");
+  Sim.arm tm ~delay:1.0 (fun () ->
+      note "T1" ();
+      Sim.schedule_after sim ~delay:6.0 (note "F"));
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "fresh event runs once, at its time" [ "T1@1"; "F@7" ] (List.rev !log)
 
 let test_sim_run_until () =
   let sim = Sim.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Sim.schedule sim ~at:(float_of_int i) (fun () -> incr count))
+    Sim.schedule sim ~at:(float_of_int i) (fun () -> incr count)
   done;
   Sim.run ~until:5.5 sim;
   Alcotest.(check int) "only events <= until" 5 !count;
@@ -178,15 +217,15 @@ let test_sim_run_until () =
 let test_sim_until_boundary_inclusive () =
   let sim = Sim.create () in
   let fired = ref false in
-  ignore (Sim.schedule sim ~at:2.0 (fun () -> fired := true));
+  Sim.schedule sim ~at:2.0 (fun () -> fired := true);
   Sim.run ~until:2.0 sim;
   Alcotest.(check bool) "event exactly at until runs" true !fired
 
 let test_sim_step () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.schedule sim ~at:1.0 (fun () -> log := 1 :: !log));
-  ignore (Sim.schedule sim ~at:2.0 (fun () -> log := 2 :: !log));
+  Sim.schedule sim ~at:1.0 (fun () -> log := 1 :: !log);
+  Sim.schedule sim ~at:2.0 (fun () -> log := 2 :: !log);
   Alcotest.(check bool) "step 1" true (Sim.step sim);
   Alcotest.(check (list int)) "only first" [ 1 ] !log;
   Alcotest.(check bool) "step 2" true (Sim.step sim);
@@ -198,9 +237,9 @@ let test_sim_cascading_events () =
   let hops = ref 0 in
   let rec hop () =
     incr hops;
-    if !hops < 100 then ignore (Sim.schedule_after sim ~delay:0.1 hop)
+    if !hops < 100 then Sim.schedule_after sim ~delay:0.1 hop
   in
-  ignore (Sim.schedule sim ~at:0.0 hop);
+  Sim.schedule sim ~at:0.0 hop;
   Sim.run sim;
   Alcotest.(check int) "all hops" 100 !hops;
   Alcotest.(check (float 1e-6)) "time accumulated" 9.9 (Sim.now sim)
@@ -210,10 +249,9 @@ let test_sim_same_time_event_scheduled_during_event () =
      in the same run (after the current one). *)
   let sim = Sim.create () in
   let log = ref [] in
-  ignore
-    (Sim.schedule sim ~at:1.0 (fun () ->
-         log := "first" :: !log;
-         ignore (Sim.schedule sim ~at:1.0 (fun () -> log := "second" :: !log))));
+  Sim.schedule sim ~at:1.0 (fun () ->
+      log := "first" :: !log;
+      Sim.schedule sim ~at:1.0 (fun () -> log := "second" :: !log));
   Sim.run sim;
   Alcotest.(check (list string)) "both ran" [ "first"; "second" ] (List.rev !log)
 
@@ -221,19 +259,22 @@ let test_sim_same_time_event_scheduled_during_event () =
    itself with [schedule_after] (one shared closure, constant delay)
    allocates nothing across scheduling, filing, popping and firing —
    and neither does re-arming a timer with a later deadline from every
-   hop, whose pending entry fires early and re-files itself. *)
+   hop, whose pending entry fires early and re-files itself, nor
+   superseding a second timer's entry with an earlier deadline every
+   other hop. *)
 let test_sim_allocation_free () =
   let sim = Sim.create () in
-  let tm = Sim.timer sim in
+  let tm = Sim.timer sim and tm2 = Sim.timer sim in
   let remaining = ref 0 in
   let rec hop () =
     decr remaining;
     Sim.arm tm ~delay:1.0 ignore;
-    if !remaining > 0 then ignore (Sim.schedule_after sim ~delay:0.25 hop)
+    Sim.arm tm2 ~delay:(if !remaining land 1 = 0 then 1.0 else 0.1) ignore;
+    if !remaining > 0 then Sim.schedule_after sim ~delay:0.25 hop
   in
   let cycle n =
     remaining := n;
-    ignore (Sim.schedule_after sim ~delay:0.25 hop);
+    Sim.schedule_after sim ~delay:0.25 hop;
     Sim.run sim
   in
   cycle 1_000;
@@ -243,111 +284,135 @@ let test_sim_allocation_free () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0)) "minor words per event" 0.0 (words /. float_of_int n)
 
-(* --- pooled slot table: stale-handle semantics ------------------------- *)
-
-let test_sim_stale_handle_inert () =
-  (* Cancel frees the slot; the next schedule recycles it under a new
-     generation. The stale handle must then be inert: is_pending false,
-     cancel a no-op that does NOT kill the slot's new occupant, and the
-     old action must never fire. *)
+(* The int-payload path delivers each argument at its time (negative
+   delays clamp to now, like [schedule_after]'s) and rejects the
+   reserved [min_int] before filing anything. *)
+let test_sim_schedule_after_i_args () =
   let sim = Sim.create () in
-  let fired_old = ref false and fired_new = ref false in
-  let h_old = Sim.schedule sim ~at:1.0 (fun () -> fired_old := true) in
-  Sim.cancel sim h_old;
-  let h_new = Sim.schedule sim ~at:2.0 (fun () -> fired_new := true) in
-  Alcotest.(check bool) "stale not pending" false (Sim.is_pending sim h_old);
-  Alcotest.(check bool) "new occupant pending" true (Sim.is_pending sim h_new);
-  Sim.cancel sim h_old;
-  (* double cancel through the stale handle *)
-  Alcotest.(check bool)
-    "stale cancel spares new occupant" true
-    (Sim.is_pending sim h_new);
+  let hits = ref [] in
+  let note i = hits := (i, Sim.now sim) :: !hits in
+  Sim.schedule_after_i sim ~delay:2.0 note 20;
+  Sim.schedule_after_i sim ~delay:1.0 note 10;
+  Sim.schedule_after_i sim ~delay:0.0 note (-5);
+  Sim.schedule_after_i sim ~delay:(-1.0) note 0;
   Sim.run sim;
-  Alcotest.(check bool) "old action never fires" false !fired_old;
-  Alcotest.(check bool) "new occupant fires" true !fired_new;
-  Alcotest.(check bool) "fired handle goes stale" false (Sim.is_pending sim h_new);
-  Alcotest.(check bool) "none never pending" false (Sim.is_pending sim Sim.none);
-  Sim.cancel sim Sim.none
+  Alcotest.(check (list (pair int (float 0.0))))
+    "args in time order"
+    [ (-5, 0.0); (0, 0.0); (10, 1.0); (20, 2.0) ]
+    (List.rev !hits);
+  Alcotest.check_raises "min_int arg rejected"
+    (Invalid_argument "Sim.schedule_after_i: reserved argument") (fun () ->
+      Sim.schedule_after_i sim ~delay:1.0 note min_int);
+  Alcotest.(check int) "nothing filed" 0 (Sim.pending_events sim)
 
-let test_sim_handle_stale_after_fire () =
-  (* A handle whose event has fired is stale even once its slot has
-     been recycled by later scheduling. *)
+(* A NaN time compares false with everything, so on the heap's root it
+   would stall [pop_due] and strand every later entry, and [run] would
+   return as if the calendar were empty. Each entry point raises
+   instead, files nothing, and the calendar still runs. *)
+let test_sim_nan_times_rejected () =
   let sim = Sim.create () in
-  let h1 = Sim.schedule sim ~at:1.0 (fun () -> ()) in
+  let ran = ref 0 in
+  Sim.schedule sim ~at:1.0 (fun () -> incr ran);
+  let tm = Sim.timer sim in
+  rejects "schedule ~at" (fun () -> Sim.schedule sim ~at:nan ignore);
+  Alcotest.check_raises "schedule_after ~delay"
+    (Invalid_argument "Sim.schedule_after: delay is nan") (fun () ->
+      Sim.schedule_after sim ~delay:nan ignore);
+  rejects "schedule_after_i ~delay" (fun () ->
+      Sim.schedule_after_i sim ~delay:nan ignore 0);
+  rejects "arm ~delay" (fun () -> Sim.arm tm ~delay:nan ignore);
+  Alcotest.(check bool) "timer not armed" false (Sim.armed tm);
+  Alcotest.(check int) "nothing filed" 1 (Sim.pending_events sim);
   Sim.run sim;
-  let recycled_fired = ref false in
-  let h2 = Sim.schedule sim ~at:2.0 (fun () -> recycled_fired := true) in
-  Alcotest.(check bool) "fired handle stale" false (Sim.is_pending sim h1);
-  Sim.cancel sim h1;
-  Alcotest.(check bool)
-    "cancel via fired handle spares recycled slot" true
-    (Sim.is_pending sim h2);
+  Alcotest.(check int) "calendar still runs" 1 !ran
+
+(* A NaN horizon ran no event and a NaN period scheduled no tick, both
+   without an error. *)
+let test_sim_nan_horizon_rejected () =
+  let sim = Sim.create () in
+  let ran = ref 0 in
+  Sim.schedule sim ~at:1.0 (fun () -> incr ran);
+  rejects "run ~until" (fun () -> Sim.run ~until:nan sim);
+  Alcotest.(check int) "nothing ran" 0 !ran;
+  rejects "every ~period" (fun () ->
+      Sim.every sim ~period:nan ~until:10.0 ignore);
+  rejects "every ~until" (fun () -> Sim.every sim ~period:1.0 ~until:nan ignore);
+  Alcotest.(check int) "nothing filed" 1 (Sim.pending_events sim);
   Sim.run sim;
-  Alcotest.(check bool) "recycled event ran" true !recycled_fired
+  Alcotest.(check int) "calendar still runs" 1 !ran;
+  Alcotest.(check (float 0.0)) "clock" 1.0 (Sim.now sim)
 
 (* --- qcheck properties ------------------------------------------------- *)
-
-let prop_cancelled_events_never_fire =
-  (* Random schedules with random cancellations: a cancelled event must
-     never run, everything else must run exactly once, in time order. *)
-  QCheck.Test.make ~name:"cancelled events never fire" ~count:200
-    QCheck.(list_of_size Gen.(int_range 0 50) (pair (float_range 0.0 100.0) bool))
-    (fun plan ->
-      let sim = Sim.create () in
-      let fired = Array.make (List.length plan) 0 in
-      let handles =
-        List.mapi
-          (fun i (at, _) ->
-            Sim.schedule sim ~at (fun () -> fired.(i) <- fired.(i) + 1))
-          plan
-      in
-      List.iteri
-        (fun i (_, cancel) -> if cancel then Sim.cancel sim (List.nth handles i))
-        plan;
-      Sim.run sim;
-      List.for_all2
-        (fun (_, cancelled) count -> count = (if cancelled then 0 else 1))
-        plan (Array.to_list fired))
 
 let prop_heap_drains_sorted =
   QCheck.Test.make ~name:"heap always drains sorted" ~count:100
     QCheck.(list_of_size Gen.(int_range 0 200) (float_range 0.0 1e6))
     (fun times ->
       let h = Event_heap.create () in
-      List.iteri (fun i t -> Event_heap.push h ~time:t i) times;
+      List.iteri (fun i t -> push h ~time:t i) times;
       let rec drain last ok =
-        match Event_heap.pop h with
-        | None -> ok
-        | Some (t, _) -> drain t (ok && t >= last)
+        match pop h with None -> ok | Some (t, _) -> drain t (ok && t >= last)
       in
       drain neg_infinity true)
 
+(* Timers armed at random times, some disarmed and some re-armed with
+   another action at a random delay (earlier, later or the same): a
+   disarmed or replaced action never runs, and every other action runs
+   exactly once, at its deadline, in (deadline, arming) order. *)
+let prop_replaced_actions_never_run =
+  QCheck.Test.make ~name:"disarmed or replaced timer actions never run"
+    ~count:200
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 50)
+        (pair (int_range 0 7) (option (option (int_range 0 7)))))
+    (fun plan ->
+      let sim = Sim.create ~check:engine_check () in
+      let ran = ref [] in
+      let note i () = ran := (Sim.now sim, i) :: !ran in
+      let expected =
+        List.concat
+          (List.mapi
+             (fun i (at, op) ->
+               let tm = Sim.timer sim in
+               Sim.arm tm ~delay:(float_of_int at) (note i);
+               match op with
+               | None -> [ (float_of_int at, i) ]
+               | Some None ->
+                   Sim.disarm tm;
+                   []
+               | Some (Some at') ->
+                   Sim.arm tm ~delay:(float_of_int at') (note (1000 + i));
+                   [ (float_of_int at', 1000 + i) ])
+             plan)
+      in
+      Sim.run sim;
+      (* Arming order is list order, replacements included: stable sort
+         by deadline alone gives the calendar's order. *)
+      List.rev !ran
+      = List.stable_sort (fun (a, _) (b, _) -> compare a b) expected
+      && Sim.pending_events sim = 0)
+
 (* Differential battery: the flat struct-of-arrays heap run lock-step
    against the retained boxed reference under random interleavings of
-   push, pop, clear, seq reservations filed late ([reserve_seq] then
-   [push_seq], oldest or newest outstanding reservation first) and
-   due-bounded pops ([pop_due]). Times and limits are drawn from a
-   small discrete grid so ties are frequent — the FIFO tie-break must
-   match exactly — and after every operation the size/max_size
-   trajectories must agree. The mix is push-heavy: pushes outweigh
-   pops and [pop_due]s 10 to 4 and one op in 17 is a clear, so about
-   three cases in five outgrow the initial capacity of 16 (the grow
-   path) and ties sift through several levels. *)
+   pushes and pops (built on the flat heap from [reserve_seq],
+   [push_seq] and [pop_due] above), seq reservations filed late
+   ([reserve_seq] then [push_seq], oldest or newest outstanding
+   reservation first) and due-bounded pops ([pop_due]). Times and
+   limits are drawn from a small discrete grid so ties are frequent —
+   the FIFO tie-break must match exactly — and after every operation
+   the sizes and head times must agree. The mix is push-heavy: pushes
+   outweigh pops and [pop_due]s 10 to 4, so most cases outgrow the
+   initial capacity of 16 (the grow path) and ties sift through several
+   levels. *)
 let prop_heap_matches_reference =
-  (* (kind, arg): 0 push at arg/2, 1 pop, 2 clear, 3 reserve a seq,
-     4 file a reserved seq at arg/2, 5 pop_due with limit arg/2 *)
+  (* (kind, arg): 0 push at arg/2, 1 pop, 2 reserve a seq, 3 file a
+     reserved seq at arg/2, 4 pop_due with limit arg/2 *)
   let op_gen =
     QCheck.Gen.(
       pair
         (frequency
-           [
-             (10, return 0);
-             (2, return 1);
-             (1, return 2);
-             (1, return 3);
-             (1, return 4);
-             (2, return 5);
-           ])
+           [ (10, return 0); (2, return 1); (1, return 2); (1, return 3); (2, return 4) ])
         (int_range 0 7))
   in
   let pp = function
@@ -370,12 +435,8 @@ let prop_heap_matches_reference =
         if Event_heap.size flat <> Event_heap_ref.size boxed then
           QCheck.Test.fail_reportf "%s: size %d <> ref %d" where
             (Event_heap.size flat) (Event_heap_ref.size boxed);
-        if Event_heap.max_size flat <> Event_heap_ref.max_size boxed then
-          QCheck.Test.fail_reportf "%s: max_size %d <> ref %d" where
-            (Event_heap.max_size flat)
-            (Event_heap_ref.max_size boxed);
-        if Event_heap.peek_time flat <> Event_heap_ref.peek_time boxed then
-          QCheck.Test.fail_reportf "%s: peek_time disagrees" where
+        if peek_time flat <> Event_heap_ref.peek_time boxed then
+          QCheck.Test.fail_reportf "%s: head time disagrees" where
       in
       List.iter
         (fun (kind, arg) ->
@@ -383,26 +444,22 @@ let prop_heap_matches_reference =
           match kind with
           | 0 ->
               incr payload;
-              Event_heap.push flat ~time !payload;
+              push flat ~time !payload;
               Event_heap_ref.push boxed ~time !payload;
               agree "push"
           | 1 ->
-              let a = Event_heap.pop flat and b = Event_heap_ref.pop boxed in
+              let a = pop flat and b = Event_heap_ref.pop boxed in
               if a <> b then
                 QCheck.Test.fail_reportf "pop disagrees: flat=%s ref=%s"
                   (pp a) (pp b);
               agree "pop"
           | 2 ->
-              Event_heap.clear flat;
-              Event_heap_ref.clear boxed;
-              agree "clear"
-          | 3 ->
               let a = Event_heap.reserve_seq flat
               and b = Event_heap_ref.reserve_seq boxed in
               if a <> b then
                 QCheck.Test.fail_reportf "reserve_seq: %d <> ref %d" a b;
               reserved := !reserved @ [ a ]
-          | 4 -> (
+          | 3 -> (
               match !reserved with
               | [] -> ()
               | oldest :: rest ->
@@ -432,24 +489,19 @@ let prop_heap_matches_reference =
       (* Drain both completely: total order including all remaining
          ties must coincide. *)
       let rec drain () =
-        let a = Event_heap.pop flat and b = Event_heap_ref.pop boxed in
+        let a = pop flat and b = Event_heap_ref.pop boxed in
         if a <> b then QCheck.Test.fail_report "drain order disagrees";
         if a <> None then drain ()
       in
       drain ();
       true)
 
-(* The batteries run [Sim] with its Engine invariants on, so a lane
-   entry that overtakes a due heap entry raises even before the logs
-   are compared. *)
-let engine_check = Taq_check.Check.create ~groups:[ Taq_check.Check.Engine ] ()
-
 (* The engine's semantics as a list model: one calendar sorted by
    (time, scheduling order), no lane, no timer primitive. A cancelled
    entry stays and is taken off in its turn, moving the clock but
-   running nothing, as [Sim]'s does. The lane and timer batteries run
-   one script against this model and against [Sim] and require the
-   same log. *)
+   running nothing, as a superseded timer entry does in [Sim]. The
+   lane and timer batteries run one script against this model and
+   against [Sim] and require the same log. *)
 module Model = struct
   type t = {
     mutable now : float;
@@ -499,10 +551,9 @@ end
 
 (* One script, two engines: an [api] is the part of the engine API a
    script uses. *)
-type ('h, 'tm) api = {
+type 'tm api = {
   now : unit -> float;
-  after : float -> (unit -> unit) -> 'h;
-  cancel : 'h -> unit;
+  after : float -> (unit -> unit) -> unit;
   run : float option -> unit;
   step : unit -> bool;
   timer : unit -> 'tm;
@@ -515,7 +566,6 @@ let sim_api sim =
   {
     now = (fun () -> Sim.now sim);
     after = (fun delay f -> Sim.schedule_after sim ~delay f);
-    cancel = Sim.cancel sim;
     run = (fun until -> Sim.run ?until sim);
     step = (fun () -> Sim.step sim);
     timer = (fun () -> Sim.timer sim);
@@ -528,8 +578,7 @@ let sim_api sim =
 let model_api m =
   {
     now = (fun () -> m.Model.now);
-    after = (fun delay f -> Model.schedule_after m ~delay f);
-    cancel = Model.cancel m;
+    after = (fun delay f -> ignore (Model.schedule_after m ~delay f));
     run = (fun until -> Model.run ?until m);
     step = (fun () -> Model.step m);
     timer = (fun () -> ref (-1));
@@ -550,17 +599,19 @@ let same_log name ~sim ~model =
       (String.concat "; " sim) (String.concat "; " model)
 
 (* Pooled scheduler and lane against the list model. Events are
-   scheduled first, then for some a canceller at a random grid time (a
-   canceller at the event's own time runs after it). Each event may
-   start a chain of zero-delay children, all lane entries in [Sim].
-   The first [run ~until] is followed by a few [step]s, which can stop
-   between a lane entry and heap entries due at the same instant, and
-   by a [run ~until] at a grid time that may lie before [now]: it must
-   run nothing and leave the clock alone. More events, chains
-   included, are then scheduled at [now] or later before the final
-   [run]. Times sit on an integer grid, so ties are the rule.
-   Afterwards every handle is stale, and stale cancels spare a fresh
-   round that recycles the slots. *)
+   scheduled at random grid times; some are timers instead, each with a
+   canceller at a random grid time (a canceller at the event's own time
+   runs after it) that disarms the timer or re-arms it at delay 0–2,
+   which supersedes the pending entry when the new deadline is earlier.
+   Each event may start a chain of zero-delay children, all lane
+   entries in [Sim]. The first [run ~until] is followed by a few
+   [step]s, which can stop between a lane entry and heap entries due at
+   the same instant, and by a [run ~until] at a grid time that may lie
+   before [now]: it must run nothing and leave the clock alone. More
+   events, chains included, are then scheduled at [now] or later before
+   the final [run]. Times sit on an integer grid, so ties are the rule.
+   Afterwards no timer is armed, the calendar is empty, and a fresh
+   round that recycles the slots runs in full. *)
 let prop_pooled_scheduler_matches_model =
   let grid = 8 in
   QCheck.Test.make ~name:"pooled scheduler == list model (metamorphic)"
@@ -570,7 +621,7 @@ let prop_pooled_scheduler_matches_model =
         (list_of_size
            Gen.(int_range 0 60)
            (triple (int_range 0 (grid - 1))
-              (option (int_range 0 (grid - 1)))
+              (option (pair (int_range 0 (grid - 1)) (option (int_range 0 2))))
               (int_range 0 2)))
         (pair (int_range 0 (grid - 1)) (int_range 0 (grid - 1)))
         (int_range 0 3)
@@ -580,19 +631,26 @@ let prop_pooled_scheduler_matches_model =
         let log = ref [] in
         let rec chain id k () =
           log := Printf.sprintf "%d@%g" id (d.now ()) :: !log;
-          if k > 0 then ignore (d.after 0.0 (chain (id + 1000) (k - 1)))
+          if k > 0 then d.after 0.0 (chain (id + 1000) (k - 1))
         in
-        let handles =
-          List.mapi
-            (fun i (at, _, k) -> d.after (float_of_int at) (chain i k))
-            plan
+        let timers =
+          List.concat
+            (List.mapi
+               (fun i (at, cancel, k) ->
+                 match cancel with
+                 | None ->
+                     d.after (float_of_int at) (chain i k);
+                     []
+                 | Some (c, rearm) ->
+                     let tm = d.timer () in
+                     d.arm tm (float_of_int at) (chain i k);
+                     d.after (float_of_int c) (fun () ->
+                         match rearm with
+                         | None -> d.disarm tm
+                         | Some r -> d.arm tm (float_of_int r) (chain (i + 2000) k));
+                     [ tm ])
+               plan)
         in
-        List.iter2
-          (fun (_, cancel_at, _) h ->
-            Option.iter
-              (fun c -> ignore (d.after (float_of_int c) (fun () -> d.cancel h)))
-              cancel_at)
-          plan handles;
         d.run (Some (float_of_int mid));
         for _ = 1 to steps do
           ignore (d.step ())
@@ -600,28 +658,24 @@ let prop_pooled_scheduler_matches_model =
         d.run (Some (float_of_int back));
         log := Printf.sprintf "now=%g" (d.now ()) :: !log;
         List.iteri
-          (fun j (delay, k) ->
-            ignore (d.after (float_of_int delay) (chain (500 + j) k)))
+          (fun j (delay, k) -> d.after (float_of_int delay) (chain (500 + j) k))
           extra;
         d.run None;
-        (List.rev !log, handles)
+        (List.rev !log, timers)
       in
       let sim = Sim.create ~check:engine_check () in
-      let got, handles = script (sim_api sim) in
+      let got, timers = script (sim_api sim) in
       let expected, _ = script (model_api (Model.create ())) in
       same_log "fired" ~sim:got ~model:expected;
       if Sim.pending_events sim <> 0 then
         QCheck.Test.fail_report "calendar not empty after run";
-      if List.exists (Sim.is_pending sim) handles then
-        QCheck.Test.fail_report "handle still pending after run";
+      if List.exists Sim.armed timers then
+        QCheck.Test.fail_report "timer still armed after run";
       let second = ref 0 in
       let n = List.length plan in
-      let fresh =
-        List.init n (fun _ -> Sim.schedule_after sim ~delay:1.0 (fun () -> incr second))
-      in
-      List.iter (Sim.cancel sim) handles;
-      if not (List.for_all (Sim.is_pending sim) fresh) then
-        QCheck.Test.fail_report "stale cancel killed a recycled slot";
+      for _ = 1 to n do
+        Sim.schedule_after sim ~delay:1.0 (fun () -> incr second)
+      done;
       Sim.run sim;
       !second = n)
 
@@ -660,12 +714,11 @@ let prop_timer_matches_cancel_reschedule =
         in
         List.iteri
           (fun i (at, j, op) ->
-            ignore
-              (d.after (float_of_int at) (fun () ->
-                   note "P%d@%g armed=%b" i (d.now ()) (d.armed tms.(j));
-                   match op with
-                   | Some delay -> d.arm tms.(j) (float_of_int delay) (action j)
-                   | None -> d.disarm tms.(j))))
+            d.after (float_of_int at) (fun () ->
+                note "P%d@%g armed=%b" i (d.now ()) (d.armed tms.(j));
+                match op with
+                | Some delay -> d.arm tms.(j) (float_of_int delay) (action j)
+                | None -> d.disarm tms.(j)))
           pokes;
         d.run (Some (float_of_int mid));
         note "mid armed=%s"
@@ -680,13 +733,61 @@ let prop_timer_matches_cancel_reschedule =
         ~model:(script (model_api (Model.create ())));
       true)
 
-(* The int-payload fast path ([schedule_i]) must be indistinguishable
-   from [schedule] with a capturing closure: same firing order against
-   a mixed plan, correct argument delivery, cancellable, and stale
-   after firing. *)
-let prop_schedule_i_matches_schedule =
+(* A storm of re-arms mixed with fresh [schedule_after] events, issued
+   from pokes at grid times and from inside the timers' own actions,
+   each of which files a fresh event and re-arms itself nearer. Many
+   re-arms supersede a pending entry, and the fresh events filed before
+   that entry's time reuse freed slots: every fresh event must run
+   exactly once, at its time, in (time, filing) order. *)
+let prop_rearm_storm =
+  let grid = 8 and timers = 3 in
+  QCheck.Test.make ~name:"re-arm storm: fresh events run once, in order"
+    ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 80)
+        (triple (int_range 0 (grid - 1)) (int_range 0 timers) (int_range 0 4)))
+    (fun ops ->
+      let sim = Sim.create ~check:engine_check () in
+      let tms = Array.init timers (fun _ -> Sim.timer sim) in
+      let filed = ref [] and ran = ref [] and next_id = ref 0 in
+      let fresh delay =
+        let id = !next_id and at = Sim.now sim +. float_of_int delay in
+        incr next_id;
+        filed := (at, id) :: !filed;
+        Sim.schedule_after sim ~delay:(float_of_int delay) (fun () ->
+            ran := (Sim.now sim, id) :: !ran)
+      in
+      let rec action j delay () =
+        fresh delay;
+        if delay > 0 then
+          Sim.arm tms.(j) ~delay:(float_of_int (delay - 1)) (action j (delay - 1))
+      in
+      List.iter
+        (fun (at, j, delay) ->
+          Sim.schedule sim ~at:(float_of_int at) (fun () ->
+              if j = timers then fresh delay
+              else Sim.arm tms.(j) ~delay:(float_of_int delay) (action j delay)))
+        ops;
+      Sim.run sim;
+      let expected =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !filed)
+      in
+      if List.rev !ran <> expected then
+        QCheck.Test.fail_reportf "fresh events ran [%s], filed [%s]"
+          (String.concat "; "
+             (List.map (fun (t, i) -> Printf.sprintf "%d@%g" i t) (List.rev !ran)))
+          (String.concat "; "
+             (List.map (fun (t, i) -> Printf.sprintf "%d@%g" i t) expected));
+      Sim.pending_events sim = 0)
+
+(* The int-payload path ([schedule_after_i]) must be indistinguishable
+   from [schedule_after] with a capturing closure: same firing order
+   against a mixed plan, and correct argument delivery. *)
+let prop_schedule_after_i_matches_schedule_after =
   let grid = 8 in
-  QCheck.Test.make ~name:"schedule_i == schedule (mixed plan)" ~count:300
+  QCheck.Test.make ~name:"schedule_after_i == schedule_after (mixed plan)"
+    ~count:300
     QCheck.(
       list_of_size
         Gen.(int_range 0 60)
@@ -695,18 +796,12 @@ let prop_schedule_i_matches_schedule =
       let sim = Sim.create () in
       let fired = ref [] in
       let note i = fired := i :: !fired in
-      let handles =
-        List.mapi
-          (fun i (at, use_int) ->
-            if use_int then Sim.schedule_i sim ~at:(float_of_int at) note i
-            else Sim.schedule sim ~at:(float_of_int at) (fun () -> note i))
-          plan
-      in
-      List.iter
-        (fun h ->
-          if not (Sim.is_pending sim h) then
-            QCheck.Test.fail_report "freshly scheduled handle not pending")
-        handles;
+      List.iteri
+        (fun i (delay, use_int) ->
+          let delay = float_of_int delay in
+          if use_int then Sim.schedule_after_i sim ~delay note i
+          else Sim.schedule_after sim ~delay (fun () -> note i))
+        plan;
       Sim.run sim;
       let expected =
         List.mapi (fun i (at, _) -> (i, at)) plan
@@ -718,27 +813,7 @@ let prop_schedule_i_matches_schedule =
         QCheck.Test.fail_reportf "fired [%s] <> model [%s]"
           (String.concat ";" (List.map string_of_int got))
           (String.concat ";" (List.map string_of_int expected));
-      if List.exists (Sim.is_pending sim) handles then
-        QCheck.Test.fail_report "handle still pending after firing";
       true)
-
-let test_sim_schedule_i_cancel () =
-  let sim = Sim.create () in
-  let hits = ref [] in
-  let note i = hits := i :: !hits in
-  let h1 = Sim.schedule_i sim ~at:1.0 note 10 in
-  let _h2 = Sim.schedule_i sim ~at:2.0 note 20 in
-  let h3 = Sim.schedule_after_i sim ~delay:3.0 note 30 in
-  Sim.cancel sim h1;
-  Alcotest.(check bool) "cancelled not pending" false (Sim.is_pending sim h1);
-  Alcotest.(check bool) "others pending" true (Sim.is_pending sim h3);
-  Sim.run sim;
-  Alcotest.(check (list int)) "only uncancelled fire, with their args"
-    [ 20; 30 ] (List.rev !hits);
-  (* min_int is the free-slot sentinel and must be rejected up front. *)
-  Alcotest.check_raises "min_int arg rejected"
-    (Invalid_argument "Sim.schedule_i: reserved argument")
-    (fun () -> ignore (Sim.schedule_i sim ~at:9.0 note min_int))
 
 let () =
   Alcotest.run "taq_engine"
@@ -750,8 +825,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
           Alcotest.test_case "large random" `Quick test_heap_large_random;
-          Alcotest.test_case "clear keeps capacity" `Quick
-            test_heap_clear_keeps_capacity;
         ] );
       ( "sim",
         [
@@ -759,8 +832,10 @@ let () =
           Alcotest.test_case "clock advances" `Quick test_sim_clock_advances;
           Alcotest.test_case "schedule after" `Quick test_sim_schedule_after;
           Alcotest.test_case "past rejected" `Quick test_sim_past_rejected;
-          Alcotest.test_case "cancel" `Quick test_sim_cancel;
-          Alcotest.test_case "cancel from event" `Quick test_sim_cancel_from_event;
+          Alcotest.test_case "superseded entry skipped" `Quick
+            test_sim_superseded_entry_skipped;
+          Alcotest.test_case "superseded from event" `Quick
+            test_sim_superseded_from_event;
           Alcotest.test_case "run until" `Quick test_sim_run_until;
           Alcotest.test_case "until inclusive" `Quick test_sim_until_boundary_inclusive;
           Alcotest.test_case "step" `Quick test_sim_step;
@@ -768,21 +843,24 @@ let () =
           Alcotest.test_case "same-time from event" `Quick
             test_sim_same_time_event_scheduled_during_event;
           Alcotest.test_case "allocation-free" `Quick test_sim_allocation_free;
-          Alcotest.test_case "stale handle inert" `Quick
-            test_sim_stale_handle_inert;
-          Alcotest.test_case "stale after fire" `Quick
-            test_sim_handle_stale_after_fire;
-          Alcotest.test_case "schedule_i cancel + args" `Quick
-            test_sim_schedule_i_cancel;
+          Alcotest.test_case "superseded slot kept" `Quick
+            test_sim_superseded_slot_kept;
+          Alcotest.test_case "schedule_after_i args" `Quick
+            test_sim_schedule_after_i_args;
+          Alcotest.test_case "nan times rejected" `Quick
+            test_sim_nan_times_rejected;
+          Alcotest.test_case "nan horizon rejected" `Quick
+            test_sim_nan_horizon_rejected;
         ] );
       ( "properties",
         List.map (QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_engine"))
           [
             prop_heap_drains_sorted;
-            prop_cancelled_events_never_fire;
+            prop_replaced_actions_never_run;
             prop_heap_matches_reference;
             prop_pooled_scheduler_matches_model;
             prop_timer_matches_cancel_reschedule;
-            prop_schedule_i_matches_schedule;
+            prop_schedule_after_i_matches_schedule_after;
+            prop_rearm_storm;
           ] );
     ]

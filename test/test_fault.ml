@@ -249,9 +249,8 @@ let test_link_flap_pauses_transmitter () =
   Alcotest.(check int) "packets queued, not dropped" 2
     (Taq_net.Link.queue_length link);
   (* Bring the link back at t=5 and drain. *)
-  ignore
-    (Taq_engine.Sim.schedule sim ~at:5.0 (fun () ->
-         Taq_net.Link.set_up link true));
+  Taq_engine.Sim.schedule sim ~at:5.0 (fun () ->
+      Taq_net.Link.set_up link true);
   Taq_engine.Sim.run ~until:10.0 sim;
   Alcotest.(check int) "both delivered after recovery" 2
     (List.length !delivered);

@@ -356,13 +356,12 @@ let test_loss_monitor_rates () =
       ()
   in
   let lm = Loss_monitor.attach link in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         (* First starts transmitting, second queues, next two drop. *)
-         for seq = 1 to 4 do
-           Taq_net.Link.send link
-             (Packet.make ~alloc ~flow:1 ~kind:Packet.Data ~seq ~size:100 ~sent_at:0.0 ())
-         done));
+  Sim.schedule sim ~at:0.0 (fun () ->
+      (* First starts transmitting, second queues, next two drop. *)
+      for seq = 1 to 4 do
+        Taq_net.Link.send link
+          (Packet.make ~alloc ~flow:1 ~kind:Packet.Data ~seq ~size:100 ~sent_at:0.0 ())
+      done);
   Sim.run ~until:0.1 sim;
   (* Packet 1 is accepted and immediately begins transmission, packet 2
      fills the 1-slot queue, packets 3 and 4 drop. *)
@@ -378,10 +377,9 @@ let test_loss_monitor_ignores_control () =
       ()
   in
   let lm = Loss_monitor.attach link in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         Taq_net.Link.send link
-           (Packet.make ~alloc ~flow:1 ~kind:Packet.Syn ~seq:0 ~size:40 ~sent_at:0.0 ())));
+  Sim.schedule sim ~at:0.0 (fun () ->
+      Taq_net.Link.send link
+        (Packet.make ~alloc ~flow:1 ~kind:Packet.Syn ~seq:0 ~size:40 ~sent_at:0.0 ()));
   Sim.run ~until:0.1 sim;
   Alcotest.(check int) "syn drop not counted" 0 (Loss_monitor.drops lm)
 
@@ -403,15 +401,14 @@ let packet_log_fixture () =
 
 let test_packet_log_records_lifecycle () =
   let sim, link, log = packet_log_fixture () in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         (* #1 starts transmitting immediately, #2/#3 fill the 2-slot
-            queue, #4 drops. *)
-         for seq = 1 to 4 do
-           Taq_net.Link.send link
-             (Packet.make ~alloc ~flow:1 ~kind:Packet.Data ~seq ~size:500
-                ~sent_at:0.0 ())
-         done));
+  Sim.schedule sim ~at:0.0 (fun () ->
+      (* #1 starts transmitting immediately, #2/#3 fill the 2-slot
+         queue, #4 drops. *)
+      for seq = 1 to 4 do
+        Taq_net.Link.send link
+          (Packet.make ~alloc ~flow:1 ~kind:Packet.Data ~seq ~size:500
+             ~sent_at:0.0 ())
+      done);
   Sim.run sim;
   let evs = Packet_log.events log in
   let kinds k = List.length (List.filter (fun e -> e.Packet_log.kind = k) evs) in
@@ -433,11 +430,10 @@ let test_packet_log_silence_gaps () =
   (* Two deliveries 10 s apart. *)
   List.iter
     (fun at ->
-      ignore
-        (Sim.schedule sim ~at (fun () ->
-             Taq_net.Link.send link
-               (Packet.make ~alloc ~flow:7 ~kind:Packet.Data ~seq:1 ~size:500
-                  ~sent_at:at ()))))
+      Sim.schedule sim ~at (fun () ->
+          Taq_net.Link.send link
+            (Packet.make ~alloc ~flow:7 ~kind:Packet.Data ~seq:1 ~size:500
+               ~sent_at:at ())))
     [ 0.0; 10.0 ];
   Sim.run sim;
   (match Packet_log.silence_gaps log ~flow:7 ~min_gap:5.0 with
@@ -453,11 +449,10 @@ let test_packet_log_shut_down_fraction () =
   (* Flow 1 active in both 10 s windows, flow 2 only in the first. *)
   List.iter
     (fun (at, flow) ->
-      ignore
-        (Sim.schedule sim ~at (fun () ->
-             Taq_net.Link.send link
-               (Packet.make ~alloc ~flow ~kind:Packet.Data ~seq:1 ~size:500
-                  ~sent_at:at ()))))
+      Sim.schedule sim ~at (fun () ->
+          Taq_net.Link.send link
+            (Packet.make ~alloc ~flow ~kind:Packet.Data ~seq:1 ~size:500
+               ~sent_at:at ())))
     [ (1.0, 1); (1.5, 2); (11.0, 1) ];
   Sim.run sim;
   let frac = Packet_log.shut_down_fraction log ~slice:10.0 ~until:15.0 in
@@ -475,22 +470,20 @@ let test_packet_log_capacity_bound () =
       ()
   in
   let log = Packet_log.attach ~capacity:10 ~now:(fun () -> Sim.now sim) link in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         for seq = 1 to 50 do
-           Taq_net.Link.send link
-             (Packet.make ~alloc ~flow:1 ~kind:Packet.Data ~seq ~size:100 ~sent_at:0.0 ())
-         done));
+  Sim.schedule sim ~at:0.0 (fun () ->
+      for seq = 1 to 50 do
+        Taq_net.Link.send link
+          (Packet.make ~alloc ~flow:1 ~kind:Packet.Data ~seq ~size:100 ~sent_at:0.0 ())
+      done);
   Sim.run sim;
   Alcotest.(check int) "bounded" 10 (Packet_log.count log);
   Alcotest.(check bool) "discards counted" true (Packet_log.dropped_events log > 0)
 
 let test_packet_log_csv () =
   let sim, link, log = packet_log_fixture () in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         Taq_net.Link.send link
-           (Packet.make ~alloc ~flow:1 ~kind:Packet.Data ~seq:1 ~size:500 ~sent_at:0.0 ())));
+  Sim.schedule sim ~at:0.0 (fun () ->
+      Taq_net.Link.send link
+        (Packet.make ~alloc ~flow:1 ~kind:Packet.Data ~seq:1 ~size:500 ~sent_at:0.0 ()));
   Sim.run sim;
   let path = Filename.temp_file "taq_pktlog" ".csv" in
   Fun.protect

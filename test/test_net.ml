@@ -65,7 +65,7 @@ let test_link_transmission_time () =
       ~deliver:(fun _ -> arrival := Sim.now sim)
       ()
   in
-  ignore (Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size:1000 ())));
+  Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size:1000 ()));
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "tx + prop" 1.5 !arrival
 
@@ -80,10 +80,9 @@ let test_link_serializes () =
       ~deliver:(fun _ -> arrivals := Sim.now sim :: !arrivals)
       ()
   in
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         Link.send link (mk_pkt ~size:1000 ());
-         Link.send link (mk_pkt ~size:1000 ())));
+  Sim.schedule sim ~at:0.0 (fun () ->
+      Link.send link (mk_pkt ~size:1000 ());
+      Link.send link (mk_pkt ~size:1000 ()));
   Sim.run sim;
   Alcotest.(check (list (float 1e-9))) "serialized" [ 1.0; 2.0 ] (List.rev !arrivals)
 
@@ -95,14 +94,13 @@ let test_link_counts_drops () =
   in
   let drop_seen = ref 0 in
   Link.on_drop link (fun _ -> incr drop_seen);
-  ignore
-    (Sim.schedule sim ~at:0.0 (fun () ->
-         (* First starts transmitting immediately (leaves queue), the
-            next fills the 1-slot queue, the third drops. *)
-         Link.send link (mk_pkt ());
-         Link.send link (mk_pkt ());
-         Link.send link (mk_pkt ());
-         Link.send link (mk_pkt ())));
+  Sim.schedule sim ~at:0.0 (fun () ->
+      (* First starts transmitting immediately (leaves queue), the
+         next fills the 1-slot queue, the third drops. *)
+      Link.send link (mk_pkt ());
+      Link.send link (mk_pkt ());
+      Link.send link (mk_pkt ());
+      Link.send link (mk_pkt ()));
   Sim.run sim;
   let s = Link.stats link in
   Alcotest.(check int) "offered" 4 s.Link.offered;
@@ -118,9 +116,9 @@ let test_link_utilization () =
       ~deliver:(fun _ -> ())
       ()
   in
-  ignore (Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size:1000 ())));
+  Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size:1000 ()));
   (* 1 s busy; run until t=2 so utilization = 0.5. *)
-  ignore (Sim.schedule sim ~at:2.0 (fun () -> ()));
+  Sim.schedule sim ~at:2.0 (fun () -> ());
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "utilization" 0.5 (Link.utilization link)
 
@@ -135,8 +133,8 @@ let test_link_work_conserving () =
       ~deliver:(fun _ -> arrivals := Sim.now sim :: !arrivals)
       ()
   in
-  ignore (Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size:1000 ())));
-  ignore (Sim.schedule sim ~at:5.0 (fun () -> Link.send link (mk_pkt ~size:1000 ())));
+  Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size:1000 ()));
+  Sim.schedule sim ~at:5.0 (fun () -> Link.send link (mk_pkt ~size:1000 ()));
   Sim.run sim;
   Alcotest.(check (list (float 1e-9))) "second not delayed" [ 1.0; 6.0 ]
     (List.rev !arrivals)
@@ -153,7 +151,7 @@ let test_dumbbell_roundtrip () =
       fwd_time := Sim.now sim;
       Dumbbell.send_rev net (mk_pkt ~kind:Packet.Ack ()))
     ~deliver_rev:(fun _ -> rev_time := Sim.now sim);
-  ignore (Sim.schedule sim ~at:0.0 (fun () -> Dumbbell.send_fwd net (mk_pkt ())));
+  Sim.schedule sim ~at:0.0 (fun () -> Dumbbell.send_fwd net (mk_pkt ()));
   Sim.run sim;
   (* At ~infinite capacity transmission is negligible: RTT ~= rtt_prop. *)
   Alcotest.(check bool) "rtt close to prop" true
@@ -166,9 +164,8 @@ let test_dumbbell_unknown_flow_evaporates () =
   Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.1
     ~deliver_fwd:(fun _ -> ())
     ~deliver_rev:(fun _ -> ());
-  ignore (Sim.schedule sim ~at:0.0 (fun () -> Dumbbell.send_fwd net (mk_pkt ())));
-  ignore
-    (Sim.schedule sim ~at:0.001 (fun () -> Dumbbell.unregister_flow net ~flow:1));
+  Sim.schedule sim ~at:0.0 (fun () -> Dumbbell.send_fwd net (mk_pkt ()));
+  Sim.schedule sim ~at:0.001 (fun () -> Dumbbell.unregister_flow net ~flow:1);
   (* The packet is in flight when the flow disappears; it must not
      crash the run. *)
   Sim.run sim;
@@ -237,8 +234,7 @@ let prop_serialization_monotone_in_size =
             ~deliver:(fun _ -> at := Sim.now sim)
             ()
         in
-        ignore
-          (Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size ())));
+        Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size ()));
         Sim.run sim;
         !at
       in
@@ -273,14 +269,13 @@ let prop_dumbbell_delivers_each_once =
       let sent = ref 0 in
       List.iteri
         (fun i flow ->
-          ignore
-            (Sim.schedule sim
-               ~at:(0.001 *. float_of_int i)
-               (fun () ->
-                 incr sent;
-                 Dumbbell.send_fwd net
-                   (Packet.make ~alloc ~flow ~kind:Packet.Data ~seq:i ~size:500
-                      ~sent_at:0.0 ()))))
+          Sim.schedule sim
+            ~at:(0.001 *. float_of_int i)
+            (fun () ->
+              incr sent;
+              Dumbbell.send_fwd net
+                (Packet.make ~alloc ~flow ~kind:Packet.Data ~seq:i ~size:500
+                   ~sent_at:0.0 ())))
         flows;
       Sim.run sim;
       (* Queue is big enough that nothing drops: all arrive, each once. *)

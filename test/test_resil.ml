@@ -290,7 +290,7 @@ let test_run_spec_write_once () =
   for i = 0 to 19 do
     ignore ((Taq_core.Taq_disc.disc taq).Taq_net.Disc.enqueue (packet i));
     ignore (Taq_core.Flow_tracker.observe_data tracker (packet i));
-    ignore (Sim.schedule sim ~at:(float_of_int i) ignore)
+    Sim.schedule sim ~at:(float_of_int i) ignore
   done;
   Sim.run ~until:30.0 sim;
   Alcotest.(check bool)

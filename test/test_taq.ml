@@ -1377,13 +1377,12 @@ let test_disc_degraded_bypass () =
      drained so drops never muddy the picture. *)
   let flow = ref 100 in
   for i = 0 to 399 do
-    ignore
-      (Sim.schedule sim
-         ~at:(0.005 *. float_of_int i)
-         (fun () ->
-           incr flow;
-           ignore (d.Disc.enqueue (mk_data ~flow:!flow ~seq:0 ()));
-           ignore (d.Disc.dequeue ())))
+    Sim.schedule sim
+      ~at:(0.005 *. float_of_int i)
+      (fun () ->
+        incr flow;
+        ignore (d.Disc.enqueue (mk_data ~flow:!flow ~seq:0 ()));
+        ignore (d.Disc.dequeue ()))
   done;
   Sim.run ~until:3.0 sim;
   (match Taq_disc.guard t with
