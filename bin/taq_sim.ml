@@ -136,6 +136,20 @@ let finite =
         | Error _ as e -> e),
       Arg.conv_printer Arg.float )
 
+(* Every float flag but [model -p] is a capacity, fair share, RTT,
+   duration, buffer size, step or deadline, and parses through
+   [positive]. Zero or a negative value would run nothing, run one flow
+   per point or have [Sim] clamp every delay to 0, and still exit 0, or
+   raise from inside the library (exit 125). *)
+let positive =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser finite s with
+        | Ok x when x > 0.0 -> Ok x
+        | Ok _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+        | Error _ as e -> e),
+      Arg.conv_printer Arg.float )
+
 (* --- disciplines -------------------------------------------------------- *)
 
 (* Parses to the canonical name: keys and reports never see aliases. *)
@@ -177,7 +191,7 @@ let bg_flows_arg =
 
 let fluid_dt_arg =
   Arg.(
-    value & opt finite 0.05
+    value & opt positive 0.05
     & info [ "fluid-dt" ] ~docv:"S"
         ~doc:"Hybrid backend only: fluid integration step, seconds.")
 
@@ -237,21 +251,21 @@ let sim_cmd =
   in
   let capacity =
     Arg.(
-      value & opt finite 600e3
+      value & opt positive 600e3
       & info [ "c"; "capacity" ] ~docv:"BPS" ~doc:"Bottleneck capacity, bits/s.")
   in
   let flows =
     Arg.(value & opt int 60 & info [ "n"; "flows" ] ~docv:"N" ~doc:"Long-lived flows.")
   in
   let rtt =
-    Arg.(value & opt finite 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
+    Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
   in
   let duration =
-    Arg.(value & opt finite 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
+    Arg.(value & opt positive 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
   in
   let buffer_rtts =
     Arg.(
-      value & opt finite 1.0
+      value & opt positive 1.0
       & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
@@ -473,13 +487,13 @@ let sweep_cmd =
   let capacities =
     Arg.(
       value
-      & opt (list finite) [ 600e3 ]
+      & opt (list positive) [ 600e3 ]
       & info [ "capacities" ] ~docv:"BPS,.." ~doc:"Bottleneck capacities, bits/s.")
   in
   let fair_shares =
     Arg.(
       value
-      & opt (list finite) [ 4e3; 10e3; 20e3; 40e3 ]
+      & opt (list positive) [ 4e3; 10e3; 20e3; 40e3 ]
       & info [ "fair-shares" ] ~docv:"BPS,.." ~doc:"Per-flow fair shares, bits/s.")
   in
   let reps =
@@ -489,14 +503,14 @@ let sweep_cmd =
           ~doc:"Replicas per point (each derives its own seed from the task key).")
   in
   let rtt =
-    Arg.(value & opt finite 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
+    Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
   in
   let duration =
-    Arg.(value & opt finite 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
+    Arg.(value & opt positive 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
   in
   let buffer_rtts =
     Arg.(
-      value & opt finite 1.0
+      value & opt positive 1.0
       & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
   in
   let jobs =
@@ -531,7 +545,7 @@ let sweep_cmd =
   let timeout_s =
     Arg.(
       value
-      & opt (some finite) None
+      & opt (some positive) None
       & info [ "timeout-s" ] ~docv:"S"
           ~doc:
             "Per-task deadline in seconds. A point that exceeds it is \
@@ -1106,12 +1120,12 @@ let replay_cmd =
   in
   let capacity =
     Arg.(
-      value & opt finite 2000e3
+      value & opt positive 2000e3
       & info [ "c"; "capacity" ] ~docv:"BPS" ~doc:"Access-link capacity, bits/s.")
   in
   let duration =
     Arg.(
-      value & opt finite 1800.0
+      value & opt positive 1800.0
       & info [ "d"; "duration" ] ~docv:"S" ~doc:"Replay window (trace clipped).")
   in
   let run trace_path queue capacity duration =
@@ -1154,7 +1168,7 @@ let trace_cmd =
   in
   let duration =
     Arg.(
-      value & opt finite 7200.0
+      value & opt positive 7200.0
       & info [ "duration" ] ~docv:"S" ~doc:"Trace window in seconds.")
   in
   let seed = Arg.(value & opt int 101 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
@@ -1199,7 +1213,7 @@ let mega_cmd =
   in
   let capacity =
     Arg.(
-      value & opt finite 2.4e9
+      value & opt positive 2.4e9
       & info [ "c"; "capacity" ] ~docv:"BPS"
           ~doc:"Aggregate bottleneck capacity, split across shards.")
   in
@@ -1210,16 +1224,16 @@ let mega_cmd =
           ~doc:"Packet-level foreground flows per shard.")
   in
   let rtt =
-    Arg.(value & opt finite 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Base RTT.")
+    Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Base RTT.")
   in
   let duration =
     Arg.(
-      value & opt finite 5.0
+      value & opt positive 5.0
       & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
   in
   let fluid_dt =
     Arg.(
-      value & opt finite 0.05
+      value & opt positive 0.05
       & info [ "fluid-dt" ] ~docv:"S" ~doc:"Fluid integration step, seconds.")
   in
   let seed =

@@ -27,17 +27,10 @@ module Obs = Taq_obs.Obs
 
 let null_action () = ()
 
-let null_iaction (_ : int) = ()
-
 (* The action of an entry a timer has superseded. Never run: [dispatch]
    compares against it. Its body differs from [null_action]'s so the
    two can never be one closure. *)
 let cancelled () = assert false
-
-(* [iargs] sentinel marking a slot whose action is the plain
-   [unit -> unit] form. Callers of the int-payload API may not pass it
-   as an argument (checked at schedule time). *)
-let no_iarg = min_int
 
 type t = {
   clock : float array;
@@ -51,15 +44,9 @@ type t = {
   mutable lane : int array;  (* ring of slots due now; power-of-two size *)
   mutable lane_head : int;
   mutable lane_len : int;
-  (* Event-slot table: parallel arrays indexed by slot, plus a stack of
-     free slots. *)
+  (* Event-slot table: each slot's action, plus a stack of free
+     slots. *)
   mutable actions : (unit -> unit) array;
-  (* Int-payload twin of [actions]: a slot scheduled via the [_i] API
-     stores a shared [int -> unit] closure here plus its argument in
-     [iargs], so per-event callers need not allocate a fresh closure to
-     capture one int of context. *)
-  mutable iactions : (int -> unit) array;
-  mutable iargs : int array;
   mutable free : int array;
   mutable free_top : int;
   check : Check.t;
@@ -81,8 +68,6 @@ let create ?check ?obs () =
     lane_head = 0;
     lane_len = 0;
     actions = [||];
-    iactions = [||];
-    iargs = [||];
     free = [||];
     free_top = 0;
     check;
@@ -104,31 +89,16 @@ let grow_slots t =
   let ncap = Stdlib.max 64 (cap * 2) in
   let actions = Array.make ncap null_action in
   Array.blit t.actions 0 actions 0 cap;
-  let iactions = Array.make ncap null_iaction in
-  Array.blit t.iactions 0 iactions 0 cap;
-  let iargs = Array.make ncap no_iarg in
-  Array.blit t.iargs 0 iargs 0 cap;
   t.actions <- actions;
-  t.iactions <- iactions;
-  t.iargs <- iargs;
   t.free <- Array.init ncap (fun i -> ncap - 1 - i);
   t.free_top <- ncap - cap
 
-let next_slot t =
+let alloc_slot t f =
   if t.free_top = 0 then grow_slots t;
   let top = t.free_top - 1 in
   t.free_top <- top;
-  t.free.(top)
-
-let alloc_slot t f =
-  let slot = next_slot t in
+  let slot = t.free.(top) in
   t.actions.(slot) <- f;
-  slot
-
-let alloc_slot_i t f arg =
-  let slot = next_slot t in
-  t.iactions.(slot) <- f;
-  t.iargs.(slot) <- arg;
   slot
 
 let free_slot t slot =
@@ -196,17 +166,6 @@ let schedule_after t ~delay f =
   let delay = if delay >= 0.0 then delay else clamp "schedule_after" delay in
   t.at.(0) <- t.clock.(0) +. delay;
   file t (alloc_slot t f)
-
-(* Int-payload scheduling: same bookkeeping (and the same observability
-   counters) as [schedule_after], but the action is a shared
-   [int -> unit] closure plus an int argument stored in the slot —
-   per-packet callers avoid allocating a capturing closure per
-   event. *)
-let schedule_after_i t ~delay f arg =
-  if arg = no_iarg then invalid_arg "Sim.schedule_after_i: reserved argument";
-  let delay = if delay >= 0.0 then delay else clamp "schedule_after_i" delay in
-  t.at.(0) <- t.clock.(0) +. delay;
-  file t (alloc_slot_i t f arg)
 
 let every t ~period ~until f =
   if not (period > 0.0) then invalid_arg "Sim.every: period must be positive";
@@ -328,30 +287,16 @@ let check_lane t =
   end
 
 (* Free the slot before running its action: the action may itself
-   schedule and take the slot straight back (a timer re-arm does).
-   Clear only the side this occupancy used: the other one was nulled
-   when its own occupancy ended, and each pointer store costs a GC
-   write barrier. *)
+   schedule and take the slot straight back (a timer re-arm does). *)
 let dispatch t slot =
-  let arg = t.iargs.(slot) in
-  if arg = no_iarg then begin
-    let action = t.actions.(slot) in
-    t.actions.(slot) <- null_action;
-    free_slot t slot;
-    if action != cancelled then begin
-      if t.counting then Obs.incr t.obs Obs.Events_executed;
-      action ()
-    end
-    else if t.counting then Obs.incr t.obs Obs.Events_skipped
-  end
-  else begin
-    let action = t.iactions.(slot) in
-    t.iactions.(slot) <- null_iaction;
-    t.iargs.(slot) <- no_iarg;
-    free_slot t slot;
+  let action = t.actions.(slot) in
+  t.actions.(slot) <- null_action;
+  free_slot t slot;
+  if action != cancelled then begin
     if t.counting then Obs.incr t.obs Obs.Events_executed;
-    action arg
+    action ()
   end
+  else if t.counting then Obs.incr t.obs Obs.Events_skipped
 
 (* Run the next entry due at or before [clock.(2)]; [false] if none.
    With the lane non-empty only heap entries due now may go first, and

@@ -50,13 +50,6 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> unit
     Negative delays are clamped to 0; a NaN delay raises
     [Invalid_argument]. *)
 
-val schedule_after_i : t -> delay:float -> (int -> unit) -> int -> unit
-(** [schedule_after_i t ~delay f arg] is
-    [schedule_after t ~delay (fun () -> f arg)], but the argument is
-    stored in the event slot, so a caller that reuses one shared
-    closure schedules without allocating. [min_int] is reserved as the
-    argument (raises [Invalid_argument]). *)
-
 val every : t -> period:float -> until:float -> (unit -> unit) -> unit
 (** [every t ~period ~until f] runs [f] at [now + period],
     [now + 2·period], … for every tick at or before [until] — the

@@ -1,0 +1,25 @@
+(** A FIFO stage in which every packet waits the same fixed delay.
+
+    The bottleneck link's propagation is one line, and each dumbbell
+    flow has two: its access leg, from the sender to the bottleneck
+    queue, and its return leg. One delay per line is what makes the
+    line a FIFO: due times never decrease in send order, and the
+    calendar breaks time ties in scheduling order, so packets leave in
+    the order they were sent, each exactly [delay] after its {!send}.
+    That lets a line keep its packets in a ring and file every
+    calendar entry with one shared action: sending allocates nothing
+    in steady state, and the delay is never boxed per packet. *)
+
+type t
+
+val create : Taq_engine.Sim.t -> delay:float -> (Packet.t -> unit) -> t
+(** [create sim ~delay deliver] is an empty line on [sim]. Every packet
+    sent on it is handed to [deliver] [delay] seconds later, as
+    {!Taq_engine.Sim.schedule_after} takes the delay: a negative delay
+    delivers at once, and a NaN one makes {!send} raise
+    [Invalid_argument]. *)
+
+val send : t -> Packet.t -> unit
+(** [send line p] files one calendar entry, due [delay] from now, that
+    delivers [p]. Packets sent at the same instant leave in send order.
+    The line holds no delivered packet. *)

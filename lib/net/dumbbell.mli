@@ -15,14 +15,14 @@ val create :
   ?check:Taq_check.Check.t ->
   sim:Taq_engine.Sim.t ->
   capacity_bps:float ->
-  ?link_delay:float ->
   disc:Disc.t ->
   unit ->
   t
-(** [link_delay] is the bottleneck's own propagation delay (default
-    0; per-flow delays are given at {!register_flow}). [check] defaults
-    to the simulator's checker ([Taq_engine.Sim.check sim]) and is
-    handed to the bottleneck {!Link} for conservation checking. *)
+(** The bottleneck adds no propagation delay of its own: every
+    propagation delay is a flow's, given at {!register_flow}. [check]
+    defaults to the simulator's checker ([Taq_engine.Sim.check sim])
+    and is handed to the bottleneck {!Link} for conservation
+    checking. *)
 
 val register_flow :
   t ->
@@ -33,22 +33,32 @@ val register_flow :
   unit
 (** Declare endpoints for [flow]. [rtt_prop] is the flow's two-way
     propagation delay excluding the bottleneck's transmission and
-    queueing. [deliver_fwd] receives packets that crossed the
-    bottleneck (the receiver side); [deliver_rev] receives return-path
-    packets (the sender side). Packet records are pooled: a delivery
-    callback must not retain the packet past its own return. Raises
-    [Invalid_argument] if the flow is already registered. *)
+    queueing. It becomes the flow's two {!Delay_line}s: an access line
+    of [rtt_prop *. 0.25] from the sender to the bottleneck queue, and
+    a return line of [rtt_prop *. 0.75] back to the sender. Each keeps
+    the flow's packets in send order. [deliver_fwd] receives packets
+    that crossed the bottleneck (the receiver side); [deliver_rev]
+    receives return-path packets (the sender side). Packet records are
+    pooled: a delivery callback must not retain the packet past its own
+    return. Raises [Invalid_argument] if the flow is already
+    registered. *)
 
 val unregister_flow : t -> flow:int -> unit
-(** Forget a finished flow (late packets to it are discarded). *)
+(** Forget a finished flow. Packets already on its lines still drain:
+    access packets still reach the bottleneck, and packets delivered
+    to the forgotten flow are discarded (on an untapped path their
+    records are recycled). *)
 
 val send_fwd : t -> Packet.t -> unit
-(** Sender-side transmit: the packet crosses the sender's access delay,
-    then the bottleneck queue and link, then is delivered forward. *)
+(** Sender-side transmit: the packet crosses the flow's access line,
+    then the bottleneck queue and link, then is delivered forward.
+    Raises [Invalid_argument] if the packet's flow is not
+    registered. *)
 
 val send_rev : t -> Packet.t -> unit
-(** Receiver-side transmit (ACKs, SYN-ACKs): pure delay, no
-    congestion. *)
+(** Receiver-side transmit (ACKs, SYN-ACKs): the flow's return line,
+    pure delay, no congestion. Raises [Invalid_argument] if the
+    packet's flow is not registered. *)
 
 type interceptor = Packet.t -> (Packet.t -> unit) -> unit
 (** A delivery interposer: receives the packet and the real delivery

@@ -11,28 +11,10 @@ type stats = {
   busy_time : float;
 }
 
-(* A placeholder for the "no packet" state of the transmitter and the
-   unused tail of the in-flight ring: never enqueued, never delivered,
-   never released (negative uid). *)
-let dummy_packet () =
-  {
-    Packet.uid = -2;
-    flow = -1;
-    pool = -1;
-    kind = Packet.Data;
-    seq = 0;
-    size = 0;
-    retx = false;
-    sacks = [];
-    sent_at = 0.0;
-  }
-
 type t = {
   sim : Sim.t;
   capacity_bps : float;
-  prop_delay : float;
   disc : Disc.t;
-  deliver : Packet.t -> unit;
   release : (Packet.t -> unit) option;
       (* Packet-pool hook installed by the owning network: called for
          every drop victim once all listeners and accounting have seen
@@ -62,14 +44,6 @@ type t = {
   mutable tx_pkt : Packet.t;
   tx_dt : float array;
   mutable tx_done : unit -> unit;  (* shared tx-complete action *)
-  mutable deliver_front : unit -> unit;  (* shared delivery action *)
-  (* Packets that completed transmission and are propagating. Delivery
-     events fire in FIFO order (completion times are strictly
-     increasing and prop_delay is constant), so a ring queue replaces
-     the per-packet delivery closures. *)
-  mutable ring : Packet.t array;
-  mutable ring_head : int;
-  mutable ring_len : int;
   mutable offered : int;
   mutable bytes_offered : int;
   mutable transmitted : int;
@@ -166,29 +140,6 @@ let set_rate_factor t f =
 
 let rate_factor t = t.rate_factor
 
-(* Ring capacity is always a power of two (0 -> 16 -> 32 -> ...), so
-   index wrap is a mask rather than a division. *)
-let ring_push t p =
-  let cap = Array.length t.ring in
-  if t.ring_len = cap then begin
-    let ncap = Stdlib.max 16 (cap * 2) in
-    let bigger = Array.make ncap p in
-    for i = 0 to t.ring_len - 1 do
-      bigger.(i) <- t.ring.((t.ring_head + i) land (cap - 1))
-    done;
-    t.ring <- bigger;
-    t.ring_head <- 0
-  end;
-  t.ring.((t.ring_head + t.ring_len) land (Array.length t.ring - 1)) <- p;
-  t.ring_len <- t.ring_len + 1
-
-let ring_pop t dummy =
-  let p = t.ring.(t.ring_head) in
-  t.ring.(t.ring_head) <- dummy;
-  t.ring_head <- (t.ring_head + 1) land (Array.length t.ring - 1);
-  t.ring_len <- t.ring_len - 1;
-  p
-
 (* Drops the discipline made while serving [dequeue] (CoDel-style):
    collected after every dequeue and accounted exactly like enqueue-time
    drops — stats, obs, listeners, conservation bucket, pool release. *)
@@ -229,13 +180,12 @@ let start_transmission t =
     account_dequeue_drops t
   end
 
-(* Same sequence of effects — and crucially the same sequence of
-   [Sim.schedule] calls, hence identical event seqs and counters — as
-   the per-transmission closures this replaces: complete the packet on
-   the wire, schedule its delivery, start the next transmission. *)
-let on_tx_done t dummy =
+(* Account the packet that left the wire, put it on the propagation
+   line, then start the next transmission. That order fixes the order
+   of the two [Sim] calls, and with it every event seq and counter. *)
+let on_tx_done t propagation =
   let p = t.tx_pkt and dt = t.tx_dt.(0) in
-  t.tx_pkt <- dummy;
+  t.tx_pkt <- Packet.dummy;
   t.busy <- false;
   t.transmitted <- t.transmitted + 1;
   t.bytes_transmitted <- t.bytes_transmitted + p.Packet.size;
@@ -248,40 +198,27 @@ let on_tx_done t dummy =
     Obs.span t.obs ~name:"tx" ~cat:"link" ~flow:p.Packet.flow
       ~ts_s:(Sim.now t.sim -. dt) ~dur_s:dt ();
   if Check.on t.check Check.Net then verify_conservation t ~where:"tx-complete";
-  ring_push t p;
-  Sim.schedule_after t.sim ~delay:t.prop_delay t.deliver_front;
+  Delay_line.send propagation p;
   start_transmission t
-
-let on_deliver_front t dummy =
-  let p = ring_pop t dummy in
-  notify_all t.deliver_listeners p;
-  t.deliver p
 
 let create ?check ?obs ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver
     () =
   if capacity_bps <= 0.0 then invalid_arg "Link.create: capacity";
   let check = match check with Some c -> c | None -> Sim.check sim in
   let obs = match obs with Some o -> o | None -> Sim.obs sim in
-  let dummy = dummy_packet () in
   let t =
     {
       sim;
       capacity_bps;
-      prop_delay;
       disc;
-      deliver;
       release;
       busy = false;
       background_bps = 0.0;
       rate_factor = 1.0;
       up = true;
-      tx_pkt = dummy;
+      tx_pkt = Packet.dummy;
       tx_dt = [| 0.0 |];
       tx_done = (fun () -> ());
-      deliver_front = (fun () -> ());
-      ring = [||];
-      ring_head = 0;
-      ring_len = 0;
       offered = 0;
       bytes_offered = 0;
       transmitted = 0;
@@ -302,8 +239,12 @@ let create ?check ?obs ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver
       chk_tx_size = 0;
     }
   in
-  t.tx_done <- (fun () -> on_tx_done t dummy);
-  t.deliver_front <- (fun () -> on_deliver_front t dummy);
+  let propagation =
+    Delay_line.create sim ~delay:prop_delay (fun p ->
+        notify_all t.deliver_listeners p;
+        deliver p)
+  in
+  t.tx_done <- (fun () -> on_tx_done t propagation);
   t
 
 let send t p =

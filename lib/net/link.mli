@@ -28,8 +28,10 @@ val create :
   deliver:(Packet.t -> unit) ->
   unit ->
   t
-(** [deliver] is called when a packet finishes transmission and
-    propagation. [release] (default absent: no pooling) is the owning
+(** [deliver] is called when a packet finishes transmission and then
+    [prop_delay] of propagation, a {!Delay_line}, so packets arrive in
+    the order they were transmitted. [release] (default absent: no
+    pooling) is the owning
     network's packet-pool hook, called for every drop victim after all
     drop listeners and accounting have observed it — the victim is
     dead at that point and its record may be recycled. [check] (default

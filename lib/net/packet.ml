@@ -42,6 +42,19 @@ let dead_uid = -1
 
 let is_live p = p.uid >= 0
 
+let dummy =
+  {
+    uid = -2;
+    flow = -1;
+    pool = -1;
+    kind = Data;
+    seq = 0;
+    size = 0;
+    retx = false;
+    sacks = [];
+    sent_at = 0.0;
+  }
+
 let free_count a = a.free_top
 
 let release a p =

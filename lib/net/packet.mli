@@ -89,6 +89,12 @@ val release : alloc -> t -> unit
 val is_live : t -> bool
 (** [true] while the record is allocated; [false] once released. *)
 
+val dummy : t
+(** A placeholder for "no packet": the link's idle transmitter and
+    every empty cell of a {!Delay_line}. It is never sent, delivered,
+    released or mutated, so domains may share it; its negative uid
+    makes {!release} a no-op on it. *)
+
 val free_count : alloc -> int
 (** Number of records parked in the free list — tests and leak
     accounting. *)

@@ -284,27 +284,6 @@ let test_sim_allocation_free () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0)) "minor words per event" 0.0 (words /. float_of_int n)
 
-(* The int-payload path delivers each argument at its time (negative
-   delays clamp to now, like [schedule_after]'s) and rejects the
-   reserved [min_int] before filing anything. *)
-let test_sim_schedule_after_i_args () =
-  let sim = Sim.create () in
-  let hits = ref [] in
-  let note i = hits := (i, Sim.now sim) :: !hits in
-  Sim.schedule_after_i sim ~delay:2.0 note 20;
-  Sim.schedule_after_i sim ~delay:1.0 note 10;
-  Sim.schedule_after_i sim ~delay:0.0 note (-5);
-  Sim.schedule_after_i sim ~delay:(-1.0) note 0;
-  Sim.run sim;
-  Alcotest.(check (list (pair int (float 0.0))))
-    "args in time order"
-    [ (-5, 0.0); (0, 0.0); (10, 1.0); (20, 2.0) ]
-    (List.rev !hits);
-  Alcotest.check_raises "min_int arg rejected"
-    (Invalid_argument "Sim.schedule_after_i: reserved argument") (fun () ->
-      Sim.schedule_after_i sim ~delay:1.0 note min_int);
-  Alcotest.(check int) "nothing filed" 0 (Sim.pending_events sim)
-
 (* A NaN time compares false with everything, so on the heap's root it
    would stall [pop_due] and strand every later entry, and [run] would
    return as if the calendar were empty. Each entry point raises
@@ -318,8 +297,6 @@ let test_sim_nan_times_rejected () =
   Alcotest.check_raises "schedule_after ~delay"
     (Invalid_argument "Sim.schedule_after: delay is nan") (fun () ->
       Sim.schedule_after sim ~delay:nan ignore);
-  rejects "schedule_after_i ~delay" (fun () ->
-      Sim.schedule_after_i sim ~delay:nan ignore 0);
   rejects "arm ~delay" (fun () -> Sim.arm tm ~delay:nan ignore);
   Alcotest.(check bool) "timer not armed" false (Sim.armed tm);
   Alcotest.(check int) "nothing filed" 1 (Sim.pending_events sim);
@@ -781,40 +758,6 @@ let prop_rearm_storm =
              (List.map (fun (t, i) -> Printf.sprintf "%d@%g" i t) expected));
       Sim.pending_events sim = 0)
 
-(* The int-payload path ([schedule_after_i]) must be indistinguishable
-   from [schedule_after] with a capturing closure: same firing order
-   against a mixed plan, and correct argument delivery. *)
-let prop_schedule_after_i_matches_schedule_after =
-  let grid = 8 in
-  QCheck.Test.make ~name:"schedule_after_i == schedule_after (mixed plan)"
-    ~count:300
-    QCheck.(
-      list_of_size
-        Gen.(int_range 0 60)
-        (pair (int_range 0 (grid - 1)) bool))
-    (fun plan ->
-      let sim = Sim.create () in
-      let fired = ref [] in
-      let note i = fired := i :: !fired in
-      List.iteri
-        (fun i (delay, use_int) ->
-          let delay = float_of_int delay in
-          if use_int then Sim.schedule_after_i sim ~delay note i
-          else Sim.schedule_after sim ~delay (fun () -> note i))
-        plan;
-      Sim.run sim;
-      let expected =
-        List.mapi (fun i (at, _) -> (i, at)) plan
-        |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
-        |> List.map fst
-      in
-      let got = List.rev !fired in
-      if got <> expected then
-        QCheck.Test.fail_reportf "fired [%s] <> model [%s]"
-          (String.concat ";" (List.map string_of_int got))
-          (String.concat ";" (List.map string_of_int expected));
-      true)
-
 let () =
   Alcotest.run "taq_engine"
     [
@@ -845,8 +788,6 @@ let () =
           Alcotest.test_case "allocation-free" `Quick test_sim_allocation_free;
           Alcotest.test_case "superseded slot kept" `Quick
             test_sim_superseded_slot_kept;
-          Alcotest.test_case "schedule_after_i args" `Quick
-            test_sim_schedule_after_i_args;
           Alcotest.test_case "nan times rejected" `Quick
             test_sim_nan_times_rejected;
           Alcotest.test_case "nan horizon rejected" `Quick
@@ -860,7 +801,6 @@ let () =
             prop_heap_matches_reference;
             prop_pooled_scheduler_matches_model;
             prop_timer_matches_cancel_reschedule;
-            prop_schedule_after_i_matches_schedule_after;
             prop_rearm_storm;
           ] );
     ]

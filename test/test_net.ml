@@ -1,5 +1,5 @@
-(* Tests for taq_net: packets, the FIFO discipline helper, link
-   transmission timing and accounting, dumbbell delivery. *)
+(* Tests for taq_net: packets, the FIFO discipline helper, delay lines,
+   link transmission timing and accounting, dumbbell delivery. *)
 
 open Taq_net
 module Sim = Taq_engine.Sim
@@ -52,6 +52,44 @@ let test_fifo_order () =
   | Some p -> Alcotest.(check int) "fifo head" 1 p.Packet.seq
   | None -> Alcotest.fail "empty");
   Alcotest.(check int) "bytes track dequeue" 500 (disc.Disc.bytes ())
+
+(* --- Delay_line ------------------------------------------------------- *)
+
+(* A line re-sends every packet it delivers until [n] deliveries have
+   gone by, with 8 packets in flight: once the ring, the slot table and
+   the heap have grown, a send and its delivery allocate nothing, on
+   the lane (delay 0) and on the heap. *)
+let test_delay_line_allocation_free () =
+  List.iter
+    (fun delay ->
+      let sim = Sim.create () in
+      let remaining = ref 0 in
+      let self = ref None in
+      let deliver p =
+        if !remaining > 0 then begin
+          decr remaining;
+          match !self with Some line -> Delay_line.send line p | None -> ()
+        end
+      in
+      let line = Delay_line.create sim ~delay deliver in
+      self := Some line;
+      let pkts = List.init 8 (fun seq -> mk_pkt ~seq ()) in
+      let send p = Delay_line.send line p in
+      let cycle n =
+        remaining := n;
+        List.iter send pkts;
+        Sim.run sim
+      in
+      cycle 1_000;
+      let n = 100_000 in
+      let before = Gc.minor_words () in
+      cycle n;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "minor words per packet at delay %g" delay)
+        0.0
+        (words /. float_of_int n))
+    [ 0.0; 0.01 ]
 
 (* --- Link ------------------------------------------------------------- *)
 
@@ -139,6 +177,33 @@ let test_link_work_conserving () =
   Alcotest.(check (list (float 1e-9))) "second not delayed" [ 1.0; 6.0 ]
     (List.rev !arrivals)
 
+(* A burst keeps several packets on the propagation line at once; each
+   leaves at its own completion time plus [prop_delay], in send
+   order. Completion times accumulate as the link's clock does. *)
+let test_link_burst_in_flight () =
+  let sim = Sim.create () in
+  let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
+  let arrivals = ref [] in
+  let link =
+    Link.create ~sim ~capacity_bps:8000.0 ~prop_delay:0.5 ~disc
+      ~deliver:(fun p -> arrivals := (p.Packet.seq, Sim.now sim) :: !arrivals)
+      ()
+  in
+  let sizes = [ 1000; 200; 600; 40; 1500; 500 ] in
+  Sim.schedule sim ~at:0.0 (fun () ->
+      List.iteri (fun seq size -> Link.send link (mk_pkt ~seq ~size ())) sizes);
+  Sim.run sim;
+  let completed = ref 0.0 in
+  let expected =
+    List.mapi
+      (fun seq size ->
+        completed := !completed +. (float_of_int (size * 8) /. 8000.0);
+        (seq, !completed +. 0.5))
+      sizes
+  in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "in order, at completion + prop_delay" expected (List.rev !arrivals)
+
 (* --- Dumbbell ---------------------------------------------------------- *)
 
 let test_dumbbell_roundtrip () =
@@ -170,6 +235,80 @@ let test_dumbbell_unknown_flow_evaporates () =
      crash the run. *)
   Sim.run sim;
   Alcotest.(check int) "no flows left" 0 (Dumbbell.flow_count net)
+
+(* A flow forgotten with packets on both of its lines: the lines
+   drain. Access packets still reach the link; packets bound for the
+   flow, forward or back, evaporate and their records return to the
+   pool. *)
+let test_dumbbell_unregister_in_flight () =
+  let sim = Sim.create () in
+  let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:50 () in
+  let net = Dumbbell.create ~sim ~capacity_bps:1e6 ~disc () in
+  let alloc = Dumbbell.packet_alloc net in
+  let delivered = ref 0 in
+  Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.4
+    ~deliver_fwd:(fun _ -> incr delivered)
+    ~deliver_rev:(fun _ -> incr delivered);
+  let pkt kind seq =
+    Packet.make ~alloc ~flow:1 ~kind ~seq ~size:500 ~sent_at:0.0 ()
+  in
+  Sim.schedule sim ~at:0.0 (fun () ->
+      for seq = 0 to 2 do
+        Dumbbell.send_fwd net (pkt Packet.Data seq)
+      done;
+      for seq = 0 to 1 do
+        Dumbbell.send_rev net (pkt Packet.Ack seq)
+      done);
+  (* Access legs take 0.1 s, return legs 0.3 s. *)
+  Sim.schedule sim ~at:0.05 (fun () -> Dumbbell.unregister_flow net ~flow:1);
+  Sim.run sim;
+  let st = Link.stats (Dumbbell.link net) in
+  Alcotest.(check int) "access packets reached the link" 3 st.Link.offered;
+  Alcotest.(check int) "and crossed it" 3 st.Link.transmitted;
+  Alcotest.(check int) "nothing delivered" 0 !delivered;
+  Alcotest.(check int) "every record back in the pool" 5 (Packet.free_count alloc);
+  Alcotest.check_raises "send_fwd to a forgotten flow"
+    (Invalid_argument "Dumbbell: unknown flow") (fun () ->
+      Dumbbell.send_fwd net (pkt Packet.Data 3));
+  Alcotest.check_raises "send_rev to a forgotten flow"
+    (Invalid_argument "Dumbbell: unknown flow") (fun () ->
+      Dumbbell.send_rev net (pkt Packet.Ack 3))
+
+(* One data packet out and its ACK back through an untapped dumbbell
+   with a FIFO disc, one round trip at a time. The delay lines box no
+   delay and allocate nothing; what remains is the link's (the disc's
+   [Some] per enqueued packet and the transmission time). *)
+let test_dumbbell_round_trip_words () =
+  let sim = Sim.create () in
+  let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:64 () in
+  let net = Dumbbell.create ~sim ~capacity_bps:1e8 ~disc () in
+  let alloc = Dumbbell.packet_alloc net in
+  let remaining = ref 0 in
+  let pkt kind =
+    Packet.make_exact ~alloc ~flow:1 ~pool:(-1) ~kind ~seq:0 ~size:1000
+      ~retx:false ~sacks:[] ~sent_at:0.0
+  in
+  let send_data () = Dumbbell.send_fwd net (pkt Packet.Data) in
+  Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.1
+    ~deliver_fwd:(fun _ -> Dumbbell.send_rev net (pkt Packet.Ack))
+    ~deliver_rev:(fun _ ->
+      if !remaining > 0 then begin
+        decr remaining;
+        send_data ()
+      end);
+  let cycle n =
+    remaining := n;
+    send_data ();
+    Sim.run sim
+  in
+  cycle 1_000;
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  cycle n;
+  (* n + 1 round trips: the first data packet and its n successors. *)
+  let words = (Gc.minor_words () -. before) /. float_of_int (n + 1) in
+  if words > 6.0 then
+    Alcotest.failf "%g minor words per round trip, want at most 6" words
 
 let test_dumbbell_duplicate_registration_rejected () =
   let sim = Sim.create () in
@@ -281,6 +420,67 @@ let prop_dumbbell_delivers_each_once =
       (* Queue is big enough that nothing drops: all arrive, each once. *)
       Hashtbl.length delivered = !sent)
 
+(* 1-4 delay lines with delays drawn from {0, 0.05, 0.1, 0.1, 0.25},
+   so that lines share a delay and exact ties occur, fed at grid
+   times; some deliveries send again from inside the delivery. Every
+   packet leaves once, on its own line, at its send time plus the
+   line's delay, and the deliveries run in the order of the log of
+   sends sorted by (due time, send index): each line is FIFO, and
+   lines interleave as the calendar breaks ties. *)
+let prop_delay_lines_fifo =
+  let delays = [| 0.0; 0.05; 0.1; 0.1; 0.25 |] in
+  QCheck.Test.make ~name:"delay lines deliver in (due, send) order"
+    ~count:300
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 4) (int_range 0 4))
+        (list_of_size (Gen.int_range 0 40)
+           (triple (int_range 0 10) (int_range 0 3) (int_range 0 2))))
+    (fun (which, plan) ->
+      let sim = Sim.create () in
+      let delay_of = Array.of_list (List.map (fun i -> delays.(i)) which) in
+      let n_lines = Array.length delay_of in
+      let lines = Array.make n_lines None in
+      (* (seq, line, due) per send, newest first; seq is the send index *)
+      let sent = ref [] and delivered = ref [] in
+      let resends = Hashtbl.create 16 in
+      let send line n =
+        let seq = List.length !sent in
+        sent := (seq, line, Sim.now sim +. delay_of.(line)) :: !sent;
+        Hashtbl.replace resends seq n;
+        Option.iter (fun l -> Delay_line.send l (mk_pkt ~seq ())) lines.(line)
+      in
+      let deliver line (p : Packet.t) =
+        delivered := (p.seq, line, Sim.now sim) :: !delivered;
+        let n = Hashtbl.find resends p.seq in
+        if n > 0 then send ((line + 1) mod n_lines) (n - 1)
+      in
+      Array.iteri
+        (fun i delay ->
+          lines.(i) <- Some (Delay_line.create sim ~delay (deliver i)))
+        delay_of;
+      List.iter
+        (fun (slot, line, n) ->
+          Sim.schedule sim
+            ~at:(0.05 *. float_of_int slot)
+            (fun () -> send (line mod n_lines) n))
+        plan;
+      Sim.run sim;
+      let expected =
+        List.stable_sort
+          (fun (_, _, a) (_, _, b) -> Float.compare a b)
+          (List.rev !sent)
+      in
+      let got = List.rev !delivered in
+      let show l =
+        String.concat "; "
+          (List.map (fun (s, l, t) -> Printf.sprintf "%d/%d@%g" s l t) l)
+      in
+      if got <> expected then
+        QCheck.Test.fail_reportf "delivered [%s], model [%s]" (show got)
+          (show expected);
+      Sim.pending_events sim = 0)
+
 (* Packet pooling: under arbitrary make/release interleavings no two
    simultaneously-live packets share a uid, liveness flags track
    release exactly, release is idempotent, and the free list holds
@@ -365,6 +565,7 @@ let qcheck_props =
       prop_uid_uniqueness_two_nets;
       prop_serialization_monotone_in_size;
       prop_dumbbell_delivers_each_once;
+      prop_delay_lines_fifo;
       prop_packet_pool_accounting;
     ]
 
@@ -381,6 +582,11 @@ let () =
           Alcotest.test_case "capacity" `Quick test_fifo_capacity;
           Alcotest.test_case "order" `Quick test_fifo_order;
         ] );
+      ( "delay line",
+        [
+          Alcotest.test_case "allocation-free" `Quick
+            test_delay_line_allocation_free;
+        ] );
       ( "link",
         [
           Alcotest.test_case "tx time" `Quick test_link_transmission_time;
@@ -388,11 +594,16 @@ let () =
           Alcotest.test_case "drops" `Quick test_link_counts_drops;
           Alcotest.test_case "utilization" `Quick test_link_utilization;
           Alcotest.test_case "work conserving" `Quick test_link_work_conserving;
+          Alcotest.test_case "burst in flight" `Quick test_link_burst_in_flight;
         ] );
       ( "dumbbell",
         [
           Alcotest.test_case "roundtrip" `Quick test_dumbbell_roundtrip;
           Alcotest.test_case "evaporation" `Quick test_dumbbell_unknown_flow_evaporates;
+          Alcotest.test_case "unregister in flight" `Quick
+            test_dumbbell_unregister_in_flight;
+          Alcotest.test_case "round trip words" `Quick
+            test_dumbbell_round_trip_words;
           Alcotest.test_case "dup registration" `Quick
             test_dumbbell_duplicate_registration_rejected;
         ] );
