@@ -150,6 +150,19 @@ let positive =
         | Error _ as e -> e),
       Arg.conv_printer Arg.float )
 
+(* Every int flag but a seed is a count and parses through [at_least]:
+   below its bound a count would run nothing and exit 0, or raise from
+   inside the library (exit 125). Seeds take any int. *)
+let at_least lo =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser Arg.int s with
+        | Ok n when n >= lo -> Ok n
+        | Ok _ ->
+            Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+        | Error _ as e -> e),
+      Arg.conv_printer Arg.int )
+
 (* --- disciplines -------------------------------------------------------- *)
 
 (* Parses to the canonical name: keys and reports never see aliases. *)
@@ -183,7 +196,7 @@ let backend_arg =
 
 let bg_flows_arg =
   Arg.(
-    value & opt int 60
+    value & opt (at_least 1) 60
     & info [ "bg-flows" ] ~docv:"N"
         ~doc:
           "Hybrid backend only: background flows modeled by the fluid \
@@ -255,7 +268,9 @@ let sim_cmd =
       & info [ "c"; "capacity" ] ~docv:"BPS" ~doc:"Bottleneck capacity, bits/s.")
   in
   let flows =
-    Arg.(value & opt int 60 & info [ "n"; "flows" ] ~docv:"N" ~doc:"Long-lived flows.")
+    Arg.(
+      value & opt (at_least 0) 60
+      & info [ "n"; "flows" ] ~docv:"N" ~doc:"Long-lived flows.")
   in
   let rtt =
     Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
@@ -272,7 +287,7 @@ let sim_cmd =
   let guard =
     Arg.(
       value
-      & opt ~vopt:(Some 256) (some int) None
+      & opt ~vopt:(Some 256) (some (at_least 1)) None
       & info [ "guard" ] ~docv:"CAP"
           ~doc:
             "Enable the TAQ overload guard with a flow-tracker cap of $(docv) \
@@ -498,7 +513,7 @@ let sweep_cmd =
   in
   let reps =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "reps" ] ~docv:"N"
           ~doc:"Replicas per point (each derives its own seed from the task key).")
   in
@@ -515,7 +530,7 @@ let sweep_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Worker domains. 1 runs sequentially in-process; outputs are \
                 byte-identical either way.")
@@ -554,7 +569,7 @@ let sweep_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Retry failed or timed-out points up to $(docv) times (with \
@@ -563,7 +578,7 @@ let sweep_cmd =
   let guard =
     Arg.(
       value
-      & opt ~vopt:(Some 256) (some int) None
+      & opt ~vopt:(Some 256) (some (at_least 1)) None
       & info [ "guard" ] ~docv:"CAP"
           ~doc:
             "Enable the TAQ overload guard (tracker cap $(docv), default 256 \
@@ -584,8 +599,7 @@ let sweep_cmd =
       rtt duration buffer_rtts guard backend bg_flows fluid_dt jobs
       results_dir no_cache resume timeout_s retries chaos faults_given
       resil_given spec =
-    if reps < 1 then `Error (false, "--reps must be >= 1")
-    else if chaos && timeout_s = None then
+    if chaos && timeout_s = None then
       `Error (false, "--chaos requires --timeout-s (it injects a hanging task)")
     else if resume && no_cache then
       `Error
@@ -916,7 +930,7 @@ let faults_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Worker domains. Drills are seeded from their task keys, so \
                 outcomes are byte-identical for any jobs count.")
@@ -1034,7 +1048,11 @@ let model_cmd =
       value & opt (some finite) None
       & info [ "p" ] ~docv:"P" ~doc:"Loss probability; prints the stationary distribution.")
   in
-  let wmax = Arg.(value & opt int 6 & info [ "wmax" ] ~docv:"W" ~doc:"Model Wmax.") in
+  let wmax =
+    Arg.(
+      value & opt (at_least 4) 6
+      & info [ "wmax" ] ~docv:"W" ~doc:"Model Wmax (at least 4).")
+  in
   let full_model =
     Arg.(value & flag & info [ "full-model" ] ~doc:"Use the expanded backoff-stage model.")
   in
@@ -1164,7 +1182,9 @@ let trace_cmd =
       & info [ "o"; "out" ] ~docv:"PATH" ~doc:"Output CSV path.")
   in
   let clients =
-    Arg.(value & opt int 221 & info [ "clients" ] ~docv:"N" ~doc:"Client count.")
+    Arg.(
+      value & opt (at_least 1) 221
+      & info [ "clients" ] ~docv:"N" ~doc:"Client count.")
   in
   let duration =
     Arg.(
@@ -1202,12 +1222,12 @@ let trace_cmd =
 let mega_cmd =
   let flows =
     Arg.(
-      value & opt int 1_000_000
+      value & opt (at_least 1) 1_000_000
       & info [ "flows" ] ~docv:"N" ~doc:"Modeled background population.")
   in
   let shards =
     Arg.(
-      value & opt int 4
+      value & opt (at_least 1) 4
       & info [ "shards" ] ~docv:"N"
           ~doc:"Independent sub-systems the population factors into.")
   in
@@ -1219,7 +1239,7 @@ let mega_cmd =
   in
   let fg_flows =
     Arg.(
-      value & opt int 4
+      value & opt (at_least 0) 4
       & info [ "fg-flows" ] ~docv:"N"
           ~doc:"Packet-level foreground flows per shard.")
   in
@@ -1241,7 +1261,7 @@ let mega_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains. Shard results merge in shard order, so the \

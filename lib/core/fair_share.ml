@@ -1,7 +1,6 @@
 type model = Fair_queuing | Proportional_rtt
 
-let per_flow ?(model = Fair_queuing) ~capacity_bps ~active_flows
-    ?(flow_epoch = 1.0) ?(mean_epoch = 1.0) () =
+let per_flow ~model ~capacity_bps ~active_flows ~flow_epoch ~mean_epoch =
   if capacity_bps < 0.0 then invalid_arg "Fair_share.per_flow: capacity";
   let n = Stdlib.max 1 active_flows in
   let base = capacity_bps /. float_of_int n in

@@ -9,16 +9,18 @@ type model =
           that no flow is scheduled against its own clock *)
 
 val per_flow :
-  ?model:model ->
+  model:model ->
   capacity_bps:float ->
   active_flows:int ->
-  ?flow_epoch:float ->
-  ?mean_epoch:float ->
-  unit ->
+  flow_epoch:float ->
+  mean_epoch:float ->
   float
 (** Fair share in bits/second for one flow. With [Proportional_rtt]
-    the flow's share is scaled by [mean_epoch /. flow_epoch]. Zero
-    active flows yield the full capacity. *)
+    the flow's share is scaled by [mean_epoch /. flow_epoch] (pass 1.0
+    for both to get the equal split); [Fair_queuing] ignores both.
+    Zero active flows yield the full capacity. Every argument is
+    required: an optional one would allocate on each call, and this
+    runs on every data packet. *)
 
 val is_below : rate_bps:float -> fair_bps:float -> bool
 (** Strictly below its fair share (the BelowFairShare test). *)

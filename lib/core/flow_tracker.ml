@@ -2,6 +2,16 @@ module Packet = Taq_net.Packet
 
 type classification = New_data | Retransmission
 
+(* A flow's clock, all floats so that stores and reads do not box.
+   [epoch] is its estimator's current value: it is set when the flow is
+   created and again after each [Epoch_estimator.note_packet], the only
+   call that changes the estimate. *)
+type times = {
+  mutable last_seen : float;
+  mutable epoch_start : float;
+  mutable epoch : float;
+}
+
 type flow = {
   id : int;
   slot : int;  (* index into the tracker's slab *)
@@ -19,7 +29,7 @@ type flow = {
   mutable silence_epochs : int;
   mutable epochs_observed : int;
   rate : Taq_util.Ewma.t;
-  mutable last_seen : float;
+  times : times;
 }
 
 (* Per-slot arrays grow by doubling; new cells hold [fill]. *)
@@ -240,15 +250,22 @@ end
 
 let wheel_width = Wheel.width
 
+(* The time [read_clock] last returned and the latest time read so
+   far; apart when the clock stepped back. *)
+type clock = { mutable read : float; mutable latest : float }
+
 type t = {
   config : Taq_config.t;
   now : unit -> float;
   flows : (int, flow) Hashtbl.t;
+  (* The record the last lookup found, or [vacant]: packets of one flow
+     come in runs, and classifying one asks about its flow several
+     times. [forget] clears it. *)
+  mutable last : flow;
   (* The slab: every tracked flow owns a dense slot, the index [active]
      and [due] file it under. Vacated slots are reused before the slab
      grows; the per-slot arrays grow with it, on first use. *)
   mutable slab : flow array;  (* a vacated slot holds [vacant] *)
-  mutable epoch_start : float array;  (* by slot, unboxed *)
   mutable free : int array;  (* vacated slots, a stack *)
   mutable n_free : int;
   mutable n_slots : int;  (* slots handed out so far *)
@@ -259,7 +276,7 @@ type t = {
   (* Every tracked flow, keyed by its next epoch boundary or idle
      expiry, whichever comes first. *)
   due : Wheel.t;
-  mutable clock : float;  (* latest time read; the heap and wheel need it monotone *)
+  clock : clock;  (* the heap and wheel need [latest] monotone *)
   mutable clock_monotone : bool;
   mutable cap_evictions : int;
   mutable peak_tracked : int;
@@ -271,11 +288,12 @@ type t = {
 }
 
 let make_flow config ~id ~slot ~pool ~now =
+  let est = Epoch_estimator.create config.Taq_config.epoch_source in
   {
     id;
     slot;
     pool;
-    est = Epoch_estimator.create config.Taq_config.epoch_source;
+    est;
     state = Flow_state.initial;
     new_pkts = 0;
     retx_pkts = 0;
@@ -288,26 +306,30 @@ let make_flow config ~id ~slot ~pool ~now =
     silence_epochs = 0;
     epochs_observed = 0;
     rate = Taq_util.Ewma.create ~alpha:0.3;
-    last_seen = now;
+    times =
+      { last_seen = now; epoch_start = now; epoch = Epoch_estimator.epoch est };
   }
 
 let create ?obs ~config ~now () =
   let obs = Option.value obs ~default:Taq_obs.Obs.off in
   let start = now () in
+  (* The placeholder's slot is -1, so a lookup never takes it for a
+     flow. *)
+  let vacant = make_flow config ~id:(-1) ~slot:(-1) ~pool:(-1) ~now:start in
   {
     config;
     now;
     flows = Hashtbl.create 256;
+    last = vacant;
     slab = [||];
-    epoch_start = [||];
     free = [||];
     n_free = 0;
     n_slots = 0;
-    vacant = make_flow config ~id:(-1) ~slot:(-1) ~pool:(-1) ~now:start;
+    vacant;
     active = Deadlines.create ();
     (* A restart creates a tracker mid-run: the wheel starts there. *)
     due = Wheel.create ~now:start;
-    clock = neg_infinity;
+    clock = { read = neg_infinity; latest = neg_infinity };
     clock_monotone = true;
     cap_evictions = 0;
     peak_tracked = 0;
@@ -317,8 +339,9 @@ let create ?obs ~config ~now () =
   }
 
 let read_clock t =
-  let now = t.now () in
-  if now < t.clock then t.clock_monotone <- false else t.clock <- now;
+  let now = t.now () and c = t.clock in
+  c.read <- now;
+  if now < c.latest then t.clock_monotone <- false else c.latest <- now;
   now
 
 (* Pops and drains run up to [now] plus this slack. A flow whose
@@ -331,11 +354,14 @@ let[@inline] due_bound now = now +. (1e-9 *. (1.0 +. Float.abs now))
 
 let[@inline] window ~epoch = Float.max 1.0 (5.0 *. epoch)
 
-let[@inline] active_key f ~epoch = f.last_seen +. window ~epoch
+let[@inline] active_key f =
+  let tm = f.times in
+  tm.last_seen +. window ~epoch:tm.epoch
 
-let[@inline] due_key t f ~epoch =
-  let boundary = t.epoch_start.(f.slot) +. epoch
-  and idle = f.last_seen +. t.config.Taq_config.flow_idle_timeout in
+let[@inline] due_key t f =
+  let tm = f.times in
+  let boundary = tm.epoch_start +. tm.epoch
+  and idle = tm.last_seen +. t.config.Taq_config.flow_idle_timeout in
   if boundary < idle then boundary else idle
 
 (* Hand out a slot, growing the slab and every per-slot array together
@@ -350,7 +376,6 @@ let alloc_slot t =
     if s = Array.length t.slab then begin
       let n = Stdlib.max 16 (2 * s) in
       t.slab <- grow_to t.slab n t.vacant;
-      t.epoch_start <- grow_to t.epoch_start n 0.0;
       t.free <- grow_to t.free n 0;
       Deadlines.reserve t.active n;
       Wheel.reserve t.due n
@@ -362,6 +387,7 @@ let alloc_slot t =
 let forget t f =
   let s = f.slot in
   Hashtbl.remove t.flows f.id;
+  t.last <- t.vacant;
   if Deadlines.mem t.active s then Deadlines.remove t.active s;
   if Wheel.mem t.due s then Wheel.unlink t.due s;
   (* Do not keep a forgotten flow reachable from its vacated slot. *)
@@ -383,10 +409,9 @@ let evict_lru t =
       match !victim with
       | None -> victim := Some (id, f)
       | Some (vid, v) ->
-          if
-            f.last_seen < v.last_seen
-            || (f.last_seen = v.last_seen && id < vid)
-          then victim := Some (id, f))
+          let seen = f.times.last_seen and vseen = v.times.last_seen in
+          if seen < vseen || (seen = vseen && id < vid) then
+            victim := Some (id, f))
     t.flows;
   match !victim with
   | None -> ()
@@ -395,21 +420,30 @@ let evict_lru t =
       t.cap_evictions <- t.cap_evictions + 1;
       incr t.obs_cap_evictions
 
+(* [Hashtbl.find], through the remembered record. *)
+let find t flow =
+  let f = t.last in
+  if f.id = flow && f.slot >= 0 then f
+  else begin
+    let f = Hashtbl.find t.flows flow in
+    t.last <- f;
+    f
+  end
+
+(* After [read_clock]: a new flow starts at the time it read. *)
 let lookup t ~flow ~pool =
-  match Hashtbl.find t.flows flow with
+  match find t flow with
   | f -> f
   | exception Not_found ->
       if Hashtbl.length t.flows >= t.config.Taq_config.max_tracked_flows then
         evict_lru t;
-      let now = t.now () in
       let slot = alloc_slot t in
-      let f = make_flow t.config ~id:flow ~slot ~pool ~now in
+      let f = make_flow t.config ~id:flow ~slot ~pool ~now:t.clock.read in
       t.slab.(slot) <- f;
-      t.epoch_start.(slot) <- now;
       Hashtbl.replace t.flows flow f;
-      let epoch = Epoch_estimator.epoch f.est in
-      Deadlines.push t.active slot (active_key f ~epoch);
-      Wheel.link t.due slot (due_key t f ~epoch);
+      t.last <- f;
+      Deadlines.push t.active slot (active_key f);
+      Wheel.link t.due slot (due_key t f);
       incr t.obs_flows_created;
       let n = Hashtbl.length t.flows in
       if n > t.peak_tracked then t.peak_tracked <- n;
@@ -417,14 +451,14 @@ let lookup t ~flow ~pool =
 
 (* [f] was just seen: it is active again, and its window may have
    shrunk with the epoch estimate. *)
-let refresh_active t f ~epoch =
-  let k = active_key f ~epoch in
+let refresh_active t f =
+  let k = active_key f in
   if Deadlines.mem t.active f.slot then Deadlines.decrease t.active f.slot k
   else Deadlines.push t.active f.slot k
 
 (* Builds nothing: the state machine takes the counts one by one, and
    the epoch start is rolled in place by [catch_up]. *)
-let roll_one_epoch f ~epoch =
+let roll_one_epoch f =
   f.state <-
     Flow_state.step_counts f.state ~new_pkts:f.new_pkts
       ~retx_pkts:f.retx_pkts ~drops:f.drops_this_epoch
@@ -433,7 +467,7 @@ let roll_one_epoch f ~epoch =
     f.silence_epochs <- f.silence_epochs + 1
   else f.silence_epochs <- 0;
   Taq_util.Ewma.update f.rate
-    (float_of_int (f.bytes_this_epoch * 8) /. epoch);
+    (float_of_int (f.bytes_this_epoch * 8) /. f.times.epoch);
   f.prev_new_pkts <- f.new_pkts;
   f.drops_prev_epoch <- f.drops_this_epoch;
   f.new_pkts <- 0;
@@ -442,38 +476,39 @@ let roll_one_epoch f ~epoch =
   f.drops_this_epoch <- 0;
   f.epochs_observed <- f.epochs_observed + 1
 
-(* Advance the flow's epoch boundary up to [now]; several epochs may
-   have elapsed silently. [epoch] is the flow's current estimate: no
-   roll changes it. Bounded per call so a flow returning after a very
-   long idle period cannot stall the queue. *)
-let catch_up t f ~now ~epoch =
-  let starts = t.epoch_start and s = f.slot in
+(* Advance the flow's epoch boundary up to the time [read_clock] read;
+   several epochs may have elapsed silently. No roll changes the epoch
+   estimate. Bounded per call so a flow returning after a very long
+   idle period cannot stall the queue. Takes no float: a float argument
+   would be boxed. *)
+let catch_up t f =
+  let now = t.clock.read and tm = f.times in
   let budget = ref 64 in
-  while !budget > 0 && now -. starts.(s) >= epoch do
-    roll_one_epoch f ~epoch;
-    starts.(s) <- starts.(s) +. epoch;
+  while !budget > 0 && now -. tm.epoch_start >= tm.epoch do
+    roll_one_epoch f;
+    tm.epoch_start <- tm.epoch_start +. tm.epoch;
     decr budget
   done;
-  if !budget = 0 then starts.(s) <- now
+  if !budget = 0 then tm.epoch_start <- now
 
 let observe_syn t ~flow ~pool =
   let now = read_clock t in
   let f = lookup t ~flow ~pool in
   f.pool <- pool;
-  f.last_seen <- now;
+  f.times.last_seen <- now;
   Epoch_estimator.note_syn f.est ~time:now;
-  refresh_active t f ~epoch:(Epoch_estimator.epoch f.est)
+  refresh_active t f
 
 let observe_data t (p : Packet.t) =
   let now = read_clock t in
   let f = lookup t ~flow:p.flow ~pool:p.pool in
-  catch_up t f ~now ~epoch:(Epoch_estimator.epoch f.est);
-  f.last_seen <- now;
+  catch_up t f;
+  f.times.last_seen <- now;
   Epoch_estimator.note_packet f.est ~time:now;
   (* The epoch estimate may have shrunk, pulling both deadlines in. *)
-  let epoch = Epoch_estimator.epoch f.est in
-  refresh_active t f ~epoch;
-  Wheel.decrease t.due f.slot (due_key t f ~epoch);
+  f.times.epoch <- Epoch_estimator.epoch f.est;
+  refresh_active t f;
+  Wheel.decrease t.due f.slot (due_key t f);
   f.bytes_this_epoch <- f.bytes_this_epoch + p.size;
   if p.seq <= f.highest_seq then begin
     f.retx_pkts <- f.retx_pkts + 1;
@@ -487,7 +522,7 @@ let observe_data t (p : Packet.t) =
   end
 
 let observe_drop t (p : Packet.t) =
-  match Hashtbl.find t.flows p.flow with
+  match find t p.flow with
   | f ->
       f.drops_this_epoch <- f.drops_this_epoch + 1;
       f.outstanding_drops <- f.outstanding_drops + 1
@@ -514,14 +549,13 @@ let tick t =
         if Wheel.key w s <= bound then begin
           Wheel.unlink w s;
           let f = t.slab.(s) in
-          let epoch = Epoch_estimator.epoch f.est in
-          catch_up t f ~now ~epoch;
-          if now -. f.last_seen > timeout then begin
+          catch_up t f;
+          if now -. f.times.last_seen > timeout then begin
             forget t f;
             incr expired
           end
           else begin
-            let k = due_key t f ~epoch in
+            let k = due_key t f in
             if k > bound then Wheel.link w s k else Wheel.hold w s k
           end
         end
@@ -532,9 +566,7 @@ let tick t =
   if !expired > 0 then t.obs_evictions := !(t.obs_evictions) + !expired
 
 (* Per-flow accessors read unknown flows as a fresh flow would.
-   [Hashtbl.find] with [Not_found] allocates nothing per lookup. *)
-let find t flow = Hashtbl.find t.flows flow
-
+   [find] with [Not_found] allocates nothing per lookup. *)
 let state t ~flow = try (find t flow).state with Not_found -> Flow_state.initial
 
 let silence_epochs t ~flow =
@@ -542,7 +574,7 @@ let silence_epochs t ~flow =
 
 let epoch_len t ~flow =
   match find t flow with
-  | f -> Epoch_estimator.epoch f.est
+  | f -> f.times.epoch
   | exception Not_found -> (
       match t.config.Taq_config.epoch_source with
       | Taq_config.Oracle rtt -> rtt
@@ -583,16 +615,14 @@ let is_new_flow t ~flow =
   | exception Not_found -> true
 
 let[@inline] is_active now f =
-  now -. f.last_seen <= window ~epoch:(Epoch_estimator.epoch f.est)
+  now -. f.times.last_seen <= window ~epoch:f.times.epoch
 
 (* Entries popped at [now] whose fresh key still falls within the
    slack are held back until the pop loop ends, then re-pushed. *)
 let rec restore t = function
   | [] -> ()
   | s :: rest ->
-      let f = t.slab.(s) in
-      Deadlines.push t.active s
-        (active_key f ~epoch:(Epoch_estimator.epoch f.est));
+      Deadlines.push t.active s (active_key t.slab.(s));
       restore t rest
 
 (* Pop the flows whose window may have closed: the ones still active
@@ -606,7 +636,7 @@ let active_flow_count t =
     let s = Deadlines.top h in
     let f = t.slab.(s) in
     if is_active now f then begin
-      let k = active_key f ~epoch:(Epoch_estimator.epoch f.est) in
+      let k = active_key f in
       if k > bound then Deadlines.rekey_top h k
       else begin
         Deadlines.remove h s;
@@ -631,9 +661,10 @@ let overdue_flows t =
   let bound = due_bound now in
   Hashtbl.fold
     (fun _ f n ->
+      let tm = f.times in
       let due =
-        now -. t.epoch_start.(f.slot) >= Epoch_estimator.epoch f.est
-        || now -. f.last_seen > t.config.Taq_config.flow_idle_timeout
+        now -. tm.epoch_start >= tm.epoch
+        || now -. tm.last_seen > t.config.Taq_config.flow_idle_timeout
       in
       (* A drain visits the flow its slot maps to. *)
       let visited =
@@ -648,22 +679,30 @@ let mean_epoch t =
   let acc = ref 0.0 and n = ref 0 in
   Hashtbl.iter
     (fun _ f ->
-      acc := !acc +. Epoch_estimator.epoch f.est;
+      acc := !acc +. f.times.epoch;
       incr n)
     t.flows;
   if !n = 0 then 1.0 else !acc /. float_of_int !n
 
-let fair_share_bps ?flow t =
-  let flow_epoch, mean =
-    match (t.config.Taq_config.fairness_model, flow) with
-    | Fair_share.Proportional_rtt, Some flow ->
-        (epoch_len t ~flow, mean_epoch t)
-    | Fair_share.Proportional_rtt, None | Fair_share.Fair_queuing, _ ->
-        (1.0, 1.0)
-  in
+let share t ~active_flows ~flow_epoch ~mean_epoch =
   Fair_share.per_flow ~model:t.config.Taq_config.fairness_model
-    ~capacity_bps:t.config.Taq_config.capacity_bps
-    ~active_flows:(active_flow_count t) ~flow_epoch ~mean_epoch:mean ()
+    ~capacity_bps:t.config.Taq_config.capacity_bps ~active_flows ~flow_epoch
+    ~mean_epoch
+
+let equal_share t =
+  share t ~active_flows:(active_flow_count t) ~flow_epoch:1.0 ~mean_epoch:1.0
+
+(* [fair_share_bps ~flow] without the option, which would allocate on
+   every data packet. *)
+let flow_fair_share t ~flow =
+  match t.config.Taq_config.fairness_model with
+  | Fair_share.Proportional_rtt ->
+      share t ~active_flows:(active_flow_count t)
+        ~flow_epoch:(epoch_len t ~flow) ~mean_epoch:(mean_epoch t)
+  | Fair_share.Fair_queuing -> equal_share t
+
+let fair_share_bps ?flow t =
+  match flow with Some flow -> flow_fair_share t ~flow | None -> equal_share t
 
 (* Pool-level accounting (§4.3): a flow's pool is the unit of fairness
    when enabled; pool-less flows are singleton pools keyed by their
@@ -693,9 +732,7 @@ let pool_rate_bps t ~flow =
       !acc
 
 let pool_fair_share_bps t =
-  Fair_share.per_flow ~model:t.config.Taq_config.fairness_model
-    ~capacity_bps:t.config.Taq_config.capacity_bps
-    ~active_flows:(active_pool_count t) ()
+  share t ~active_flows:(active_pool_count t) ~flow_epoch:1.0 ~mean_epoch:1.0
 
 let below_fair_share t ~flow =
   if t.config.Taq_config.pool_fairness then
@@ -703,6 +740,6 @@ let below_fair_share t ~flow =
       ~fair_bps:(pool_fair_share_bps t)
   else
     Fair_share.is_below ~rate_bps:(rate_bps t ~flow)
-      ~fair_bps:(fair_share_bps ~flow t)
+      ~fair_bps:(flow_fair_share t ~flow)
 
 let pool_of t ~flow = try (find t flow).pool with Not_found -> -1

@@ -369,11 +369,13 @@ let enqueue_syn t (p : Packet.t) =
     count_drop t Taq_queues.New_flow;
     [ p ]
   end
-  else enqueue_with_pushout t p Taq_queues.New_flow ~priority:0.0
+  else enqueue_with_pushout t p Taq_queues.New_flow ~priority:0
 
 let enqueue_data t (p : Packet.t) =
   let classification = Flow_tracker.observe_data t.tracker p in
-  Option.iter (fun a -> Admission.touch a ~key:(pool_key p)) t.admission;
+  (match t.admission with
+  | Some a -> Admission.touch a ~key:(pool_key p)
+  | None -> ());
   let cls = classify t p classification in
   (* Data of a young flow falls back to BelowFairShare when the NewFlow
      queue is at its cap: the cap throttles connections, not bytes. *)
@@ -407,10 +409,10 @@ let enqueue_data t (p : Packet.t) =
         (* Longer silences served first (§4.1): retransmissions from
            extended silence outrank those from a first silence, which
            outrank fresh fast retransmissions. *)
-        float_of_int (Flow_tracker.silence_epochs t.tracker ~flow:p.flow)
+        Flow_tracker.silence_epochs t.tracker ~flow:p.flow
     | Taq_queues.New_flow | Taq_queues.Over_penalized
     | Taq_queues.Below_fair_share | Taq_queues.Above_fair_share ->
-        0.0
+        0
   in
   enqueue_with_pushout t p cls ~priority
 
@@ -431,7 +433,7 @@ let enqueue_degraded t (p : Packet.t) =
   | Packet.Ack | Packet.Syn_ack | Packet.Fin -> ());
   if Taq_queues.total_packets t.queues < t.config.Taq_config.capacity_pkts
   then begin
-    Taq_queues.enqueue t.queues Taq_queues.Below_fair_share ~priority:0.0 p;
+    Taq_queues.enqueue t.queues Taq_queues.Below_fair_share ~priority:0 p;
     t.n_enqueued <- t.n_enqueued + 1;
     []
   end
@@ -459,7 +461,7 @@ let enqueue t (p : Packet.t) =
           (* Control traffic on the forward path is rare in the evaluated
              topologies; queue it with normal priority, exempt from flow
              tracking. *)
-          enqueue_with_pushout t p Taq_queues.Below_fair_share ~priority:0.0
+          enqueue_with_pushout t p Taq_queues.Below_fair_share ~priority:0
   in
   if Check.on t.check Check.Core then verify t ~where:"enqueue";
   drops

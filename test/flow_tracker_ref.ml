@@ -1,6 +1,7 @@
 (* The flow tracker as it stood before the deadline heaps: every
    [active_flow_count] and every [tick] scans all tracked flows. Kept
-   verbatim (bar this header and the [open]) as the reference the
+   verbatim (bar this header, the [open], and the [Fair_share.per_flow]
+   calls, which now pass every argument) as the reference the
    differential battery in test_taq drives in lockstep with
    [Taq_core.Flow_tracker]. *)
 
@@ -283,7 +284,7 @@ let fair_share_bps ?flow t =
   in
   Fair_share.per_flow ~model:t.config.Taq_config.fairness_model
     ~capacity_bps:t.config.Taq_config.capacity_bps
-    ~active_flows:(active_flow_count t) ~flow_epoch ~mean_epoch:mean ()
+    ~active_flows:(active_flow_count t) ~flow_epoch ~mean_epoch:mean
 
 (* Pool-level accounting (§4.3): a flow's pool is the unit of fairness
    when enabled; pool-less flows are singleton pools keyed by their
@@ -316,7 +317,7 @@ let pool_rate_bps t ~flow =
 let pool_fair_share_bps t =
   Fair_share.per_flow ~model:t.config.Taq_config.fairness_model
     ~capacity_bps:t.config.Taq_config.capacity_bps
-    ~active_flows:(active_pool_count t) ()
+    ~active_flows:(active_pool_count t) ~flow_epoch:1.0 ~mean_epoch:1.0
 
 let below_fair_share t ~flow =
   if t.config.Taq_config.pool_fairness then
