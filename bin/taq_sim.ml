@@ -88,12 +88,27 @@ let spec_term ?(check = check_arg) ?(obs = obs_arg) ?(faults = faults_arg)
         Run_spec.of_flags ?check ?obs ?faults ?resil ())
     $ check $ obs $ faults $ resil)
 
-(* Install the parsed spec and run [k] with it: a bad flag value or an
-   invariant violation fails the subcommand with its message. *)
+(* A file the run will write is opened for writing before any work, so
+   a bad path fails up front, naming the path with exit 124, rather
+   than as an uncaught exception (exit 125) after the whole run. *)
+let writable path k =
+  match path with
+  | None -> k ()
+  | Some path -> (
+      match open_out path with
+      | oc ->
+          close_out oc;
+          k ()
+      | exception Sys_error msg -> `Error (false, "cannot write " ^ msg))
+
+(* Install the parsed spec and run [k] with it: a bad flag value, an
+   unwritable trace path or an invariant violation fails the subcommand
+   with its message. *)
 let with_spec spec k =
   match spec with
   | Error msg -> `Error (false, msg)
   | Ok spec -> (
+      writable (Run_spec.trace_path spec) @@ fun () ->
       Run_spec.install spec;
       try k spec
       with Check.Violation msg ->
@@ -162,6 +177,19 @@ let at_least lo =
             Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
         | Error _ as e -> e),
       Arg.conv_printer Arg.int )
+
+(* [model -p] is a loss probability, and both models are defined on
+   [0, 0.5): outside it they raise from inside the library (exit 125). *)
+let loss_probability =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser finite s with
+        | Ok p when p >= 0.0 && p < 0.5 -> Ok p
+        | Ok _ ->
+            Error
+              (`Msg (Printf.sprintf "expected a probability in [0, 0.5), got %S" s))
+        | Error _ as e -> e),
+      Arg.conv_printer Arg.float )
 
 (* --- disciplines -------------------------------------------------------- *)
 
@@ -309,6 +337,7 @@ let sim_cmd =
       bg_flows fluid_dt spec =
     with_spec spec @@ fun spec ->
     within_horizon spec ~duration @@ fun () ->
+    writable pcap @@ fun () ->
     let buffer_pkts =
       Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
     in
@@ -1045,8 +1074,11 @@ let faults_cmd =
 let model_cmd =
   let p_arg =
     Arg.(
-      value & opt (some finite) None
-      & info [ "p" ] ~docv:"P" ~doc:"Loss probability; prints the stationary distribution.")
+      value & opt (some loss_probability) None
+      & info [ "p" ] ~docv:"P"
+          ~doc:
+            "Loss probability in [0, 0.5); prints the stationary \
+             distribution.")
   in
   let wmax =
     Arg.(
@@ -1147,31 +1179,36 @@ let replay_cmd =
       & info [ "d"; "duration" ] ~docv:"S" ~doc:"Replay window (trace clipped).")
   in
   let run trace_path queue capacity duration =
-    let trace = Taq_workload.Trace.load_csv ~path:trace_path in
-    let p =
-      {
-        Fig1_scatter.default with
-        Fig1_scatter.capacity_bps = capacity;
-        duration;
-      }
-    in
-    (* Replay's geometry: a buffer of one propagation RTT. *)
-    let q =
-      Common.queue_of_disc ~capacity_bps:capacity
-        ~buffer_pkts:
-          (Common.buffer_for_rtts ~capacity_bps:capacity ~rtt:p.Fig1_scatter.rtt
-             ~rtts:1.0)
-        queue
-    in
-    Printf.printf "replaying %d records (%d clients) at %.0f bps under %s\n\n"
-      (Array.length trace)
-      (Array.length (Taq_workload.Trace.client_ids trace))
-      capacity (Common.queue_name q);
-    Fig1_scatter.print (Fig1_scatter.run_trace p ~queue:q ~trace)
+    match Taq_workload.Trace.load_csv ~path:trace_path with
+    | exception Sys_error msg -> `Error (false, "cannot read " ^ msg)
+    | exception Failure msg ->
+        `Error (false, Printf.sprintf "%s: not a trace CSV (%s)" trace_path msg)
+    | trace ->
+        let p =
+          {
+            Fig1_scatter.default with
+            Fig1_scatter.capacity_bps = capacity;
+            duration;
+          }
+        in
+        (* Replay's geometry: a buffer of one propagation RTT. *)
+        let q =
+          Common.queue_of_disc ~capacity_bps:capacity
+            ~buffer_pkts:
+              (Common.buffer_for_rtts ~capacity_bps:capacity ~rtt:p.Fig1_scatter.rtt
+                 ~rtts:1.0)
+            queue
+        in
+        Printf.printf "replaying %d records (%d clients) at %.0f bps under %s\n\n"
+          (Array.length trace)
+          (Array.length (Taq_workload.Trace.client_ids trace))
+          capacity (Common.queue_name q);
+        Fig1_scatter.print (Fig1_scatter.run_trace p ~queue:q ~trace);
+        `Ok ()
   in
   let doc = "Replay a proxy access trace through a simulated access link" in
   Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const run $ trace_path $ queue $ capacity $ duration)
+    Term.(ret (const run $ trace_path $ queue $ capacity $ duration))
 
 (* --- trace ------------------------------------------------------------------ *)
 
@@ -1193,6 +1230,7 @@ let trace_cmd =
   in
   let seed = Arg.(value & opt int 101 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   let run out clients duration seed =
+    writable (Some out) @@ fun () ->
     let params =
       {
         Taq_workload.Trace.default_params with
@@ -1207,10 +1245,12 @@ let trace_cmd =
       (float_of_int (Taq_workload.Trace.total_bytes trace) /. 1e9)
       (Taq_workload.Trace.duration trace)
       (Array.length (Taq_workload.Trace.client_ids trace))
-      out
+      out;
+    `Ok ()
   in
   let doc = "Generate a synthetic proxy access trace" in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ out $ clients $ duration $ seed)
+  Cmd.v (Cmd.info "trace" ~doc)
+    Term.(ret (const run $ out $ clients $ duration $ seed))
 
 (* --- mega ------------------------------------------------------------------ *)
 

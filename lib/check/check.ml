@@ -135,16 +135,3 @@ let report t =
   List.iter (fun m -> Buffer.add_string b (Printf.sprintf "  ! %s\n" m))
     (messages t);
   Buffer.contents b
-
-let merge_into ~dst t =
-  for i = 0 to n_groups - 1 do
-    dst.checks.(i) <- dst.checks.(i) + t.checks.(i);
-    dst.violations.(i) <- dst.violations.(i) + t.violations.(i)
-  done;
-  List.iter
-    (fun m ->
-      if dst.n_messages < max_messages then begin
-        dst.messages <- m :: dst.messages;
-        dst.n_messages <- dst.n_messages + 1
-      end)
-    (messages t)

@@ -23,9 +23,6 @@ type group =
                    baseline frozen before the first injection, samples
                    inside their metric ranges *)
 
-val all_groups : group list
-val group_name : group -> string
-
 val groups_of_string : string -> (group list, string) result
 (** Parse a comma-separated group list, e.g. ["net,tcp"]. ["all"]
     (or [""]) means every group. *)
@@ -58,16 +55,20 @@ val violation : t -> group -> string -> unit
 (** Record a violation directly (counts a check too). No-op when off. *)
 
 val checks_run : t -> group -> int
+(** Test hook: checks of one group that ran; {!report} shows them only as
+    text. *)
+
 val violations : t -> group -> int
+(** Test hook: violations recorded for one group. *)
+
 val total_checks : t -> int
+(** Test hook: checks run across all groups. *)
+
 val total_violations : t -> int
+(** Test hook: violations across all groups. *)
 
 val messages : t -> string list
-(** Retained violation messages, oldest first (capped). *)
+(** Test hook: retained violation messages, oldest first (capped). *)
 
 val report : t -> string
 (** Human-readable per-group summary, e.g. for [taq_sim run --check]. *)
-
-val merge_into : dst:t -> t -> unit
-(** Fold [t]'s counters and messages into [dst] (for aggregating
-    per-worker instances after a parallel sweep). *)

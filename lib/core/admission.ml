@@ -73,37 +73,9 @@ let on_syn t ~key =
 let touch t ~key =
   if Hashtbl.mem t.admitted key then Hashtbl.replace t.admitted key (t.now ())
 
-let is_admitted t ~key = Hashtbl.mem t.admitted key
-
 let admitted_count t = Hashtbl.length t.admitted
 
 let waiting_count t = Hashtbl.length t.waiting
-
-type feedback = { position : int; expected_wait : float }
-
-let feedback t ~key =
-  if Hashtbl.mem t.admitted key then None
-  else begin
-    let rec position i = function
-      | [] -> None
-      | k :: _ when k = key -> Some i
-      | _ :: rest -> position (i + 1) rest
-    in
-    match position 1 t.wait_order with
-    | None -> None
-    | Some position ->
-        (* Pools ahead of us each consume one Twait slot; our own slot
-           opens Twait after the previous forced admission. *)
-        let now = t.now () in
-        let next_slot =
-          Float.max 0.0 (t.last_forced +. t.config.Taq_config.t_wait -. now)
-        in
-        let expected_wait =
-          next_slot
-          +. (float_of_int (position - 1) *. t.config.Taq_config.t_wait)
-        in
-        Some { position; expected_wait }
-  end
 
 let shed_waiting t =
   Hashtbl.reset t.waiting;

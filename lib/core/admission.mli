@@ -35,27 +35,11 @@ val on_syn : t -> key:int -> decision
 val touch : t -> key:int -> unit
 (** Mark the pool active (data seen), refreshing its expiry. *)
 
-val is_admitted : t -> key:int -> bool
-
 val admitted_count : t -> int
 
 val waiting_count : t -> int
 (** Pools currently parked in the wait queue — exposed as a pressure
     signal to the overload guard ({!Overload.sample}). *)
-
-type feedback = {
-  position : int;  (** 1-based place in the admission queue *)
-  expected_wait : float;
-      (** seconds until the Twait guarantee admits this pool, assuming
-          the loss rate stays above threshold: one pool is admitted per
-          [t_wait], oldest first *)
-}
-
-val feedback : t -> key:int -> feedback option
-(** What a proxy-mode middlebox would tell the waiting user (§4.3's
-    visible queue of requests with expected wait times — the
-    RuralCafe-style feedback the paper cites). [None] when the pool is
-    not waiting (unknown or already admitted). *)
 
 val shed_waiting : t -> unit
 (** Drop every waiting pool and empty the Twait FIFO. Called by the

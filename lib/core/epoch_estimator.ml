@@ -6,7 +6,6 @@ type estimating = {
   mutable syn_at : float;  (* nan when no SYN observed *)
   mutable burst_start : float;  (* nan before first packet *)
   mutable last_packet : float;
-  mutable samples : int;
 }
 
 type t = Oracle of float | Est of estimating
@@ -23,7 +22,6 @@ let create = function
           syn_at = nan;
           burst_start = nan;
           last_packet = nan;
-          samples = 0;
         }
 
 let clamp e x = Float.min e.max_epoch (Float.max e.min_epoch x)
@@ -44,8 +42,7 @@ let note_packet t ~time =
         (* First data packet: the SYN→data gap is the initial epoch. *)
         (if not (Float.is_nan e.syn_at) then begin
            let sample = clamp e (time -. e.syn_at) in
-           Taq_util.Ewma.update e.ewma sample;
-           e.samples <- e.samples + 1
+           Taq_util.Ewma.update e.ewma sample
          end);
         e.burst_start <- time;
         e.last_packet <- time
@@ -58,12 +55,9 @@ let note_packet t ~time =
         if time -. e.last_packet > 0.5 *. cur then begin
           let sample = clamp e (time -. e.burst_start) in
           Taq_util.Ewma.update e.ewma sample;
-          e.samples <- e.samples + 1;
           e.burst_start <- time
         end;
         e.last_packet <- time
       end
 
 let epoch = function Oracle rtt -> rtt | Est e -> current e
-
-let samples = function Oracle _ -> 0 | Est e -> e.samples

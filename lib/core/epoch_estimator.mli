@@ -21,6 +21,3 @@ val epoch : t -> float
 (** Current estimate (the oracle value, the configured default before
     any evidence, or the running estimate). Always within the
     configured [min_epoch .. max_epoch] bounds. *)
-
-val samples : t -> int
-(** Number of revisions folded in (0 in oracle mode). *)

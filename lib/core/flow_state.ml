@@ -7,14 +7,6 @@ type t =
   | Extended_silence
   | Idle
 
-type observation = {
-  new_pkts : int;
-  retx_pkts : int;
-  drops : int;
-  prev_new_pkts : int;
-  outstanding_drops : int;
-}
-
 let initial = Slow_start
 
 (* Exponential growth detection for slow start: the epoch's new-packet
@@ -74,36 +66,3 @@ let step_counts state ~new_pkts ~retx_pkts ~drops ~prev_new_pkts
         Timeout_recovery
     | Idle -> Normal
   end
-
-let step state obs =
-  step_counts state ~new_pkts:obs.new_pkts ~retx_pkts:obs.retx_pkts
-    ~drops:obs.drops ~prev_new_pkts:obs.prev_new_pkts
-    ~outstanding_drops:obs.outstanding_drops
-
-let is_silent = function
-  | Timeout_silence | Extended_silence -> true
-  | Slow_start | Normal | Loss_recovery | Timeout_recovery | Idle -> false
-
-let is_recovering = function
-  | Loss_recovery | Timeout_recovery -> true
-  | Slow_start | Normal | Timeout_silence | Extended_silence | Idle -> false
-
-let to_string = function
-  | Slow_start -> "slow-start"
-  | Normal -> "normal"
-  | Loss_recovery -> "loss-recovery"
-  | Timeout_silence -> "timeout-silence"
-  | Timeout_recovery -> "timeout-recovery"
-  | Extended_silence -> "extended-silence"
-  | Idle -> "idle"
-
-let all =
-  [
-    Slow_start;
-    Normal;
-    Loss_recovery;
-    Timeout_silence;
-    Timeout_recovery;
-    Extended_silence;
-    Idle;
-  ]

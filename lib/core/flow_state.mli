@@ -21,21 +21,8 @@ type t =
   | Idle  (** the dummy silence state: nothing to send (e.g. waiting
               for the next HTTP request on a persistent connection) *)
 
-type observation = {
-  new_pkts : int;  (** new data packets seen this epoch *)
-  retx_pkts : int;  (** inferred retransmissions seen this epoch *)
-  drops : int;  (** packets of this flow dropped at the TAQ queue this
-                    epoch *)
-  prev_new_pkts : int;  (** new packets in the previous epoch *)
-  outstanding_drops : int;  (** drops not yet matched by observed
-                                retransmissions *)
-}
-
 val initial : t
 (** Flows begin in {!Slow_start}. *)
-
-val step : t -> observation -> t
-(** Advance one epoch. *)
 
 val step_counts :
   t ->
@@ -45,16 +32,8 @@ val step_counts :
   prev_new_pkts:int ->
   outstanding_drops:int ->
   t
-(** {!step} with the observation's fields passed one by one, so a
-    caller that rolls an epoch builds no record. *)
-
-val is_silent : t -> bool
-(** In a timeout-silence or extended-silence period. *)
-
-val is_recovering : t -> bool
-(** In loss or timeout recovery. *)
-
-val to_string : t -> string
-
-val all : t list
-(** Every state, for exhaustive tests. *)
+(** Advance one epoch, given what the middlebox saw in it: new data
+    packets, inferred retransmissions, and drops of this flow at the
+    TAQ queue; the previous epoch's new packets; and the drops not yet
+    matched by observed retransmissions. The counts are passed one by
+    one, so a caller that rolls an epoch builds no record. *)

@@ -46,11 +46,12 @@ val tick : t -> unit
     most a full turn of the wheel), not O(n). *)
 
 val wheel_width : float
-(** Width in seconds of a bucket of the wheel {!tick} drains: a module
-    constant, exposed so tests can land the clock on a bucket edge. *)
+(** Test hook: width in seconds of a bucket of the wheel {!tick} drains: a
+    module constant, exposed so tests can land the clock on a bucket edge. *)
 
 val state : t -> flow:int -> Flow_state.t
-(** Unknown flows report {!Flow_state.initial}. *)
+(** Test hook: the flow's classified state. Unknown flows report
+    {!Flow_state.initial}. *)
 
 val silence_epochs : t -> flow:int -> int
 (** Consecutive fully-silent epochs ending now (0 for active flows) —
@@ -64,6 +65,7 @@ val rate_bps : t -> flow:int -> float
 (** Smoothed goodput estimate; 0 for unknown flows. *)
 
 val outstanding_drops : t -> flow:int -> int
+(** Test hook: drops of the flow not yet matched by a retransmission. *)
 
 val recent_drops : t -> flow:int -> int
 (** Drops inflicted on the flow across the current and previous
@@ -108,18 +110,20 @@ val peak_tracked : t -> int
 (** High-water mark of {!tracked_flow_count} over the tracker's life. *)
 
 val fair_share_bps : ?flow:int -> t -> float
-(** The fair share in bits/second — equal split under fair queuing, or
-    the flow's RTT-weighted share under the proportional model (pass
-    [flow] so its epoch can be consulted). *)
+(** Test hook: the fair share in bits/second — equal split under fair queuing,
+    or the flow's RTT-weighted share under the proportional model (pass [flow]
+    so its epoch can be consulted). *)
 
 val active_pool_count : t -> int
-(** Distinct active flow pools (pool-less flows count as singletons). *)
+(** Test hook: distinct active flow pools (pool-less flows count as
+    singletons). *)
 
 val pool_rate_bps : t -> flow:int -> float
-(** Aggregate smoothed rate of the flow's whole pool. *)
+(** Test hook: aggregate smoothed rate of the flow's whole pool. *)
 
 val below_fair_share : t -> flow:int -> bool
 (** Under [pool_fairness] the comparison is the flow's {e pool}
     aggregate rate against the per-pool fair share. *)
 
 val pool_of : t -> flow:int -> int
+(** Test hook: the pool the tracker files the flow under. *)

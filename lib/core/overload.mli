@@ -72,8 +72,5 @@ val sample : t -> tracked:int -> cap_evictions:int -> waiting:int -> unit
 val degraded_entered : t -> int
 val degraded_exited : t -> int
 
-val time_in_mode : t -> float
-(** Seconds since the last mode transition (or creation). *)
-
 val report : t -> string
 (** One-line summary, e.g. for drill output. *)

@@ -85,8 +85,9 @@ type t = {
 val default_admission : admission
 
 val default_guard : guard
-(** trip_after 0.25 s, clear_after 1 s, min_dwell 1 s,
-    recovery_dwell 1 s, waiting_high 64. *)
+(** Test hook: the guard {!with_guard} installs by default, which the
+    validation tests perturb: trip_after 0.25 s, clear_after 1 s, min_dwell 1
+    s, recovery_dwell 1 s, waiting_high 64. *)
 
 val default : capacity_pkts:int -> capacity_bps:float -> t
 (** No admission control; estimated epochs; recovery share 0.25;
@@ -96,6 +97,8 @@ val with_admission : capacity_pkts:int -> capacity_bps:float -> t
 (** {!default} plus {!default_admission}. *)
 
 val with_guard : ?guard:guard -> max_tracked_flows:int -> t -> t
-(** Enable the overload guard with a (validated) tracker cap.
+(** Enable the overload guard with a (validated) tracker cap. [guard]
+    defaults to {!default_guard}; only tests pass another, to check
+    the validation.
     @raise Invalid_argument on a cap < 1 or nonsensical guard fields
     (negative dwells, [clear_after <= 0], [waiting_high < 1]). *)

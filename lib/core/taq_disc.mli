@@ -64,10 +64,6 @@ val guard : t -> Overload.t option
     switches. *)
 
 val queues : t -> Taq_queues.t
+(** Test hook: the class queues, whose occupancy tests read. *)
 
 val stats : t -> stats
-
-val classify :
-  t -> Taq_net.Packet.t -> Flow_tracker.classification -> Taq_queues.class_
-(** The class a data packet of this flow would be queued into right
-    now — exposed for tests and introspection. *)

@@ -55,6 +55,13 @@ type t = {
      than through a call on every event. *)
   checking : bool;  (* [Check.on check Engine] *)
   counting : bool;  (* [Obs.enabled obs] *)
+  (* The [sim.*] counter cells of [obs], looked up once. *)
+  scheduled : int ref;
+  executed : int ref;
+  skipped : int ref;
+  pushes : int ref;
+  pops : int ref;
+  max_depth : int ref;  (* a gauge *)
 }
 
 let create ?check ?obs () =
@@ -74,6 +81,12 @@ let create ?check ?obs () =
     obs;
     checking = Check.on check Check.Engine;
     counting = Obs.enabled obs;
+    scheduled = Obs.labeled_ref obs "sim.events_scheduled";
+    executed = Obs.labeled_ref obs "sim.events_executed";
+    skipped = Obs.labeled_ref obs "sim.events_skipped";
+    pushes = Obs.labeled_ref obs "sim.heap_push";
+    pops = Obs.labeled_ref obs "sim.heap_pop";
+    max_depth = Obs.labeled_gauge_ref obs "sim.heap_max_depth";
   }
 
 let check t = t.check
@@ -127,7 +140,7 @@ let lane_push t slot =
   let lane = t.lane in
   lane.((t.lane_head + t.lane_len) land (Array.length lane - 1)) <- slot;
   t.lane_len <- t.lane_len + 1;
-  if t.counting then Obs.incr t.obs Obs.Events_scheduled
+  if t.counting then incr t.scheduled
 
 let lane_pop t =
   let lane = t.lane in
@@ -140,9 +153,10 @@ let lane_pop t =
 let heap_push t ~seq cell slot =
   Event_heap.push_seq t.calendar ~seq cell slot;
   if t.counting then begin
-    Obs.incr t.obs Obs.Events_scheduled;
-    Obs.incr t.obs Obs.Heap_push;
-    Obs.gauge_max t.obs Obs.Heap_max_depth (Event_heap.size t.calendar)
+    incr t.scheduled;
+    incr t.pushes;
+    let depth = Event_heap.size t.calendar in
+    if depth > !(t.max_depth) then t.max_depth := depth
   end
 
 (* File [slot] at the time in [t.at]: the lane when that is now, the
@@ -293,10 +307,10 @@ let dispatch t slot =
   t.actions.(slot) <- null_action;
   free_slot t slot;
   if action != cancelled then begin
-    if t.counting then Obs.incr t.obs Obs.Events_executed;
+    if t.counting then incr t.executed;
     action ()
   end
-  else if t.counting then Obs.incr t.obs Obs.Events_skipped
+  else if t.counting then incr t.skipped
 
 (* Run the next entry due at or before [clock.(2)]; [false] if none.
    With the lane non-empty only heap entries due now may go first, and
@@ -309,7 +323,7 @@ let next t =
   let slot = Event_heap.pop_due t.calendar c in
   if slot >= 0 then begin
     if t.checking then check_heap_pop t prev;
-    if t.counting then Obs.incr t.obs Obs.Heap_pop;
+    if t.counting then incr t.pops;
     dispatch t slot;
     true
   end

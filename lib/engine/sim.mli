@@ -103,9 +103,10 @@ val run : ?until:float -> t -> unit
     [Invalid_argument]. *)
 
 val step : t -> bool
-(** Execute exactly the next event; [false] if none remained. *)
+(** Test hook: lets a test stop between two events. Execute exactly the next
+    event; [false] if none remained. *)
 
 val pending_events : t -> int
-(** Number of calendar entries, heap plus lane, including entries that
-    will run nothing (a timer's pending entry counts) — for tests and
+(** Test hook: number of calendar entries, heap plus lane, including entries
+    that will run nothing (a timer's pending entry counts) — for tests and
     leak hunting. *)

@@ -75,7 +75,7 @@ type pthresh_row = {
   rejected_syns : int;
 }
 
-let run_pthresh_sweep ?(thresholds = [ 0.02; 0.05; 0.1; 0.2; 0.4 ]) p =
+let run_pthresh_sweep p =
   List.map
     (fun pthresh ->
       let buffer_pkts =
@@ -135,7 +135,7 @@ let run_pthresh_sweep ?(thresholds = [ 0.02; 0.05; 0.1; 0.2; 0.4 ]) p =
         completed = Array.length xs;
         rejected_syns = rejected;
       })
-    thresholds
+    [ 0.02; 0.05; 0.1; 0.2; 0.4 ]
 
 let print rows =
   let table =

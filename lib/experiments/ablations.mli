@@ -46,7 +46,9 @@ type pthresh_row = {
   rejected_syns : int;
 }
 
-val run_pthresh_sweep : ?thresholds:float list -> params -> pthresh_row list
+val run_pthresh_sweep : params -> pthresh_row list
+(** One row per admission threshold [pthresh] in 0.02, 0.05, 0.1, 0.2
+    and 0.4. *)
 
 val print : row list -> unit
 

@@ -252,11 +252,11 @@ let spawn_long_flows env ?(tcp = default_tcp) ~n ~rtt ?(rtt_jitter = 0.0) () =
       Tcp_session.start session;
       flow)
 
-let spawn_finite_flow env ?(tcp = default_tcp) ?(pool = -1) ~segments ~rtt
-    ?at ~on_complete () =
+let spawn_finite_flow env ?(tcp = default_tcp) ~segments ~rtt ?at ~on_complete
+    () =
   let flow_ref = ref (-1) in
   let session =
-    Tcp_session.create ~net:env.net ~config:tcp ~pool ~rtt_prop:rtt
+    Tcp_session.create ~net:env.net ~config:tcp ~rtt_prop:rtt
       ~total_segments:segments
       ~on_complete:(fun time ->
         Taq_metrics.Flow_evolution.note_finish env.evolution ~flow:!flow_ref

@@ -93,7 +93,8 @@ val make_env :
     env's own network, so independent envs can run concurrently in
     separate domains. [check], [obs], [faults] and [resil] default to
     what the installed {!Run_spec.current} asks for; an explicit
-    argument wins. [check] instruments every layer; when the Queueing
+    argument wins (only tests pass [check] or [obs]: the program sets
+    both through the run spec). [check] instruments every layer; when the Queueing
     group is enabled the installed discipline is additionally wrapped
     in {!Taq_queueing.Checked} shadow-model cross-checking. [obs]
     threads one observability instance through the simulator, link,
@@ -140,15 +141,14 @@ val spawn_long_flows :
 val spawn_finite_flow :
   env ->
   ?tcp:Taq_tcp.Tcp_config.t ->
-  ?pool:int ->
   segments:int ->
   rtt:float ->
   ?at:float ->
   on_complete:(float -> unit) ->
   unit ->
   int
-(** Start one finite flow (optionally delayed to time [at]); returns
-    its flow id. [on_complete] receives the completion time. *)
+(** Start one finite flow, in no flow pool (optionally delayed to time
+    [at]); returns its flow id. [on_complete] receives the completion time. *)
 
 val run : env -> until:float -> unit
 (** Arm the resilience monitor (when present) for [until], then run

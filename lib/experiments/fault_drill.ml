@@ -35,8 +35,9 @@ let disc_of_string s =
            s)
   | r -> r
 
-let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
-    ?(capacity_bps = 400e3) ?(duration = 90.0) ?(seed = 1) () =
+let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400)
+    ?(duration = 90.0) ?(seed = 1) () =
+  let rtt = 0.1 and capacity_bps = 400e3 in
   let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0 in
   let flood = Plan.has_flood plan in
   let queue =

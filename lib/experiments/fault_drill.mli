@@ -63,14 +63,13 @@ val run :
   queue:Common.queue ->
   ?flows:int ->
   ?segments:int ->
-  ?rtt:float ->
-  ?capacity_bps:float ->
   ?duration:float ->
   ?seed:int ->
   unit ->
   outcome
-(** Defaults: 8 flows of 400 segments over a 400 kbit/s bottleneck,
-    RTT 0.1 s, 90 s horizon, seed 1. The workload keeps the
+(** Defaults: 8 flows of 400 segments, 90 s horizon, seed 1; only
+    tests pass a smaller workload or horizon. The bottleneck is always
+    400 kbit/s with a 0.1 s RTT. The workload keeps the
     bottleneck busy for ≈ 32 s of ideal transfer time, so every
     registry fault window (all end by t = 20 s) sees live traffic,
     with generous slack to finish after [Taq_fault.Plan.horizon]. *)

@@ -26,22 +26,23 @@ val default_discs : string list
     {!run_cell} but not part of the default matrix.) *)
 
 val workload_names : string list
-(** ["longmix"; "mice"]. *)
+(** Test hook: the vocabulary the task-key property draws cells from:
+    ["longmix"; "mice"]. *)
 
 val tcp_names : string list
-(** {!Taq_tcp.Tcp_config.profile_names}: newreno, sack, cubic. *)
+(** Test hook: the vocabulary the task-key property draws cells from:
+    {!Taq_tcp.Tcp_config.profile_names}. {!Taq_tcp.Tcp_config.profile_names}:
+    newreno, sack, cubic. *)
 
 val fault_names : string list
-(** The fault axis vocabulary: none, flap, flood, brownout, jitter —
-    each a named, fixed quick-scale fault plan (onset t=8, cleared
-    with most of the horizon left so recovery is measurable). *)
+(** Test hook: the vocabulary the task-key property draws cells from. The
+    fault axis vocabulary: none, flap, flood, brownout, jitter — each a named,
+    fixed quick-scale fault plan (onset t=8, cleared with most of the horizon
+    left so recovery is measurable). *)
 
 val default_fault_axis : string list
 (** [["none"; "flap"; "flood"]] — the axis [sweep --matrix] runs by
     default; the golden matrix crosses every cell with these. *)
-
-val plan_of_fault : string -> (Taq_fault.Plan.t, string) result
-(** The fixed plan behind a fault-axis name (empty for ["none"]). *)
 
 val validate :
   ?fault:string ->

@@ -66,12 +66,6 @@ exception Interrupted
     cooperative cancellation fires mid-run; the caller prints a note
     and exits with {!Taq_harness.Pool.cancelled_exit_code}. *)
 
-val shard_key : params -> shard:int -> string
-(** The canonical task key of one shard — every output-affecting
-    parameter (population, sharding, capacity, rtt, duration, dt,
-    cohort seed) is folded in, and the per-shard simulation seed
-    derives from it. *)
-
 val run : ?jobs:int -> ?store:Taq_harness.Durable.store -> params -> result
 (** Execute all shards (default [jobs = 1]).
 

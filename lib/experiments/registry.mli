@@ -20,8 +20,6 @@ type outcome = {
           produce clean, non-interleaved outputs *)
 }
 
-val targets : target list
-
 val find : string -> target option
 
 val names : string list

@@ -57,9 +57,6 @@ type fault =
 
 type t = fault list
 
-val flood_kinds : string list
-(** [["syn"; "data"; "pool"]]. *)
-
 val of_string : string -> (t, string) result
 (** Parse the grammar above. The empty string is the empty (no-op)
     plan. Validation: probabilities in [0, 1], times non-negative,

@@ -11,33 +11,26 @@ type params = {
   max_share : float;
 }
 
-let make_params ?(rtt_prop = 0.2) ?(pkt_bytes = 500) ?(wmax = 64.0)
-    ?(w_min = 0.25) ?(rto = 1.0) ?(dt = 0.05) ?(max_share = 0.95) ~n_flows
+let make_params ?(rtt_prop = 0.2) ?(pkt_bytes = 500) ?(dt = 0.05) ~n_flows
     ~capacity_bps ~buffer_bytes () =
   if n_flows <= 0 then invalid_arg "Fluid.Model.make_params: n_flows";
   if rtt_prop <= 0.0 then invalid_arg "Fluid.Model.make_params: rtt_prop";
   if pkt_bytes <= 0 then invalid_arg "Fluid.Model.make_params: pkt_bytes";
-  if wmax < 1.0 then invalid_arg "Fluid.Model.make_params: wmax";
-  if w_min <= 0.0 || w_min > wmax then
-    invalid_arg "Fluid.Model.make_params: w_min";
   if buffer_bytes <= 0 then invalid_arg "Fluid.Model.make_params: buffer_bytes";
   if capacity_bps <= 0.0 then
     invalid_arg "Fluid.Model.make_params: capacity_bps";
-  if rto <= 0.0 then invalid_arg "Fluid.Model.make_params: rto";
   if dt <= 0.0 then invalid_arg "Fluid.Model.make_params: dt";
-  if max_share <= 0.0 || max_share >= 1.0 then
-    invalid_arg "Fluid.Model.make_params: max_share";
   {
     n_flows;
     rtt_prop;
     pkt_bytes;
-    wmax;
-    w_min;
+    wmax = 64.0;
+    w_min = 0.25;
     buffer_bytes;
     capacity_bps;
-    rto;
+    rto = 1.0;
     dt;
-    max_share;
+    max_share = 0.95;
   }
 
 (* Only the identity-bearing fields: capacity and buffer are already

@@ -72,21 +72,17 @@ type params = {
 val make_params :
   ?rtt_prop:float ->
   ?pkt_bytes:int ->
-  ?wmax:float ->
-  ?w_min:float ->
-  ?rto:float ->
   ?dt:float ->
-  ?max_share:float ->
   n_flows:int ->
   capacity_bps:float ->
   buffer_bytes:int ->
   unit ->
   params
 (** Validated constructor (defaults: [rtt_prop = 0.2],
-    [pkt_bytes = 500], [wmax = 64.], [w_min = 0.25], [rto = 1.0],
-    [dt = 0.05], [max_share = 0.95]). Raises [Invalid_argument] on a
-    non-positive population, capacity, buffer, step, RTO or RTT, or a
-    share outside (0, 1). *)
+    [pkt_bytes = 500], [dt = 0.05]; always [wmax = 64.],
+    [w_min = 0.25], [rto = 1.0], [max_share = 0.95]). Raises
+    [Invalid_argument] on a non-positive population, packet size,
+    capacity, buffer, step or RTT. *)
 
 val params_to_string : params -> string
 (** Canonical compact rendering, e.g.
@@ -110,7 +106,7 @@ val backlog_bytes : t -> float
 (** Current fluid backlog at the bottleneck, bytes. *)
 
 val active_fraction : t -> float
-(** Fraction of the population not currently silenced by a timeout,
+(** Test hook: fraction of the population not currently silenced by a timeout,
     in [(0, 1]]. *)
 
 val demand_bps : t -> float

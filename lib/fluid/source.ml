@@ -27,12 +27,6 @@ type t = {
 
 let model t = t.model
 
-let ticks t = t.n_ticks
-
-let offered_bytes t = Model.arrived_bytes t.model
-
-let drop_rate t = Model.loss_rate t.model
-
 (* Conservation tolerance: relative to total arrivals, generous enough
    for long double-precision accumulations. *)
 let conservation_eps = 1e-6

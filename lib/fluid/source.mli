@@ -50,14 +50,6 @@ val attach :
 
 val model : t -> Model.t
 
-val ticks : t -> int
-(** Integration steps executed so far. *)
-
-val offered_bytes : t -> float
-
-val drop_rate : t -> float
-(** Lifetime fluid drop fraction (overflow bytes / arrived bytes). *)
-
 val report : t -> string
 (** One-line summary for CLI output, e.g.
     ["fluid: flows=5000 ticks=400 arrived=12.3MB dropped=1.2% w=2.31 backlog=4500B"]. *)

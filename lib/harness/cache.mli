@@ -45,9 +45,9 @@ val store : t -> key:string -> string -> unit
     uncached rather than aborting. *)
 
 val evictions : t -> int
-(** Corrupted entries deleted by {!find} over this instance's
+(** Test hook: corrupted entries deleted by {!find} over this instance's
     lifetime. *)
 
 val io_errors : t -> int
-(** Failed {!store}s (degraded-to-uncached) over this instance's
+(** Test hook: failed {!store}s (degraded-to-uncached) over this instance's
     lifetime. *)

@@ -1,7 +1,1 @@
-let run f = Taq_util.Out.with_buffer f
-
-let text f =
-  let output, () = Taq_util.Out.with_buffer f in
-  output
-
-let printf fmt = Taq_util.Out.printf fmt
+let text f = fst (Taq_util.Out.with_buffer f)

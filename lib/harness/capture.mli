@@ -1,6 +1,6 @@
 (** Per-task output capture.
 
-    Worker domains wrap each task body in {!run} (or {!text}) so that
+    Worker domains wrap each task body in {!text} so that
     everything the task prints through the {!Taq_util.Out} sink — every
     experiment table and summary line — lands in a private buffer
     instead of interleaving on stdout. Because the sink is domain-local
@@ -8,13 +8,6 @@
     the captured text of a task is byte-identical to what a sequential
     run would print. *)
 
-val run : (unit -> 'a) -> string * 'a
-(** [(captured_output, result)] of running the thunk with this
-    domain's output redirected into a fresh buffer. *)
-
 val text : (unit -> unit) -> string
-(** Like {!run} for thunks executed only for their output. *)
-
-val printf : ('a, unit, string, unit) format4 -> 'a
-(** Print to the current sink ([Taq_util.Out.printf], re-exported so
-    harness clients need only this module). *)
+(** The output of running the thunk with this domain's output
+    redirected into a fresh buffer. *)

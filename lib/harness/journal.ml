@@ -161,8 +161,6 @@ let open_append ?(obs = Taq_obs.Obs.off) ~path ~fresh () =
 
 let healthy t = t.chan <> None
 
-let path t = t.path
-
 let append t r =
   Mutex.lock t.mutex;
   Fun.protect

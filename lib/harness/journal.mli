@@ -59,10 +59,8 @@ val open_append :
     failure the journal comes back degraded ({!healthy} [= false]). *)
 
 val healthy : t -> bool
-(** [false] once the journal has degraded to a no-op (open or append
-    failure). *)
-
-val path : t -> string
+(** Test hook: [false] once the journal has degraded to a no-op (open or
+    append failure). *)
 
 val append : t -> record -> unit
 (** Format, write, flush and [fsync] one record (thread-safe; worker
@@ -87,14 +85,16 @@ val finished : record list -> (string, string) Hashtbl.t
 (** {1 Wire format internals} — exposed for the test battery. *)
 
 val line_of_record : record -> string
-(** One checksummed line, ['\n']-terminated. *)
+(** Test hook: the line codec, which the corruption tests write and break by
+    hand. One checksummed line, ['\n']-terminated. *)
 
 val record_of_line : string -> record option
-(** Parse one line (without its ['\n']); [None] unless the checksum
-    and shape verify. *)
+(** Test hook: the other half of {!line_of_record}. Parse one line (without
+    its ['\n']); [None] unless the checksum and shape verify. *)
 
 val decode : string -> record list
-(** Pure replay of a journal byte stream: the longest prefix of valid
-    lines. For any [records] and any truncation or suffix corruption
-    of [String.concat "" (List.map line_of_record records)], the
-    result is a prefix of [records]. *)
+(** Test hook: the reference replay that crash recovery is checked against.
+    Pure replay of a journal byte stream: the longest prefix of valid lines.
+    For any [records] and any truncation or suffix corruption of
+    [String.concat "" (List.map line_of_record records)], the result is a
+    prefix of [records]. *)

@@ -196,7 +196,7 @@ let unexecuted_result key msg =
   }
 
 let run ?(obs = Taq_obs.Obs.off) ?(jobs = 1) ?timeout_s ?retries ?backoff_s
-    ?backoff_cap_s ?max_respawns ?on_start ?on_done tasks =
+    ?backoff_cap_s ?on_start ?on_done tasks =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   let results : 'a result option array = Array.make n None in
@@ -251,9 +251,6 @@ let run ?(obs = Taq_obs.Obs.off) ?(jobs = 1) ?timeout_s ?retries ?backoff_s
       loop ()
     in
     let workers = Stdlib.min jobs n in
-    let respawn_budget =
-      match max_respawns with Some m -> Stdlib.max 0 m | None -> workers
-    in
     let domains = List.init workers (fun _ -> Domain.spawn worker) in
     Array.iteri (fun i _ -> Work_queue.push queue i) tasks;
     Work_queue.close queue;
@@ -276,7 +273,7 @@ let run ?(obs = Taq_obs.Obs.off) ?(jobs = 1) ?timeout_s ?retries ?backoff_s
           incr deaths;
           Printf.eprintf "taq pool: worker died unexpectedly: %s\n%!"
             (Printexc.to_string e);
-          if unfinished () && !respawned < respawn_budget then begin
+          if unfinished () && !respawned < workers then begin
             incr respawned;
             supervise (Domain.spawn worker)
           end
@@ -332,15 +329,3 @@ let status r =
       else if r.attempts > 1 then
         Printf.sprintf "error (%d attempts): %s" r.attempts msg
       else "error: " ^ msg
-
-let report ?(columns = [ "task"; "seconds"; "status" ]) results =
-  let table = Taq_util.Table.create ~columns in
-  List.iter
-    (fun r ->
-      Taq_util.Table.add_row table
-        [ r.key; Printf.sprintf "%.2f" r.elapsed_s; status r ])
-    results;
-  let total = List.fold_left (fun acc r -> acc +. r.elapsed_s) 0.0 results in
-  Taq_util.Table.add_row table
-    [ "total"; Printf.sprintf "%.2f" total; "" ];
-  table

@@ -43,7 +43,6 @@ val run :
   ?retries:int ->
   ?backoff_s:float ->
   ?backoff_cap_s:float ->
-  ?max_respawns:int ->
   ?on_start:(string -> unit) ->
   ?on_done:(completed:int -> total:int -> 'a result -> unit) ->
   'a Task.t list ->
@@ -69,12 +68,13 @@ val run :
     - [retries] (default 0): failed or timed-out attempts are retried
       up to this many times, sleeping
       [min backoff_cap_s (backoff_s · 2^(attempt-1))] (defaults
-      [backoff_s = 0.05], [backoff_cap_s = 2.0]) between attempts;
+      [backoff_s = 0.05], [backoff_cap_s = 2.0]; only tests pass
+      shorter ones) between attempts;
       after the budget is exhausted the task is quarantined as
       [Error].
-    - [max_respawns] (default: the worker count): how many replacement
-      workers may be spawned over the pool's lifetime when workers die
-      of escaped exceptions. Deaths and respawns surface as the
+    - Respawns: as many replacement workers as there are workers may
+      be spawned over the pool's lifetime when workers die of escaped
+      exceptions. Deaths and respawns surface as the
       [pool.worker_deaths] / [pool.workers_respawned] obs counters; a
       task lost to a dying worker (popped but never recorded) is
       filled in as [Error "lost: ..."] and counted in
@@ -89,26 +89,24 @@ val run :
 (** {2 Cooperative cancellation} *)
 
 val request_cancel : unit -> unit
-(** Ask all running pools to stop picking up new tasks. In-flight
-    tasks complete; queued tasks come back as ["cancelled"]. *)
+(** Test hook: what the signal handler does, without a signal. Ask all running
+    pools to stop picking up new tasks. In-flight tasks complete; queued tasks
+    come back as ["cancelled"]. *)
 
 val cancel_requested : unit -> bool
 
 val reset_cancel : unit -> unit
-(** Clear the flag (tests; a CLI serving multiple runs). *)
+(** Test hook: clear the flag (tests; a CLI serving multiple runs). *)
 
 val install_signal_cancellation : ?label:string -> unit -> unit
 (** Route SIGINT/SIGTERM to cooperative cancellation: the first signal
     sets the cancel flag and prints a note mentioning [label]; a
-    second signal exits immediately with {!forced_exit_code}. Call
+    second signal exits immediately with code 131. Call
     once from the main domain before running pools. *)
 
 val cancelled_exit_code : int
 (** 130 — the conventional exit code a cancelled run should exit with
     after printing its partial report. *)
-
-val forced_exit_code : int
-(** 131 — the exit code of a double-signal forced quit. *)
 
 val cancelled : 'a result -> bool
 (** The task was skipped by cooperative cancellation (never executed). *)
@@ -120,8 +118,3 @@ val status : 'a result -> string
 (** Human-readable status: ["ok"], ["ok (retried xN)"], ["timeout"],
     ["timeout (N attempts)"], ["error: msg"],
     ["error (N attempts): msg"], ["cancelled"] or ["lost: ..."]. *)
-
-val report : ?columns:string list -> 'a result list -> Taq_util.Table.t
-(** A summary table (task, seconds, status) with a trailing total row
-    — print it with {!Taq_util.Table.print}. The status column
-    distinguishes ok / retried / timeout / error via {!status}. *)

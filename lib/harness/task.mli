@@ -15,10 +15,11 @@ val make : key:string -> (seed:int -> 'a) -> 'a t
 val key : 'a t -> string
 
 val seed_of_key : string -> int
-(** Deterministic seed derivation: FNV-1a folds the key into 64 bits,
-    a splitmix64 step mixes it, and the result is truncated to a
-    non-negative OCaml int. Equal keys give equal seeds; distinct keys
-    give (with overwhelming probability) unrelated seeds. *)
+(** Test hook: the derivation that tests pin. Deterministic seed derivation:
+    FNV-1a folds the key into 64 bits, a splitmix64 step mixes it, and the
+    result is truncated to a non-negative OCaml int. Equal keys give equal
+    seeds; distinct keys give (with overwhelming probability) unrelated seeds.
+    *)
 
 val run : 'a t -> 'a
 (** [run t] invokes the task body with [~seed:(seed_of_key (key t))]. *)

@@ -6,32 +6,8 @@ let of_samples xs =
   Array.sort compare s;
   s
 
-let n t = Array.length t
-
-let min t = t.(0)
-
-let max t = t.(Array.length t - 1)
-
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Cdf.quantile: q out of range";
   let len = Array.length t in
   let idx = int_of_float (ceil (q *. float_of_int len)) - 1 in
   t.(Stdlib.max 0 (Stdlib.min (len - 1) idx))
-
-let at t x =
-  (* Binary search for the rightmost sample <= x. *)
-  let len = Array.length t in
-  if x < t.(0) then 0.0
-  else begin
-    let lo = ref 0 and hi = ref (len - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if t.(mid) <= x then lo := mid else hi := mid - 1
-    done;
-    float_of_int (!lo + 1) /. float_of_int len
-  end
-
-let points ?(steps = 20) t =
-  List.init (steps + 1) (fun i ->
-      let q = float_of_int i /. float_of_int steps in
-      (quantile t q, q *. 100.0))

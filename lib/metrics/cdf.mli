@@ -10,16 +10,3 @@ val of_samples : float array -> t
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0..1]: smallest sample at or above the
     q-th fraction of the distribution. *)
-
-val at : t -> float -> float
-(** [at t x]: fraction of samples [<= x]. *)
-
-val n : t -> int
-
-val min : t -> float
-
-val max : t -> float
-
-val points : ?steps:int -> t -> (float * float) list
-(** [(value, percentile 0..100)] pairs suitable for printing a CDF
-    curve; [steps] evenly spaced percentiles (default 20). *)

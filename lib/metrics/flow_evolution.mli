@@ -11,6 +11,8 @@
 type class_ = Maintained | Dropped | Arriving | Stalled
 
 val classify : active_prev:bool -> active_cur:bool -> class_
+(** Test hook: the four-case transition table; {!series} shows it only summed
+    over flows. *)
 
 type t
 

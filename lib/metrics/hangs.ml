@@ -1,7 +1,5 @@
 type pool_state = {
-  start : float;
   mutable last_data : float;
-  mutable finished : float;  (* infinity while running *)
   mutable max_gap : float;  (* longest closed silent interval, 0 if none *)
 }
 
@@ -12,7 +10,7 @@ let create () = { pools = Hashtbl.create 64 }
 let note_session_start t ~pool ~time =
   if not (Hashtbl.mem t.pools pool) then
     Hashtbl.replace t.pools pool
-      { start = time; last_data = time; finished = infinity; max_gap = 0.0 }
+      { last_data = time; max_gap = 0.0 }
 
 let note_data t ~pool ~time =
   match Hashtbl.find_opt t.pools pool with
@@ -22,22 +20,11 @@ let note_data t ~pool ~time =
       if gap > st.max_gap then st.max_gap <- gap;
       st.last_data <- time
 
-let note_session_end t ~pool ~time =
-  match Hashtbl.find_opt t.pools pool with
-  | None -> ()
-  | Some st ->
-      if st.finished = infinity then begin
-        st.finished <- time;
-        let gap = time -. st.last_data in
-        if gap > st.max_gap then st.max_gap <- gap;
-        st.last_data <- time
-      end
-
 let max_hang t ~pool ~until =
   match Hashtbl.find_opt t.pools pool with
   | None -> 0.0
   | Some st ->
-      if st.finished = infinity && until > st.last_data then
+      if until > st.last_data then
         Float.max st.max_gap (until -. st.last_data)
       else st.max_gap
 

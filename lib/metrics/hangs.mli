@@ -12,11 +12,9 @@ val note_session_start : t -> pool:int -> time:float -> unit
 val note_data : t -> pool:int -> time:float -> unit
 (** Some connection of the pool received data. *)
 
-val note_session_end : t -> pool:int -> time:float -> unit
-
 val max_hang : t -> pool:int -> until:float -> float
 (** The longest silent interval of the pool, including the trailing one
-    up to [until] (or session end if earlier). Only the running maximum
+    up to [until]. Only the running maximum
     is kept, so the state stays one record per pool however much data
     arrives. Unknown pools yield [0.]. *)
 

@@ -1,44 +1,24 @@
 module Packet = Taq_net.Packet
 module Link = Taq_net.Link
 
-type t = {
-  ewma : Taq_util.Ewma.t;
-  data_only : bool;
-  mutable drops : int;
-  mutable accepted : int;
-}
+type t = { mutable drops : int; mutable accepted : int }
 
-let counts_kind t (p : Packet.t) =
-  (not t.data_only)
-  ||
+(* Only data packets count, so the rate matches the model's
+   per-data-packet [p]. *)
+let is_data (p : Packet.t) =
   match p.kind with
   | Packet.Data -> true
   | Packet.Syn | Packet.Syn_ack | Packet.Ack | Packet.Fin -> false
 
-let attach ?(alpha = 0.001) ?(data_only = true) link =
-  let t =
-    { ewma = Taq_util.Ewma.create ~alpha; data_only; drops = 0; accepted = 0 }
-  in
-  Link.on_drop link (fun p ->
-      if counts_kind t p then begin
-        t.drops <- t.drops + 1;
-        Taq_util.Ewma.update t.ewma 1.0
-      end);
+let attach link =
+  let t = { drops = 0; accepted = 0 } in
+  Link.on_drop link (fun p -> if is_data p then t.drops <- t.drops + 1);
   Link.on_enqueue link (fun p ->
-      if counts_kind t p then begin
-        t.accepted <- t.accepted + 1;
-        Taq_util.Ewma.update t.ewma 0.0
-      end);
+      if is_data p then t.accepted <- t.accepted + 1);
   t
 
-let arrivals t = t.drops + t.accepted
-
 let overall_rate t =
-  let n = arrivals t in
+  let n = t.drops + t.accepted in
   if n = 0 then 0.0 else float_of_int t.drops /. float_of_int n
-
-let smoothed_rate t =
-  if Taq_util.Ewma.is_initialized t.ewma then Taq_util.Ewma.value t.ewma
-  else 0.0
 
 let drops t = t.drops

@@ -1,23 +1,17 @@
-(** Packet-loss rate measurement at a link, overall and smoothed.
+(** Packet-loss rate measurement at a link.
 
-    Experiments use it to report the operating point (the model's [p]);
-    TAQ's admission controller uses its own internal copy of the same
-    EWMA logic — this is the measurement-side twin. *)
+    Experiments use it to report the operating point (the model's
+    [p]). *)
 
 type t
 
-val attach : ?alpha:float -> ?data_only:bool -> Taq_net.Link.t -> t
-(** Subscribes to the link's enqueue and drop events. [data_only]
-    (default true) ignores SYN/ACK/FIN packets so the rate matches the
-    model's per-data-packet [p]. [alpha] is the EWMA weight applied
-    per arrival (default 0.001). *)
+val attach : Taq_net.Link.t -> t
+(** Subscribes to the link's enqueue and drop events. Only data
+    packets count: SYN/ACK/FIN are ignored so the rate matches the
+    model's per-data-packet [p]. *)
 
 val overall_rate : t -> float
 (** drops / (drops + accepted) since attachment; 0 before traffic. *)
 
-val smoothed_rate : t -> float
-(** EWMA of the per-packet drop indicator; 0 before traffic. *)
-
 val drops : t -> int
-
-val arrivals : t -> int
+(** Test hook: the drop count behind {!overall_rate}. *)

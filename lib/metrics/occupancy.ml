@@ -44,5 +44,3 @@ let distribution t =
   if t.observations = 0 then Array.make (t.wmax + 1) 0.0
   else
     Array.map (fun c -> float_of_int c /. float_of_int t.observations) t.counts
-
-let raw_counts t = Array.copy t.counts

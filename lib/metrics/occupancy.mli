@@ -24,5 +24,3 @@ val observations : t -> int
 val distribution : t -> float array
 (** Normalized histogram over sent-classes [0..wmax]; all-zero before
     any observation. *)
-
-val raw_counts : t -> int array

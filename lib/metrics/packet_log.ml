@@ -50,51 +50,6 @@ let count t = Taq_util.Deque.length t.buf
 
 let dropped_events t = t.discarded
 
-let flows t =
-  let seen = Hashtbl.create 64 in
-  Taq_util.Deque.iter (fun e -> Hashtbl.replace seen e.flow ()) t.buf;
-  let ids = Hashtbl.fold (fun f () acc -> f :: acc) seen [] in
-  Array.of_list (List.sort compare ids)
-
-let deliveries_of t ~flow =
-  let acc = ref [] in
-  Taq_util.Deque.iter
-    (fun e ->
-      if e.flow = flow && e.kind = Delivered then acc := e.time :: !acc)
-    t.buf;
-  List.rev !acc
-
-let silence_gaps t ~flow ~min_gap =
-  let times = deliveries_of t ~flow in
-  let rec gaps acc = function
-    | a :: (b :: _ as rest) ->
-        if b -. a >= min_gap then gaps ((a, b) :: acc) rest else gaps acc rest
-    | _ -> List.rev acc
-  in
-  gaps [] times
-
-let shut_down_fraction t ~slice ~until =
-  if slice <= 0.0 then invalid_arg "Packet_log.shut_down_fraction: slice";
-  let n = int_of_float (until /. slice) + 1 in
-  let all_flows = flows t in
-  if Array.length all_flows = 0 then Array.make n 0.0
-  else begin
-    let active = Hashtbl.create 256 in
-    Taq_util.Deque.iter
-      (fun e ->
-        if e.kind = Enqueued || e.kind = Delivered then begin
-          let w = int_of_float (e.time /. slice) in
-          if w < n then Hashtbl.replace active (w, e.flow) ()
-        end)
-      t.buf;
-    Array.init n (fun w ->
-        let silent = ref 0 in
-        Array.iter
-          (fun f -> if not (Hashtbl.mem active (w, f)) then incr silent)
-          all_flows;
-        float_of_int !silent /. float_of_int (Array.length all_flows))
-  end
-
 let kind_to_string = function
   | Enqueued -> "enqueue"
   | Dropped -> "drop"

@@ -4,8 +4,8 @@
     traces ... roughly 30% of the flows are completely shut down")
     works from packet traces; this recorder captures the equivalent
     stream — every enqueue, drop and delivery at a link with its
-    timestamp, flow, kind and sequence — and offers the same offline
-    analyses plus CSV export for external tooling. *)
+    timestamp, flow, kind and sequence — and exports it as CSV for
+    offline analysis. *)
 
 type event_kind = Enqueued | Dropped | Delivered
 
@@ -24,30 +24,16 @@ val attach :
   ?capacity:int -> now:(unit -> float) -> Taq_net.Link.t -> t
 (** Start recording enqueues, drops and deliveries. [now] supplies
     timestamps (typically [fun () -> Sim.now sim]). [capacity] bounds
-    memory (default 1,000,000 events); older events are discarded
-    oldest-first once full. *)
+    memory (default 1,000,000 events; only tests pass a smaller
+    bound); older events are discarded oldest-first once full. *)
 
 val events : t -> event list
-(** Chronological. *)
+(** Test hook: the log itself. Chronological. *)
 
 val count : t -> int
 
 val dropped_events : t -> int
-(** Events discarded because of the capacity bound. *)
-
-val flows : t -> int array
-(** Distinct flow ids seen, sorted. *)
-
-val silence_gaps : t -> flow:int -> min_gap:float -> (float * float) list
-(** Intervals of at least [min_gap] seconds during which the flow had
-    no {e delivered} packets, between its first and last delivery —
-    the per-flow silence periods of §2.3. *)
-
-val shut_down_fraction :
-  t -> slice:float -> until:float -> float array
-(** For each [slice]-second window up to [until], the fraction of all
-    observed flows with zero deliveries in that window ("completely
-    shut down"). *)
+(** Test hook: events discarded because of the capacity bound. *)
 
 val save_csv : t -> path:string -> unit
 (** [time,event,packet_kind,flow,seq,size] rows with a header. *)

@@ -15,18 +15,19 @@ val record : t -> flow:int -> time:float -> bytes:int -> unit
     memory grows with the horizon, not with the number of records.
     @raise Invalid_argument if [time] is negative. *)
 
-val slice_length : t -> float
-
 val slice_count : t -> int
-(** Highest slice index recorded + 1. *)
+(** Test hook: highest slice index recorded + 1. *)
 
 val bytes_in_slice : t -> slice:int -> flow:int -> int
+(** Test hook: one cell of the table. *)
 
 val flow_total : t -> flow:int -> int
+(** Test hook: a flow's bytes over all slices. *)
 
 val jain_per_slice : t -> flows:int array -> float array
-(** Jain Fairness Index of per-flow bytes within each slice, flows
-    without traffic counting as zero. *)
+(** Test hook: the per-slice values {!mean_jain} averages. Jain Fairness Index
+    of per-flow bytes within each slice, flows without traffic counting as
+    zero. *)
 
 val mean_jain : t -> flows:int array -> ?first:int -> ?last:int -> unit -> float
 (** Mean of {!jain_per_slice} over slices [first..last] (defaults:
@@ -34,12 +35,3 @@ val mean_jain : t -> flows:int array -> ?first:int -> ?last:int -> unit -> float
 
 val long_term_jain : t -> flows:int array -> float
 (** Jain index of whole-run per-flow totals. *)
-
-val silent_fraction : t -> flows:int array -> slice:int -> float
-(** Fraction of flows with zero goodput in the slice ("completely shut
-    down" in the paper's wording). *)
-
-val top_share : t -> flows:int array -> slice:int -> top_fraction:float -> float
-(** Share of the slice's bytes consumed by the top [top_fraction] of
-    flows (the paper: "roughly 40% of the flows consume more than 80%
-    of the link bandwidth"). *)

@@ -45,7 +45,8 @@ let sweep ?(wmax = 6) ?(full = false) ~p_lo ~p_hi ~steps () =
       in
       point ~wmax ~full p)
 
-let tipping_point ?(wmax = 6) ?(threshold = 0.5) ?(resolution = 1000) () =
+let tipping_point ?(wmax = 6) () =
+  let threshold = 0.5 and resolution = 1000 in
   let rec search i =
     if i > resolution then 0.5
     else begin
@@ -69,7 +70,8 @@ let epochs_to_first_timeout ?(wmax = 6) ~p ~from_window () =
   let h = Markov.hitting_times chain ~targets in
   h.(Markov.index chain (Printf.sprintf "S%d" from_window))
 
-let steepest_increase ?(wmax = 6) ?(resolution = 200) () =
+let steepest_increase ?(wmax = 6) () =
+  let resolution = 200 in
   let best_p = ref 0.0 and best_slope = ref neg_infinity in
   let mass p = Partial_model.timeout_mass (Partial_model.create ~wmax ~p ()) in
   for i = 1 to resolution - 1 do

@@ -20,11 +20,10 @@ val goodput_pkts_per_epoch : sent:float array -> p:float -> float
 (** Expected successfully delivered packets per epoch under the
     stationary sent-class distribution: [Σ_k k·π(k)·(1-p)]. *)
 
-val tipping_point :
-  ?wmax:int -> ?threshold:float -> ?resolution:int -> unit -> float
-(** Smallest loss probability at which the stationary timeout mass
-    exceeds [threshold] (default 0.5 — a majority of flows stuck in
-    the timeout machinery). The paper reads this off the model as
+val tipping_point : ?wmax:int -> unit -> float
+(** Smallest loss probability, on a grid of 1000 steps over [0, 0.5),
+    at which the stationary timeout mass reaches 0.5 — a majority of
+    flows stuck in the timeout machinery. The paper reads this off the model as
     roughly p = 0.1, the pthresh TAQ's admission control uses. *)
 
 val epochs_to_first_timeout :
@@ -36,7 +35,6 @@ val epochs_to_first_timeout :
     [Invalid_argument] for [from_window] outside [2, wmax] or [p = 0]
     (a lossless flow never times out). *)
 
-val steepest_increase :
-  ?wmax:int -> ?resolution:int -> unit -> float
-(** Loss probability at which the timeout mass grows fastest (the
-    knee of the curve). *)
+val steepest_increase : ?wmax:int -> unit -> float
+(** Loss probability, on a grid of 200 steps over [0, 0.45), at which
+    the timeout mass grows fastest (the knee of the curve). *)

@@ -83,10 +83,6 @@ let create ?(wmax = 6) ~p () =
 
 let chain t = t.chain
 
-let p t = t.p
-
-let wmax t = t.wmax
-
 let stationary t =
   match t.stationary with
   | Some d -> d

@@ -30,10 +30,7 @@ val create : ?wmax:int -> p:float -> unit -> t
     [0, 0.5) or [wmax < 4]. *)
 
 val chain : t -> Markov.t
-
-val p : t -> float
-
-val wmax : t -> int
+(** Test hook: the underlying chain, for structural checks. *)
 
 val stationary : t -> float array
 

@@ -58,7 +58,8 @@ let l1_distance a b =
   Array.iteri (fun i x -> acc := !acc +. Float.abs (x -. b.(i))) a;
   !acc
 
-let stationary_power ?(max_iter = 100_000) ?(tol = 1e-12) t =
+let stationary_power t =
+  let max_iter = 100_000 and tol = 1e-12 in
   let n = size t in
   let dist = ref (Array.make n (1.0 /. float_of_int n)) in
   let continue = ref true in
@@ -163,32 +164,3 @@ let hitting_times t ~targets =
   done;
   Array.init n (fun i ->
       if is_target.(i) then 0.0 else a.(idx.(i)).(m) /. a.(idx.(i)).(idx.(i)))
-
-let expected_hits t ~start ~absorbing ~horizon =
-  let n = size t in
-  let absorbing = Array.of_list absorbing in
-  let is_abs i = Array.exists (( = ) i) absorbing in
-  let dist = Array.make n 0.0 in
-  dist.(start) <- 1.0;
-  let hits = Array.make n 0.0 in
-  let current = ref dist in
-  for _ = 1 to horizon do
-    Array.iteri (fun i x -> hits.(i) <- hits.(i) +. x) !current;
-    let next = Array.make n 0.0 in
-    for i = 0 to n - 1 do
-      let di = !current.(i) in
-      if di > 0.0 then
-        if is_abs i then next.(i) <- next.(i) +. di
-        else
-          for j = 0 to n - 1 do
-            next.(j) <- next.(j) +. (di *. t.matrix.(i).(j))
-          done
-    done;
-    current := next
-  done;
-  hits
-
-let pp_distribution t ppf dist =
-  Array.iteri
-    (fun i x -> Format.fprintf ppf "%s=%.4f " t.labels.(i) x)
-    dist

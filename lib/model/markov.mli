@@ -13,21 +13,22 @@ val create : labels:string array -> matrix:float array array -> t
     count, has non-negative entries and rows summing to 1 (within
     1e-9; rows are then renormalized exactly). *)
 
-val size : t -> int
-
 val labels : t -> string array
 
 val index : t -> string -> int
 (** Index of a label. Raises [Not_found]. *)
 
 val probability : t -> int -> int -> float
+(** Test hook: one transition probability. *)
 
 val step : t -> float array -> float array
-(** One application of the chain to a distribution. *)
+(** Test hook: one application of the chain to a distribution. *)
 
-val stationary_power : ?max_iter:int -> ?tol:float -> t -> float array
-(** Power iteration from the uniform distribution. Converges for the
-    aperiodic, irreducible chains built here. *)
+val stationary_power : t -> float array
+(** Test hook: the reference that {!stationary_exact} is checked against.
+    Power iteration from the uniform distribution, until one step moves the
+    distribution by less than 1e-12 in L1 or after 100 000 steps. Converges
+    for the aperiodic, irreducible chains built here. *)
 
 val stationary_exact : t -> float array
 (** Direct solve of [πP = π, Σπ = 1] by Gaussian elimination with
@@ -39,11 +40,3 @@ val hitting_times : t -> targets:int list -> float array
     [h = 1 + Q h] on the non-target states by Gaussian elimination.
     Raises [Invalid_argument] if [targets] is empty or some state
     cannot reach a target (singular system). *)
-
-val expected_hits :
-  t -> start:int -> absorbing:int list -> horizon:int -> float array
-(** Expected visit counts per state over [horizon] steps starting from
-    [start], treating [absorbing] states as sinks — used for transient
-    (first-episode) analysis. *)
-
-val pp_distribution : t -> Format.formatter -> float array -> unit

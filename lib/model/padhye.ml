@@ -1,4 +1,8 @@
-let throughput ?(wmax = 1e9) ?(b = 1.0) ~rtt ~t0 ~p () =
+(* Acked segments per ACK: 1, as no simulated receiver delays its
+   ACKs in the configurations the model is compared with. *)
+let b = 1.0
+
+let throughput ?(wmax = 1e9) ~rtt ~t0 ~p () =
   if p <= 0.0 || p > 1.0 then invalid_arg "Padhye.throughput: p";
   if rtt <= 0.0 || t0 <= 0.0 then invalid_arg "Padhye.throughput: rtt/t0";
   let congestion_avoidance = rtt *. sqrt (2.0 *. b *. p /. 3.0) in
@@ -10,9 +14,5 @@ let throughput ?(wmax = 1e9) ?(b = 1.0) ~rtt ~t0 ~p () =
   in
   Float.min (wmax /. rtt) (1.0 /. (congestion_avoidance +. timeout_term))
 
-let throughput_pkts_per_rtt ?wmax ?b ~rtt ~t0 ~p () =
-  throughput ?wmax ?b ~rtt ~t0 ~p () *. rtt
-
-let sqrt_model ~rtt ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Padhye.sqrt_model: p";
-  sqrt 1.5 /. (rtt *. sqrt p)
+let throughput_pkts_per_rtt ?wmax ~rtt ~t0 ~p () =
+  throughput ?wmax ~rtt ~t0 ~p () *. rtt

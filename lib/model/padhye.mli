@@ -9,26 +9,9 @@
     B(p) = min( Wmax/RTT,
                 1 / (RTT·√(2bp/3) + T0·min(1, 3·√(3bp/8))·p·(1+32p²)) )
 
-    with [b] acked segments per ACK (1 without delayed acks). *)
-
-val throughput :
-  ?wmax:float ->
-  ?b:float ->
-  rtt:float ->
-  t0:float ->
-  p:float ->
-  unit ->
-  float
-(** Segments per second. [p] must be in (0, 1]; [t0] is the base
-    retransmission timeout. Raises [Invalid_argument] outside the
-    domain. *)
+    with [b = 1] acked segment per ACK (no delayed acks). *)
 
 val throughput_pkts_per_rtt :
-  ?wmax:float -> ?b:float -> rtt:float -> t0:float -> p:float -> unit -> float
+  ?wmax:float -> rtt:float -> t0:float -> p:float -> unit -> float
 (** {!throughput} × RTT — directly comparable to the Markov model's
     expected goodput per epoch. *)
-
-val sqrt_model : rtt:float -> p:float -> float
-(** The simpler Mathis et al. "TCP-friendly" rate √(3/2)/(RTT·√p),
-    segments per second — the formula the paper's introduction uses to
-    define the regime boundary. *)

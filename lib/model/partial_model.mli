@@ -28,10 +28,6 @@ val create : ?wmax:int -> p:float -> unit -> t
 
 val chain : t -> Markov.t
 
-val p : t -> float
-
-val wmax : t -> int
-
 val stationary : t -> float array
 (** Exact stationary distribution (cached). *)
 

@@ -97,3 +97,4 @@ val link : t -> Link.t
 val sim : t -> Taq_engine.Sim.t
 
 val flow_count : t -> int
+(** Test hook: flows currently registered. *)

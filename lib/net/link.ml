@@ -57,6 +57,12 @@ type t = {
      group is enabled. *)
   check : Check.t;
   obs : Obs.t;
+  counting : bool;  (* [Obs.enabled obs], read once *)
+  (* The [link.*] counter cells of [obs], looked up once. *)
+  n_offered : int ref;
+  n_transmitted : int ref;
+  n_dropped : int ref;
+  n_bytes_tx : int ref;
   mutable chk_accepted : int;
   mutable chk_bytes_accepted : int;
   mutable chk_pushout : int;
@@ -130,15 +136,11 @@ let set_background_bps t bps =
          t.capacity_bps);
   t.background_bps <- bps
 
-let background_bps t = t.background_bps
-
 let set_rate_factor t f =
   if not (Float.is_finite f) || f <= 0.0 || f > 1.0 then
     invalid_arg
       (Printf.sprintf "Link.set_rate_factor: %g outside (0, 1]" f);
   t.rate_factor <- f
-
-let rate_factor t = t.rate_factor
 
 (* Drops the discipline made while serving [dequeue] (CoDel-style):
    collected after every dequeue and accounted exactly like enqueue-time
@@ -149,7 +151,7 @@ let account_dequeue_drops t =
   | dropped ->
       let n_dropped = List.length dropped in
       t.dropped <- t.dropped + n_dropped;
-      if Obs.enabled t.obs then Obs.add t.obs Obs.Link_dropped n_dropped;
+      if t.counting then t.n_dropped := !(t.n_dropped) + n_dropped;
       if Obs.tracing t.obs then
         List.iter
           (fun (d : Packet.t) ->
@@ -190,9 +192,9 @@ let on_tx_done t propagation =
   t.transmitted <- t.transmitted + 1;
   t.bytes_transmitted <- t.bytes_transmitted + p.Packet.size;
   t.busy_time.(0) <- t.busy_time.(0) +. dt;
-  if Obs.enabled t.obs then begin
-    Obs.incr t.obs Obs.Link_transmitted;
-    Obs.add t.obs Obs.Link_bytes_tx p.Packet.size
+  if t.counting then begin
+    incr t.n_transmitted;
+    t.n_bytes_tx := !(t.n_bytes_tx) + p.Packet.size
   end;
   if Obs.tracing t.obs then
     Obs.span t.obs ~name:"tx" ~cat:"link" ~flow:p.Packet.flow
@@ -201,11 +203,10 @@ let on_tx_done t propagation =
   Delay_line.send propagation p;
   start_transmission t
 
-let create ?check ?obs ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver
-    () =
+let create ?check ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver () =
   if capacity_bps <= 0.0 then invalid_arg "Link.create: capacity";
   let check = match check with Some c -> c | None -> Sim.check sim in
-  let obs = match obs with Some o -> o | None -> Sim.obs sim in
+  let obs = Sim.obs sim in
   let t =
     {
       sim;
@@ -230,6 +231,11 @@ let create ?check ?obs ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver
       deliver_listeners = [];
       check;
       obs;
+      counting = Obs.enabled obs;
+      n_offered = Obs.labeled_ref obs "link.offered";
+      n_transmitted = Obs.labeled_ref obs "link.transmitted";
+      n_dropped = Obs.labeled_ref obs "link.dropped";
+      n_bytes_tx = Obs.labeled_ref obs "link.bytes_transmitted";
       chk_accepted = 0;
       chk_bytes_accepted = 0;
       chk_pushout = 0;
@@ -253,9 +259,9 @@ let send t p =
   let dropped = t.disc.Disc.enqueue p in
   let n_dropped = List.length dropped in
   t.dropped <- t.dropped + n_dropped;
-  if Obs.enabled t.obs then begin
-    Obs.incr t.obs Obs.Link_offered;
-    if n_dropped > 0 then Obs.add t.obs Obs.Link_dropped n_dropped
+  if t.counting then begin
+    incr t.n_offered;
+    if n_dropped > 0 then t.n_dropped := !(t.n_dropped) + n_dropped
   end;
   if Obs.tracing t.obs && n_dropped > 0 then
     List.iter
@@ -324,5 +330,3 @@ let utilization t =
 let capacity_bps t = t.capacity_bps
 
 let queue_length t = t.disc.Disc.length ()
-
-let disc t = t.disc

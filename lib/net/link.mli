@@ -19,7 +19,6 @@ type stats = {
 
 val create :
   ?check:Taq_check.Check.t ->
-  ?obs:Taq_obs.Obs.t ->
   ?release:(Packet.t -> unit) ->
   sim:Taq_engine.Sim.t ->
   capacity_bps:float ->
@@ -38,8 +37,9 @@ val create :
     [Taq_engine.Sim.check sim]) enables
     the [Net] group: packet and byte conservation
     ([accepted = transmitted + on_wire + pushed_out + queued]) verified
-    after every send and transmission completion. [obs] (default
-    [Taq_engine.Sim.obs sim]) receives the [link.*] counters and, when
+    after every send and transmission completion. The link counts into
+    the simulator's observability instance ([Taq_engine.Sim.obs sim]):
+    the [link.*] counters, whose cells it looks up here, and, when
     tracing, a span per transmission and an instant per drop. *)
 
 val send : t -> Packet.t -> unit
@@ -55,8 +55,6 @@ val set_background_bps : t -> float -> unit
     link without the hook. Raises [Invalid_argument] unless the rate
     is in [[0, capacity_bps)]. *)
 
-val background_bps : t -> float
-
 val set_rate_factor : t -> float -> unit
 (** Fault-injection hook (see [Taq_fault]'s [brownout@T+D:frac=F]):
     degrade the transmitter to this fraction of its nominal rate —
@@ -67,8 +65,6 @@ val set_rate_factor : t -> float -> unit
     bit-identical transmission times. Raises [Invalid_argument] unless
     the factor is in [(0, 1]]. *)
 
-val rate_factor : t -> float
-
 val set_up : t -> bool -> unit
 (** Fault-injection hook (see [Taq_fault]): while the link is down the
     transmitter starts no new transmissions — a packet already on the
@@ -78,6 +74,7 @@ val set_up : t -> bool -> unit
     transmitter. Links start up. *)
 
 val is_up : t -> bool
+(** Test hook: whether a fault has the link down. *)
 
 val on_drop : t -> (Packet.t -> unit) -> unit
 (** Register a drop listener (called for every packet the discipline
@@ -98,5 +95,3 @@ val utilization : t -> float
 val capacity_bps : t -> float
 
 val queue_length : t -> int
-
-val disc : t -> Disc.t

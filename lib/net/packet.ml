@@ -104,8 +104,3 @@ let kind_to_string = function
   | Data -> "DATA"
   | Ack -> "ACK"
   | Fin -> "FIN"
-
-let pp ppf p =
-  Format.fprintf ppf "[%s flow=%d seq=%d size=%d%s]" (kind_to_string p.kind)
-    p.flow p.seq p.size
-    (if p.retx then " retx" else "")

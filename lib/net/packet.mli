@@ -47,8 +47,6 @@ type alloc
 val alloc : unit -> alloc
 (** A fresh allocator starting at uid 1, with an empty free list. *)
 
-val fresh_uid : alloc -> int
-
 val make :
   alloc:alloc ->
   flow:int ->
@@ -62,7 +60,9 @@ val make :
   unit ->
   t
 (** Allocate a packet with a fresh [uid] from [alloc], reviving a
-    released record when the free list is non-empty. *)
+    released record when the free list is non-empty. [retx] (default
+    false) and [sacks] (default none) are passed only by tests: senders
+    and receivers build their packets with {!make_exact}. *)
 
 val make_exact :
   alloc:alloc ->
@@ -87,7 +87,7 @@ val release : alloc -> t -> unit
     uid is already negative). *)
 
 val is_live : t -> bool
-(** [true] while the record is allocated; [false] once released. *)
+(** Test hook: [true] while the record is allocated; [false] once released. *)
 
 val dummy : t
 (** A placeholder for "no packet": the link's idle transmitter and
@@ -96,9 +96,7 @@ val dummy : t
     makes {!release} a no-op on it. *)
 
 val free_count : alloc -> int
-(** Number of records parked in the free list — tests and leak
+(** Test hook: number of records parked in the free list — tests and leak
     accounting. *)
-
-val pp : Format.formatter -> t -> unit
 
 val kind_to_string : kind -> string

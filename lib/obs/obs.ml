@@ -3,65 +3,10 @@
    from a run's [--obs] policy by [of_policy], and everything is a
    single-branch no-op when disabled. *)
 
-(* --- fixed counters ------------------------------------------------------ *)
-
-type counter =
-  | Events_scheduled
-  | Events_executed
-  | Events_skipped
-  | Heap_push
-  | Heap_pop
-  | Link_offered
-  | Link_transmitted
-  | Link_dropped
-  | Link_bytes_tx
-
-let n_counters = 9
-
-let counter_index = function
-  | Events_scheduled -> 0
-  | Events_executed -> 1
-  | Events_skipped -> 2
-  | Heap_push -> 3
-  | Heap_pop -> 4
-  | Link_offered -> 5
-  | Link_transmitted -> 6
-  | Link_dropped -> 7
-  | Link_bytes_tx -> 8
-
-let counter_name = function
-  | Events_scheduled -> "sim.events_scheduled"
-  | Events_executed -> "sim.events_executed"
-  | Events_skipped -> "sim.events_skipped"
-  | Heap_push -> "sim.heap_push"
-  | Heap_pop -> "sim.heap_pop"
-  | Link_offered -> "link.offered"
-  | Link_transmitted -> "link.transmitted"
-  | Link_dropped -> "link.dropped"
-  | Link_bytes_tx -> "link.bytes_transmitted"
-
-let all_counters =
-  [
-    Events_scheduled; Events_executed; Events_skipped; Heap_push; Heap_pop;
-    Link_offered; Link_transmitted; Link_dropped; Link_bytes_tx;
-  ]
-
-type gauge = Heap_max_depth
-
-let n_gauges = 1
-
-let gauge_index = function Heap_max_depth -> 0
-
-let gauge_name = function Heap_max_depth -> "sim.heap_max_depth"
-
-let all_gauges = [ Heap_max_depth ]
-
 (* --- instances ----------------------------------------------------------- *)
 
 type t = {
   enabled : bool;  (* counters on: the single-branch hot-path guard *)
-  counters : int array;
-  gauges : int array;
   labeled : (string, int ref) Hashtbl.t;
   labeled_gauges : (string, int ref) Hashtbl.t;
   trace : Trace.t option;
@@ -70,8 +15,6 @@ type t = {
 let make_instance ~enabled ~trace =
   {
     enabled;
-    counters = Array.make n_counters 0;
-    gauges = Array.make n_gauges 0;
     labeled = Hashtbl.create 16;
     labeled_gauges = Hashtbl.create 4;
     trace;
@@ -79,44 +22,27 @@ let make_instance ~enabled ~trace =
 
 let off = make_instance ~enabled:false ~trace:None
 
-let create ?trace_capacity ?(tracing = false) () =
-  let trace =
-    if tracing then Some (Trace.create ?capacity:trace_capacity ())
-    else None
-  in
+let create ?(tracing = false) () =
+  let trace = if tracing then Some (Trace.create ()) else None in
   make_instance ~enabled:true ~trace
 
 let[@inline] enabled t = t.enabled
 
 let[@inline] tracing t = t.trace <> None
 
-let[@inline] incr t c =
-  if t.enabled then begin
-    let i = counter_index c in
-    t.counters.(i) <- t.counters.(i) + 1
-  end
+(* The named cell in [table], created at 0 on first use. *)
+let cell table name =
+  match Hashtbl.find_opt table name with
+  | Some r -> r
+  | None ->
+      let r = ref 0 in
+      Hashtbl.replace table name r;
+      r
 
-let[@inline] add t c n =
-  if t.enabled then begin
-    let i = counter_index c in
-    t.counters.(i) <- t.counters.(i) + n
-  end
+let labeled_ref t name = if t.enabled then cell t.labeled name else ref 0
 
-let[@inline] gauge_max t g v =
-  if t.enabled then begin
-    let i = gauge_index g in
-    if v > t.gauges.(i) then t.gauges.(i) <- v
-  end
-
-let labeled_ref t name =
-  if not t.enabled then ref 0
-  else
-    match Hashtbl.find_opt t.labeled name with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.replace t.labeled name r;
-        r
+let labeled_gauge_ref t name =
+  if t.enabled then cell t.labeled_gauges name else ref 0
 
 let labeled t name n =
   if t.enabled then begin
@@ -178,33 +104,15 @@ let empty_snapshot =
 let by_name (a, _) (b, _) = String.compare a b
 
 let snapshot (t : t) =
-  let fixed =
-    List.filter_map
-      (fun c ->
-        let v = t.counters.(counter_index c) in
-        if v = 0 then None else Some (counter_name c, v))
-      all_counters
-  in
-  let lab =
+  let nonzero table =
     Hashtbl.fold
       (fun name r acc -> if !r = 0 then acc else (name, !r) :: acc)
-      t.labeled []
-  in
-  let fixed_gauges =
-    List.filter_map
-      (fun g ->
-        let v = t.gauges.(gauge_index g) in
-        if v = 0 then None else Some (gauge_name g, v))
-      all_gauges
-  in
-  let lab_gauges =
-    Hashtbl.fold
-      (fun name r acc -> if !r = 0 then acc else (name, !r) :: acc)
-      t.labeled_gauges []
+      table []
+    |> List.sort by_name
   in
   {
-    counters = List.sort by_name (fixed @ lab);
-    gauges = List.sort by_name (fixed_gauges @ lab_gauges);
+    counters = nonzero t.labeled;
+    gauges = nonzero t.labeled_gauges;
     events = (match t.trace with None -> [] | Some tr -> Trace.events tr);
     trace_dropped = (match t.trace with None -> 0 | Some tr -> Trace.dropped tr);
   }
@@ -235,13 +143,8 @@ let counter_value snap name =
 let gauge_value snap name =
   match List.assoc_opt name snap.gauges with Some v -> v | None -> 0
 
-let counters_to_json snap =
-  Json.Obj
-    (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) snap.counters)
-
-let gauges_to_json snap =
-  Json.Obj
-    (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) snap.gauges)
+let assoc_to_json kvs =
+  Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) kvs)
 
 (* Wire form for durable runs: counters + gauges only. Trace events
    have their own file format, so the part worth persisting is exactly
@@ -249,7 +152,10 @@ let gauges_to_json snap =
 let snapshot_to_string snap =
   Json.to_string
     (Json.Obj
-       [ ("counters", counters_to_json snap); ("gauges", gauges_to_json snap) ])
+       [
+         ("counters", assoc_to_json snap.counters);
+         ("gauges", assoc_to_json snap.gauges);
+       ])
 
 let snapshot_of_string s =
   let ( let* ) r f = Result.bind r f in

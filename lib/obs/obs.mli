@@ -3,9 +3,13 @@
     A run's [--obs] {!policy} is part of its run spec
     ([Taq_experiments.Run_spec]); {!of_policy} turns it into one
     instance per environment. All mutable state lives in the instance,
-    never in globals, so instances are domain-safe by construction;
-    every hot-path hook is guarded by a single [t.enabled] branch, so a
-    disabled instance costs one load+compare and writes nothing.
+    never in globals, so instances are domain-safe by construction.
+
+    Every counter and gauge is a named cell. A hot path looks its cells
+    up once, when its owner is created ({!labeled_ref},
+    {!labeled_gauge_ref}), reads {!enabled} once beside them, and then
+    guards each update with that one branch: with counters off an
+    update costs one load+compare and writes nothing.
 
     Counters are {e deterministic}: under fixed seeds the same
     simulation produces bit-identical counter values on any machine,
@@ -19,27 +23,6 @@
     summed, so per-task snapshots fold to identical totals for
     [--jobs 1] and [--jobs 4]. *)
 
-(** {1 Fixed counters} — hot-path counters with precomputed indices. *)
-
-type counter =
-  | Events_scheduled  (** calendar entries filed, lane or heap *)
-  | Events_executed  (** entries whose action ran (a timer's early
-                         fire included) *)
-  | Events_skipped  (** entries taken off the calendar after
-                        cancellation *)
-  | Heap_push  (** real heap operations: the same-instant lane is not
-                   the heap *)
-  | Heap_pop
-  | Link_offered
-  | Link_transmitted
-  | Link_dropped
-  | Link_bytes_tx
-
-type gauge = Heap_max_depth
-
-val counter_name : counter -> string
-val gauge_name : gauge -> string
-
 (** {1 Instances} *)
 
 type t
@@ -47,10 +30,11 @@ type t
 val off : t
 (** The shared disabled instance: never mutated, zero-cost. *)
 
-val create : ?trace_capacity:int -> ?tracing:bool -> unit -> t
+val create : ?tracing:bool -> unit -> t
 (** A fresh enabled instance that registers with no collector, for
     tests and embedders that snapshot it themselves.
-    [tracing] (default false) attaches a {!Trace} ring. *)
+    [tracing] (default false) attaches a {!Trace} ring; only tests
+    pass it, as a run traces through {!of_policy}. *)
 
 val enabled : t -> bool
 (** The hot-path guard: branch on this before composing labels or
@@ -58,24 +42,27 @@ val enabled : t -> bool
 
 val tracing : t -> bool
 
-val incr : t -> counter -> unit
-val add : t -> counter -> int -> unit
-val gauge_max : t -> gauge -> int -> unit
-
 val labeled : t -> string -> int -> unit
 (** [labeled t name n] adds [n] to the dynamically named counter
     [name] (e.g. ["disc.taq.drop"]). No-op when disabled. *)
 
 val labeled_gauge_max : t -> string -> int -> unit
 (** [labeled_gauge_max t name v] raises the dynamically named gauge
-    [name] to at least [v] (e.g. ["guard.degraded_dwell_ms"]). Labeled
-    gauges travel in the snapshot [gauges] list and merge with [max],
-    like fixed gauges. No-op when disabled. *)
+    [name] to at least [v] (e.g. ["guard.degraded_dwell_ms"]). Gauges
+    travel in the snapshot [gauges] list and merge with [max]. No-op
+    when disabled. *)
 
 val labeled_ref : t -> string -> int ref
 (** Pre-resolve a labeled counter to its cell, hoisting the hash
-    lookup out of a hot loop (used by [Taq_queueing.Observed]). On a
+    lookup out of a hot path: [Taq_engine.Sim], [Taq_net.Link] and
+    [Taq_queueing.Observed] look theirs up once, at [create]. On a
     disabled instance returns a fresh throwaway cell. *)
+
+val labeled_gauge_ref : t -> string -> int ref
+(** The gauge twin of {!labeled_ref}: the cell of the named gauge,
+    which its owner raises to each new maximum itself (as
+    [sim.heap_max_depth] is). On a disabled instance returns a fresh
+    throwaway cell. *)
 
 val span :
   t -> name:string -> cat:string -> ?flow:int -> ts_s:float ->
@@ -98,15 +85,12 @@ type snapshot = {
 
 val empty_snapshot : snapshot
 val snapshot : t -> snapshot
-val merge : snapshot -> snapshot -> snapshot
 val merge_all : snapshot list -> snapshot
 
 val counter_value : snapshot -> string -> int
 (** 0 when absent. *)
 
 val gauge_value : snapshot -> string -> int
-val counters_to_json : snapshot -> Json.t
-val gauges_to_json : snapshot -> Json.t
 
 val snapshot_to_string : snapshot -> string
 (** Compact JSON wire form of a snapshot's counters and gauges — the
@@ -129,8 +113,6 @@ type policy = {
   policy_trace : string option;  (** output path for the Chrome trace *)
   policy_trace_capacity : int;
 }
-
-val default_trace_path : string
 
 val policy_of_spec : string -> (policy, string) result
 (** Parse a [--obs] argument: a comma-separated list of [counters],
@@ -155,5 +137,5 @@ val root_snapshot : unit -> snapshot
     {!collecting} scope (main-domain environments, the result cache). *)
 
 val reset_root : unit -> unit
-(** Drop root-collector registrations — for tests that aggregate
+(** Test hook: drop root-collector registrations — for tests that aggregate
     repeatedly in one process. *)

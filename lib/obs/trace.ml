@@ -25,8 +25,6 @@ let create ?(capacity = default_capacity) () =
   let capacity = Stdlib.max 1 capacity in
   { ring = Array.make capacity None; next = 0; count = 0; dropped = 0 }
 
-let capacity t = Array.length t.ring
-
 let add t ev =
   let cap = Array.length t.ring in
   if t.count = cap then t.dropped <- t.dropped + 1 else t.count <- t.count + 1;

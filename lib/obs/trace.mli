@@ -28,12 +28,10 @@ val create : ?capacity:int -> unit -> t
     {!default_capacity}) events; once full, each new event overwrites
     the oldest — a long run keeps its most recent window. *)
 
-val capacity : t -> int
-
 val add : t -> event -> unit
 
 val count : t -> int
-(** Events currently held (≤ capacity). *)
+(** Test hook: events currently held (≤ capacity). *)
 
 val dropped : t -> int
 (** Events overwritten since creation. *)
@@ -44,12 +42,13 @@ val events : t -> event list
 (** {1 Chrome trace_event JSON} *)
 
 val to_json : event list -> Json.t
-(** [{"traceEvents": [...], "displayTimeUnit": "ms"}] — the JSON
-    object format, so the file stays valid even if a consumer expects
-    metadata. *)
+(** Test hook: the JSON {!write_file} writes. [{"traceEvents": [...],
+    "displayTimeUnit": "ms"}] — the JSON object format, so the file stays
+    valid even if a consumer expects metadata. *)
 
 val of_json : Json.t -> (event list, string) result
-(** Inverse of {!to_json} (round-trip tested). *)
+(** Test hook: the reference parser for round trips. Inverse of {!to_json}
+    (round-trip tested). *)
 
 val write_file : path:string -> event list -> unit
 (** Sort by timestamp and write as a Chrome trace file. *)

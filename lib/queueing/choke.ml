@@ -40,10 +40,8 @@ let drop_probability st =
     if denom <= 0.0 then 1.0 else Float.min 1.0 (pb /. denom)
   end
 
-let create ?params ~capacity_pkts ~prng () =
-  let params =
-    match params with Some p -> p | None -> default_params ~capacity_pkts
-  in
+let create ~capacity_pkts ~prng () =
+  let params = default_params ~capacity_pkts in
   let st =
     {
       params;

@@ -14,21 +14,8 @@
     average is a pure packet-count EWMA updated at enqueue — no clock
     input, unlike our RED's idle-decay variant. *)
 
-type params = {
-  capacity_pkts : int;
-  min_th : float;  (** packets; matched-drop + early-drop threshold *)
-  max_th : float;  (** packets; forced-drop threshold *)
-  max_p : float;  (** RED drop probability at [max_th] *)
-  weight : float;  (** EWMA weight w_q *)
-}
-
-val default_params : capacity_pkts:int -> params
-(** Same shape as {!Red.default_params}: min_th = cap/4 (≥1),
-    max_th = 3·min_th, max_p = 0.1, w_q = 0.002. *)
-
 val create :
-  ?params:params ->
-  capacity_pkts:int ->
-  prng:Taq_util.Prng.t ->
-  unit ->
-  Taq_net.Disc.t
+  capacity_pkts:int -> prng:Taq_util.Prng.t -> unit -> Taq_net.Disc.t
+(** RED's thresholds as our {!Red} defaults them: [min_th] =
+    max(1, capacity/4) packets, [max_th] = 3·[min_th], [max_p] = 0.1,
+    EWMA weight 0.002. *)

@@ -9,10 +9,8 @@ type params = {
 let default_params ~capacity_pkts =
   { capacity_pkts; threshold = 0.5; candidates = 2 }
 
-let create ?params ~capacity_pkts ~prng () =
-  let params =
-    match params with Some p -> p | None -> default_params ~capacity_pkts
-  in
+let create ~capacity_pkts ~prng () =
+  let params = default_params ~capacity_pkts in
   if params.candidates <= 0 || params.threshold < 0.0 then
     invalid_arg "Choked.create";
   let ring = Peek_ring.create ~capacity_pkts in

@@ -16,18 +16,7 @@
     Deterministic under a pinned seed: every draw comes from the
     supplied PRNG. *)
 
-type params = {
-  capacity_pkts : int;
-  threshold : float;  (** occupancy fraction that arms the match test *)
-  candidates : int;  (** random comparisons per arrival once armed *)
-}
-
-val default_params : capacity_pkts:int -> params
-(** threshold = 0.5, candidates = 2. *)
-
 val create :
-  ?params:params ->
-  capacity_pkts:int ->
-  prng:Taq_util.Prng.t ->
-  unit ->
-  Taq_net.Disc.t
+  capacity_pkts:int -> prng:Taq_util.Prng.t -> unit -> Taq_net.Disc.t
+(** The match test arms at half the buffer and draws 2 candidates per
+    arrival. *)

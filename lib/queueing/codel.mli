@@ -22,9 +22,6 @@ type params = {
   interval : float;  (** seconds: window the minimum must exceed it *)
 }
 
-val default_params : capacity_pkts:int -> params
-(** target = 50 ms, interval = 500 ms. *)
-
 val create :
   ?params:params ->
   capacity_pkts:int ->
@@ -32,4 +29,5 @@ val create :
   unit ->
   Taq_net.Disc.t
 (** [now] supplies the clock for sojourn measurement; typically
-    [fun () -> Sim.now sim]. *)
+    [fun () -> Sim.now sim]. [params] defaults to [target] = 0.05 s and
+    [interval] = 0.5 s; only tests pass others. *)

@@ -10,14 +10,16 @@ type flow_queue = {
 type state = {
   quantum : int;
   capacity : int;
-  max_flows : int;
   flows : (int, flow_queue) Hashtbl.t;
   rr : int Queue.t;  (* round-robin order of backlogged flow keys *)
   mutable total : int;
   mutable bytes : int;
 }
 
-let flow_key st flow = flow mod st.max_flows
+(* Flows beyond this many share per-flow state by hash. *)
+let max_flows = 1024
+
+let flow_key flow = flow mod max_flows
 
 let get_queue st key =
   match Hashtbl.find_opt st.flows key with
@@ -45,14 +47,12 @@ let longest_queue st =
     st.flows;
   !best
 
-let create ?(quantum_bytes = 500) ?(max_flows = 1024) ~capacity_pkts () =
-  if quantum_bytes <= 0 || capacity_pkts <= 0 || max_flows <= 0 then
-    invalid_arg "Drr.create";
+let create ?(quantum_bytes = 500) ~capacity_pkts () =
+  if quantum_bytes <= 0 || capacity_pkts <= 0 then invalid_arg "Drr.create";
   let st =
     {
       quantum = quantum_bytes;
       capacity = capacity_pkts;
-      max_flows;
       flows = Hashtbl.create 64;
       rr = Queue.create ();
       total = 0;
@@ -76,7 +76,7 @@ let create ?(quantum_bytes = 500) ?(max_flows = 1024) ~capacity_pkts () =
     in
     if List.exists (fun (d : Packet.t) -> d.uid = p.Packet.uid) drops then drops
     else begin
-      let key = flow_key st p.Packet.flow in
+      let key = flow_key p.Packet.flow in
       let fq = get_queue st key in
       Deque.push_back fq.q p;
       st.total <- st.total + 1;

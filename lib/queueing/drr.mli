@@ -7,13 +7,9 @@
     SFQ — with at most a packet or two per flow buffered, scheduling
     order barely matters and timeout dynamics dominate. *)
 
-val create :
-  ?quantum_bytes:int ->
-  ?max_flows:int ->
-  capacity_pkts:int ->
-  unit ->
-  Taq_net.Disc.t
-(** [quantum_bytes] defaults to one 500 B packet; [max_flows] bounds
-    the per-flow queue table (default 1024; beyond it flows share by
-    hash). On overflow the arrival pushes out a packet from the
+val create : ?quantum_bytes:int -> capacity_pkts:int -> unit -> Taq_net.Disc.t
+(** [quantum_bytes] defaults to one 500 B packet; only tests pass a
+    smaller one, to check byte fairness across packet sizes. The per-flow queue
+    table holds 1024 flows; beyond that flows share by hash. On
+    overflow the arrival pushes out a packet from the
     longest per-flow queue. *)

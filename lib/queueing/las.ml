@@ -8,13 +8,15 @@ type flow_queue = {
 
 type state = {
   capacity : int;
-  max_flows : int;
   flows : (int, flow_queue) Hashtbl.t;
   mutable total : int;
   mutable bytes : int;
 }
 
-let flow_key st flow = flow mod st.max_flows
+(* Flows beyond this many share per-flow state by hash. *)
+let max_flows = 1024
+
+let flow_key flow = flow mod max_flows
 
 let get_queue st key =
   match Hashtbl.find_opt st.flows key with
@@ -56,12 +58,11 @@ let longest_queue st =
     st.flows;
   match !best with None -> None | Some (key, fq, _) -> Some (key, fq)
 
-let create ?(max_flows = 1024) ~capacity_pkts () =
-  if capacity_pkts <= 0 || max_flows <= 0 then invalid_arg "Las.create";
+let create ~capacity_pkts () =
+  if capacity_pkts <= 0 then invalid_arg "Las.create";
   let st =
     {
       capacity = capacity_pkts;
-      max_flows;
       flows = Hashtbl.create 64;
       total = 0;
       bytes = 0;
@@ -87,7 +88,7 @@ let create ?(max_flows = 1024) ~capacity_pkts () =
     in
     if List.exists (fun (d : Packet.t) -> d.uid = p.Packet.uid) drops then drops
     else begin
-      let key = flow_key st p.Packet.flow in
+      let key = flow_key p.Packet.flow in
       let fq = get_queue st key in
       Deque.push_back fq.q p;
       st.total <- st.total + 1;

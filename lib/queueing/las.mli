@@ -15,11 +15,6 @@
     next. Both the scheduler and the dropper are deterministic — no
     PRNG input. *)
 
-val create :
-  ?max_flows:int ->
-  capacity_pkts:int ->
-  unit ->
-  Taq_net.Disc.t
-(** [max_flows] bounds the per-flow state table (default 1024; beyond
-    it flows share attained-service accounting by hash, like
-    {!Drr.create}). *)
+val create : capacity_pkts:int -> unit -> Taq_net.Disc.t
+(** The per-flow state table holds 1024 flows; beyond that flows share
+    attained-service accounting by hash, like {!Drr.create}. *)

@@ -14,10 +14,6 @@ type params = {
   weight : float;  (** averaging weight w_q *)
 }
 
-val default_params : capacity_pkts:int -> params
-(** Floyd's recommendations: min_th = cap/4 (≥1), max_th = 3·min_th,
-    max_p = 0.1, w_q = 0.002. *)
-
 val create :
   ?params:params ->
   capacity_pkts:int ->
@@ -26,4 +22,6 @@ val create :
   unit ->
   Taq_net.Disc.t
 (** [now] supplies the clock for the idle-period average decay;
-    typically [fun () -> Sim.now sim]. *)
+    typically [fun () -> Sim.now sim]. [params] defaults to [min_th] =
+    max(1, capacity/4) packets, [max_th] = 3·[min_th], [max_p] = 0.1
+    and [weight] = 0.002; only tests pass other thresholds. *)

@@ -5,13 +5,12 @@ type state = {
   mutable total : int;
   mutable bytes : int;
   mutable rr : int;  (* round-robin cursor *)
-  seed : int;
   capacity : int;
 }
 
 let hash_flow st flow =
-  (* Knuth multiplicative hash, perturbed by the seed. *)
-  let h = (flow + st.seed) * 2654435761 in
+  (* Knuth multiplicative hash. *)
+  let h = flow * 2654435761 in
   (h lxor (h lsr 16)) land max_int mod Array.length st.buckets
 
 let longest_bucket st =
@@ -25,15 +24,16 @@ let longest_bucket st =
     st.buckets;
   !best
 
-let create ?(buckets = 128) ?(perturb_seed = 0) ~capacity_pkts () =
-  if buckets <= 0 || capacity_pkts <= 0 then invalid_arg "Sfq.create";
+let n_buckets = 128
+
+let create ~capacity_pkts () =
+  if capacity_pkts <= 0 then invalid_arg "Sfq.create";
   let st =
     {
-      buckets = Array.init buckets (fun _ -> Queue.create ());
+      buckets = Array.init n_buckets (fun _ -> Queue.create ());
       total = 0;
       bytes = 0;
       rr = 0;
-      seed = perturb_seed;
       capacity = capacity_pkts;
     }
   in

@@ -7,7 +7,5 @@
     behaves like droptail in small packet regimes because each flow
     rarely has more than one packet queued (Section 5). *)
 
-val create :
-  ?buckets:int -> ?perturb_seed:int -> capacity_pkts:int -> unit ->
-  Taq_net.Disc.t
-(** Default 128 buckets. *)
+val create : capacity_pkts:int -> unit -> Taq_net.Disc.t
+(** 128 buckets, hashed without perturbation. *)

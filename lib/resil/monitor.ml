@@ -73,9 +73,6 @@ let create ?(params = Policy.default) ~check ~obs ~sim ~link ~plan () =
     finalized = false;
   }
 
-let params t = t.p
-let samples t = t.samples
-
 let note_delivery t ~flow ~bytes =
   match Hashtbl.find_opt t.window_bytes flow with
   | Some r -> r := !r + bytes

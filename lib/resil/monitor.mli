@@ -38,7 +38,8 @@ type row = {
 }
 
 val metric_names : string array
-(** [[|"jain"; "drop_rate"; "occupancy"|]] — row order of {!rows}. *)
+(** Test hook: [[|"jain"; "drop_rate"; "occupancy"|]] — row order of {!rows}.
+    *)
 
 val create :
   ?params:Policy.params ->
@@ -70,9 +71,6 @@ val rows : t -> row list
     monitor (idempotent): emits the [resil.*] observability counters
     ([resil.samples], [resil.recovered.<m>] / [resil.no_recovery.<m>],
     [resil.recover_ms.<m>] gauges, [resil.baseline_missed]). *)
-
-val samples : t -> int
-val params : t -> Policy.params
 
 val recovery_to_string : recovery -> string
 (** ["%.2f"] seconds, ["no_recovery"], or ["-"]. *)

@@ -37,5 +37,3 @@ let timeout t =
   else clamp t (t.srtt +. (4.0 *. t.rttvar))
 
 let srtt t = t.srtt
-
-let rttvar t = t.rttvar

@@ -17,8 +17,4 @@ val timeout : t -> float
 (** Current RTO = srtt + 4·rttvar, clamped. *)
 
 val srtt : t -> float
-(** Smoothed RTT; [nan] before any sample. *)
-
-val rttvar : t -> float
-
-val has_sample : t -> bool
+(** Test hook: smoothed RTT; [nan] before any sample. *)

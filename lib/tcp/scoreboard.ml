@@ -1,8 +1,6 @@
-type status = In_flight of { sent_at : float; ever_retx : bool } | Sacked | Lost
-
 (* A plain int min-heap with lazy deletion, holding candidate lost
    sequence numbers. Stale entries (segments no longer Lost) are
-   filtered on pop, making next_lost O(log n) amortized instead of a
+   filtered on pop, making [next_lost_seq] O(log n) amortized instead of a
    scan of the whole window — a go-back-N recovery of a large window
    would otherwise be quadratic. *)
 module Lost_heap = struct
@@ -126,14 +124,6 @@ let ensure t seq =
 
 let code t seq = if seq < t.lo || seq >= t.hi then absent else t.st.(idx t seq)
 
-let status t seq =
-  match code t seq with
-  | 1 -> Some (In_flight { sent_at = t.sent_at.(idx t seq); ever_retx = false })
-  | 2 -> Some (In_flight { sent_at = t.sent_at.(idx t seq); ever_retx = true })
-  | 3 -> Some Sacked
-  | 4 -> Some Lost
-  | _ -> None
-
 let on_transmit t ~seq ~at ~retx =
   ensure t seq;
   let i = idx t seq in
@@ -224,10 +214,6 @@ let rec next_lost_seq t =
     end
   end
 
-let next_lost t =
-  let seq = next_lost_seq t in
-  if seq < 0 then None else Some seq
-
 let lost_count t = t.lost
 
 let sacked_count t = t.sacked
@@ -243,12 +229,6 @@ let sent_time t seq =
   match code t seq with 1 | 2 -> t.sent_at.(idx t seq) | _ -> nan
 
 let sent_ever_retx t seq = code t seq = in_flight_retx
-
-let sent_info t seq =
-  match code t seq with
-  | 1 -> Some (t.sent_at.(idx t seq), false)
-  | 2 -> Some (t.sent_at.(idx t seq), true)
-  | _ -> None
 
 let iter_in_flight t f =
   for seq = t.lo to t.hi - 1 do

@@ -5,24 +5,17 @@
     believed in flight) is maintained incrementally; loss marking and
     SACK marking move segments out of the pipe. This one structure
     serves Reno, NewReno and SACK senders — the variants differ only in
-    who calls {!mark_lost}. *)
+    who calls {!mark_lost}. A tracked segment is [In_flight] (with its
+    last send time and whether it was ever retransmitted), [Sacked] or
+    [Lost]. *)
 
 type t
-
-type status =
-  | In_flight of { sent_at : float; ever_retx : bool }
-  | Sacked
-  | Lost
 
 val create : unit -> t
 
 val on_transmit : t -> seq:int -> at:float -> retx:bool -> unit
 (** Record a (re)transmission. A retransmission of a [Lost] segment
     moves it back to [In_flight] with [ever_retx = true]. *)
-
-val status : t -> int -> status option
-(** [None] when the segment is not tracked (below snd_una or never
-    sent). *)
 
 val pipe : t -> int
 (** Segments currently [In_flight]. *)
@@ -46,12 +39,9 @@ val mark_all_lost : t -> unit
 (** Retransmission timeout: every in-flight segment is presumed lost.
     Sacked segments keep their status (they are known received). *)
 
-val next_lost : t -> int option
-(** Lowest segment marked [Lost] — the retransmission candidate. *)
-
 val next_lost_seq : t -> int
-(** Same as {!next_lost} but returns [-1] instead of [None]: the
-    non-allocating form for the sender's send loop. *)
+(** Lowest segment marked [Lost] — the retransmission candidate — or
+    [-1] when there is none. *)
 
 val lost_count : t -> int
 
@@ -61,13 +51,9 @@ val sacked_above : t -> int -> int
 (** Number of sacked segments with seq strictly greater than the
     argument (drives the SACK loss-inference rule). *)
 
-val sent_info : t -> int -> (float * bool) option
-(** [(sent_at, ever_retx)] for an in-flight segment — for Karn-valid
-    RTT sampling on cumulative acks. *)
-
 val sent_time : t -> int -> float
 (** Last transmission time of an in-flight segment, [nan] when the
-    segment is not in flight. Non-allocating form of {!sent_info}. *)
+    segment is not in flight. *)
 
 val sent_ever_retx : t -> int -> bool
 (** Whether an in-flight segment has ever been retransmitted; [false]

@@ -53,34 +53,9 @@ let of_name name = List.assoc_opt (String.lowercase_ascii name) profiles
 
 let profile_names = List.map fst profiles
 
-let make ?(variant = default.variant) ?(growth = default.growth)
-    ?(mss = default.mss)
-    ?(header_bytes = default.header_bytes) ?(ack_bytes = default.ack_bytes)
-    ?(init_cwnd = default.init_cwnd) ?(init_ssthresh = default.init_ssthresh)
-    ?(dupack_thresh = default.dupack_thresh) ?(min_rto = default.min_rto)
-    ?(max_rto = default.max_rto) ?(max_backoff = default.max_backoff)
-    ?(rcv_wnd = default.rcv_wnd) ?(syn_timeout = default.syn_timeout)
+let make ?(min_rto = default.min_rto) ?(rcv_wnd = default.rcv_wnd)
     ?(syn_retry_doubling = default.syn_retry_doubling)
-    ?(max_syn_retries = default.max_syn_retries) ?(use_syn = default.use_syn)
-    ?(delayed_ack = default.delayed_ack) () =
-  {
-    variant;
-    growth;
-    mss;
-    header_bytes;
-    ack_bytes;
-    init_cwnd;
-    init_ssthresh;
-    dupack_thresh;
-    min_rto;
-    max_rto;
-    max_backoff;
-    rcv_wnd;
-    syn_timeout;
-    syn_retry_doubling;
-    max_syn_retries;
-    use_syn;
-    delayed_ack;
-  }
+    ?(use_syn = default.use_syn) () =
+  { default with min_rto; rcv_wnd; syn_retry_doubling; use_syn }
 
 let packet_bytes t = t.mss + t.header_bytes

@@ -55,37 +55,19 @@ val cubic : t
 (** {!default} with CUBIC growth and the modern initial window of 10 —
     the configuration the paper's introduction describes. *)
 
-val sack : t
-(** {!default} with scoreboard-driven SACK recovery. *)
-
-val profiles : (string * t) list
-(** The named stacks the sweep matrix crosses disciplines against:
-    ["newreno"], ["sack"], ["cubic"]. *)
-
 val of_name : string -> t option
-(** Look up a profile by (case-insensitive) name. *)
+(** Look up a profile by (case-insensitive) name: [newreno]
+    ({!default}), [sack] ({!default} with scoreboard-driven SACK
+    recovery) or [cubic]. *)
 
 val profile_names : string list
-(** Names in {!profiles} order. *)
+(** The names {!of_name} knows, in that order. *)
 
 val make :
-  ?variant:variant ->
-  ?growth:growth ->
-  ?mss:int ->
-  ?header_bytes:int ->
-  ?ack_bytes:int ->
-  ?init_cwnd:float ->
-  ?init_ssthresh:float ->
-  ?dupack_thresh:int ->
   ?min_rto:float ->
-  ?max_rto:float ->
-  ?max_backoff:int ->
   ?rcv_wnd:int ->
-  ?syn_timeout:float ->
   ?syn_retry_doubling:bool ->
-  ?max_syn_retries:int ->
   ?use_syn:bool ->
-  ?delayed_ack:float option ->
   unit ->
   t
 (** {!default} with overrides. *)

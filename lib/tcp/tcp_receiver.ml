@@ -16,7 +16,6 @@ type t = {
   mutable recent : int list;  (* most-recently received, for SACK blocks *)
   mutable listeners : (int -> unit) list;
   mutable ack_pending : bool;  (* delayed-ack state *)
-  mutable acks_sent : int;
 }
 
 let create ?alloc ~flow ?(pool = -1) ~config ~now ~send ?schedule () =
@@ -35,10 +34,7 @@ let create ?alloc ~flow ?(pool = -1) ~config ~now ~send ?schedule () =
     recent = [];
     listeners = [];
     ack_pending = false;
-    acks_sent = 0;
   }
-
-let acks_sent t = t.acks_sent
 
 (* Top-level listener iteration: a [List.iter] closure would allocate
    on every delivered segment. *)
@@ -106,7 +102,6 @@ let send_ack_now t =
       ~retx:false ~sacks ~sent_at:(t.now ())
   in
   t.ack_pending <- false;
-  t.acks_sent <- t.acks_sent + 1;
   t.send pkt
 
 (* RFC 1122 delayed acks: acknowledge every second in-order segment, or

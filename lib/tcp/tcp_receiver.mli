@@ -22,20 +22,19 @@ val create :
     (the delay timer must fire even if no further packet arrives);
     without it delayed-ack configs fall back to immediate acking. *)
 
-val acks_sent : t -> int
-(** Pure acknowledgements transmitted (for delayed-ack tests). *)
-
 val on_packet : t -> Taq_net.Packet.t -> unit
 (** Deliver a forward-path packet (SYN or DATA) to the receiver. *)
 
 val cum_ack : t -> int
-(** Next expected segment (= count of in-order segments received). *)
+(** Test hook: next expected segment (= count of in-order segments received).
+    *)
 
 val unique_segments : t -> int
-(** Distinct data segments received (in or out of order). *)
+(** Test hook: distinct data segments received (in or out of order). *)
 
 val duplicate_segments : t -> int
-(** Redundant deliveries (retransmissions of already-received data). *)
+(** Test hook: redundant deliveries (retransmissions of already-received
+    data). *)
 
 val on_segment : t -> (int -> unit) -> unit
 (** Listener invoked with the segment index for every {e new} (not

@@ -37,7 +37,6 @@ type t = {
   pool : int;
   mutable total : int;
   close_on_drain : bool;
-  mutable close_requested : bool;
   transmit : Packet.t -> unit;
   on_complete : float -> unit;
   on_fail : float -> unit;
@@ -68,7 +67,6 @@ type t = {
   mutable n_syn_sent : int;
   mutable max_backoff_seen : int;
   mutable transmit_listeners : (Packet.t -> unit) list;
-  mutable timeout_listeners : (float -> unit) list;
   mutable progress_listeners : (int -> unit) list;
   check : Check.t;
 }
@@ -135,25 +133,7 @@ let state t = t.state
 
 let cwnd t = t.w.cwnd
 
-let ssthresh t = t.w.ssthresh
-
-let snd_una t = t.snd_una
-
-let next_seq t = t.next_seq
-
-let in_recovery t = t.in_recovery
-
-let backoff t = t.backoff
-
-let rto_estimator t = t.rto
-
-let outstanding t = t.next_seq - t.snd_una
-
-let flow_id t = t.flow
-
 let on_transmit t f = t.transmit_listeners <- f :: t.transmit_listeners
-
-let on_timeout_event t f = t.timeout_listeners <- f :: t.timeout_listeners
 
 let on_progress t f = t.progress_listeners <- f :: t.progress_listeners
 
@@ -237,8 +217,6 @@ let send_segment t ~seq ~retx =
 let rec on_rtx_timeout t =
   if t.state = Established && t.snd_una < t.next_seq then begin
     t.n_timeouts <- t.n_timeouts + 1;
-    let now = Sim.now t.sim in
-    notify_all t.timeout_listeners now;
     let flight = Scoreboard.pipe t.sb + Scoreboard.lost_count t.sb in
     note_window_reduction t;
     t.w.ssthresh <- Float.max 2.0 (float_of_int flight *. decrease_factor t);
@@ -310,10 +288,10 @@ and on_syn_timeout t =
     else send_syn t
   end
 
-let create ?check ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
+let create ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
     ?(close_on_drain = true) ~transmit ?(on_complete = fun _ -> ())
     ?(on_fail = fun _ -> ()) () =
-  let check = match check with Some c -> c | None -> Sim.check sim in
+  let check = Sim.check sim in
   let t =
     {
       sim;
@@ -323,7 +301,6 @@ let create ?check ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
       pool;
       total = total_segments;
       close_on_drain;
-      close_requested = false;
       transmit;
       on_complete;
       on_fail;
@@ -357,7 +334,6 @@ let create ?check ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
       n_syn_sent = 0;
       max_backoff_seen = 1;
       transmit_listeners = [];
-      timeout_listeners = [];
       progress_listeners = [];
       check;
     }
@@ -386,17 +362,11 @@ let append_data t ~segments =
 
 let drained t = t.snd_una >= t.total
 
-let should_close t = drained t && (t.close_on_drain || t.close_requested)
-
-let close t =
-  t.close_requested <- true;
-  match t.state with
-  | Established -> if drained t then complete t
-  | Closed | Syn_sent | Complete | Failed -> ()
+let should_close t = drained t && t.close_on_drain
 
 let establish t =
   t.state <- Established;
-  if t.total = 0 && (t.close_on_drain || t.close_requested) then complete t
+  if t.total = 0 && t.close_on_drain then complete t
   else try_send t
 
 let start t =

@@ -24,7 +24,6 @@ type stats = {
 type state = Closed | Syn_sent | Established | Complete | Failed
 
 val create :
-  ?check:Taq_check.Check.t ->
   sim:Taq_engine.Sim.t ->
   config:Tcp_config.t ->
   alloc:Taq_net.Packet.alloc ->
@@ -42,8 +41,9 @@ val create :
     acknowledged; [on_fail] when SYN retries are exhausted.
     [close_on_drain = false] keeps the connection open when it runs out
     of data (a persistent HTTP/1.1 connection awaiting its next
-    object): it completes only after {!close}.
-    [check] defaults to the simulator's checker; the [Tcp] group
+    object): it never completes, and takes more data through
+    {!append_data}.
+    The sender checks with the simulator's checker: the [Tcp] group
     verifies window floors, sequence-space and scoreboard accounting,
     SACK block well-formedness and RTO bounds after every ack and
     timeout. *)
@@ -60,45 +60,21 @@ val append_data : t -> segments:int -> unit
     raises [Invalid_argument] (the flow already closed). If the sender
     was application-limited it resumes transmitting immediately. *)
 
-val close : t -> unit
-(** Request closure of a [close_on_drain = false] connection: it
-    completes as soon as all appended data is acknowledged (immediately
-    if already drained). *)
-
 val on_ack : t -> Taq_net.Packet.t -> unit
 (** Deliver a return-path packet (ACK or SYN-ACK). *)
 
 val state : t -> state
 
 val stats : t -> stats
+(** Test hook: the sender's counters. *)
 
 val cwnd : t -> float
-
-val ssthresh : t -> float
-
-val snd_una : t -> int
-
-val next_seq : t -> int
-
-val in_recovery : t -> bool
-
-val backoff : t -> int
-(** Current RTO backoff multiplier (1 = no backoff). *)
-
-val rto_estimator : t -> Rto.t
-
-val outstanding : t -> int
-(** Unacknowledged segments ([next_seq - snd_una]). *)
+(** Test hook: the congestion window, in segments. *)
 
 val on_transmit : t -> (Taq_net.Packet.t -> unit) -> unit
 (** Listener for every packet this sender puts on the wire. *)
-
-val on_timeout_event : t -> (float -> unit) -> unit
-(** Listener for RTO firings (argument: simulation time). *)
 
 val on_progress : t -> (int -> unit) -> unit
 (** Listener for cumulative-ack advances (argument: new snd_una) —
     lets callers track application-level object boundaries on a
     persistent connection. *)
-
-val flow_id : t -> int

@@ -6,12 +6,11 @@ type t = {
   sender : Tcp_sender.t;
   receiver : Tcp_receiver.t;
   flow : int;
-  mutable started_at : float;
 }
 
 let create ~net ~config ?flow ?(pool = -1) ~rtt_prop ~total_segments
     ?(close_on_drain = true) ?(on_complete = fun _ -> ())
-    ?(on_fail = fun _ -> ()) ?(unregister_on_complete = true) () =
+    ?(on_fail = fun _ -> ()) () =
   let flow =
     match flow with Some f -> f | None -> Dumbbell.next_flow_id net
   in
@@ -25,7 +24,7 @@ let create ~net ~config ?flow ?(pool = -1) ~rtt_prop ~total_segments
       ()
   in
   let finish kont time =
-    if unregister_on_complete then Dumbbell.unregister_flow net ~flow;
+    Dumbbell.unregister_flow net ~flow;
     kont time
   in
   let sender =
@@ -37,16 +36,12 @@ let create ~net ~config ?flow ?(pool = -1) ~rtt_prop ~total_segments
   Dumbbell.register_flow net ~flow ~rtt_prop
     ~deliver_fwd:(fun p -> Tcp_receiver.on_packet receiver p)
     ~deliver_rev:(fun p -> Tcp_sender.on_ack sender p);
-  { net; sender; receiver; flow; started_at = nan }
+  { net; sender; receiver; flow }
 
-let start t =
-  t.started_at <- Sim.now (Dumbbell.sim t.net);
-  Tcp_sender.start t.sender
+let start t = Tcp_sender.start t.sender
 
 let sender t = t.sender
 
 let receiver t = t.receiver
 
 let flow_id t = t.flow
-
-let started_at t = t.started_at

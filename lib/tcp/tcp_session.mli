@@ -15,7 +15,6 @@ val create :
   ?close_on_drain:bool ->
   ?on_complete:(float -> unit) ->
   ?on_fail:(float -> unit) ->
-  ?unregister_on_complete:bool ->
   unit ->
   t
 (** Registers the flow with the network. When [flow] is omitted an id
@@ -23,9 +22,9 @@ val create :
     ({!Taq_net.Dumbbell.next_flow_id}) — ids are per-network, so
     independent simulations can run concurrently in separate domains
     without sharing any state. [on_complete] receives the
-    completion time; when [unregister_on_complete] (default true) the
-    flow is removed from the network afterwards so stray packets
-    evaporate. [close_on_drain = false] keeps the connection open for
+    completion time, and [on_fail] the time the connection gave up;
+    either way the flow is removed from the network first, so stray
+    packets evaporate. [close_on_drain = false] keeps the connection open for
     {!Tcp_sender.append_data} (persistent HTTP-style connections). *)
 
 val start : t -> unit
@@ -35,6 +34,3 @@ val sender : t -> Tcp_sender.t
 val receiver : t -> Tcp_receiver.t
 
 val flow_id : t -> int
-
-val started_at : t -> float
-(** Time {!start} was called ([nan] before). *)

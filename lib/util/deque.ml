@@ -48,9 +48,6 @@ let pop_back t =
 
 let peek_front t = if t.len = 0 then None else t.buf.(t.head)
 
-let peek_back t =
-  if t.len = 0 then None else t.buf.((t.head + t.len - 1) mod cap t)
-
 let remove_last pred t =
   let c = cap t in
   let rec find k =
@@ -76,8 +73,3 @@ let iter f t =
     | Some x -> f x
     | None -> assert false
   done
-
-let clear t =
-  t.buf <- Array.make 16 None;
-  t.head <- 0;
-  t.len <- 0

@@ -20,14 +20,11 @@ val pop_back : 'a t -> 'a option
 
 val peek_front : 'a t -> 'a option
 
-val peek_back : 'a t -> 'a option
-
 val remove_last : ('a -> bool) -> 'a t -> 'a option
-(** Remove and return the element nearest the back that satisfies the
-    predicate, in place: the elements behind it close the gap and keep
-    their order. O(distance from the back). *)
+(** Test hook: the reference model of [Taq_queues] (test/taq_queues_ref.ml)
+    pushes out with it. Remove and return the element nearest the back that
+    satisfies the predicate, in place: the elements behind it close the gap
+    and keep their order. O(distance from the back). *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Front to back. *)
-
-val clear : 'a t -> unit

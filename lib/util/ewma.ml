@@ -15,5 +15,3 @@ let update t x =
   else t.value <- x
 
 let value t = t.value
-
-let reset t = t.value <- nan

@@ -17,6 +17,3 @@ val value : t -> float
 (** Current average; [nan] before any sample. *)
 
 val is_initialized : t -> bool
-
-val reset : t -> unit
-(** Forget all samples. *)

@@ -16,11 +16,6 @@ let printf fmt = Printf.ksprintf string fmt
 
 let newline () = string "\n"
 
-let flush () =
-  match Domain.DLS.get sink_key with
-  | Channel oc -> Stdlib.flush oc
-  | Buf _ -> ()
-
 let with_buffer f =
   let buf = Buffer.create 1024 in
   let old = Domain.DLS.get sink_key in

@@ -18,9 +18,6 @@ val string : string -> unit
 
 val newline : unit -> unit
 
-val flush : unit -> unit
-(** Flush the sink when it is a channel; no-op on a buffer. *)
-
 val with_buffer : (unit -> 'a) -> string * 'a
 (** [with_buffer f] runs [f] with this domain's sink redirected to a
     fresh buffer and returns [(captured_text, result)]. The previous

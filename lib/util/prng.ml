@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 step: advance by the golden gamma then mix. *)
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -30,8 +28,6 @@ let float t x =
   let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   let u = float_of_int bits *. (1.0 /. 9007199254740992.0) in
   u *. x
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t ~p =
   if p <= 0.0 then false
@@ -60,15 +56,3 @@ let normal t ~mu ~sigma =
   mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
 
 let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
-
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

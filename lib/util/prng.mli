@@ -18,10 +18,6 @@ val split : t -> t
     [t]. Use to give sub-components their own streams so that adding a
     draw in one component does not perturb another. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (the two then evolve
-    identically given identical calls). *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -30,9 +26,6 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p] (clamped to
@@ -49,15 +42,6 @@ val pareto : t -> shape:float -> scale:float -> float
 (** Pareto distributed: [scale] is the minimum value, [shape] the tail
     index (smaller = heavier tail). Requires both positive. *)
 
-val normal : t -> mu:float -> sigma:float -> float
-(** Gaussian via Box-Muller. *)
-
 val lognormal : t -> mu:float -> sigma:float -> float
 (** exp of a Gaussian; [mu]/[sigma] are the parameters of the
     underlying normal. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -73,11 +73,6 @@ let summarize xs =
     max;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g p10=%.4g med=%.4g p90=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.p10 s.median s.p90 s.max
-
 let log_bucket ~base ~first x =
   if x < first then 0
   else begin

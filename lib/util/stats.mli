@@ -6,12 +6,6 @@
 val mean : float array -> float
 (** Arithmetic mean; [nan] on empty input. *)
 
-val variance : float array -> float
-(** Population variance; [nan] on empty input. *)
-
-val stddev : float array -> float
-(** Square root of {!variance}. *)
-
 val min_max : float array -> float * float
 (** Smallest and largest element. Raises [Invalid_argument] on empty
     input. *)
@@ -46,8 +40,6 @@ type summary = {
 
 val summarize : float array -> summary
 (** Raises [Invalid_argument] on empty input. *)
-
-val pp_summary : Format.formatter -> summary -> unit
 
 val log_bucket : base:float -> first:float -> float -> int
 (** [log_bucket ~base ~first x] is the index of the logarithmic bucket

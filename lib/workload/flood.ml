@@ -5,11 +5,6 @@ module Prng = Taq_util.Prng
 
 type kind = Syn_churn | One_packet | Pool_churn
 
-let kind_name = function
-  | Syn_churn -> "syn"
-  | One_packet -> "data"
-  | Pool_churn -> "pool"
-
 let kind_of_string = function
   | "syn" -> Some Syn_churn
   | "data" -> Some One_packet

@@ -27,10 +27,6 @@
 
 type kind = Syn_churn | One_packet | Pool_churn
 
-val kind_name : kind -> string
-(** ["syn" | "data" | "pool"] — the [kind=] values of the fault-plan
-    [flood] clause. *)
-
 val kind_of_string : string -> kind option
 
 type t
@@ -52,4 +48,4 @@ val install :
     @raise Invalid_argument on [rate <= 0] or [duration < 0]. *)
 
 val sent : t -> int
-(** Packets injected so far. *)
+(** Test hook: packets injected so far. *)

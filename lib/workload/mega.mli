@@ -28,25 +28,11 @@ type flow = {
   pkt_bytes : int;  (** the flow's packet size *)
 }
 
-val flow_of_id : seed:int -> base_rtt:float -> int -> flow
-(** Pure O(1) synthesis of flow [id]'s parameters. Equal
-    [(seed, base_rtt, id)] gives equal flows, independent of every
-    other id ever generated. *)
-
 type shard = { index : int; n_shards : int; total : int }
 
 val shard : index:int -> n_shards:int -> total:int -> shard
 (** @raise Invalid_argument
       unless [0 <= index < n_shards] and [total >= 0]. *)
-
-val shard_range : shard -> int * int
-(** [[lo, hi)] id range of the shard: contiguous, disjoint, covering
-    [[0, total)] exactly across all indices. *)
-
-val fold : seed:int -> base_rtt:float -> shard -> init:'a -> f:('a -> flow -> 'a) -> 'a
-(** Stream the shard's flows through [f] in id order. Allocation per
-    flow is a small constant (one short-lived generator and record);
-    nothing is retained between steps. *)
 
 (** {1 Cohort summaries} — the O(1)-size digest the fluid backend
     actually consumes. *)

@@ -31,9 +31,3 @@ let sample ?(params = default) prng =
       Taq_util.Prng.lognormal prng ~mu:params.body_mu ~sigma:params.body_sigma
   in
   clamp params x
-
-let sample_bucketed ?(params = default) prng ~bucket =
-  if bucket < 0 then invalid_arg "Object_size.sample_bucketed: bucket";
-  let lo = 100.0 *. (10.0 ** float_of_int bucket) in
-  let hi = lo *. 10.0 in
-  clamp params (Taq_util.Prng.uniform prng ~lo ~hi)

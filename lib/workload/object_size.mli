@@ -22,9 +22,3 @@ val default : params
 
 val sample : ?params:params -> Taq_util.Prng.t -> int
 (** One object size in bytes. *)
-
-val sample_bucketed :
-  ?params:params -> Taq_util.Prng.t -> bucket:int -> int
-(** A size constrained to the decade bucket [10^bucket ·100 B .. ·1 KB)
-    — used when an experiment needs objects of a controlled size class
-    (e.g. Figure 12's 10–20 KB objects). *)

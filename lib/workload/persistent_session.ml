@@ -104,6 +104,3 @@ let pending t =
 
 let flow_ids t =
   Array.to_list (Array.map (fun c -> Tcp_session.flow_id c.session) t.conns)
-
-let close t =
-  Array.iter (fun c -> Tcp_sender.close (Tcp_session.sender c.session)) t.conns

@@ -40,11 +40,9 @@ val request : t -> size:int -> unit
 (** Pipeline an object onto the least-loaded connection. *)
 
 val completed : t -> fetch list
-(** Finished objects, completion order. *)
+(** Test hook: finished objects, completion order. *)
 
 val pending : t -> int
+(** Test hook: objects not yet finished. *)
 
 val flow_ids : t -> int list
-
-val close : t -> unit
-(** Close all connections once their pipelined data drains. *)

@@ -24,7 +24,6 @@ type t = {
   rtt : float;
   max_conns : int;
   hangs : Taq_metrics.Hangs.t option;
-  slicer : Taq_metrics.Slicer.t option;
   on_fetch_done : fetch -> unit;
   queue : pending_fetch Queue.t;
   mutable active : int;
@@ -35,8 +34,7 @@ type t = {
   mutable flows : int list;
 }
 
-let create ~net ~tcp ~pool ~rtt ~max_conns ?hangs ?slicer
-    ?(on_fetch_done = fun _ -> ()) () =
+let create ~net ~tcp ~pool ~rtt ~max_conns ?hangs ?(on_fetch_done = fun _ -> ()) () =
   if max_conns < 1 then invalid_arg "Web_session.create: max_conns";
   {
     net;
@@ -45,7 +43,6 @@ let create ~net ~tcp ~pool ~rtt ~max_conns ?hangs ?slicer
     rtt;
     max_conns;
     hangs;
-    slicer;
     on_fetch_done;
     queue = Queue.create ();
     active = 0;
@@ -94,15 +91,10 @@ let rec maybe_start_next t =
     let flow = Tcp_session.flow_id session in
     t.flows <- flow :: t.flows;
     let receiver = Tcp_session.receiver session in
-    let pkt_bytes = Tcp_config.packet_bytes t.tcp in
     Tcp_receiver.on_segment receiver (fun _seq ->
-        let time = now t in
         Option.iter
-          (fun h -> Taq_metrics.Hangs.note_data h ~pool:t.pool ~time)
-          t.hangs;
-        Option.iter
-          (fun s -> Taq_metrics.Slicer.record s ~flow ~time ~bytes:pkt_bytes)
-          t.slicer);
+          (fun h -> Taq_metrics.Hangs.note_data h ~pool:t.pool ~time:(now t))
+          t.hangs);
     Tcp_session.start session;
     maybe_start_next t
   end
@@ -146,5 +138,3 @@ let completed t =
 let pending t = Queue.length t.queue + t.in_flight
 
 let flow_ids t = List.rev t.flows
-
-let pool t = t.pool

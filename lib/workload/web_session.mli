@@ -24,12 +24,10 @@ val create :
   rtt:float ->
   max_conns:int ->
   ?hangs:Taq_metrics.Hangs.t ->
-  ?slicer:Taq_metrics.Slicer.t ->
   ?on_fetch_done:(fetch -> unit) ->
   unit ->
   t
-(** [hangs] receives per-pool data-arrival events; [slicer] receives
-    per-flow goodput (keyed by the underlying flow ids). *)
+(** [hangs] receives per-pool data-arrival events. *)
 
 val request : t -> size:int -> unit
 (** Enqueue an object; it is fetched when a connection slot frees. Call
@@ -42,11 +40,10 @@ val fetches : t -> fetch list
 (** All requested objects, completed or not, in request order. *)
 
 val completed : t -> fetch list
+(** Test hook: the finished fetches. *)
 
 val pending : t -> int
-(** Requests not yet finished (queued or in flight). *)
+(** Test hook: requests not yet finished (queued or in flight). *)
 
 val flow_ids : t -> int list
 (** Flow ids of every connection the session opened (for slicing). *)
-
-val pool : t -> int

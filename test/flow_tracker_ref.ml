@@ -120,16 +120,10 @@ let lookup t ~flow ~pool =
       f
 
 let roll_one_epoch f ~epoch =
-  let obs =
-    {
-      Flow_state.new_pkts = f.new_pkts;
-      retx_pkts = f.retx_pkts;
-      drops = f.drops_this_epoch;
-      prev_new_pkts = f.prev_new_pkts;
-      outstanding_drops = f.outstanding_drops;
-    }
-  in
-  f.state <- Flow_state.step f.state obs;
+  f.state <-
+    Flow_state.step_counts f.state ~new_pkts:f.new_pkts
+      ~retx_pkts:f.retx_pkts ~drops:f.drops_this_epoch
+      ~prev_new_pkts:f.prev_new_pkts ~outstanding_drops:f.outstanding_drops;
   if f.new_pkts = 0 && f.retx_pkts = 0 then
     f.silence_epochs <- f.silence_epochs + 1
   else f.silence_epochs <- 0;

@@ -67,31 +67,3 @@ let mean_jain t ~flows ?(first = 0) ?last () =
 let long_term_jain t ~flows =
   Taq_util.Stats.jain_index
     (Array.map (fun f -> float_of_int (flow_total t ~flow:f)) flows)
-
-let silent_fraction t ~flows ~slice =
-  let n = Array.length flows in
-  if n = 0 then 0.0
-  else begin
-    let silent = ref 0 in
-    Array.iter
-      (fun f -> if bytes_in_slice t ~slice ~flow:f = 0 then incr silent)
-      flows;
-    float_of_int !silent /. float_of_int n
-  end
-
-let top_share t ~flows ~slice ~top_fraction =
-  let v = slice_vector t ~flows ~slice in
-  let total = Taq_util.Stats.sum v in
-  if total = 0.0 then 0.0
-  else begin
-    Array.sort (fun a b -> compare b a) v;
-    let k =
-      Stdlib.max 1
-        (int_of_float (ceil (top_fraction *. float_of_int (Array.length v))))
-    in
-    let acc = ref 0.0 in
-    for i = 0 to Stdlib.min (k - 1) (Array.length v - 1) do
-      acc := !acc +. v.(i)
-    done;
-    !acc /. total
-  end

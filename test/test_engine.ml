@@ -145,6 +145,84 @@ let test_sim_past_rejected () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "scheduling in the past should raise"
 
+(* The [sim.heap_max_depth] gauge is the calendar's true peak: N
+   events filed at N distinct future times are all on the heap at once,
+   and running them never raises the peak. *)
+let test_sim_heap_depth_exact () =
+  List.iter
+    (fun n ->
+      let obs = Taq_obs.Obs.create () in
+      let sim = Sim.create ~obs () in
+      for i = 1 to n do
+        Sim.schedule sim ~at:(float_of_int i) ignore
+      done;
+      let depth () =
+        Taq_obs.Obs.gauge_value (Taq_obs.Obs.snapshot obs) "sim.heap_max_depth"
+      in
+      Alcotest.(check int) (Printf.sprintf "%d filed" n) n (depth ());
+      Sim.run sim;
+      Alcotest.(check int) (Printf.sprintf "%d run" n) n (depth ()))
+    [ 1; 2; 5; 37; 200 ]
+
+(* After any [run ~until] the scheduler counters balance against the
+   calendar: every entry filed was run, skipped or is still pending,
+   and, the same-instant lane being drained by then, every heap push
+   not yet popped is pending. Events sit at random grid times; some
+   are timers whose cancellers disarm them or re-arm them earlier or
+   later, and every event may start a chain of zero-delay (lane)
+   children. *)
+let prop_sim_counters_balance =
+  let grid = 8 in
+  QCheck.Test.make ~name:"scheduler counters balance after run ~until"
+    ~count:200
+    QCheck.(
+      pair
+        (list_of_size
+           Gen.(int_range 0 40)
+           (triple (int_range 0 (grid - 1))
+              (option (pair (int_range 0 (grid - 1)) (option (int_range 0 3))))
+              (int_range 0 2)))
+        (small_list (int_range 0 grid)))
+    (fun (plan, horizons) ->
+      let obs = Taq_obs.Obs.create () in
+      let sim = Sim.create ~check:engine_check ~obs () in
+      let rec chain k () =
+        if k > 0 then Sim.schedule_after sim ~delay:0.0 (chain (k - 1))
+      in
+      List.iter
+        (fun (at, cancel, k) ->
+          match cancel with
+          | None -> Sim.schedule_after sim ~delay:(float_of_int at) (chain k)
+          | Some (c, rearm) ->
+              let tm = Sim.timer sim in
+              Sim.arm tm ~delay:(float_of_int at) (chain k);
+              Sim.schedule_after sim ~delay:(float_of_int c) (fun () ->
+                  match rearm with
+                  | None -> Sim.disarm tm
+                  | Some r -> Sim.arm tm ~delay:(float_of_int r) (chain k)))
+        plan;
+      let balanced until =
+        Sim.run ~until sim;
+        let s = Taq_obs.Obs.snapshot obs in
+        let c = Taq_obs.Obs.counter_value s in
+        let pending = Sim.pending_events sim in
+        if
+          c "sim.events_scheduled"
+          <> c "sim.events_executed" + c "sim.events_skipped" + pending
+        then
+          QCheck.Test.fail_reportf
+            "until %g: scheduled %d <> executed %d + skipped %d + pending %d"
+            until (c "sim.events_scheduled") (c "sim.events_executed")
+            (c "sim.events_skipped") pending;
+        if c "sim.heap_push" - c "sim.heap_pop" <> pending then
+          QCheck.Test.fail_reportf "until %g: push %d - pop %d <> pending %d"
+            until (c "sim.heap_push") (c "sim.heap_pop") pending
+      in
+      List.iter
+        (fun h -> balanced (float_of_int h))
+        (List.sort compare horizons @ [ 2 * grid ]);
+      Sim.pending_events sim = 0)
+
 (* A timer re-armed earlier supersedes its pending entry. The entry
    stays on the calendar: it pops at its own time, moves the clock,
    runs nothing and is counted once as skipped. *)
@@ -792,6 +870,7 @@ let () =
             test_sim_nan_times_rejected;
           Alcotest.test_case "nan horizon rejected" `Quick
             test_sim_nan_horizon_rejected;
+          Alcotest.test_case "heap depth exact" `Quick test_sim_heap_depth_exact;
         ] );
       ( "properties",
         List.map (QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_engine"))
@@ -802,5 +881,6 @@ let () =
             prop_pooled_scheduler_matches_model;
             prop_timer_matches_cancel_reschedule;
             prop_rearm_storm;
+            prop_sim_counters_balance;
           ] );
     ]

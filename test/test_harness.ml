@@ -134,28 +134,6 @@ let test_pool_on_done_progress () =
   Alcotest.(check int) "on_done fired once per task" n (Atomic.get seen);
   Alcotest.(check int) "total is task count" n !total_seen
 
-let test_pool_report_table () =
-  let results =
-    Pool.run ~jobs:1
-      [
-        Task.make ~key:"alpha" (fun ~seed:_ -> ());
-        Task.make ~key:"beta" (fun ~seed:_ -> failwith "x");
-      ]
-  in
-  let out =
-    let buf, () =
-      Capture.run (fun () -> Taq_util.Table.print (Pool.report results))
-    in
-    buf
-  in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "report mentions %s" needle)
-        true
-        (contains ~needle out))
-    [ "alpha"; "beta"; "total" ]
-
 (* --- Pool: resilience (timeout / retry / quarantine) ------------------------ *)
 
 let test_pool_timeout_quarantines () =
@@ -238,8 +216,8 @@ let test_pool_retry_exhausted () =
 
 let test_capture_buffers_output () =
   let out, v =
-    Capture.run (fun () ->
-        Capture.printf "hello %d" 42;
+    Taq_util.Out.with_buffer (fun () ->
+        Taq_util.Out.printf "hello %d" 42;
         7)
   in
   Alcotest.(check string) "captured text" "hello 42" out;
@@ -247,11 +225,11 @@ let test_capture_buffers_output () =
 
 let test_capture_nested_restores () =
   let outer, () =
-    Capture.run (fun () ->
-        Capture.printf "before|";
-        let inner = Capture.text (fun () -> Capture.printf "inner") in
+    Taq_util.Out.with_buffer (fun () ->
+        Taq_util.Out.printf "before|";
+        let inner = Capture.text (fun () -> Taq_util.Out.printf "inner") in
         Alcotest.(check string) "inner isolated" "inner" inner;
-        Capture.printf "after")
+        Taq_util.Out.printf "after")
   in
   Alcotest.(check string) "outer unaffected by nesting" "before|after" outer
 
@@ -516,10 +494,10 @@ let output_tasks keys =
     (fun key ->
       Task.make ~key (fun ~seed ->
           Capture.text (fun () ->
-              Capture.printf "key=%s seed=%d\n" key seed;
+              Taq_util.Out.printf "key=%s seed=%d\n" key seed;
               let prng = Taq_util.Prng.create ~seed in
               for _ = 1 to 5 do
-                Capture.printf "%.6f " (Taq_util.Prng.float prng 1.0)
+                Taq_util.Out.printf "%.6f " (Taq_util.Prng.float prng 1.0)
               done)))
     keys
 
@@ -1023,7 +1001,6 @@ let () =
             test_pool_failure_isolated;
           Alcotest.test_case "on_done progress" `Quick
             test_pool_on_done_progress;
-          Alcotest.test_case "report table" `Quick test_pool_report_table;
           Alcotest.test_case "timeout quarantines" `Quick
             test_pool_timeout_quarantines;
           Alcotest.test_case "retry until success" `Quick

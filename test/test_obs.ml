@@ -30,10 +30,8 @@ module Harness = Taq_harness
 (* --- Obs.t unit tests --------------------------------------------------- *)
 
 let test_off_is_inert () =
-  Obs.incr Obs.off Obs.Heap_push;
-  Obs.add Obs.off Obs.Link_bytes_tx 500;
-  Obs.gauge_max Obs.off Obs.Heap_max_depth 9;
   Obs.labeled Obs.off "x" 3;
+  Obs.labeled_gauge_max Obs.off "g" 9;
   Alcotest.(check bool) "not enabled" false (Obs.enabled Obs.off);
   Alcotest.(check bool) "not tracing" false (Obs.tracing Obs.off);
   let snap = Obs.snapshot Obs.off in
@@ -42,17 +40,18 @@ let test_off_is_inert () =
 
 let test_counters_and_snapshot () =
   let o = Obs.create () in
-  Obs.incr o Obs.Heap_push;
-  Obs.incr o Obs.Heap_push;
-  Obs.add o Obs.Link_bytes_tx 500;
-  Obs.gauge_max o Obs.Heap_max_depth 3;
-  Obs.gauge_max o Obs.Heap_max_depth 7;
-  Obs.gauge_max o Obs.Heap_max_depth 5;
+  let push = Obs.labeled_ref o "sim.heap_push" in
+  incr push;
+  incr push;
+  Obs.labeled o "link.bytes_transmitted" 500;
+  Obs.labeled_gauge_max o "sim.heap_max_depth" 3;
+  Obs.labeled_gauge_max o "sim.heap_max_depth" 7;
+  Obs.labeled_gauge_max o "sim.heap_max_depth" 5;
   Obs.labeled o "disc.x.drop" 2;
   Obs.labeled o "disc.x.drop" 1;
   Obs.labeled o "zeroed" 0;
   let snap = Obs.snapshot o in
-  Alcotest.(check int) "fixed counter" 2
+  Alcotest.(check int) "counter through its cell" 2
     (Obs.counter_value snap "sim.heap_push");
   Alcotest.(check int) "add" 500
     (Obs.counter_value snap "link.bytes_transmitted");
@@ -69,13 +68,13 @@ let test_counters_and_snapshot () =
 
 let test_merge () =
   let a = Obs.create () and b = Obs.create () in
-  Obs.incr a Obs.Heap_push;
-  Obs.add b Obs.Heap_push 4;
-  Obs.gauge_max a Obs.Heap_max_depth 3;
-  Obs.gauge_max b Obs.Heap_max_depth 9;
+  Obs.labeled a "sim.heap_push" 1;
+  Obs.labeled b "sim.heap_push" 4;
+  Obs.labeled_gauge_max a "sim.heap_max_depth" 3;
+  Obs.labeled_gauge_max b "sim.heap_max_depth" 9;
   Obs.labeled a "only.a" 1;
   Obs.labeled b "only.b" 2;
-  let m = Obs.merge (Obs.snapshot a) (Obs.snapshot b) in
+  let m = Obs.merge_all [ Obs.snapshot a; Obs.snapshot b ] in
   Alcotest.(check int) "counters sum" 5 (Obs.counter_value m "sim.heap_push");
   Alcotest.(check int) "gauges max" 9
     (Obs.gauge_value m "sim.heap_max_depth");
@@ -90,8 +89,12 @@ let test_labeled_ref_disabled () =
      never shows up in a snapshot. *)
   let r = Obs.labeled_ref Obs.off "hot" in
   incr r;
+  let g = Obs.labeled_gauge_ref Obs.off "deep" in
+  g := 9;
   Alcotest.(check (list (pair string int)))
-    "dummy ref invisible" [] (Obs.snapshot Obs.off).Obs.counters
+    "dummy ref invisible" [] (Obs.snapshot Obs.off).Obs.counters;
+  Alcotest.(check (list (pair string int)))
+    "dummy gauge invisible" [] (Obs.snapshot Obs.off).Obs.gauges
 
 let test_policy_of_spec () =
   let ok spec =
@@ -108,7 +111,7 @@ let test_policy_of_spec () =
   Alcotest.(check bool) "trace implies counters" true p.Obs.policy_counters;
   Alcotest.(check (option string))
     "default trace path"
-    (Some Obs.default_trace_path)
+    (Some "taq.trace.json")
     p.Obs.policy_trace;
   let p = ok "trace:/tmp/x.json" in
   Alcotest.(check (option string))
@@ -200,12 +203,16 @@ let test_trace_json_roundtrip () =
 
 (* --- behaviour neutrality ------------------------------------------------ *)
 
-let metrics ~obs queue =
+let run_env ~obs queue =
   let env =
     Common.make_env ~obs ~queue ~capacity_bps:200e3 ~buffer_pkts:20 ~seed:5 ()
   in
   let ids = Common.spawn_long_flows env ~n:4 ~rtt:0.1 ~rtt_jitter:0.1 () in
   Common.run env ~until:10.0;
+  (env, ids)
+
+let metrics ~obs queue =
+  let env, ids = run_env ~obs queue in
   Printf.sprintf "jain=%.9f util=%.9f loss=%.9f"
     (Taq_metrics.Slicer.long_term_jain env.Common.slicer ~flows:ids)
     (Common.utilization env)
@@ -221,10 +228,27 @@ let test_obs_does_not_perturb queue () =
 let test_counters_consistent () =
   (* The per-layer counters must tell one coherent story. *)
   let o = Obs.create () in
-  ignore (metrics ~obs:o Common.Droptail);
+  let env, _ = run_env ~obs:o Common.Droptail in
   let s = Obs.snapshot o in
   let c = Obs.counter_value s in
   Alcotest.(check bool) "events executed" true (c "sim.events_executed" > 0);
+  (* The env's one link counts exactly what its own stats hold. *)
+  let st = Taq_net.Link.stats (Taq_net.Dumbbell.link env.Common.net) in
+  Alcotest.(check int) "link.offered" st.Taq_net.Link.offered (c "link.offered");
+  Alcotest.(check int) "link.transmitted" st.Taq_net.Link.transmitted
+    (c "link.transmitted");
+  Alcotest.(check int) "link.dropped" st.Taq_net.Link.dropped (c "link.dropped");
+  Alcotest.(check int) "link.bytes_transmitted" st.Taq_net.Link.bytes_transmitted
+    (c "link.bytes_transmitted");
+  (* The scheduler counters balance against the calendar after the run
+     stops at its horizon, with the same-instant lane drained. *)
+  let pending = Taq_engine.Sim.pending_events env.Common.sim in
+  Alcotest.(check int) "scheduled = executed + skipped + pending"
+    (c "sim.events_scheduled")
+    (c "sim.events_executed" + c "sim.events_skipped" + pending);
+  Alcotest.(check int) "heap pushes - pops = pending"
+    (c "sim.heap_push" - c "sim.heap_pop")
+    pending;
   (* Conservation: every offered packet was transmitted, dropped, or is
      still queued — up to one more may be in flight on the link when
      the run cuts off mid-transmission. *)
@@ -521,11 +545,11 @@ let test_compare_files_unreadable () =
 
 let test_snapshot_wire_roundtrip () =
   let t = Obs.create () in
-  Obs.incr t Obs.Events_scheduled;
-  Obs.add t Obs.Link_bytes_tx 123456;
+  Obs.labeled t "sim.events_scheduled" 1;
+  Obs.labeled t "link.bytes_transmitted" 123456;
   Obs.labeled t "disc.taq.drop" 7;
   Obs.labeled t "tracker.flows_created" 42;
-  Obs.gauge_max t Obs.Heap_max_depth 99;
+  (Obs.labeled_gauge_ref t "sim.heap_max_depth") := 99;
   Obs.labeled_gauge_max t "guard.dwell" 17;
   let snap = Obs.snapshot t in
   match Obs.snapshot_of_string (Obs.snapshot_to_string snap) with
@@ -538,7 +562,7 @@ let test_snapshot_wire_roundtrip () =
       (* The wire form carries only the deterministic parts. *)
       Alcotest.(check int) "no events" 0 (List.length snap'.Obs.events);
       (* Merging parsed snapshots behaves like merging originals. *)
-      let m = Obs.merge snap' snap' in
+      let m = Obs.merge_all [ snap'; snap' ] in
       Alcotest.(check int) "merged counter sums" 246912
         (Obs.counter_value m "link.bytes_transmitted");
       Alcotest.(check int) "merged gauge max" 99

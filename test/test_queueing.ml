@@ -207,7 +207,7 @@ let test_drr_conservation () =
   let prng = Taq_util.Prng.create ~seed:5 in
   let enq = ref 0 and dropped = ref 0 and deq = ref 0 in
   for i = 1 to 500 do
-    if Taq_util.Prng.bool prng then begin
+    if Int64.logand (Taq_util.Prng.bits64 prng) 1L = 1L then begin
       incr enq;
       dropped :=
         !dropped

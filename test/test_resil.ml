@@ -295,7 +295,8 @@ let test_run_spec_write_once () =
   Sim.run ~until:30.0 sim;
   Alcotest.(check bool)
     "simulator checker off" false
-    (List.exists (Check.on (Sim.check sim)) Check.all_groups);
+    (List.exists (Check.on (Sim.check sim))
+       (Result.get_ok (Check.groups_of_string "all")));
   Alcotest.(check bool) "simulator obs off" false (Obs.enabled (Sim.obs sim));
   Alcotest.(check (list (pair string int)))
     "nothing registered with the root collector" []

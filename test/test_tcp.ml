@@ -50,14 +50,12 @@ let test_sb_mark_lost_and_retransmit () =
   Scoreboard.on_transmit sb ~seq:0 ~at:0.0 ~retx:false;
   Scoreboard.mark_lost sb 0;
   Alcotest.(check int) "pipe empty" 0 (Scoreboard.pipe sb);
-  Alcotest.(check (option int)) "lost candidate" (Some 0) (Scoreboard.next_lost sb);
+  Alcotest.(check int) "lost candidate" 0 (Scoreboard.next_lost_seq sb);
   Scoreboard.on_transmit sb ~seq:0 ~at:1.0 ~retx:true;
   Alcotest.(check int) "back in pipe" 1 (Scoreboard.pipe sb);
-  Alcotest.(check (option int)) "no more lost" None (Scoreboard.next_lost sb);
+  Alcotest.(check int) "no more lost" (-1) (Scoreboard.next_lost_seq sb);
   (* Karn: the segment is marked ever-retransmitted. *)
-  match Scoreboard.sent_info sb 0 with
-  | Some (_, true) -> ()
-  | _ -> Alcotest.fail "expected ever_retx"
+  Alcotest.(check bool) "ever_retx" true (Scoreboard.sent_ever_retx sb 0)
 
 let test_sb_sacked () =
   let sb = Scoreboard.create () in
@@ -80,7 +78,7 @@ let test_sb_mark_all_lost_spares_sacked () =
   Scoreboard.mark_all_lost sb;
   Alcotest.(check int) "lost count" 3 (Scoreboard.lost_count sb);
   Alcotest.(check int) "sacked preserved" 1 (Scoreboard.sacked_count sb);
-  Alcotest.(check (option int)) "lowest lost" (Some 0) (Scoreboard.next_lost sb)
+  Alcotest.(check int) "lowest lost" 0 (Scoreboard.next_lost_seq sb)
 
 let test_sb_next_lost_is_lowest () =
   let sb = Scoreboard.create () in
@@ -90,7 +88,7 @@ let test_sb_next_lost_is_lowest () =
   Scoreboard.mark_lost sb 4;
   Scoreboard.mark_lost sb 1;
   Scoreboard.mark_lost sb 3;
-  Alcotest.(check (option int)) "lowest" (Some 1) (Scoreboard.next_lost sb)
+  Alcotest.(check int) "lowest" 1 (Scoreboard.next_lost_seq sb)
 
 (* --- Receiver ------------------------------------------------------------ *)
 
@@ -104,7 +102,7 @@ let make_receiver ?(variant = Tcp_config.Sack) () =
      blocks, which non-SACK receivers (correctly) omit. *)
   let acks = ref [] in
   let r =
-    Tcp_receiver.create ~flow:1 ~config:(Tcp_config.make ~variant ())
+    Tcp_receiver.create ~flow:1 ~config:{ Tcp_config.default with variant }
       ~now:(fun () -> 0.0)
       ~send:(fun p -> acks := p :: !acks)
       ()
@@ -176,7 +174,7 @@ let test_receiver_delayed_ack_halves_acks () =
   let pending_timers = ref [] in
   let r =
     Tcp_receiver.create ~flow:1
-      ~config:(Tcp_config.make ~delayed_ack:(Some 0.2) ())
+      ~config:{ Tcp_config.default with delayed_ack = Some 0.2 }
       ~now:(fun () -> 0.0)
       ~send:(fun _ -> incr acks)
       ~schedule:(fun ~delay:_ f -> pending_timers := f :: !pending_timers)
@@ -196,7 +194,7 @@ let test_receiver_delayed_ack_timer_flushes () =
   let pending_timers = ref [] in
   let r =
     Tcp_receiver.create ~flow:1
-      ~config:(Tcp_config.make ~delayed_ack:(Some 0.2) ())
+      ~config:{ Tcp_config.default with delayed_ack = Some 0.2 }
       ~now:(fun () -> 0.0)
       ~send:(fun _ -> incr acks)
       ~schedule:(fun ~delay:_ f -> pending_timers := f :: !pending_timers)
@@ -213,7 +211,7 @@ let test_receiver_delayed_ack_dups_immediate () =
   let acks = ref 0 in
   let r =
     Tcp_receiver.create ~flow:1
-      ~config:(Tcp_config.make ~delayed_ack:(Some 0.2) ())
+      ~config:{ Tcp_config.default with delayed_ack = Some 0.2 }
       ~now:(fun () -> 0.0)
       ~send:(fun _ -> incr acks)
       ~schedule:(fun ~delay:_ _ -> ())
@@ -307,7 +305,7 @@ let test_e2e_completes_under_loss () =
 let test_e2e_completes_under_heavy_loss_all_variants () =
   List.iter
     (fun variant ->
-      let config = Tcp_config.make ~variant () in
+      let config = { Tcp_config.default with variant } in
       let sim, _, _, completions =
         scenario ~segments:60 ~external_loss_p:0.25 ~seed:9 ~config ()
       in
@@ -450,7 +448,7 @@ let test_cubic_regrows_faster_than_aimd_after_loss () =
      over a clean link after an early loss. *)
   let run growth =
     let config =
-      Tcp_config.make ~use_syn:false ~growth ~init_ssthresh:30.0 ()
+      { (Tcp_config.make ~use_syn:false ()) with growth; init_ssthresh = 30.0 }
     in
     let sim, _, sessions, _ =
       scenario ~config ~capacity_bps:5e6 ~rtt:0.05 ~segments:max_int
@@ -474,7 +472,7 @@ let prop_tcp_completes_under_random_loss =
     (fun (seed, loss) ->
       List.for_all
         (fun variant ->
-          let config = Tcp_config.make ~variant () in
+          let config = { Tcp_config.default with variant } in
           let sim, _, _, completions =
             scenario ~segments:40 ~external_loss_p:loss ~seed ~config ()
           in

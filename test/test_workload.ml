@@ -40,14 +40,6 @@ let test_sizes_have_heavy_tail () =
   done;
   Alcotest.(check bool) "some objects exceed 1MB" true (!big > 10)
 
-let test_sizes_bucketed () =
-  let prng = Taq_util.Prng.create ~seed:4 in
-  for _ = 1 to 1000 do
-    let s = Object_size.sample_bucketed prng ~bucket:2 in
-    if s < 10_000 || s >= 100_000 then
-      Alcotest.failf "bucket 2 should be 10K-100K, got %d" s
-  done
-
 (* --- Trace -------------------------------------------------------------------- *)
 
 let small_params =
@@ -257,15 +249,6 @@ let test_persistent_idle_between_objects () =
   Alcotest.(check int) "still one flow" 1
     (List.length (Persistent_session.flow_ids session))
 
-let test_persistent_close_drains () =
-  let sim, session = persistent_fixture ~conns:1 () in
-  Persistent_session.start session;
-  Persistent_session.request session ~size:5_000;
-  Persistent_session.close session;
-  Sim.run ~until:30.0 sim;
-  Alcotest.(check int) "drained before closing" 1
-    (List.length (Persistent_session.completed session))
-
 let test_persistent_balances_connections () =
   let sim, session = persistent_fixture ~conns:4 () in
   Persistent_session.start session;
@@ -293,21 +276,6 @@ let prop_object_size_bounds =
         let s = Object_size.sample prng in
         if s < p.Object_size.min_bytes || s > p.Object_size.max_bytes then
           ok := false
-      done;
-      !ok)
-
-(* The bucketed sampler lands in its decade for every seed and bucket. *)
-let prop_bucketed_size_in_decade =
-  QCheck.Test.make ~name:"bucketed sizes stay in their decade" ~count:100
-    QCheck.(pair (int_range 0 1000000000) (int_range 0 4))
-    (fun (seed, bucket) ->
-      let prng = Taq_util.Prng.create ~seed in
-      let lo = 100 * int_of_float (10.0 ** float_of_int bucket) in
-      let hi = lo * 10 in
-      let ok = ref true in
-      for _ = 1 to 100 do
-        let s = Object_size.sample_bucketed prng ~bucket in
-        if s < lo || s >= hi then ok := false
       done;
       !ok)
 
@@ -362,11 +330,12 @@ let flood_fixture () =
 
 let test_flood_kind_roundtrip () =
   List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (Flood.kind_name k) true
-        (Flood.kind_of_string (Flood.kind_name k) = Some k))
-    [ Flood.Syn_churn; Flood.One_packet; Flood.Pool_churn ];
+    (fun (name, k) ->
+      Alcotest.(check bool) name true (Flood.kind_of_string name = Some k))
+    [
+      ("syn", Flood.Syn_churn); ("data", Flood.One_packet);
+      ("pool", Flood.Pool_churn);
+    ];
   Alcotest.(check bool) "unknown kind" true (Flood.kind_of_string "weird" = None)
 
 let test_flood_window_and_rate () =
@@ -442,7 +411,6 @@ let qcheck_props =
     (QCheck_alcotest.to_alcotest ~rand:qcheck_rand)
     [
       prop_object_size_bounds;
-      prop_bucketed_size_in_decade;
       prop_trace_sorted_and_bounded;
       prop_trace_deterministic;
     ]
@@ -455,7 +423,6 @@ let () =
           Alcotest.test_case "bounds" `Quick test_sizes_in_bounds;
           Alcotest.test_case "bulk range" `Quick test_sizes_bulk_in_web_range;
           Alcotest.test_case "heavy tail" `Quick test_sizes_have_heavy_tail;
-          Alcotest.test_case "bucketed" `Quick test_sizes_bucketed;
         ] );
       ( "trace",
         [
@@ -472,7 +439,6 @@ let () =
             test_persistent_objects_complete_in_order_per_conn;
           Alcotest.test_case "idle between objects" `Quick
             test_persistent_idle_between_objects;
-          Alcotest.test_case "close drains" `Quick test_persistent_close_drains;
           Alcotest.test_case "balances" `Quick test_persistent_balances_connections;
         ] );
       ( "web_session",
