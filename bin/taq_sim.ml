@@ -124,6 +124,16 @@ let within_horizon spec ~duration k =
       | Error msg -> `Error (false, msg))
   | None -> k ()
 
+(* Every mega shard models at least one flow (Mega_tier.run raises
+   otherwise): reject fewer flows than shards before any work. *)
+let flows_cover_shards ~flows ~shards k =
+  if flows < shards then
+    `Error
+      ( false,
+        Printf.sprintf "--flows (%d) must be at least --shards (%d)" flows
+          shards )
+  else k ()
+
 (* Print the counter report and, when tracing was requested, write the
    Chrome trace file from a merged snapshot. *)
 let finish_obs spec snap =
@@ -1336,6 +1346,7 @@ let mega_cmd =
   in
   let run flows shards capacity fg_flows rtt duration fluid_dt seed jobs
       results_dir do_checkpoint resume spec =
+    flows_cover_shards ~flows ~shards @@ fun () ->
     with_spec spec @@ fun spec ->
     try
       let p =

@@ -39,7 +39,7 @@ let run_contention ~label ~disc ~sim =
         (* Goodput accounting: every new segment the receiver gets. *)
         Tcp_receiver.on_segment (Tcp_session.receiver session) (fun _seq ->
             Slicer.record slicer ~flow ~time:(Sim.now sim)
-              ~bytes:(Tcp_config.packet_bytes tcp));
+              ~bytes:Tcp_config.packet_bytes);
         Tcp_session.start session;
         flow)
   in

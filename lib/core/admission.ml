@@ -1,5 +1,15 @@
 type decision = Admitted | Rejected
 
+(* Admit below [pthresh - hysteresis] ("slightly smaller ... as a
+   congestion avoidance strategy"). *)
+let hysteresis = 0.02
+
+let t_wait = 2.5
+
+let pool_expiry = 60.0
+
+let loss_alpha = 0.005
+
 type t = {
   config : Taq_config.admission;
   now : unit -> float;
@@ -14,7 +24,7 @@ let create ~config ~now =
   {
     config;
     now;
-    loss = Taq_util.Ewma.create ~alpha:config.Taq_config.loss_alpha;
+    loss = Taq_util.Ewma.create ~alpha:loss_alpha;
     admitted = Hashtbl.create 64;
     waiting = Hashtbl.create 64;
     wait_order = [];
@@ -41,7 +51,7 @@ let on_syn t ~key =
     Admitted
   end
   else begin
-    let threshold = t.config.Taq_config.pthresh -. t.config.Taq_config.hysteresis in
+    let threshold = t.config.Taq_config.pthresh -. hysteresis in
     if loss_rate t < threshold then begin
       admit t ~key;
       Admitted
@@ -59,8 +69,8 @@ let on_syn t ~key =
       let waited = now -. Hashtbl.find t.waiting key in
       if
         head_is_us
-        && waited >= t.config.Taq_config.t_wait
-        && now -. t.last_forced >= t.config.Taq_config.t_wait
+        && waited >= t_wait
+        && now -. t.last_forced >= t_wait
       then begin
         t.last_forced <- now;
         admit t ~key;
@@ -83,10 +93,9 @@ let shed_waiting t =
 
 let expire t =
   let now = t.now () in
-  let expiry = t.config.Taq_config.pool_expiry in
   let stale = ref [] in
   Hashtbl.iter
-    (fun key last -> if now -. last > expiry then stale := key :: !stale)
+    (fun key last -> if now -. last > pool_expiry then stale := key :: !stale)
     t.admitted;
   List.iter (Hashtbl.remove t.admitted) !stale;
   (* Waiting pools whose client never retries its SYN would otherwise
@@ -96,7 +105,7 @@ let expire t =
   let stale_waiting = ref [] in
   Hashtbl.iter
     (fun key first ->
-      if now -. first > expiry then stale_waiting := key :: !stale_waiting)
+      if now -. first > pool_expiry then stale_waiting := key :: !stale_waiting)
     t.waiting;
   if !stale_waiting <> [] then begin
     List.iter (Hashtbl.remove t.waiting) !stale_waiting;

@@ -7,11 +7,23 @@
     connections of one application session) are admitted only while
     the loss rate is below threshold, rejected SYNs are dropped (the
     client's SYN retry keeps the request alive), and a rejected pool
-    is guaranteed admission within [t_wait]. *)
+    is guaranteed admission within {!t_wait}.
+
+    Only [pthresh] is configurable. New pools are admitted below
+    [pthresh - 0.02] (the paper's "slightly smaller" threshold), and
+    the loss signal is an EWMA of weight 0.005 over data packets. *)
 
 type t
 
 type decision = Admitted | Rejected
+
+val t_wait : float
+(** Test hook: 2.5 s, the Twait guarantee (kept under the 3 s SYN retry
+    timeout). *)
+
+val pool_expiry : float
+(** Test hook: 60 s, after which an idle admitted pool, or a waiting
+    pool first rejected that long ago, is forgotten. *)
 
 val create : config:Taq_config.admission -> now:(unit -> float) -> t
 
@@ -28,7 +40,7 @@ val on_syn : t -> key:int -> decision
 (** Admission check for a connection attempt belonging to pool [key]
     (callers map pool-less flows to unique negative keys). While the
     loss rate is above threshold, waiting pools are admitted one at a
-    time, oldest first, at most one per [t_wait] — the paper's "after
+    time, oldest first, at most one per {!t_wait} — the paper's "after
     a specific wait time, the user is guaranteed admission for one
     flow pool". *)
 
@@ -52,7 +64,7 @@ val shed_waiting : t -> unit
     SYNs, so live pools simply re-queue once admission resumes. *)
 
 val expire : t -> unit
-(** Drop admitted pools idle longer than [pool_expiry], {e and}
+(** Drop admitted pools idle longer than {!pool_expiry}, {e and}
     waiting pools first rejected that long ago (a client that never
     retries its SYN would otherwise occupy [waiting] and the Twait
     FIFO forever). Bounds both tables. *)

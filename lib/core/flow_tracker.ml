@@ -601,10 +601,14 @@ let recent_drops t ~flow =
 let is_overpenalized t ~flow =
   recent_drops t ~flow > t.config.Taq_config.overpenalize_drops
 
+(* A flow is new for its first epochs (while still in slow start);
+   its packets are scheduled from the NewFlow queue. *)
+let slowstart_epochs = 3
+
 let is_new_flow t ~flow =
   match find t flow with
   | f -> (
-      f.epochs_observed < t.config.Taq_config.slowstart_epochs
+      f.epochs_observed < slowstart_epochs
       &&
       match f.state with
       | Flow_state.Slow_start -> true
@@ -675,71 +679,11 @@ let overdue_flows t =
 
 let clock_monotone t = t.clock_monotone
 
-let mean_epoch t =
-  let acc = ref 0.0 and n = ref 0 in
-  Hashtbl.iter
-    (fun _ f ->
-      acc := !acc +. f.times.epoch;
-      incr n)
-    t.flows;
-  if !n = 0 then 1.0 else !acc /. float_of_int !n
-
-let share t ~active_flows ~flow_epoch ~mean_epoch =
-  Fair_share.per_flow ~model:t.config.Taq_config.fairness_model
-    ~capacity_bps:t.config.Taq_config.capacity_bps ~active_flows ~flow_epoch
-    ~mean_epoch
-
-let equal_share t =
-  share t ~active_flows:(active_flow_count t) ~flow_epoch:1.0 ~mean_epoch:1.0
-
-(* [fair_share_bps ~flow] without the option, which would allocate on
-   every data packet. *)
-let flow_fair_share t ~flow =
-  match t.config.Taq_config.fairness_model with
-  | Fair_share.Proportional_rtt ->
-      share t ~active_flows:(active_flow_count t)
-        ~flow_epoch:(epoch_len t ~flow) ~mean_epoch:(mean_epoch t)
-  | Fair_share.Fair_queuing -> equal_share t
-
-let fair_share_bps ?flow t =
-  match flow with Some flow -> flow_fair_share t ~flow | None -> equal_share t
-
-(* Pool-level accounting (§4.3): a flow's pool is the unit of fairness
-   when enabled; pool-less flows are singleton pools keyed by their
-   negated id. *)
-let pool_key_of f = if f.pool >= 0 then f.pool else -f.id - 2
-
-let active_pool_count t =
-  let now = t.now () in
-  let pools = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun _ f ->
-      if is_active now f then Hashtbl.replace pools (pool_key_of f) ())
-    t.flows;
-  Hashtbl.length pools
-
-let pool_rate_bps t ~flow =
-  match find t flow with
-  | exception Not_found -> 0.0
-  | f ->
-      let key = pool_key_of f in
-      let acc = ref 0.0 in
-      Hashtbl.iter
-        (fun _ g ->
-          if pool_key_of g = key && Taq_util.Ewma.is_initialized g.rate then
-            acc := !acc +. Taq_util.Ewma.value g.rate)
-        t.flows;
-      !acc
-
-let pool_fair_share_bps t =
-  share t ~active_flows:(active_pool_count t) ~flow_epoch:1.0 ~mean_epoch:1.0
+let fair_share_bps t =
+  Fair_share.per_flow ~capacity_bps:t.config.Taq_config.capacity_bps
+    ~active_flows:(active_flow_count t)
 
 let below_fair_share t ~flow =
-  if t.config.Taq_config.pool_fairness then
-    Fair_share.is_below ~rate_bps:(pool_rate_bps t ~flow)
-      ~fair_bps:(pool_fair_share_bps t)
-  else
-    Fair_share.is_below ~rate_bps:(rate_bps t ~flow)
-      ~fair_bps:(flow_fair_share t ~flow)
+  Fair_share.is_below ~rate_bps:(rate_bps t ~flow) ~fair_bps:(fair_share_bps t)
 
 let pool_of t ~flow = try (find t flow).pool with Not_found -> -1

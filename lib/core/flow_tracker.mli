@@ -76,8 +76,12 @@ val is_overpenalized : t -> flow:int -> bool
     previous epochs. *)
 
 val is_new_flow : t -> flow:int -> bool
-(** Within its first [slowstart_epochs] epochs and still in slow
+(** Within its first {!slowstart_epochs} epochs and still in slow
     start. *)
+
+val slowstart_epochs : int
+(** Test hook: 3, the epochs a flow counts as new for; the reference
+    tracker in the tests reads it. *)
 
 val active_flow_count : t -> int
 (** Flows seen within the last few epochs — the denominator of the
@@ -109,21 +113,12 @@ val cap_evictions : t -> int
 val peak_tracked : t -> int
 (** High-water mark of {!tracked_flow_count} over the tracker's life. *)
 
-val fair_share_bps : ?flow:int -> t -> float
-(** Test hook: the fair share in bits/second — equal split under fair queuing,
-    or the flow's RTT-weighted share under the proportional model (pass [flow]
-    so its epoch can be consulted). *)
-
-val active_pool_count : t -> int
-(** Test hook: distinct active flow pools (pool-less flows count as
-    singletons). *)
-
-val pool_rate_bps : t -> flow:int -> float
-(** Test hook: aggregate smoothed rate of the flow's whole pool. *)
+val fair_share_bps : t -> float
+(** Test hook: the fair share in bits/second, capacity split equally
+    across the active flows. *)
 
 val below_fair_share : t -> flow:int -> bool
-(** Under [pool_fairness] the comparison is the flow's {e pool}
-    aggregate rate against the per-pool fair share. *)
+(** The flow's smoothed rate is strictly below {!fair_share_bps}. *)
 
 val pool_of : t -> flow:int -> int
 (** Test hook: the pool the tracker files the flow under. *)

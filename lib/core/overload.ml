@@ -3,13 +3,22 @@ module Obs = Taq_obs.Obs
 
 type mode = Normal | Degraded | Recovering
 
+let trip_after = 0.25
+
+let clear_after = 1.0
+
+let min_dwell = 1.0
+
+let recovery_dwell = 1.0
+
+let waiting_high = 64
+
 let mode_name = function
   | Normal -> "normal"
   | Degraded -> "degraded"
   | Recovering -> "recovering"
 
 type t = {
-  guard : Taq_config.guard;
   cap : int;
   now : unit -> float;
   check : Check.t;
@@ -28,12 +37,11 @@ type t = {
   mutable degraded_exited : int;
 }
 
-let create ?check ?obs ~guard ~cap ~now () =
+let create ?check ?obs ~cap ~now () =
   let check = Option.value check ~default:Check.off in
   let obs = Option.value obs ~default:Obs.off in
   let t0 = now () in
   {
-    guard;
     cap;
     now;
     check;
@@ -66,11 +74,10 @@ let transition t ~now next =
      the possibly-larger [recovery_dwell], so [min_dwell] is the floor
      common to all edges). *)
   Check.require t.check Check.Guard
-    (dwell >= t.guard.Taq_config.min_dwell -. 1e-9)
+    (dwell >= min_dwell -. 1e-9)
     (fun () ->
       Printf.sprintf "guard transition %s->%s after %.3fs < min_dwell %.3fs"
-        (mode_name t.mode) (mode_name next) dwell
-        t.guard.Taq_config.min_dwell);
+        (mode_name t.mode) (mode_name next) dwell min_dwell);
   (match (t.mode, next) with
   | (Normal | Recovering), Degraded ->
       t.degraded_entered <- t.degraded_entered + 1;
@@ -86,13 +93,12 @@ let transition t ~now next =
 
 let sample t ~tracked ~cap_evictions ~waiting =
   let now = t.now () in
-  let g = t.guard in
   (* The hard-bound invariant: whatever the flood does, the tracker
      never exceeds its configured cap. *)
   Check.require t.check Check.Guard (tracked <= t.cap) (fun () ->
       Printf.sprintf "tracked flows %d exceed cap %d" tracked t.cap);
   let pressure =
-    cap_evictions > t.last_cap_evictions || waiting >= g.Taq_config.waiting_high
+    cap_evictions > t.last_cap_evictions || waiting >= waiting_high
   in
   t.last_cap_evictions <- cap_evictions;
   if pressure then begin
@@ -109,21 +115,14 @@ let sample t ~tracked ~cap_evictions ~waiting =
   in
   match t.mode with
   | Normal ->
-      if
-        sustained t.pressure_since g.Taq_config.trip_after
-        && dwell >= g.Taq_config.min_dwell
-      then transition t ~now Degraded
-  | Degraded ->
-      if
-        sustained t.calm_since g.Taq_config.clear_after
-        && dwell >= g.Taq_config.min_dwell
-      then transition t ~now Recovering
-  | Recovering ->
-      if pressure && dwell >= g.Taq_config.min_dwell then
+      if sustained t.pressure_since trip_after && dwell >= min_dwell then
         transition t ~now Degraded
-      else if
-        (not pressure)
-        && dwell >= Float.max g.Taq_config.recovery_dwell g.Taq_config.min_dwell
+  | Degraded ->
+      if sustained t.calm_since clear_after && dwell >= min_dwell then
+        transition t ~now Recovering
+  | Recovering ->
+      if pressure && dwell >= min_dwell then transition t ~now Degraded
+      else if (not pressure) && dwell >= Float.max recovery_dwell min_dwell
       then transition t ~now Normal
 
 let report t =

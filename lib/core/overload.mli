@@ -14,11 +14,11 @@
       new flows keep arriving — the signature of a flood, and a signal
       that clears by itself the moment arrivals stop (unlike table
       occupancy, which stays pinned at the cap until idle expiry);
-    - admission backlog: the {!Admission} waiting table exceeds
-      [waiting_high] pools.
+    - admission backlog: the {!Admission} waiting table holds
+      {!waiting_high} pools or more.
 
-    Hysteresis state machine (all dwell parameters from
-    {!Taq_config.guard}):
+    Hysteresis state machine (the dwells and the threshold are the
+    constants below; [Taq_config.guard] only turns the guard on):
 
     {v
       Normal --(pressure sustained >= trip_after,
@@ -38,6 +38,24 @@
 
 type mode = Normal | Degraded | Recovering
 
+val trip_after : float
+(** Test hook: 0.25 s of sustained pressure trips [Normal -> Degraded]. *)
+
+val clear_after : float
+(** Test hook: 1 s without pressure starts the exit from [Degraded]. *)
+
+val min_dwell : float
+(** Test hook: 1 s, the minimum time in any mode before the next
+    transition — the anti-flap hysteresis. *)
+
+val recovery_dwell : float
+(** Test hook: 1 s in [Recovering] (classification back on,
+    trip-sensitive) before declaring [Normal]. *)
+
+val waiting_high : int
+(** Test hook: 64, the admission waiting-table size treated as
+    pressure. *)
+
 val mode_name : mode -> string
 (** ["normal" | "degraded" | "recovering"]. *)
 
@@ -46,7 +64,6 @@ type t
 val create :
   ?check:Taq_check.Check.t ->
   ?obs:Taq_obs.Obs.t ->
-  guard:Taq_config.guard ->
   cap:int ->
   now:(unit -> float) ->
   unit ->

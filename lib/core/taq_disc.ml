@@ -100,11 +100,11 @@ let create ?check ?obs ~sim ~config () =
         (fun a -> Admission.create ~config:a ~now)
         config.Taq_config.admission;
     guard =
-      Option.map
-        (fun g ->
-          Overload.create ~check ~obs ~guard:g
-            ~cap:config.Taq_config.max_tracked_flows ~now ())
-        config.Taq_config.guard;
+      (if config.Taq_config.guard then
+         Some
+           (Overload.create ~check ~obs
+              ~cap:config.Taq_config.max_tracked_flows ~now ())
+       else None);
     queues = Taq_queues.create ~config ~now;
     last_tick = now ();
     n_enqueued = 0;
@@ -136,11 +136,11 @@ let restart t =
      Normal mode, and its cap-eviction baseline restarts with the
      fresh tracker. *)
   t.guard <-
-    Option.map
-      (fun g ->
-        Overload.create ~check:t.check ~obs:t.obs ~guard:g
-          ~cap:t.config.Taq_config.max_tracked_flows ~now ())
-      t.config.Taq_config.guard;
+    (if t.config.Taq_config.guard then
+       Some
+         (Overload.create ~check:t.check ~obs:t.obs
+            ~cap:t.config.Taq_config.max_tracked_flows ~now ())
+     else None);
   Hashtbl.reset t.chk_pools;
   (* The box forgot every flow: class transitions restart from scratch
      too, mirroring the control-plane state loss. *)
@@ -276,6 +276,9 @@ let count_drop t cls =
   t.drop_counts.(i) <- t.drop_counts.(i) + 1;
   incr t.obs_drops.(i)
 
+(* The NewFlow queue holds at most a quarter of the buffer. *)
+let newflow_cap t = Stdlib.max 2 (t.config.Taq_config.capacity_pkts / 4)
+
 let pool_key (p : Packet.t) = if p.pool >= 0 then p.pool else -p.flow - 2
 
 let classify t (p : Packet.t) classification =
@@ -363,8 +366,7 @@ let enqueue_syn t (p : Packet.t) =
   end
   else if
     (* The NewFlow queue occupancy cap throttles connection setup. *)
-    Taq_queues.class_length t.queues Taq_queues.New_flow
-    >= t.config.Taq_config.newflow_cap
+    Taq_queues.class_length t.queues Taq_queues.New_flow >= newflow_cap t
   then begin
     count_drop t Taq_queues.New_flow;
     [ p ]
@@ -382,8 +384,7 @@ let enqueue_data t (p : Packet.t) =
   let cls =
     if
       cls = Taq_queues.New_flow
-      && Taq_queues.class_length t.queues Taq_queues.New_flow
-         >= t.config.Taq_config.newflow_cap
+      && Taq_queues.class_length t.queues Taq_queues.New_flow >= newflow_cap t
     then Taq_queues.Below_fair_share
     else cls
   in

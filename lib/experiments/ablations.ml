@@ -86,8 +86,7 @@ let run_pthresh_sweep p =
           (Common.taq_config ~admission:true ~capacity_bps:p.capacity_bps
              ~buffer_pkts ())
           with
-          Taq_config.admission =
-            Some { Taq_config.default_admission with Taq_config.pthresh };
+          Taq_config.admission = Some { Taq_config.pthresh };
         }
       in
       let env =

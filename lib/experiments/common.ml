@@ -50,7 +50,7 @@ type backend = Packet | Hybrid of Taq_fluid.Model.params
 
 let backend_name = function Packet -> "packet" | Hybrid _ -> "hybrid"
 
-let pkt_bytes = 500
+let pkt_bytes = Tcp_config.packet_bytes
 
 let default_tcp = Tcp_config.make ~use_syn:false ()
 

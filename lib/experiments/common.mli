@@ -163,7 +163,8 @@ val utilization : env -> float
 val measured_loss_rate : env -> float
 
 val pkt_bytes : int
-(** 500 — the paper's on-the-wire packet size. *)
+(** {!Taq_tcp.Tcp_config.packet_bytes}: 500 B, the paper's on-the-wire
+    packet size. *)
 
 val flows_for_fair_share :
   capacity_bps:float -> fair_share_bps:float -> int

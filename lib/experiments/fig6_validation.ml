@@ -98,7 +98,6 @@ let finish ~setting ~p ~wmax ~delivered occ =
   }
 
 let variant_name = function
-  | Tcp_config.Reno -> "reno"
   | Tcp_config.Newreno -> "newreno"
   | Tcp_config.Sack -> "sack"
 

@@ -49,9 +49,7 @@ let run_one p queue ~users ~conns =
   in
   let hangs = Taq_metrics.Hangs.create () in
   let tcp = Taq_tcp.Tcp_config.make ~use_syn:true () in
-  let object_bytes =
-    p.object_segments * Taq_tcp.Tcp_config.default.Taq_tcp.Tcp_config.mss
-  in
+  let object_bytes = p.object_segments * Taq_tcp.Tcp_config.mss in
   let prng = Taq_util.Prng.create ~seed:p.seed in
   for user = 0 to users - 1 do
     let session =

@@ -2,14 +2,17 @@ type params = {
   n_flows : int;
   rtt_prop : float;
   pkt_bytes : int;
-  wmax : float;
-  w_min : float;
   buffer_bytes : int;
   capacity_bps : float;
-  rto : float;
   dt : float;
-  max_share : float;
 }
+
+let wmax = 64.0
+
+let w_min = 0.25
+
+(* Mean timeout silence [T], seconds. *)
+let rto = 1.0
 
 let make_params ?(rtt_prop = 0.2) ?(pkt_bytes = 500) ?(dt = 0.05) ~n_flows
     ~capacity_bps ~buffer_bytes () =
@@ -20,18 +23,7 @@ let make_params ?(rtt_prop = 0.2) ?(pkt_bytes = 500) ?(dt = 0.05) ~n_flows
   if capacity_bps <= 0.0 then
     invalid_arg "Fluid.Model.make_params: capacity_bps";
   if dt <= 0.0 then invalid_arg "Fluid.Model.make_params: dt";
-  {
-    n_flows;
-    rtt_prop;
-    pkt_bytes;
-    wmax = 64.0;
-    w_min = 0.25;
-    buffer_bytes;
-    capacity_bps;
-    rto = 1.0;
-    dt;
-    max_share = 0.95;
-  }
+  { n_flows; rtt_prop; pkt_bytes; buffer_bytes; capacity_bps; dt }
 
 (* Only the identity-bearing fields: capacity and buffer are already
    part of every task key that embeds this string. *)
@@ -101,13 +93,13 @@ let step t ~service_bps ~p_loss =
   let dw =
     (dt /. rtt) -. (p_eff *. (t.w /. rtt) *. (t.w /. 2.0) *. dt)
   in
-  t.w <- clamp p.w_min p.wmax (t.w +. dw);
+  t.w <- clamp w_min wmax (t.w +. dw);
   (* Timeout silence: a loss with fewer than three duplicate acks
      behind it — certain when W < 4, i.e. essentially always in the
      small packet regime — silences the flow for an RTO. *)
   let p_timeout = Float.min 1.0 (3.0 /. t.w) in
   let da =
-    (((1.0 -. t.a) /. p.rto)
+    (((1.0 -. t.a) /. rto)
     -. (t.a *. p_eff *. (t.w /. rtt) *. p_timeout))
     *. dt
   in

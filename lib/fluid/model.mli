@@ -58,16 +58,19 @@ type params = {
   n_flows : int;  (** background population size [N] *)
   rtt_prop : float;  (** mean two-way propagation delay [R0], seconds *)
   pkt_bytes : int;  (** background packet size [b] *)
-  wmax : float;  (** per-flow window clamp, packets *)
-  w_min : float;  (** window floor (deep-timeout regime), packets *)
   buffer_bytes : int;  (** fluid share of the bottleneck buffer [B] *)
   capacity_bps : float;  (** bottleneck capacity [C] (queueing delay) *)
-  rto : float;  (** mean timeout silence [T], seconds (default 1.0) *)
   dt : float;  (** integrator step, seconds *)
-  max_share : float;
-      (** cap on the link fraction the aggregate may claim, keeping
-          the residual packet path live (default 0.95) *)
 }
+(** The timeout silence [T] is 1 s, and {!Source} lets the aggregate
+    claim at most 95% of the link, keeping the residual packet path
+    live. *)
+
+val wmax : float
+(** Per-flow window clamp: 64 packets. *)
+
+val w_min : float
+(** Window floor (deep-timeout regime): 0.25 packets. *)
 
 val make_params :
   ?rtt_prop:float ->
@@ -79,10 +82,9 @@ val make_params :
   unit ->
   params
 (** Validated constructor (defaults: [rtt_prop = 0.2],
-    [pkt_bytes = 500], [dt = 0.05]; always [wmax = 64.],
-    [w_min = 0.25], [rto = 1.0], [max_share = 0.95]). Raises
-    [Invalid_argument] on a non-positive population, packet size,
-    capacity, buffer, step or RTT. *)
+    [pkt_bytes = 500], [dt = 0.05]). Raises [Invalid_argument] on a
+    non-positive population, packet size, capacity, buffer, step or
+    RTT. *)
 
 val params_to_string : params -> string
 (** Canonical compact rendering, e.g.

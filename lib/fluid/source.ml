@@ -31,6 +31,10 @@ let model t = t.model
    for long double-precision accumulations. *)
 let conservation_eps = 1e-6
 
+(* Cap on the link fraction the aggregate may claim, keeping the
+   residual packet path live. *)
+let max_share = 0.95
+
 let verify t =
   if Check.on t.check Check.Fluid then begin
     let m = t.model in
@@ -43,10 +47,10 @@ let verify t =
           p.Model.buffer_bytes);
     let w = Model.window m in
     Check.require t.check Check.Fluid
-      (w >= p.Model.w_min -. 1e-12 && w <= p.Model.wmax +. 1e-12)
+      (w >= Model.w_min -. 1e-12 && w <= Model.wmax +. 1e-12)
       (fun () ->
-        Printf.sprintf "fluid window %g outside [%g, %g]" w p.Model.w_min
-          p.Model.wmax);
+        Printf.sprintf "fluid window %g outside [%g, %g]" w Model.w_min
+          Model.wmax);
     let arrived = Model.arrived_bytes m in
     let accounted = Model.served_bytes m +. Model.dropped_bytes m +. q in
     let scale = Float.max 1.0 arrived in
@@ -129,7 +133,7 @@ let tick t =
   let tk = Model.step t.model ~service_bps ~p_loss in
   (* Push the coupling back into the link: the background claims the
      rate it actually drained, never the whole transmitter. *)
-  let bg = Float.min tk.Model.served_bps (p.Model.max_share *. capacity) in
+  let bg = Float.min tk.Model.served_bps (max_share *. capacity) in
   Link.set_background_bps t.link bg;
   (* Reverse coupling: overflow of the (virtual) shared buffer hits
      foreground arrivals at the same per-packet probability. *)

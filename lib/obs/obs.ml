@@ -209,22 +209,12 @@ let report snap =
 
 (* --- policy ------------------------------------------------------------- *)
 
-type policy = {
-  policy_counters : bool;
-  policy_trace : string option;
-  policy_trace_capacity : int;
-}
+type policy = { policy_counters : bool; policy_trace : string option }
 
 let default_trace_path = "taq.trace.json"
 
 let policy_of_spec spec =
-  let base =
-    {
-      policy_counters = false;
-      policy_trace = None;
-      policy_trace_capacity = Trace.default_capacity;
-    }
-  in
+  let base = { policy_counters = false; policy_trace = None } in
   let parts =
     String.split_on_char ',' (String.trim spec)
     |> List.map String.trim
@@ -238,17 +228,11 @@ let policy_of_spec spec =
       | "counters" :: rest -> go { acc with policy_counters = true } rest
       | "trace" :: rest ->
           go
-            {
-              acc with
-              policy_counters = true;
-              policy_trace = Some default_trace_path;
-            }
+            { policy_counters = true; policy_trace = Some default_trace_path }
             rest
       | p :: rest when String.length p > 6 && String.sub p 0 6 = "trace:" ->
           let path = String.sub p 6 (String.length p - 6) in
-          go
-            { acc with policy_counters = true; policy_trace = Some path }
-            rest
+          go { policy_counters = true; policy_trace = Some path } rest
       | p :: _ ->
           Error
             (Printf.sprintf
@@ -293,7 +277,7 @@ let of_policy p =
         ~trace:
           (match p.policy_trace with
           | None -> None
-          | Some _ -> Some (Trace.create ~capacity:p.policy_trace_capacity ()))
+          | Some _ -> Some (Trace.create ()))
     in
     register t;
     t

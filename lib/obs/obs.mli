@@ -110,8 +110,9 @@ val report : snapshot -> string
 
 type policy = {
   policy_counters : bool;
-  policy_trace : string option;  (** output path for the Chrome trace *)
-  policy_trace_capacity : int;
+  policy_trace : string option;
+      (** output path for the Chrome trace, whose ring holds the last
+          65 536 events *)
 }
 
 val policy_of_spec : string -> (policy, string) result

@@ -21,12 +21,10 @@ type event = {
 
 type t
 
-val default_capacity : int
-
 val create : ?capacity:int -> unit -> t
-(** A ring holding at most [capacity] (default
-    {!default_capacity}) events; once full, each new event overwrites
-    the oldest — a long run keeps its most recent window. *)
+(** A ring holding at most [capacity] (default 65 536) events; once
+    full, each new event overwrites the oldest — a long run keeps its
+    most recent window. *)
 
 val add : t -> event -> unit
 

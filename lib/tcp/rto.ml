@@ -4,14 +4,15 @@
    float/bool record would box each float store. *)
 type t = {
   min_rto : float;
-  max_rto : float;
   mutable srtt : float;
   mutable rttvar : float;
 }
 
-let create ~min_rto ~max_rto =
+let max_rto = 60.0
+
+let create ~min_rto =
   if min_rto <= 0.0 || max_rto < min_rto then invalid_arg "Rto.create";
-  { min_rto; max_rto; srtt = nan; rttvar = nan }
+  { min_rto; srtt = nan; rttvar = nan }
 
 let alpha = 0.125
 
@@ -30,7 +31,7 @@ let observe t r =
     t.rttvar <- r /. 2.0
   end
 
-let clamp t x = Float.min t.max_rto (Float.max t.min_rto x)
+let clamp t x = Float.min max_rto (Float.max t.min_rto x)
 
 let timeout t =
   if not (has_sample t) then clamp t 1.0

@@ -6,9 +6,14 @@
 
 type t
 
-val create : min_rto:float -> max_rto:float -> t
+val max_rto : float
+(** Upper bound on every timeout, 60 s (RFC 6298); the sender caps its
+    backed-off RTO and its SYN retry interval here too. *)
+
+val create : min_rto:float -> t
 (** Before the first sample, {!timeout} reports the conservative
-    initial RTO of 1 s (clamped into [min,max]). *)
+    initial RTO of 1 s (clamped into [min_rto, max_rto]).
+    @raise Invalid_argument unless [0 < min_rto <= max_rto]. *)
 
 val observe : t -> float -> unit
 (** Fold in an RTT sample (seconds). *)

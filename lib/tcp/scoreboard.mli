@@ -4,7 +4,7 @@
     the highest sequence transmitted. The pipe (number of segments
     believed in flight) is maintained incrementally; loss marking and
     SACK marking move segments out of the pipe. This one structure
-    serves Reno, NewReno and SACK senders — the variants differ only in
+    serves NewReno and SACK senders — the variants differ only in
     who calls {!mark_lost}. A tracked segment is [In_flight] (with its
     last send time and whether it was ever retransmitted), [Sacked] or
     [Lost]. *)

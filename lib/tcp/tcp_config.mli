@@ -1,11 +1,16 @@
 (** TCP parameters.
 
-    Defaults follow the paper's simulation setup: 500-byte on-the-wire
-    packets, no delayed acks, ns2-style 200 ms minimum RTO, NewReno by
-    default with a SACK variant available. *)
+    The record holds what the experiments vary: recovery, window
+    growth, the initial window, the minimum RTO, the receive window
+    and the handshake. The rest of the paper's setup is fixed: 460 B
+    of payload under a 40 B header (500 B on the wire), 40 B SYNs and
+    ACKs, every segment acked at once (no delayed ACKs), fast
+    retransmit after 3 duplicate ACKs, an initial slow-start threshold
+    of 64 segments, a 60 s maximum RTO ({!Rto.max_rto}), RTO backoff
+    capped at 64×, and SYN retries from 3 s, 1000 at most. The sender
+    holds the TCP constants; the sizes are exported here. *)
 
 type variant =
-  | Reno  (** fast retransmit + simple recovery *)
   | Newreno  (** RFC 6582 partial-ack recovery *)
   | Sack  (** scoreboard-driven selective retransmission *)
 
@@ -20,45 +25,36 @@ type t = {
   variant : variant;
   growth : growth;  (** congestion-avoidance growth law; loss recovery
                         (the [variant]) is orthogonal *)
-  mss : int;  (** payload bytes per data segment *)
-  header_bytes : int;  (** overhead per packet; data size = mss (the
-                           paper quotes on-the-wire sizes) *)
-  ack_bytes : int;  (** size of a pure ack on the return path *)
   init_cwnd : float;  (** initial congestion window, segments *)
-  init_ssthresh : float;  (** initial slow-start threshold, segments *)
-  dupack_thresh : int;  (** dupacks triggering fast retransmit *)
   min_rto : float;  (** seconds; RFC 6298 allows down to ~0.2 in sims *)
-  max_rto : float;
-  max_backoff : int;  (** cap on the exponential backoff multiplier *)
   rcv_wnd : int;  (** receiver window, segments *)
-  syn_timeout : float;  (** initial SYN retransmission timeout *)
   syn_retry_doubling : bool;
       (** exponential SYN retry backoff (standard); [false] retries
-          every [syn_timeout] — the constant-retry client behaviour the
-          paper emulates under admission control *)
-  max_syn_retries : int;
-      (** give up after this many SYN retransmissions; large by
-          default (the paper's clients retry until admitted) *)
+          every 3 s — the constant-retry client behaviour the paper
+          emulates under admission control *)
   use_syn : bool;  (** model the SYN handshake (needed for admission
                        control); when false the flow starts open *)
-  delayed_ack : float option;
-      (** [Some d]: the receiver acks every second in-order segment, or
-          after [d] seconds, per RFC 1122; [None] (the paper's setup)
-          acks every packet immediately *)
 }
 
-val default : t
-(** NewReno recovery, AIMD growth, 500 B packets, init cwnd 2, min RTO
-    0.2 s, SYN on. *)
+val mss : int
+(** Payload bytes per data segment: 460. *)
+
+val header_bytes : int
+(** Header bytes per packet: 40, the whole of a SYN, SYN-ACK or ACK. *)
+
+val packet_bytes : int
+(** On-the-wire size of a full data segment: {!mss} + {!header_bytes}
+    = 500 B, the paper's packet size. *)
 
 val cubic : t
-(** {!default} with CUBIC growth and the modern initial window of 10 —
-    the configuration the paper's introduction describes. *)
+(** The default ({!make} [()]) with CUBIC growth and the modern initial
+    window of 10 — the configuration the paper's introduction
+    describes. *)
 
 val of_name : string -> t option
-(** Look up a profile by (case-insensitive) name: [newreno]
-    ({!default}), [sack] ({!default} with scoreboard-driven SACK
-    recovery) or [cubic]. *)
+(** Look up a profile by (case-insensitive) name: [newreno] (the
+    default), [sack] (the default with scoreboard-driven SACK recovery)
+    or [cubic]. *)
 
 val profile_names : string list
 (** The names {!of_name} knows, in that order. *)
@@ -70,7 +66,6 @@ val make :
   ?use_syn:bool ->
   unit ->
   t
-(** {!default} with overrides. *)
-
-val packet_bytes : t -> int
-(** On-the-wire size of a full data segment. *)
+(** The default with overrides: NewReno recovery, AIMD growth, init
+    cwnd 2, min RTO 0.2 s, a 10{^6}-segment receive window, doubling
+    SYN retries, SYN on. *)

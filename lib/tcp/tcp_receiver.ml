@@ -8,17 +8,15 @@ type t = {
   config : Tcp_config.t;
   now : unit -> float;
   send : Packet.t -> unit;
-  schedule : (delay:float -> (unit -> unit) -> unit) option;
   ooo : unit Itbl.t;  (* received above cum (out of order) *)
   mutable cum : int;
   mutable unique : int;
   mutable dups : int;
   mutable recent : int list;  (* most-recently received, for SACK blocks *)
   mutable listeners : (int -> unit) list;
-  mutable ack_pending : bool;  (* delayed-ack state *)
 }
 
-let create ?alloc ~flow ?(pool = -1) ~config ~now ~send ?schedule () =
+let create ?alloc ~flow ?(pool = -1) ~config ~now ~send () =
   {
     alloc = (match alloc with Some a -> a | None -> Packet.alloc ());
     flow;
@@ -26,14 +24,12 @@ let create ?alloc ~flow ?(pool = -1) ~config ~now ~send ?schedule () =
     config;
     now;
     send;
-    schedule;
     ooo = Itbl.create 16;
     cum = 0;
     unique = 0;
     dups = 0;
     recent = [];
     listeners = [];
-    ack_pending = false;
   }
 
 (* Top-level listener iteration: a [List.iter] closure would allocate
@@ -90,47 +86,32 @@ let sack_blocks t =
     List.rev !blocks
   end
 
-let send_ack_now t =
+let send_ack t =
   let sacks =
     match t.config.Tcp_config.variant with
     | Tcp_config.Sack -> sack_blocks t
-    | Tcp_config.Reno | Tcp_config.Newreno -> []
+    | Tcp_config.Newreno -> []
   in
   let pkt =
     Packet.make_exact ~alloc:t.alloc ~flow:t.flow ~pool:t.pool
-      ~kind:Packet.Ack ~seq:t.cum ~size:t.config.Tcp_config.ack_bytes
-      ~retx:false ~sacks ~sent_at:(t.now ())
+      ~kind:Packet.Ack ~seq:t.cum ~size:Tcp_config.header_bytes ~retx:false
+      ~sacks ~sent_at:(t.now ())
   in
-  t.ack_pending <- false;
   t.send pkt
-
-(* RFC 1122 delayed acks: acknowledge every second in-order segment, or
-   after the delay expires. Duplicates and out-of-order arrivals are
-   acked immediately (dupacks drive fast retransmit and must not be
-   delayed). *)
-let send_ack ?(in_order = false) t =
-  match (t.config.Tcp_config.delayed_ack, t.schedule) with
-  | Some delay, Some schedule when in_order ->
-      if t.ack_pending then send_ack_now t
-      else begin
-        t.ack_pending <- true;
-        schedule ~delay (fun () -> if t.ack_pending then send_ack_now t)
-      end
-  | (None | Some _), _ -> send_ack_now t
 
 let send_syn_ack t =
   let pkt =
     Packet.make ~alloc:t.alloc ~flow:t.flow ~pool:t.pool ~kind:Packet.Syn_ack
-      ~seq:0 ~size:t.config.Tcp_config.ack_bytes ~sent_at:(t.now ()) ()
+      ~seq:0 ~size:Tcp_config.header_bytes ~sent_at:(t.now ()) ()
   in
   t.send pkt
 
-(* [recent] feeds only {!sack_blocks}; Reno/NewReno receivers never
-   read it, so skip the per-segment list rebuild for them (it is the
-   one list allocation on the in-order data path). *)
+(* [recent] feeds only {!sack_blocks}; NewReno receivers never read
+   it, so skip the per-segment list rebuild for them (it is the one
+   list allocation on the in-order data path). *)
 let note_recent t seq =
   match t.config.Tcp_config.variant with
-  | Tcp_config.Reno | Tcp_config.Newreno -> ()
+  | Tcp_config.Newreno -> ()
   | Tcp_config.Sack ->
       let keep = 8 in
       let rec take n = function
@@ -160,7 +141,7 @@ let on_packet t (p : Packet.t) =
             Itbl.remove t.ooo t.cum;
             t.cum <- t.cum + 1
           done;
-          send_ack ~in_order:true t
+          send_ack t
         end
         else begin
           Itbl.replace t.ooo seq ();

@@ -10,17 +10,15 @@ val create :
   config:Tcp_config.t ->
   now:(unit -> float) ->
   send:(Taq_net.Packet.t -> unit) ->
-  ?schedule:(delay:float -> (unit -> unit) -> unit) ->
   unit ->
   t
 (** [alloc] is the packet-uid allocator acks are drawn from — pass the
     network's ({!Taq_net.Dumbbell.packet_alloc}) when the receiver is
     wired to one; a standalone receiver (tests) gets a private fresh
     allocator by default.
-    [send] transmits acks on the (uncongested) return path.
-    [schedule] is needed only when the config enables delayed acks
-    (the delay timer must fire even if no further packet arrives);
-    without it delayed-ack configs fall back to immediate acking. *)
+    [send] transmits acks on the (uncongested) return path: one 40 B
+    ACK for every data segment, in order or not, as soon as it
+    arrives. *)
 
 val on_packet : t -> Taq_net.Packet.t -> unit
 (** Deliver a forward-path packet (SYN or DATA) to the receiver. *)

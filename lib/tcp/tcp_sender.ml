@@ -14,6 +14,18 @@ type stats = {
 
 type state = Closed | Syn_sent | Established | Complete | Failed
 
+(* Fixed parts of the paper's TCP setup (see Tcp_config). *)
+let init_ssthresh = 64.0
+
+let dupack_thresh = 3
+
+let max_backoff = 64
+
+let syn_timeout = 3.0
+
+(* Large: the paper's clients retry until admitted. *)
+let max_syn_retries = 1000
+
 (* The sender's mutable floats live together in this all-float record:
    OCaml stores them flat (unboxed), whereas a mutable float field in
    the mixed record below would box on every store — and cwnd is
@@ -91,10 +103,10 @@ let verify t ~where =
       Printf.sprintf "flow %d %s: negative window inflation %d" t.flow where
         t.inflation);
   Check.require c Check.Tcp
-    (1 <= t.backoff && t.backoff <= t.config.C.max_backoff)
+    (1 <= t.backoff && t.backoff <= max_backoff)
     (fun () ->
       Printf.sprintf "flow %d %s: backoff=%d outside [1,%d]" t.flow where
-        t.backoff t.config.C.max_backoff);
+        t.backoff max_backoff);
   let pipe = Scoreboard.pipe t.sb
   and lost = Scoreboard.lost_count t.sb
   and sacked = Scoreboard.sacked_count t.sb
@@ -114,10 +126,10 @@ let verify t ~where =
         t.flow where pipe lost sacked tracked);
   let rto = Rto.timeout t.rto in
   Check.require c Check.Tcp
-    (rto >= t.config.C.min_rto && rto <= t.config.C.max_rto)
+    (rto >= t.config.C.min_rto && rto <= Rto.max_rto)
     (fun () ->
       Printf.sprintf "flow %d %s: RTO=%g outside [%g,%g]" t.flow where rto
-        t.config.C.min_rto t.config.C.max_rto)
+        t.config.C.min_rto Rto.max_rto)
 
 let stats t =
   {
@@ -138,7 +150,7 @@ let on_transmit t f = t.transmit_listeners <- f :: t.transmit_listeners
 let on_progress t f = t.progress_listeners <- f :: t.progress_listeners
 
 let current_rto t =
-  Float.min t.config.C.max_rto (Rto.timeout t.rto *. float_of_int t.backoff)
+  Float.min Rto.max_rto (Rto.timeout t.rto *. float_of_int t.backoff)
 
 let effective_window t = int_of_float t.w.cwnd + t.inflation
 
@@ -209,7 +221,7 @@ let send_segment t ~seq ~retx =
   if retx then t.n_retx_sent <- t.n_retx_sent + 1;
   let pkt =
     Packet.make_exact ~alloc:t.alloc ~flow:t.flow ~pool:t.pool
-      ~kind:Packet.Data ~seq ~size:(C.packet_bytes t.config) ~retx ~sacks:[]
+      ~kind:Packet.Data ~seq ~size:C.packet_bytes ~retx ~sacks:[]
       ~sent_at:now
   in
   emit t pkt
@@ -225,7 +237,7 @@ let rec on_rtx_timeout t =
     t.inflation <- 0;
     t.dupacks <- 0;
     t.in_recovery <- false;
-    t.backoff <- Stdlib.min (t.backoff * 2) t.config.C.max_backoff;
+    t.backoff <- Stdlib.min (t.backoff * 2) max_backoff;
     if t.backoff > t.max_backoff_seen then t.max_backoff_seen <- t.backoff;
     try_send t;
     if Check.on t.check Check.Tcp then verify t ~where:"rtx-timeout"
@@ -267,21 +279,21 @@ let rec send_syn t =
   t.w.syn_sent_at <- Sim.now t.sim;
   let pkt =
     Packet.make ~alloc:t.alloc ~flow:t.flow ~pool:t.pool ~kind:Packet.Syn
-      ~seq:0 ~size:t.config.C.header_bytes ~sent_at:(Sim.now t.sim) ()
+      ~seq:0 ~size:C.header_bytes ~sent_at:(Sim.now t.sim) ()
   in
   emit t pkt;
   let delay =
     if t.config.C.syn_retry_doubling then
-      Float.min t.config.C.max_rto
-        (t.config.C.syn_timeout *. (2.0 ** float_of_int t.syn_retries))
-    else t.config.C.syn_timeout
+      Float.min Rto.max_rto
+        (syn_timeout *. (2.0 ** float_of_int t.syn_retries))
+    else syn_timeout
   in
   Sim.arm t.syn_timer ~delay t.syn_fn
 
 and on_syn_timeout t =
   if t.state = Syn_sent then begin
     t.syn_retries <- t.syn_retries + 1;
-    if t.syn_retries > t.config.C.max_syn_retries then begin
+    if t.syn_retries > max_syn_retries then begin
       t.state <- Failed;
       t.on_fail (Sim.now t.sim)
     end
@@ -305,14 +317,14 @@ let create ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
       on_complete;
       on_fail;
       sb = Scoreboard.create ();
-      rto = Rto.create ~min_rto:config.C.min_rto ~max_rto:config.C.max_rto;
+      rto = Rto.create ~min_rto:config.C.min_rto;
       state = Closed;
       snd_una = 0;
       next_seq = 0;
       w =
         {
           cwnd = config.C.init_cwnd;
-          ssthresh = config.C.init_ssthresh;
+          ssthresh = init_ssthresh;
           cubic_wmax = nan;
           cubic_t0 = nan;
           syn_sent_at = 0.0;
@@ -417,7 +429,7 @@ let verify_sack_blocks t (p : Packet.t) =
 let apply_sacks t (p : Packet.t) =
   if Check.on t.check Check.Tcp then verify_sack_blocks t p;
   match t.config.C.variant with
-  | C.Reno | C.Newreno -> ()
+  | C.Newreno -> ()
   | C.Sack ->
       List.iter
         (fun (lo, hi) ->
@@ -429,7 +441,7 @@ let apply_sacks t (p : Packet.t) =
          sacked segments above it is presumed lost. *)
       let lost = ref [] in
       Scoreboard.iter_in_flight t.sb (fun seq ->
-          if Scoreboard.sacked_above t.sb seq >= t.config.C.dupack_thresh then
+          if Scoreboard.sacked_above t.sb seq >= dupack_thresh then
             lost := seq :: !lost);
       List.iter (Scoreboard.mark_lost t.sb) !lost
 
@@ -441,11 +453,11 @@ let enter_recovery t =
   note_window_reduction t;
   t.w.ssthresh <- Float.max 2.0 (float_of_int flight *. decrease_factor t);
   t.w.cwnd <- t.w.ssthresh;
-  (* Reno/NewReno emulate departures with window inflation; a SACK
-     sender must not — the scoreboard already removes sacked segments
-     from the pipe, and doing both compounds into runaway growth. *)
+  (* NewReno emulates departures with window inflation; a SACK sender
+     must not — the scoreboard already removes sacked segments from the
+     pipe, and doing both compounds into runaway growth. *)
   (match t.config.C.variant with
-  | C.Reno | C.Newreno -> t.inflation <- t.config.C.dupack_thresh
+  | C.Newreno -> t.inflation <- dupack_thresh
   | C.Sack -> t.inflation <- 0);
   Scoreboard.mark_lost t.sb t.snd_una;
   try_send t
@@ -474,9 +486,7 @@ let handle_new_ack t cum =
       (* Partial ack (NewReno): the next unacked segment was lost too.
          Deflate the dupack inflation by the amount acked minus one so
          the retransmission goes out without a burst of new data. *)
-      (match t.config.C.variant with
-      | C.Newreno | C.Sack -> Scoreboard.mark_lost t.sb cum
-      | C.Reno -> ());
+      Scoreboard.mark_lost t.sb cum;
       t.inflation <- Stdlib.max 0 (t.inflation - (newly - 1))
     end
   end
@@ -494,16 +504,16 @@ let handle_dupack t =
     t.dupacks <- t.dupacks + 1;
     if t.in_recovery then begin
       (match t.config.C.variant with
-      | C.Reno | C.Newreno -> t.inflation <- t.inflation + 1
+      | C.Newreno -> t.inflation <- t.inflation + 1
       | C.Sack -> ());
       try_send t
     end
     else begin
       let sack_triggered =
         t.config.C.variant = C.Sack
-        && Scoreboard.sacked_above t.sb t.snd_una >= t.config.C.dupack_thresh
+        && Scoreboard.sacked_above t.sb t.snd_una >= dupack_thresh
       in
-      if t.dupacks >= t.config.C.dupack_thresh || sack_triggered then
+      if t.dupacks >= dupack_thresh || sack_triggered then
         enter_recovery t
       else try_send t
     end

@@ -1,7 +1,7 @@
 (** Event-driven TCP sender.
 
-    Implements slow start, congestion avoidance, fast retransmit, Reno
-    or NewReno (RFC 6582) recovery, a SACK scoreboard variant, and
+    Implements slow start, congestion avoidance, fast retransmit,
+    NewReno (RFC 6582) recovery, a SACK scoreboard variant, and
     RFC 6298 retransmission timeouts with exponential backoff (Karn's
     algorithm: backoff collapses only on a valid new RTT sample, i.e.
     a cumulative ack for never-retransmitted data — the behaviour the

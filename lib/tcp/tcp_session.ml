@@ -20,7 +20,6 @@ let create ~net ~config ?flow ?(pool = -1) ~rtt_prop ~total_segments
   let receiver =
     Tcp_receiver.create ~alloc ~flow ~pool ~config ~now
       ~send:(fun p -> Dumbbell.send_rev net p)
-      ~schedule:(fun ~delay f -> Sim.schedule_after sim ~delay f)
       ()
   in
   let finish kont time =

@@ -29,8 +29,8 @@ type t = {
 
 let now t = Sim.now (Dumbbell.sim t.net)
 
-let segments_for t size =
-  Stdlib.max 1 ((size + t.tcp.Tcp_config.mss - 1) / t.tcp.Tcp_config.mss)
+let segments_for size =
+  Stdlib.max 1 ((size + Tcp_config.mss - 1) / Tcp_config.mss)
 
 let create ~net ~tcp ~pool ~rtt ~conns ?(on_fetch_done = fun _ -> ()) () =
   if conns < 1 then invalid_arg "Persistent_session.create: conns";
@@ -90,7 +90,7 @@ let request t ~size =
       if List.length c.queue < List.length !best.queue then best := c)
     t.conns;
   let c = !best in
-  let segments = segments_for t size in
+  let segments = segments_for size in
   c.appended <- c.appended + segments;
   c.queue <-
     c.queue

@@ -55,9 +55,8 @@ let create ~net ~tcp ~pool ~rtt ~max_conns ?hangs ?(on_fetch_done = fun _ -> ())
 
 let now t = Sim.now (Dumbbell.sim t.net)
 
-let segments_for t size =
-  Stdlib.max 1
-    ((size + t.tcp.Tcp_config.mss - 1) / t.tcp.Tcp_config.mss)
+let segments_for size =
+  Stdlib.max 1 ((size + Tcp_config.mss - 1) / Tcp_config.mss)
 
 let rec maybe_start_next t =
   if t.active < t.max_conns && not (Queue.is_empty t.queue) then begin
@@ -82,7 +81,7 @@ let rec maybe_start_next t =
     in
     let session =
       Tcp_session.create ~net:t.net ~config:t.tcp ~pool:t.pool ~rtt_prop:t.rtt
-        ~total_segments:(segments_for t pf.p_size)
+        ~total_segments:(segments_for pf.p_size)
         ~on_complete:finish
         ~on_fail:(fun _ -> finish nan)
         ()

@@ -79,6 +79,12 @@ let test_p_full_model_inside () =
   let out = accepts [ "model"; "--full-model"; "-p"; "0.45" ] in
   starts_with ~prefix:"p = 0.4500 (full model" out
 
+(* --- mega: every shard needs a flow ------------------------------------ *)
+
+let test_mega_fewer_flows_than_shards () =
+  rejects ~want:"--flows (3) must be at least --shards (4)"
+    [ "mega"; "--flows"; "3"; "--shards"; "4"; "-d"; "1" ]
+
 (* --- output paths are checked before the run -------------------------- *)
 
 let cannot_write path = "cannot write " ^ path
@@ -158,6 +164,11 @@ let () =
           Alcotest.test_case "0 runs" `Quick test_p_zero;
           Alcotest.test_case "full model 0.45 runs" `Quick
             test_p_full_model_inside;
+        ] );
+      ( "mega",
+        [
+          Alcotest.test_case "fewer flows than shards rejected" `Quick
+            test_mega_fewer_flows_than_shards;
         ] );
       ( "unwritable output",
         [

@@ -1,9 +1,9 @@
 (* The flow tracker as it stood before the deadline heaps: every
    [active_flow_count] and every [tick] scans all tracked flows. Kept
-   verbatim (bar this header, the [open], and the [Fair_share.per_flow]
-   calls, which now pass every argument) as the reference the
-   differential battery in test_taq drives in lockstep with
-   [Taq_core.Flow_tracker]. *)
+   verbatim (bar this header, the [open], the [Fair_share.per_flow]
+   call, and the RTT-proportional and pool-fairness paths, which the
+   tracker no longer has) as the reference the differential battery in
+   test_taq drives in lockstep with [Taq_core.Flow_tracker]. *)
 
 open Taq_core
 
@@ -234,7 +234,7 @@ let is_overpenalized t ~flow =
 
 let is_new_flow t ~flow =
   with_flow t ~flow ~default:true (fun f ->
-      f.epochs_observed < t.config.Taq_config.slowstart_epochs
+      f.epochs_observed < Flow_tracker.slowstart_epochs
       &&
       match f.state with
       | Flow_state.Slow_start -> true
@@ -259,66 +259,11 @@ let tracked_flow_count t = Hashtbl.length t.flows
 let cap_evictions t = t.cap_evictions
 let peak_tracked t = t.peak_tracked
 
-let mean_epoch t =
-  let acc = ref 0.0 and n = ref 0 in
-  Hashtbl.iter
-    (fun _ f ->
-      acc := !acc +. Epoch_estimator.epoch f.est;
-      incr n)
-    t.flows;
-  if !n = 0 then 1.0 else !acc /. float_of_int !n
-
-let fair_share_bps ?flow t =
-  let flow_epoch, mean =
-    match (t.config.Taq_config.fairness_model, flow) with
-    | Fair_share.Proportional_rtt, Some flow ->
-        (epoch_len t ~flow, mean_epoch t)
-    | Fair_share.Proportional_rtt, None | Fair_share.Fair_queuing, _ ->
-        (1.0, 1.0)
-  in
-  Fair_share.per_flow ~model:t.config.Taq_config.fairness_model
-    ~capacity_bps:t.config.Taq_config.capacity_bps
-    ~active_flows:(active_flow_count t) ~flow_epoch ~mean_epoch:mean
-
-(* Pool-level accounting (§4.3): a flow's pool is the unit of fairness
-   when enabled; pool-less flows are singleton pools keyed by their
-   negated id. *)
-let pool_key_of f = if f.pool >= 0 then f.pool else -f.id - 2
-
-let active_pool_count t =
-  let now = t.now () in
-  let pools = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun id f ->
-      if now -. f.last_seen <= active_window t ~flow:id then
-        Hashtbl.replace pools (pool_key_of f) ())
-    t.flows;
-  Hashtbl.length pools
-
-let pool_rate_bps t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> 0.0
-  | Some f ->
-      let key = pool_key_of f in
-      let acc = ref 0.0 in
-      Hashtbl.iter
-        (fun _ g ->
-          if pool_key_of g = key && Taq_util.Ewma.is_initialized g.rate then
-            acc := !acc +. Taq_util.Ewma.value g.rate)
-        t.flows;
-      !acc
-
-let pool_fair_share_bps t =
-  Fair_share.per_flow ~model:t.config.Taq_config.fairness_model
-    ~capacity_bps:t.config.Taq_config.capacity_bps
-    ~active_flows:(active_pool_count t) ~flow_epoch:1.0 ~mean_epoch:1.0
+let fair_share_bps t =
+  Fair_share.per_flow ~capacity_bps:t.config.Taq_config.capacity_bps
+    ~active_flows:(active_flow_count t)
 
 let below_fair_share t ~flow =
-  if t.config.Taq_config.pool_fairness then
-    Fair_share.is_below ~rate_bps:(pool_rate_bps t ~flow)
-      ~fair_bps:(pool_fair_share_bps t)
-  else
-    Fair_share.is_below ~rate_bps:(rate_bps t ~flow)
-      ~fair_bps:(fair_share_bps ~flow t)
+  Fair_share.is_below ~rate_bps:(rate_bps t ~flow) ~fair_bps:(fair_share_bps t)
 
 let pool_of t ~flow = with_flow t ~flow ~default:(-1) (fun f -> f.pool)

@@ -56,7 +56,7 @@ let test_model_bounds () =
     let p_loss = if i mod 5 = 0 then 1.0 else 0.0 in
     ignore (Model.step t ~service_bps ~p_loss);
     let w = Model.window t and q = Model.backlog_bytes t in
-    if w < p.Model.w_min -. 1e-9 || w > p.Model.wmax +. 1e-9 then
+    if w < Model.w_min -. 1e-9 || w > Model.wmax +. 1e-9 then
       Alcotest.failf "window out of bounds at step %d: %g" i w;
     if q < 0.0 || q > float_of_int p.Model.buffer_bytes +. 1e-6 then
       Alcotest.failf "backlog out of bounds at step %d: %g" i q;
@@ -94,8 +94,8 @@ let prop_model_in_bounds =
       let accounted =
         Model.served_bytes t +. Model.dropped_bytes t +. Model.backlog_bytes t
       in
-      w >= p.Model.w_min -. 1e-9
-      && w <= p.Model.wmax +. 1e-9
+      w >= Model.w_min -. 1e-9
+      && w <= Model.wmax +. 1e-9
       && q >= 0.0
       && q <= float_of_int p.Model.buffer_bytes +. 1e-6
       && Float.abs (arrived -. accounted) <= 1e-6 *. Float.max 1.0 arrived)

@@ -828,12 +828,7 @@ let prop_journal_corruption_yields_prefix =
 
 (* --- Durable runner: kill-and-resume, warm reruns, trust rule ------------- *)
 
-let counters_policy =
-  {
-    Obs.policy_counters = true;
-    policy_trace = None;
-    policy_trace_capacity = 4096;
-  }
+let counters_policy = { Obs.policy_counters = true; policy_trace = None }
 
 (* Tasks with a deterministic per-task counter footprint. *)
 let durable_tasks () =

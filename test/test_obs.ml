@@ -269,12 +269,7 @@ let test_counters_consistent () =
 
 (* Each task builds its env's counters from the policy itself, so the
    instance registers with the pool's per-task collector. *)
-let counters_policy =
-  {
-    Obs.policy_counters = true;
-    policy_trace = None;
-    policy_trace_capacity = Trace.default_capacity;
-  }
+let counters_policy = { Obs.policy_counters = true; policy_trace = None }
 
 let mini_sweep_tasks () =
   List.map

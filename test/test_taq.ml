@@ -298,44 +298,6 @@ let test_tracker_rate_and_fair_share () =
   Alcotest.(check int) "two active" 2 (Flow_tracker.active_flow_count t)
 
 
-let test_tracker_pool_fairness () =
-  (* Pool fairness: two flows of one pool vs a lone flow. Per-flow the
-     lone flow and the pair members send equally; per-pool the pair's
-     aggregate is double its pool share. *)
-  let clock = ref 0.0 in
-  let config =
-    {
-      (Taq_config.default ~capacity_pkts:50 ~capacity_bps:900_000.0) with
-      Taq_config.epoch_source = Taq_config.Oracle 0.1;
-      pool_fairness = true;
-    }
-  in
-  let t = Flow_tracker.create ~config ~now:(fun () -> !clock) () in
-  let seqs = Array.make 4 0 in
-  for i = 0 to 49 do
-    clock := 0.1 *. float_of_int i;
-    (* Flows 1,2 in pool 7; flow 3 pool-less. Equal per-flow rates. *)
-    List.iter
-      (fun (flow, pool) ->
-        seqs.(flow) <- seqs.(flow) + 1;
-        ignore (Flow_tracker.observe_data t (mk_data ~flow ~pool ~seq:seqs.(flow) ())))
-      [ (1, 7); (2, 7); (3, -1) ]
-  done;
-  Alcotest.(check int) "two pools" 2 (Flow_tracker.active_pool_count t);
-  (* Pool 7 aggregates both members' rates. *)
-  Alcotest.(check bool) "pool rate is aggregated" true
-    (Flow_tracker.pool_rate_bps t ~flow:1
-    > 1.5 *. Flow_tracker.pool_rate_bps t ~flow:3);
-  (* Capacity 900 kbps over 2 pools = 450 kbps per pool. Each flow
-     sends ~40 kbps, so pool 7 (~80 kbps) and flow 3 (~40 kbps) are
-     both below — but pool 7 is twice as close to its share. The
-     discriminating check: under per-flow fairness all three flows
-     compare identically; under pool fairness flow 3's pool uses half
-     of what flow 1's does. *)
-  Alcotest.(check bool) "both below at this load" true
-    (Flow_tracker.below_fair_share t ~flow:1
-    && Flow_tracker.below_fair_share t ~flow:3)
-
 (* --- Flow_tracker against the scanning reference ------------------------------ *)
 
 (* [Flow_tracker_ref] is the tracker before its deadline heaps. Both are
@@ -403,16 +365,13 @@ let gen_tracker_op ~flows =
 
 let gen_tracker_config ~caps =
   let open QCheck.Gen in
-  map4
-    (fun epoch_source flow_idle_timeout max_tracked_flows
-         (fairness_model, pool_fairness) ->
+  map3
+    (fun epoch_source flow_idle_timeout max_tracked_flows ->
       {
         (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
         Taq_config.epoch_source;
         flow_idle_timeout;
         max_tracked_flows;
-        fairness_model;
-        pool_fairness;
       })
     (oneofl
        [
@@ -427,12 +386,6 @@ let gen_tracker_config ~caps =
        ])
     (oneofl [ 1.5; 4.0; 120.0 ])
     (oneofl caps)
-    (oneofl
-       [
-         (Fair_share.Fair_queuing, false);
-         (Fair_share.Proportional_rtt, false);
-         (Fair_share.Fair_queuing, true);
-       ])
 
 (* A restart builds a tracker mid-run, so both start on a clock drawn
    from the beginning, the middle and late in a run. *)
@@ -457,10 +410,10 @@ let arb_tracker_run ~flows ~caps =
 (* Every observable of the two trackers, as comparable strings, so a
    failure names the first field that differs. Floats go by their bits
    (%h is exact). *)
-let tracker_view ~flows ~count ~tracked ~peak ~evictions ~pools ~share
-    ~counters ~per_flow =
-  Printf.sprintf "active=%d tracked=%d peak=%d cap_evictions=%d pools=%d share=%h %s"
-    count tracked peak evictions pools share counters
+let tracker_view ~flows ~count ~tracked ~peak ~evictions ~share ~counters
+    ~per_flow =
+  Printf.sprintf "active=%d tracked=%d peak=%d cap_evictions=%d share=%h %s"
+    count tracked peak evictions share counters
   :: List.init (flows + 1) per_flow
 
 let counters_of obs =
@@ -470,37 +423,35 @@ let counters_of obs =
 let ref_view ~flows r obs =
   tracker_view ~flows ~count:(Ref.active_flow_count r) ~tracked:(Ref.tracked_flow_count r)
     ~peak:(Ref.peak_tracked r) ~evictions:(Ref.cap_evictions r)
-    ~pools:(Ref.active_pool_count r) ~share:(Ref.fair_share_bps r)
+    ~share:(Ref.fair_share_bps r)
     ~counters:(counters_of obs) ~per_flow:(fun flow ->
       Printf.sprintf
         "flow %d: %s silent=%d epoch=%h epochs=%d rate=%h outstanding=%d \
-         recent=%d overpen=%b new=%b pool=%d below=%b share=%h pool_rate=%h"
+         recent=%d overpen=%b new=%b pool=%d below=%b"
         flow
         (state_name (Ref.state r ~flow))
         (Ref.silence_epochs r ~flow) (Ref.epoch_len r ~flow)
         (Ref.epochs_observed r ~flow) (Ref.rate_bps r ~flow)
         (Ref.outstanding_drops r ~flow) (Ref.recent_drops r ~flow)
         (Ref.is_overpenalized r ~flow) (Ref.is_new_flow r ~flow)
-        (Ref.pool_of r ~flow) (Ref.below_fair_share r ~flow)
-        (Ref.fair_share_bps ~flow r) (Ref.pool_rate_bps r ~flow))
+        (Ref.pool_of r ~flow) (Ref.below_fair_share r ~flow))
 
 let new_view ~flows t obs =
   tracker_view ~flows ~count:(Flow_tracker.active_flow_count t)
     ~tracked:(Flow_tracker.tracked_flow_count t) ~peak:(Flow_tracker.peak_tracked t)
     ~evictions:(Flow_tracker.cap_evictions t)
-    ~pools:(Flow_tracker.active_pool_count t) ~share:(Flow_tracker.fair_share_bps t)
+    ~share:(Flow_tracker.fair_share_bps t)
     ~counters:(counters_of obs) ~per_flow:(fun flow ->
       Printf.sprintf
         "flow %d: %s silent=%d epoch=%h epochs=%d rate=%h outstanding=%d \
-         recent=%d overpen=%b new=%b pool=%d below=%b share=%h pool_rate=%h"
+         recent=%d overpen=%b new=%b pool=%d below=%b"
         flow
         (state_name (Flow_tracker.state t ~flow))
         (Flow_tracker.silence_epochs t ~flow) (Flow_tracker.epoch_len t ~flow)
         (Flow_tracker.epochs_observed t ~flow) (Flow_tracker.rate_bps t ~flow)
         (Flow_tracker.outstanding_drops t ~flow) (Flow_tracker.recent_drops t ~flow)
         (Flow_tracker.is_overpenalized t ~flow) (Flow_tracker.is_new_flow t ~flow)
-        (Flow_tracker.pool_of t ~flow) (Flow_tracker.below_fair_share t ~flow)
-        (Flow_tracker.fair_share_bps ~flow t) (Flow_tracker.pool_rate_bps t ~flow))
+        (Flow_tracker.pool_of t ~flow) (Flow_tracker.below_fair_share t ~flow))
 
 let nudge at ~ulps =
   if ulps < 0 then Float.pred at else if ulps > 0 then Float.succ at else at
@@ -729,19 +680,9 @@ let test_tracker_clock_monotone () =
 
 let test_fair_share_basic () =
   Alcotest.(check (float 1e-9)) "equal split" 250_000.0
-    (Fair_share.per_flow ~model:Fair_share.Fair_queuing ~capacity_bps:1e6
-       ~active_flows:4 ~flow_epoch:1.0 ~mean_epoch:1.0);
+    (Fair_share.per_flow ~capacity_bps:1e6 ~active_flows:4);
   Alcotest.(check (float 1e-9)) "zero flows get everything" 1e6
-    (Fair_share.per_flow ~model:Fair_share.Fair_queuing ~capacity_bps:1e6
-       ~active_flows:0 ~flow_epoch:1.0 ~mean_epoch:1.0)
-
-let test_fair_share_proportional () =
-  (* A flow with half the mean RTT gets double share. *)
-  let s =
-    Fair_share.per_flow ~model:Fair_share.Proportional_rtt ~capacity_bps:1e6
-      ~active_flows:4 ~flow_epoch:0.1 ~mean_epoch:0.2
-  in
-  Alcotest.(check (float 1e-9)) "double share" 500_000.0 s
+    (Fair_share.per_flow ~capacity_bps:1e6 ~active_flows:0)
 
 (* --- Taq_queues ----------------------------------------------------------------- *)
 
@@ -1022,7 +963,7 @@ let prop_queues_match_reference_fifo =
 let admission_fixture () =
   let clock = ref 0.0 in
   let a =
-    Admission.create ~config:Taq_config.default_admission
+    Admission.create ~config:{ Taq_config.pthresh = 0.1 }
       ~now:(fun () -> !clock)
   in
   (a, clock)
@@ -1064,7 +1005,7 @@ let test_admission_t_wait_guarantee () =
   done;
   Alcotest.(check bool) "rejected initially" true
     (Admission.on_syn a ~key:9 = Admission.Rejected);
-  clock := !clock +. Taq_config.default_admission.Taq_config.t_wait +. 0.1;
+  clock := !clock +. Admission.t_wait +. 0.1;
   Alcotest.(check bool) "admitted after t_wait" true
     (Admission.on_syn a ~key:9 = Admission.Admitted)
 
@@ -1082,7 +1023,7 @@ let test_admission_pool_expiry () =
    passed only if no pool waits ahead of it. *)
 let first_in_line a clock ~key =
   ignore (Admission.on_syn a ~key);
-  clock := !clock +. Taq_config.default_admission.Taq_config.t_wait +. 0.1;
+  clock := !clock +. Admission.t_wait +. 0.1;
   Admission.on_syn a ~key = Admission.Admitted
 
 let test_admission_waiting_expiry () =
@@ -1096,7 +1037,7 @@ let test_admission_waiting_expiry () =
   ignore (Admission.on_syn a ~key:1);
   ignore (Admission.on_syn a ~key:2);
   Alcotest.(check int) "two waiting" 2 (Admission.waiting_count a);
-  clock := !clock +. Taq_config.default_admission.Taq_config.pool_expiry +. 1.0;
+  clock := !clock +. Admission.pool_expiry +. 1.0;
   Admission.expire a;
   Alcotest.(check int) "waiting pruned" 0 (Admission.waiting_count a);
   Alcotest.(check bool) "Twait FIFO pruned too" true
@@ -1163,114 +1104,92 @@ let test_tracker_cap_evicts_lru () =
 
 (* --- Overload guard ----------------------------------------------------------------- *)
 
-let guard_fixture ?(cap = 8) () =
-  let clock = ref 0.0 in
-  let guard =
-    {
-      Taq_config.trip_after = 0.2;
-      clear_after = 0.5;
-      min_dwell = 1.0;
-      recovery_dwell = 1.0;
-      waiting_high = 4;
-    }
-  in
-  let g = Overload.create ~guard ~cap ~now:(fun () -> !clock) () in
-  (g, clock)
+type guard_rig = {
+  g : Overload.t;
+  clock : float ref;
+  mutable evictions : int;  (* the tracker's cumulative cap evictions *)
+}
 
-(* Step the fake clock in [dt] increments, feeding [evictions] fresh
-   cap evictions per sample when [pressure] is on. *)
-let drive g clock ~pressure ~until ~dt =
-  let evictions = ref 0 in
-  let base = !clock in
-  while !clock -. base < until -. 1e-9 do
-    clock := !clock +. dt;
-    if pressure then incr evictions;
-    Overload.sample g ~tracked:1
-      ~cap_evictions:(if pressure then !evictions else 0)
-      ~waiting:0
+let guard_fixture () =
+  let clock = ref 0.0 in
+  let g = Overload.create ~cap:8 ~now:(fun () -> !clock) () in
+  { g; clock; evictions = 0 }
+
+(* Step the fake clock in 50 ms increments for [until] seconds, with a
+   fresh cap eviction at every sample when [pressure] is on and
+   [waiting] pools in admission's wait queue. *)
+let drive ?(waiting = 0) r ~pressure ~until =
+  let base = !(r.clock) in
+  while !(r.clock) -. base < until -. 1e-9 do
+    r.clock := !(r.clock) +. 0.05;
+    if pressure then r.evictions <- r.evictions + 1;
+    Overload.sample r.g ~tracked:1 ~cap_evictions:r.evictions ~waiting
   done
 
+let check_mode msg want r =
+  Alcotest.(check string) msg (Overload.mode_name want)
+    (Overload.mode_name (Overload.mode r.g))
+
 let test_guard_trips_only_on_sustained_pressure () =
-  let g, clock = guard_fixture () in
+  let r = guard_fixture () in
   (* A single pressured sample is not sustained: no trip. *)
-  Overload.sample g ~tracked:1 ~cap_evictions:1 ~waiting:0;
-  drive g clock ~pressure:false ~until:2.0 ~dt:0.05;
-  Alcotest.(check bool) "blip ignored" true (Overload.mode g = Overload.Normal);
-  (* Sustained churn trips it. *)
-  drive g clock ~pressure:true ~until:1.0 ~dt:0.05;
-  Alcotest.(check bool) "tripped" true (Overload.mode g = Overload.Degraded);
-  Alcotest.(check int) "entered once" 1 (Overload.degraded_entered g)
+  drive r ~pressure:true ~until:0.05;
+  drive r ~pressure:false ~until:(2.0 *. Overload.min_dwell);
+  check_mode "blip ignored" Overload.Normal r;
+  (* Churn shorter than trip_after is not sustained either. *)
+  drive r ~pressure:true ~until:(Overload.trip_after -. 0.1);
+  check_mode "not yet sustained" Overload.Normal r;
+  drive r ~pressure:true ~until:0.2;
+  check_mode "tripped" Overload.Degraded r;
+  Alcotest.(check int) "entered once" 1 (Overload.degraded_entered r.g)
 
 let test_guard_full_arc_and_dwells () =
-  let g, clock = guard_fixture () in
-  drive g clock ~pressure:true ~until:1.5 ~dt:0.05;
-  Alcotest.(check bool) "degraded" true (Overload.mode g = Overload.Degraded);
-  (* Calm must persist for clear_after AND the mode dwell must reach
-     min_dwell before the exit begins. *)
-  drive g clock ~pressure:false ~until:0.3 ~dt:0.05;
-  Alcotest.(check bool) "still degraded inside dwell" true
-    (Overload.mode g = Overload.Degraded);
-  (* Trip happened at ~t=1.05 (dwell floor), so the exit opens at
-     ~t=2.05; stop at ~t=2.5, inside the recovery dwell. *)
-  drive g clock ~pressure:false ~until:0.7 ~dt:0.05;
-  Alcotest.(check bool) "recovering" true
-    (Overload.mode g = Overload.Recovering);
-  drive g clock ~pressure:false ~until:1.5 ~dt:0.05;
-  Alcotest.(check bool) "normal again" true (Overload.mode g = Overload.Normal);
-  Alcotest.(check int) "one full cycle" 1 (Overload.degraded_exited g)
+  let r = guard_fixture () in
+  (* Pressure sustained past trip_after still waits out the min_dwell
+     floor of the starting mode. *)
+  drive r ~pressure:true ~until:(Overload.trip_after +. 0.25);
+  check_mode "inside the dwell floor" Overload.Normal r;
+  drive r ~pressure:true ~until:Overload.min_dwell;
+  check_mode "degraded" Overload.Degraded r;
+  (* The exit begins only after clear_after of calm. *)
+  drive r ~pressure:false ~until:(Overload.clear_after -. 0.2);
+  check_mode "still degraded inside clear_after" Overload.Degraded r;
+  drive r ~pressure:false ~until:0.5;
+  check_mode "recovering" Overload.Recovering r;
+  (* Normal again after the recovery dwell. *)
+  drive r ~pressure:false ~until:(Overload.recovery_dwell +. 0.5);
+  check_mode "normal again" Overload.Normal r;
+  Alcotest.(check int) "one full cycle" 1 (Overload.degraded_exited r.g)
 
 let test_guard_recovering_retrips () =
-  let g, clock = guard_fixture () in
-  drive g clock ~pressure:true ~until:1.5 ~dt:0.05;
-  (* Calm long enough to reach Recovering (~t=2.05) but not long
-     enough to complete the recovery dwell. *)
-  drive g clock ~pressure:false ~until:1.3 ~dt:0.05;
-  Alcotest.(check bool) "recovering" true
-    (Overload.mode g = Overload.Recovering);
+  let r = guard_fixture () in
+  drive r ~pressure:true ~until:(Overload.min_dwell +. 0.5);
+  (* Calm long enough to reach Recovering but not long enough to
+     complete the recovery dwell. *)
+  drive r ~pressure:false ~until:(Overload.clear_after +. 0.3);
+  check_mode "recovering" Overload.Recovering r;
   (* Pressure during recovery sends it straight back once the dwell
      floor is met — no need to re-sustain trip_after. *)
-  drive g clock ~pressure:true ~until:1.2 ~dt:0.05;
-  Alcotest.(check bool) "re-degraded" true
-    (Overload.mode g = Overload.Degraded);
-  Alcotest.(check int) "entered twice" 2 (Overload.degraded_entered g)
+  drive r ~pressure:true ~until:(Overload.min_dwell +. 0.2);
+  check_mode "re-degraded" Overload.Degraded r;
+  Alcotest.(check int) "entered twice" 2 (Overload.degraded_entered r.g)
 
 let test_guard_waiting_backlog_is_pressure () =
-  let g, clock = guard_fixture () in
-  let base = !clock in
-  while !clock -. base < 1.5 do
-    clock := !clock +. 0.05;
-    Overload.sample g ~tracked:1 ~cap_evictions:0 ~waiting:10
-  done;
-  Alcotest.(check bool) "admission backlog trips the guard" true
-    (Overload.mode g = Overload.Degraded)
+  let r = guard_fixture () in
+  drive r ~pressure:false ~waiting:(Overload.waiting_high - 1) ~until:1.5;
+  check_mode "a backlog below waiting_high is calm" Overload.Normal r;
+  drive r ~pressure:false ~waiting:Overload.waiting_high ~until:1.5;
+  check_mode "admission backlog trips the guard" Overload.Degraded r
 
 let test_config_guard_validation () =
   let base = Taq_config.default ~capacity_pkts:10 ~capacity_bps:1e6 in
-  let raises f =
-    match f () with
-    | exception Invalid_argument _ -> true
-    | _ -> false
-  in
   Alcotest.(check bool) "cap < 1 rejected" true
-    (raises (fun () -> Taq_config.with_guard ~max_tracked_flows:0 base));
-  Alcotest.(check bool) "negative dwell rejected" true
-    (raises (fun () ->
-         Taq_config.with_guard
-           ~guard:{ Taq_config.default_guard with Taq_config.min_dwell = -1.0 }
-           ~max_tracked_flows:16 base));
-  Alcotest.(check bool) "clear_after <= 0 rejected" true
-    (raises (fun () ->
-         Taq_config.with_guard
-           ~guard:{ Taq_config.default_guard with Taq_config.clear_after = 0.0 }
-           ~max_tracked_flows:16 base));
-  Alcotest.(check bool) "waiting_high < 1 rejected" true
-    (raises (fun () ->
-         Taq_config.with_guard
-           ~guard:{ Taq_config.default_guard with Taq_config.waiting_high = 0 }
-           ~max_tracked_flows:16 base));
+    (match Taq_config.with_guard ~max_tracked_flows:0 base with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   let ok = Taq_config.with_guard ~max_tracked_flows:16 base in
   Alcotest.(check int) "cap installed" 16 ok.Taq_config.max_tracked_flows;
-  Alcotest.(check bool) "guard installed" true (ok.Taq_config.guard <> None)
+  Alcotest.(check bool) "guard installed" true ok.Taq_config.guard
 
 (* --- Taq_disc (unit) ---------------------------------------------------------------- *)
 
@@ -1654,7 +1573,6 @@ let () =
             test_tracker_retx_consumes_outstanding_drop;
           Alcotest.test_case "idle expiry" `Quick test_tracker_expires_idle_flows;
           Alcotest.test_case "rates and shares" `Quick test_tracker_rate_and_fair_share;
-          Alcotest.test_case "pool fairness" `Quick test_tracker_pool_fairness;
           Alcotest.test_case "epoch shrink" `Quick
             test_tracker_epoch_shrink_pulls_deadlines;
           Alcotest.test_case "clock monotone" `Quick test_tracker_clock_monotone;
@@ -1672,7 +1590,6 @@ let () =
       ( "fair_share",
         [
           Alcotest.test_case "basic" `Quick test_fair_share_basic;
-          Alcotest.test_case "proportional" `Quick test_fair_share_proportional;
         ] );
       ( "taq_queues",
         [

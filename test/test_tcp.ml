@@ -11,18 +11,18 @@ module Dumbbell = Taq_net.Dumbbell
 (* --- Rto ---------------------------------------------------------------- *)
 
 let test_rto_initial () =
-  let r = Rto.create ~min_rto:0.2 ~max_rto:60.0 in
+  let r = Rto.create ~min_rto:0.2 in
   Alcotest.(check (float 1e-9)) "1s before samples" 1.0 (Rto.timeout r)
 
 let test_rto_first_sample () =
-  let r = Rto.create ~min_rto:0.2 ~max_rto:60.0 in
+  let r = Rto.create ~min_rto:0.2 in
   Rto.observe r 0.5;
   (* srtt = 0.5, rttvar = 0.25, rto = 0.5 + 4*0.25 = 1.5 *)
   Alcotest.(check (float 1e-9)) "srtt" 0.5 (Rto.srtt r);
   Alcotest.(check (float 1e-9)) "rto" 1.5 (Rto.timeout r)
 
 let test_rto_smoothing () =
-  let r = Rto.create ~min_rto:0.2 ~max_rto:60.0 in
+  let r = Rto.create ~min_rto:0.2 in
   for _ = 1 to 100 do
     Rto.observe r 0.1
   done;
@@ -31,9 +31,9 @@ let test_rto_smoothing () =
   Alcotest.(check (float 1e-9)) "clamped at min" 0.2 (Rto.timeout r)
 
 let test_rto_max_clamp () =
-  let r = Rto.create ~min_rto:0.2 ~max_rto:5.0 in
+  let r = Rto.create ~min_rto:0.2 in
   Rto.observe r 100.0;
-  Alcotest.(check (float 1e-9)) "clamped at max" 5.0 (Rto.timeout r)
+  Alcotest.(check (float 1e-9)) "clamped at max" 60.0 (Rto.timeout r)
 
 (* --- Scoreboard ---------------------------------------------------------- *)
 
@@ -102,7 +102,7 @@ let make_receiver ?(variant = Tcp_config.Sack) () =
      blocks, which non-SACK receivers (correctly) omit. *)
   let acks = ref [] in
   let r =
-    Tcp_receiver.create ~flow:1 ~config:{ Tcp_config.default with variant }
+    Tcp_receiver.create ~flow:1 ~config:{ (Tcp_config.make ()) with variant }
       ~now:(fun () -> 0.0)
       ~send:(fun p -> acks := p :: !acks)
       ()
@@ -167,66 +167,25 @@ let test_receiver_syn_ack () =
   | [ p ] -> Alcotest.(check bool) "syn-ack" true (p.Packet.kind = Packet.Syn_ack)
   | _ -> Alcotest.fail "expected one syn-ack"
 
-let test_receiver_delayed_ack_halves_acks () =
-  (* With delayed acks and a scheduler, an in-order stream produces one
-     ack per two segments. *)
-  let acks = ref 0 in
-  let pending_timers = ref [] in
-  let r =
-    Tcp_receiver.create ~flow:1
-      ~config:{ Tcp_config.default with delayed_ack = Some 0.2 }
-      ~now:(fun () -> 0.0)
-      ~send:(fun _ -> incr acks)
-      ~schedule:(fun ~delay:_ f -> pending_timers := f :: !pending_timers)
-      ()
-  in
+let test_receiver_acks_every_segment_at_once () =
+  (* No delayed ACKs: each in-order segment is acked on arrival, with
+     the cumulative ack it completes; an out-of-order one too. *)
+  let r, acks = make_receiver ~variant:Tcp_config.Newreno () in
   for seq = 0 to 9 do
-    Tcp_receiver.on_packet r (mk_data ~flow:1 ~seq)
+    Tcp_receiver.on_packet r (mk_data ~flow:1 ~seq);
+    Alcotest.(check int) "one ack per segment" (seq + 1) (List.length !acks);
+    Alcotest.(check int) "cum ack" (seq + 1) (List.hd !acks).Packet.seq
   done;
-  Alcotest.(check int) "one ack per two segments" 5 !acks;
-  (* Firing the outstanding delay timers adds no duplicate acks (none
-     pending: the 10th segment completed a pair). *)
-  List.iter (fun f -> f ()) !pending_timers;
-  Alcotest.(check int) "timers do not double-ack" 5 !acks
-
-let test_receiver_delayed_ack_timer_flushes () =
-  let acks = ref 0 in
-  let pending_timers = ref [] in
-  let r =
-    Tcp_receiver.create ~flow:1
-      ~config:{ Tcp_config.default with delayed_ack = Some 0.2 }
-      ~now:(fun () -> 0.0)
-      ~send:(fun _ -> incr acks)
-      ~schedule:(fun ~delay:_ f -> pending_timers := f :: !pending_timers)
-      ()
-  in
-  Tcp_receiver.on_packet r (mk_data ~flow:1 ~seq:0);
-  Alcotest.(check int) "first segment held" 0 !acks;
-  List.iter (fun f -> f ()) !pending_timers;
-  Alcotest.(check int) "flushed by timer" 1 !acks
-
-let test_receiver_delayed_ack_dups_immediate () =
-  (* Out-of-order arrivals must be acked immediately even with delayed
-     acks on -- they are the dupacks driving fast retransmit. *)
-  let acks = ref 0 in
-  let r =
-    Tcp_receiver.create ~flow:1
-      ~config:{ Tcp_config.default with delayed_ack = Some 0.2 }
-      ~now:(fun () -> 0.0)
-      ~send:(fun _ -> incr acks)
-      ~schedule:(fun ~delay:_ _ -> ())
-      ()
-  in
-  Tcp_receiver.on_packet r (mk_data ~flow:1 ~seq:5);
-  Tcp_receiver.on_packet r (mk_data ~flow:1 ~seq:6);
-  Alcotest.(check int) "out-of-order acked immediately" 2 !acks
+  Tcp_receiver.on_packet r (mk_data ~flow:1 ~seq:12);
+  Alcotest.(check int) "out-of-order acked at once" 11 (List.length !acks);
+  Alcotest.(check int) "dup cum" 10 (List.hd !acks).Packet.seq
 
 (* --- End-to-end over a dumbbell ------------------------------------------ *)
 
 (* One flow over a clean fast link: it must complete, quickly, with no
    retransmissions. *)
 let scenario ?(capacity_bps = 1e6) ?(buffer_pkts = 100) ?(rtt = 0.1)
-    ?(config = Tcp_config.default) ?(flows = 1) ?(segments = 50)
+    ?(config = Tcp_config.make ()) ?(flows = 1) ?(segments = 50)
     ?(external_loss_p = 0.0) ?(seed = 1) () =
   let sim = Sim.create () in
   let disc = Taq_queueing.Droptail.create ~capacity_pkts:buffer_pkts in
@@ -285,12 +244,34 @@ let test_e2e_throughput_bounded_by_link () =
   Sim.run ~until:300.0 sim;
   Alcotest.(check int) "completed" 1 (List.length !completions);
   let t = List.hd !completions in
-  let bytes = segments * Tcp_config.packet_bytes Tcp_config.default in
+  let bytes = segments * Tcp_config.packet_bytes in
   let min_time = float_of_int (bytes * 8) /. 100_000.0 in
   Alcotest.(check bool)
     (Printf.sprintf "%.2f s >= serialization floor %.2f s" t min_time)
     true (t >= min_time *. 0.99);
   ignore net
+
+(* The paper's packet sizes, tapped on both directions of the path:
+   500 B data on the wire, 40 B SYNs and ACKs. *)
+let test_e2e_wire_sizes () =
+  let sim, net, _, completions = scenario ~segments:20 () in
+  let seen = ref [] in
+  let tap (p : Packet.t) deliver =
+    seen := (p.kind, p.size) :: !seen;
+    deliver p
+  in
+  Dumbbell.set_fwd_interceptor net (Some tap);
+  Dumbbell.set_rev_interceptor net (Some tap);
+  Sim.run ~until:60.0 sim;
+  Alcotest.(check int) "completed" 1 (List.length !completions);
+  let sizes kind =
+    List.sort_uniq compare
+      (List.filter_map (fun (k, size) -> if k = kind then Some size else None)
+         !seen)
+  in
+  Alcotest.(check (list int)) "data" [ 500 ] (sizes Packet.Data);
+  Alcotest.(check (list int)) "syn" [ 40 ] (sizes Packet.Syn);
+  Alcotest.(check (list int)) "ack" [ 40 ] (sizes Packet.Ack)
 
 let test_e2e_completes_under_loss () =
   (* 10% forward loss: recovery machinery must still finish the flow. *)
@@ -305,7 +286,7 @@ let test_e2e_completes_under_loss () =
 let test_e2e_completes_under_heavy_loss_all_variants () =
   List.iter
     (fun variant ->
-      let config = { Tcp_config.default with variant } in
+      let config = { (Tcp_config.make ()) with variant } in
       let sim, _, _, completions =
         scenario ~segments:60 ~external_loss_p:0.25 ~seed:9 ~config ()
       in
@@ -314,7 +295,7 @@ let test_e2e_completes_under_heavy_loss_all_variants () =
         (Printf.sprintf "variant completes")
         1
         (List.length !completions))
-    [ Tcp_config.Reno; Tcp_config.Newreno; Tcp_config.Sack ]
+    [ Tcp_config.Newreno; Tcp_config.Sack ]
 
 let test_e2e_timeouts_and_backoff_under_severe_loss () =
   let sim, _, sessions, _ =
@@ -448,7 +429,7 @@ let test_cubic_regrows_faster_than_aimd_after_loss () =
      over a clean link after an early loss. *)
   let run growth =
     let config =
-      { (Tcp_config.make ~use_syn:false ()) with growth; init_ssthresh = 30.0 }
+      { (Tcp_config.make ~use_syn:false ()) with growth }
     in
     let sim, _, sessions, _ =
       scenario ~config ~capacity_bps:5e6 ~rtt:0.05 ~segments:max_int
@@ -472,7 +453,7 @@ let prop_tcp_completes_under_random_loss =
     (fun (seed, loss) ->
       List.for_all
         (fun variant ->
-          let config = { Tcp_config.default with variant } in
+          let config = { (Tcp_config.make ()) with variant } in
           let sim, _, _, completions =
             scenario ~segments:40 ~external_loss_p:loss ~seed ~config ()
           in
@@ -503,7 +484,7 @@ let test_e2e_ack_clock_leaves_no_cancelled_entries () =
   let net = Dumbbell.create ~sim ~capacity_bps:1e6 ~disc () in
   let done_at = ref nan in
   let s =
-    Tcp_session.create ~net ~config:Tcp_config.default ~rtt_prop:0.2
+    Tcp_session.create ~net ~config:(Tcp_config.make ()) ~rtt_prop:0.2
       ~total_segments:20_000 ~on_complete:(fun t -> done_at := t) ()
   in
   Tcp_session.start s;
@@ -542,12 +523,8 @@ let () =
           Alcotest.test_case "sack blocks" `Quick test_receiver_sack_blocks_cover_ooo;
           Alcotest.test_case "duplicates" `Quick test_receiver_duplicate_counted;
           Alcotest.test_case "syn ack" `Quick test_receiver_syn_ack;
-          Alcotest.test_case "delayed ack halves" `Quick
-            test_receiver_delayed_ack_halves_acks;
-          Alcotest.test_case "delayed ack timer" `Quick
-            test_receiver_delayed_ack_timer_flushes;
-          Alcotest.test_case "delayed ack dups immediate" `Quick
-            test_receiver_delayed_ack_dups_immediate;
+          Alcotest.test_case "acks every segment at once" `Quick
+            test_receiver_acks_every_segment_at_once;
         ] );
       ( "cubic",
         [
@@ -570,6 +547,7 @@ let () =
           Alcotest.test_case "receiver complete" `Quick test_e2e_receiver_gets_everything;
           Alcotest.test_case "slow start" `Quick test_e2e_slow_start_growth;
           Alcotest.test_case "throughput bound" `Quick test_e2e_throughput_bounded_by_link;
+          Alcotest.test_case "wire sizes" `Quick test_e2e_wire_sizes;
           Alcotest.test_case "loss recovery" `Quick test_e2e_completes_under_loss;
           Alcotest.test_case "heavy loss, all variants" `Slow
             test_e2e_completes_under_heavy_loss_all_variants;

@@ -111,7 +111,7 @@ let session_fixture ?(capacity_bps = 1e6) ?(max_conns = 4) () =
   let sim = Sim.create () in
   let disc = Taq_queueing.Droptail.create ~capacity_pkts:100 in
   let net = Dumbbell.create ~sim ~capacity_bps ~disc () in
-  let tcp = Tcp_config.default in
+  let tcp = Tcp_config.make () in
   let session =
     Web_session.create ~net ~tcp ~pool:1 ~rtt:0.1 ~max_conns ()
   in
@@ -167,7 +167,7 @@ let test_session_feeds_hangs_recorder () =
   let net = Dumbbell.create ~sim ~capacity_bps:1e6 ~disc () in
   let hangs = Taq_metrics.Hangs.create () in
   let session =
-    Web_session.create ~net ~tcp:Tcp_config.default ~pool:3 ~rtt:0.1
+    Web_session.create ~net ~tcp:(Tcp_config.make ()) ~pool:3 ~rtt:0.1
       ~max_conns:2 ~hangs ()
   in
   Web_session.request session ~size:10_000;
@@ -197,7 +197,7 @@ let persistent_fixture ?(capacity_bps = 1e6) ?(conns = 2) () =
   let disc = Taq_queueing.Droptail.create ~capacity_pkts:100 in
   let net = Dumbbell.create ~sim ~capacity_bps ~disc () in
   let session =
-    Persistent_session.create ~net ~tcp:Tcp_config.default ~pool:1 ~rtt:0.1
+    Persistent_session.create ~net ~tcp:(Tcp_config.make ()) ~pool:1 ~rtt:0.1
       ~conns ()
   in
   (sim, session)
