@@ -1268,6 +1268,37 @@ let test_disc_syn_admitted_when_clear () =
   let drops = d.Disc.enqueue (mk_syn ~flow:50 ~pool:5 ()) in
   Alcotest.(check int) "syn accepted" 0 (List.length drops)
 
+(* The NewFlow queue holds a quarter of the buffer, at least 2 packets.
+   A SYN past that cap is dropped; a young flow's data goes to
+   BelowFairShare instead. *)
+let test_disc_newflow_cap_follows_capacity () =
+  List.iter
+    (fun (capacity_pkts, cap) ->
+      let t, _sim = disc_fixture ~capacity_pkts () in
+      let d = Taq_disc.disc t in
+      let length cls = Taq_queues.class_length (Taq_disc.queues t) cls in
+      let msg what = Printf.sprintf "%s (capacity %d)" what capacity_pkts in
+      for flow = 1 to cap do
+        Alcotest.(check int) (msg "syn queued") 0
+          (List.length (d.Disc.enqueue (mk_syn ~flow ())))
+      done;
+      Alcotest.(check int) (msg "syn past the cap dropped") 1
+        (List.length (d.Disc.enqueue (mk_syn ~flow:(cap + 1) ())));
+      Alcotest.(check (list (pair string int))) (msg "counted as a new-flow drop")
+        [ (Taq_queues.class_to_string Taq_queues.New_flow, 1) ]
+        (List.map
+           (fun (cls, n) -> (Taq_queues.class_to_string cls, n))
+           (Taq_disc.stats t).Taq_disc.drops_by_class);
+      Alcotest.(check bool) (msg "flow 1 still young") true
+        (Flow_tracker.is_new_flow (Taq_disc.tracker t) ~flow:1);
+      Alcotest.(check int) (msg "young data accepted") 0
+        (List.length (d.Disc.enqueue (mk_data ~flow:1 ~seq:0 ())));
+      Alcotest.(check int) (msg "new-flow queue at its cap") cap
+        (length Taq_queues.New_flow);
+      Alcotest.(check int) (msg "young data below fair share") 1
+        (length Taq_queues.Below_fair_share))
+    [ (20, 5); (6, 2); (4, 2) ]
+
 let test_disc_conservation () =
   (* enqueued = dequeued + dropped + still queued, under random load. *)
   let t, _sim = disc_fixture ~capacity_pkts:8 () in
@@ -1637,6 +1668,7 @@ let () =
           Alcotest.test_case "syn rejected" `Quick
             test_disc_syn_rejected_under_admission_pressure;
           Alcotest.test_case "syn admitted" `Quick test_disc_syn_admitted_when_clear;
+          Alcotest.test_case "newflow cap" `Quick test_disc_newflow_cap_follows_capacity;
           Alcotest.test_case "conservation" `Quick test_disc_conservation;
           Alcotest.test_case "degraded bypass" `Quick test_disc_degraded_bypass;
           Alcotest.test_case "steady-state allocation" `Quick

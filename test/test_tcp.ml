@@ -353,6 +353,31 @@ let test_e2e_syn_handshake_measured () =
     true
     (!first_data >= 0.19 && !first_data < 0.4)
 
+(* An unanswered SYN is retried after 3 s, the wait doubling each time
+   up to the 60 s maximum RTO; without doubling it is retried every
+   3 s. The listener joins after the first SYN, sent at start. *)
+let test_e2e_syn_retry_schedule () =
+  let retry_times ~syn_retry_doubling ~until =
+    let config = Tcp_config.make ~syn_retry_doubling () in
+    let sim, net, sessions, completions = scenario ~config () in
+    (* Every SYN is lost on the forward path. *)
+    Dumbbell.set_fwd_interceptor net
+      (Some (fun p deliver -> if p.Packet.kind <> Packet.Syn then deliver p));
+    let times = ref [] in
+    Tcp_sender.on_transmit
+      (Tcp_session.sender (List.hd sessions))
+      (fun p -> if p.Packet.kind = Packet.Syn then times := Sim.now sim :: !times);
+    Sim.run ~until sim;
+    Alcotest.(check int) "never completes" 0 (List.length !completions);
+    List.rev !times
+  in
+  Alcotest.(check (list (float 1e-9))) "doubling, capped at 60 s"
+    [ 3.0; 9.0; 21.0; 45.0; 93.0; 153.0; 213.0 ]
+    (retry_times ~syn_retry_doubling:true ~until:250.0);
+  Alcotest.(check (list (float 1e-9))) "every 3 s"
+    (List.init 8 (fun i -> 3.0 *. float_of_int (i + 1)))
+    (retry_times ~syn_retry_doubling:false ~until:25.0)
+
 let test_e2e_no_syn_starts_immediately () =
   (* Without a handshake the flow opens instantly: no SYNs on the wire,
      and (on a fast clean link) completion in well under the time the
@@ -556,6 +581,7 @@ let () =
           Alcotest.test_case "two flows" `Quick test_e2e_two_flows_share;
           Alcotest.test_case "many flows congest" `Slow test_e2e_many_flows_congest;
           Alcotest.test_case "syn handshake" `Quick test_e2e_syn_handshake_measured;
+          Alcotest.test_case "syn retry schedule" `Quick test_e2e_syn_retry_schedule;
           Alcotest.test_case "no syn" `Quick test_e2e_no_syn_starts_immediately;
           Alcotest.test_case "zero length" `Quick test_e2e_zero_length_flow;
           Alcotest.test_case "deterministic" `Quick test_e2e_deterministic;
