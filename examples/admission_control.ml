@@ -26,7 +26,8 @@ let rtt = 0.2
 let () =
   let sim = Sim.create () in
   let buffer_pkts =
-    Taq_queueing.Droptail.capacity_for_rtt ~capacity_bps ~rtt ~pkt_bytes:500
+    Taq_queueing.Droptail.capacity_for_rtt ~capacity_bps ~rtt
+      ~pkt_bytes:Taq_tcp.Tcp_config.packet_bytes
   in
   let config = Taq_config.with_admission ~capacity_pkts:buffer_pkts ~capacity_bps in
   let taq = Taq_disc.create ~sim ~config () in

@@ -67,7 +67,8 @@ let run ~label ~make_disc =
 
 let () =
   let buffer_pkts =
-    Taq_queueing.Droptail.capacity_for_rtt ~capacity_bps ~rtt ~pkt_bytes:500
+    Taq_queueing.Droptail.capacity_for_rtt ~capacity_bps ~rtt
+      ~pkt_bytes:Taq_tcp.Tcp_config.packet_bytes
   in
   run ~label:"droptail" ~make_disc:(fun _sim ->
       Taq_queueing.Droptail.create ~capacity_pkts:buffer_pkts);

@@ -4,11 +4,13 @@
     point), flows treated as over-penalized beyond 2 drops in an epoch,
     a capacity-limited recovery queue, and a capped NewFlow queue used
     for admission control. The record holds what some experiment
-    varies; what none varies is a constant in the module that reads
-    it: the slow-start epochs in {!Flow_tracker}, the admission timers
-    in {!Admission}, the guard's dwells and thresholds in {!Overload}.
-    The fair share is the equal split across active flows
-    ({!Fair_share}). *)
+    varies, plus two fields no experiment varies: [tick_interval],
+    which the benchmark's tracker-replay probe reads, and
+    [flow_idle_timeout], which the tracker's reference test varies.
+    What nothing varies is a constant in the module that reads it: the
+    slow-start epochs in {!Flow_tracker}, the admission timers in
+    {!Admission}, the guard's dwells and thresholds in {!Overload}. The
+    fair share is the equal split across active flows ({!Fair_share}). *)
 
 type epoch_source =
   | Estimated of {
@@ -45,11 +47,17 @@ type t = {
                                  flow moves to the OverPenalized queue
                                  (§4.2: "more than 2") *)
   tick_interval : float;  (** housekeeping period for rolling epochs of
-                              silent flows *)
+                              silent flows. No program sets it; it
+                              stays a field because the benchmark's
+                              tracker-replay probe ([bench/perf])
+                              reads it (ROADMAP item 10). *)
   epoch_source : epoch_source;
   admission : admission option;  (** [None] disables admission control *)
   flow_idle_timeout : float;  (** forget per-flow state after this much
-                                  silence *)
+                                  silence. No program sets it; it stays
+                                  a field because the tracker's
+                                  differential test varies it against
+                                  its reference model. *)
   max_tracked_flows : int;  (** hard cap on [Flow_tracker] entries;
                                 enforced by idle-first/LRU eviction at
                                 insert time *)

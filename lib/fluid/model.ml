@@ -14,8 +14,8 @@ let w_min = 0.25
 (* Mean timeout silence [T], seconds. *)
 let rto = 1.0
 
-let make_params ?(rtt_prop = 0.2) ?(pkt_bytes = 500) ?(dt = 0.05) ~n_flows
-    ~capacity_bps ~buffer_bytes () =
+let make_params ~rtt_prop ~pkt_bytes ~dt ~n_flows ~capacity_bps ~buffer_bytes
+    () =
   if n_flows <= 0 then invalid_arg "Fluid.Model.make_params: n_flows";
   if rtt_prop <= 0.0 then invalid_arg "Fluid.Model.make_params: rtt_prop";
   if pkt_bytes <= 0 then invalid_arg "Fluid.Model.make_params: pkt_bytes";

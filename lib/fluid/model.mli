@@ -73,18 +73,16 @@ val w_min : float
 (** Window floor (deep-timeout regime): 0.25 packets. *)
 
 val make_params :
-  ?rtt_prop:float ->
-  ?pkt_bytes:int ->
-  ?dt:float ->
+  rtt_prop:float ->
+  pkt_bytes:int ->
+  dt:float ->
   n_flows:int ->
   capacity_bps:float ->
   buffer_bytes:int ->
   unit ->
   params
-(** Validated constructor (defaults: [rtt_prop = 0.2],
-    [pkt_bytes = 500], [dt = 0.05]). Raises [Invalid_argument] on a
-    non-positive population, packet size, capacity, buffer, step or
-    RTT. *)
+(** Validated constructor. Raises [Invalid_argument] on a non-positive
+    population, packet size, capacity, buffer, step or RTT. *)
 
 val params_to_string : params -> string
 (** Canonical compact rendering, e.g.

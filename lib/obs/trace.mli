@@ -24,7 +24,8 @@ type t
 val create : ?capacity:int -> unit -> t
 (** A ring holding at most [capacity] (default 65 536) events; once
     full, each new event overwrites the oldest — a long run keeps its
-    most recent window. *)
+    most recent window. Every program takes the default; only tests
+    pass [capacity], to reach the wrap-around with a few events. *)
 
 val add : t -> event -> unit
 

@@ -585,8 +585,9 @@ let gen_backend =
           let* buffer_bytes = int_range 500 10_000_000 in
           return
             (Common.Hybrid
-               (Taq_fluid.Model.make_params ~rtt_prop ~dt ~n_flows
-                  ~capacity_bps ~buffer_bytes ())) );
+               (Taq_fluid.Model.make_params ~rtt_prop
+                  ~pkt_bytes:Common.pkt_bytes ~dt ~n_flows ~capacity_bps
+                  ~buffer_bytes ())) );
       ])
 
 let gen_sweep_keys =
