@@ -11,7 +11,13 @@
 
     Only [pthresh] is configurable. New pools are admitted below
     [pthresh - 0.02] (the paper's "slightly smaller" threshold), and
-    the loss signal is an EWMA of weight 0.005 over data packets. *)
+    the loss signal is an EWMA of weight 0.005 over the packets that
+    reach the buffer ({!note_arrival}, {!note_drop}).
+
+    {b Precondition: the clock is monotone.} A pool {!expire} found
+    idle stays gone until a SYN admits it again, and the Twait FIFO is
+    kept in first-rejection order; both need [now] never to
+    decrease. *)
 
 type t
 
@@ -28,10 +34,15 @@ val pool_expiry : float
 val create : config:Taq_config.admission -> now:(unit -> float) -> t
 
 val note_arrival : t -> unit
-(** A data packet was accepted at the queue (loss-signal 0). *)
+(** A packet was accepted into the buffer (loss-signal 0). The
+    discipline feeds every packet that reaches the buffer: data, SYNs
+    that passed admission and the NewFlow cap, and control packets.
+    SYNs rejected by admission or dropped at the NewFlow cap never
+    reach it. *)
 
 val note_drop : t -> unit
-(** A data packet was dropped at the queue (loss-signal 1). *)
+(** A packet that reached the buffer was dropped: the arrival itself,
+    or a queued packet pushed out for it (loss-signal 1). *)
 
 val loss_rate : t -> float
 (** Smoothed drop rate the controller is acting on. *)
@@ -45,9 +56,12 @@ val on_syn : t -> key:int -> decision
     flow pool". *)
 
 val touch : t -> key:int -> unit
-(** Mark the pool active (data seen), refreshing its expiry. *)
+(** Mark the pool active (data seen), refreshing its expiry. A pool
+    {!expire} found idle is not revived. One lookup and one unboxed
+    store. *)
 
 val admitted_count : t -> int
+(** Admitted pools not found idle by the last {!expire}. O(n). *)
 
 val waiting_count : t -> int
 (** Pools currently parked in the wait queue — exposed as a pressure
@@ -67,4 +81,8 @@ val expire : t -> unit
 (** Drop admitted pools idle longer than {!pool_expiry}, {e and}
     waiting pools first rejected that long ago (a client that never
     retries its SYN would otherwise occupy [waiting] and the Twait
-    FIFO forever). Bounds both tables. *)
+    FIFO forever). Bounds both tables. Waiters leave from the front of
+    the FIFO, O(1) each. An idle admitted pool counts as gone from this
+    call on, wherever it is read; its memory is freed by a sweep of the
+    admitted table that runs at most once per {!pool_expiry}, so a gone
+    pool is held at most that much longer. *)

@@ -10,7 +10,8 @@
     What nothing varies is a constant in the module that reads it: the
     slow-start epochs in {!Flow_tracker}, the admission timers in
     {!Admission}, the guard's dwells and thresholds in {!Overload}. The
-    fair share is the equal split across active flows ({!Fair_share}). *)
+    fair share is the equal split across active flows
+    ({!Flow_tracker.fair_share_bps}). *)
 
 type epoch_source =
   | Estimated of {

@@ -12,8 +12,8 @@
       degenerate small-transfer regime where per-flow state is pure
       overhead;
     - {!Pool_churn}: SYN churn where every flow also claims a fresh
-      {e pool} id, stressing the admission waiting/FIFO tables that
-      [Admission.expire] must bound.
+      {e pool} id, stressing the admission waiting table and Twait
+      FIFO, which [Admission.expire] prunes oldest first.
 
     Determinism: arrivals are a Poisson process driven by the caller's
     {!Taq_util.Prng.t}; flood flows draw ids from their own

@@ -1,9 +1,10 @@
 (* The flow tracker as it stood before the deadline heaps: every
    [active_flow_count] and every [tick] scans all tracked flows. Kept
-   verbatim (bar this header, the [open], the [Fair_share.per_flow]
-   call, and the RTT-proportional and pool-fairness paths, which the
-   tracker no longer has) as the reference the differential battery in
-   test_taq drives in lockstep with [Taq_core.Flow_tracker]. *)
+   verbatim (bar this header, the [open], the fair share, which it
+   computes inline as [capacity /. max 1 n] as the tracker does, and
+   the RTT-proportional and pool-fairness paths, which the tracker no
+   longer has) as the reference the differential battery in test_taq
+   drives in lockstep with [Taq_core.Flow_tracker]. *)
 
 open Taq_core
 
@@ -260,10 +261,9 @@ let cap_evictions t = t.cap_evictions
 let peak_tracked t = t.peak_tracked
 
 let fair_share_bps t =
-  Fair_share.per_flow ~capacity_bps:t.config.Taq_config.capacity_bps
-    ~active_flows:(active_flow_count t)
+  t.config.Taq_config.capacity_bps
+  /. float_of_int (Stdlib.max 1 (active_flow_count t))
 
-let below_fair_share t ~flow =
-  Fair_share.is_below ~rate_bps:(rate_bps t ~flow) ~fair_bps:(fair_share_bps t)
+let below_fair_share t ~flow = rate_bps t ~flow < fair_share_bps t
 
 let pool_of t ~flow = with_flow t ~flow ~default:(-1) (fun f -> f.pool)
