@@ -1,22 +1,33 @@
 module Packet = Taq_net.Packet
+module Int_tbl = Taq_util.Int_tbl
 
 type classification = New_data | Retransmission
 
-(* A flow's clock, all floats so that stores and reads do not box.
-   [epoch] is its estimator's current value: it is set when the flow is
-   created and again after each [Epoch_estimator.note_packet], the only
-   call that changes the estimate. *)
+(* A flow's clock and its two estimators, all floats so that stores and
+   reads do not box. The epoch estimator (Section 3.3): [epoch] is the
+   current estimate, the oracle RTT or, when estimated, the default
+   until the first sample and then [smoothed], the moving average of
+   the samples, clamped to the configured bounds. [syn_at] is the time
+   of the flow's last SYN, [burst_start] that of the packet that began
+   its current burst, [last_packet] that of its last data packet; only
+   an estimating tracker reads them. [rate] is the moving average of
+   the flow's goodput per epoch. [nan] means no sample, or no such
+   packet, yet. *)
 type times = {
   mutable last_seen : float;
   mutable epoch_start : float;
   mutable epoch : float;
+  mutable smoothed : float;
+  mutable syn_at : float;
+  mutable burst_start : float;
+  mutable last_packet : float;
+  mutable rate : float;
 }
 
 type flow = {
   id : int;
   slot : int;  (* index into the tracker's slab *)
   mutable pool : int;
-  est : Epoch_estimator.t;
   mutable state : Flow_state.t;
   mutable new_pkts : int;
   mutable retx_pkts : int;
@@ -29,7 +40,6 @@ type flow = {
   mutable silence_epochs : int;
   mutable epochs_observed : int;
   mutable rolled : int;  (* the tracker's tick count at the last roll *)
-  rate : Taq_util.Ewma.t;
   times : times;
 }
 
@@ -194,14 +204,24 @@ type clock = {
   long_gap : float;
 }
 
+(* The epoch source, unpacked into floats. The oracle's RTT is
+   [default_epoch]; the other fields serve estimation only. *)
+type estimator = {
+  default_epoch : float;
+  min_epoch : float;
+  max_epoch : float;
+  alpha : float;
+}
+
 type t = {
   config : Taq_config.t;
   now : unit -> float;
-  flows : (int, flow) Hashtbl.t;
-  (* The record the last lookup found, or [vacant]: packets of one flow
-     come in runs, and classifying one asks about its flow several
-     times. [forget] clears it. *)
-  mutable last : flow;
+  flows : flow Int_tbl.t;
+  estimated : bool;  (* false for the oracle *)
+  est : estimator;
+  (* The Recovery priority of the retransmission [classify_data] last
+     classified. *)
+  mutable priority : int;
   (* The slab: every tracked flow owns a dense slot, the index [active]
      and [seen] file it under. Vacated slots are reused before the slab
      grows; the per-slot arrays grow with it, on first use. *)
@@ -227,13 +247,11 @@ type t = {
   obs_cap_evictions : int ref;
 }
 
-let make_flow config ~id ~slot ~pool ~now ~ticks =
-  let est = Epoch_estimator.create config.Taq_config.epoch_source in
+let make_flow ~epoch ~id ~slot ~pool ~now ~ticks =
   {
     id;
     slot;
     pool;
-    est;
     state = Flow_state.initial;
     new_pkts = 0;
     retx_pkts = 0;
@@ -246,9 +264,17 @@ let make_flow config ~id ~slot ~pool ~now ~ticks =
     silence_epochs = 0;
     epochs_observed = 0;
     rolled = ticks;
-    rate = Taq_util.Ewma.create ~alpha:0.3;
     times =
-      { last_seen = now; epoch_start = now; epoch = Epoch_estimator.epoch est };
+      {
+        last_seen = now;
+        epoch_start = now;
+        epoch;
+        smoothed = nan;
+        syn_at = nan;
+        burst_start = nan;
+        last_packet = nan;
+        rate = nan;
+      };
   }
 
 (* The gap between ticks after which a tick rolls every flow itself
@@ -270,17 +296,29 @@ let long_gap (config : Taq_config.t) =
 
 let create ?obs ~config ~now () =
   let obs = Option.value obs ~default:Taq_obs.Obs.off in
+  let estimated, est =
+    match config.Taq_config.epoch_source with
+    | Taq_config.Oracle rtt ->
+        ( false,
+          { default_epoch = rtt; min_epoch = rtt; max_epoch = rtt; alpha = 1.0 }
+        )
+    | Taq_config.Estimated { default_epoch; min_epoch; max_epoch; alpha } ->
+        if alpha <= 0.0 || alpha > 1.0 then
+          invalid_arg "Flow_tracker.create: alpha";
+        (true, { default_epoch; min_epoch; max_epoch; alpha })
+  in
   let start = now () in
-  (* The placeholder's slot is -1, so a lookup never takes it for a
-     flow. *)
   let vacant =
-    make_flow config ~id:(-1) ~slot:(-1) ~pool:(-1) ~now:start ~ticks:0
+    make_flow ~epoch:est.default_epoch ~id:(-1) ~slot:(-1) ~pool:(-1)
+      ~now:start ~ticks:0
   in
   {
     config;
     now;
-    flows = Hashtbl.create 256;
-    last = vacant;
+    flows = Int_tbl.create 256;
+    estimated;
+    est;
+    priority = 0;
     slab = [||];
     free = [||];
     n_free = 0;
@@ -320,7 +358,12 @@ let read_clock t =
    re-evaluates the exact predicate. *)
 let[@inline] due_bound now = now +. (1e-9 *. (1.0 +. Float.abs now))
 
-let[@inline] window ~epoch = Float.max 1.0 (5.0 *. epoch)
+(* [Float.max 1.0 (5.0 *. epoch)]: the epoch is finite and not nan,
+   so a plain comparison gives the same float without the library
+   call. *)
+let[@inline] window ~epoch =
+  let w = 5.0 *. epoch in
+  if w > 1.0 then w else 1.0
 
 let[@inline] active_key f =
   let tm = f.times in
@@ -348,8 +391,7 @@ let alloc_slot t =
 
 let forget t f =
   let s = f.slot in
-  Hashtbl.remove t.flows f.id;
-  t.last <- t.vacant;
+  Int_tbl.remove t.flows f.id;
   if Deadlines.mem t.active s then Deadlines.remove t.active s;
   Lru.unlink t.seen s;
   (* Do not keep a forgotten flow reachable from its vacated slot. *)
@@ -380,8 +422,17 @@ let evict_lru t =
     incr t.obs_cap_evictions
   end
 
+(* [Taq_util.Ewma.update]'s arithmetic on a flat float: the first
+   sample replaces [nan], later ones fold in as
+   [((1 - alpha) v) + (alpha x)]. Inlined, so nothing is boxed. *)
+let[@inline] ewma v ~alpha x =
+  if Float.is_nan v then x else ((1.0 -. alpha) *. v) +. (alpha *. x)
+
+(* The weight of an epoch's goodput in a flow's rate. *)
+let rate_alpha = 0.3
+
 (* Builds nothing: the state machine takes the counts one by one, and
-   the epoch start is rolled in place. *)
+   the epoch start and the rate are rolled in place. *)
 let roll_one_epoch f =
   let tm = f.times in
   f.state <-
@@ -391,8 +442,9 @@ let roll_one_epoch f =
   if f.new_pkts = 0 && f.retx_pkts = 0 then
     f.silence_epochs <- f.silence_epochs + 1
   else f.silence_epochs <- 0;
-  Taq_util.Ewma.update f.rate
-    (float_of_int (f.bytes_this_epoch * 8) /. tm.epoch);
+  tm.rate <-
+    ewma tm.rate ~alpha:rate_alpha
+      (float_of_int (f.bytes_this_epoch * 8) /. tm.epoch);
   f.prev_new_pkts <- f.new_pkts;
   f.drops_prev_epoch <- f.drops_this_epoch;
   f.new_pkts <- 0;
@@ -416,7 +468,7 @@ let[@inline] roll_through f until ~budget =
   if !budget = 0 then tm.epoch_start <- until
 
 (* Make the rolls that the ticks since the flow's last roll left to it,
-   as if each tick had caught the flow up. Only [observe_data] changes
+   as if each tick had caught the flow up. Only a data packet changes
    the epoch, after its lookup has settled the flow, so each of those
    ticks would have used the epoch the flow has now. Each stayed within
    [long_gap] of the one before, so none would have spent its budget of
@@ -428,18 +480,10 @@ let settle t f =
     f.rolled <- t.ticks
   end
 
-(* [Hashtbl.find], through the remembered record, then settled: every
-   read of a flow comes through here, so none sees a roll still owed. *)
+(* [Int_tbl.find], then settled: every read of a flow comes through
+   here, so none sees a roll still owed. *)
 let find t flow =
-  let f = t.last in
-  let f =
-    if f.id = flow && f.slot >= 0 then f
-    else begin
-      let f = Hashtbl.find t.flows flow in
-      t.last <- f;
-      f
-    end
-  in
+  let f = Int_tbl.find t.flows flow in
   settle t f;
   f
 
@@ -449,20 +493,19 @@ let lookup t ~flow ~pool =
   match find t flow with
   | f -> f
   | exception Not_found ->
-      if Hashtbl.length t.flows >= t.config.Taq_config.max_tracked_flows then
+      if Int_tbl.length t.flows >= t.config.Taq_config.max_tracked_flows then
         evict_lru t;
       let slot = alloc_slot t in
       let f =
-        make_flow t.config ~id:flow ~slot ~pool ~now:t.clock.read
-          ~ticks:t.ticks
+        make_flow ~epoch:t.est.default_epoch ~id:flow ~slot ~pool
+          ~now:t.clock.read ~ticks:t.ticks
       in
       t.slab.(slot) <- f;
-      Hashtbl.replace t.flows flow f;
-      t.last <- f;
+      Int_tbl.replace t.flows flow f;
       Deadlines.push t.active slot (active_key f);
       Lru.push_tail t.seen slot;
       incr t.obs_flows_created;
-      let n = Hashtbl.length t.flows in
+      let n = Int_tbl.length t.flows in
       if n > t.peak_tracked then t.peak_tracked <- n;
       f
 
@@ -484,29 +527,61 @@ let observe_syn t ~flow ~pool =
   let f = lookup t ~flow ~pool in
   f.pool <- pool;
   f.times.last_seen <- now;
-  Epoch_estimator.note_syn f.est ~time:now;
+  f.times.syn_at <- now;
   refresh t f
 
-let observe_data t (p : Packet.t) =
-  let now = read_clock t in
-  let f = lookup t ~flow:p.flow ~pool:p.pool in
+(* [Float.min max_epoch (Float.max min_epoch x)]. Samples are gaps
+   between finite times and the estimate is a moving average of them,
+   so neither is nan, and plain comparisons give the same float. *)
+let[@inline] clamp e x =
+  let x = if x > e.min_epoch then x else e.min_epoch in
+  if x < e.max_epoch then x else e.max_epoch
+
+let[@inline] sample e tm x =
+  tm.smoothed <- ewma tm.smoothed ~alpha:e.alpha (clamp e x);
+  tm.epoch <- clamp e tm.smoothed
+
+(* The estimator at a data packet (Section 3.3). The first one after a
+   SYN samples the SYN-to-data gap. After that, a gap of more than half
+   an epoch since the previous packet starts a new burst, and the
+   spacing between burst starts samples the epoch. *)
+let[@inline] note_packet e tm now =
+  if Float.is_nan tm.burst_start then begin
+    if not (Float.is_nan tm.syn_at) then sample e tm (now -. tm.syn_at);
+    tm.burst_start <- now
+  end
+  else if now -. tm.last_packet > 0.5 *. tm.epoch then begin
+    sample e tm (now -. tm.burst_start);
+    tm.burst_start <- now
+  end;
+  tm.last_packet <- now
+
+(* A data packet of [f] at [now], the time [read_clock] read: catch the
+   flow up, feed the estimators, count the packet. True for a
+   retransmission. *)
+let[@inline] observe t f (p : Packet.t) now =
   catch_up t f;
-  f.times.last_seen <- now;
-  Epoch_estimator.note_packet f.est ~time:now;
+  let tm = f.times in
+  tm.last_seen <- now;
+  if t.estimated then note_packet t.est tm now;
   (* The epoch estimate may have shrunk, pulling the window in. *)
-  f.times.epoch <- Epoch_estimator.epoch f.est;
   refresh t f;
   f.bytes_this_epoch <- f.bytes_this_epoch + p.size;
   if p.seq <= f.highest_seq then begin
     f.retx_pkts <- f.retx_pkts + 1;
     f.outstanding_drops <- Stdlib.max 0 (f.outstanding_drops - 1);
-    Retransmission
+    true
   end
   else begin
     f.new_pkts <- f.new_pkts + 1;
     f.highest_seq <- p.seq;
-    New_data
+    false
   end
+
+let observe_data t (p : Packet.t) =
+  let now = read_clock t in
+  let f = lookup t ~flow:p.flow ~pool:p.pool in
+  if observe t f p now then Retransmission else New_data
 
 (* The drop lands in the epoch the last tick left open. *)
 let observe_drop t (p : Packet.t) =
@@ -560,52 +635,53 @@ let silence_epochs t ~flow =
 let epoch_len t ~flow =
   match find t flow with
   | f -> f.times.epoch
-  | exception Not_found -> (
-      match t.config.Taq_config.epoch_source with
-      | Taq_config.Oracle rtt -> rtt
-      | Taq_config.Estimated { default_epoch; _ } -> default_epoch)
+  | exception Not_found -> t.est.default_epoch
 
 let epochs_observed t ~flow =
   try (find t flow).epochs_observed with Not_found -> 0
 
+let[@inline] rate f =
+  let r = f.times.rate in
+  if Float.is_nan r then 0.0 else r
+
 let rate_bps t ~flow =
-  match find t flow with
-  | f ->
-      if Taq_util.Ewma.is_initialized f.rate then Taq_util.Ewma.value f.rate
-      else 0.0
-  | exception Not_found -> 0.0
+  match find t flow with f -> rate f | exception Not_found -> 0.0
 
 let outstanding_drops t ~flow =
   try (find t flow).outstanding_drops with Not_found -> 0
 
-let recent_drops t ~flow =
-  match find t flow with
-  | f -> f.drops_this_epoch + f.drops_prev_epoch
-  | exception Not_found -> 0
+(* The record-level predicates [classify_data] reads; the accessors
+   below read the same ones. *)
+let[@inline] recent f = f.drops_this_epoch + f.drops_prev_epoch
 
-let is_overpenalized t ~flow =
-  recent_drops t ~flow > t.config.Taq_config.overpenalize_drops
+let[@inline] overpenalized t drops =
+  drops > t.config.Taq_config.overpenalize_drops
 
 (* A flow is new for its first epochs (while still in slow start);
    its packets are scheduled from the NewFlow queue. *)
 let slowstart_epochs = 3
 
+let[@inline] new_flow f =
+  f.epochs_observed < slowstart_epochs
+  &&
+  match f.state with
+  | Flow_state.Slow_start -> true
+  | Flow_state.Normal | Flow_state.Loss_recovery | Flow_state.Timeout_silence
+  | Flow_state.Timeout_recovery | Flow_state.Extended_silence | Flow_state.Idle
+    ->
+      false
+
+let recent_drops t ~flow =
+  match find t flow with f -> recent f | exception Not_found -> 0
+
+let is_overpenalized t ~flow = overpenalized t (recent_drops t ~flow)
+
 let is_new_flow t ~flow =
-  match find t flow with
-  | f -> (
-      f.epochs_observed < slowstart_epochs
-      &&
-      match f.state with
-      | Flow_state.Slow_start -> true
-      | Flow_state.Normal | Flow_state.Loss_recovery
-      | Flow_state.Timeout_silence | Flow_state.Timeout_recovery
-      | Flow_state.Extended_silence | Flow_state.Idle ->
-          false)
-  | exception Not_found -> true
+  match find t flow with f -> new_flow f | exception Not_found -> true
 
 (* The record as it stands: [find] would settle it. *)
 let rolled t ~flow =
-  match Hashtbl.find t.flows flow with
+  match Int_tbl.find t.flows flow with
   | f -> f.rolled = t.ticks
   | exception Not_found -> true
 
@@ -620,10 +696,11 @@ let rec restore t = function
       Deadlines.push t.active s (active_key t.slab.(s));
       restore t rest
 
-(* Pop the flows whose window may have closed: the ones still active
-   are re-keyed to their current expiry, the rest leave the heap. *)
-let active_flow_count t =
-  let now = read_clock t in
+(* The active count at the time [read_clock] last read. Pop the flows
+   whose window may have closed: the ones still active are re-keyed to
+   their current expiry, the rest leave the heap. *)
+let count_active t =
+  let now = t.clock.read in
   let bound = due_bound now in
   let h = t.active in
   let held = ref [] in
@@ -643,13 +720,17 @@ let active_flow_count t =
   if !held <> [] then restore t !held;
   h.size
 
-let tracked_flow_count t = Hashtbl.length t.flows
+let active_flow_count t =
+  ignore (read_clock t);
+  count_active t
+
+let tracked_flow_count t = Int_tbl.length t.flows
 let cap_evictions t = t.cap_evictions
 let peak_tracked t = t.peak_tracked
 
 let active_flow_count_scan t =
   let now = t.now () in
-  Hashtbl.fold (fun _ f n -> if is_active now f then n + 1 else n) t.flows 0
+  Int_tbl.fold (fun _ f n -> if is_active now f then n + 1 else n) t.flows 0
 
 (* Walks the list from its head while every link is mutual: a walk
    along mutual links starting at a node with no predecessor cannot
@@ -661,7 +742,7 @@ let overdue_flows t =
   let s = ref (if l.head >= 0 && l.prev.(l.head) < 0 then l.head else -1) in
   while !s >= 0 do
     let f = t.slab.(!s) in
-    (match Hashtbl.find t.flows f.id with
+    (match Int_tbl.find t.flows f.id with
     | g when g == f && f.slot = !s -> incr listed
     | _ | (exception Not_found) -> ());
     if now -. f.times.last_seen > timeout then begin
@@ -671,14 +752,45 @@ let overdue_flows t =
     let n = l.next.(!s) in
     s := if n >= 0 && l.prev.(n) = !s then n else -1
   done;
-  Hashtbl.length t.flows - !listed + !misplaced
+  Int_tbl.length t.flows - !listed + !misplaced
 
 let clock_monotone t = t.clock_monotone
 
-let fair_share_bps t =
+(* The fair share at the time [read_clock] last read. *)
+let[@inline] share t =
   t.config.Taq_config.capacity_bps
-  /. float_of_int (Stdlib.max 1 (active_flow_count t))
+  /. float_of_int (Stdlib.max 1 (count_active t))
+
+let fair_share_bps t =
+  ignore (read_clock t);
+  share t
 
 let below_fair_share t ~flow = rate_bps t ~flow < fair_share_bps t
 
 let pool_of t ~flow = try (find t flow).pool with Not_found -> -1
+
+let recovery_priority t = t.priority
+
+(* One lookup and one clock read per data packet: the fair share counts
+   the active flows at the time the observation read. *)
+let classify_data t (p : Packet.t) =
+  let now = read_clock t in
+  let f = lookup t ~flow:p.flow ~pool:p.pool in
+  if observe t f p now then begin
+    t.priority <- f.silence_epochs;
+    Taq_queues.Recovery
+  end
+  else if new_flow f then Taq_queues.New_flow
+  else begin
+    let below = rate f < share t in
+    (* The OverPenalized queue (§4.1/§4.2): flows beyond the cumulative
+       drop threshold, and, for flows already below their fair share,
+       whose windows are small enough that any further loss means a
+       timeout, flows with any drop in the current or previous
+       epoch. *)
+    let drops = recent f in
+    if overpenalized t drops || (below && drops > 0) then
+      Taq_queues.Over_penalized
+    else if below then Taq_queues.Below_fair_share
+    else Taq_queues.Above_fair_share
+  end

@@ -4,7 +4,16 @@
     parameters — new packets, highest sequence number, retransmissions,
     and last-epoch losses (Section 3.3) — plus the derived quantities
     queue management needs: the approximate state (Figure 7), silence
-    length, rate estimate, over-penalization, and epoch estimate.
+    length, rate estimate, over-penalization, and epoch estimate. From
+    these it picks each data packet's class ({!classify_data}).
+
+    The epoch (RTT) estimate follows Section 3.3. With only one-way
+    traffic visible, the initial estimate is the SYN to first-data gap,
+    revised by a weighted moving average of the intervals between burst
+    starts: TCP flows in normal states send short bursts at epoch
+    starts, so the gap between burst starts approximates the RTT. The
+    estimate stays within the configured [min_epoch .. max_epoch]
+    bounds.
 
     Retransmissions are {e inferred} (sequence number at or below the
     flow's highest seen), never read from the packet's sender-side
@@ -32,8 +41,23 @@ val observe_syn : t -> flow:int -> pool:int -> unit
 (** A SYN reached the queue (starts epoch estimation for the flow). *)
 
 val observe_data : t -> Taq_net.Packet.t -> classification
-(** A data packet arrived at the queue: classify it, update counters
-    and the epoch estimate. Creates flow state on first sight. *)
+(** A data packet arrived at the queue: tell a retransmission from new
+    data, update counters and the epoch estimate. Creates flow state on
+    first sight. The degraded path, which queues without classes, calls
+    it. *)
+
+val classify_data : t -> Taq_net.Packet.t -> Taq_queues.class_
+(** {!observe_data}, then the packet's class (Section 4.2), read off the
+    flow record the observation settled, with one lookup and one clock
+    read: [Recovery] for a retransmission; [New_flow] while
+    {!is_new_flow}; [Over_penalized] when {!is_overpenalized}, or when
+    {!below_fair_share} with any {!recent_drops}; else
+    [Below_fair_share] or [Above_fair_share]. *)
+
+val recovery_priority : t -> int
+(** The silence length, in epochs, of the flow of the retransmission
+    {!classify_data} last classified as [Recovery], read at that call:
+    its priority in the Recovery queue (longest silence first). *)
 
 val observe_drop : t -> Taq_net.Packet.t -> unit
 (** The queue dropped this packet (of an already-observed flow). *)
@@ -62,6 +86,8 @@ val silence_epochs : t -> flow:int -> int
     the recovery queue's priority key. *)
 
 val epoch_len : t -> flow:int -> float
+(** The flow's epoch estimate; for unknown flows the oracle RTT or the
+    configured default. *)
 
 val epochs_observed : t -> flow:int -> int
 
@@ -72,16 +98,19 @@ val outstanding_drops : t -> flow:int -> int
 (** Test hook: drops of the flow not yet matched by a retransmission. *)
 
 val recent_drops : t -> flow:int -> int
-(** Drops inflicted on the flow across the current and previous
-    epochs. *)
+(** Test hook: drops inflicted on the flow across the current and
+    previous epochs, as {!classify_data} reads them; the differential
+    battery compares it with the reference tracker's. *)
 
 val is_overpenalized : t -> flow:int -> bool
-(** More than [overpenalize_drops] drops across the current and
-    previous epochs. *)
+(** Test hook: more than [overpenalize_drops] drops across the current
+    and previous epochs, the predicate {!classify_data} reads; the
+    differential battery compares it with the reference tracker's. *)
 
 val is_new_flow : t -> flow:int -> bool
-(** Within its first {!slowstart_epochs} epochs and still in slow
-    start. *)
+(** Test hook: within its first {!slowstart_epochs} epochs and still in
+    slow start, the predicate {!classify_data} reads; the differential
+    battery compares it with the reference tracker's. *)
 
 val slowstart_epochs : int
 (** Test hook: 3, the epochs a flow counts as new for; the reference
@@ -130,7 +159,9 @@ val fair_share_bps : t -> float
     flows, the full capacity when none is active. *)
 
 val below_fair_share : t -> flow:int -> bool
-(** The flow's smoothed rate is strictly below {!fair_share_bps}. *)
+(** Test hook: the flow's smoothed rate is strictly below
+    {!fair_share_bps}, the predicate {!classify_data} reads; the
+    differential battery compares it with the reference tracker's. *)
 
 val pool_of : t -> flow:int -> int
 (** Test hook: the pool the tracker files the flow under. *)

@@ -31,7 +31,7 @@ let default ~capacity_pkts ~capacity_bps =
     recovery_share = 0.25;
     (* §4.2's cumulative threshold. Flows already below their fair
        share are additionally protected after any single recent drop
-       (§4.1) — see Taq_disc.classify. *)
+       (§4.1) — see Flow_tracker.classify_data. *)
     overpenalize_drops = 2;
     tick_interval = 0.05;
     (* The 1 s cap keeps silence periods from polluting the burst-based

@@ -1,16 +1,16 @@
 (** TAQ middlebox configuration.
 
     Defaults follow the paper: pthresh = 0.1 (the model's tipping
-    point), flows treated as over-penalized beyond 2 drops in an epoch,
-    a capacity-limited recovery queue, and a capped NewFlow queue used
-    for admission control. The record holds what some experiment
-    varies, plus two fields no experiment varies: [tick_interval],
-    which the benchmark's tracker-replay probe reads, and
-    [flow_idle_timeout], which the tracker's reference test varies.
-    What nothing varies is a constant in the module that reads it: the
-    slow-start epochs in {!Flow_tracker}, the admission timers in
-    {!Admission}, the guard's dwells and thresholds in {!Overload}. The
-    fair share is the equal split across active flows
+    point), flows treated as over-penalized beyond 2 drops across the
+    current and previous epochs, a capacity-limited recovery queue, and
+    a capped NewFlow queue used for admission control. The record holds
+    what some experiment varies, plus two fields no experiment varies:
+    [tick_interval], which the benchmark's tracker-replay probe reads,
+    and [flow_idle_timeout], which the tracker's reference test
+    varies. What nothing varies is a constant in the module that reads
+    it: the slow-start epochs in {!Flow_tracker}, the admission timers
+    in {!Admission}, the guard's dwells and thresholds in {!Overload}.
+    The fair share is the equal split across active flows
     ({!Flow_tracker.fair_share_bps}). *)
 
 type epoch_source =
@@ -44,8 +44,9 @@ type t = {
   recovery_share : float;  (** cap on the recovery queue's share of the
                                link, preventing the all-retransmission
                                collapse of §3.2 *)
-  overpenalize_drops : int;  (** drops within an epoch beyond which a
-                                 flow moves to the OverPenalized queue
+  overpenalize_drops : int;  (** drops across the current and the
+                                 previous epoch beyond which a flow
+                                 moves to the OverPenalized queue
                                  (§4.2: "more than 2") *)
   tick_interval : float;  (** housekeeping period for rolling epochs of
                               silent flows. No program sets it; it

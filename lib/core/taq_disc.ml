@@ -282,27 +282,6 @@ let newflow_cap t = Stdlib.max 2 (t.config.Taq_config.capacity_pkts / 4)
 
 let pool_key (p : Packet.t) = if p.pool >= 0 then p.pool else -p.flow - 2
 
-let classify t (p : Packet.t) classification =
-  match classification with
-  | Flow_tracker.Retransmission -> Taq_queues.Recovery
-  | Flow_tracker.New_data ->
-      if Flow_tracker.is_new_flow t.tracker ~flow:p.flow then
-        Taq_queues.New_flow
-      else begin
-        let below = Flow_tracker.below_fair_share t.tracker ~flow:p.flow in
-        (* The OverPenalized queue (§4.1/§4.2): flows beyond the
-           cumulative drop threshold, and — for flows already below
-           their fair share, whose windows are small enough that any
-           further loss means a timeout — flows with any drop in the
-           current or previous epoch. *)
-        if
-          Flow_tracker.is_overpenalized t.tracker ~flow:p.flow
-          || (below && Flow_tracker.recent_drops t.tracker ~flow:p.flow > 0)
-        then Taq_queues.Over_penalized
-        else if below then Taq_queues.Below_fair_share
-        else Taq_queues.Above_fair_share
-      end
-
 (* Admit [p] into class [cls], evicting a lower-priority victim when the
    buffer is full. Returns the drops caused. *)
 let enqueue_with_pushout t (p : Packet.t) cls ~priority =
@@ -375,11 +354,10 @@ let enqueue_syn t (p : Packet.t) =
   else enqueue_with_pushout t p Taq_queues.New_flow ~priority:0
 
 let enqueue_data t (p : Packet.t) =
-  let classification = Flow_tracker.observe_data t.tracker p in
+  let cls = Flow_tracker.classify_data t.tracker p in
   (match t.admission with
   | Some a -> Admission.touch a ~key:(pool_key p)
   | None -> ());
-  let cls = classify t p classification in
   if Check.on t.check Check.Core then
     Check.require t.check Check.Core
       (Flow_tracker.rolled t.tracker ~flow:p.flow)
@@ -419,7 +397,7 @@ let enqueue_data t (p : Packet.t) =
         (* Longer silences served first (§4.1): retransmissions from
            extended silence outrank those from a first silence, which
            outrank fresh fast retransmissions. *)
-        Flow_tracker.silence_epochs t.tracker ~flow:p.flow
+        Flow_tracker.recovery_priority t.tracker
     | Taq_queues.New_flow | Taq_queues.Over_penalized
     | Taq_queues.Below_fair_share | Taq_queues.Above_fair_share ->
         0

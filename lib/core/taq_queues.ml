@@ -46,15 +46,25 @@ type bucket = {
   burst : float;
 }
 
+(* A push-out's per-flow packet counts: an open-addressing table of
+   flows with linear probing, a power of two at least twice the ring it
+   counts, grown on first use. A cell is live only while it carries the
+   current generation's stamp, so each count starts empty without
+   clearing anything. *)
+type tally = {
+  mutable flows : int array;
+  mutable counts : int array;
+  mutable stamps : int array;
+  mutable gen : int;
+}
+
 type t = {
   now : unit -> float;
   rings : ring array;  (* by [class_index]: 0 Recovery, 4 AboveFairShare *)
   bucket : bucket;
   mutable bytes : int;
   mutable packets : int;
-  (* Per-flow packet counts of the ring a push-out scans; reset before
-     each use (see [pop_fattest_flow]). *)
-  counts : (int, int) Hashtbl.t;
+  tally : tally;  (* scratch for [pop_fattest_flow] *)
 }
 
 let create ~config ~now =
@@ -76,14 +86,17 @@ let create ~config ~now =
       };
     bytes = 0;
     packets = 0;
-    counts = Hashtbl.create 16;
+    tally = { flows = [||]; counts = [||]; stamps = [||]; gen = 0 };
   }
 
 let refill_tokens t =
   let b = t.bucket and now = t.now () in
   let dt = now -. b.tokens_at in
   if dt > 0.0 then begin
-    b.tokens <- Float.min b.burst (b.tokens +. (dt *. b.rate));
+    (* [Float.min b.burst]: token sums are finite and not nan, so a
+       plain comparison gives the same float. *)
+    let tokens = b.tokens +. (dt *. b.rate) in
+    b.tokens <- (if tokens > b.burst then b.burst else tokens);
     b.tokens_at <- now
   end
 
@@ -232,35 +245,94 @@ let select_victim t =
     | 3 -> Some Below_fair_share
     | _ -> if t.rings.(0).len > 0 then Some Recovery else None
 
+(* The flow's cell in the tally: its live cell, or the empty cell where
+   it belongs. *)
+let[@inline] tally_cell s flow =
+  let mask = Array.length s.stamps - 1 in
+  let i = ref (flow land mask) in
+  while s.stamps.(!i) = s.gen && s.flows.(!i) <> flow do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* Among equally fat flows, the one a polymorphic [Hashtbl] of 16
+   initial buckets lists first once the ring's [distinct] flows are
+   added in ring order, as the counts table this scan replaced did:
+   the lowest bucket, [Hashtbl.hash flow] modulo the bucket count, and
+   within a bucket the flow first seen latest, since an add conses at
+   the head and a resize keeps the order. The table doubles its 16
+   buckets whenever it holds more than twice as many flows. Walks the
+   ring in first-seen order and hashes only the [best]-packet flows. *)
+let tie_break s r ~best ~distinct =
+  let buckets = ref 16 in
+  while 2 * !buckets < distinct do
+    buckets := 2 * !buckets
+  done;
+  let victim = ref (-1) and lowest = ref max_int in
+  for i = 0 to r.len - 1 do
+    let flow = r.pkt.(cell r i).Packet.flow in
+    let c = tally_cell s flow in
+    if s.counts.(c) = best then begin
+      (* Its first packet: later ones find the count cleared. *)
+      s.counts.(c) <- 0;
+      let b = Hashtbl.hash flow land (!buckets - 1) in
+      if b <= !lowest then begin
+        lowest := b;
+        victim := flow
+      end
+    end
+  done;
+  !victim
+
 (* Remove the newest packet of the flow holding the most packets in the
    ring. Spreading push-out victims across flows this way avoids
    wiping out a small flow's entire 1–2 packet burst in one buffer
    overflow — the correlated loss that turns a simple timeout into a
-   repetitive one. Queues are buffer-bounded, so the scan is cheap.
-   Among equally fat flows the first in [counts]' iteration order
-   wins. [Hashtbl.reset] restores the initial bucket array, so that
-   order is the one a fresh table would give, whatever earlier
-   push-outs grew the table to. *)
+   repetitive one. Queues are buffer-bounded, so the scan is cheap:
+   one pass counts the ring and finds the largest count and how many
+   flows share it, and only a tie walks the ring again. *)
 let pop_fattest_flow t r =
   if r.len = 0 then Packet.dummy
   else begin
-    let counts = t.counts in
-    Hashtbl.reset counts;
+    let s = t.tally in
+    if Array.length s.stamps < 2 * r.len then begin
+      let n = ref 16 in
+      while !n < 2 * r.len do
+        n := 2 * !n
+      done;
+      s.flows <- Array.make !n 0;
+      s.counts <- Array.make !n 0;
+      s.stamps <- Array.make !n 0
+    end;
+    s.gen <- s.gen + 1;
+    let best = ref 0 and ties = ref 0 and fattest = ref (-1) in
+    let distinct = ref 0 in
     for i = 0 to r.len - 1 do
       let flow = r.pkt.(cell r i).Packet.flow in
-      let c = try Hashtbl.find counts flow with Not_found -> 0 in
-      Hashtbl.replace counts flow (c + 1)
+      let c = tally_cell s flow in
+      let n =
+        if s.stamps.(c) = s.gen then s.counts.(c) + 1
+        else begin
+          s.stamps.(c) <- s.gen;
+          s.flows.(c) <- flow;
+          incr distinct;
+          1
+        end
+      in
+      s.counts.(c) <- n;
+      if n > !best then begin
+        best := n;
+        ties := 1;
+        fattest := flow
+      end
+      else if n = !best then incr ties
     done;
-    let victim_flow = ref (-1) and best = ref 0 in
-    Hashtbl.iter
-      (fun flow c ->
-        if c > !best then begin
-          best := c;
-          victim_flow := flow
-        end)
-      counts;
+    let victim =
+      if !ties = 1 then !fattest
+      else tie_break s r ~best:!best ~distinct:!distinct
+    in
     let k = ref (r.len - 1) in
-    while r.pkt.(cell r !k).Packet.flow <> !victim_flow do
+    while r.pkt.(cell r !k).Packet.flow <> victim do
       decr k
     done;
     remove_at r !k

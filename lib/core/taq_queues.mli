@@ -75,4 +75,10 @@ val drop_from : t -> class_ -> Taq_net.Packet.t option
 (** Remove the push-out victim of a class: for a FIFO class the most
     recently queued packet of the flow holding the most packets there;
     for Recovery the lowest-priority entry, i.e. the newest
-    shortest-silence retransmission. *)
+    shortest-silence retransmission. Among equally fat flows of a class
+    holding [n] distinct flows, the victim is the flow with the lowest
+    [Hashtbl.hash flow land (b - 1)], where [b] starts at 16 and
+    doubles while [2b < n]; among those, the flow whose first packet
+    there is the newest. That is the order in which a polymorphic
+    [Hashtbl] created with 16 buckets lists the flows once they are
+    added in queue order. *)

@@ -1,3 +1,10 @@
+(* The epoch estimator as it stood in lib/core before
+   [Taq_core.Flow_tracker] folded it into each flow's float record. Kept
+   verbatim (bar this header and the [open]) for the reference tracker
+   in [Flow_tracker_ref]. *)
+
+open Taq_core
+
 type estimating = {
   min_epoch : float;
   max_epoch : float;

@@ -1,3 +1,7 @@
+(* The reference epoch estimator: see epoch_estimator.ml. *)
+
+open Taq_core
+
 (** Middlebox-side epoch (RTT) estimation, per Section 3.3.
 
     With only one-way traffic visible, TAQ sets the initial epoch from

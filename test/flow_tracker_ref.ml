@@ -4,7 +4,10 @@
    computes inline as [capacity /. max 1 n] as the tracker does, and
    the RTT-proportional and pool-fairness paths, which the tracker no
    longer has) as the reference the differential battery in test_taq
-   drives in lockstep with [Taq_core.Flow_tracker]. *)
+   drives in lockstep with [Taq_core.Flow_tracker]. Its
+   [Epoch_estimator] is the module kept beside it in test/, so the
+   battery also checks the estimator the tracker folds into each flow
+   record against the one it replaced. *)
 
 open Taq_core
 

@@ -139,49 +139,79 @@ let test_fs_total_over_all_states () =
     (fun st -> List.iter (fun o -> ignore (step st o)) observations)
     all_states
 
-(* --- Epoch_estimator -------------------------------------------------------- *)
+(* --- Epoch estimation ------------------------------------------------------------ *)
+
+(* The estimator lives in each flow's record: drive a tracker and read
+   the flow's [epoch_len]. *)
 
 let est_config =
   Taq_config.Estimated
     { default_epoch = 0.2; min_epoch = 0.02; max_epoch = 5.0; alpha = 0.5 }
 
+let epoch_fixture epoch_source =
+  let clock = ref 0.0 in
+  let config =
+    {
+      (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
+      Taq_config.epoch_source;
+    }
+  in
+  let t = Flow_tracker.create ~config ~now:(fun () -> !clock) () in
+  let syn time =
+    clock := time;
+    Flow_tracker.observe_syn t ~flow:1 ~pool:(-1)
+  and data =
+    let seq = ref 0 in
+    fun time ->
+      clock := time;
+      incr seq;
+      ignore (Flow_tracker.observe_data t (mk_data ~seq:!seq ()))
+  in
+  (t, syn, data)
+
 let test_epoch_default_before_evidence () =
-  let e = Epoch_estimator.create est_config in
-  Alcotest.(check (float 1e-9)) "default" 0.2 (Epoch_estimator.epoch e)
+  let t, _syn, data = epoch_fixture est_config in
+  Alcotest.(check (float 1e-9)) "unknown flow" 0.2 (Flow_tracker.epoch_len t ~flow:1);
+  (* No SYN, so the first data packet samples nothing. *)
+  data 0.5;
+  Alcotest.(check (float 1e-9)) "default" 0.2 (Flow_tracker.epoch_len t ~flow:1)
 
 let test_epoch_oracle () =
-  let e = Epoch_estimator.create (Taq_config.Oracle 0.35) in
-  Epoch_estimator.note_packet e ~time:1.0;
-  Alcotest.(check (float 1e-9)) "oracle fixed" 0.35 (Epoch_estimator.epoch e)
+  let t, syn, data = epoch_fixture (Taq_config.Oracle 0.35) in
+  syn 0.0;
+  data 1.0;
+  data 3.0;
+  Alcotest.(check (float 1e-9)) "oracle fixed" 0.35 (Flow_tracker.epoch_len t ~flow:1)
 
 let test_epoch_syn_data_gap () =
-  let e = Epoch_estimator.create est_config in
-  Epoch_estimator.note_syn e ~time:0.0;
-  Epoch_estimator.note_packet e ~time:0.3;
-  Alcotest.(check (float 1e-9)) "initial from syn gap" 0.3 (Epoch_estimator.epoch e)
+  let t, syn, data = epoch_fixture est_config in
+  syn 0.0;
+  data 0.3;
+  Alcotest.(check (float 1e-9)) "initial from syn gap" 0.3
+    (Flow_tracker.epoch_len t ~flow:1)
 
 let test_epoch_burst_detection () =
-  let e = Epoch_estimator.create est_config in
-  Epoch_estimator.note_syn e ~time:0.0;
+  let t, syn, data = epoch_fixture est_config in
+  syn 0.0;
   (* Bursts every 0.4 s: the estimate converges toward 0.4. *)
-  let t = ref 0.4 in
+  let time = ref 0.4 in
   for _ = 1 to 30 do
-    Epoch_estimator.note_packet e ~time:!t;
-    Epoch_estimator.note_packet e ~time:(!t +. 0.01);
-    Epoch_estimator.note_packet e ~time:(!t +. 0.02);
-    t := !t +. 0.4
+    data !time;
+    data (!time +. 0.01);
+    data (!time +. 0.02);
+    time := !time +. 0.4
   done;
-  let est = Epoch_estimator.epoch e in
+  let est = Flow_tracker.epoch_len t ~flow:1 in
   Alcotest.(check bool)
     (Printf.sprintf "converges near 0.4 (got %.3f)" est)
     true
     (est > 0.3 && est < 0.5)
 
 let test_epoch_clamped () =
-  let e = Epoch_estimator.create est_config in
-  Epoch_estimator.note_syn e ~time:0.0;
-  Epoch_estimator.note_packet e ~time:100.0;
-  Alcotest.(check (float 1e-9)) "clamped at max" 5.0 (Epoch_estimator.epoch e)
+  let t, syn, data = epoch_fixture est_config in
+  syn 0.0;
+  data 100.0;
+  Alcotest.(check (float 1e-9)) "clamped at max" 5.0 (Flow_tracker.epoch_len t ~flow:1)
 
 (* --- Flow_tracker ------------------------------------------------------------ *)
 
@@ -639,10 +669,10 @@ let test_tracker_epoch_shrink_pulls_deadlines () =
   Alcotest.(check int) "nothing overdue" 0 (Flow_tracker.overdue_flows t)
 
 (* Silent flows roll one epoch per boundary passed; a roll must not
-   build a record or box the epoch start. The observation record and
-   the boxed start cost 18.2 words per roll. The ticks leave the rolls
-   to each flow's next read, so the window holds the ticks and the
-   reads. *)
+   build a record or box a float. The observation record and the boxed
+   start cost 18.2 words per roll, and the rate average's boxed sample
+   2.0; a roll now allocates nothing. The ticks leave the rolls to each
+   flow's next read, so the window holds the ticks and the reads. *)
 let test_tracker_silent_roll_allocation () =
   let clock = ref 0.0 in
   let config =
@@ -673,8 +703,8 @@ let test_tracker_silent_roll_allocation () =
   (* 100 s of 0.2 s epochs; the last boundary may round past the end. *)
   Alcotest.(check bool) "every flow rolled ~500 epochs" true (rolled >= flows * 499);
   let per_roll = words /. float_of_int rolled in
-  if per_roll > 10.0 then
-    Alcotest.failf "%.1f minor words per rolled epoch, bound 10" per_roll
+  if per_roll > 1.0 then
+    Alcotest.failf "%.1f minor words per rolled epoch, bound 1" per_roll
 
 (* A tick forgets idle flows from the head of a list and leaves epoch
    rolls to each flow's next read, so flows that wait out the idle
@@ -950,11 +980,13 @@ let test_queues_accounting () =
 
 let test_queues_pushout_tie_break () =
   (* Push-out takes the newest packet of the fattest flow. Between
-     equally fat flows the winner is the first in a fresh 16-bucket
-     Hashtbl's iteration order: flow 4 before flow 1 (a table grown to
-     64 buckets would list flow 1 first). Pinned because every
-     golden depends on it, including after an earlier push-out has
-     grown the counts table. *)
+     equally fat flows the winner is the one a polymorphic Hashtbl of
+     16 initial buckets lists first once it holds the ring's flows:
+     with two flows, flow 4 before flow 1 ([Hashtbl.hash] modulo 16
+     puts them in buckets 7 and 11; modulo 64, in 55 and 27). With 70
+     flows the table has grown to 64 buckets, and flow 125 (bucket 0)
+     wins; at 16 buckets flow 155 would. Pinned because every golden
+     depends on it, and again after that larger push-out. *)
   let q, _clock = queues_fixture () in
   let below = Taq_queues.Below_fair_share in
   let rec drain acc =
@@ -978,7 +1010,9 @@ let test_queues_pushout_tie_break () =
   for flow = 100 to 169 do
     Taq_queues.enqueue q below ~priority:0 (mk_data ~flow ())
   done;
-  ignore (Taq_queues.drop_from q below);
+  (match Taq_queues.drop_from q below with
+  | Some p -> Alcotest.(check int) "70 flows: victim flow" 125 p.Packet.flow
+  | None -> Alcotest.fail "no victim");
   Alcotest.(check int) "one of 70 pushed out" 69 (List.length (drain []));
   tie "after growth"
 
@@ -1132,6 +1166,60 @@ let prop_queues_match_reference =
 let prop_queues_match_reference_fifo =
   QCheck.Test.make ~name:"taq queues = sorted-list reference, FIFO-heavy, 7 flows"
     ~count:300 (arb_queue_run ~fifo_heavy:true) (run_queue_diff ~flows:7)
+
+(* One FIFO class holding 1 to 150 flows of 1 to 3 packets each, in a
+   random order, pushed out until empty: each victim must be the
+   reference's. Past 32 distinct flows the tie-break reads a table of
+   more than 16 buckets. Flow ids are spaced by a random stride, so
+   ids that share their low bits collide in the push-out's count. *)
+let arb_pushout_run =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 150 >>= fun n ->
+    int_range 1 4 >>= fun cls ->
+    oneofl [ 1; 2; 16; 64; 97 ] >>= fun stride ->
+    int_bound 1000 >>= fun base ->
+    list_repeat n (int_range 1 3) >>= fun counts ->
+    let packets =
+      List.concat
+        (List.mapi (fun i c -> List.init c (fun _ -> base + (i * stride))) counts)
+    in
+    map (fun order -> (cls, order)) (shuffle_l packets)
+  in
+  QCheck.make
+    ~print:(fun (cls, order) ->
+      Printf.sprintf "class %d: %s" cls
+        (String.concat " " (List.map string_of_int order)))
+    gen
+
+let run_pushout_diff (cls, order) =
+  let config = Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6 in
+  let now () = 0.0 in
+  let r = Qref.create ~config ~now and q = Taq_queues.create ~config ~now in
+  let c = (Array.of_list Taq_queues.all_classes).(cls)
+  and rc = (Array.of_list Qref.all_classes).(cls) in
+  List.iteri
+    (fun seq flow ->
+      let p = mk_data ~flow ~seq () in
+      Qref.enqueue r rc ~priority:0.0 p;
+      Taq_queues.enqueue q c ~priority:0 p)
+    order;
+  let tag = function
+    | None -> "none"
+    | Some (p : Packet.t) -> Printf.sprintf "%d#%d" p.flow p.seq
+  in
+  List.iteri
+    (fun i _ ->
+      let a = tag (Qref.drop_from r rc) and b = tag (Taq_queues.drop_from q c) in
+      if a <> b then
+        QCheck.Test.fail_reportf "push-out %d of %d: ref %s, new %s" (i + 1)
+          (List.length order) a b)
+    order;
+  Taq_queues.total_packets q = 0
+
+let prop_pushout_tie_break_matches_reference =
+  QCheck.Test.make ~name:"push-out victims = reference, 1 to 150 flows"
+    ~count:200 arb_pushout_run run_pushout_diff
 
 (* --- Admission ------------------------------------------------------------------- *)
 
@@ -1730,10 +1818,11 @@ let test_disc_degraded_bypass () =
    offer is a retransmission. Packets are built up front, and the cost
    of advancing the clock, measured on an empty calendar, is
    subtracted. What is left per offer: [Disc.dequeue]'s [Some], the
-   push-out's [Some], counts table and drop list, and the floats the
-   clock and the epoch estimator return boxed: 25.5 words. Deques of
-   options, boxed token and epoch floats, closures and optional
-   arguments cost 63.6. *)
+   push-out's [Some] and drop list, and the floats the clock closures
+   return boxed: 9.1 words. The polymorphic counts table, the epoch
+   estimator's and rate average's boxed floats and the repeated flow
+   lookups cost 22.8; before them, deques of options, boxed token and
+   epoch floats, closures and optional arguments cost 63.6. *)
 let test_disc_steady_state_allocation () =
   let flows = 50 and steps = 2_000 in
   let sim = Sim.create () in
@@ -1767,8 +1856,8 @@ let test_disc_steady_state_allocation () =
   let total = words (fun () -> drive sim ~first:steps step) in
   let clock = words (fun () -> drive (Sim.create ()) ~first:steps ignore) in
   let per_packet = (total -. clock) /. float_of_int (2 * steps) in
-  if per_packet > 28.0 then
-    Alcotest.failf "%.1f minor words per packet, bound 28" per_packet
+  if per_packet > 12.0 then
+    Alcotest.failf "%.1f minor words per packet, bound 12" per_packet
 
 (* --- Integration: TAQ vs droptail fairness --------------------------------------- *)
 
@@ -2002,7 +2091,11 @@ let () =
         ] );
       ( "taq_queues_vs_reference",
         List.map (QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_taq_queues"))
-          [ prop_queues_match_reference; prop_queues_match_reference_fifo ] );
+          [
+            prop_queues_match_reference;
+            prop_queues_match_reference_fifo;
+            prop_pushout_tie_break_matches_reference;
+          ] );
       ( "admission",
         [
           Alcotest.test_case "low loss admits" `Quick test_admission_low_loss_admits;
