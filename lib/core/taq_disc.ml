@@ -38,6 +38,11 @@ type t = {
   check : Check.t;
   chk_pools : (int, unit) Hashtbl.t;  (* pool keys seen, check-only *)
   obs : Obs.t;
+  (* Fixed for the disc's life, so read once at create rather than
+     through a call on every packet. *)
+  checking : bool;  (* [Check.on check Core] *)
+  counting : bool;  (* [Obs.enabled obs] *)
+  tracing : bool;  (* [Obs.tracing obs] *)
   obs_last_class : Taq_queues.class_ Int_tbl.t;
       (* last class each flow's data was queued into — maintained only
          when obs is enabled, to count class transitions *)
@@ -89,6 +94,9 @@ let create ?check ?obs ~sim ~config () =
     check;
     chk_pools = Hashtbl.create 16;
     obs;
+    checking = Check.on check Check.Core;
+    counting = Obs.enabled obs;
+    tracing = Obs.tracing obs;
     obs_last_class = Int_tbl.create 64;
     obs_drops;
     obs_transitions;
@@ -146,8 +154,8 @@ let restart t =
      too, mirroring the control-plane state loss. *)
   Int_tbl.reset t.obs_last_class;
   t.n_restarts <- t.n_restarts + 1;
-  if Obs.enabled t.obs then Obs.labeled t.obs "taq.restarts" 1;
-  if Obs.tracing t.obs then
+  if t.counting then Obs.labeled t.obs "taq.restarts" 1;
+  if t.tracing then
     Obs.instant t.obs ~name:"restart" ~cat:"taq" ~ts_s:(Sim.now t.sim) ();
   Log.debug (fun m ->
       m "t=%.3f middlebox restart #%d: tracker and admission state lost"
@@ -338,7 +346,7 @@ let enqueue_syn t (p : Packet.t) =
   if not admission_ok then begin
     t.n_admission_rejected <- t.n_admission_rejected + 1;
     t.n_dropped <- t.n_dropped + 1;
-    if Obs.enabled t.obs then Obs.labeled t.obs "taq.admission_rejected" 1;
+    if t.counting then Obs.labeled t.obs "taq.admission_rejected" 1;
     Log.debug (fun m ->
         m "t=%.3f admission rejected SYN flow=%d pool=%d" (Sim.now t.sim)
           p.Packet.flow p.Packet.pool);
@@ -358,7 +366,7 @@ let enqueue_data t (p : Packet.t) =
   (match t.admission with
   | Some a -> Admission.touch a ~key:(pool_key p)
   | None -> ());
-  if Check.on t.check Check.Core then
+  if t.checking then
     Check.require t.check Check.Core
       (Flow_tracker.rolled t.tracker ~flow:p.flow)
       (fun () ->
@@ -375,13 +383,13 @@ let enqueue_data t (p : Packet.t) =
     then Taq_queues.Below_fair_share
     else cls
   in
-  if Obs.enabled t.obs then begin
+  if t.counting then begin
     match Int_tbl.find t.obs_last_class p.flow with
     | prev when prev = cls -> ()
     | prev ->
         let row = t.obs_transitions.(Taq_queues.class_index prev) in
         incr row.(Taq_queues.class_index cls);
-        if Obs.tracing t.obs then
+        if t.tracing then
           Obs.instant t.obs
             ~name:
               (Printf.sprintf "%s->%s"
@@ -441,8 +449,7 @@ let enqueue t (p : Packet.t) =
     else
       match p.kind with
       | Packet.Syn ->
-          if Check.on t.check Check.Core then
-            Hashtbl.replace t.chk_pools (pool_key p) ();
+          if t.checking then Hashtbl.replace t.chk_pools (pool_key p) ();
           enqueue_syn t p
       | Packet.Data -> enqueue_data t p
       | Packet.Ack | Packet.Syn_ack | Packet.Fin ->
@@ -451,14 +458,14 @@ let enqueue t (p : Packet.t) =
              tracking. *)
           enqueue_with_pushout t p Taq_queues.Below_fair_share ~priority:0
   in
-  if Check.on t.check Check.Core then verify t ~where:"enqueue";
+  if t.checking then verify t ~where:"enqueue";
   drops
 
 let dequeue t =
   lazy_tick t;
   let r = Taq_queues.dequeue t.queues in
   (match r with Some _ -> t.n_dequeued <- t.n_dequeued + 1 | None -> ());
-  if Check.on t.check Check.Core then verify t ~where:"dequeue";
+  if t.checking then verify t ~where:"dequeue";
   r
 
 let disc t =

@@ -24,14 +24,12 @@ type t = {
   mutable seqs : int array;
   mutable payloads : int array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
 (* Slots at indices >= size are garbage and never read. We grow by
    doubling and never shrink (heaps in a simulation stay warm). *)
 
-let create () =
-  { times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
+let create () = { times = [||]; seqs = [||]; payloads = [||]; size = 0 }
 
 let[@inline] is_empty t = t.size = 0
 
@@ -50,12 +48,7 @@ let grow t =
   t.seqs <- seqs;
   t.payloads <- payloads
 
-let reserve_seq t =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  seq
-
-let push_seq t ~seq cell payload =
+let push t ~seq cell payload =
   if t.size = Array.length t.times then grow t;
   let times = t.times and seqs = t.seqs and payloads = t.payloads in
   let time = cell.(0) in
@@ -119,6 +112,19 @@ let remove_top t =
 let[@inline] top_time t =
   if t.size = 0 then invalid_arg "Event_heap.top_time: empty";
   t.times.(0)
+
+(* Whether [a]'s top comes before [b]'s. Seqs are unique across the
+   heaps compared, so two tops never tie. *)
+let[@inline] precedes a b =
+  a.size > 0
+  && (b.size = 0
+     ||
+     let ta = a.times.(0) and tb = b.times.(0) in
+     ta < tb || (ta = tb && a.seqs.(0) < b.seqs.(0)))
+
+let earliest a b c =
+  let ab = if precedes a b then a else b in
+  if precedes c ab then c else ab
 
 let pop_due t clock =
   if t.size > 0 && t.times.(0) <= clock.(1) then begin

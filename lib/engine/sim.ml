@@ -2,22 +2,33 @@ module Check = Taq_check.Check
 module Obs = Taq_obs.Obs
 
 (* A calendar entry is a slot index: the entry's action lives in a
-   pooled slot table, so scheduling allocates nothing. A slot is freed
-   when its entry leaves the calendar, never earlier, so an entry always
-   finds its own action in its slot. The one way to take back an entry
-   is a timer's [arm], which writes the [cancelled] sentinel into the
-   slot of the entry it supersedes: that entry still pops in its turn,
-   moves the clock, runs nothing and is counted as skipped.
+   pooled slot table, so scheduling allocates nothing. A one-shot
+   entry's slot is freed when the entry leaves the calendar, never
+   earlier, so an entry always finds its own action in its slot. The
+   one way to take back an entry is a timer's [arm], which writes the
+   [cancelled] sentinel into the slot of the entry it supersedes: that
+   entry still pops in its turn, moves the clock, runs nothing and is
+   counted as skipped.
 
-   The calendar is two structures that together keep the (time,
-   scheduling order) order exactly:
+   An action that fires again and again (a delay line's hop, a link's
+   transmission completion) owns its slot instead, for as long as it
+   may have entries pending. Its entries carry [owned slot], a payload
+   below -1, and running one neither frees the slot nor clears its
+   action: filing and running an owned entry store no pointer.
+
+   The calendar is a lane and three heaps that together keep the
+   (time, scheduling order) order exactly:
 
    - the lane, a FIFO ring of entries scheduled for the current
      instant. Every zero-delay event lands here (a link delivery with
-     [prop_delay = 0], a timer armed at delay 0) and never touches the
+     [prop_delay = 0], a timer armed at delay 0) and never touches a
      heap;
-   - the heap ([Event_heap]) for everything later, ordered by (time,
-     seq).
+   - for everything later, three [Event_heap]s by role, ordered by
+     (time, seq) under seqs from one counter: the deadlines timers
+     file, most of which are never reached; transmissions, whose
+     owners keep at most one entry pending; and everything else. The
+     next entry is the earliest of the three tops. Seqs never repeat,
+     so that merge pops exactly the sequence one heap would.
 
    A heap entry due at [now] was filed while the clock was still
    earlier (had it been filed at [now] it would be in the lane), so it
@@ -40,8 +51,14 @@ type t = {
          passed across a module boundary is boxed too, so times travel
          in this flat array. *)
   at : float array;  (* one cell: the time of the entry being filed *)
-  calendar : Event_heap.t;
-  mutable lane : int array;  (* ring of slots due now; power-of-two size *)
+  (* The heaps by role. Each holds fewer entries than one heap would,
+     so the frequent pops (hops, transmissions) sift past fewer
+     entries: on a long-flow run most entries are RTO deadlines. *)
+  timers : Event_heap.t;  (* every heap entry [arm] files *)
+  transmissions : Event_heap.t;  (* entries filed by [transmit] *)
+  hops : Event_heap.t;  (* everything else *)
+  mutable next_seq : int;  (* the heaps' one tie-break counter *)
+  mutable lane : int array;  (* ring of payloads due now; power-of-two size *)
   mutable lane_head : int;
   mutable lane_len : int;
   (* Event-slot table: each slot's action, plus a stack of free
@@ -70,7 +87,10 @@ let create ?check ?obs () =
   {
     clock = [| 0.0; 0.0; 0.0 |];
     at = [| 0.0 |];
-    calendar = Event_heap.create ();
+    timers = Event_heap.create ();
+    transmissions = Event_heap.create ();
+    hops = Event_heap.create ();
+    next_seq = 0;
     lane = [||];
     lane_head = 0;
     lane_len = 0;
@@ -118,6 +138,16 @@ let free_slot t slot =
   t.free.(t.free_top) <- slot;
   t.free_top <- t.free_top + 1
 
+(* The payload of an owned slot's entries, and back: an involution
+   from slots (>= 0) onto the payloads below -1. *)
+let[@inline] owned slot = -2 - slot
+
+let own t f = alloc_slot t f
+
+let give_back t slot =
+  t.actions.(slot) <- null_action;
+  free_slot t slot
+
 (* --- filing ------------------------------------------------------------- *)
 
 let nan_time fn what = invalid_arg (Printf.sprintf "Sim.%s: %s is nan" fn what)
@@ -135,35 +165,46 @@ let grow_lane t =
   t.lane <- lane;
   t.lane_head <- 0
 
-let lane_push t slot =
+let lane_push t payload =
   if t.lane_len = Array.length t.lane then grow_lane t;
   let lane = t.lane in
-  lane.((t.lane_head + t.lane_len) land (Array.length lane - 1)) <- slot;
+  lane.((t.lane_head + t.lane_len) land (Array.length lane - 1)) <- payload;
   t.lane_len <- t.lane_len + 1;
   if t.counting then incr t.scheduled
 
 let lane_pop t =
   let lane = t.lane in
-  let slot = lane.(t.lane_head) in
+  let payload = lane.(t.lane_head) in
   t.lane_head <- (t.lane_head + 1) land (Array.length lane - 1);
   t.lane_len <- t.lane_len - 1;
-  slot
+  payload
 
-(* File [slot] on the heap at time [cell.(0)] under the reserved [seq]. *)
-let heap_push t ~seq cell slot =
-  Event_heap.push_seq t.calendar ~seq cell slot;
+let fresh_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let heap_entries t =
+  Event_heap.size t.timers
+  + Event_heap.size t.transmissions
+  + Event_heap.size t.hops
+
+(* File [payload] on [heap] at time [cell.(0)] under the reserved
+   [seq]. The depth gauge sums the heaps: the entries one heap held. *)
+let heap_push t heap ~seq cell payload =
+  Event_heap.push heap ~seq cell payload;
   if t.counting then begin
     incr t.scheduled;
     incr t.pushes;
-    let depth = Event_heap.size t.calendar in
+    let depth = heap_entries t in
     if depth > !(t.max_depth) then t.max_depth := depth
   end
 
-(* File [slot] at the time in [t.at]: the lane when that is now, the
-   heap under a fresh seq otherwise. *)
-let file t slot =
-  if t.at.(0) = t.clock.(0) then lane_push t slot
-  else heap_push t ~seq:(Event_heap.reserve_seq t.calendar) t.at slot
+(* File [payload] at the time in [t.at]: the lane when that is now,
+   [heap] under a fresh seq otherwise. *)
+let file t heap payload =
+  if t.at.(0) = t.clock.(0) then lane_push t payload
+  else heap_push t heap ~seq:(fresh_seq t) t.at payload
 
 let schedule t ~at f =
   let now = t.clock.(0) in
@@ -172,14 +213,24 @@ let schedule t ~at f =
     else
       invalid_arg (Printf.sprintf "Sim.schedule: at=%g is before now=%g" at now);
   t.at.(0) <- at;
-  file t (alloc_slot t f)
+  file t t.hops (alloc_slot t f)
 
 (* Writes [now + delay] straight into the filing cell: handing [at] on
    to [schedule] would box it. *)
 let schedule_after t ~delay f =
   let delay = if delay >= 0.0 then delay else clamp "schedule_after" delay in
   t.at.(0) <- t.clock.(0) +. delay;
-  file t (alloc_slot t f)
+  file t t.hops (alloc_slot t f)
+
+let hop t slot ~delay =
+  let delay = if delay >= 0.0 then delay else clamp "hop" delay in
+  t.at.(0) <- t.clock.(0) +. delay;
+  file t t.hops (owned slot)
+
+let transmit t slot ~delay =
+  let delay = if delay >= 0.0 then delay else clamp "transmit" delay in
+  t.at.(0) <- t.clock.(0) +. delay;
+  file t t.transmissions (owned slot)
 
 let every t ~period ~until f =
   if not (period > 0.0) then invalid_arg "Sim.every: period must be positive";
@@ -198,8 +249,9 @@ let every t ~period ~until f =
 (* --- re-armable timers --------------------------------------------------- *)
 
 (* A timer keeps at most one pending calendar entry, filed no later than
-   its deadline. Arming reserves the deadline's heap seq on the spot,
-   which is exactly the seq a fresh [schedule_after ~delay f] would get.
+   its deadline, in the lane or on the timers' heap. Arming reserves
+   the deadline's seq on the spot, which is exactly the seq a fresh
+   [schedule_after ~delay f] would get.
    If the pending entry is not later than the new deadline it stays:
    when it fires early it re-files itself at the deadline under the
    reserved seq, so the action runs at the same (time, seq) as that
@@ -223,7 +275,7 @@ let file_deadline tm ~lane =
   tm.entry_seq <- tm.due_seq;
   tm.entry <- alloc_slot t tm.fire;
   if lane then lane_push t tm.entry
-  else heap_push t ~seq:tm.due_seq tm.cells tm.entry
+  else heap_push t t.timers ~seq:tm.due_seq tm.cells tm.entry
 
 let fire tm =
   tm.entry <- -1;
@@ -259,7 +311,7 @@ let arm tm ~delay f =
   let delay = if delay >= 0.0 then delay else clamp "arm" delay in
   c.(0) <- now +. delay;
   if tm.action != f then tm.action <- f;
-  tm.due_seq <- Event_heap.reserve_seq t.calendar;
+  tm.due_seq <- fresh_seq t;
   (* Due now, it goes behind everything already due now: the lane. A
      pending entry no later than the deadline stays and re-files
      itself when it fires. *)
@@ -277,14 +329,19 @@ let armed tm = tm.due_seq >= 0
 
 (* --- running ------------------------------------------------------------- *)
 
+(* The heap whose top is the calendar's next heap entry. *)
+let[@inline] earliest t =
+  Event_heap.earliest t.hops t.transmissions t.timers
+
 let check_heap_pop t prev =
   let time = t.clock.(0) in
   Check.require t.check Check.Engine (time >= prev) (fun () ->
       Printf.sprintf "clock went backwards: popped t=%g < now=%g" time prev);
   (* Heap order: nothing still queued may precede the event we just
      popped. *)
-  if not (Event_heap.is_empty t.calendar) then begin
-    let next = Event_heap.top_time t.calendar in
+  let heap = earliest t in
+  if not (Event_heap.is_empty heap) then begin
+    let next = Event_heap.top_time heap in
     Check.require t.check Check.Engine (next >= time) (fun () ->
         Printf.sprintf "event heap disorder: popped t=%g but head is t=%g" time
           next)
@@ -292,25 +349,33 @@ let check_heap_pop t prev =
 
 (* Lane order: a heap entry due now precedes every lane entry. *)
 let check_lane t =
-  if not (Event_heap.is_empty t.calendar) then begin
-    let due = Event_heap.top_time t.calendar and now = t.clock.(0) in
+  let heap = earliest t in
+  if not (Event_heap.is_empty heap) then begin
+    let due = Event_heap.top_time heap and now = t.clock.(0) in
     Check.require t.check Check.Engine (due > now) (fun () ->
         Printf.sprintf
           "lane order: a lane entry ran at t=%g before a heap entry due at t=%g"
           now due)
   end
 
-(* Free the slot before running its action: the action may itself
-   schedule and take the slot straight back (a timer re-arm does). *)
-let dispatch t slot =
-  let action = t.actions.(slot) in
-  t.actions.(slot) <- null_action;
-  free_slot t slot;
-  if action != cancelled then begin
-    if t.counting then incr t.executed;
-    action ()
+(* Free a one-shot slot before running its action: the action may
+   itself schedule and take the slot straight back (a timer re-arm
+   does). An owned slot stays as it is. *)
+let dispatch t payload =
+  if payload >= 0 then begin
+    let action = t.actions.(payload) in
+    t.actions.(payload) <- null_action;
+    free_slot t payload;
+    if action != cancelled then begin
+      if t.counting then incr t.executed;
+      action ()
+    end
+    else if t.counting then incr t.skipped
   end
-  else if t.counting then incr t.skipped
+  else begin
+    if t.counting then incr t.executed;
+    t.actions.(owned payload) ()
+  end
 
 (* Run the next entry due at or before [clock.(2)]; [false] if none.
    With the lane non-empty only heap entries due now may go first, and
@@ -320,11 +385,11 @@ let next t =
   let lane = t.lane_len > 0 in
   c.(1) <- (if lane && c.(0) < c.(2) then c.(0) else c.(2));
   let prev = c.(0) in
-  let slot = Event_heap.pop_due t.calendar c in
-  if slot >= 0 then begin
+  let payload = Event_heap.pop_due (earliest t) c in
+  if payload <> -1 then begin
     if t.checking then check_heap_pop t prev;
     if t.counting then incr t.pops;
-    dispatch t slot;
+    dispatch t payload;
     true
   end
   else if lane && c.(0) <= c.(2) then begin
@@ -351,4 +416,6 @@ let run ?until t =
   | Some s when s > c.(0) -> c.(0) <- s
   | Some _ | None -> ()
 
-let pending_events t = Event_heap.size t.calendar + t.lane_len
+let pending_events t = heap_entries t + t.lane_len
+
+let slots_in_use t = Array.length t.free - t.free_top

@@ -8,10 +8,12 @@
 
     Scheduling and firing allocate nothing in steady state: actions
     live in a pooled slot table with a free list, events due at the
-    current instant wait in a FIFO lane, later ones in a flat
-    struct-of-arrays heap, and times cross module boundaries in
-    float-array cells rather than as (boxed) floats. test_engine pins
-    0 minor words per self-rescheduling event.
+    current instant wait in a FIFO lane, later ones in three flat
+    struct-of-arrays heaps by role (timer deadlines, transmissions,
+    everything else) merged in (time, scheduling order), and times
+    cross module boundaries in float-array cells rather than as
+    (boxed) floats. test_engine pins 0 minor words per
+    self-rescheduling event.
 
     Every time argument is checked: a NaN time, delay, period or
     horizon raises [Invalid_argument] rather than stalling the
@@ -28,9 +30,10 @@ val create : ?check:Taq_check.Check.t -> ?obs:Taq_obs.Obs.t -> unit -> t
     the scheduler counters: [sim.events_scheduled] per entry filed,
     [sim.events_executed]/[sim.events_skipped] per entry run or found
     superseded by a timer's {!arm}, [sim.heap_push]/[sim.heap_pop] per
-    real heap operation (the lane is not the heap). Components built
-    on this simulator default their own observability instance from it
-    so one env shares one instance. *)
+    real operation on any of the heaps (the lane is not a heap), and
+    the gauge [sim.heap_max_depth], the most entries the heaps held
+    together. Components built on this simulator default their own
+    observability instance from it so one env shares one instance. *)
 
 val check : t -> Taq_check.Check.t
 (** The invariant checker this simulator was created with. *)
@@ -58,6 +61,36 @@ val every : t -> period:float -> until:float -> (unit -> unit) -> unit
     so they interleave deterministically with packet events. Raises
     [Invalid_argument] on a period that is not positive (NaN included)
     and on a NaN [until]. *)
+
+(** {1 Owned slots}
+
+    An action that fires again and again, such as a delay line's
+    delivery or a link's transmission completion, can own a calendar
+    slot for as long as it may have entries pending. Filing an entry
+    on an owned slot stores no closure, and running one frees
+    nothing. *)
+
+val own : t -> (unit -> unit) -> int
+(** [own t f] takes a slot for [f] and returns it (a non-negative
+    int). The slot runs [f] for every entry filed on it until
+    {!give_back}. *)
+
+val give_back : t -> int -> unit
+(** Return a slot taken by {!own}. No entry may be pending on it: the
+    next {!own} or one-shot entry may take it. *)
+
+val hop : t -> int -> delay:float -> unit
+(** [hop t slot ~delay] files one entry of [slot]'s action, run as
+    [schedule_after t ~delay f] would run it: at [now + delay] and in
+    that order among the instant's events. Negative delays are
+    clamped to 0; a NaN delay raises [Invalid_argument]. Several
+    entries may be pending on one slot. *)
+
+val transmit : t -> int -> delay:float -> unit
+(** Same as {!hop}, for a slot that has at most one entry pending at a
+    time, such as a link's transmission completion. Such entries are
+    kept apart from the many hops and deadlines, so taking one off
+    the calendar is cheap. Where an entry is kept changes no order. *)
 
 (** {1 Re-armable timers}
 
@@ -107,6 +140,11 @@ val step : t -> bool
     event; [false] if none remained. *)
 
 val pending_events : t -> int
-(** Test hook: number of calendar entries, heap plus lane, including entries
+(** Test hook: number of calendar entries, heaps plus lane, including entries
     that will run nothing (a timer's pending entry counts) — for tests and
     leak hunting. *)
+
+val slots_in_use : t -> int
+(** Test hook: slots taken, by {!own} or by a pending one-shot or timer
+    entry — shows that an owner gave its slot back, and that the slot
+    table stays bounded. *)

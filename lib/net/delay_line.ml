@@ -12,25 +12,37 @@ module Sim = Taq_engine.Sim
      decreases. Rounding is monotone, so the due times [now +. delay]
      never decrease in send order;
    - the calendar breaks time ties in scheduling order: by seq on the
-     heap, first in first out in the same-instant lane, and a heap entry
-     due now precedes every lane entry.
+     heaps, first in first out in the same-instant lane, and a heap
+     entry due now precedes every lane entry.
 
    A line with delay 0 runs through the lane. DESIGN.md ("Delay lines")
-   has the argument at length. *)
+   has the argument at length.
+
+   [pop] owns a calendar slot ([Sim.own]) from the line's first send
+   until the line is closed and drained. Its pending entries are
+   exactly the packets in the ring, so once the ring is empty nothing
+   refers to the slot and it goes back.
+
+   A vacated ring cell keeps the packet that left it until a send
+   overwrites it. Nothing reads it, and the owning network's pool
+   keeps a released packet alive anyway, so clearing it would only
+   cost a pointer store per hop. On a tapped path, whose deliveries
+   are never released, that is at most one stale packet per cell. *)
 
 type t = {
   sim : Sim.t;
   delay : float;  (* boxed once here, so [send] boxes nothing *)
-  deliver : Packet.t -> unit;
+  mutable deliver : Packet.t -> unit;
   mutable ring : Packet.t array;  (* empty, or a power-of-two size *)
   mutable head : int;
   mutable len : int;
-  pop : unit -> unit;  (* the action of every entry this line files *)
+  mutable slot : int;
+      (* the slot [pop] owns; -1 before the first send and after the
+         last delivery of a closed line *)
+  mutable closed : bool;
 }
 
-(* Called with the ring full: double it, from 4 cells, and fill the
-   vacant cells with the dummy so no delivered packet stays
-   reachable. *)
+(* Called with the ring full: double it, from 4 cells. *)
 let grow line =
   let cap = Array.length line.ring in
   let ring = Array.make (Stdlib.max 4 (cap * 2)) Packet.dummy in
@@ -40,32 +52,46 @@ let grow line =
   line.ring <- ring;
   line.head <- 0
 
+let give_back line =
+  Sim.give_back line.sim line.slot;
+  line.slot <- -1
+
 let pop line =
   let ring = line.ring in
   let p = ring.(line.head) in
-  ring.(line.head) <- Packet.dummy;
   line.head <- (line.head + 1) land (Array.length ring - 1);
   line.len <- line.len - 1;
+  if line.len = 0 && line.closed then give_back line;
   line.deliver p
 
 let create sim ~delay deliver =
-  let rec line =
-    {
-      sim;
-      delay;
-      deliver;
-      ring = [||];
-      head = 0;
-      len = 0;
-      pop = (fun () -> pop line);
-    }
-  in
-  line
+  {
+    sim;
+    delay;
+    deliver;
+    ring = [||];
+    head = 0;
+    len = 0;
+    slot = -1;
+    closed = false;
+  }
+
+(* The entries' action is made here, on the first send: a line that
+   never sends costs no closure. *)
+let take_slot line =
+  if line.closed then invalid_arg "Delay_line.send: the line is closed";
+  line.slot <- Sim.own line.sim (fun () -> pop line)
 
 (* Files the entry first: a NaN delay raises with the ring intact. *)
 let send line p =
-  Sim.schedule_after line.sim ~delay:line.delay line.pop;
+  if line.slot < 0 then take_slot line;
+  Sim.hop line.sim line.slot ~delay:line.delay;
   if line.len = Array.length line.ring then grow line;
   let ring = line.ring in
   ring.((line.head + line.len) land (Array.length ring - 1)) <- p;
   line.len <- line.len + 1
+
+let close line ~deliver =
+  line.closed <- true;
+  line.deliver <- deliver;
+  if line.len = 0 && line.slot >= 0 then give_back line

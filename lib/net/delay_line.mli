@@ -7,8 +7,11 @@
     calendar breaks time ties in scheduling order, so packets leave in
     the order they were sent, each exactly [delay] after its {!send}.
     That lets a line keep its packets in a ring and file every
-    calendar entry with one shared action: sending allocates nothing
-    in steady state, and the delay is never boxed per packet. *)
+    calendar entry on one slot it owns ({!Taq_engine.Sim.own}):
+    sending allocates nothing in steady state, and the delay is never
+    boxed per packet. The slot is taken on the first {!send}, so a
+    line that never sends holds none, and given back once a closed
+    line has drained. *)
 
 type t
 
@@ -22,4 +25,10 @@ val create : Taq_engine.Sim.t -> delay:float -> (Packet.t -> unit) -> t
 val send : t -> Packet.t -> unit
 (** [send line p] files one calendar entry, due [delay] from now, that
     delivers [p]. Packets sent at the same instant leave in send order.
-    The line holds no delivered packet. *)
+    Raises [Invalid_argument] on a line that is closed and has
+    drained: its slot is gone. *)
+
+val close : t -> deliver:(Packet.t -> unit) -> unit
+(** Declare that nothing more will be sent on the line. Packets still
+    on it go to [deliver] from now on, and the line gives its slot back
+    as soon as it holds no packet. *)

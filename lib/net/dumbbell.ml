@@ -1,18 +1,23 @@
 module Sim = Taq_engine.Sim
 module Itbl = Taq_util.Int_tbl
 
-type endpoints = {
+(* A registered flow: its endpoints and its own two lines. The
+   flow's endpoints hold it and send without a lookup; the table maps
+   the flow to it for the link's exit and for taps. *)
+type port = {
   deliver_fwd : Packet.t -> unit;
   deliver_rev : Packet.t -> unit;
   access : Delay_line.t;  (* sender to the bottleneck queue *)
   return : Delay_line.t;  (* receiver back to the sender *)
+  mutable registered : bool;
 }
 
 type interceptor = Packet.t -> (Packet.t -> unit) -> unit
 
 (* Fault-injection taps: interposers on the two delivery paths. The
-   continuation re-resolves the flow at invocation time, so a tap that
-   delays a packet cannot resurrect a finished flow.
+   continuation re-resolves the flow through the table at invocation
+   time, so a tap that delays a packet cannot resurrect a finished
+   flow.
 
    The taps also gate packet recycling: on an untapped path a delivered
    packet is dead the moment the endpoint callback returns and goes
@@ -27,13 +32,12 @@ type taps = {
 type t = {
   sim : Sim.t;
   link : Link.t;
-  flows : endpoints Itbl.t;
+  flows : port Itbl.t;
   alloc : Packet.alloc;  (* per-network uid allocation + free list *)
   taps : taps;
-  (* Where every flow's access line and every flow's return line
-     deliver: one closure per direction for the whole network. *)
-  access_exit : Packet.t -> unit;
-  return_exit : Packet.t -> unit;
+  access_exit : Packet.t -> unit;  (* where every access line delivers *)
+  backward : Packet.t -> unit;  (* a tapped return's continuation *)
+  return_drop : Packet.t -> unit;  (* an unregistered flow's return line *)
   mutable next_flow : int;
 }
 
@@ -83,20 +87,28 @@ let create ?check ~sim ~capacity_bps ~disc () =
     alloc;
     taps;
     access_exit = Link.send link;
-    return_exit =
+    backward;
+    return_drop =
       (fun p ->
         match taps.rev with
         | Some tap -> tap p backward
-        | None ->
-            backward p;
-            Packet.release alloc p);
+        | None -> Packet.release alloc p);
     next_flow = 0;
   }
+
+(* A registered flow's return line hands its packets straight to the
+   flow's endpoint, with no lookup. *)
+let to_sender t deliver_rev p =
+  match t.taps.rev with
+  | Some tap -> tap p t.backward
+  | None ->
+      deliver_rev p;
+      Packet.release t.alloc p
 
 let register_flow t ~flow ~rtt_prop ~deliver_fwd ~deliver_rev =
   if Itbl.mem t.flows flow then
     invalid_arg (Printf.sprintf "Dumbbell.register_flow: flow %d exists" flow);
-  Itbl.replace t.flows flow
+  let port =
     {
       deliver_fwd;
       deliver_rev;
@@ -105,22 +117,32 @@ let register_flow t ~flow ~rtt_prop ~deliver_fwd ~deliver_rev =
       return =
         Delay_line.create t.sim
           ~delay:(rtt_prop *. (1.0 -. fwd_share))
-          t.return_exit;
+          (fun p -> to_sender t deliver_rev p);
+      registered = true;
     }
+  in
+  Itbl.replace t.flows flow port;
+  port
 
 (* A flow's lines stay on the calendar after [unregister_flow] and
-   drain: access packets still reach the link, return packets
-   evaporate in [backward]. *)
-let unregister_flow t ~flow = Itbl.remove t.flows flow
-
-let endpoints t flow =
+   drain, then give their slots back: access packets still reach the
+   link, return packets evaporate. *)
+let unregister_flow t ~flow =
   match Itbl.find t.flows flow with
-  | ep -> ep
-  | exception Not_found -> invalid_arg "Dumbbell: unknown flow"
+  | port ->
+      Itbl.remove t.flows flow;
+      port.registered <- false;
+      Delay_line.close port.access ~deliver:t.access_exit;
+      Delay_line.close port.return ~deliver:t.return_drop
+  | exception Not_found -> ()
 
-let send_fwd t p = Delay_line.send (endpoints t p.Packet.flow).access p
+let unknown_flow () = invalid_arg "Dumbbell: unknown flow"
 
-let send_rev t p = Delay_line.send (endpoints t p.Packet.flow).return p
+let send_fwd port p =
+  if port.registered then Delay_line.send port.access p else unknown_flow ()
+
+let send_rev port p =
+  if port.registered then Delay_line.send port.return p else unknown_flow ()
 
 let set_fwd_interceptor t tap = t.taps.fwd <- tap
 

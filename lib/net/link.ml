@@ -40,10 +40,13 @@ type t = {
   (* The transmitter is serialized, so the packet on the wire and its
      serialization time live in the link, not in a per-transmission
      closure; [tx_dt] is a flat float cell because a mutable float
-     field here would box on every store. *)
+     field here would box on every store. [tx_pkt] still holds the
+     last packet once it leaves the wire: a pooled network keeps every
+     released record alive anyway, so clearing it would only cost a
+     pointer store per packet. *)
   mutable tx_pkt : Packet.t;
   tx_dt : float array;
-  mutable tx_done : unit -> unit;  (* shared tx-complete action *)
+  mutable tx_done : int;  (* the tx-complete action's owned slot *)
   mutable offered : int;
   mutable bytes_offered : int;
   mutable transmitted : int;
@@ -57,7 +60,11 @@ type t = {
      group is enabled. *)
   check : Check.t;
   obs : Obs.t;
-  counting : bool;  (* [Obs.enabled obs], read once *)
+  (* Fixed for the link's life, so read once at create rather than
+     through a call on every packet. *)
+  checking : bool;  (* [Check.on check Net] *)
+  counting : bool;  (* [Obs.enabled obs] *)
+  tracing : bool;  (* [Obs.tracing obs] *)
   (* The [link.*] counter cells of [obs], looked up once. *)
   n_offered : int ref;
   n_transmitted : int ref;
@@ -152,14 +159,14 @@ let account_dequeue_drops t =
       let n_dropped = List.length dropped in
       t.dropped <- t.dropped + n_dropped;
       if t.counting then t.n_dropped := !(t.n_dropped) + n_dropped;
-      if Obs.tracing t.obs then
+      if t.tracing then
         List.iter
           (fun (d : Packet.t) ->
             Obs.instant t.obs ~name:"drop" ~cat:"drop" ~flow:d.flow
               ~ts_s:(Sim.now t.sim) ())
           dropped;
       List.iter (fun d -> notify_all t.drop_listeners d) dropped;
-      if Check.on t.check Check.Net then
+      if t.checking then
         List.iter
           (fun (d : Packet.t) ->
             t.chk_dqdrop <- t.chk_dqdrop + 1;
@@ -175,10 +182,10 @@ let start_transmission t =
     | None -> ()
     | Some p ->
         t.busy <- true;
-        if Check.on t.check Check.Net then t.chk_tx_size <- p.Packet.size;
+        if t.checking then t.chk_tx_size <- p.Packet.size;
         t.tx_pkt <- p;
         t.tx_dt.(0) <- tx_time t p;
-        Sim.schedule_after t.sim ~delay:t.tx_dt.(0) t.tx_done);
+        Sim.transmit t.sim t.tx_done ~delay:t.tx_dt.(0));
     account_dequeue_drops t
   end
 
@@ -187,7 +194,6 @@ let start_transmission t =
    of the two [Sim] calls, and with it every event seq and counter. *)
 let on_tx_done t propagation =
   let p = t.tx_pkt and dt = t.tx_dt.(0) in
-  t.tx_pkt <- Packet.dummy;
   t.busy <- false;
   t.transmitted <- t.transmitted + 1;
   t.bytes_transmitted <- t.bytes_transmitted + p.Packet.size;
@@ -196,10 +202,10 @@ let on_tx_done t propagation =
     incr t.n_transmitted;
     t.n_bytes_tx := !(t.n_bytes_tx) + p.Packet.size
   end;
-  if Obs.tracing t.obs then
+  if t.tracing then
     Obs.span t.obs ~name:"tx" ~cat:"link" ~flow:p.Packet.flow
       ~ts_s:(Sim.now t.sim -. dt) ~dur_s:dt ();
-  if Check.on t.check Check.Net then verify_conservation t ~where:"tx-complete";
+  if t.checking then verify_conservation t ~where:"tx-complete";
   Delay_line.send propagation p;
   start_transmission t
 
@@ -219,7 +225,7 @@ let create ?check ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver () =
       up = true;
       tx_pkt = Packet.dummy;
       tx_dt = [| 0.0 |];
-      tx_done = (fun () -> ());
+      tx_done = -1;
       offered = 0;
       bytes_offered = 0;
       transmitted = 0;
@@ -231,7 +237,9 @@ let create ?check ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver () =
       deliver_listeners = [];
       check;
       obs;
+      checking = Check.on check Check.Net;
       counting = Obs.enabled obs;
+      tracing = Obs.tracing obs;
       n_offered = Obs.labeled_ref obs "link.offered";
       n_transmitted = Obs.labeled_ref obs "link.transmitted";
       n_dropped = Obs.labeled_ref obs "link.dropped";
@@ -250,7 +258,7 @@ let create ?check ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver () =
         notify_all t.deliver_listeners p;
         deliver p)
   in
-  t.tx_done <- (fun () -> on_tx_done t propagation);
+  t.tx_done <- Sim.own sim (fun () -> on_tx_done t propagation);
   t
 
 let send t p =
@@ -263,7 +271,7 @@ let send t p =
     incr t.n_offered;
     if n_dropped > 0 then t.n_dropped := !(t.n_dropped) + n_dropped
   end;
-  if Obs.tracing t.obs && n_dropped > 0 then
+  if t.tracing && n_dropped > 0 then
     List.iter
       (fun (d : Packet.t) ->
         Obs.instant t.obs ~name:"drop" ~cat:"drop" ~flow:d.flow
@@ -280,7 +288,7 @@ let send t p =
     | dropped ->
         not (List.exists (fun d -> d.Packet.uid = p.Packet.uid) dropped)
   in
-  if Check.on t.check Check.Net then begin
+  if t.checking then begin
     if accepted then begin
       t.chk_accepted <- t.chk_accepted + 1;
       t.chk_bytes_accepted <- t.chk_bytes_accepted + p.Packet.size
@@ -303,7 +311,7 @@ let send t p =
   | Some release -> List.iter release dropped
   | None -> ());
   start_transmission t;
-  if Check.on t.check Check.Net then verify_conservation t ~where:"send"
+  if t.checking then verify_conservation t ~where:"send"
 
 let set_up t up =
   let was = t.up in

@@ -57,11 +57,14 @@ let dummy =
 
 let free_count a = a.free_top
 
+(* Stores into [sacks] are skipped when it already holds the list: a
+   pointer store costs a write-barrier call, and nearly every packet
+   carries none. *)
 let release a p =
   if p.uid >= 0 then begin
     p.uid <- dead_uid;
-    p.sacks <- [];
     (* keep no references alive through the pool *)
+    if p.sacks != [] then p.sacks <- [];
     let cap = Array.length a.free in
     if a.free_top = cap then begin
       let bigger = Array.make (Stdlib.max 16 (cap * 2)) p in
@@ -87,7 +90,7 @@ let make_exact ~alloc ~flow ~pool ~kind ~seq ~size ~retx ~sacks ~sent_at =
     p.seq <- seq;
     p.size <- size;
     p.retx <- retx;
-    p.sacks <- sacks;
+    if p.sacks != sacks then p.sacks <- sacks;
     p.sent_at <- sent_at;
     p
   end

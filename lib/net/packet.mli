@@ -90,8 +90,9 @@ val is_live : t -> bool
 (** Test hook: [true] while the record is allocated; [false] once released. *)
 
 val dummy : t
-(** A placeholder for "no packet": the link's idle transmitter and
-    every empty cell of a {!Delay_line}. It is never sent, delivered,
+(** A placeholder for "no packet", such as a ring cell no packet has
+    filled yet (a {!Delay_line}'s) or the link's transmitter before its
+    first packet. It is never sent, delivered,
     released or mutated, so domains may share it; its negative uid
     makes {!release} a no-op on it. *)
 

@@ -81,6 +81,7 @@ type t = {
   mutable transmit_listeners : (Packet.t -> unit) list;
   mutable progress_listeners : (int -> unit) list;
   check : Check.t;
+  checking : bool;  (* [Check.on check Tcp], fixed: read once at create *)
 }
 
 (* Window / scoreboard / RTO invariants, verified after every ack and
@@ -240,7 +241,7 @@ let rec on_rtx_timeout t =
     t.backoff <- Stdlib.min (t.backoff * 2) max_backoff;
     if t.backoff > t.max_backoff_seen then t.max_backoff_seen <- t.backoff;
     try_send t;
-    if Check.on t.check Check.Tcp then verify t ~where:"rtx-timeout"
+    if t.checking then verify t ~where:"rtx-timeout"
   end
 
 and arm_timer t =
@@ -348,6 +349,7 @@ let create ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
       transmit_listeners = [];
       progress_listeners = [];
       check;
+      checking = Check.on check Check.Tcp;
     }
   in
   t.rtx_fn <- (fun () -> on_rtx_timeout t);
@@ -427,7 +429,7 @@ let verify_sack_blocks t (p : Packet.t) =
   disjoint p.sacks
 
 let apply_sacks t (p : Packet.t) =
-  if Check.on t.check Check.Tcp then verify_sack_blocks t p;
+  if t.checking then verify_sack_blocks t p;
   match t.config.C.variant with
   | C.Newreno -> ()
   | C.Sack ->
@@ -534,7 +536,7 @@ let on_ack t (p : Packet.t) =
       else if p.seq = t.snd_una then handle_dupack t
       else ();
       (* stale ack below snd_una: ignored *)
-      if Check.on t.check Check.Tcp then verify t ~where:"on-ack"
+      if t.checking then verify t ~where:"on-ack"
   | (Closed | Complete | Failed), _
   | Established, (Packet.Syn_ack | Packet.Syn | Packet.Data | Packet.Fin)
   | Syn_sent, (Packet.Ack | Packet.Syn | Packet.Data | Packet.Fin) ->

@@ -48,9 +48,11 @@ let inject t =
   t.next_id <- t.next_id + 1;
   let pool = match t.kind with Pool_churn -> flow | _ -> -1 in
   let kind = match t.kind with One_packet -> Packet.Data | _ -> Packet.Syn in
-  Dumbbell.register_flow t.net ~flow ~rtt_prop:0.05
-    ~deliver_fwd:(fun _ -> Dumbbell.unregister_flow t.net ~flow)
-    ~deliver_rev:(fun _ -> ());
+  let port =
+    Dumbbell.register_flow t.net ~flow ~rtt_prop:0.05
+      ~deliver_fwd:(fun _ -> Dumbbell.unregister_flow t.net ~flow)
+      ~deliver_rev:(fun _ -> ())
+  in
   Sim.schedule_after sim ~delay:reclaim_after (fun () ->
       Dumbbell.unregister_flow t.net ~flow);
   let p =
@@ -58,7 +60,7 @@ let inject t =
       ~alloc:(Dumbbell.packet_alloc t.net)
       ~flow ~pool ~kind ~seq:0 ~size:flood_pkt_size ~sent_at:(Sim.now sim) ()
   in
-  Dumbbell.send_fwd t.net p;
+  Dumbbell.send_fwd port p;
   t.n_sent <- t.n_sent + 1;
   t.on_send ()
 

@@ -8,10 +8,14 @@ open Taq_engine
 
 (* --- Event_heap ------------------------------------------------------- *)
 
-(* The heap keeps only what [Sim] calls. A push under a fresh seq, an
-   unbounded pop and a peek are built from it here. *)
+(* The heap keeps only what [Sim] calls, and takes its seqs from the
+   caller. A push under a fresh seq, an unbounded pop and a peek are
+   built from it here. *)
+let next_seq = ref 0
+
 let push h ~time p =
-  Event_heap.push_seq h ~seq:(Event_heap.reserve_seq h) [| time |] p
+  incr next_seq;
+  Event_heap.push h ~seq:!next_seq [| time |] p
 
 let pop h =
   let clock = [| 0.0; Float.infinity |] in
@@ -146,15 +150,23 @@ let test_sim_past_rejected () =
   | () -> Alcotest.fail "scheduling in the past should raise"
 
 (* The [sim.heap_max_depth] gauge is the calendar's true peak: N
-   events filed at N distinct future times are all on the heap at once,
-   and running them never raises the peak. *)
+   entries filed at N distinct future times, spread over the three
+   heaps (one-shot events and hops, transmissions, timer deadlines),
+   are all on the heaps at once, and running them never raises the
+   peak. *)
 let test_sim_heap_depth_exact () =
   List.iter
     (fun n ->
       let obs = Taq_obs.Obs.create () in
       let sim = Sim.create ~obs () in
+      let line = Sim.own sim ignore in
       for i = 1 to n do
-        Sim.schedule sim ~at:(float_of_int i) ignore
+        let delay = float_of_int i in
+        match i mod 4 with
+        | 0 -> Sim.schedule sim ~at:delay ignore
+        | 1 -> Sim.hop sim line ~delay
+        | 2 -> Sim.transmit sim (Sim.own sim ignore) ~delay
+        | _ -> Sim.arm (Sim.timer sim) ~delay ignore
       done;
       let depth () =
         Taq_obs.Obs.gauge_value (Taq_obs.Obs.snapshot obs) "sim.heap_max_depth"
@@ -167,10 +179,11 @@ let test_sim_heap_depth_exact () =
 (* After any [run ~until] the scheduler counters balance against the
    calendar: every entry filed was run, skipped or is still pending,
    and, the same-instant lane being drained by then, every heap push
-   not yet popped is pending. Events sit at random grid times; some
-   are timers whose cancellers disarm them or re-arm them earlier or
-   later, and every event may start a chain of zero-delay (lane)
-   children. *)
+   not yet popped is pending. Events sit at random grid times, on all
+   three heaps: some are timers whose cancellers disarm them or re-arm
+   them earlier or later, some are hops on one owned slot, and some
+   are transmissions, each on its own owned slot. Every event may
+   start a chain of zero-delay (lane) children. *)
 let prop_sim_counters_balance =
   let grid = 8 in
   QCheck.Test.make ~name:"scheduler counters balance after run ~until"
@@ -181,7 +194,7 @@ let prop_sim_counters_balance =
            Gen.(int_range 0 40)
            (triple (int_range 0 (grid - 1))
               (option (pair (int_range 0 (grid - 1)) (option (int_range 0 3))))
-              (int_range 0 2)))
+              (int_range 0 4)))
         (small_list (int_range 0 grid)))
     (fun (plan, horizons) ->
       let obs = Taq_obs.Obs.create () in
@@ -189,10 +202,14 @@ let prop_sim_counters_balance =
       let rec chain k () =
         if k > 0 then Sim.schedule_after sim ~delay:0.0 (chain (k - 1))
       in
+      let line = Sim.own sim (chain 1) in
       List.iter
         (fun (at, cancel, k) ->
+          let delay = float_of_int at in
           match cancel with
-          | None -> Sim.schedule_after sim ~delay:(float_of_int at) (chain k)
+          | None when k = 3 -> Sim.hop sim line ~delay
+          | None when k = 4 -> Sim.transmit sim (Sim.own sim (chain 1)) ~delay
+          | None -> Sim.schedule_after sim ~delay (chain k)
           | Some (c, rearm) ->
               let tm = Sim.timer sim in
               Sim.arm tm ~delay:(float_of_int at) (chain k);
@@ -339,15 +356,20 @@ let test_sim_same_time_event_scheduled_during_event () =
    and neither does re-arming a timer with a later deadline from every
    hop, whose pending entry fires early and re-files itself, nor
    superseding a second timer's entry with an earlier deadline every
-   other hop. *)
+   other hop, nor filing and running an owned slot's hops (two
+   pending at a time, one due now) and transmissions. *)
 let test_sim_allocation_free () =
   let sim = Sim.create () in
   let tm = Sim.timer sim and tm2 = Sim.timer sim in
+  let line = Sim.own sim ignore and tx = Sim.own sim ignore in
   let remaining = ref 0 in
   let rec hop () =
     decr remaining;
     Sim.arm tm ~delay:1.0 ignore;
     Sim.arm tm2 ~delay:(if !remaining land 1 = 0 then 1.0 else 0.1) ignore;
+    Sim.hop sim line ~delay:0.5;
+    Sim.hop sim line ~delay:0.0;
+    Sim.transmit sim tx ~delay:0.125;
     if !remaining > 0 then Sim.schedule_after sim ~delay:0.25 hop
   in
   let cycle n =
@@ -448,14 +470,16 @@ let prop_replaced_actions_never_run =
       = List.stable_sort (fun (a, _) (b, _) -> compare a b) expected
       && Sim.pending_events sim = 0)
 
-(* Differential battery: the flat struct-of-arrays heap run lock-step
-   against the retained boxed reference under random interleavings of
-   pushes and pops (built on the flat heap from [reserve_seq],
-   [push_seq] and [pop_due] above), seq reservations filed late
-   ([reserve_seq] then [push_seq], oldest or newest outstanding
-   reservation first) and due-bounded pops ([pop_due]). Times and
-   limits are drawn from a small discrete grid so ties are frequent —
-   the FIFO tie-break must match exactly — and after every operation
+(* Differential battery: three flat struct-of-arrays heaps under one
+   seq counter, merged by [Event_heap.earliest] as [Sim] merges its
+   heaps by role, run lock-step against one retained boxed reference
+   heap under random interleavings of pushes and pops (built on the
+   flat heaps from a seq counter, [push] and [pop_due]), seqs reserved
+   and filed late (oldest or newest outstanding reservation first),
+   and due-bounded pops ([pop_due]). Each entry goes to the flat heap
+   its payload or time picks. Times and limits are drawn from a small
+   discrete grid so ties are frequent, within a heap and across heaps
+   — the FIFO tie-break must match exactly — and after every operation
    the sizes and head times must agree. The mix is push-heavy: pushes
    outweigh pops and [pop_due]s 10 to 4, so most cases outgrow the
    initial capacity of 16 (the grow path) and ties sift through several
@@ -474,23 +498,37 @@ let prop_heap_matches_reference =
     | None -> "None"
     | Some (t, v) -> Printf.sprintf "(%g,%d)" t v
   in
-  QCheck.Test.make ~name:"flat heap == boxed reference (differential)"
+  QCheck.Test.make ~name:"flat heaps, merged == boxed reference (differential)"
     ~count:500
     QCheck.(
       make
         ~print:Print.(list (pair int int))
         Gen.(list_size (int_range 0 300) op_gen))
     (fun ops ->
-      let flat = Event_heap.create () in
+      let flat = Array.init 3 (fun _ -> Event_heap.create ()) in
       let boxed = Event_heap_ref.create () in
+      let seqs = ref 0 in
+      let reserve () =
+        let seq = !seqs in
+        incr seqs;
+        seq
+      in
+      let earliest () = Event_heap.earliest flat.(0) flat.(1) flat.(2) in
+      let size () = Array.fold_left (fun n h -> n + Event_heap.size h) 0 flat in
+      let pop () =
+        let clock = [| 0.0; Float.infinity |] in
+        match Event_heap.pop_due (earliest ()) clock with
+        | -1 -> None
+        | p -> Some (clock.(0), p)
+      in
       let payload = ref 0 in
       let reserved = ref [] in
       let clock_flat = [| 0.0; 0.0 |] and clock_ref = [| 0.0; 0.0 |] in
       let agree where =
-        if Event_heap.size flat <> Event_heap_ref.size boxed then
-          QCheck.Test.fail_reportf "%s: size %d <> ref %d" where
-            (Event_heap.size flat) (Event_heap_ref.size boxed);
-        if peek_time flat <> Event_heap_ref.peek_time boxed then
+        if size () <> Event_heap_ref.size boxed then
+          QCheck.Test.fail_reportf "%s: size %d <> ref %d" where (size ())
+            (Event_heap_ref.size boxed);
+        if peek_time (earliest ()) <> Event_heap_ref.peek_time boxed then
           QCheck.Test.fail_reportf "%s: head time disagrees" where
       in
       List.iter
@@ -499,18 +537,18 @@ let prop_heap_matches_reference =
           match kind with
           | 0 ->
               incr payload;
-              push flat ~time !payload;
+              Event_heap.push flat.(!payload mod 3) ~seq:(reserve ())
+                [| time |] !payload;
               Event_heap_ref.push boxed ~time !payload;
               agree "push"
           | 1 ->
-              let a = pop flat and b = Event_heap_ref.pop boxed in
+              let a = pop () and b = Event_heap_ref.pop boxed in
               if a <> b then
                 QCheck.Test.fail_reportf "pop disagrees: flat=%s ref=%s"
                   (pp a) (pp b);
               agree "pop"
           | 2 ->
-              let a = Event_heap.reserve_seq flat
-              and b = Event_heap_ref.reserve_seq boxed in
+              let a = reserve () and b = Event_heap_ref.reserve_seq boxed in
               if a <> b then
                 QCheck.Test.fail_reportf "reserve_seq: %d <> ref %d" a b;
               reserved := !reserved @ [ a ]
@@ -526,13 +564,13 @@ let prop_heap_matches_reference =
                   in
                   reserved := left;
                   incr payload;
-                  Event_heap.push_seq flat ~seq [| time |] !payload;
+                  Event_heap.push flat.(arg mod 3) ~seq [| time |] !payload;
                   Event_heap_ref.push_seq boxed ~seq [| time |] !payload;
                   agree "push_seq")
           | _ ->
               clock_flat.(1) <- time;
               clock_ref.(1) <- time;
-              let a = Event_heap.pop_due flat clock_flat
+              let a = Event_heap.pop_due (earliest ()) clock_flat
               and b = Event_heap_ref.pop_due boxed clock_ref in
               let b = Option.value b ~default:(-1) in
               if a <> b || clock_flat.(0) <> clock_ref.(0) then
@@ -544,7 +582,7 @@ let prop_heap_matches_reference =
       (* Drain both completely: total order including all remaining
          ties must coincide. *)
       let rec drain () =
-        let a = pop flat and b = Event_heap_ref.pop boxed in
+        let a = pop () and b = Event_heap_ref.pop boxed in
         if a <> b then QCheck.Test.fail_report "drain order disagrees";
         if a <> None then drain ()
       in
@@ -606,7 +644,7 @@ end
 
 (* One script, two engines: an [api] is the part of the engine API a
    script uses. *)
-type 'tm api = {
+type ('tm, 'slot) api = {
   now : unit -> float;
   after : float -> (unit -> unit) -> unit;
   run : float option -> unit;
@@ -615,6 +653,9 @@ type 'tm api = {
   arm : 'tm -> float -> (unit -> unit) -> unit;
   disarm : 'tm -> unit;
   armed : 'tm -> bool;
+  own : (unit -> unit) -> 'slot;
+  hop : 'slot -> float -> unit;
+  transmit : 'slot -> float -> unit;
 }
 
 let sim_api sim =
@@ -627,13 +668,19 @@ let sim_api sim =
     arm = (fun tm delay f -> Sim.arm tm ~delay f);
     disarm = Sim.disarm;
     armed = Sim.armed;
+    own = Sim.own sim;
+    hop = (fun slot delay -> Sim.hop sim slot ~delay);
+    transmit = (fun slot delay -> Sim.transmit sim slot ~delay);
   }
 
-(* A model timer is [cancel old; old <- schedule_after ~delay f]. *)
+(* A model timer is [cancel old; old <- schedule_after ~delay f], and
+   an owned slot is its action: a hop or a transmission on it is
+   [schedule_after ~delay] of that action. *)
 let model_api m =
+  let after delay f = ignore (Model.schedule_after m ~delay f) in
   {
     now = (fun () -> m.Model.now);
-    after = (fun delay f -> ignore (Model.schedule_after m ~delay f));
+    after;
     run = (fun until -> Model.run ?until m);
     step = (fun () -> Model.step m);
     timer = (fun () -> ref (-1));
@@ -646,6 +693,9 @@ let model_api m =
         Model.cancel m !h;
         h := -1);
     armed = (fun h -> Model.is_pending m !h);
+    own = Fun.id;
+    hop = (fun f delay -> after delay f);
+    transmit = (fun f delay -> after delay f);
   }
 
 let same_log name ~sim ~model =
@@ -653,20 +703,25 @@ let same_log name ~sim ~model =
     QCheck.Test.fail_reportf "%s: sim [%s] <> model [%s]" name
       (String.concat "; " sim) (String.concat "; " model)
 
-(* Pooled scheduler and lane against the list model. Events are
-   scheduled at random grid times; some are timers instead, each with a
-   canceller at a random grid time (a canceller at the event's own time
-   runs after it) that disarms the timer or re-arms it at delay 0–2,
-   which supersedes the pending entry when the new deadline is earlier.
-   Each event may start a chain of zero-delay children, all lane
-   entries in [Sim]. The first [run ~until] is followed by a few
-   [step]s, which can stop between a lane entry and heap entries due at
-   the same instant, and by a [run ~until] at a grid time that may lie
-   before [now]: it must run nothing and leave the clock alone. More
-   events, chains included, are then scheduled at [now] or later before
-   the final [run]. Times sit on an integer grid, so ties are the rule.
-   Afterwards no timer is armed, the calendar is empty, and a fresh
-   round that recycles the slots runs in full. *)
+(* Pooled scheduler, lane and heaps by role against the list model.
+   Events are scheduled at random grid times; some are timers instead,
+   each with a canceller at a random grid time (a canceller at the
+   event's own time runs after it) that disarms the timer or re-arms it
+   at delay 0–2, which supersedes the pending entry when the new
+   deadline is earlier. Each event may start a chain of zero-delay
+   children, all lane entries in [Sim], and may also hop on one of two
+   owned slots (several hops pend on one slot at once, some due now)
+   or hand work to a transmitter, an owned slot that keeps at most one
+   entry pending and re-files itself while work is left. The first
+   [run ~until] is followed by a few [step]s, which can stop between a
+   lane entry and heap entries due at the same instant, and by a
+   [run ~until] at a grid time that may lie before [now]: it must run
+   nothing and leave the clock alone. More events, chains included,
+   are then scheduled at [now] or later before the final [run]. Times
+   sit on an integer grid, so ties are the rule, within a heap and
+   across the three. Afterwards no timer is armed, the calendar is
+   empty, and once the owned slots are given back a fresh round that
+   recycles the slots runs in full. *)
 let prop_pooled_scheduler_matches_model =
   let grid = 8 in
   QCheck.Test.make ~name:"pooled scheduler == list model (metamorphic)"
@@ -675,59 +730,103 @@ let prop_pooled_scheduler_matches_model =
       quad
         (list_of_size
            Gen.(int_range 0 60)
-           (triple (int_range 0 (grid - 1))
+           (quad (int_range 0 (grid - 1))
               (option (pair (int_range 0 (grid - 1)) (option (int_range 0 2))))
-              (int_range 0 2)))
+              (int_range 0 2) (int_range 0 5)))
         (pair (int_range 0 (grid - 1)) (int_range 0 (grid - 1)))
         (int_range 0 3)
         (small_list (pair (int_range 0 2) (int_range 0 2))))
     (fun (plan, (mid, back), steps, extra) ->
       let script d =
         let log = ref [] in
+        let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
         let rec chain id k () =
-          log := Printf.sprintf "%d@%g" id (d.now ()) :: !log;
+          note "%d@%g" id (d.now ());
           if k > 0 then d.after 0.0 (chain (id + 1000) (k - 1))
+        in
+        let lines =
+          Array.init 2 (fun j -> d.own (fun () -> note "L%d@%g" j (d.now ())))
+        in
+        let work = ref 0 and busy = ref false in
+        let rec tx =
+          lazy
+            (d.own (fun () ->
+                 note "X@%g" (d.now ());
+                 if !work > 0 then begin
+                   decr work;
+                   d.transmit (Lazy.force tx) (float_of_int (!work land 1))
+                 end
+                 else busy := false))
+        in
+        let tx = Lazy.force tx in
+        (* What an event does besides its chain: 1–3 hop (two hops on
+           one slot for 3), 4–5 hand the transmitter work. *)
+        let side i op () =
+          match op with
+          | 1 -> d.hop lines.(0) (float_of_int (i mod 3))
+          | 2 -> d.hop lines.(1) 0.0
+          | 3 ->
+              d.hop lines.(i land 1) 2.0;
+              d.hop lines.(i land 1) 1.0
+          | 4 | 5 ->
+              if !busy then incr work
+              else begin
+                busy := true;
+                d.transmit tx (float_of_int (op - 4))
+              end
+          | _ -> ()
         in
         let timers =
           List.concat
             (List.mapi
-               (fun i (at, cancel, k) ->
+               (fun i (at, cancel, k, op) ->
+                 let event id () =
+                   side i op ();
+                   chain id k ()
+                 in
                  match cancel with
                  | None ->
-                     d.after (float_of_int at) (chain i k);
+                     d.after (float_of_int at) (event i);
                      []
                  | Some (c, rearm) ->
                      let tm = d.timer () in
-                     d.arm tm (float_of_int at) (chain i k);
+                     d.arm tm (float_of_int at) (event i);
                      d.after (float_of_int c) (fun () ->
                          match rearm with
                          | None -> d.disarm tm
-                         | Some r -> d.arm tm (float_of_int r) (chain (i + 2000) k));
+                         | Some r ->
+                             d.arm tm (float_of_int r) (event (i + 2000)));
                      [ tm ])
                plan)
         in
+        (* Hops filed before any event runs: several pend on each slot. *)
+        List.iteri
+          (fun i (at, _, _, op) ->
+            if op = 3 then d.hop lines.(i land 1) (float_of_int at))
+          plan;
         d.run (Some (float_of_int mid));
         for _ = 1 to steps do
           ignore (d.step ())
         done;
         d.run (Some (float_of_int back));
-        log := Printf.sprintf "now=%g" (d.now ()) :: !log;
+        note "now=%g" (d.now ());
         List.iteri
           (fun j (delay, k) -> d.after (float_of_int delay) (chain (500 + j) k))
           extra;
         d.run None;
-        (List.rev !log, timers)
+        (List.rev !log, timers, tx :: Array.to_list lines)
       in
       let sim = Sim.create ~check:engine_check () in
-      let got, timers = script (sim_api sim) in
-      let expected, _ = script (model_api (Model.create ())) in
+      let got, timers, slots = script (sim_api sim) in
+      let expected, _, _ = script (model_api (Model.create ())) in
       same_log "fired" ~sim:got ~model:expected;
       if Sim.pending_events sim <> 0 then
         QCheck.Test.fail_report "calendar not empty after run";
       if List.exists Sim.armed timers then
         QCheck.Test.fail_report "timer still armed after run";
+      List.iter (Sim.give_back sim) slots;
       let second = ref 0 in
-      let n = List.length plan in
+      let n = List.length plan + 3 in
       for _ = 1 to n do
         Sim.schedule_after sim ~delay:1.0 (fun () -> incr second)
       done;

@@ -342,11 +342,13 @@ let loss_run ~seed ~p ~n =
   let net = Taq_net.Dumbbell.create ~sim ~capacity_bps:1e9 ~disc () in
   let delivered = ref 0 in
   let pattern = Buffer.create n in
-  Taq_net.Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.01
-    ~deliver_fwd:(fun _ ->
-      incr delivered;
-      Buffer.add_char pattern '.')
-    ~deliver_rev:(fun _ -> ());
+  let port =
+    Taq_net.Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.01
+      ~deliver_fwd:(fun _ ->
+        incr delivered;
+        Buffer.add_char pattern '.')
+      ~deliver_rev:(fun _ -> ())
+  in
   let inj =
     Injector.install ~net
       ~prng:(Taq_util.Prng.create ~seed)
@@ -354,7 +356,7 @@ let loss_run ~seed ~p ~n =
   in
   let alloc = Taq_net.Dumbbell.packet_alloc net in
   for seq = 0 to n - 1 do
-    Taq_net.Dumbbell.send_fwd net
+    Taq_net.Dumbbell.send_fwd port
       (Taq_net.Packet.make ~alloc ~flow:1 ~kind:Taq_net.Packet.Data ~seq
          ~size:500 ~sent_at:0.0 ())
   done;

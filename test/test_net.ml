@@ -94,6 +94,34 @@ let test_delay_line_allocation_free () =
         (words /. float_of_int n))
     [ 0.0; 0.01 ]
 
+(* A closed line still delivers what it holds, to the deliverer it was
+   closed with, gives its slot back once drained, and refuses sends
+   from then on. *)
+let test_delay_line_close () =
+  let sim = Sim.create () in
+  let got = ref [] in
+  let note tag (p : Packet.t) =
+    got := Printf.sprintf "%s%d" tag p.seq :: !got
+  in
+  let line = Delay_line.create sim ~delay:0.1 (note "open") in
+  let idle = Sim.slots_in_use sim in
+  Delay_line.send line (mk_pkt ~seq:1 ());
+  Delay_line.send line (mk_pkt ~seq:2 ());
+  Alcotest.(check int) "one slot for the line" (idle + 1)
+    (Sim.slots_in_use sim);
+  Delay_line.close line ~deliver:(note "closed");
+  Sim.run sim;
+  Alcotest.(check (list string)) "drained to the new deliverer"
+    [ "closed1"; "closed2" ] (List.rev !got);
+  Alcotest.(check int) "slot given back" idle (Sim.slots_in_use sim);
+  (match Delay_line.send line (mk_pkt ()) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a closed, drained line accepted a send");
+  (* A line closed before it ever sent holds no slot. *)
+  let unused = Delay_line.create sim ~delay:0.1 (note "unused") in
+  Delay_line.close unused ~deliver:(note "unused");
+  Alcotest.(check int) "no slot taken" idle (Sim.slots_in_use sim)
+
 (* --- Link ------------------------------------------------------------- *)
 
 let test_link_transmission_time () =
@@ -213,13 +241,16 @@ let test_dumbbell_roundtrip () =
   let sim = Sim.create () in
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:50 () in
   let net = Dumbbell.create ~sim ~capacity_bps:1e9 ~disc () in
-  let fwd_time = ref nan and rev_time = ref nan in
-  Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.2
-    ~deliver_fwd:(fun _ ->
-      fwd_time := Sim.now sim;
-      Dumbbell.send_rev net (mk_pkt ~kind:Packet.Ack ()))
-    ~deliver_rev:(fun _ -> rev_time := Sim.now sim);
-  Sim.schedule sim ~at:0.0 (fun () -> Dumbbell.send_fwd net (mk_pkt ()));
+  let fwd_time = ref nan and rev_time = ref nan and port = ref None in
+  port :=
+    Some
+      (Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.2
+         ~deliver_fwd:(fun _ ->
+           fwd_time := Sim.now sim;
+           Dumbbell.send_rev (Option.get !port) (mk_pkt ~kind:Packet.Ack ()))
+         ~deliver_rev:(fun _ -> rev_time := Sim.now sim));
+  Sim.schedule sim ~at:0.0 (fun () ->
+      Dumbbell.send_fwd (Option.get !port) (mk_pkt ()));
   Sim.run sim;
   (* At ~infinite capacity transmission is negligible: RTT ~= rtt_prop. *)
   Alcotest.(check bool) "rtt close to prop" true
@@ -229,10 +260,12 @@ let test_dumbbell_unknown_flow_evaporates () =
   let sim = Sim.create () in
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:50 () in
   let net = Dumbbell.create ~sim ~capacity_bps:1e6 ~disc () in
-  Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.1
-    ~deliver_fwd:(fun _ -> ())
-    ~deliver_rev:(fun _ -> ());
-  Sim.schedule sim ~at:0.0 (fun () -> Dumbbell.send_fwd net (mk_pkt ()));
+  let port =
+    Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.1
+      ~deliver_fwd:(fun _ -> ())
+      ~deliver_rev:(fun _ -> ())
+  in
+  Sim.schedule sim ~at:0.0 (fun () -> Dumbbell.send_fwd port (mk_pkt ()));
   Sim.schedule sim ~at:0.001 (fun () -> Dumbbell.unregister_flow net ~flow:1);
   (* The packet is in flight when the flow disappears; it must not
      crash the run. *)
@@ -241,41 +274,111 @@ let test_dumbbell_unknown_flow_evaporates () =
 
 (* A flow forgotten with packets on both of its lines: the lines
    drain. Access packets still reach the link; packets bound for the
-   flow, forward or back, evaporate and their records return to the
-   pool. *)
+   flow, forward or back, evaporate, untapped or through a return tap
+   that delays them, and untapped records return to the pool. Each
+   line took a calendar slot on its first send and gives it back once
+   drained, and the flow's port refuses further sends. *)
 let test_dumbbell_unregister_in_flight () =
+  List.iter
+    (fun tapped ->
+      let sim = Sim.create () in
+      let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:50 () in
+      let net = Dumbbell.create ~sim ~capacity_bps:1e6 ~disc () in
+      let alloc = Dumbbell.packet_alloc net in
+      if tapped then
+        Dumbbell.set_rev_interceptor net
+          (Some
+             (fun p deliver ->
+               Sim.schedule_after sim ~delay:0.01 (fun () -> deliver p)));
+      let delivered = ref 0 and in_flight = ref 0 in
+      let port =
+        Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.4
+          ~deliver_fwd:(fun _ -> incr delivered)
+          ~deliver_rev:(fun _ -> incr delivered)
+      in
+      let pkt kind seq =
+        Packet.make ~alloc ~flow:1 ~kind ~seq ~size:500 ~sent_at:0.0 ()
+      in
+      (* Access legs take 0.1 s, return legs 0.3 s. *)
+      Sim.schedule sim ~at:0.05 (fun () ->
+          Dumbbell.unregister_flow net ~flow:1);
+      Sim.schedule sim ~at:0.0 (fun () ->
+          for seq = 0 to 2 do
+            Dumbbell.send_fwd port (pkt Packet.Data seq)
+          done;
+          for seq = 0 to 1 do
+            Dumbbell.send_rev port (pkt Packet.Ack seq)
+          done;
+          in_flight := Sim.slots_in_use sim);
+      Sim.run sim;
+      let name s =
+        Printf.sprintf "%s (%s)" s (if tapped then "tapped" else "untapped")
+      in
+      (* The link's transmitter, the pending unregistration and the
+         flow's two lines. *)
+      Alcotest.(check int) (name "slots while in flight") 4 !in_flight;
+      (* The link's transmitter and its propagation line: both of the
+         flow's slots came back. *)
+      Alcotest.(check int) (name "slots once drained") 2 (Sim.slots_in_use sim);
+      let st = Link.stats (Dumbbell.link net) in
+      Alcotest.(check int) (name "access packets reached the link") 3
+        st.Link.offered;
+      Alcotest.(check int) (name "and crossed it") 3 st.Link.transmitted;
+      Alcotest.(check int) (name "nothing delivered") 0 !delivered;
+      (* A tapped path never releases its deliveries. *)
+      Alcotest.(check int)
+        (name "untapped records back in the pool")
+        (if tapped then 3 else 5)
+        (Packet.free_count alloc);
+      Alcotest.check_raises (name "send_fwd to a forgotten flow")
+        (Invalid_argument "Dumbbell: unknown flow") (fun () ->
+          Dumbbell.send_fwd port (pkt Packet.Data 3));
+      Alcotest.check_raises (name "send_rev to a forgotten flow")
+        (Invalid_argument "Dumbbell: unknown flow") (fun () ->
+          Dumbbell.send_rev port (pkt Packet.Ack 3)))
+    [ false; true ]
+
+(* 10 000 flows, each registered to send one packet and unregistered
+   once the packet crosses the link or the queue drops it, as a flood
+   does: every access line gives its slot back, so the slot table
+   holds only the flows in flight and ends with the link's two slots. *)
+let test_dumbbell_flood_slots_bounded () =
   let sim = Sim.create () in
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:50 () in
+  (* 40-byte packets every 0.1 ms into 1 Mb/s: the queue fills and
+     drops. *)
   let net = Dumbbell.create ~sim ~capacity_bps:1e6 ~disc () in
   let alloc = Dumbbell.packet_alloc net in
-  let delivered = ref 0 in
-  Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.4
-    ~deliver_fwd:(fun _ -> incr delivered)
-    ~deliver_rev:(fun _ -> incr delivered);
-  let pkt kind seq =
-    Packet.make ~alloc ~flow:1 ~kind ~seq ~size:500 ~sent_at:0.0 ()
+  let flows = 10_000 and peak = ref 0 and crossed = ref 0 in
+  Link.on_drop (Dumbbell.link net) (fun p ->
+      Dumbbell.unregister_flow net ~flow:p.Packet.flow);
+  (* Each arrival files the next, so pending arrivals hold one slot. *)
+  let rec arrive flow () =
+    let port =
+      Dumbbell.register_flow net ~flow ~rtt_prop:0.05
+        ~deliver_fwd:(fun _ ->
+          incr crossed;
+          Dumbbell.unregister_flow net ~flow)
+        ~deliver_rev:(fun _ -> ())
+    in
+    Dumbbell.send_fwd port
+      (Packet.make ~alloc ~flow ~kind:Packet.Data ~seq:0 ~size:40
+         ~sent_at:(Sim.now sim) ());
+    peak := Stdlib.max !peak (Sim.slots_in_use sim);
+    if flow < flows then Sim.schedule_after sim ~delay:1e-4 (arrive (flow + 1))
   in
-  Sim.schedule sim ~at:0.0 (fun () ->
-      for seq = 0 to 2 do
-        Dumbbell.send_fwd net (pkt Packet.Data seq)
-      done;
-      for seq = 0 to 1 do
-        Dumbbell.send_rev net (pkt Packet.Ack seq)
-      done);
-  (* Access legs take 0.1 s, return legs 0.3 s. *)
-  Sim.schedule sim ~at:0.05 (fun () -> Dumbbell.unregister_flow net ~flow:1);
+  Sim.schedule sim ~at:0.0 (arrive 1);
   Sim.run sim;
   let st = Link.stats (Dumbbell.link net) in
-  Alcotest.(check int) "access packets reached the link" 3 st.Link.offered;
-  Alcotest.(check int) "and crossed it" 3 st.Link.transmitted;
-  Alcotest.(check int) "nothing delivered" 0 !delivered;
-  Alcotest.(check int) "every record back in the pool" 5 (Packet.free_count alloc);
-  Alcotest.check_raises "send_fwd to a forgotten flow"
-    (Invalid_argument "Dumbbell: unknown flow") (fun () ->
-      Dumbbell.send_fwd net (pkt Packet.Data 3));
-  Alcotest.check_raises "send_rev to a forgotten flow"
-    (Invalid_argument "Dumbbell: unknown flow") (fun () ->
-      Dumbbell.send_rev net (pkt Packet.Ack 3))
+  Alcotest.(check bool) "some dropped" true (st.Link.dropped > 0);
+  Alcotest.(check int) "every packet crossed or dropped" flows
+    (!crossed + st.Link.dropped);
+  Alcotest.(check int) "no flows left" 0 (Dumbbell.flow_count net);
+  (* About 125 packets wait on access lines (12.5 ms at 0.1 ms
+     spacing); a line that kept its slot would hold one per flow. *)
+  if !peak > 200 then
+    Alcotest.failf "%d slots in use at the peak, want at most 200" !peak;
+  Alcotest.(check int) "the link's two slots remain" 2 (Sim.slots_in_use sim)
 
 (* One data packet out and its ACK back through an untapped dumbbell
    with a FIFO disc, one round trip at a time. The delay lines box no
@@ -291,14 +394,18 @@ let test_dumbbell_round_trip_words () =
     Packet.make_exact ~alloc ~flow:1 ~pool:(-1) ~kind ~seq:0 ~size:1000
       ~retx:false ~sacks:[] ~sent_at:0.0
   in
-  let send_data () = Dumbbell.send_fwd net (pkt Packet.Data) in
-  Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.1
-    ~deliver_fwd:(fun _ -> Dumbbell.send_rev net (pkt Packet.Ack))
-    ~deliver_rev:(fun _ ->
-      if !remaining > 0 then begin
-        decr remaining;
-        send_data ()
-      end);
+  let port = ref None in
+  let send_data () = Dumbbell.send_fwd (Option.get !port) (pkt Packet.Data) in
+  port :=
+    Some
+      (Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.1
+         ~deliver_fwd:(fun _ ->
+           Dumbbell.send_rev (Option.get !port) (pkt Packet.Ack))
+         ~deliver_rev:(fun _ ->
+           if !remaining > 0 then begin
+             decr remaining;
+             send_data ()
+           end));
   let cycle n =
     remaining := n;
     send_data ();
@@ -318,8 +425,9 @@ let test_dumbbell_duplicate_registration_rejected () =
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:50 () in
   let net = Dumbbell.create ~sim ~capacity_bps:1e6 ~disc () in
   let nop _ = () in
-  Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.1 ~deliver_fwd:nop
-    ~deliver_rev:nop;
+  ignore
+    (Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.1 ~deliver_fwd:nop
+       ~deliver_rev:nop);
   match
     Dumbbell.register_flow net ~flow:1 ~rtt_prop:0.1 ~deliver_fwd:nop
       ~deliver_rev:nop
@@ -399,14 +507,16 @@ let prop_dumbbell_delivers_each_once =
       let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:1000 () in
       let net = Dumbbell.create ~sim ~capacity_bps:1e6 ~disc () in
       let delivered = Hashtbl.create 64 in
-      for f = 0 to 3 do
-        Dumbbell.register_flow net ~flow:f ~rtt_prop:0.05
-          ~deliver_fwd:(fun p ->
-            if Hashtbl.mem delivered p.Packet.uid then
-              QCheck.Test.fail_reportf "uid %d delivered twice" p.Packet.uid;
-            Hashtbl.add delivered p.Packet.uid ())
-          ~deliver_rev:(fun _ -> ())
-      done;
+      let ports =
+        Array.init 4 (fun f ->
+            Dumbbell.register_flow net ~flow:f ~rtt_prop:0.05
+              ~deliver_fwd:(fun p ->
+                if Hashtbl.mem delivered p.Packet.uid then
+                  QCheck.Test.fail_reportf "uid %d delivered twice"
+                    p.Packet.uid;
+                Hashtbl.add delivered p.Packet.uid ())
+              ~deliver_rev:(fun _ -> ()))
+      in
       let alloc = Packet.alloc () in
       let sent = ref 0 in
       List.iteri
@@ -415,7 +525,7 @@ let prop_dumbbell_delivers_each_once =
             ~at:(0.001 *. float_of_int i)
             (fun () ->
               incr sent;
-              Dumbbell.send_fwd net
+              Dumbbell.send_fwd ports.(flow)
                 (Packet.make ~alloc ~flow ~kind:Packet.Data ~seq:i ~size:500
                    ~sent_at:0.0 ())))
         flows;
@@ -589,6 +699,7 @@ let () =
         [
           Alcotest.test_case "allocation-free" `Quick
             test_delay_line_allocation_free;
+          Alcotest.test_case "close" `Quick test_delay_line_close;
         ] );
       ( "link",
         [
@@ -605,6 +716,8 @@ let () =
           Alcotest.test_case "evaporation" `Quick test_dumbbell_unknown_flow_evaporates;
           Alcotest.test_case "unregister in flight" `Quick
             test_dumbbell_unregister_in_flight;
+          Alcotest.test_case "flood slots bounded" `Quick
+            test_dumbbell_flood_slots_bounded;
           Alcotest.test_case "round trip words" `Quick
             test_dumbbell_round_trip_words;
           Alcotest.test_case "dup registration" `Quick
