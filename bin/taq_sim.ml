@@ -1,7 +1,7 @@
 (* taq_sim: the command-line front end.
 
    Subcommands:
-     experiment  run a paper-figure reproduction by name
+     experiment  run paper-figure reproductions by name (all by default)
      sim         ad-hoc dumbbell contention run with any queue
      sweep       a (discipline x capacity x fair-share x rep) grid on a
                  Domain worker pool, with an on-disk result cache
@@ -188,6 +188,17 @@ let at_least lo =
         | Error _ as e -> e),
       Arg.conv_printer Arg.int )
 
+(* Every subcommand that runs work on the Domain pool takes the same
+   worker count: the harness seeds each task from its key, so results
+   do not depend on it. *)
+let jobs_arg =
+  Arg.(
+    value & opt (at_least 1) 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains. 1 runs sequentially in-process; outputs are \
+           byte-identical at any jobs count.")
+
 (* [model -p] is a loss probability, and both models are defined on
    [0, 0.5): outside it they raise from inside the library (exit 125). *)
 let loss_probability =
@@ -259,36 +270,72 @@ let resolve_backend backend ~bg_flows ~fluid_dt ~rtt ~capacity_bps ~buffer_pkts
 
 (* --- experiment ------------------------------------------------------- *)
 
+(* The named registry targets, or all of them, run as tasks on the
+   worker pool. Each task captures its own output, so the outputs print
+   in registry order and are byte-identical at any --jobs; the counters
+   merge in the same order. A target that raises fails the command with
+   its own exception, as a direct run would. *)
 let experiment_cmd =
-  let name_arg =
+  let names_arg =
     let doc =
-      Printf.sprintf "Experiment to run: one of %s."
+      Printf.sprintf "Experiments to run, from %s (default: all of them)."
         (String.concat ", " Registry.names)
     in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc)
+    Arg.(value & pos_all string [] & info [] ~docv:"NAME" ~doc)
   in
   let full_arg =
     Arg.(value & flag & info [ "full" ] ~doc:"Full-fidelity parameters.")
   in
-  let run name full spec =
-    with_spec spec @@ fun spec ->
-    match Registry.find name with
-    | Some t ->
-        t.Registry.run ~full;
-        if Run_spec.check_enabled spec then
-          Printf.eprintf "invariant checks: clean (experiment %s)\n" name;
-        if Run_spec.obs_enabled spec then
-          finish_obs spec (Obs.root_snapshot ());
-        `Ok ()
-    | None ->
+  let run names full jobs spec =
+    match List.find_opt (fun n -> Registry.find n = None) names with
+    | Some name ->
         `Error
-          (false, Printf.sprintf "unknown experiment %S (known: %s)" name
-                    (String.concat ", " Registry.names))
+          ( false,
+            Printf.sprintf "unknown experiment %S (known: %s)" name
+              (String.concat ", " Registry.names) )
+    | None ->
+        with_spec spec @@ fun spec ->
+        let targets =
+          List.filter_map
+            (fun n ->
+              if names = [] || List.mem n names then Registry.find n else None)
+            Registry.names
+        in
+        let results =
+          Harness.Pool.run ~obs:(Run_spec.observer spec) ~jobs
+            (List.map
+               (fun t ->
+                 Harness.Task.make ~key:t.Registry.name (fun ~seed:_ ->
+                     match Registry.capture t ~full with
+                     | output -> Ok output
+                     | exception e -> Error e))
+               targets)
+        in
+        List.iter2
+          (fun t r ->
+            if List.length targets > 1 then
+              Printf.printf "\n==== %s: %s ====\n\n" t.Registry.name
+                t.Registry.description;
+            match Harness.Pool.value_exn r with
+            | Ok output -> print_string output
+            | Error e -> raise e)
+          targets results;
+        if Run_spec.check_enabled spec then
+          Printf.eprintf "invariant checks: clean (experiment %s)\n"
+            (String.concat " " (List.map (fun t -> t.Registry.name) targets));
+        if Run_spec.obs_enabled spec then
+          finish_obs spec
+            (Obs.merge_all
+               (Obs.root_snapshot ()
+               :: List.map (fun r -> r.Harness.Pool.obs) results));
+        `Ok ()
   in
-  let doc = "Reproduce one of the paper's figures" in
+  let doc = "Reproduce the paper's figures" in
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
-      ret (const run $ name_arg $ full_arg $ spec_term ~resil:absent ()))
+      ret
+        (const run $ names_arg $ full_arg $ jobs_arg
+       $ spec_term ~resil:absent ()))
 
 (* --- sim ---------------------------------------------------------------- *)
 
@@ -566,13 +613,6 @@ let sweep_cmd =
     Arg.(
       value & opt positive 1.0
       & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
-  in
-  let jobs =
-    Arg.(
-      value & opt (at_least 1) 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains. 1 runs sequentially in-process; outputs are \
-                byte-identical either way.")
   in
   let results_dir =
     Arg.(
@@ -937,7 +977,7 @@ let sweep_cmd =
       ret
         (const run $ queues $ matrix $ tcps $ workloads $ fault_axis
        $ capacities $ fair_shares $ reps $ rtt $ duration $ buffer_rtts
-       $ guard $ backend_arg $ bg_flows_arg $ fluid_dt_arg $ jobs
+       $ guard $ backend_arg $ bg_flows_arg $ fluid_dt_arg $ jobs_arg
        $ results_dir $ no_cache $ resume $ timeout_s $ retries $ chaos
        $ given faults_arg $ given resil_arg $ spec_term ()))
 
@@ -966,13 +1006,6 @@ let faults_cmd =
       & opt (list (name_conv Fault_drill.disc_of_string)) [ "droptail"; "taq" ]
       & info [ "queues" ] ~docv:"QUEUES"
           ~doc:"Comma-separated disciplines to drill each scenario against.")
-  in
-  let jobs =
-    Arg.(
-      value & opt (at_least 1) 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains. Drills are seeded from their task keys, so \
-                outcomes are byte-identical for any jobs count.")
   in
   let run list_flag scenario queues jobs spec =
     if list_flag then begin
@@ -1076,7 +1109,7 @@ let faults_cmd =
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
       ret
-        (const run $ list_flag $ scenario $ queues $ jobs
+        (const run $ list_flag $ scenario $ queues $ jobs_arg
        $ spec_term ~faults:absent ()))
 
 (* --- model --------------------------------------------------------------- *)
@@ -1309,14 +1342,6 @@ let mega_cmd =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Cohort seed.")
   in
-  let jobs =
-    Arg.(
-      value & opt (at_least 1) 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains. Shard results merge in shard order, so the \
-             counters are byte-identical at any job count.")
-  in
   let results_dir =
     Arg.(
       value
@@ -1397,7 +1422,7 @@ let mega_cmd =
     Term.(
       ret
         (const run $ flows $ shards $ capacity $ fg_flows $ rtt $ duration
-       $ fluid_dt $ seed $ jobs $ results_dir $ do_checkpoint $ resume
+       $ fluid_dt $ seed $ jobs_arg $ results_dir $ do_checkpoint $ resume
        $ spec_term ~faults:absent ~resil:absent ()))
 
 let () =

@@ -6,12 +6,6 @@ type target = {
   run : full:bool -> unit;
 }
 
-type outcome = {
-  target : string;
-  full : bool;
-  output : string;
-}
-
 let fig1 ~full =
   let p = if full then Fig1_scatter.default else Fig1_scatter.quick in
   Fig1_scatter.print (Fig1_scatter.run p)
@@ -119,11 +113,11 @@ let cubic ~full =
   in
   Fig_fairness.print (Fig_fairness.run p)
 
-(* The overload-guard drill as a benchmarkable target: the adversarial
+(* The overload-guard drill as a registry target: the adversarial
    flood scenarios from the fault registry against a guarded TAQ
    (admission on, tracker capped), asserting the full degradation arc —
    trip, bounded state, recovery, re-learning. Deterministic under the
-   drill's fixed seed, so its counters gate exactly in BENCH.json. *)
+   drill's fixed seed, so test_counters pins its counters exactly. *)
 let flood ~full =
   let scenarios =
     if full then [ "syn-flood-churn"; "one-packet-stampede"; "pool-churn-storm" ]
@@ -154,8 +148,8 @@ let ablate ~full =
   Ablations.print_pthresh (Ablations.run_pthresh_sweep p)
 
 (* The hybrid fluid backend validated against its packet-level ground
-   truth; disagreement beyond tolerance is a failure (nonzero exit,
-   red bench gate), exactly like a failed flood drill. *)
+   truth; disagreement beyond tolerance is a failure (nonzero exit, a
+   failed test_counters case), exactly like a failed flood drill. *)
 let hybrid_validate ~full =
   let p = if full then Hybrid_validate.default else Hybrid_validate.quick in
   let rows = Hybrid_validate.run p in
@@ -276,6 +270,4 @@ let find name = List.find_opt (fun t -> t.name = name) targets
 
 let names = List.map (fun t -> t.name) targets
 
-let capture t ~full =
-  let output, () = Out.with_buffer (fun () -> t.run ~full) in
-  { target = t.name; full; output }
+let capture t ~full = Taq_harness.Capture.text (fun () -> t.run ~full)

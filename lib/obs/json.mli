@@ -1,11 +1,12 @@
 (** A minimal JSON value type with a printer and a strict
     recursive-descent parser.
 
-    Just enough JSON for the observability layer: {!Obs} snapshots,
-    [BENCH.json] / [bench/BASELINE.json] (see {!Regression}) and Chrome
-    [trace_event] files (see {!Trace}) are all written and re-read
-    through this module, so every producer has a matching in-repo
-    parser to test round-trips against — no external JSON dependency. *)
+    Just enough JSON for the observability layer and the performance
+    benchmark: {!Obs} snapshots, Chrome [trace_event] files (see
+    {!Trace}), [bench/perf]'s child reports and [BENCHMARK.json] are
+    all written or read through this module, so every producer has a
+    matching in-repo parser to test round-trips against — no external
+    JSON dependency. *)
 
 type t =
   | Null

@@ -1,13 +1,8 @@
 module Packet = Taq_net.Packet
 
-type params = {
-  capacity_pkts : int;
-  target : float;
-  interval : float;
-}
+type params = { target : float; interval : float }
 
-let default_params ~capacity_pkts =
-  { capacity_pkts; target = 0.05; interval = 0.5 }
+let default_params = { target = 0.05; interval = 0.5 }
 
 type state = {
   params : params;
@@ -49,9 +44,7 @@ let dodequeue st now =
       else (Some p, now >= st.first_above)
 
 let create ?params ~capacity_pkts ~now () =
-  let params =
-    match params with Some p -> p | None -> default_params ~capacity_pkts
-  in
+  let params = Option.value params ~default:default_params in
   let st =
     {
       params;
@@ -68,7 +61,7 @@ let create ?params ~capacity_pkts ~now () =
     }
   in
   let enqueue (p : Packet.t) =
-    if Queue.length st.q >= params.capacity_pkts then [ p ]
+    if Queue.length st.q >= capacity_pkts then [ p ]
     else begin
       if p.Packet.size > st.maxpacket then st.maxpacket <- p.Packet.size;
       Queue.add (st.now (), p) st.q;

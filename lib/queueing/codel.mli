@@ -17,7 +17,6 @@
     canonical 5 ms/100 ms would drop on every packet). *)
 
 type params = {
-  capacity_pkts : int;
   target : float;  (** seconds: acceptable standing sojourn time *)
   interval : float;  (** seconds: window the minimum must exceed it *)
 }

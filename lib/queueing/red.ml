@@ -1,7 +1,6 @@
 module Packet = Taq_net.Packet
 
 type params = {
-  capacity_pkts : int;
   min_th : float;
   max_th : float;
   max_p : float;
@@ -10,13 +9,7 @@ type params = {
 
 let default_params ~capacity_pkts =
   let min_th = Float.max 1.0 (float_of_int capacity_pkts /. 4.0) in
-  {
-    capacity_pkts;
-    min_th;
-    max_th = 3.0 *. min_th;
-    max_p = 0.1;
-    weight = 0.002;
-  }
+  { min_th; max_th = 3.0 *. min_th; max_p = 0.1; weight = 0.002 }
 
 type state = {
   params : params;
@@ -81,7 +74,7 @@ let create ?params ~capacity_pkts ~now ~prng () =
   in
   let enqueue p =
     update_avg st;
-    if Queue.length st.q >= params.capacity_pkts then begin
+    if Queue.length st.q >= capacity_pkts then begin
       st.count <- 0;
       [ p ]
     end

@@ -7,7 +7,6 @@
     small packet regimes (Section 2.4). *)
 
 type params = {
-  capacity_pkts : int;
   min_th : float;  (** packets *)
   max_th : float;  (** packets *)
   max_p : float;  (** drop probability at [max_th] *)

@@ -7,8 +7,9 @@
    Each case runs the built bin/taq_sim.exe, found relative to this
    test in dune's build tree, with stdout and stderr sent to temporary
    files. The accepting cases check that the up-front checks let a good
-   input through, and that an output file opened early to test the
-   path is still written in full. *)
+   input through, that an output file opened early to test the path is
+   still written in full, and that [experiment] prints the same bytes
+   at any --jobs. *)
 
 let bin =
   Filename.concat (Filename.dirname Sys.executable_name) "../../bin/taq_sim.exe"
@@ -84,6 +85,28 @@ let test_p_full_model_inside () =
 let test_mega_fewer_flows_than_shards () =
   rejects ~want:"--flows (3) must be at least --shards (4)"
     [ "mega"; "--flows"; "3"; "--shards"; "4"; "-d"; "1" ]
+
+(* --- experiment -------------------------------------------------------- *)
+
+let test_experiment_unknown () =
+  rejects ~want:"unknown experiment \"nope\" (known: fig1, fig2,"
+    [ "experiment"; "fig2"; "nope" ]
+
+let test_experiment_jobs_zero () =
+  rejects ~want:"option '--jobs': expected an integer >= 1"
+    [ "experiment"; "fig9"; "--jobs"; "0" ]
+
+let test_experiment_bad_check () =
+  rejects ~want:"unknown check group \"bogus\""
+    [ "experiment"; "fig2"; "--check=bogus" ]
+
+(* Each target captures its own output, so the worker count cannot
+   change what prints, nor its order. *)
+let test_experiment_jobs_identical () =
+  let at jobs = accepts [ "experiment"; "fig9"; "http"; "--jobs"; jobs ] in
+  let one = at "1" in
+  Alcotest.(check bool) "printed both targets" true (contains one "==== http");
+  Alcotest.(check string) "jobs 2 prints what jobs 1 prints" one (at "2")
 
 (* --- output paths are checked before the run -------------------------- *)
 
@@ -169,6 +192,17 @@ let () =
         [
           Alcotest.test_case "fewer flows than shards rejected" `Quick
             test_mega_fewer_flows_than_shards;
+        ] );
+      ( "experiment",
+        [
+          Alcotest.test_case "unknown name rejected" `Quick
+            test_experiment_unknown;
+          Alcotest.test_case "--jobs 0 rejected" `Quick
+            test_experiment_jobs_zero;
+          Alcotest.test_case "--check=bogus rejected" `Quick
+            test_experiment_bad_check;
+          Alcotest.test_case "same output at any --jobs" `Quick
+            test_experiment_jobs_identical;
         ] );
       ( "unwritable output",
         [

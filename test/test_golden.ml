@@ -2,32 +2,17 @@
 
    Each scenario is a small, fully deterministic simulation (fixed
    seed, single domain) through the same [Common.make_env] plumbing
-   the figure experiments use. The key scalar outputs — long-term
+   the figure experiments use. Its key scalar outputs — long-term
    Jain fairness index, bottleneck utilization, measured loss rate and
-   the exact drop count — are pinned to committed golden values.
-
-   The simulator is deterministic, so the float tolerances are tight
-   (1e-6 absolute): they absorb printf round-tripping, not behaviour.
-   A legitimate behaviour change (new congestion-control detail, queue
-   tweak, ...) must update the goldens; regenerate the table with
-
-     GOLDEN_REGEN=1 dune exec test/test_golden.exe
-
-   and paste the printed rows below. That makes dynamics drift an
-   explicit, reviewed event instead of a silent one. *)
+   the exact drop count — print as one row, and the row must equal its
+   line in test/goldens/scalars.expected exactly. A legitimate
+   behaviour change (new congestion-control detail, queue tweak, ...)
+   must regenerate the file (Golden_file has the command), which makes
+   dynamics drift an explicit, reviewed event instead of a silent one. *)
 
 module Common = Taq_experiments.Common
 module Slicer = Taq_metrics.Slicer
 module Loss_monitor = Taq_metrics.Loss_monitor
-
-type golden = {
-  name : string;
-  queue : unit -> Common.queue;
-  jain : float;
-  util : float;
-  loss : float;
-  drops : int;
-}
 
 let capacity_bps = 400e3
 let buffer_pkts = 25
@@ -51,59 +36,34 @@ let measure ?faults queue =
 let taq ?admission ?guard_cap () =
   Common.Taq (Common.taq_config ?admission ?guard_cap ~capacity_bps ~buffer_pkts ())
 
-(* --- the golden table --------------------------------------------------- *)
+(* --- the golden tables --------------------------------------------------
 
-let goldens =
-  [
-    {
-      name = "droptail";
-      queue = (fun () -> Common.Droptail);
-      jain = 0.949984;
-      util = 0.998667;
-      loss = 0.108060;
-      drops = 366;
-    };
-    {
-      name = "red";
-      queue = (fun () -> Common.Red);
-      jain = 0.928098;
-      util = 0.998667;
-      loss = 0.120362;
-      drops = 412;
-    };
-    {
-      name = "sfq";
-      queue = (fun () -> Common.Sfq);
-      jain = 0.999409;
-      util = 0.999000;
-      loss = 0.090193;
-      drops = 332;
-    };
-    {
-      name = "drr";
-      queue = (fun () -> Common.Drr);
-      jain = 0.994084;
-      util = 0.995000;
-      loss = 0.092803;
-      drops = 343;
-    };
-    {
-      name = "taq";
-      queue = (fun () -> taq ~admission:false ());
-      jain = 0.959982;
-      util = 0.999000;
-      loss = 0.154373;
-      drops = 609;
-    };
-    {
-      name = "taq+ac";
-      queue = (fun () -> taq ~admission:true ());
-      jain = 0.959982;
-      util = 0.999000;
-      loss = 0.154373;
-      drops = 609;
-    };
-  ]
+   One table of scenarios per workload variant. Each prints its own
+   comment line and pads names to its own width, as the committed file
+   does. *)
+
+type table = {
+  title : string;
+  width : int;
+  faults : Taq_fault.Plan.t option;
+  scenarios : (string * (unit -> Common.queue)) list;
+}
+
+let registry =
+  {
+    title = "registry scalars";
+    width = 10;
+    faults = None;
+    scenarios =
+      [
+        ("droptail", fun () -> Common.Droptail);
+        ("red", fun () -> Common.Red);
+        ("sfq", fun () -> Common.Sfq);
+        ("drr", fun () -> Common.Drr);
+        ("taq", fun () -> taq ~admission:false ());
+        ("taq+ac", fun () -> taq ~admission:true ());
+      ];
+  }
 
 (* --- the fault golden table ---------------------------------------------
 
@@ -119,41 +79,19 @@ let flap_plan =
   | Ok p -> p
   | Error msg -> failwith msg
 
-let fault_goldens =
-  [
-    {
-      name = "flap/droptail";
-      queue = (fun () -> Common.Droptail);
-      jain = 0.871403;
-      util = 0.932333;
-      loss = 0.103372;
-      drops = 325;
-    };
-    {
-      name = "flap/red";
-      queue = (fun () -> Common.Red);
-      jain = 0.971169;
-      util = 0.932333;
-      loss = 0.125467;
-      drops = 403;
-    };
-    {
-      name = "flap/sfq";
-      queue = (fun () -> Common.Sfq);
-      jain = 0.999527;
-      util = 0.932333;
-      loss = 0.082123;
-      drops = 277;
-    };
-    {
-      name = "flap/taq";
-      queue = (fun () -> taq ~admission:false ());
-      jain = 0.990134;
-      util = 0.932333;
-      loss = 0.145260;
-      drops = 544;
-    };
-  ]
+let fault =
+  {
+    title = "fault scalars (flap during slow start)";
+    width = 14;
+    faults = Some flap_plan;
+    scenarios =
+      [
+        ("flap/droptail", fun () -> Common.Droptail);
+        ("flap/red", fun () -> Common.Red);
+        ("flap/sfq", fun () -> Common.Sfq);
+        ("flap/taq", fun () -> taq ~admission:false ());
+      ];
+  }
 
 (* --- the flood (degraded-mode) golden table -----------------------------
 
@@ -172,83 +110,53 @@ let flood_plan =
   | Ok p -> p
   | Error msg -> failwith msg
 
-let flood_goldens =
-  [
-    {
-      name = "flood/droptail";
-      queue = (fun () -> Common.Droptail);
-      jain = 0.977590;
-      util = 0.997600;
-      loss = 0.133251;
-      drops = 434;
-    };
-    {
-      name = "flood/taq+guard";
-      queue = (fun () -> taq ~admission:true ~guard_cap:64 ());
-      jain = 0.936980;
-      util = 0.998880;
-      loss = 0.163399;
-      drops = 600;
-    };
-  ]
+let flood =
+  {
+    title = "flood scalars (guard degrades to droptail)";
+    width = 16;
+    faults = Some flood_plan;
+    scenarios =
+      [
+        ("flood/droptail", fun () -> Common.Droptail);
+        ("flood/taq+guard", fun () -> taq ~admission:true ~guard_cap:64 ());
+      ];
+  }
+
+let tables = [ registry; fault; flood ]
+
+let row table (name, queue) =
+  let jain, util, loss, drops = measure ?faults:table.faults (queue ()) in
+  Printf.sprintf "%-*s jain = %.6f;  util = %.6f;  loss = %.6f;  drops = %d;"
+    table.width name jain util loss drops
 
 let regen () =
-  Printf.printf
-    "(* GOLDEN_REGEN output: paste these fields into [goldens]. *)\n";
   List.iter
-    (fun g ->
-      let jain, util, loss, drops = measure (g.queue ()) in
-      Printf.printf
-        "%-10s jain = %.6f;  util = %.6f;  loss = %.6f;  drops = %d;\n" g.name
-        jain util loss drops)
-    goldens;
-  Printf.printf
-    "(* GOLDEN_REGEN output: paste these fields into [fault_goldens]. *)\n";
-  List.iter
-    (fun g ->
-      let jain, util, loss, drops = measure ~faults:flap_plan (g.queue ()) in
-      Printf.printf
-        "%-14s jain = %.6f;  util = %.6f;  loss = %.6f;  drops = %d;\n" g.name
-        jain util loss drops)
-    fault_goldens;
-  Printf.printf
-    "(* GOLDEN_REGEN output: paste these fields into [flood_goldens]. *)\n";
-  List.iter
-    (fun g ->
-      let jain, util, loss, drops = measure ~faults:flood_plan (g.queue ()) in
-      Printf.printf
-        "%-16s jain = %.6f;  util = %.6f;  loss = %.6f;  drops = %d;\n" g.name
-        jain util loss drops)
-    flood_goldens
+    (fun table ->
+      Printf.printf "(* %s *)\n" table.title;
+      List.iter (fun sc -> print_endline (row table sc)) table.scenarios)
+    tables
 
-let tol = 1e-6
+(* Each row's committed line, by scenario name. *)
+let expected =
+  lazy
+    (List.filter_map
+       (fun line ->
+         if String.starts_with ~prefix:"(*" line then None
+         else Some (Golden_file.first_word line, line))
+       (Golden_file.lines "scalars"))
 
-let check_golden ?faults g () =
-  let jain, util, loss, drops = measure ?faults (g.queue ()) in
-  Alcotest.(check (float tol)) "jain" g.jain jain;
-  Alcotest.(check (float tol)) "utilization" g.util util;
-  Alcotest.(check (float tol)) "loss rate" g.loss loss;
-  Alcotest.(check int) "drop count" g.drops drops
+let check_row table ((name, _) as sc) () =
+  match List.assoc_opt name (Lazy.force expected) with
+  | None -> Alcotest.failf "%s has no line in scalars.expected" name
+  | Some line -> Alcotest.(check string) name line (row table sc)
 
 let () =
-  if Sys.getenv_opt "GOLDEN_REGEN" <> None then regen ()
-  else
-    Alcotest.run "taq_golden"
-      [
-        ( "registry scalars",
-          List.map
-            (fun g -> Alcotest.test_case g.name `Slow (check_golden g))
-            goldens );
-        ( "fault scalars (flap during slow start)",
-          List.map
-            (fun g ->
-              Alcotest.test_case g.name `Slow
-                (check_golden ~faults:flap_plan g))
-            fault_goldens );
-        ( "flood scalars (guard degrades to droptail)",
-          List.map
-            (fun g ->
-              Alcotest.test_case g.name `Slow
-                (check_golden ~faults:flood_plan g))
-            flood_goldens );
-      ]
+  Golden_file.main ~suite:"taq_golden" ~regen
+    (List.map
+       (fun table ->
+         ( table.title,
+           List.map
+             (fun ((name, _) as sc) ->
+               Alcotest.test_case name `Slow (check_row table sc))
+             table.scenarios ))
+       tables)

@@ -9,16 +9,8 @@
    [test/goldens/matrix.expected]. A dynamics drift in any
    discipline, TCP variant, workload or fault scenario therefore
    shows up as an explicit string diff on a named cell, not as a
-   silent change in a merged report.
-
-   Regenerate after a reviewed behaviour change with
-
-     GOLDEN_REGEN=1 dune exec test/test_matrix.exe \
-       > test/goldens/matrix.expected
-
-   The regen output is exactly the file contents (one cell block per
-   cell, canonical matrix order), which is what lets CI diff a fresh
-   regeneration against the committed file to catch drift. *)
+   silent change in a merged report. The regen output (Golden_file has
+   the command) is one cell block per cell, in canonical matrix order. *)
 
 module Matrix = Taq_experiments.Matrix
 module Task_key = Taq_experiments.Task_key
@@ -51,26 +43,6 @@ let compute_block ~disc ~tcp ~workload ~fault =
   String.trim
     (Taq_harness.Capture.text (fun () ->
          Matrix.run_cell ~disc ~tcp ~workload ~fault ~seed ()))
-
-(* Under `dune runtest` the action runs in _build/default/test with
-   the goldens copied alongside; under `dune exec` from the project
-   root the source tree path applies. *)
-let expected_file =
-  if Sys.file_exists "goldens/matrix.expected" then "goldens/matrix.expected"
-  else "test/goldens/matrix.expected"
-
-let expected_lines =
-  lazy
-    (let ic = open_in expected_file in
-     let rec loop acc =
-       match input_line ic with
-       | line -> loop (line :: acc)
-       | exception End_of_file ->
-           close_in ic;
-           List.rev acc
-     in
-     loop []
-     |> List.filter (fun l -> String.trim l <> ""))
 
 let field fields name =
   match List.assoc_opt name fields with
@@ -113,7 +85,7 @@ let expected_table =
            match !current with
            | Some (coords, lines) -> current := Some (coords, line :: lines)
            | None -> Alcotest.failf "golden line outside any cell: %s" line)
-       (Lazy.force expected_lines);
+       (Golden_file.lines "matrix");
      flush ();
      List.rev !blocks)
 
@@ -124,8 +96,8 @@ let check_cell (disc, tcp, workload, fault) () =
     with
     | Some block -> block
     | None ->
-        Alcotest.failf "cell %s/%s/%s/%s missing from %s" disc tcp workload
-          fault expected_file
+        Alcotest.failf "cell %s/%s/%s/%s missing from matrix.expected" disc
+          tcp workload fault
   in
   Alcotest.(check string)
     "cell block" expected
@@ -220,46 +192,46 @@ let check_taq_flood_completion tcp () =
       "taq mice completions under flood (%d) below the %s floor (%d, clean %d)"
       under_flood tcp floor clean
 
+let regen () =
+  List.iter
+    (fun (disc, tcp, workload, fault) ->
+      print_endline (compute_block ~disc ~tcp ~workload ~fault))
+    cells
+
 let () =
-  if Sys.getenv_opt "GOLDEN_REGEN" <> None then
-    List.iter
-      (fun (disc, tcp, workload, fault) ->
-        print_endline (compute_block ~disc ~tcp ~workload ~fault))
-      cells
-  else
-    Alcotest.run "taq_matrix"
-      [
-        ( "matrix cells",
-          List.map
-            (fun ((disc, tcp, workload, fault) as cell) ->
-              Alcotest.test_case
-                (Printf.sprintf "%s/%s/%s/%s" disc tcp workload fault)
-                `Slow (check_cell cell))
-            cells );
-        ( "mice predictability ordering",
-          List.map
-            (fun tcp ->
-              Alcotest.test_case
-                (Printf.sprintf "las beats droptail (tcp=%s)" tcp)
-                `Quick
-                (check_las_beats_droptail tcp))
-            tcps );
-        ( "resilience budgets",
-          List.concat_map
-            (fun tcp ->
-              List.map
-                (fun workload ->
-                  Alcotest.test_case
-                    (Printf.sprintf "taq flap recovery beats droptail (%s/%s)"
-                       tcp workload)
-                    `Quick
-                    (check_taq_flap_recovery tcp workload))
-                Matrix.workload_names
-              @ [
-                  Alcotest.test_case
-                    (Printf.sprintf "taq mice complete under flood (%s)" tcp)
-                    `Quick
-                    (check_taq_flood_completion tcp);
-                ])
-            tcps );
-      ]
+  Golden_file.main ~suite:"taq_matrix" ~regen
+    [
+      ( "matrix cells",
+        List.map
+          (fun ((disc, tcp, workload, fault) as cell) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s/%s/%s/%s" disc tcp workload fault)
+              `Slow (check_cell cell))
+          cells );
+      ( "mice predictability ordering",
+        List.map
+          (fun tcp ->
+            Alcotest.test_case
+              (Printf.sprintf "las beats droptail (tcp=%s)" tcp)
+              `Quick
+              (check_las_beats_droptail tcp))
+          tcps );
+      ( "resilience budgets",
+        List.concat_map
+          (fun tcp ->
+            List.map
+              (fun workload ->
+                Alcotest.test_case
+                  (Printf.sprintf "taq flap recovery beats droptail (%s/%s)"
+                     tcp workload)
+                  `Quick
+                  (check_taq_flap_recovery tcp workload))
+              Matrix.workload_names
+            @ [
+                Alcotest.test_case
+                  (Printf.sprintf "taq mice complete under flood (%s)" tcp)
+                  `Quick
+                  (check_taq_flood_completion tcp);
+              ])
+          tcps );
+    ]

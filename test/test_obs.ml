@@ -11,19 +11,13 @@
    - behaviour neutrality: a simulation run with counters (and tracing)
      on produces byte-for-byte the same metrics as with Obs.off;
    - aggregation determinism: the merged per-task counters of a mini
-     sweep over a Harness.Pool are identical at jobs=1 and jobs=4;
-   - the bench-regression gate: exact counter and gauge drift fails
-     (a key on one side only too), a run target missing from the
-     baseline fails, scale mismatch fails, and each failure names what
-     drifted; BENCH.json documents survive a save/load round-trip, are
-     the same bytes whatever order the targets ran in, still load when
-     written with the old host-timing fields, and malformed ones are
-     rejected. *)
+     sweep over a Harness.Pool are identical at jobs=1 and jobs=4.
+
+   The registry targets' counters are pinned exactly by test_counters. *)
 
 module Obs = Taq_obs.Obs
 module Trace = Taq_obs.Trace
 module Json = Taq_obs.Json
-module Regression = Taq_obs.Regression
 module Common = Taq_experiments.Common
 module Harness = Taq_harness
 
@@ -313,229 +307,6 @@ let test_jobs_identical () =
   Alcotest.(check (list (pair string int)))
     "gauges identical at jobs=1 and jobs=4" g1 g4
 
-(* --- the bench-regression gate ------------------------------------------- *)
-
-let target ?(counters = []) ?(gauges = []) name =
-  {
-    Regression.name;
-    counters = List.sort compare counters;
-    gauges = List.sort compare gauges;
-  }
-
-let bench ?(scale = "quick") targets = { Regression.scale; targets }
-
-let check_diff ~baseline ~current expect_ok name =
-  match Regression.diff ~baseline ~current with
-  | Ok _ -> Alcotest.(check bool) name true expect_ok
-  | Error _ -> Alcotest.(check bool) name false expect_ok
-
-let test_gate_exact_match () =
-  let b = bench [ target "fig1" ~counters:[ ("a", 1); ("b", 2) ] ] in
-  check_diff ~baseline:b ~current:b true "identical passes";
-  let drift = bench [ target "fig1" ~counters:[ ("a", 1); ("b", 3) ] ] in
-  check_diff ~baseline:b ~current:drift false "counter drift fails";
-  let missing = bench [ target "fig1" ~counters:[ ("a", 1) ] ] in
-  check_diff ~baseline:b ~current:missing false "missing counter fails";
-  let extra =
-    bench [ target "fig1" ~counters:[ ("a", 1); ("b", 2); ("c", 9) ] ]
-  in
-  check_diff ~baseline:b ~current:extra false "new counter fails";
-  check_diff ~baseline:b ~current:(bench []) true "unrun target only a note";
-  (* A target the baseline has never seen must not pass ungated. *)
-  let unknown =
-    bench [ target "fig1" ~counters:[ ("a", 1); ("b", 2) ]; target "fig2" ]
-  in
-  match Regression.diff ~baseline:b ~current:unknown with
-  | Ok _ -> Alcotest.fail "target absent from the baseline passed"
-  | Error fs ->
-      Alcotest.(check (list string))
-        "absent target fails, naming the way to regenerate"
-        [ "fig2: not in the baseline (regenerate it with --write-baseline)" ]
-        fs
-
-let test_gate_gauges () =
-  let b = bench [ target "fig1" ~gauges:[ ("sim.heap_max_depth", 40) ] ] in
-  check_diff ~baseline:b ~current:b true "identical gauges pass";
-  let deeper =
-    bench [ target "fig1" ~gauges:[ ("sim.heap_max_depth", 41) ] ]
-  in
-  check_diff ~baseline:b ~current:deeper false "gauge drift fails";
-  check_diff ~baseline:b ~current:(bench [ target "fig1" ]) false
-    "missing gauge fails"
-
-let test_gate_one_sided_zero () =
-  (* Snapshots drop zeros, so a key on one side only is a renamed or
-     new counter: drift even when its value is 0. *)
-  let b = bench [ target "fig1" ~counters:[ ("a", 0) ] ] in
-  check_diff ~baseline:b ~current:(bench [ target "fig1" ]) false
-    "zero key gone from current fails";
-  check_diff ~baseline:(bench [ target "fig1" ]) ~current:b false
-    "zero key new in current fails"
-
-let test_gate_failure_messages () =
-  let b =
-    bench
-      [
-        target "fig1"
-          ~counters:[ ("a", 1); ("b", 2) ]
-          ~gauges:[ ("depth", 5) ];
-      ]
-  in
-  let c =
-    bench
-      [
-        target "fig1"
-          ~counters:[ ("b", 3); ("c", 4) ]
-          ~gauges:[ ("depth", 6) ];
-      ]
-  in
-  match Regression.diff ~baseline:b ~current:c with
-  | Ok _ -> Alcotest.fail "drift passed"
-  | Error fs ->
-      Alcotest.(check (list string))
-        "each drift names target, kind, key and both values"
-        [
-          "fig1: counter a: 1 -> missing";
-          "fig1: counter b: 2 -> 3";
-          "fig1: counter c: missing -> 4";
-          "fig1: gauge depth: 5 -> 6";
-        ]
-        fs
-
-let test_gate_pass_notes () =
-  let b =
-    bench
-      [
-        target "fig1" ~counters:[ ("a", 1); ("b", 2) ] ~gauges:[ ("g", 3) ];
-        target "fig2";
-      ]
-  in
-  let c =
-    bench
-      [ target "fig1" ~counters:[ ("a", 1); ("b", 2) ] ~gauges:[ ("g", 3) ] ]
-  in
-  match Regression.diff ~baseline:b ~current:c with
-  | Error fs -> Alcotest.fail (String.concat "; " fs)
-  | Ok notes ->
-      Alcotest.(check (list string))
-        "matched and unrun targets are noted"
-        [ "fig1: 2 counter(s), 1 gauge(s) match"; "fig2: not run, skipped" ]
-        notes
-
-let test_gate_scale_mismatch () =
-  let b = bench ~scale:"quick" [ target "fig1" ] in
-  let c = bench ~scale:"full" [ target "fig1" ] in
-  check_diff ~baseline:b ~current:c false "scale mismatch fails"
-
-let test_bench_canonical_bytes () =
-  (* Targets finish in any order at --jobs > 1; the document must not
-     show it, so a baseline regenerated at any --jobs is the same bytes. *)
-  let fig1 = target "fig1" ~counters:[ ("a", 1) ] ~gauges:[ ("g", 2) ] in
-  let fig2 = target "fig2" ~counters:[ ("b", 3) ] in
-  let fig10 = target "fig10" in
-  let bytes b = Json.to_string (Regression.to_json b) in
-  Alcotest.(check string) "target order does not reach the bytes"
-    (bytes (bench [ fig1; fig2; fig10 ]))
-    (bytes (bench [ fig2; fig10; fig1 ]));
-  Alcotest.(check string) "only scale, names, counters and gauges"
-    {|{"scale":"quick","targets":[{"name":"fig1","counters":{"a":1},"gauges":{"g":2}}]}|}
-    (bytes (bench [ fig1 ]))
-
-let test_bench_legacy_document () =
-  (* Documents written before BENCH.json dropped its host timings still
-     load; the timing fields are ignored and the counters gate as usual. *)
-  let legacy =
-    {|{"scale":"quick","jobs":4,"targets":[{"name":"fig1","seconds":0.25,"events_per_sec":1.5e6,"gc_minor_words":3e7,"counters":{"a":1},"gauges":{"g":2}}]}|}
-  in
-  let current =
-    bench [ target "fig1" ~counters:[ ("a", 1) ] ~gauges:[ ("g", 2) ] ]
-  in
-  match Regression.of_string legacy with
-  | Error e -> Alcotest.fail e
-  | Ok b ->
-      Alcotest.(check bool) "timings dropped, counters kept" true (b = current);
-      check_diff ~baseline:b ~current true "legacy baseline gates a current run"
-
-let test_bench_rejects_malformed () =
-  List.iter
-    (fun s ->
-      match Regression.of_string s with
-      | Ok _ -> Alcotest.failf "accepted %S" s
-      | Error _ -> ())
-    [
-      "";
-      "[1,2]";
-      {|{"targets":[]}|};
-      {|{"scale":"quick"}|};
-      {|{"scale":"quick","targets":[{"counters":{"a":1}}]}|};
-      {|{"scale":1,"targets":[]}|};
-    ]
-
-let test_bench_save_load () =
-  let b =
-    bench
-      [
-        target "fig1"
-          ~counters:[ ("link.offered", 111434); ("sim.heap_push", 463571) ]
-          ~gauges:[ ("sim.heap_max_depth", 1820) ];
-        target "fig2";
-      ]
-  in
-  let path = Filename.temp_file "taq_bench" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Regression.save ~path b;
-      match Regression.load ~path with
-      | Ok b' -> Alcotest.(check bool) "save/load round-trip" true (b = b')
-      | Error e -> Alcotest.fail e);
-  match Regression.load ~path:"/nonexistent/bench.json" with
-  | Ok _ -> Alcotest.fail "missing baseline accepted"
-  | Error _ -> ()
-
-let test_compare_files () =
-  let b = bench [ target "fig1" ~counters:[ ("a", 1) ] ] in
-  let drift = bench [ target "fig1" ~counters:[ ("a", 2) ] ] in
-  let pb = Filename.temp_file "taq_base" ".json" in
-  let pc = Filename.temp_file "taq_cur" ".json" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove pb;
-      Sys.remove pc)
-    (fun () ->
-      Regression.save ~path:pb b;
-      Regression.save ~path:pc b;
-      (match
-         Regression.compare_files ~baseline_path:pb ~current_path:pc
-       with
-      | Ok _ -> ()
-      | Error es -> Alcotest.fail (String.concat "; " es));
-      Regression.save ~path:pc drift;
-      match Regression.compare_files ~baseline_path:pb ~current_path:pc with
-      | Ok _ -> Alcotest.fail "drifted files accepted"
-      | Error es ->
-          Alcotest.(check bool) "failure reported" true (es <> []))
-
-let test_compare_files_unreadable () =
-  let p = Filename.temp_file "taq_bench" ".json" in
-  let missing =
-    Filename.concat (Filename.get_temp_dir_name ()) "taq_no_such_bench.json"
-  in
-  let side ~baseline_path ~current_path =
-    match Regression.compare_files ~baseline_path ~current_path with
-    | Ok _ -> Alcotest.fail "unreadable document accepted"
-    | Error [ e ] -> List.hd (String.split_on_char ':' e)
-    | Error es -> Alcotest.failf "expected one error, got %d" (List.length es)
-  in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove p)
-    (fun () ->
-      Regression.save ~path:p (bench [ target "fig1" ]);
-      Alcotest.(check string) "missing baseline named" "baseline"
-        (side ~baseline_path:missing ~current_path:p);
-      Alcotest.(check string) "missing current named" "current"
-        (side ~baseline_path:p ~current_path:missing))
-
 (* --- snapshot wire form (durable runs) ------------------------------------- *)
 
 let test_snapshot_wire_roundtrip () =
@@ -628,25 +399,4 @@ let () =
         ] );
       ( "aggregation",
         [ Alcotest.test_case "jobs=1 vs jobs=4" `Slow test_jobs_identical ] );
-      ( "gate",
-        [
-          Alcotest.test_case "exact counter match" `Quick test_gate_exact_match;
-          Alcotest.test_case "exact gauge match" `Quick test_gate_gauges;
-          Alcotest.test_case "one-sided zero key" `Quick
-            test_gate_one_sided_zero;
-          Alcotest.test_case "failure messages" `Quick
-            test_gate_failure_messages;
-          Alcotest.test_case "pass notes" `Quick test_gate_pass_notes;
-          Alcotest.test_case "scale mismatch" `Quick test_gate_scale_mismatch;
-          Alcotest.test_case "save/load round-trip" `Quick test_bench_save_load;
-          Alcotest.test_case "canonical bytes" `Quick
-            test_bench_canonical_bytes;
-          Alcotest.test_case "legacy document" `Quick
-            test_bench_legacy_document;
-          Alcotest.test_case "rejects malformed" `Quick
-            test_bench_rejects_malformed;
-          Alcotest.test_case "compare_files" `Quick test_compare_files;
-          Alcotest.test_case "compare_files unreadable" `Quick
-            test_compare_files_unreadable;
-        ] );
     ]

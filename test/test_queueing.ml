@@ -64,15 +64,7 @@ let test_red_probabilistic_region () =
      for the EWMA to settle there; drops should be probabilistic (some,
      but not all). *)
   let prng = Taq_util.Prng.create ~seed:3 in
-  let params =
-    {
-      Red.capacity_pkts = 100;
-      min_th = 5.0;
-      max_th = 15.0;
-      max_p = 0.5;
-      weight = 0.2;
-    }
-  in
+  let params = { Red.min_th = 5.0; max_th = 15.0; max_p = 0.5; weight = 0.2 } in
   let d = Red.create ~params ~capacity_pkts:100 ~now:(fun () -> 0.0) ~prng () in
   (* Keep ~10 packets resident. *)
   for i = 1 to 10 do
@@ -323,9 +315,7 @@ let prop_zoo_conserves_bytes =
             Choked.create ~capacity_pkts:16
               ~prng:(Taq_util.Prng.create ~seed) ()
         | "codel" ->
-            let params =
-              { Codel.capacity_pkts = 16; target = 0.02; interval = 0.1 }
-            in
+            let params = { Codel.target = 0.02; interval = 0.1 } in
             Codel.create ~params ~capacity_pkts:16 ~now ()
         | "las" -> Las.create ~capacity_pkts:16 ()
         | _ -> assert false
@@ -366,7 +356,7 @@ let prop_zoo_conserves_bytes =
    every drop counted is CoDel's own, never a capacity tail-drop. *)
 let codel_overload_drops ~target =
   let clock = ref 0.0 in
-  let params = { Codel.capacity_pkts = 10_000; target; interval = 0.1 } in
+  let params = { Codel.target; interval = 0.1 } in
   let d = Codel.create ~params ~capacity_pkts:10_000 ~now:(fun () -> !clock) () in
   let drops = ref 0 and seq = ref 0 in
   for tick = 1 to 4000 do
