@@ -81,11 +81,30 @@ let absent = Term.const None
 (* Whether a flag was given at all, whatever its value. *)
 let given arg = Term.(const Option.is_some $ arg)
 
+(* [--check] and [--obs] take an optional value, so a word after either
+   is read as that value: [experiment --check fig2] parses "fig2" as
+   check groups. When such a value is a target name, the message shows
+   the orders that work. *)
+let target_hint ~check ~obs msg =
+  let took flag docv = function
+    | Some v when Option.is_some (Registry.find v) ->
+        Some
+          (Printf.sprintf
+             "%s; %s took the next word, %S, as its value: write experiment \
+              %s %s, or %s=%s"
+             msg flag v v flag flag docv)
+    | _ -> None
+  in
+  match (took "--check" "GROUPS" check, took "--obs" "SPEC" obs) with
+  | Some m, _ | None, Some m -> m
+  | None, None -> msg
+
 let spec_term ?(check = check_arg) ?(obs = obs_arg) ?(faults = faults_arg)
     ?(resil = resil_arg) () =
   Term.(
     const (fun check obs faults resil ->
-        Run_spec.of_flags ?check ?obs ?faults ?resil ())
+        Run_spec.of_flags ?check ?obs ?faults ?resil ()
+        |> Result.map_error (target_hint ~check ~obs))
     $ check $ obs $ faults $ resil)
 
 (* A file the run will write is opened for writing before any work, so
@@ -198,6 +217,19 @@ let jobs_arg =
         ~doc:
           "Worker domains. 1 runs sequentially in-process; outputs are \
            byte-identical at any jobs count.")
+
+(* [sim] and [sweep] run the same dumbbell path and take the same
+   RTT, run length and buffer flags. *)
+let rtt_arg =
+  Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
+
+let duration_arg =
+  Arg.(value & opt positive 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
+
+let buffer_rtts_arg =
+  Arg.(
+    value & opt positive 1.0
+    & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
 
 (* [model -p] is a loss probability, and both models are defined on
    [0, 0.5): outside it they raise from inside the library (exit 125). *)
@@ -357,17 +389,6 @@ let sim_cmd =
       value & opt (at_least 0) 60
       & info [ "n"; "flows" ] ~docv:"N" ~doc:"Long-lived flows.")
   in
-  let rtt =
-    Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
-  in
-  let duration =
-    Arg.(value & opt positive 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
-  in
-  let buffer_rtts =
-    Arg.(
-      value & opt positive 1.0
-      & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
-  in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   let guard =
     Arg.(
@@ -491,9 +512,9 @@ let sim_cmd =
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(
       ret
-        (const run $ queue $ capacity $ flows $ rtt $ duration $ buffer_rtts
-       $ seed $ guard $ pcap $ backend_arg $ bg_flows_arg $ fluid_dt_arg
-       $ spec_term ()))
+        (const run $ queue $ capacity $ flows $ rtt_arg $ duration_arg
+       $ buffer_rtts_arg $ seed $ guard $ pcap $ backend_arg $ bg_flows_arg
+       $ fluid_dt_arg $ spec_term ()))
 
 (* --- sweep ---------------------------------------------------------------- *)
 
@@ -602,17 +623,6 @@ let sweep_cmd =
       value & opt (at_least 1) 1
       & info [ "reps" ] ~docv:"N"
           ~doc:"Replicas per point (each derives its own seed from the task key).")
-  in
-  let rtt =
-    Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
-  in
-  let duration =
-    Arg.(value & opt positive 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
-  in
-  let buffer_rtts =
-    Arg.(
-      value & opt positive 1.0
-      & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
   in
   let results_dir =
     Arg.(
@@ -976,10 +986,10 @@ let sweep_cmd =
     Term.(
       ret
         (const run $ queues $ matrix $ tcps $ workloads $ fault_axis
-       $ capacities $ fair_shares $ reps $ rtt $ duration $ buffer_rtts
-       $ guard $ backend_arg $ bg_flows_arg $ fluid_dt_arg $ jobs_arg
-       $ results_dir $ no_cache $ resume $ timeout_s $ retries $ chaos
-       $ given faults_arg $ given resil_arg $ spec_term ()))
+       $ capacities $ fair_shares $ reps $ rtt_arg $ duration_arg
+       $ buffer_rtts_arg $ guard $ backend_arg $ bg_flows_arg $ fluid_dt_arg
+       $ jobs_arg $ results_dir $ no_cache $ resume $ timeout_s $ retries
+       $ chaos $ given faults_arg $ given resil_arg $ spec_term ()))
 
 (* --- faults --------------------------------------------------------------- *)
 

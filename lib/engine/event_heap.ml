@@ -15,9 +15,11 @@
    dt-long in every pair measured.)
 
    Times cross the hot operations in float-array cells rather than as
-   float arguments or results: dune's dev profile compiles with
-   [-opaque], so a float passed to or returned from another module is
-   boxed, and [Sim] would allocate on every event. *)
+   float arguments or results: a float passed to or returned from a
+   call the compiler does not inline is boxed, and [Sim] would
+   allocate on every event. The release profile inlines across
+   modules, but not every call, and not at all under
+   [--profile dev]'s [-opaque]. *)
 
 type t = {
   mutable times : float array;

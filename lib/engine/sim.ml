@@ -48,8 +48,8 @@ type t = {
       (* [| now; limit; stop |]: the clock, the latest time
          [Event_heap.pop_due] may pop, and [run]'s horizon. Float fields
          in this mixed record would box on every store, and a float
-         passed across a module boundary is boxed too, so times travel
-         in this flat array. *)
+         passed to or returned from a call the compiler does not inline
+         is boxed too, so times travel in this flat array. *)
   at : float array;  (* one cell: the time of the entry being filed *)
   (* The heaps by role. Each holds fewer entries than one heap would,
      so the frequent pops (hops, transmissions) sift past fewer
@@ -113,7 +113,15 @@ let check t = t.check
 
 let obs t = t.obs
 
-let[@inline] now t = t.clock.(0)
+(* Out of line on purpose. A call returns the clock boxed once, and
+   every use in the caller shares that box. Inlined, the caller holds
+   the clock unboxed and boxes it again at each use that leaves the
+   function: the metrics listener that passes one reading to both
+   [Slicer.record] and [Flow_evolution.note_activity] boxes it twice.
+   That raised bench/perf's alloc_words_per_pkt 13.4% on dt-long
+   (18.98 -> 21.52) and 13.9% on dt-soak; test_tcp's "minor words per
+   offered packet" bounds it. *)
+let[@inline never] now t = t.clock.(0)
 
 (* Called with every slot in use: double the table and stack the new
    slots as free, lowest on top. *)

@@ -100,6 +100,18 @@ let test_experiment_bad_check () =
   rejects ~want:"unknown check group \"bogus\""
     [ "experiment"; "fig2"; "--check=bogus" ]
 
+(* --check and --obs take an optional value, so a target name after
+   either becomes that value; the message shows the orders that work. *)
+let test_experiment_check_takes_target () =
+  rejects ~want:"--check took the next word, \"fig2\", as its value: write \
+                 experiment fig2 --check, or --check=GROUPS"
+    [ "experiment"; "--check"; "fig2" ]
+
+let test_experiment_obs_takes_target () =
+  rejects ~want:"--obs took the next word, \"fig2\", as its value: write \
+                 experiment fig2 --obs, or --obs=SPEC"
+    [ "experiment"; "--obs"; "fig2" ]
+
 (* Each target captures its own output, so the worker count cannot
    change what prints, nor its order. *)
 let test_experiment_jobs_identical () =
@@ -201,6 +213,10 @@ let () =
             test_experiment_jobs_zero;
           Alcotest.test_case "--check=bogus rejected" `Quick
             test_experiment_bad_check;
+          Alcotest.test_case "--check before a target" `Quick
+            test_experiment_check_takes_target;
+          Alcotest.test_case "--obs before a target" `Quick
+            test_experiment_obs_takes_target;
           Alcotest.test_case "same output at any --jobs" `Quick
             test_experiment_jobs_identical;
         ] );
