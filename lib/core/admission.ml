@@ -23,7 +23,7 @@ type waiter = { key : int; first : float }
 
 type t = {
   config : Taq_config.admission;
-  now : unit -> float;
+  clock : float array;  (* [Sim.clock]: the time is cell 0 *)
   loss : Taq_util.Ewma.t;
   (* Pools idle past [pool_expiry] at the last [expire] are gone, and
      read as absent, until a sweep frees them. *)
@@ -35,10 +35,10 @@ type t = {
   mutable last_sweep : float;  (* of [admitted] *)
 }
 
-let create ~config ~now =
+let create ~config ~clock =
   {
     config;
-    now;
+    clock;
     loss = Taq_util.Ewma.create ~alpha:loss_alpha;
     admitted = Int_tbl.create 64;
     waiting = Int_tbl.create 64;
@@ -82,7 +82,7 @@ let admit t ~key ~now =
   | exception Not_found -> Int_tbl.replace t.admitted key { last = now }
 
 let on_syn t ~key =
-  let now = t.now () in
+  let now = t.clock.(0) in
   match Int_tbl.find t.admitted key with
   | p when live t p ->
       p.last <- now;
@@ -121,7 +121,7 @@ let on_syn t ~key =
 
 let touch t ~key =
   match Int_tbl.find t.admitted key with
-  | p -> if live t p then p.last <- t.now ()
+  | p -> if live t p then p.last <- t.clock.(0)
   | exception Not_found -> ()
 
 let admitted_count t =
@@ -134,7 +134,7 @@ let shed_waiting t =
   Queue.clear t.wait_order
 
 let expire t =
-  let now = t.now () in
+  let now = t.clock.(0) in
   t.last_expire <- now;
   (* Waiting pools whose client never retries its SYN would otherwise
      sit in [waiting]/[wait_order] forever — unbounded state, and an

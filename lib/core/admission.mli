@@ -16,8 +16,8 @@
 
     {b Precondition: the clock is monotone.} A pool {!expire} found
     idle stays gone until a SYN admits it again, and the Twait FIFO is
-    kept in first-rejection order; both need [now] never to
-    decrease. *)
+    kept in first-rejection order; both need the clock never
+    to go back. *)
 
 type t
 
@@ -31,7 +31,10 @@ val pool_expiry : float
 (** Test hook: 60 s, after which an idle admitted pool, or a waiting
     pool first rejected that long ago, is forgotten. *)
 
-val create : config:Taq_config.admission -> now:(unit -> float) -> t
+val create : config:Taq_config.admission -> clock:float array -> t
+(** [clock.(0)] is the time, read on every SYN, data packet
+    ({!touch}) and {!expire}: {!Taq_engine.Sim.clock}, or a cell a
+    test sets. *)
 
 val note_arrival : t -> unit
 (** A packet was accepted into the buffer (loss-signal 0). The

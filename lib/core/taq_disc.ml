@@ -25,7 +25,11 @@ type t = {
   mutable admission : Admission.t option;
   mutable guard : Overload.t option;
   queues : Taq_queues.t;
-  mutable last_tick : float;
+  (* The time, read on every packet, and the time of the last tick:
+     float cells, so neither read nor store boxes. [clock] is
+     [Sim.clock sim]; [Sim.now] returns the time boxed. *)
+  clock : float array;
+  last_tick : float array;
   mutable n_enqueued : int;
   mutable n_dequeued : int;
   mutable n_queue_evicted : int;  (* push-out victims: left the queue
@@ -65,7 +69,7 @@ let rank = function
 let create ?check ?obs ~sim ~config () =
   let check = match check with Some c -> c | None -> Sim.check sim in
   let obs = match obs with Some o -> o | None -> Sim.obs sim in
-  let now () = Sim.now sim in
+  let now () = Sim.now sim and clock = Sim.clock sim in
   let classes = Array.of_list Taq_queues.all_classes in
   let n_classes = Array.length classes in
   let name = Taq_queues.class_to_string in
@@ -105,7 +109,7 @@ let create ?check ?obs ~sim ~config () =
     tracker = Flow_tracker.create ~obs ~config ~now ();
     admission =
       Option.map
-        (fun a -> Admission.create ~config:a ~now)
+        (fun a -> Admission.create ~config:a ~clock)
         config.Taq_config.admission;
     guard =
       (if config.Taq_config.guard then
@@ -113,8 +117,9 @@ let create ?check ?obs ~sim ~config () =
            (Overload.create ~check ~obs
               ~cap:config.Taq_config.max_tracked_flows ~now ())
        else None);
-    queues = Taq_queues.create ~config ~now;
-    last_tick = now ();
+    queues = Taq_queues.create ~config ~clock;
+    clock;
+    last_tick = [| clock.(0) |];
     n_enqueued = 0;
     n_dequeued = 0;
     n_queue_evicted = 0;
@@ -138,7 +143,7 @@ let restart t =
   t.tracker <- Flow_tracker.create ~obs:t.obs ~config:t.config ~now ();
   t.admission <-
     Option.map
-      (fun a -> Admission.create ~config:a ~now)
+      (fun a -> Admission.create ~config:a ~clock:t.clock)
       t.config.Taq_config.admission;
   (* The guard is control-plane state too: a rebooted box starts in
      Normal mode, and its cap-eviction baseline restarts with the
@@ -271,9 +276,9 @@ let guard_sample t =
       end
 
 let lazy_tick t =
-  let now = Sim.now t.sim in
-  if now -. t.last_tick >= t.config.Taq_config.tick_interval then begin
-    t.last_tick <- now;
+  let now = t.clock.(0) in
+  if now -. t.last_tick.(0) >= t.config.Taq_config.tick_interval then begin
+    t.last_tick.(0) <- now;
     Flow_tracker.tick t.tracker;
     Option.iter Admission.expire t.admission;
     guard_sample t

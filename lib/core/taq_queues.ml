@@ -59,7 +59,7 @@ type tally = {
 }
 
 type t = {
-  now : unit -> float;
+  clock : float array;  (* [Sim.clock]: the time is cell 0 *)
   rings : ring array;  (* by [class_index]: 0 Recovery, 4 AboveFairShare *)
   bucket : bucket;
   mutable bytes : int;
@@ -67,18 +67,18 @@ type t = {
   tally : tally;  (* scratch for [pop_fattest_flow] *)
 }
 
-let create ~config ~now =
+let create ~config ~clock =
   let rate =
     config.Taq_config.recovery_share *. config.Taq_config.capacity_bps /. 8.0
   in
   {
-    now;
+    clock;
     rings =
       Array.init 5 (fun _ -> { prio = [||]; pkt = [||]; head = 0; len = 0 });
     bucket =
       {
         tokens = 0.0;
-        tokens_at = now ();
+        tokens_at = clock.(0);
         rate;
         (* A small burst allowance so single retransmissions are never
            blocked by quantization. *)
@@ -90,7 +90,7 @@ let create ~config ~now =
   }
 
 let refill_tokens t =
-  let b = t.bucket and now = t.now () in
+  let b = t.bucket and now = t.clock.(0) in
   let dt = now -. b.tokens_at in
   if dt > 0.0 then begin
     (* [Float.min b.burst]: token sums are finite and not nan, so a

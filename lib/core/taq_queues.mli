@@ -38,7 +38,10 @@ val class_index : class_ -> int
 
 type t
 
-val create : config:Taq_config.t -> now:(unit -> float) -> t
+val create : config:Taq_config.t -> clock:float array -> t
+(** [clock.(0)] is the time, read on every dequeue to refill the
+    Recovery token bucket: {!Taq_engine.Sim.clock}, or a cell a test
+    sets. *)
 
 val enqueue : t -> class_ -> priority:int -> Taq_net.Packet.t -> unit
 (** Add to a class queue. [priority] orders the Recovery queue

@@ -14,6 +14,19 @@
    hole to a leaf and sifts the last entry up: slower on bench/perf's
    dt-long in every pair measured.)
 
+   [remove_top] chooses the earlier of two children without a jump.
+   Which child is earlier is close to a coin toss, so a branch there
+   was mispredicted on about every other level: that, not memory
+   traffic or the heap's shape, made the sift the largest function in
+   every bench/perf workload. [l + Bool.to_int (rt < lt)] compiles to a
+   compare-and-mask ([cmpltsd] on amd64) and arithmetic. An exact tie
+   of the two times is rare, so its branch to the seq comparison is
+   well predicted, and the (time, seq) order stays exact. With the
+   choice branch-free, a 4-ary pop, a bottom-up pop and a branch-free
+   [earliest] over an array of the heaps were still no faster, and the
+   same choice in [Flow_tracker]'s deadline heap gained nothing.
+   DESIGN.md ("Event calendar") has the measurements.
+
    Times cross the hot operations in float-array cells rather than as
    float arguments or results: a float passed to or returned from a
    call the compiler does not inline is boxed, and [Sim] would
@@ -92,7 +105,9 @@ let remove_top t =
         let c =
           if r < n then begin
             let lt = times.(l) and rt = times.(r) in
-            if rt < lt || (rt = lt && seqs.(r) < seqs.(l)) then r else l
+            (* No jump but on a tie (see the header). *)
+            if rt = lt then if seqs.(r) < seqs.(l) then r else l
+            else l + Bool.to_int (rt < lt)
           end
           else l
         in

@@ -123,6 +123,8 @@ let obs t = t.obs
    offered packet" bounds it. *)
 let[@inline never] now t = t.clock.(0)
 
+let clock t = t.clock
+
 (* Called with every slot in use: double the table and stack the new
    slots as free, lowest on top. *)
 let grow_slots t =

@@ -44,6 +44,13 @@ val obs : t -> Taq_obs.Obs.t
 val now : t -> float
 (** Current simulation time in seconds. *)
 
+val clock : t -> float array
+(** The clock cell: [(clock t).(0)] is {!now}, read without a call.
+    Read it, never write it (the other cells are the calendar's). A
+    float read from an array the caller holds stays unboxed, where
+    {!now}'s result comes back boxed; a component that reads the time
+    on every packet keeps this cell instead. *)
+
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** [schedule t ~at f] runs [f] when the clock reaches [at]. Raises
     [Invalid_argument] if [at] is in the past or NaN. *)

@@ -31,10 +31,20 @@ let observe t r =
     t.rttvar <- r /. 2.0
   end
 
-let clamp t x = Float.min max_rto (Float.max t.min_rto x)
+(* [Float.min max_rto (Float.max t.min_rto x)], without the sign-bit
+   test those library calls make on every read. [x] is a sum of RTT
+   estimates, never nan, so plain comparisons give the same float. *)
+let clamp t x =
+  let x = if x > t.min_rto then x else t.min_rto in
+  if x < max_rto then x else max_rto
 
+let initial = 1.0
+
+(* Before a sample, [clamp t initial]; returning the constant itself
+   keeps the result a static float rather than a fresh box. *)
 let timeout t =
-  if not (has_sample t) then clamp t 1.0
+  if not (has_sample t) then
+    if initial > t.min_rto then initial else clamp t initial
   else clamp t (t.srtt +. (4.0 *. t.rttvar))
 
 let srtt t = t.srtt

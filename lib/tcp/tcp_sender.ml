@@ -150,8 +150,11 @@ let on_transmit t f = t.transmit_listeners <- f :: t.transmit_listeners
 
 let on_progress t f = t.progress_listeners <- f :: t.progress_listeners
 
+(* [Float.min Rto.max_rto]: the timeout is never nan, so a plain
+   comparison gives the same float without the library call. *)
 let current_rto t =
-  Float.min Rto.max_rto (Rto.timeout t.rto *. float_of_int t.backoff)
+  let rto = Rto.timeout t.rto *. float_of_int t.backoff in
+  if rto < Rto.max_rto then rto else Rto.max_rto
 
 let effective_window t = int_of_float t.w.cwnd + t.inflation
 

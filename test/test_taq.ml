@@ -892,13 +892,13 @@ let test_fair_share_basic () =
 (* --- Taq_queues ----------------------------------------------------------------- *)
 
 let queues_fixture () =
-  let clock = ref 0.0 in
+  let clock = [| 0.0 |] in
   let config = Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6 in
-  (Taq_queues.create ~config ~now:(fun () -> !clock), clock)
+  (Taq_queues.create ~config ~clock, clock)
 
 let test_queues_recovery_priority_order () =
   let q, clock = queues_fixture () in
-  clock := 10.0;  (* let the token bucket fill *)
+  clock.(0) <- 10.0;  (* let the token bucket fill *)
   Taq_queues.enqueue q Taq_queues.Recovery ~priority:1 (mk_data ~flow:1 ());
   Taq_queues.enqueue q Taq_queues.Recovery ~priority:5 (mk_data ~flow:2 ());
   Taq_queues.enqueue q Taq_queues.Recovery ~priority:3 (mk_data ~flow:3 ());
@@ -911,7 +911,7 @@ let test_queues_recovery_priority_order () =
 
 let test_queues_recovery_beats_everything () =
   let q, clock = queues_fixture () in
-  clock := 10.0;
+  clock.(0) <- 10.0;
   Taq_queues.enqueue q Taq_queues.Below_fair_share ~priority:0 (mk_data ~flow:1 ());
   Taq_queues.enqueue q Taq_queues.Above_fair_share ~priority:0 (mk_data ~flow:2 ());
   Taq_queues.enqueue q Taq_queues.Recovery ~priority:1 (mk_data ~flow:3 ());
@@ -921,7 +921,7 @@ let test_queues_recovery_beats_everything () =
 
 let test_queues_above_served_last () =
   let q, clock = queues_fixture () in
-  clock := 10.0;
+  clock.(0) <- 10.0;
   Taq_queues.enqueue q Taq_queues.Above_fair_share ~priority:0 (mk_data ~flow:9 ());
   Taq_queues.enqueue q Taq_queues.New_flow ~priority:0 (mk_data ~flow:1 ());
   Taq_queues.enqueue q Taq_queues.Over_penalized ~priority:0 (mk_data ~flow:2 ());
@@ -936,7 +936,7 @@ let test_queues_above_served_last () =
 let test_queues_token_bucket_limits_recovery () =
   (* With empty tokens and a competing level-2 queue, recovery defers. *)
   let q, clock = queues_fixture () in
-  clock := 10.0;
+  clock.(0) <- 10.0;
   (* Drain the bucket (burst = max(3000, 0.25 * rate) = 7812 bytes at
      1 Mbps / share 0.25) with a first big recovery packet... *)
   Taq_queues.enqueue q Taq_queues.Recovery ~priority:1 (mk_data ~flow:1 ~size:6000 ());
@@ -954,7 +954,7 @@ let test_queues_token_bucket_limits_recovery () =
 
 let test_queues_victim_selection () =
   let q, clock = queues_fixture () in
-  clock := 10.0;
+  clock.(0) <- 10.0;
   Taq_queues.enqueue q Taq_queues.Recovery ~priority:1 (mk_data ~flow:1 ());
   Taq_queues.enqueue q Taq_queues.Below_fair_share ~priority:0 (mk_data ~flow:2 ());
   Taq_queues.enqueue q Taq_queues.Above_fair_share ~priority:0 (mk_data ~flow:3 ());
@@ -1095,10 +1095,10 @@ let arb_queue_run ~fifo_heavy =
 
 (* The [n]-th packet enqueued belongs to flow [n mod flows]. *)
 let run_queue_diff ~flows ops =
-  let clock = ref 0.0 in
+  let clock = [| 0.0 |] in
   let config = Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6 in
-  let now () = !clock in
-  let r = Qref.create ~config ~now and q = Taq_queues.create ~config ~now in
+  let now () = clock.(0) in
+  let r = Qref.create ~config ~now and q = Taq_queues.create ~config ~clock in
   let classes = Array.of_list Taq_queues.all_classes
   and ref_classes = Array.of_list Qref.all_classes in
   let seq = ref 0 in
@@ -1134,7 +1134,7 @@ let run_queue_diff ~flows ops =
           same step "drop_from"
             (tag (Qref.drop_from r ref_classes.(c)))
             (tag (Taq_queues.drop_from q classes.(c)))
-      | Wait dt -> clock := !clock +. dt);
+      | Wait dt -> clock.(0) <- clock.(0) +. dt);
       Array.iteri
         (fun i cls ->
           same step
@@ -1195,7 +1195,8 @@ let arb_pushout_run =
 let run_pushout_diff (cls, order) =
   let config = Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6 in
   let now () = 0.0 in
-  let r = Qref.create ~config ~now and q = Taq_queues.create ~config ~now in
+  let r = Qref.create ~config ~now
+  and q = Taq_queues.create ~config ~clock:[| 0.0 |] in
   let c = (Array.of_list Taq_queues.all_classes).(cls)
   and rc = (Array.of_list Qref.all_classes).(cls) in
   List.iteri
@@ -1224,11 +1225,8 @@ let prop_pushout_tie_break_matches_reference =
 (* --- Admission ------------------------------------------------------------------- *)
 
 let admission_fixture () =
-  let clock = ref 0.0 in
-  let a =
-    Admission.create ~config:{ Taq_config.pthresh = 0.1 }
-      ~now:(fun () -> !clock)
-  in
+  let clock = [| 0.0 |] in
+  let a = Admission.create ~config:{ Taq_config.pthresh = 0.1 } ~clock in
   (a, clock)
 
 let test_admission_low_loss_admits () =
@@ -1268,7 +1266,7 @@ let test_admission_t_wait_guarantee () =
   done;
   Alcotest.(check bool) "rejected initially" true
     (Admission.on_syn a ~key:9 = Admission.Rejected);
-  clock := !clock +. Admission.t_wait +. 0.1;
+  clock.(0) <- clock.(0) +. Admission.t_wait +. 0.1;
   Alcotest.(check bool) "admitted after t_wait" true
     (Admission.on_syn a ~key:9 = Admission.Admitted)
 
@@ -1276,7 +1274,7 @@ let test_admission_pool_expiry () =
   let a, clock = admission_fixture () in
   ignore (Admission.on_syn a ~key:3);
   Alcotest.(check int) "one admitted" 1 (Admission.admitted_count a);
-  clock := 1000.0;
+  clock.(0) <- 1000.0;
   Admission.expire a;
   Alcotest.(check int) "expired" 0 (Admission.admitted_count a)
 
@@ -1286,7 +1284,7 @@ let test_admission_pool_expiry () =
    passed only if no pool waits ahead of it. *)
 let first_in_line a clock ~key =
   ignore (Admission.on_syn a ~key);
-  clock := !clock +. Admission.t_wait +. 0.1;
+  clock.(0) <- clock.(0) +. Admission.t_wait +. 0.1;
   Admission.on_syn a ~key = Admission.Admitted
 
 let test_admission_waiting_expiry () =
@@ -1300,7 +1298,7 @@ let test_admission_waiting_expiry () =
   ignore (Admission.on_syn a ~key:1);
   ignore (Admission.on_syn a ~key:2);
   Alcotest.(check int) "two waiting" 2 (Admission.waiting_count a);
-  clock := !clock +. Admission.pool_expiry +. 1.0;
+  clock.(0) <- clock.(0) +. Admission.pool_expiry +. 1.0;
   Admission.expire a;
   Alcotest.(check int) "waiting pruned" 0 (Admission.waiting_count a);
   Alcotest.(check bool) "Twait FIFO pruned too" true
@@ -1407,10 +1405,10 @@ let admission_land_target r ~key ~at ~ulps =
     (Hashtbl.find_opt tbl key)
 
 let run_admission_diff (start, ops) =
-  let clock = ref start in
-  let now () = !clock in
+  let clock = [| start |] in
+  let now () = clock.(0) in
   let config = { Taq_config.pthresh = 0.1 } in
-  let r = Adm_ref.create ~config ~now and a = Admission.create ~config ~now in
+  let r = Adm_ref.create ~config ~now and a = Admission.create ~config ~clock in
   let syn step key =
     let x = Adm_ref.on_syn r ~key = Adm_ref.Admitted
     and y = Admission.on_syn a ~key = Admission.Admitted in
@@ -1458,12 +1456,12 @@ let run_admission_diff (start, ops) =
       | A_shed ->
           Adm_ref.shed_waiting r;
           Admission.shed_waiting a
-      | A_step dt -> clock := !clock +. dt
+      | A_step dt -> clock.(0) <- clock.(0) +. dt
       | A_land (k, at, ulps, next) -> (
           let key = adm_keys.(k) in
           match admission_land_target r ~key ~at ~ulps with
-          | Some time when time >= !clock -> (
-              clock := time;
+          | Some time when time >= clock.(0) -> (
+              clock.(0) <- time;
               match next with 0 -> () | 1 -> expire () | _ -> syn step key)
           | Some _ | None -> ()));
       compare step)
@@ -1815,19 +1813,29 @@ let test_disc_degraded_bypass () =
 (* The data plane at steady state: 50 flows through a 60-packet buffer
    that two offers and one dequeue per 4 ms step keep full, so every
    other offer meets a full buffer and push-out runs; every seventh
-   offer is a retransmission. Packets are built up front, and the cost
-   of advancing the clock, measured on an empty calendar, is
-   subtracted. What is left per offer: [Disc.dequeue]'s [Some], the
-   push-out's [Some] and drop list, and the floats the clock closures
-   return boxed: 9.1 words. The polymorphic counts table, the epoch
+   offer is a retransmission. Admission control is on and every flow's
+   pool admitted, so each data packet touches its pool. Packets are
+   built up front, and the cost of advancing the clock, measured on an
+   empty calendar, is subtracted. What is left per offer:
+   [Disc.dequeue]'s [Some], the push-out's [Some] and drop list, and
+   the tracker's clock read, which its [now] closure returns boxed:
+   5.0 words. The disc's tick check, the token refill and the pool
+   touch read [Sim.clock]'s cell; when they read the clock through
+   closures as well, an offer cost 11.0 words, and one such read boxed
+   again on every dequeue alone adds a word, so the bound is 5.5.
+   Without admission, the polymorphic counts table, the epoch
    estimator's and rate average's boxed floats and the repeated flow
-   lookups cost 22.8; before them, deques of options, boxed token and
-   epoch floats, closures and optional arguments cost 63.6. *)
+   lookups cost 22.8 words; before them, deques of options, boxed
+   token and epoch floats, closures and optional arguments cost
+   63.6. *)
 let test_disc_steady_state_allocation () =
   let flows = 50 and steps = 2_000 in
   let sim = Sim.create () in
-  let config = Taq_config.default ~capacity_pkts:60 ~capacity_bps:1e6 in
+  let config = Taq_config.with_admission ~capacity_pkts:60 ~capacity_bps:1e6 in
   let d = Taq_disc.disc (Taq_disc.create ~sim ~config ()) in
+  for flow = 0 to flows - 1 do
+    ignore (d.Disc.enqueue (mk_syn ~flow ()))
+  done;
   let seqs = Array.make flows 0 in
   let packets =
     Array.init (4 * steps) (fun i ->
@@ -1856,8 +1864,8 @@ let test_disc_steady_state_allocation () =
   let total = words (fun () -> drive sim ~first:steps step) in
   let clock = words (fun () -> drive (Sim.create ()) ~first:steps ignore) in
   let per_packet = (total -. clock) /. float_of_int (2 * steps) in
-  if per_packet > 12.0 then
-    Alcotest.failf "%.1f minor words per packet, bound 12" per_packet
+  if per_packet > 5.5 then
+    Alcotest.failf "%.1f minor words per packet, bound 5.5" per_packet
 
 (* --- Integration: TAQ vs droptail fairness --------------------------------------- *)
 
@@ -1958,13 +1966,13 @@ let prop_taq_queues_conserve_packets =
     ~count:200
     QCheck.(list_of_size Gen.(int_range 0 150) (pair (int_range 0 6) (int_range 1 8)))
     (fun ops ->
-      let clock = ref 0.0 in
+      let clock = [| 0.0 |] in
       let config = Taq_core.Taq_config.default ~capacity_pkts:100 ~capacity_bps:1e6 in
-      let q = Taq_queues.create ~config ~now:(fun () -> !clock) in
+      let q = Taq_queues.create ~config ~clock in
       let enq = ref 0 and deq = ref 0 and dropped = ref 0 in
       List.iter
         (fun (op, flow) ->
-          clock := !clock +. 0.01;
+          clock.(0) <- clock.(0) +. 0.01;
           match op with
           | 0 -> Taq_queues.enqueue q Taq_queues.Recovery ~priority:flow
                    (mk_data ~flow ()); incr enq
@@ -1987,9 +1995,9 @@ let prop_taq_queue_class_lengths_sum =
   QCheck.Test.make ~name:"class lengths sum to total" ~count:100
     QCheck.(list_of_size Gen.(int_range 0 80) (int_range 0 5))
     (fun ops ->
-      let clock = ref 0.0 in
+      let clock = [| 0.0 |] in
       let config = Taq_core.Taq_config.default ~capacity_pkts:100 ~capacity_bps:1e6 in
-      let q = Taq_queues.create ~config ~now:(fun () -> !clock) in
+      let q = Taq_queues.create ~config ~clock in
       List.iter
         (fun op ->
           match op with
