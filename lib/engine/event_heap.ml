@@ -143,6 +143,8 @@ let earliest a b c =
   let ab = if precedes a b then a else b in
   if precedes c ab then c else ab
 
+let[@inline] due t cell = t.size > 0 && t.times.(0) <= cell.(0)
+
 let pop_due t clock =
   if t.size > 0 && t.times.(0) <= clock.(1) then begin
     clock.(0) <- t.times.(0);

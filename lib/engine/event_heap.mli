@@ -34,6 +34,10 @@ val earliest : t -> t -> t -> t
     empty heap comes after every entry, so with all three empty it is
     an empty one. *)
 
+val due : t -> float array -> bool
+(** [due t cell]: whether [t]'s earliest entry is due at or before
+    [cell.(0)]. Allocation-free, unlike {!top_time}. *)
+
 val pop_due : t -> float array -> int
 (** [pop_due t clock] removes the earliest entry if its time is at most
     [clock.(1)], writes that time into [clock.(0)] and returns its

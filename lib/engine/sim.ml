@@ -20,9 +20,12 @@ module Obs = Taq_obs.Obs
    (time, scheduling order) order exactly:
 
    - the lane, a FIFO ring of entries scheduled for the current
-     instant. Every zero-delay event lands here (a link delivery with
-     [prop_delay = 0], a timer armed at delay 0) and never touches a
-     heap;
+     instant. Every zero-delay event lands here (a timer armed at
+     delay 0, a hop on a zero-delay line) and never touches a heap. A
+     link's delivery lands here only when something else is due at its
+     completion instant; otherwise the completion runs it itself, as
+     its last step, which is where the lane would have run it
+     ([due_now]);
    - for everything later, three [Event_heap]s by role, ordered by
      (time, seq) under seqs from one counter: the deadlines timers
      file, most of which are never reached; transmissions, whose
@@ -408,6 +411,15 @@ let next t =
     true
   end
   else false
+
+(* Whether [next] would run an entry at [now]: the lane holds one, or a
+   heap's top is due. Heap entries are never earlier than [now]. *)
+let due_now t =
+  let c = t.clock in
+  t.lane_len > 0
+  || Event_heap.due t.hops c
+  || Event_heap.due t.transmissions c
+  || Event_heap.due t.timers c
 
 let step t =
   t.clock.(2) <- Float.infinity;

@@ -13,7 +13,9 @@
     everything else) merged in (time, scheduling order), and times
     cross module boundaries in float-array cells rather than as
     (boxed) floats. test_engine pins 0 minor words per
-    self-rescheduling event.
+    self-rescheduling event. An event that would file a zero-delay
+    action when nothing else is due may run it itself instead, in the
+    same order ({!due_now}).
 
     Every time argument is checked: a NaN time, delay, period or
     horizon raises [Invalid_argument] rather than stalling the
@@ -142,9 +144,22 @@ val run : ?until:float -> t -> unit
     clock is advanced to [until]. A NaN [until] raises
     [Invalid_argument]. *)
 
+val due_now : t -> bool
+(** Whether another calendar entry is due at the current instant: the
+    lane holds one, or a heap's earliest entry is at {!now}. Inside an
+    event, whose own entry has already left the calendar, [false]
+    means that a zero-delay entry filed at the read would run right
+    after the event, ahead of all else the event files. The event may
+    then run that action itself as its last step instead: the order
+    is the same, and so is every later seq, since the lane takes
+    none. A link delivers this way ([Taq_net.Link]). *)
+
 val step : t -> bool
 (** Test hook: lets a test stop between two events. Execute exactly the next
-    event; [false] if none remained. *)
+    event; [false] if none remained. An event that runs a zero-delay
+    action itself rather than filing it ({!due_now}) runs it in the
+    same step: a link's transmission completion and its delivery are
+    one step when nothing else is due at that instant. *)
 
 val pending_events : t -> int
 (** Test hook: number of calendar entries, heaps plus lane, including entries

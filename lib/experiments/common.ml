@@ -91,16 +91,14 @@ let queue_of_disc ?guard_cap ?(capacity_bps = 1.0) ?(buffer_pkts = 1) name =
   | Ok (`Taq admission) ->
       Taq (taq_config ~admission ?guard_cap ~capacity_bps ~buffer_pkts ())
 
+(* [Taq_config.default] validates the geometry; every other field is
+   the caller's. *)
 let resize ~capacity_bps ~buffer_pkts = function
-  | Taq marker ->
-      let config = taq_config ~capacity_bps ~buffer_pkts () in
-      Taq
-        {
-          config with
-          admission = marker.admission;
-          max_tracked_flows = marker.max_tracked_flows;
-          guard = marker.guard;
-        }
+  | Taq config ->
+      let { Taq_config.capacity_pkts; capacity_bps; _ } =
+        Taq_config.default ~capacity_pkts:buffer_pkts ~capacity_bps
+      in
+      Taq { config with capacity_pkts; capacity_bps }
   | q -> q
 
 let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue

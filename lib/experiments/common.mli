@@ -179,6 +179,7 @@ val taq_marker : queue
     geometry, which experiment drivers {!resize} per run. *)
 
 val resize : capacity_bps:float -> buffer_pkts:int -> queue -> queue
-(** [queue] sized for a run: a TAQ config is rebuilt by {!taq_config}
-    at the run's capacity and buffer, keeping its admission control,
-    tracker cap and overload guard; other disciplines are unchanged. *)
+(** [queue] sized for a run: a TAQ config takes the run's capacity and
+    buffer, validated as [Taq_config.default] validates them, and keeps
+    every other field as the caller set it; other disciplines are
+    unchanged. *)

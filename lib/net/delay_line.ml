@@ -1,7 +1,7 @@
 module Sim = Taq_engine.Sim
 
-(* A FIFO stage in which every packet waits the same fixed delay: the
-   link's propagation, and each flow's access and return legs.
+(* A FIFO stage in which every packet waits the same fixed delay: each
+   flow's access and return legs.
 
    Packets wait in a ring, and every calendar entry a line files runs
    the line's one [pop] action, which takes the ring's head. That head

@@ -1,8 +1,9 @@
 (** A FIFO stage in which every packet waits the same fixed delay.
 
-    The bottleneck link's propagation is one line, and each dumbbell
-    flow has two: its access leg, from the sender to the bottleneck
-    queue, and its return leg. One delay per line is what makes the
+    Each dumbbell flow has two lines: its access leg, from the sender
+    to the bottleneck queue, and its return leg. (The bottleneck link
+    keeps none: it delivers at the end of each transmission, see
+    {!Link.create}.) One delay per line is what makes the
     line a FIFO: due times never decrease in send order, and the
     calendar breaks time ties in scheduling order, so packets leave in
     the order they were sent, each exactly [delay] after its {!send}.

@@ -77,7 +77,7 @@ let create ?check ~sim ~capacity_bps ~disc () =
         Packet.release alloc p
   in
   let link =
-    Link.create ~check ~sim ~capacity_bps ~prop_delay:0.0 ~disc
+    Link.create ~check ~sim ~capacity_bps ~disc
       ~release:(Packet.release alloc) ~deliver ()
   in
   {

@@ -79,7 +79,7 @@ type interceptor = Packet.t -> (Packet.t -> unit) -> unit
 
 val set_fwd_interceptor : t -> interceptor option -> unit
 (** Install (or remove) the forward-path tap, applied after the packet
-    has crossed the bottleneck queue, transmission and propagation —
+    has crossed the bottleneck queue and transmitter —
     i.e. "losses beyond the losses at a TAQ queue" (§4.1). Used by the
     fault-injection layer; at most one tap is active. *)
 

@@ -15,6 +15,7 @@ type t = {
   sim : Sim.t;
   capacity_bps : float;
   disc : Disc.t;
+  deliver : Packet.t -> unit;
   release : (Packet.t -> unit) option;
       (* Packet-pool hook installed by the owning network: called for
          every drop victim once all listeners and accounting have seen
@@ -189,10 +190,20 @@ let start_transmission t =
     account_dequeue_drops t
   end
 
-(* Account the packet that left the wire, put it on the propagation
-   line, then start the next transmission. That order fixes the order
-   of the two [Sim] calls, and with it every event seq and counter. *)
-let on_tx_done t propagation =
+(* The packet leaves the link: the deliver listeners, then [deliver]. *)
+let leave t p =
+  notify_all t.deliver_listeners p;
+  t.deliver p
+
+(* Account the packet that left the wire, start the next transmission,
+   and deliver the packet where a zero-delay entry filed before
+   [start_transmission] would run. With nothing else due now, that
+   entry would run next, ahead of anything [start_transmission] files
+   at [now]: so the delivery runs here, as the last step, and no entry
+   is filed. Otherwise the delivery is filed on the lane, before
+   [start_transmission]. The lane takes no seq, so both paths keep
+   every seq and every order (DESIGN.md, "Link exit"). *)
+let on_tx_done t =
   let p = t.tx_pkt and dt = t.tx_dt.(0) in
   t.busy <- false;
   t.transmitted <- t.transmitted + 1;
@@ -206,10 +217,16 @@ let on_tx_done t propagation =
     Obs.span t.obs ~name:"tx" ~cat:"link" ~flow:p.Packet.flow
       ~ts_s:(Sim.now t.sim -. dt) ~dur_s:dt ();
   if t.checking then verify_conservation t ~where:"tx-complete";
-  Delay_line.send propagation p;
-  start_transmission t
+  if Sim.due_now t.sim then begin
+    Sim.schedule_after t.sim ~delay:0.0 (fun () -> leave t p);
+    start_transmission t
+  end
+  else begin
+    start_transmission t;
+    leave t p
+  end
 
-let create ?check ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver () =
+let create ?check ?release ~sim ~capacity_bps ~disc ~deliver () =
   if capacity_bps <= 0.0 then invalid_arg "Link.create: capacity";
   let check = match check with Some c -> c | None -> Sim.check sim in
   let obs = Sim.obs sim in
@@ -218,6 +235,7 @@ let create ?check ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver () =
       sim;
       capacity_bps;
       disc;
+      deliver;
       release;
       busy = false;
       background_bps = 0.0;
@@ -253,12 +271,7 @@ let create ?check ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver () =
       chk_tx_size = 0;
     }
   in
-  let propagation =
-    Delay_line.create sim ~delay:prop_delay (fun p ->
-        notify_all t.deliver_listeners p;
-        deliver p)
-  in
-  t.tx_done <- Sim.own sim (fun () -> on_tx_done t propagation);
+  t.tx_done <- Sim.own sim (fun () -> on_tx_done t);
   t
 
 let send t p =

@@ -1,5 +1,6 @@
 (** The bottleneck link: a queue discipline feeding a fixed-capacity
-    transmitter with propagation delay.
+    transmitter. The link has no propagation delay of its own: a
+    dumbbell flow's access and return legs carry it ({!Dumbbell}).
 
     Work-conserving: whenever the transmitter is idle and the
     discipline holds a packet, transmission starts immediately.
@@ -22,15 +23,18 @@ val create :
   ?release:(Packet.t -> unit) ->
   sim:Taq_engine.Sim.t ->
   capacity_bps:float ->
-  prop_delay:float ->
   disc:Disc.t ->
   deliver:(Packet.t -> unit) ->
   unit ->
   t
-(** [deliver] is called when a packet finishes transmission and then
-    [prop_delay] of propagation, a {!Delay_line}, so packets arrive in
-    the order they were transmitted. [release] (default absent: no
-    pooling) is the owning
+(** [deliver] is called when a packet finishes transmission, at its
+    completion instant and after the {!on_deliver} listeners, so
+    packets arrive in the order they were transmitted. The delivery
+    runs where a zero-delay calendar entry filed at the completion,
+    before the next transmission starts, would run: inside the
+    completion's own event when nothing else is due at that instant
+    ({!Taq_engine.Sim.due_now}), and as such an entry otherwise.
+    [release] (default absent: no pooling) is the owning
     network's packet-pool hook, called for every drop victim after all
     drop listeners and accounting have observed it — the victim is
     dead at that point and its record may be recycled. [check] (default
@@ -84,8 +88,8 @@ val on_enqueue : t -> (Packet.t -> unit) -> unit
 (** Register a listener for every accepted packet. *)
 
 val on_deliver : t -> (Packet.t -> unit) -> unit
-(** Register a listener for every packet completing transmission and
-    propagation (invoked just before the link's [deliver]). *)
+(** Register a listener for every packet completing transmission
+    (invoked just before the link's [deliver]). *)
 
 val stats : t -> stats
 

@@ -325,7 +325,7 @@ let test_link_scaling () =
     let disc = Taq_queueing.Droptail.create ~capacity_pkts:50 in
     let link =
       Link.create ~check:Check.off ~sim ~capacity_bps:(8000.0 *. float_of_int k)
-        ~prop_delay:0.01 ~disc
+        ~disc
         ~deliver:(fun _ -> ())
         ()
     in

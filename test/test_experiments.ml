@@ -54,6 +54,23 @@ let test_resize_keeps_marker_settings () =
     (sized (Common.queue_of_disc ~guard_cap:7 "taq+ac")
     = Common.taq_config ~admission:true ~guard_cap:7 ~capacity_bps:1e6
         ~buffer_pkts:40 ());
+  (* Only the geometry changes: an uncapped recovery queue and an RTT
+     oracle stay as the caller set them. *)
+  let custom =
+    {
+      (Common.taq_config ~capacity_bps:1.0 ~buffer_pkts:1 ()) with
+      Taq_core.Taq_config.recovery_share = 1.0;
+      epoch_source = Taq_core.Taq_config.Oracle 0.1;
+    }
+  in
+  Alcotest.(check bool)
+    "recovery share and epoch source kept" true
+    (sized (Common.Taq custom)
+    = { custom with capacity_pkts = 40; capacity_bps = 1e6 });
+  Alcotest.check_raises "the geometry is validated"
+    (Invalid_argument "Taq_config.default: capacity_pkts") (fun () ->
+      ignore
+        (Common.resize ~capacity_bps:1e6 ~buffer_pkts:0 (Common.Taq custom)));
   Alcotest.(check bool)
     "other disciplines untouched" true
     (Common.resize ~capacity_bps:1e6 ~buffer_pkts:40 Common.Red = Common.Red)

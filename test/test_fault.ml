@@ -228,7 +228,7 @@ let test_link_flap_pauses_transmitter () =
   let sim = Taq_engine.Sim.create () in
   let delivered = ref [] in
   let link =
-    Taq_net.Link.create ~sim ~capacity_bps:400e3 ~prop_delay:0.01
+    Taq_net.Link.create ~sim ~capacity_bps:400e3
       ~disc:(Taq_queueing.Droptail.create ~capacity_pkts:50)
       ~deliver:(fun p ->
         delivered := (p.Taq_net.Packet.seq, Taq_engine.Sim.now sim) :: !delivered)

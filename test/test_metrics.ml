@@ -302,7 +302,7 @@ let test_loss_monitor_rates () =
   let sim = Sim.create () in
   let disc = Taq_net.Disc.fifo_of_queue ~name:"t" ~capacity_pkts:1 () in
   let link =
-    Taq_net.Link.create ~sim ~capacity_bps:1e3 ~prop_delay:0.0 ~disc
+    Taq_net.Link.create ~sim ~capacity_bps:1e3 ~disc
       ~deliver:(fun _ -> ())
       ()
   in
@@ -323,7 +323,7 @@ let test_loss_monitor_ignores_control () =
   let sim = Sim.create () in
   let disc = Taq_net.Disc.fifo_of_queue ~name:"t" ~capacity_pkts:0 () in
   let link =
-    Taq_net.Link.create ~sim ~capacity_bps:1e3 ~prop_delay:0.0 ~disc
+    Taq_net.Link.create ~sim ~capacity_bps:1e3 ~disc
       ~deliver:(fun _ -> ())
       ()
   in
@@ -343,7 +343,7 @@ let packet_log_fixture () =
   let sim = Sim.create () in
   let disc = Taq_net.Disc.fifo_of_queue ~name:"t" ~capacity_pkts:2 () in
   let link =
-    Taq_net.Link.create ~sim ~capacity_bps:8000.0 ~prop_delay:0.0 ~disc
+    Taq_net.Link.create ~sim ~capacity_bps:8000.0 ~disc
       ~deliver:(fun _ -> ())
       ()
   in
@@ -382,7 +382,7 @@ let test_packet_log_capacity_bound () =
   let sim = Sim.create () in
   let disc = Taq_net.Disc.fifo_of_queue ~name:"t" ~capacity_pkts:1000 () in
   let link =
-    Taq_net.Link.create ~sim ~capacity_bps:1e9 ~prop_delay:0.0 ~disc
+    Taq_net.Link.create ~sim ~capacity_bps:1e9 ~disc
       ~deliver:(fun _ -> ())
       ()
   in

@@ -125,18 +125,19 @@ let test_delay_line_close () =
 (* --- Link ------------------------------------------------------------- *)
 
 let test_link_transmission_time () =
-  (* 1000-byte packet at 8000 bps = 1 s of transmission + 0.5 s prop. *)
+  (* 1000-byte packet at 8000 bps = 1 s of transmission, delivered at
+     its completion. *)
   let sim = Sim.create () in
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
   let arrival = ref nan in
   let link =
-    Link.create ~sim ~capacity_bps:8000.0 ~prop_delay:0.5 ~disc
+    Link.create ~sim ~capacity_bps:8000.0 ~disc
       ~deliver:(fun _ -> arrival := Sim.now sim)
       ()
   in
   Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size:1000 ()));
   Sim.run sim;
-  Alcotest.(check (float 1e-9)) "tx + prop" 1.5 !arrival
+  Alcotest.(check (float 1e-9)) "tx" 1.0 !arrival
 
 let test_link_serializes () =
   (* Two packets back to back: second is delayed by the first's
@@ -145,7 +146,7 @@ let test_link_serializes () =
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
   let arrivals = ref [] in
   let link =
-    Link.create ~sim ~capacity_bps:8000.0 ~prop_delay:0.0 ~disc
+    Link.create ~sim ~capacity_bps:8000.0 ~disc
       ~deliver:(fun _ -> arrivals := Sim.now sim :: !arrivals)
       ()
   in
@@ -159,7 +160,7 @@ let test_link_counts_drops () =
   let sim = Sim.create () in
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:1 () in
   let link =
-    Link.create ~sim ~capacity_bps:1e6 ~prop_delay:0.0 ~disc ~deliver:(fun _ -> ()) ()
+    Link.create ~sim ~capacity_bps:1e6 ~disc ~deliver:(fun _ -> ()) ()
   in
   let drop_seen = ref 0 in
   Link.on_drop link (fun _ -> incr drop_seen);
@@ -181,7 +182,7 @@ let test_link_utilization () =
   let sim = Sim.create () in
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
   let link =
-    Link.create ~sim ~capacity_bps:8000.0 ~prop_delay:0.0 ~disc
+    Link.create ~sim ~capacity_bps:8000.0 ~disc
       ~deliver:(fun _ -> ())
       ()
   in
@@ -198,7 +199,7 @@ let test_link_work_conserving () =
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
   let arrivals = ref [] in
   let link =
-    Link.create ~sim ~capacity_bps:8000.0 ~prop_delay:0.0 ~disc
+    Link.create ~sim ~capacity_bps:8000.0 ~disc
       ~deliver:(fun _ -> arrivals := Sim.now sim :: !arrivals)
       ()
   in
@@ -208,15 +209,14 @@ let test_link_work_conserving () =
   Alcotest.(check (list (float 1e-9))) "second not delayed" [ 1.0; 6.0 ]
     (List.rev !arrivals)
 
-(* A burst keeps several packets on the propagation line at once; each
-   leaves at its own completion time plus [prop_delay], in send
+(* A burst: each packet leaves at its own completion time, in send
    order. Completion times accumulate as the link's clock does. *)
 let test_link_burst_in_flight () =
   let sim = Sim.create () in
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
   let arrivals = ref [] in
   let link =
-    Link.create ~sim ~capacity_bps:8000.0 ~prop_delay:0.5 ~disc
+    Link.create ~sim ~capacity_bps:8000.0 ~disc
       ~deliver:(fun p -> arrivals := (p.Packet.seq, Sim.now sim) :: !arrivals)
       ()
   in
@@ -229,11 +229,51 @@ let test_link_burst_in_flight () =
     List.mapi
       (fun seq size ->
         completed := !completed +. (float_of_int (size * 8) /. 8000.0);
-        (seq, !completed +. 0.5))
+        (seq, !completed))
       sizes
   in
   Alcotest.(check (list (pair int (float 0.0))))
-    "in order, at completion + prop_delay" expected (List.rev !arrivals)
+    "in order, at completion" expected (List.rev !arrivals)
+
+(* The link delivers where a zero-delay entry filed at the completion
+   would run. A 1000-byte packet sent at 0 completes at 1.0. *)
+let exit_fixture () =
+  let sim = Sim.create () in
+  let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
+  let log = ref [] in
+  let note label () = log := label :: !log in
+  let link =
+    Link.create ~sim ~capacity_bps:8000.0 ~disc ~deliver:(fun _ -> note "D" ())
+      ()
+  in
+  (sim, link, note, fun () -> List.rev !log)
+
+(* An event for the completion's instant, filed after the send (so
+   after the completion's entry), runs before the delivery. *)
+let test_link_exit_after_due_event () =
+  let sim, link, note, log = exit_fixture () in
+  Link.send link (mk_pkt ~size:1000 ());
+  Sim.schedule sim ~at:1.0 (note "X");
+  Sim.run sim;
+  Alcotest.(check (list string)) "event, then delivery" [ "X"; "D" ] (log ())
+
+(* A zero-delay entry made at the completion's instant, by an event
+   that ran before the completion, runs before the delivery too. With
+   nothing else due, the completion delivers in its own step. *)
+let test_link_exit_after_lane_entry () =
+  let sim, link, note, log = exit_fixture () in
+  Sim.schedule sim ~at:1.0 (fun () ->
+      note "E" ();
+      Sim.schedule_after sim ~delay:0.0 (note "L"));
+  Link.send link (mk_pkt ~size:1000 ());
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "event, its lane entry, then delivery" [ "E"; "L"; "D" ] (log ());
+  Link.send link (mk_pkt ~size:1000 ());
+  Alcotest.(check bool) "the completion" true (Sim.step sim);
+  Alcotest.(check (list string))
+    "delivered in the completion's step" [ "E"; "L"; "D"; "D" ] (log ());
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending_events sim)
 
 (* --- Dumbbell ---------------------------------------------------------- *)
 
@@ -317,9 +357,8 @@ let test_dumbbell_unregister_in_flight () =
       (* The link's transmitter, the pending unregistration and the
          flow's two lines. *)
       Alcotest.(check int) (name "slots while in flight") 4 !in_flight;
-      (* The link's transmitter and its propagation line: both of the
-         flow's slots came back. *)
-      Alcotest.(check int) (name "slots once drained") 2 (Sim.slots_in_use sim);
+      (* The link's transmitter: both of the flow's slots came back. *)
+      Alcotest.(check int) (name "slots once drained") 1 (Sim.slots_in_use sim);
       let st = Link.stats (Dumbbell.link net) in
       Alcotest.(check int) (name "access packets reached the link") 3
         st.Link.offered;
@@ -341,7 +380,7 @@ let test_dumbbell_unregister_in_flight () =
 (* 10 000 flows, each registered to send one packet and unregistered
    once the packet crosses the link or the queue drops it, as a flood
    does: every access line gives its slot back, so the slot table
-   holds only the flows in flight and ends with the link's two slots. *)
+   holds only the flows in flight and ends with the link's one slot. *)
 let test_dumbbell_flood_slots_bounded () =
   let sim = Sim.create () in
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:50 () in
@@ -378,7 +417,7 @@ let test_dumbbell_flood_slots_bounded () =
      spacing); a line that kept its slot would hold one per flow. *)
   if !peak > 200 then
     Alcotest.failf "%d slots in use at the peak, want at most 200" !peak;
-  Alcotest.(check int) "the link's two slots remain" 2 (Sim.slots_in_use sim)
+  Alcotest.(check int) "the link's slot remains" 1 (Sim.slots_in_use sim)
 
 (* One data packet out and its ACK back through an untapped dumbbell
    with a FIFO disc, one round trip at a time. The delay lines box no
@@ -480,7 +519,7 @@ let prop_serialization_monotone_in_size =
         let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:4 () in
         let at = ref nan in
         let link =
-          Link.create ~sim ~capacity_bps ~prop_delay:0.01 ~disc
+          Link.create ~sim ~capacity_bps ~disc
             ~deliver:(fun _ -> at := Sim.now sim)
             ()
         in
@@ -489,7 +528,7 @@ let prop_serialization_monotone_in_size =
         !at
       in
       let a1 = arrival s1 and a2 = arrival s2 in
-      let expect size = (float_of_int (size * 8) /. capacity_bps) +. 0.01 in
+      let expect size = float_of_int (size * 8) /. capacity_bps in
       (* Exact formula... *)
       Float.abs (a1 -. expect s1) < 1e-9
       && Float.abs (a2 -. expect s2) < 1e-9
@@ -594,6 +633,95 @@ let prop_delay_lines_fifo =
           (show expected);
       Sim.pending_events sim = 0)
 
+(* The link's exit against [Link_ref], whose exit is a zero-delay
+   delay line. Packets of random sizes are sent at times on a 1/16 s
+   grid, into 8192 b/s: a size that is a multiple of 64 bytes takes a
+   whole number of grid steps, so completions tie with other events.
+   Besides the sends, the plan files events at grid instants before
+   any transmission starts (some of which file a zero-delay event when
+   they run), events filed right after a send (so after its
+   transmission started, when the link was idle), and re-arms of one
+   timer a few grid steps on. A delivery may file a zero-delay event,
+   send again at once, or file an event a few grid steps on that files
+   a zero-delay event. The (time, label) logs must be equal. *)
+let prop_link_exit_matches_reference =
+  let size =
+    QCheck.Gen.(
+      oneof [ map (fun k -> 64 * k) (int_range 1 8); int_range 40 1500 ])
+  in
+  let run ~reference plan =
+    let sim = Sim.create () in
+    let timer = Sim.timer sim in
+    let log = ref [] in
+    let note label = log := (Sim.now sim, label) :: !log in
+    let sent = ref 0 in
+    let packet size =
+      let seq = !sent in
+      incr sent;
+      mk_pkt ~seq ~size ()
+    in
+    let send = ref (fun (_ : Packet.t) -> ()) in
+    let grid slot = float_of_int slot /. 16.0 in
+    let deliver (p : Packet.t) =
+      note (Printf.sprintf "D%d" p.seq);
+      match p.seq mod 4 with
+      | 1 ->
+          Sim.schedule_after sim ~delay:0.0 (fun () ->
+              note (Printf.sprintf "Z%d" p.seq))
+      | 2 when !sent < 200 -> !send (packet 64)
+      | 3 ->
+          (* Filed after the next transmission started: at a tie, that
+             completion runs first. *)
+          Sim.schedule_after sim
+            ~delay:(grid (1 + (p.seq / 4 mod 4)))
+            (fun () ->
+              note (Printf.sprintf "W%d" p.seq);
+              Sim.schedule_after sim ~delay:0.0 (fun () ->
+                  note (Printf.sprintf "V%d" p.seq)))
+      | _ -> ()
+    in
+    (send :=
+       if reference then
+         Link_ref.send (Link_ref.create sim ~capacity_bps:8192.0 deliver)
+       else
+         let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:100_000 () in
+         Link.send (Link.create ~sim ~capacity_bps:8192.0 ~disc ~deliver ()));
+    List.iteri
+      (fun i (slot, kind, size, after) ->
+        Sim.schedule sim ~at:(grid slot) (fun () ->
+            note (Printf.sprintf "%c%d" "SSXY".[kind] i);
+            match kind with
+            | 0 | 1 ->
+                !send (packet size);
+                if after > 0 then
+                  Sim.schedule sim ~at:(grid (slot + after)) (fun () ->
+                      note (Printf.sprintf "A%d" i))
+            | 2 ->
+                if after > 0 then
+                  Sim.arm timer ~delay:(grid after) (fun () ->
+                      note (Printf.sprintf "T%d" i))
+            | _ ->
+                Sim.schedule_after sim ~delay:0.0 (fun () ->
+                    note (Printf.sprintf "L%d" i))))
+      plan;
+    Sim.run sim;
+    List.rev !log
+  in
+  QCheck.Test.make ~name:"link exit == zero-delay line" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 1 40)
+        (quad (int_range 0 40) (int_range 0 3) (make size) (int_range 0 4)))
+    (fun plan ->
+      let got = run ~reference:false plan and want = run ~reference:true plan in
+      let show l =
+        String.concat "; "
+          (List.map (fun (t, l) -> Printf.sprintf "%s@%g" l t) l)
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf "link [%s], reference [%s]" (show got)
+          (show want);
+      true)
+
 (* Packet pooling: under arbitrary make/release interleavings no two
    simultaneously-live packets share a uid, liveness flags track
    release exactly, release is idempotent, and the free list holds
@@ -679,6 +807,7 @@ let qcheck_props =
       prop_serialization_monotone_in_size;
       prop_dumbbell_delivers_each_once;
       prop_delay_lines_fifo;
+      prop_link_exit_matches_reference;
       prop_packet_pool_accounting;
     ]
 
@@ -709,6 +838,10 @@ let () =
           Alcotest.test_case "utilization" `Quick test_link_utilization;
           Alcotest.test_case "work conserving" `Quick test_link_work_conserving;
           Alcotest.test_case "burst in flight" `Quick test_link_burst_in_flight;
+          Alcotest.test_case "exit after an event due" `Quick
+            test_link_exit_after_due_event;
+          Alcotest.test_case "exit after a lane entry" `Quick
+            test_link_exit_after_lane_entry;
         ] );
       ( "dumbbell",
         [
