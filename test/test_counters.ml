@@ -1,23 +1,27 @@
-(* The registry targets' observability counters, pinned exactly.
+(* The registry targets' printed output and observability counters,
+   pinned exactly.
 
    Every Registry target runs at quick scale with counters on, through
-   the Harness.Pool path that `taq_sim experiment` takes, and each of
-   its counters and gauges must equal its line in
-   test/goldens/counters.expected, one line per value:
+   the Harness.Pool path that `taq_sim experiment` takes, and each line
+   it prints, each counter and each gauge must equal its line in
+   test/goldens/counters.expected:
 
+     TARGET out LINE
      TARGET counter NAME VALUE
      TARGET gauge NAME VALUE
 
-   Counters are deterministic under fixed seeds, so any drift is a real
+   An out line drops the trailing blanks the table printer pads cells
+   with, and a blank output line reads "TARGET out". Output and counters
+   are deterministic under fixed seeds, so any drift is a real
    behavioural change: fix it, or regenerate the file (Golden_file has
    the command). The test runs the targets on 4 worker domains and the
    regeneration runs them on 1, so a fresh regeneration that diffs
-   clean against the committed file also shows that the counters do
-   not depend on the worker count. The file must name exactly the
-   registry's targets: a new target without lines fails, and so does a
-   stale one. Each target must also run to completion and print
-   something, so a target that raises or bypasses the Out sink fails
-   here. *)
+   clean against the committed file also shows that neither the rows
+   nor the counters depend on the worker count. The file must name
+   exactly the registry's targets: a new target without lines fails,
+   and so does a stale one. Each target must also run to completion and
+   print something, so a target that raises or bypasses the Out sink
+   fails here. *)
 
 module Registry = Taq_experiments.Registry
 module Run_spec = Taq_experiments.Run_spec
@@ -40,11 +44,27 @@ let run ~jobs =
              Registry.capture t ~full:false))
        targets)
 
+let rstrip s =
+  let n = ref (String.length s) in
+  while !n > 0 && s.[!n - 1] = ' ' do
+    decr n
+  done;
+  String.sub s 0 !n
+
 let lines (r : string Harness.Pool.result) =
-  let line kind (name, v) =
-    Printf.sprintf "%s %s %s %d" r.Harness.Pool.key kind name v
+  let key = r.Harness.Pool.key in
+  let line kind (name, v) = Printf.sprintf "%s %s %s %d" key kind name v in
+  let printed =
+    match r.Harness.Pool.value with
+    | Ok text -> String.split_on_char '\n' text
+    | Error _ -> []
   in
-  List.map (line "counter") r.Harness.Pool.obs.Obs.counters
+  (* A final newline leaves an empty last piece, which is no line. *)
+  let printed =
+    match List.rev printed with "" :: rest -> List.rev rest | _ -> printed
+  in
+  List.map (fun l -> rstrip (Printf.sprintf "%s out %s" key l)) printed
+  @ List.map (line "counter") r.Harness.Pool.obs.Obs.counters
   @ List.map (line "gauge") r.Harness.Pool.obs.Obs.gauges
 
 let regen () =
@@ -64,7 +84,7 @@ let check_target name () =
   | Ok output -> Alcotest.(check bool) "printed output" true (output <> "")
   | Error e -> Alcotest.failf "%s failed: %s" name e);
   Alcotest.(check (list string))
-    "counters and gauges"
+    "output, counters and gauges"
     (List.filter
        (fun line -> Golden_file.first_word line = name)
        (Golden_file.lines "counters"))
