@@ -64,15 +64,6 @@ let validate ?(fault = "none") ~disc ~tcp ~workload () =
          (String.concat ", " workload_names))
   else match plan_of_fault fault with Ok _ -> Ok () | Error e -> Error e
 
-let jain xs =
-  let n = Array.length xs in
-  if n = 0 then 1.0
-  else begin
-    let sum = Array.fold_left ( +. ) 0.0 xs in
-    let sumsq = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 xs in
-    if sumsq <= 0.0 then 1.0 else sum *. sum /. (float_of_int n *. sumsq)
-  end
-
 let cell_line ~disc ~tcp ~workload ~fault ~jain ~drop_rate ~util ~completed =
   Printf.sprintf
     "cell disc=%s tcp=%s wl=%s fault=%s jain=%.6f drop_rate=%.6f util=%.6f \
@@ -116,7 +107,7 @@ let run_mice env ~tcp =
   in
   let completed = ref 0 in
   Array.iter (fun t -> if not (Float.is_nan t) then incr completed) finished;
-  (jain rates, !completed)
+  (Taq_util.Stats.jain_index rates, !completed)
 
 let run_cell ~disc ~tcp ~workload ?(fault = "none") ?guard_cap ~seed () =
   (match validate ~fault ~disc ~tcp ~workload () with
