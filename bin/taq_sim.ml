@@ -218,13 +218,32 @@ let jobs_arg =
           "Worker domains. 1 runs sequentially in-process; outputs are \
            byte-identical at any jobs count.")
 
-(* [sim] and [sweep] run the same dumbbell path and take the same
-   RTT, run length and buffer flags. *)
+(* [sim] and [sweep] run the same long-flow point (Long_point) and take
+   the same RTT, run length, buffer and guard flags. *)
 let rtt_arg =
   Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
 
 let duration_arg =
-  Arg.(value & opt positive 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
+  Arg.(
+    value & opt positive 200.0
+    & info [ "d"; "duration" ] ~docv:"S"
+        ~doc:
+          "Run length. The short-term Jain skips the first 20 s slice (slow \
+           start), so it needs a run longer than one slice; a shorter run \
+           prints it as nan.")
+
+let guard_arg =
+  Arg.(
+    value
+    & opt ~vopt:(Some 256) (some (at_least 1)) None
+    & info [ "guard" ] ~docv:"CAP"
+        ~doc:
+          "Enable the TAQ overload guard on taq and taq+ac queues, with a \
+           flow-tracker cap of $(docv) flows (256 when the flag is given \
+           bare): the tracker evicts idle-first/LRU at the cap, and the \
+           guard degrades to droptail under sustained eviction churn or \
+           admission pressure, recovering with hysteresis. Part of sweep's \
+           cache key, so guarded and unguarded sweeps never share entries.")
 
 let buffer_rtts_arg =
   Arg.(
@@ -289,16 +308,35 @@ let fluid_dt_arg =
     & info [ "fluid-dt" ] ~docv:"S"
         ~doc:"Hybrid backend only: fluid integration step, seconds.")
 
-let resolve_backend backend ~bg_flows ~fluid_dt ~rtt ~capacity_bps ~buffer_pkts
-    =
-  match backend with
-  | `Packet -> Common.Packet
-  | `Hybrid ->
-      Common.Hybrid
-        (Taq_fluid.Model.make_params ~rtt_prop:rtt ~pkt_bytes:Common.pkt_bytes
-           ~dt:fluid_dt ~n_flows:bg_flows ~capacity_bps
-           ~buffer_bytes:(buffer_pkts * Common.pkt_bytes)
-           ())
+(* The point [sim] and [sweep] run: the buffer from its RTTs, then the
+   backend and the queue at that buffer. *)
+let long_point ~queue ~guard ~backend ~bg_flows ~fluid_dt ~capacity ~flows ~rtt
+    ~duration ~buffer_rtts ~seed =
+  let buffer_pkts =
+    Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
+  in
+  {
+    Long_point.queue =
+      Common.queue_of_disc ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts
+        queue;
+    backend =
+      (match backend with
+      | `Packet -> Common.Packet
+      | `Hybrid ->
+          Common.Hybrid
+            (Taq_fluid.Model.make_params ~rtt_prop:rtt
+               ~pkt_bytes:Common.pkt_bytes ~dt:fluid_dt ~n_flows:bg_flows
+               ~capacity_bps:capacity
+               ~buffer_bytes:(buffer_pkts * Common.pkt_bytes)
+               ()));
+    capacity_bps = capacity;
+    buffer_pkts;
+    flows;
+    tcp = Common.default_tcp;
+    rtt;
+    duration;
+    seed;
+  }
 
 (* --- experiment ------------------------------------------------------- *)
 
@@ -390,19 +428,6 @@ let sim_cmd =
       & info [ "n"; "flows" ] ~docv:"N" ~doc:"Long-lived flows.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let guard =
-    Arg.(
-      value
-      & opt ~vopt:(Some 256) (some (at_least 1)) None
-      & info [ "guard" ] ~docv:"CAP"
-          ~doc:
-            "Enable the TAQ overload guard with a flow-tracker cap of $(docv) \
-             flows (default 256 when the flag is given bare). Only meaningful \
-             with --queue taq or taq+ac: the tracker evicts idle-first/LRU at \
-             the cap and the guard degrades to droptail under sustained \
-             eviction churn or admission pressure, recovering with \
-             hysteresis.")
-  in
   let pcap =
     Arg.(
       value & opt (some string) None
@@ -416,56 +441,38 @@ let sim_cmd =
     with_spec spec @@ fun spec ->
     within_horizon spec ~duration @@ fun () ->
     writable pcap @@ fun () ->
-    let buffer_pkts =
-      Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
+    let point =
+      long_point ~queue ~guard ~backend ~bg_flows ~fluid_dt ~capacity ~flows
+        ~rtt ~duration ~buffer_rtts ~seed
     in
-    let backend =
-      resolve_backend backend ~bg_flows ~fluid_dt ~rtt ~capacity_bps:capacity
-        ~buffer_pkts
+    let log = ref None in
+    let attach path env =
+      let now () = Taq_engine.Sim.now env.Common.sim in
+      let link = Taq_net.Dumbbell.link env.Common.net in
+      log := Some (path, Taq_metrics.Packet_log.attach ~now link)
     in
-    let q =
-      Common.queue_of_disc ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts
-        queue
-    in
-    let env =
-      Common.make_env ~backend ~queue:q ~capacity_bps:capacity ~buffer_pkts
-        ~seed ()
-    in
-    let log =
-      Option.map
-        (fun _ ->
-          Taq_metrics.Packet_log.attach
-            ~now:(fun () -> Taq_engine.Sim.now env.Common.sim)
-            (Taq_net.Dumbbell.link env.Common.net))
-        pcap
-    in
-    let ids = Common.spawn_long_flows env ~n:flows ~rtt ~rtt_jitter:0.1 () in
-    Common.run env ~until:duration;
-    (match (pcap, log) with
-    | Some path, Some log ->
+    let env, row = Long_point.run ?attach:(Option.map attach pcap) point in
+    Option.iter
+      (fun (path, log) ->
         Taq_metrics.Packet_log.save_csv log ~path;
         Printf.printf "packet log: %d events written to %s\n"
           (Taq_metrics.Packet_log.count log)
-          path
-    | _ -> ());
-    let series =
-      Taq_metrics.Flow_evolution.series env.Common.evolution ~until:duration
-    in
+          path)
+      !log;
     Printf.printf
       "queue=%s backend=%s capacity=%.0fbps flows=%d buffer=%dpkts \
        duration=%.0fs\n"
-      (Common.queue_name q)
-      (Common.backend_name backend)
-      capacity flows buffer_pkts duration;
-    Printf.printf "  short-term Jain (20s slices): %.3f\n"
-      (Taq_metrics.Slicer.mean_jain env.Common.slicer ~flows:ids ~first:1 ());
-    Printf.printf "  long-term Jain:               %.3f\n"
-      (Taq_metrics.Slicer.long_term_jain env.Common.slicer ~flows:ids);
-    Printf.printf "  utilization:                  %.3f\n" (Common.utilization env);
-    Printf.printf "  packet loss rate:             %.4f\n"
-      (Common.measured_loss_rate env);
+      (Common.queue_name point.queue)
+      (Common.backend_name point.backend)
+      capacity flows point.buffer_pkts duration;
+    Printf.printf "  short-term Jain (20s slices): %.3f\n" row.jain_short;
+    Printf.printf "  long-term Jain:               %.3f\n" row.jain_long;
+    Printf.printf "  utilization:                  %.3f\n" row.utilization;
+    Printf.printf "  packet loss rate:             %.4f\n" row.loss_rate;
     Printf.printf "  stalled-flow fraction:        %.3f\n"
-      (Taq_metrics.Flow_evolution.stalled_fraction series);
+      (Taq_metrics.Flow_evolution.stalled_fraction
+         (Taq_metrics.Flow_evolution.series env.Common.evolution
+            ~until:duration));
     (match env.Common.taq with
     | None -> ()
     | Some t ->
@@ -513,7 +520,7 @@ let sim_cmd =
     Term.(
       ret
         (const run $ queue $ capacity $ flows $ rtt_arg $ duration_arg
-       $ buffer_rtts_arg $ seed $ guard $ pcap $ backend_arg $ bg_flows_arg
+       $ buffer_rtts_arg $ seed $ guard_arg $ pcap $ backend_arg $ bg_flows_arg
        $ fluid_dt_arg $ spec_term ()))
 
 (* --- sweep ---------------------------------------------------------------- *)
@@ -522,26 +529,15 @@ let sim_cmd =
    from the task key (splitmix over the key), so the result is the same
    whichever worker domain runs it, in whatever order. Output goes
    through the Out sink so the harness captures it per task. *)
-let sweep_point ~queue ~backend ~capacity ~fair_share ~rtt ~duration
-    ~buffer_pkts ~rep ~seed () =
-  let flows =
-    Common.flows_for_fair_share ~capacity_bps:capacity ~fair_share_bps:fair_share
-  in
-  let env =
-    Common.make_env ~backend ~queue ~capacity_bps:capacity ~buffer_pkts ~seed ()
-  in
-  let ids = Common.spawn_long_flows env ~n:flows ~rtt ~rtt_jitter:0.1 () in
-  Common.run env ~until:duration;
+let sweep_point (point : Long_point.point) ~fair_share ~rep =
+  let env, row = Long_point.run point in
   let out = Taq_util.Out.printf in
   out "queue=%s backend=%s capacity=%.0f fair_share=%.0f flows=%d rep=%d seed=%d\n"
-    (Common.queue_name queue)
-    (Common.backend_name backend)
-    capacity fair_share flows rep seed;
+    (Common.queue_name point.queue)
+    (Common.backend_name point.backend)
+    point.capacity_bps fair_share point.flows rep point.seed;
   out "  jain_short=%.3f jain_long=%.3f utilization=%.3f loss_rate=%.4f\n"
-    (Taq_metrics.Slicer.mean_jain env.Common.slicer ~flows:ids ~first:1 ())
-    (Taq_metrics.Slicer.long_term_jain env.Common.slicer ~flows:ids)
-    (Common.utilization env)
-    (Common.measured_loss_rate env);
+    row.jain_short row.jain_long row.utilization row.loss_rate;
   (match Common.resil_rows env with
   | None -> ()
   | Some rows ->
@@ -664,16 +660,6 @@ let sweep_cmd =
             "Retry failed or timed-out points up to $(docv) times (with \
              exponential backoff) before quarantining them as failed.")
   in
-  let guard =
-    Arg.(
-      value
-      & opt ~vopt:(Some 256) (some (at_least 1)) None
-      & info [ "guard" ] ~docv:"CAP"
-          ~doc:
-            "Enable the TAQ overload guard (tracker cap $(docv), default 256 \
-             when given bare) on every taq/taq+ac point. Part of the cache \
-             key, so guarded and unguarded sweeps never share entries.")
-  in
   let chaos =
     Arg.(
       value & flag
@@ -729,31 +715,24 @@ let sweep_cmd =
           (fun queue ->
             List.concat_map
               (fun capacity ->
-                (* The queue and the fluid params (and hence the key)
-                   depend on the point's capacity through the buffer
-                   sizing. *)
-                let buffer_pkts =
-                  Common.buffer_for_rtts ~capacity_bps:capacity ~rtt
-                    ~rtts:buffer_rtts
-                in
-                let backend =
-                  resolve_backend backend ~bg_flows ~fluid_dt ~rtt
-                    ~capacity_bps:capacity ~buffer_pkts
-                in
-                let q =
-                  Common.queue_of_disc ?guard_cap:guard ~capacity_bps:capacity
-                    ~buffer_pkts queue
-                in
                 List.concat_map
                   (fun fair_share ->
+                    let flows =
+                      Common.flows_for_fair_share ~capacity_bps:capacity
+                        ~fair_share_bps:fair_share
+                    in
+                    (* Each rep's seed comes from its task key; the
+                       key holds the backend the point resolves. *)
+                    let point =
+                      long_point ~queue ~guard ~backend ~bg_flows ~fluid_dt
+                        ~capacity ~flows ~rtt ~duration ~buffer_rtts ~seed:0
+                    in
                     List.init reps (fun rep ->
                         ( Task_key.sweep ~queue ~capacity ~fair_share ~rtt
                             ~duration ~buffer_rtts ~rep ?guard_cap:guard
-                            ~backend spec,
+                            ~backend:point.backend spec,
                           fun ~seed () ->
-                            sweep_point ~queue:q ~backend ~capacity
-                              ~fair_share ~rtt ~duration ~buffer_pkts ~rep
-                              ~seed () )))
+                            sweep_point { point with seed } ~fair_share ~rep )))
                   fair_shares)
               capacities)
           queues
@@ -987,7 +966,7 @@ let sweep_cmd =
       ret
         (const run $ queues $ matrix $ tcps $ workloads $ fault_axis
        $ capacities $ fair_shares $ reps $ rtt_arg $ duration_arg
-       $ buffer_rtts_arg $ guard $ backend_arg $ bg_flows_arg $ fluid_dt_arg
+       $ buffer_rtts_arg $ guard_arg $ backend_arg $ bg_flows_arg $ fluid_dt_arg
        $ jobs_arg $ results_dir $ no_cache $ resume $ timeout_s $ retries
        $ chaos $ given faults_arg $ given resil_arg $ spec_term ()))
 

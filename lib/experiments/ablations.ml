@@ -1,54 +1,45 @@
 module Taq_config = Taq_core.Taq_config
 
-type params = {
-  capacity_bps : float;
-  flows : int;
-  rtt : float;
-  duration : float;
-  seed : int;
-}
+type params = { flows : int; duration : float }
 
-let default =
-  { capacity_bps = 600e3; flows = 120; rtt = 0.2; duration = 400.0; seed = 47 }
+let capacity_bps = 600e3
+let rtt = 0.2
+let seed = 47
+let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0
 
-let quick = { default with flows = 80; duration = 200.0 }
+let default = { flows = 120; duration = 400.0 }
+
+let quick = { flows = 80; duration = 200.0 }
 
 type row = {
   ablation : string;
   variant : string;
   flows : int;
-  jain_short : float;
-  utilization : float;
-  loss_rate : float;
+  scores : Long_point.row;
 }
 
-let contention p ~config ~flows =
-  let buffer_pkts = config.Taq_config.capacity_pkts in
-  let env =
-    Common.make_env ~queue:(Common.Taq config) ~capacity_bps:p.capacity_bps
-      ~buffer_pkts ~seed:p.seed ()
-  in
-  let ids = Common.spawn_long_flows env ~n:flows ~rtt:p.rtt ~rtt_jitter:0.1 () in
-  Common.run env ~until:p.duration;
-  ( Taq_metrics.Slicer.mean_jain env.Common.slicer ~flows:ids ~first:1 (),
-    Common.utilization env,
-    Common.measured_loss_rate env )
-
-let base_config p =
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
-  in
-  Common.taq_config ~capacity_bps:p.capacity_bps ~buffer_pkts ()
-
 let run_variant p ~ablation ~variant ~flows config =
-  let jain_short, utilization, loss_rate = contention p ~config ~flows in
-  { ablation; variant; flows; jain_short; utilization; loss_rate }
+  let _, scores =
+    Long_point.run
+      {
+        queue = Common.Taq config;
+        backend = Common.Packet;
+        capacity_bps;
+        buffer_pkts;
+        flows;
+        tcp = Common.default_tcp;
+        rtt;
+        duration = p.duration;
+        seed;
+      }
+  in
+  { ablation; variant; flows; scores }
 
 (* Each variant runs at two contention levels: the design trade-offs
    are regime dependent (notably the recovery cap, whose sign flips
    between moderate contention and the deep sub-packet regime). *)
-let run_queue_ablations p =
-  let base = base_config p in
+let run_queue_ablations (p : params) =
+  let base = Common.taq_config ~capacity_bps ~buffer_pkts () in
   let levels = [ p.flows / 2; p.flows ] in
   List.concat_map
     (fun flows ->
@@ -63,7 +54,7 @@ let run_queue_ablations p =
           { base with Taq_config.overpenalize_drops = max_int };
         run_variant p ~ablation:"epoch" ~variant:"estimated" ~flows base;
         run_variant p ~ablation:"epoch" ~variant:"oracle" ~flows
-          { base with Taq_config.epoch_source = Taq_config.Oracle p.rtt };
+          { base with Taq_config.epoch_source = Taq_config.Oracle rtt };
       ])
     levels
 
@@ -75,32 +66,28 @@ type pthresh_row = {
   rejected_syns : int;
 }
 
-let run_pthresh_sweep p =
+let run_pthresh_sweep (p : params) =
   List.map
     (fun pthresh ->
-      let buffer_pkts =
-        Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
-      in
       let config =
         {
-          (Common.taq_config ~admission:true ~capacity_bps:p.capacity_bps
-             ~buffer_pkts ())
+          (Common.taq_config ~admission:true ~capacity_bps ~buffer_pkts ())
           with
           Taq_config.admission = Some { Taq_config.pthresh };
         }
       in
       let env =
-        Common.make_env ~queue:(Common.Taq config)
-          ~capacity_bps:p.capacity_bps ~buffer_pkts ~seed:p.seed ()
+        Common.make_env ~queue:(Common.Taq config) ~capacity_bps ~buffer_pkts
+          ~seed ()
       in
       let tcp = Taq_tcp.Tcp_config.make ~use_syn:true () in
       let times = ref [] in
-      let prng = Taq_util.Prng.create ~seed:p.seed in
+      let prng = Taq_util.Prng.create ~seed in
       let clients = Stdlib.max 4 (p.flows / 4) in
       for client = 0 to clients - 1 do
         let session =
           Taq_workload.Web_session.create ~net:env.Common.net ~tcp
-            ~pool:client ~rtt:p.rtt ~max_conns:4
+            ~pool:client ~rtt ~max_conns:4
             ~on_fetch_done:(fun f ->
               if not (Float.is_nan f.Taq_workload.Web_session.finished_at)
               then
@@ -149,9 +136,9 @@ let print rows =
           r.ablation;
           r.variant;
           string_of_int r.flows;
-          Printf.sprintf "%.3f" r.jain_short;
-          Printf.sprintf "%.3f" r.utilization;
-          Printf.sprintf "%.4f" r.loss_rate;
+          Printf.sprintf "%.3f" r.scores.jain_short;
+          Printf.sprintf "%.3f" r.scores.utilization;
+          Printf.sprintf "%.4f" r.scores.loss_rate;
         ])
     rows;
   Taq_util.Table.print table

@@ -9,17 +9,12 @@
     - the admission threshold pthresh swept around the model's
       tipping point.
 
-    Each ablation runs the small-packet-regime contention scenario and
+    Each ablation runs the small-packet-regime contention scenario (a
+    600 Kbps bottleneck, 200 ms propagation RTT, one RTT of buffer) and
     reports short-term fairness plus utilization (and, for the pthresh
     sweep, web download medians). *)
 
-type params = {
-  capacity_bps : float;
-  flows : int;
-  rtt : float;
-  duration : float;
-  seed : int;
-}
+type params = { flows : int; duration : float }
 
 val default : params
 
@@ -29,9 +24,7 @@ type row = {
   ablation : string;
   variant : string;
   flows : int;  (** contention level of the run *)
-  jain_short : float;
-  utilization : float;
-  loss_rate : float;
+  scores : Long_point.row;
 }
 
 val run_queue_ablations : params -> row list

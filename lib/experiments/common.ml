@@ -102,8 +102,7 @@ let resize ~capacity_bps ~buffer_pkts = function
   | q -> q
 
 let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
-    ~capacity_bps ~buffer_pkts ?(slice = 20.0) ?(evolution_window = 5.0)
-    ?(seed = 1) () =
+    ~capacity_bps ~buffer_pkts ?(slice = 20.0) ?(seed = 1) () =
   (* One checker per environment: the simulator, link, TAQ middlebox and
      every TCP sender share it, so counters aggregate in one place. The
      observability instance works the same way: one per env, shared by
@@ -211,7 +210,7 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
     taq = !taq;
     loss;
     slicer = Taq_metrics.Slicer.create ~slice;
-    evolution = Taq_metrics.Flow_evolution.create ~window:evolution_window;
+    evolution = Taq_metrics.Flow_evolution.create ~window:5.0;
     prng;
     check;
     obs;

@@ -84,11 +84,11 @@ val make_env :
   capacity_bps:float ->
   buffer_pkts:int ->
   ?slice:float ->
-  ?evolution_window:float ->
   ?seed:int ->
   unit ->
   env
-(** A fresh simulator, dumbbell and recorders. The env is fully
+(** A fresh simulator, dumbbell and recorders: goodput in [slice]-second
+    slices (default 20) and flow evolution in 5 s windows. The env is fully
     self-contained — flow ids and packet uids are allocated by the
     env's own network, so independent envs can run concurrently in
     separate domains. [check], [obs], [faults] and [resil] default to

@@ -1,23 +1,20 @@
 type params = {
   queue : Common.queue;
-  capacity_bps : float;
-  rtt : float;
   fair_shares_pkts_per_rtt : float list;
   buffer_rtts : float list;
   duration : float;
-  slice : float;
   seeds : int list;
 }
+
+let capacity_bps = 1000e3
+let rtt = 0.4
 
 let default =
   {
     queue = Common.Droptail;
-    capacity_bps = 1000e3;
-    rtt = 0.4;
     fair_shares_pkts_per_rtt = [ 0.25; 0.5; 1.0; 1.25 ];
     buffer_rtts = [ 1.0; 1.5; 2.0; 2.5; 3.0; 3.5; 4.0; 4.5; 5.0 ];
     duration = 300.0;
-    slice = 20.0;
     seeds = [ 23; 24; 25 ];
   }
 
@@ -38,52 +35,48 @@ type row = {
   max_queue_delay_s : float;
 }
 
-let run_one p ~fair_share_pkts ~buffer_rtts ~seed =
+let run_one p ~fair_share_pkts ~buffer_rtts =
   (* fair share (pkts/RTT) = C·RTT / (8·pkt·N)  =>  N from the target. *)
   let pkts_per_rtt_total =
-    p.capacity_bps *. p.rtt /. (8.0 *. float_of_int Common.pkt_bytes)
-  in
-  let n = Stdlib.max 1 (int_of_float (pkts_per_rtt_total /. fair_share_pkts)) in
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt
-      ~rtts:buffer_rtts
-  in
-  let queue =
-    Common.resize ~capacity_bps:p.capacity_bps ~buffer_pkts p.queue
-  in
-  let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
-      ~slice:p.slice ~seed ()
+    capacity_bps *. rtt /. (8.0 *. float_of_int Common.pkt_bytes)
   in
   let flows =
-    Common.spawn_long_flows env ~n ~rtt:p.rtt ~rtt_jitter:0.1 ()
+    Stdlib.max 1 (int_of_float (pkts_per_rtt_total /. fair_share_pkts))
   in
-  Common.run env ~until:p.duration;
+  let buffer_pkts =
+    Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:buffer_rtts
+  in
+  let run seed =
+    snd
+      (Long_point.run
+         {
+           queue = p.queue;
+           backend = Common.Packet;
+           capacity_bps;
+           buffer_pkts;
+           flows;
+           tcp = Common.default_tcp;
+           rtt;
+           duration = p.duration;
+           seed;
+         })
+  in
   {
     fair_share_pkts;
     buffer_rtts;
     buffer_pkts;
-    jain_short = Taq_metrics.Slicer.mean_jain env.Common.slicer ~flows ~first:1 ();
+    (* Averaged over independent seeds: single runs are noisy at 20 s
+       slices. *)
+    jain_short = (Long_point.mean (List.map run p.seeds)).jain_short;
     max_queue_delay_s =
-      float_of_int (buffer_pkts * Common.pkt_bytes * 8) /. p.capacity_bps;
+      float_of_int (buffer_pkts * Common.pkt_bytes * 8) /. capacity_bps;
   }
 
-(* Average the short-term fairness over independent seeds: individual
-   runs are noisy at 20 s slices. *)
 let run p =
   List.concat_map
     (fun fair_share_pkts ->
       List.map
-        (fun buffer_rtts ->
-          let rows =
-            List.map
-              (fun seed -> run_one p ~fair_share_pkts ~buffer_rtts ~seed)
-              p.seeds
-          in
-          let jains = Array.of_list (List.map (fun r -> r.jain_short) rows) in
-          match rows with
-          | first :: _ -> { first with jain_short = Taq_util.Stats.mean jains }
-          | [] -> invalid_arg "Fig3_buffer.run: seeds must be non-empty")
+        (fun buffer_rtts -> run_one p ~fair_share_pkts ~buffer_rtts)
         p.buffer_rtts)
     p.fair_shares_pkts_per_rtt
 

@@ -4,19 +4,17 @@
     droptail buffer from 1 to several RTTs of delay and record the
     short-term Jain fairness achieved — reproducing the paper's
     trade-off curve (fairness can be bought with buffers, but the
-    price is seconds of queueing delay). [queue] swaps the discipline
+    price is seconds of queueing delay). The bottleneck runs at 1 Mbps
+    with a 400 ms propagation RTT. [queue] swaps the discipline
     under the same sweep — the codel-fig3 bench target reruns the
     whole curve under CoDel to ask how much buffer an AQM that
     controls sojourn time still needs. *)
 
 type params = {
   queue : Common.queue;  (** default {!Common.Droptail} *)
-  capacity_bps : float;
-  rtt : float;
   fair_shares_pkts_per_rtt : float list;
   buffer_rtts : float list;
   duration : float;
-  slice : float;
   seeds : int list;  (** short-term fairness is averaged over these *)
 }
 

@@ -1,25 +1,11 @@
-type params = {
-  queues : Common.queue list;
-  flows : int;
-  capacity_bps : float;
-  rtt : float;
-  window : float;
-  duration : float;
-  warmup : float;
-  seed : int;
-}
+type params = { flows : int; duration : float; warmup : float }
 
-let default =
-  {
-    queues = [ Common.Droptail; Common.taq_marker ];
-    flows = 180;
-    capacity_bps = 600e3;
-    rtt = 0.2;
-    window = 5.0;
-    duration = 1100.0;
-    warmup = 200.0;
-    seed = 17;
-  }
+let queues = [ Common.Droptail; Common.taq_marker ]
+let capacity_bps = 600e3
+let rtt = 0.2
+let seed = 17
+
+let default = { flows = 180; duration = 1100.0; warmup = 200.0 }
 
 let quick = { default with duration = 400.0; warmup = 100.0 }
 
@@ -32,21 +18,27 @@ type result = {
 }
 
 let run_one p queue =
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
+  let env, _ =
+    Long_point.run
+      {
+        queue;
+        backend = Common.Packet;
+        capacity_bps;
+        buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0;
+        flows = p.flows;
+        tcp = Common.default_tcp;
+        rtt;
+        duration = p.duration;
+        seed;
+      }
   in
-  let queue = Common.resize ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
-  let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
-      ~evolution_window:p.window ~seed:p.seed ()
-  in
-  ignore (Common.spawn_long_flows env ~n:p.flows ~rtt:p.rtt ~rtt_jitter:0.1 ());
-  Common.run env ~until:p.duration;
   let series =
     Taq_metrics.Flow_evolution.series env.Common.evolution ~until:p.duration
   in
   (* Summary fractions over the post-warmup windows only. *)
-  let first_w = int_of_float (p.warmup /. p.window) in
+  let first_w =
+    int_of_float (p.warmup /. series.Taq_metrics.Flow_evolution.window)
+  in
   let slice arr = Array.sub arr first_w (Array.length arr - first_w) in
   let counted =
     {
@@ -67,7 +59,7 @@ let run_one p queue =
     warmup = p.warmup;
   }
 
-let run p = List.map (run_one p) p.queues
+let run p = List.map (run_one p) queues
 
 let print results =
   let table =

@@ -1,20 +1,16 @@
 (** Figure 9: flow evolution under droptail vs TAQ.
 
-    180 long-lived flows share a 600 Kbps bottleneck; every window,
-    each live flow is classified as Maintained / Dropped / Arriving /
+    180 long-lived flows share a 600 Kbps bottleneck (200 ms
+    propagation RTT, one RTT of buffer); every 5 s window, each live
+    flow is classified as Maintained / Dropped / Arriving /
     Stalled from its activity in the previous and current windows. The
     paper's claims: under TAQ the stalled count is nearly zero and the
     maintained count is much higher than under droptail. *)
 
 type params = {
-  queues : Common.queue list;
   flows : int;
-  capacity_bps : float;
-  rtt : float;
-  window : float;
   duration : float;
   warmup : float;  (** windows before this time are not reported *)
-  seed : int;
 }
 
 val default : params

@@ -12,15 +12,11 @@ type params = {
   queues : Common.queue list;
   capacities_bps : float list;
   fair_shares_bps : float list;  (** per-flow targets (x-axis) *)
-  rtt : float;
-  rtt_jitter : float;
   duration : float;
-  slice : float;
-  buffer_rtts : float;  (** droptail buffer, in RTTs of delay *)
-  use_syn : bool;  (** testbed profile models the handshake *)
-  tcp_override : Taq_tcp.Tcp_config.t option;
-      (** replaces the default NewReno stack when set (e.g. CUBIC with
-          an initial window of 10) *)
+  tcp : Taq_tcp.Tcp_config.t;
+      (** {!Common.default_tcp}; the testbed profile adds the SYN
+          handshake, the [cubic] target runs CUBIC with an initial
+          window of 10 *)
   seeds : int list;  (** each point averages these independent runs *)
 }
 
@@ -41,10 +37,7 @@ type row = {
   capacity_bps : float;
   flows : int;
   fair_share_bps : float;
-  jain_short : float;
-  jain_long : float;
-  utilization : float;
-  loss_rate : float;
+  scores : Long_point.row;  (** the mean over [seeds] *)
 }
 
 val run : params -> row list

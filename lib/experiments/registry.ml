@@ -107,8 +107,7 @@ let cubic ~full =
       base with
       Fig_fairness.queues = [ Common.Droptail; Common.taq_marker ];
       capacities_bps = (if full then base.Fig_fairness.capacities_bps else [ 600e3 ]);
-      tcp_override =
-        Some { Taq_tcp.Tcp_config.cubic with Taq_tcp.Tcp_config.use_syn = false };
+      tcp = { Taq_tcp.Tcp_config.cubic with Taq_tcp.Tcp_config.use_syn = false };
     }
   in
   Fig_fairness.print (Fig_fairness.run p)

@@ -92,9 +92,9 @@ let test_fairness_row_structure () =
   List.iter
     (fun r ->
       Alcotest.(check bool) "jain in range" true
-        (r.Fig_fairness.jain_short >= 0.0 && r.Fig_fairness.jain_short <= 1.0);
+        (r.Fig_fairness.scores.jain_short >= 0.0 && r.Fig_fairness.scores.jain_short <= 1.0);
       Alcotest.(check bool) "utilization sane" true
-        (r.Fig_fairness.utilization > 0.5 && r.Fig_fairness.utilization <= 1.01);
+        (r.Fig_fairness.scores.utilization > 0.5 && r.Fig_fairness.scores.utilization <= 1.01);
       Alcotest.(check bool) "flows derived" true (r.Fig_fairness.flows >= 10))
     rows
 
@@ -114,9 +114,9 @@ let test_fairness_improves_with_share () =
   | [ low; high ] ->
       Alcotest.(check bool)
         (Printf.sprintf "jain(40k)=%.2f > jain(10k)=%.2f"
-           high.Fig_fairness.jain_short low.Fig_fairness.jain_short)
+           high.Fig_fairness.scores.jain_short low.Fig_fairness.scores.jain_short)
         true
-        (high.Fig_fairness.jain_short > low.Fig_fairness.jain_short)
+        (high.Fig_fairness.scores.jain_short > low.Fig_fairness.scores.jain_short)
   | _ -> Alcotest.fail "expected two rows"
 
 let test_taq_beats_droptail_in_driver () =
@@ -124,7 +124,7 @@ let test_taq_beats_droptail_in_driver () =
   let taq = Fig_fairness.run (tiny_fairness [ Common.taq_marker ]) in
   let mean rows =
     Taq_util.Stats.mean
-      (Array.of_list (List.map (fun r -> r.Fig_fairness.jain_short) rows))
+      (Array.of_list (List.map (fun r -> r.Fig_fairness.scores.jain_short) rows))
   in
   Alcotest.(check bool)
     (Printf.sprintf "taq %.3f > dt %.3f" (mean taq) (mean dt))
@@ -201,14 +201,7 @@ let test_fig6_silence_grows_with_p () =
 (* --- fig9 ------------------------------------------------------------------- *)
 
 let test_fig9_taq_reduces_stalls () =
-  let p =
-    {
-      Fig9_evolution.quick with
-      Fig9_evolution.flows = 80;
-      duration = 200.0;
-      warmup = 50.0;
-    }
-  in
+  let p = { Fig9_evolution.flows = 80; duration = 200.0; warmup = 50.0 } in
   match Fig9_evolution.run p with
   | [ dt; taq ] ->
       Alcotest.(check string) "first is droptail" "droptail" dt.Fig9_evolution.queue;
@@ -355,7 +348,7 @@ let test_hangs_contention_increases_hangs () =
 (* --- ablations ------------------------------------------------------------------ *)
 
 let test_ablations_structure () =
-  let p = { Ablations.quick with Ablations.flows = 40; duration = 80.0 } in
+  let p = { Ablations.flows = 40; duration = 80.0 } in
   let rows = Ablations.run_queue_ablations p in
   (* 7 variants at 2 contention levels each. *)
   Alcotest.(check int) "14 rows" 14 (List.length rows);
@@ -364,7 +357,7 @@ let test_ablations_structure () =
       Alcotest.(check bool)
         (r.Ablations.ablation ^ "/" ^ r.Ablations.variant ^ " jain in range")
         true
-        (r.Ablations.jain_short >= 0.0 && r.Ablations.jain_short <= 1.0))
+        (r.Ablations.scores.jain_short >= 0.0 && r.Ablations.scores.jain_short <= 1.0))
     rows
 
 (* --- registry ------------------------------------------------------------------- *)
