@@ -218,10 +218,29 @@ let jobs_arg =
           "Worker domains. 1 runs sequentially in-process; outputs are \
            byte-identical at any jobs count.")
 
+(* [sweep] and [mega] keep their results in the same cache: a rerun
+   serves what an earlier, perhaps killed, run stored. *)
+let results_dir_arg =
+  Arg.(
+    value
+    & opt string Harness.Cache.default_dir
+    & info [ "results-dir" ] ~docv:"DIR"
+        ~doc:
+          "On-disk result cache directory (mega uses it only with \
+           $(b,--checkpoint)). A rerun of the same command serves the \
+           results stored there and computes the rest, so a killed or \
+           cancelled run finishes where it stopped.")
+
 (* [sim] and [sweep] run the same long-flow point (Long_point) and take
-   the same RTT, run length, buffer and guard flags. *)
+   the same RTT, run length, buffer and guard flags; [mega] shares the
+   RTT and the fluid step. *)
 let rtt_arg =
-  Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
+  Arg.(
+    value & opt positive 0.2
+    & info [ "rtt" ] ~docv:"S"
+        ~doc:
+          "Propagation RTT (mega: the foreground flows' RTT and the centre \
+           of the cohort's RTTs).")
 
 let duration_arg =
   Arg.(
@@ -306,7 +325,7 @@ let fluid_dt_arg =
   Arg.(
     value & opt positive 0.05
     & info [ "fluid-dt" ] ~docv:"S"
-        ~doc:"Hybrid backend only: fluid integration step, seconds.")
+        ~doc:"Hybrid backend and mega only: fluid integration step, seconds.")
 
 (* The point [sim] and [sweep] run: the buffer from its RTTs, then the
    backend and the queue at that buffer. *)
@@ -620,27 +639,10 @@ let sweep_cmd =
       & info [ "reps" ] ~docv:"N"
           ~doc:"Replicas per point (each derives its own seed from the task key).")
   in
-  let results_dir =
-    Arg.(
-      value
-      & opt string Harness.Cache.default_dir
-      & info [ "results-dir" ] ~docv:"DIR" ~doc:"On-disk result cache directory.")
-  in
   let no_cache =
     Arg.(
       value & flag
       & info [ "no-cache" ] ~doc:"Recompute every point; do not read or write the cache.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume a killed or cancelled sweep: replay the write-ahead \
-             journal under --results-dir, restore journaled-complete points \
-             from the cache (payload digests verified), and re-execute only \
-             the remainder. The merged output is byte-identical to an \
-             uninterrupted run.")
   in
   let timeout_s =
     Arg.(
@@ -660,28 +662,10 @@ let sweep_cmd =
             "Retry failed or timed-out points up to $(docv) times (with \
              exponential backoff) before quarantining them as failed.")
   in
-  let chaos =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Inject two deliberately unhealthy tasks (one crashes, one \
-             hangs) into the sweep to exercise the pool's quarantine path. \
-             They are reported but excluded from the exit status. Requires \
-             --timeout-s (the hanging task is only bounded by the deadline).")
-  in
   let run queues matrix tcps workloads fault_axis capacities fair_shares reps
       rtt duration buffer_rtts guard backend bg_flows fluid_dt jobs
-      results_dir no_cache resume timeout_s retries chaos faults_given
-      resil_given spec =
-    if chaos && timeout_s = None then
-      `Error (false, "--chaos requires --timeout-s (it injects a hanging task)")
-    else if resume && no_cache then
-      `Error
-        (false,
-         "--resume needs the cache (restored points live there); drop \
-          --no-cache")
-    else if matrix && backend <> `Packet then
+      results_dir no_cache timeout_s retries faults_given resil_given spec =
+    if matrix && backend <> `Packet then
       `Error (false, "--matrix cells are packet-backend only; drop --backend")
     else if matrix && faults_given then
       `Error
@@ -770,60 +754,32 @@ let sweep_cmd =
       | Error msg -> `Error (false, msg)
       | Ok points ->
       Harness.Pool.install_signal_cancellation ~label:"sweep" ();
-      (* The cache's, journal's and pool's own counters. *)
+      (* The cache's and pool's own counters. *)
       let obs = Run_spec.observer spec in
       (* Durability: points already in the results dir are served, the
-         rest run and are persisted as each finishes, with a
-         write-ahead journal under the results dir; --resume replays it
-         so the merged report and counter table come out byte-identical
-         to an uninterrupted run. *)
-      let store =
+         rest run and are stored as each finishes, so rerunning a killed
+         sweep prints what an uninterrupted one would. *)
+      let cache =
         if no_cache then None
-        else
-          Some
-            {
-              Harness.Durable.cache =
-                Harness.Cache.create ~obs ~dir:results_dir ();
-              journal = "sweep.journal";
-              resume;
-            }
-      in
-      (* Deliberately unhealthy tasks: exercise the pool's quarantine
-         path in-situ (CI runs this). They never finish, so they are
-         never stored; they are excluded from the exit status below. *)
-      let chaos_tasks =
-        if not chaos then []
-        else
-          [
-            Harness.Task.make ~key:"chaos/crash" (fun ~seed:_ ->
-                failwith "chaos: deliberate crash");
-            Harness.Task.make ~key:"chaos/hang" (fun ~seed:_ ->
-                while true do
-                  Unix.sleepf 0.05
-                done;
-                "unreachable");
-          ]
+        else Some (Harness.Cache.create ~obs ~dir:results_dir ())
       in
       let on_done ~completed ~total (r : string Harness.Pool.result) =
         Printf.eprintf "[%d/%d] %s (%.1f s, %s)\n%!" completed total
           r.Harness.Pool.key r.Harness.Pool.elapsed_s (Harness.Pool.status r)
       in
       let outcomes =
-        Harness.Durable.run ~obs ~jobs ?timeout_s ~retries ~on_done ?store
+        Harness.Durable.run ~obs ~jobs ?timeout_s ~retries ~on_done ?cache
           (List.map
              (fun (key, run) ->
                Harness.Task.make ~key (fun ~seed ->
                    Harness.Capture.text (run ~seed)))
-             points
-          @ chaos_tasks)
+             points)
       in
-      let n_points = List.length points in
-      let point_outcomes = List.filteri (fun i _ -> i < n_points) outcomes in
       let summary =
         Taq_util.Table.create ~columns:[ "task"; "seconds"; "source" ]
       in
       let hits = ref 0 and misses = ref 0 and failures = ref 0 in
-      let n_restored = ref 0 and n_cancelled = ref 0 in
+      let n_cancelled = ref 0 in
       (* Outputs in points order, for the matrix report below. *)
       let outputs = ref [] in
       let emit output =
@@ -833,10 +789,6 @@ let sweep_cmd =
       List.iter2
         (fun (key, _) (outcome : Harness.Durable.outcome) ->
           match outcome with
-          | Restored s ->
-              incr n_restored;
-              emit s.Harness.Durable.payload;
-              Taq_util.Table.add_row summary [ key; "-"; "journal" ]
           | Hit s ->
               incr hits;
               emit s.Harness.Durable.payload;
@@ -864,7 +816,7 @@ let sweep_cmd =
                       Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
                       Harness.Pool.status r;
                     ]))
-        points point_outcomes;
+        points outcomes;
       (* The merged matrix report: one row per cell in matrix order,
          with the per-cell fairness and drop-rate columns parsed back
          out of the cell lines. Byte-identical at any --jobs because
@@ -911,24 +863,10 @@ let sweep_cmd =
           (List.length points);
         Taq_util.Table.print ~oc:stdout report
       end;
-      (* Chaos tasks are reported but never gate the exit status. *)
-      List.iteri
-        (fun i (outcome : Harness.Durable.outcome) ->
-          match outcome with
-          | Ran r when i >= n_points ->
-              Taq_util.Table.add_row summary
-                [
-                  r.Harness.Pool.key;
-                  Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
-                  Printf.sprintf "chaos (%s)" (Harness.Pool.status r);
-                ]
-          | _ -> ())
-        outcomes;
       Printf.printf "\n-- sweep summary (%d points, jobs=%d) --\n\n"
         (List.length points) jobs;
       Taq_util.Table.print ~oc:stdout summary;
-      Printf.printf "\ncache: %d hits, %d misses%s%s (dir: %s)\n" !hits !misses
-        (if resume then Printf.sprintf ", %d restored" !n_restored else "")
+      Printf.printf "\ncache: %d hits, %d misses%s (dir: %s)\n" !hits !misses
         (if no_cache then " [cache disabled]" else "")
         results_dir;
       if obs_enabled then
@@ -936,19 +874,18 @@ let sweep_cmd =
            attempt, or served from the results dir) merged in input
            order, plus the root collector (instances created outside
            any task, e.g. the cache). Integer sums commute, so --jobs 4
-           prints exactly what --jobs 1 prints — and a resumed or warm
-           run prints exactly what a cold one would, modulo the root
-           collector's own journal./cache./pool. infra counters, which
-           reflect real process history. *)
+           prints exactly what --jobs 1 prints — and a rerun after a
+           kill, or a warm one, prints exactly what a cold one would,
+           modulo the root collector's own cache./pool. infra counters,
+           which reflect real process history. *)
         finish_obs spec
           (Obs.merge_all
-             (Obs.root_snapshot ()
-             :: List.map Harness.Durable.obs point_outcomes));
+             (Obs.root_snapshot () :: List.map Harness.Durable.obs outcomes));
       if !n_cancelled > 0 then begin
         Printf.printf
           "\nsweep cancelled: %d point(s) not executed%s\n" !n_cancelled
           (if no_cache then ""
-           else " — rerun with --resume to finish from the journal");
+           else " — rerun the same command to finish from the cache");
         Stdlib.exit Harness.Pool.cancelled_exit_code
       end;
       if !failures > 0 then
@@ -967,8 +904,8 @@ let sweep_cmd =
         (const run $ queues $ matrix $ tcps $ workloads $ fault_axis
        $ capacities $ fair_shares $ reps $ rtt_arg $ duration_arg
        $ buffer_rtts_arg $ guard_arg $ backend_arg $ bg_flows_arg $ fluid_dt_arg
-       $ jobs_arg $ results_dir $ no_cache $ resume $ timeout_s $ retries
-       $ chaos $ given faults_arg $ given resil_arg $ spec_term ()))
+       $ jobs_arg $ results_dir_arg $ no_cache $ timeout_s $ retries
+       $ given faults_arg $ given resil_arg $ spec_term ()))
 
 (* --- faults --------------------------------------------------------------- *)
 
@@ -1315,51 +1252,27 @@ let mega_cmd =
       & info [ "fg-flows" ] ~docv:"N"
           ~doc:"Packet-level foreground flows per shard.")
   in
-  let rtt =
-    Arg.(value & opt positive 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Base RTT.")
-  in
   let duration =
     Arg.(
       value & opt positive 5.0
       & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
   in
-  let fluid_dt =
-    Arg.(
-      value & opt positive 0.05
-      & info [ "fluid-dt" ] ~docv:"S" ~doc:"Fluid integration step, seconds.")
-  in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Cohort seed.")
-  in
-  let results_dir =
-    Arg.(
-      value
-      & opt string Harness.Cache.default_dir
-      & info [ "results-dir" ] ~docv:"DIR"
-          ~doc:"Directory for shard checkpoints and the mega journal.")
   in
   let do_checkpoint =
     Arg.(
       value & flag
       & info [ "checkpoint" ]
           ~doc:
-            "Persist every completed shard (journal + cache under \
-             --results-dir) so a killed run can be finished with --resume. \
-             Off by default: checkpointing is durable-run machinery, not \
-             part of the plain jobs-identity contract.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume a killed or cancelled mega run: replay the journal, \
-             restore checkpointed shards (digests verified, hex-float \
-             exact) and recompute only the missing ones. Implies \
-             --checkpoint.")
+            "Store every completed shard in the cache under --results-dir \
+             and serve the shards stored there (hex-float exact), so \
+             rerunning a killed run computes only the missing ones. Off by \
+             default: checkpointing is durable-run machinery, not part of \
+             the plain jobs-identity contract.")
   in
   let run flows shards capacity fg_flows rtt duration fluid_dt seed jobs
-      results_dir do_checkpoint resume spec =
+      results_dir do_checkpoint spec =
     flows_cover_shards ~flows ~shards @@ fun () ->
     with_spec spec @@ fun spec ->
     try
@@ -1376,21 +1289,16 @@ let mega_cmd =
           seed;
         }
       in
-      let store =
-        if not (do_checkpoint || resume) then None
+      let cache =
+        if not do_checkpoint then None
         else begin
           Harness.Pool.install_signal_cancellation ~label:"mega run" ();
           Some
-            {
-              Harness.Durable.cache =
-                Harness.Cache.create ~obs:(Run_spec.observer spec)
-                  ~dir:results_dir ();
-              journal = "mega.journal";
-              resume;
-            }
+            (Harness.Cache.create ~obs:(Run_spec.observer spec)
+               ~dir:results_dir ())
         end
       in
-      let r = Mega_tier.run ~jobs ?store p in
+      let r = Mega_tier.run ~jobs ?cache p in
       Mega_tier.print r;
       if Run_spec.check_enabled spec then
         Printf.printf "invariant checks: clean (%d shard(s))\n" shards;
@@ -1401,8 +1309,8 @@ let mega_cmd =
     with
     | Mega_tier.Interrupted ->
         Printf.printf
-          "mega run cancelled: completed shards are journaled — rerun with \
-           --resume to finish\n";
+          "mega run cancelled: completed shards are checkpointed — rerun \
+           the same command to finish\n";
         Stdlib.exit Harness.Pool.cancelled_exit_code
     | Failure msg -> `Error (false, msg)
   in
@@ -1410,8 +1318,8 @@ let mega_cmd =
   Cmd.v (Cmd.info "mega" ~doc)
     Term.(
       ret
-        (const run $ flows $ shards $ capacity $ fg_flows $ rtt $ duration
-       $ fluid_dt $ seed $ jobs_arg $ results_dir $ do_checkpoint $ resume
+        (const run $ flows $ shards $ capacity $ fg_flows $ rtt_arg $ duration
+       $ fluid_dt_arg $ seed $ jobs_arg $ results_dir_arg $ do_checkpoint
        $ spec_term ~faults:absent ~resil:absent ()))
 
 let () =

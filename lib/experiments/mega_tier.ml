@@ -46,7 +46,7 @@ type result = {
   shard_results : shard_result list;
   cohort : Mega.summary;
   obs_snaps : Taq_obs.Obs.snapshot list;
-  restored_shards : int;
+  served_shards : int;
 }
 
 exception Interrupted
@@ -99,8 +99,8 @@ let run_shard p ~shard ~seed =
 
    A shard task's payload. Floats travel as hex literals ([%h]), so a
    shard served from a checkpoint is bit-identical to the one that was
-   computed — which is what keeps a resumed run's merged cohort and
-   counter table byte-identical to an uninterrupted one. *)
+   computed — which is what keeps a rerun's merged cohort and counter
+   table byte-identical to an uninterrupted one. *)
 
 let wire_of_shard r =
   Printf.sprintf "megashard1 %d %h %h %h %h %h|%s" r.shard
@@ -137,7 +137,7 @@ let shard_of_wire w =
               })
             (Mega.summary_of_wire tail))
 
-let run ?(jobs = 1) ?store p =
+let run ?(jobs = 1) ?cache p =
   if p.shards <= 0 then invalid_arg "Mega_tier.run: shards";
   if p.total_flows < p.shards then invalid_arg "Mega_tier.run: total_flows";
   let tasks =
@@ -145,23 +145,23 @@ let run ?(jobs = 1) ?store p =
         Harness.Task.make ~key:(shard_key p ~shard) (fun ~seed ->
             wire_of_shard (run_shard p ~shard ~seed)))
   in
-  let wires, obs_snaps, restored_shards =
-    if jobs <= 1 && Option.is_none store then
+  let wires, obs_snaps, served_shards =
+    if jobs <= 1 && Option.is_none cache then
       (* In-process: counters accumulate in the caller's collector
-         (the bench harness relies on this — see the .mli). *)
+         (see the .mli). *)
       (List.map Harness.Task.run tasks, [], 0)
     else
-      (* The journal's and the pool's own counters. *)
+      (* The pool's own counters. *)
       let obs = Run_spec.observer (Run_spec.current ()) in
-      let outcomes = Harness.Durable.run ~obs ~jobs ?store tasks in
+      let outcomes = Harness.Durable.run ~obs ~jobs ?cache tasks in
       let cancelled = function
         | Harness.Durable.Ran r -> Harness.Pool.cancelled r
-        | Restored _ | Hit _ -> false
+        | Hit _ -> false
       in
       if Harness.Pool.cancel_requested () || List.exists cancelled outcomes
       then raise Interrupted;
       let wire = function
-        | Harness.Durable.Restored s | Hit s -> s.Harness.Durable.payload
+        | Harness.Durable.Hit s -> s.Harness.Durable.payload
         | Ran r -> (
             match r.Harness.Pool.value with
             | Ok w -> w
@@ -174,7 +174,7 @@ let run ?(jobs = 1) ?store p =
         List.map Harness.Durable.obs outcomes,
         List.length
           (List.filter
-             (function Harness.Durable.Restored _ -> true | _ -> false)
+             (function Harness.Durable.Hit _ -> true | Ran _ -> false)
              outcomes) )
   in
   let shard_results =
@@ -195,7 +195,7 @@ let run ?(jobs = 1) ?store p =
     failwith
       (Printf.sprintf "mega cohort covered %d flows, expected %d" cohort.Mega.n
          p.total_flows);
-  { params = p; shard_results; cohort; obs_snaps; restored_shards }
+  { params = p; shard_results; cohort; obs_snaps; served_shards }
 
 let print r =
   let p = r.params in
@@ -239,5 +239,5 @@ let print r =
     (Mega.summary_to_string r.cohort)
     (arrived /. 1e6)
     (if arrived <= 0.0 then 0.0 else dropped /. arrived);
-  if r.restored_shards > 0 then
-    Out.printf "checkpoints: %d shard(s) restored\n" r.restored_shards
+  if r.served_shards > 0 then
+    Out.printf "checkpoints: %d shard(s) served\n" r.served_shards

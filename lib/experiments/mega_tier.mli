@@ -12,9 +12,9 @@
     merge in index order, so the totals — and every [fluid.*] counter
     — are byte-identical at any [--jobs] count.
 
-    With [jobs = 1] and no store, shards run in-process via
+    With [jobs = 1] and no cache, shards run in-process via
     {!Taq_harness.Task.run} (no domains, no per-task collectors), so a
-    caller's own obs collector — the bench harness's, say — sees the
+    caller's own obs collector — the registry target's — sees the
     counters directly; otherwise they run through
     {!Taq_harness.Durable} on the pool and the per-shard snapshots come
     back in {!result.obs_snaps} for the caller to merge. *)
@@ -54,34 +54,33 @@ type result = {
   cohort : Taq_workload.Mega.summary;  (** merged digest of all shards *)
   obs_snaps : Taq_obs.Obs.snapshot list;
       (** per-shard obs snapshots in shard order; empty when
-          [jobs <= 1] without a store (counters went to the caller's
+          [jobs <= 1] without a cache (counters went to the caller's
           collector) *)
-  restored_shards : int;
-      (** shards the journal testified to, served from their
-          checkpoints instead of recomputed *)
+  served_shards : int;
+      (** shards served from their checkpoints instead of recomputed *)
 }
 
 exception Interrupted
-(** Raised (after flushing completed shards to the journal) when
-    cooperative cancellation fires mid-run; the caller prints a note
-    and exits with {!Taq_harness.Pool.cancelled_exit_code}. *)
+(** Raised (after completed shards are checkpointed) when cooperative
+    cancellation fires mid-run; the caller prints a note and exits with
+    {!Taq_harness.Pool.cancelled_exit_code}. *)
 
-val run : ?jobs:int -> ?store:Taq_harness.Durable.store -> params -> result
+val run : ?jobs:int -> ?cache:Taq_harness.Cache.t -> params -> result
 (** Execute all shards (default [jobs = 1]).
 
-    With [store] the shards run through {!Taq_harness.Durable}: every
+    With [cache] the shards run through {!Taq_harness.Durable}: every
     completed shard is checkpointed (its {!shard_key} task's payload is
     the shard result in hex-float wire form) as it finishes, and shards
-    the store holds are served instead of recomputed — counted in
-    {!result.restored_shards} when resuming and the journal testifies
-    to them. The merged cohort, per-shard table and counter totals are
-    byte-identical to an uninterrupted run because shards merge in
-    index order. A run with a store always goes through the pool, even
-    at [jobs = 1], so per-shard snapshots exist to store.
+    the cache holds are served instead of recomputed, counted in
+    {!result.served_shards}. The merged cohort, per-shard table and
+    counter totals are byte-identical to an uninterrupted run because
+    shards merge in index order. A run with a cache always goes through
+    the pool, even at [jobs = 1], so per-shard snapshots exist to
+    store.
 
     @raise Interrupted
       if cooperative cancellation fired mid-run (completed shards are
-      already journaled; resume recomputes only the rest).
+      already checkpointed; a rerun recomputes only the rest).
     @raise Failure
       if any shard fails, or if the generated cohort does not cover
       exactly [total_flows] flows. *)

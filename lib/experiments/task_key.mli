@@ -1,8 +1,8 @@
 (** Task keys: the full identity of one cached run. A key is at once
-    the result-cache key, the journal key and the seed source
-    ({!Taq_harness.Task}), so every parameter that changes a run's
-    output is in it, and a key must print byte-equal across releases
-    for old result directories to keep serving hits.
+    the result-cache key and the seed source ({!Taq_harness.Task}), so
+    every parameter that changes a run's output is in it, and a key
+    must print byte-equal across releases for old result directories to
+    keep serving hits.
 
     One printer renders the run-spec part of every key, in this order:
     [/faults=<canonical plan>] for a non-empty plan, [/guard=<cap>],

@@ -23,8 +23,6 @@ let create ?(obs = Taq_obs.Obs.off) ?(dir = default_dir) () =
     obs_io_errors = Taq_obs.Obs.labeled_ref obs "cache.io_errors";
   }
 
-let dir t = t.dir
-
 (* Content address: MD5 over the NUL-joined parts. NUL never occurs in
    parameter renderings, so distinct part lists cannot collide by
    concatenation. *)

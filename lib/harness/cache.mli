@@ -24,8 +24,6 @@ val create : ?obs:Taq_obs.Obs.t -> ?dir:string -> unit -> t
 (** [obs] (default [Taq_obs.Obs.off]) receives the [cache.evictions]
     and [cache.io_errors] counters. *)
 
-val dir : t -> string
-
 val key : parts:string list -> string
 (** Content address of a run identity: MD5 hex over the NUL-joined
     parts (e.g. [["sweep"; "droptail"; "cap=600000"; "full=false"]]).

@@ -196,7 +196,7 @@ let unexecuted_result key msg =
   }
 
 let run ?(obs = Taq_obs.Obs.off) ?(jobs = 1) ?timeout_s ?retries ?backoff_s
-    ?backoff_cap_s ?on_start ?on_done tasks =
+    ?backoff_cap_s ?on_done tasks =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   let results : 'a result option array = Array.make n None in
@@ -222,12 +222,7 @@ let run ?(obs = Taq_obs.Obs.off) ?(jobs = 1) ?timeout_s ?retries ?backoff_s
   let start1 i =
     if Atomic.get cancel_flag then
       note i (unexecuted_result (Task.key tasks.(i)) cancelled_message)
-    else begin
-      (match on_start with
-      | Some f -> f (Task.key tasks.(i))
-      | None -> ());
-      note i (exec1 tasks.(i))
-    end
+    else note i (exec1 tasks.(i))
   in
   (* Worker deaths and respawns are infrastructure events, not task
      outcomes; they surface as obs counters (and stderr warnings). *)

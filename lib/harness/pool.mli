@@ -43,7 +43,6 @@ val run :
   ?retries:int ->
   ?backoff_s:float ->
   ?backoff_cap_s:float ->
-  ?on_start:(string -> unit) ->
   ?on_done:(completed:int -> total:int -> 'a result -> unit) ->
   'a Task.t list ->
   'a result list
@@ -51,10 +50,9 @@ val run :
     progress hook invoked under the pool's lock as each task finishes
     (safe to print from — and safe to raise from: the lock is released
     via [Fun.protect], the exception kills only that worker, and
-    supervision respawns it). [on_start key] fires just before a task's
-    first attempt — the durability layer journals a [Start] record
-    there. Default [jobs] is 1. [obs] (default [Taq_obs.Obs.off])
-    receives the pool's own infrastructure counters below.
+    supervision respawns it). Default [jobs] is 1. [obs] (default
+    [Taq_obs.Obs.off]) receives the pool's own infrastructure counters
+    below.
 
     Resilience knobs:
     - [timeout_s]: per-task deadline. The attempt body runs on a

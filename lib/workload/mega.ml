@@ -102,8 +102,8 @@ let summary_to_string s =
   Printf.sprintf "n=%d,rtt=%.3f,pkt=%.1f" s.n s.mean_rtt s.mean_pkt_bytes
 
 (* Checkpoint wire form: hex floats ("%h") round-trip every finite
-   float bit-exactly, which is what lets a resumed mega run merge
-   restored shard summaries byte-identically to a fresh run. *)
+   float bit-exactly, which is what lets a mega run merge shard
+   summaries served from checkpoints byte-identically to a fresh run. *)
 let summary_to_wire s =
   Printf.sprintf "%d %h %h %h %h" s.n s.mean_rtt s.mean_pkt_bytes s.min_rtt
     s.max_rtt

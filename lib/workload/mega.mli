@@ -62,7 +62,7 @@ val summary_to_string : summary -> string
 val summary_to_wire : summary -> string
 (** Exact wire form for shard checkpoints: floats as C99 hex literals
     ([%h]), so {!summary_of_wire} recovers the summary bit-for-bit and
-    a resumed mega run merges restored shards byte-identically. *)
+    a mega run merges shards served from checkpoints byte-identically. *)
 
 val summary_of_wire : string -> summary option
 (** Inverse of {!summary_to_wire}; [None] on any malformed input. *)

@@ -1,7 +1,7 @@
 (* Reference task-key formats, frozen verbatim from the inline key
-   code of the sweep and fault-drill drivers. Existing result dirs and
-   journals are keyed by exactly these strings, and every point's seed
-   derives from them, so Task_key must print them byte for byte:
+   code of the sweep and fault-drill drivers. Existing result dirs are
+   keyed by exactly these strings, and every point's seed derives from
+   them, so Task_key must print them byte for byte:
    test_fault's differential property holds it to that. *)
 
 module Common = Taq_experiments.Common

@@ -551,11 +551,11 @@ let prop_finite_plan_recovers =
 
 (* --- property: task keys byte-equal to the reference formats ------------ *)
 
-(* Keys are cache keys, journal keys and seed sources at once, so the
-   Task_key printer must reproduce the formats older result dirs were
-   filled with (Task_key_ref) over every run-spec component it
-   prints: fault plans (empty ones included), guard caps, resilience
-   parameters and hybrid backends, at arbitrary point coordinates. *)
+(* Keys are cache keys and seed sources at once, so the Task_key
+   printer must reproduce the formats older result dirs were filled
+   with (Task_key_ref) over every run-spec component it prints: fault
+   plans (empty ones included), guard caps, resilience parameters and
+   hybrid backends, at arbitrary point coordinates. *)
 let gen_resil_params =
   QCheck.Gen.(
     let* period = float_range 0.05 5.0 in
