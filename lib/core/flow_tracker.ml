@@ -44,7 +44,7 @@ type flow = {
 }
 
 (* Per-slot arrays grow by doubling; new cells hold [fill]. *)
-let grow_to a n fill =
+let[@inline never] grow_to a n fill =
   let b = Array.make n fill in
   Array.blit a 0 b 0 (Array.length a);
   b

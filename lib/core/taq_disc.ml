@@ -172,7 +172,7 @@ let restart t =
    and tracker/admission entry counts must stay within what has been
    observed. Verified after every enqueue and dequeue when the [Core]
    group is enabled. *)
-let verify t ~where =
+let[@inline never] verify t ~where =
   let c = t.check in
   let q = t.queues in
   let sum_len =

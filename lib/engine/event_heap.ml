@@ -50,7 +50,7 @@ let[@inline] is_empty t = t.size = 0
 
 let[@inline] size t = t.size
 
-let grow t =
+let[@inline never] grow t =
   let cap = Array.length t.times in
   let ncap = Stdlib.max 16 (cap * 2) in
   let times = Array.make ncap 0.0 in

@@ -116,21 +116,19 @@ let check t = t.check
 
 let obs t = t.obs
 
-(* Out of line on purpose. A call returns the clock boxed once, and
-   every use in the caller shares that box. Inlined, the caller holds
-   the clock unboxed and boxes it again at each use that leaves the
-   function: the metrics listener that passes one reading to both
-   [Slicer.record] and [Flow_evolution.note_activity] boxes it twice.
-   That raised bench/perf's alloc_words_per_pkt 13.4% on dt-long
-   (18.98 -> 21.52) and 13.9% on dt-soak; test_tcp's "minor words per
-   offered packet" bounds it. *)
-let[@inline never] now t = t.clock.(0)
+(* Inlinable: under lib/'s inlining budget a caller reads the clock
+   unboxed and boxes it only where it passes the reading to a call
+   that is not inlined. [@inline never], one boxed return shared by
+   every use, allocates more here, though less at the default budget
+   (DESIGN.md, "Build profile"). test_tcp's "minor words per offered
+   packet" pins the choice. *)
+let now t = t.clock.(0)
 
 let clock t = t.clock
 
 (* Called with every slot in use: double the table and stack the new
    slots as free, lowest on top. *)
-let grow_slots t =
+let[@inline never] grow_slots t =
   let cap = Array.length t.free in
   let ncap = Stdlib.max 64 (cap * 2) in
   let actions = Array.make ncap null_action in
@@ -163,13 +161,15 @@ let give_back t slot =
 
 (* --- filing ------------------------------------------------------------- *)
 
-let nan_time fn what = invalid_arg (Printf.sprintf "Sim.%s: %s is nan" fn what)
+let[@inline never] nan_time fn what =
+  invalid_arg (Printf.sprintf "Sim.%s: %s is nan" fn what)
 
 (* What a delay that fails [delay >= 0.0] becomes: 0 when negative, and
    [Invalid_argument] when NaN. A valid delay costs one comparison. *)
-let clamp fn delay = if delay < 0.0 then 0.0 else nan_time fn "delay"
+let[@inline never] clamp fn delay =
+  if delay < 0.0 then 0.0 else nan_time fn "delay"
 
-let grow_lane t =
+let[@inline never] grow_lane t =
   let cap = Array.length t.lane in
   let lane = Array.make (Stdlib.max 16 (cap * 2)) 0 in
   for i = 0 to t.lane_len - 1 do
@@ -346,7 +346,7 @@ let armed tm = tm.due_seq >= 0
 let[@inline] earliest t =
   Event_heap.earliest t.hops t.transmissions t.timers
 
-let check_heap_pop t prev =
+let[@inline never] check_heap_pop t prev =
   let time = t.clock.(0) in
   Check.require t.check Check.Engine (time >= prev) (fun () ->
       Printf.sprintf "clock went backwards: popped t=%g < now=%g" time prev);
@@ -361,7 +361,7 @@ let check_heap_pop t prev =
   end
 
 (* Lane order: a heap entry due now precedes every lane entry. *)
-let check_lane t =
+let[@inline never] check_lane t =
   let heap = earliest t in
   if not (Event_heap.is_empty heap) then begin
     let due = Event_heap.top_time heap and now = t.clock.(0) in

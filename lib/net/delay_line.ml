@@ -43,7 +43,7 @@ type t = {
 }
 
 (* Called with the ring full: double it, from 4 cells. *)
-let grow line =
+let[@inline never] grow line =
   let cap = Array.length line.ring in
   let ring = Array.make (Stdlib.max 4 (cap * 2)) Packet.dummy in
   for i = 0 to line.len - 1 do
@@ -78,7 +78,7 @@ let create sim ~delay deliver =
 
 (* The entries' action is made here, on the first send: a line that
    never sends costs no closure. *)
-let take_slot line =
+let[@inline never] take_slot line =
   if line.closed then invalid_arg "Delay_line.send: the line is closed";
   line.slot <- Sim.own line.sim (fun () -> pop line)
 

@@ -19,7 +19,7 @@ let fifo_of_queue ~name ~capacity_pkts () =
   let head = ref 0 in
   let len = ref 0 in
   let bytes = ref 0 in
-  let grow () =
+  let[@inline never] grow () =
     let n = Array.length !buf in
     let b = Array.make (2 * n) None in
     for i = 0 to !len - 1 do

@@ -85,7 +85,7 @@ type t = {
    fully transmitted, on the wire right now, evicted by a push-out
    discipline, discarded at dequeue time, or still queued — and the
    same must hold for bytes. *)
-let verify_conservation t ~where =
+let[@inline never] verify_conservation t ~where =
   let qlen = t.disc.Disc.length () in
   let qbytes = t.disc.Disc.bytes () in
   Check.require t.check Check.Net (qlen >= 0 && qbytes >= 0) (fun () ->
@@ -127,6 +127,17 @@ let rec notify_all fs (p : Packet.t) =
       f p;
       notify_all rest p
 
+(* Every drop in [ds], in order, to every listener in [fs]. *)
+let rec notify_drops fs (ds : Packet.t list) =
+  match ds with
+  | [] -> ()
+  | d :: rest ->
+      notify_all fs d;
+      notify_drops fs rest
+
+let rec has_uid uid (ds : Packet.t list) =
+  match ds with [] -> false | d :: rest -> d.uid = uid || has_uid uid rest
+
 let on_drop t f = t.drop_listeners <- f :: t.drop_listeners
 
 let on_enqueue t f = t.enqueue_listeners <- f :: t.enqueue_listeners
@@ -166,7 +177,7 @@ let account_dequeue_drops t =
             Obs.instant t.obs ~name:"drop" ~cat:"drop" ~flow:d.flow
               ~ts_s:(Sim.now t.sim) ())
           dropped;
-      List.iter (fun d -> notify_all t.drop_listeners d) dropped;
+      notify_drops t.drop_listeners dropped;
       if t.checking then
         List.iter
           (fun (d : Packet.t) ->
@@ -290,17 +301,9 @@ let send t p =
         Obs.instant t.obs ~name:"drop" ~cat:"drop" ~flow:d.flow
           ~ts_s:(Sim.now t.sim) ())
       dropped;
-  (match dropped with
-  | [] -> ()
-  | dropped -> List.iter (fun d -> notify_all t.drop_listeners d) dropped);
-  (* The offered packet was accepted iff it is not among the drops.
-     Matching first keeps the common no-drop case closure-free. *)
-  let accepted =
-    match dropped with
-    | [] -> true
-    | dropped ->
-        not (List.exists (fun d -> d.Packet.uid = p.Packet.uid) dropped)
-  in
+  notify_drops t.drop_listeners dropped;
+  (* The offered packet was accepted iff it is not among the drops. *)
+  let accepted = not (has_uid p.Packet.uid dropped) in
   if t.checking then begin
     if accepted then begin
       t.chk_accepted <- t.chk_accepted + 1;

@@ -57,6 +57,13 @@ let dummy =
 
 let free_count a = a.free_top
 
+(* Called with the free list full: double it. [p] fills the new cells. *)
+let[@inline never] grow_free a p =
+  let cap = Array.length a.free in
+  let bigger = Array.make (Stdlib.max 16 (cap * 2)) p in
+  Array.blit a.free 0 bigger 0 cap;
+  a.free <- bigger
+
 (* Stores into [sacks] are skipped when it already holds the list: a
    pointer store costs a write-barrier call, and nearly every packet
    carries none. *)
@@ -65,12 +72,7 @@ let release a p =
     p.uid <- dead_uid;
     (* keep no references alive through the pool *)
     if p.sacks != [] then p.sacks <- [];
-    let cap = Array.length a.free in
-    if a.free_top = cap then begin
-      let bigger = Array.make (Stdlib.max 16 (cap * 2)) p in
-      Array.blit a.free 0 bigger 0 cap;
-      a.free <- bigger
-    end;
+    if a.free_top = Array.length a.free then grow_free a p;
     a.free.(a.free_top) <- p;
     a.free_top <- a.free_top + 1
   end

@@ -90,7 +90,7 @@ let create () =
 
 let idx t seq = seq land (Array.length t.st - 1)
 
-let grow t needed =
+let[@inline never] grow t needed =
   let cap = ref (Array.length t.st) in
   while !cap < needed do
     cap := !cap * 2

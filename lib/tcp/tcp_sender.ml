@@ -86,7 +86,7 @@ type t = {
 
 (* Window / scoreboard / RTO invariants, verified after every ack and
    every retransmission timeout when the [Tcp] group is enabled. *)
-let verify t ~where =
+let[@inline never] verify t ~where =
   let c = t.check in
   Check.require c Check.Tcp (t.w.cwnd >= 1.0) (fun () ->
       Printf.sprintf "flow %d %s: cwnd=%g < 1" t.flow where t.w.cwnd);
@@ -403,7 +403,7 @@ let start t =
    cumulative ack and within what we have actually sent, and pairwise
    disjoint. (They are *not* required to be ascending: the receiver
    reports the most recently changed block first, per RFC 2018.) *)
-let verify_sack_blocks t (p : Packet.t) =
+let[@inline never] verify_sack_blocks t (p : Packet.t) =
   let c = t.check in
   List.iter
     (fun (lo, hi) ->

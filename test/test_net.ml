@@ -421,8 +421,11 @@ let test_dumbbell_flood_slots_bounded () =
 
 (* One data packet out and its ACK back through an untapped dumbbell
    with a FIFO disc, one round trip at a time. The delay lines box no
-   delay and allocate nothing; what remains is the link's (the disc's
-   [Some] per enqueued packet and the transmission time). *)
+   delay and allocate nothing; what remains is the link's. In the
+   release build that is the disc's [Some], one per round trip: 2.0
+   words. Under [--profile dev]'s [-opaque], [Sim.transmit] is a call,
+   and the transmission time it takes is boxed too: 4.0. (Before lib/'s
+   inlining budget both read 6.0.) *)
 let test_dumbbell_round_trip_words () =
   let sim = Sim.create () in
   let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:64 () in
@@ -456,8 +459,11 @@ let test_dumbbell_round_trip_words () =
   cycle n;
   (* n + 1 round trips: the first data packet and its n successors. *)
   let words = (Gc.minor_words () -. before) /. float_of_int (n + 1) in
-  if words > 6.0 then
-    Alcotest.failf "%g minor words per round trip, want at most 6" words
+  let bound = if Build_profile.name = "release" then 2.0 else 4.0 in
+  if words > bound then
+    Alcotest.failf
+      "%g minor words per round trip, want at most %g (%s profile)" words
+      bound Build_profile.name
 
 let test_dumbbell_duplicate_registration_rejected () =
   let sim = Sim.create () in

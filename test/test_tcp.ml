@@ -524,11 +524,15 @@ let test_e2e_ack_clock_leaves_no_cancelled_entries () =
 
 (* Minor words per packet offered to the bottleneck, for four long
    NewReno flows through droptail with no listeners, counted after a
-   warm-up. [Sim.now] is kept out of line: inlined, each caller boxes
-   the clock again at every use that leaves it. On OCaml 5.1.1 without
-   flambda this run allocates 15.22 words per packet with [Sim.now] out
-   of line (in the release build, and in the dev profile) and 16.90
-   with it inlined; the bound lies between. *)
+   warm-up. It pins [Sim.now] as inlinable. Inlined, it boxes the clock
+   only where a caller passes the reading to a call the release
+   profile does not inline; kept out of line, every call returns a
+   fresh box. On OCaml 5.1.1 without flambda this run allocates 8.42
+   words per packet with [Sim.now] inlinable and 8.74 with it
+   [@inline never], so the release bound lies between. Under
+   [--profile dev], [-opaque] stops all inlining across modules: both
+   choices read 11.71, and the bound there only catches a new
+   allocation. *)
 let test_e2e_minor_words_per_offered_packet () =
   let sim = Sim.create () in
   let disc = Taq_queueing.Droptail.create ~capacity_pkts:50 in
@@ -545,8 +549,11 @@ let test_e2e_minor_words_per_offered_packet () =
   let per_pkt =
     (Gc.minor_words () -. words0) /. float_of_int (offered () - offered0)
   in
-  if per_pkt >= 16.0 then
-    Alcotest.failf "%.2f minor words per offered packet (bound 16.0)" per_pkt
+  let bound = if Build_profile.name = "release" then 8.6 else 12.0 in
+  if per_pkt >= bound then
+    Alcotest.failf
+      "%.2f minor words per offered packet (bound %.1f, %s profile)" per_pkt
+      bound Build_profile.name
 
 let () =
   Alcotest.run "taq_tcp"
