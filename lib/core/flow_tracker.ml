@@ -129,7 +129,7 @@ module Deadlines = struct
   let push h s k =
     let cap = Array.length h.keys in
     if h.size = cap then begin
-      let ncap = Stdlib.max 16 (2 * cap) in
+      let ncap = Int.max 16 (2 * cap) in
       h.keys <- grow_to h.keys ncap 0.0;
       h.slots <- grow_to h.slots ncap 0
     end;
@@ -379,7 +379,7 @@ let alloc_slot t =
   else begin
     let s = t.n_slots in
     if s = Array.length t.slab then begin
-      let n = Stdlib.max 16 (2 * s) in
+      let n = Int.max 16 (2 * s) in
       t.slab <- grow_to t.slab n t.vacant;
       t.free <- grow_to t.free n 0;
       Deadlines.reserve t.active n;
@@ -569,7 +569,7 @@ let[@inline] observe t f (p : Packet.t) now =
   f.bytes_this_epoch <- f.bytes_this_epoch + p.size;
   if p.seq <= f.highest_seq then begin
     f.retx_pkts <- f.retx_pkts + 1;
-    f.outstanding_drops <- Stdlib.max 0 (f.outstanding_drops - 1);
+    f.outstanding_drops <- Int.max 0 (f.outstanding_drops - 1);
     true
   end
   else begin
@@ -759,7 +759,7 @@ let clock_monotone t = t.clock_monotone
 (* The fair share at the time [read_clock] last read. *)
 let[@inline] share t =
   t.config.Taq_config.capacity_bps
-  /. float_of_int (Stdlib.max 1 (count_active t))
+  /. float_of_int (Int.max 1 (count_active t))
 
 let fair_share_bps t =
   ignore (read_clock t);

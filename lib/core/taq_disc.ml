@@ -291,7 +291,7 @@ let count_drop t cls =
   incr t.obs_drops.(i)
 
 (* The NewFlow queue holds at most a quarter of the buffer. *)
-let newflow_cap t = Stdlib.max 2 (t.config.Taq_config.capacity_pkts / 4)
+let newflow_cap t = Int.max 2 (t.config.Taq_config.capacity_pkts / 4)
 
 let pool_key (p : Packet.t) = if p.pool >= 0 then p.pool else -p.flow - 2
 

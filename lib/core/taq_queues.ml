@@ -113,7 +113,7 @@ let spend b (p : Packet.t) =
 let[@inline] cell r i = (r.head + i) land (Array.length r.pkt - 1)
 
 let[@inline never] grow r p =
-  let n = Stdlib.max 16 (2 * Array.length r.pkt) in
+  let n = Int.max 16 (2 * Array.length r.pkt) in
   let prio = Array.make n 0 and pkt = Array.make n p in
   for i = 0 to r.len - 1 do
     let c = cell r i in

@@ -52,7 +52,7 @@ let[@inline] size t = t.size
 
 let[@inline never] grow t =
   let cap = Array.length t.times in
-  let ncap = Stdlib.max 16 (cap * 2) in
+  let ncap = Int.max 16 (cap * 2) in
   let times = Array.make ncap 0.0 in
   Array.blit t.times 0 times 0 t.size;
   let seqs = Array.make ncap 0 in

@@ -130,7 +130,7 @@ let clock t = t.clock
    slots as free, lowest on top. *)
 let[@inline never] grow_slots t =
   let cap = Array.length t.free in
-  let ncap = Stdlib.max 64 (cap * 2) in
+  let ncap = Int.max 64 (cap * 2) in
   let actions = Array.make ncap null_action in
   Array.blit t.actions 0 actions 0 cap;
   t.actions <- actions;
@@ -171,7 +171,7 @@ let[@inline never] clamp fn delay =
 
 let[@inline never] grow_lane t =
   let cap = Array.length t.lane in
-  let lane = Array.make (Stdlib.max 16 (cap * 2)) 0 in
+  let lane = Array.make (Int.max 16 (cap * 2)) 0 in
   for i = 0 to t.lane_len - 1 do
     lane.(i) <- t.lane.((t.lane_head + i) land (cap - 1))
   done;

@@ -10,4 +10,4 @@ let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Cdf.quantile: q out of range";
   let len = Array.length t in
   let idx = int_of_float (ceil (q *. float_of_int len)) - 1 in
-  t.(Stdlib.max 0 (Stdlib.min (len - 1) idx))
+  t.(Int.max 0 (Int.min (len - 1) idx))

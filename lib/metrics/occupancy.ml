@@ -29,7 +29,7 @@ let attach t sender =
         (* Only count epochs of established flows: the model describes
            a connected sender. *)
         if Tcp_sender.state sender = Tcp_sender.Established then begin
-          let k = Stdlib.min !sent_this_epoch t.wmax in
+          let k = Int.min !sent_this_epoch t.wmax in
           t.counts.(k) <- t.counts.(k) + 1;
           t.observations <- t.observations + 1
         end;

@@ -17,11 +17,11 @@ let cell t flow =
   | c -> c
   | exception Not_found ->
       let c = { by_slice = [||]; total = 0 } in
-      Itbl.add t.cells flow c;
+      Itbl.replace t.cells flow c;
       c
 
 let grow c s =
-  let n = ref (Stdlib.max 8 (Array.length c.by_slice)) in
+  let n = ref (Int.max 8 (Array.length c.by_slice)) in
   while !n <= s do
     n := 2 * !n
   done;

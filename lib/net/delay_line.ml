@@ -45,7 +45,7 @@ type t = {
 (* Called with the ring full: double it, from 4 cells. *)
 let[@inline never] grow line =
   let cap = Array.length line.ring in
-  let ring = Array.make (Stdlib.max 4 (cap * 2)) Packet.dummy in
+  let ring = Array.make (Int.max 4 (cap * 2)) Packet.dummy in
   for i = 0 to line.len - 1 do
     ring.(i) <- line.ring.((line.head + i) land (cap - 1))
   done;

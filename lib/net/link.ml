@@ -285,17 +285,16 @@ let create ?check ?release ~sim ~capacity_bps ~disc ~deliver () =
   t.tx_done <- Sim.own sim (fun () -> on_tx_done t);
   t
 
-let send t p =
-  t.offered <- t.offered + 1;
-  t.bytes_offered <- t.bytes_offered + p.Packet.size;
-  let dropped = t.disc.Disc.enqueue p in
+(* [send] when the discipline dropped [dropped], which is not empty:
+   the offered packet, push-out victims, or both. *)
+let send_with_drops t p dropped =
   let n_dropped = List.length dropped in
   t.dropped <- t.dropped + n_dropped;
   if t.counting then begin
     incr t.n_offered;
-    if n_dropped > 0 then t.n_dropped := !(t.n_dropped) + n_dropped
+    t.n_dropped := !(t.n_dropped) + n_dropped
   end;
-  if t.tracing && n_dropped > 0 then
+  if t.tracing then
     List.iter
       (fun (d : Packet.t) ->
         Obs.instant t.obs ~name:"drop" ~cat:"drop" ~flow:d.flow
@@ -328,6 +327,24 @@ let send t p =
   | None -> ());
   start_transmission t;
   if t.checking then verify_conservation t ~where:"send"
+
+(* Most offered packets are accepted with no push-out: that case does
+   the accepted packet's work alone, in the order [send_with_drops]
+   does it. *)
+let send t p =
+  t.offered <- t.offered + 1;
+  t.bytes_offered <- t.bytes_offered + p.Packet.size;
+  match t.disc.Disc.enqueue p with
+  | [] ->
+      if t.counting then incr t.n_offered;
+      if t.checking then begin
+        t.chk_accepted <- t.chk_accepted + 1;
+        t.chk_bytes_accepted <- t.chk_bytes_accepted + p.Packet.size
+      end;
+      notify_all t.enqueue_listeners p;
+      start_transmission t;
+      if t.checking then verify_conservation t ~where:"send"
+  | dropped -> send_with_drops t p dropped
 
 let set_up t up =
   let was = t.up in

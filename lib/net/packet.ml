@@ -60,7 +60,7 @@ let free_count a = a.free_top
 (* Called with the free list full: double it. [p] fills the new cells. *)
 let[@inline never] grow_free a p =
   let cap = Array.length a.free in
-  let bigger = Array.make (Stdlib.max 16 (cap * 2)) p in
+  let bigger = Array.make (Int.max 16 (cap * 2)) p in
   Array.blit a.free 0 bigger 0 cap;
   a.free <- bigger
 

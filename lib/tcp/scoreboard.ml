@@ -220,7 +220,7 @@ let sacked_count t = t.sacked
 
 let sacked_above t seq0 =
   let n = ref 0 in
-  for seq = Stdlib.max t.lo (seq0 + 1) to t.hi - 1 do
+  for seq = Int.max t.lo (seq0 + 1) to t.hi - 1 do
     if t.st.(idx t seq) = sacked_c then incr n
   done;
   !n

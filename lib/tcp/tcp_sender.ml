@@ -241,7 +241,7 @@ let rec on_rtx_timeout t =
     t.inflation <- 0;
     t.dupacks <- 0;
     t.in_recovery <- false;
-    t.backoff <- Stdlib.min (t.backoff * 2) max_backoff;
+    t.backoff <- Int.min (t.backoff * 2) max_backoff;
     if t.backoff > t.max_backoff_seen then t.max_backoff_seen <- t.backoff;
     try_send t;
     if t.checking then verify t ~where:"rtx-timeout"
@@ -492,7 +492,7 @@ let handle_new_ack t cum =
          Deflate the dupack inflation by the amount acked minus one so
          the retransmission goes out without a burst of new data. *)
       Scoreboard.mark_lost t.sb cum;
-      t.inflation <- Stdlib.max 0 (t.inflation - (newly - 1))
+      t.inflation <- Int.max 0 (t.inflation - (newly - 1))
     end
   end
   else begin

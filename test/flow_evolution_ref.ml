@@ -1,10 +1,11 @@
-(* Flow evolution as it stood before per-flow bitmaps: one [Int_tbl]
-   entry per (window, flow) pair with delivered data, keyed by the pair
-   packed into an int. Kept verbatim (bar this header) as the reference
-   the differential battery in test_metrics drives alongside
-   [Taq_metrics.Flow_evolution]. *)
+(* Flow evolution as it stood before per-flow bitmaps: one table entry
+   per (window, flow) pair with delivered data, keyed by the pair
+   packed into an int. Kept verbatim as the reference the differential
+   battery in test_metrics drives alongside
+   [Taq_metrics.Flow_evolution], bar this header and its tables: they
+   were [Taq_util.Int_tbl]s and are now [Stdlib.Hashtbl]s, so a fault
+   in [Int_tbl] cannot hide in the differential test. *)
 
-module Itbl = Taq_util.Int_tbl
 type class_ = Maintained | Dropped | Arriving | Stalled
 
 let classify ~active_prev ~active_cur =
@@ -25,27 +26,27 @@ let key w flow = (w lsl flow_bits) lor flow
 
 type t = {
   window : float;
-  activity : unit Itbl.t;  (* key window flow -> active *)
-  lives : life Itbl.t;
+  activity : (int, unit) Hashtbl.t;  (* key window flow -> active *)
+  lives : (int, life) Hashtbl.t;
 }
 
 let create ~window =
   if window <= 0.0 then invalid_arg "Flow_evolution.create: window";
-  { window; activity = Itbl.create 1024; lives = Itbl.create 64 }
+  { window; activity = Hashtbl.create 1024; lives = Hashtbl.create 64 }
 
 let widx t time = int_of_float (time /. t.window)
 
 let note_start t ~flow ~time =
-  if not (Itbl.mem t.lives flow) then
-    Itbl.replace t.lives flow { start = time; finish = infinity }
+  if not (Hashtbl.mem t.lives flow) then
+    Hashtbl.replace t.lives flow { start = time; finish = infinity }
 
 let note_activity t ~flow ~time =
   if flow lsr flow_bits <> 0 then
     invalid_arg "Flow_evolution.note_activity: flow id too large";
-  Itbl.replace t.activity (key (widx t time) flow) ()
+  Hashtbl.replace t.activity (key (widx t time) flow) ()
 
 let note_finish t ~flow ~time =
-  match Itbl.find_opt t.lives flow with
+  match Hashtbl.find_opt t.lives flow with
   | Some l -> l.finish <- time
   | None -> ()
 
@@ -66,7 +67,7 @@ let series t ~until =
   and arriving = Array.make n 0
   and stalled = Array.make n 0
   and live = Array.make n 0 in
-  Itbl.iter
+  Hashtbl.iter
     (fun flow l ->
       let first_w = widx t l.start in
       let last_w =
@@ -74,8 +75,8 @@ let series t ~until =
       in
       for w = Stdlib.max 1 first_w to last_w do
         live.(w) <- live.(w) + 1;
-        let active_prev = Itbl.mem t.activity (key (w - 1) flow) in
-        let active_cur = Itbl.mem t.activity (key w flow) in
+        let active_prev = Hashtbl.mem t.activity (key (w - 1) flow) in
+        let active_cur = Hashtbl.mem t.activity (key w flow) in
         match classify ~active_prev ~active_cur with
         | Maintained -> maintained.(w) <- maintained.(w) + 1
         | Dropped -> dropped.(w) <- dropped.(w) + 1

@@ -1,5 +1,5 @@
 (* Tests for taq_util: PRNG determinism and distributions, statistics,
-   EWMA, table rendering. *)
+   EWMA, table rendering, the deque and the int-keyed table. *)
 
 open Taq_util
 
@@ -330,6 +330,238 @@ let prop_deque_behaves_like_list =
         ops
       && Deque.length d = List.length !model)
 
+(* --- Int_tbl ---------------------------------------------------------- *)
+
+(* One operation of the model test, applied to an [Int_tbl] and to a
+   [Stdlib.Hashtbl]. [Run (k, n)] binds the [n] keys from [k] up, and
+   [Remove_run] unbinds them: enough to grow the table several times and
+   to empty it again. *)
+type tbl_op =
+  | Replace of int * int
+  | Run of int * int
+  | Remove of int
+  | Remove_run of int * int
+  | Find of int
+  | Find_opt of int
+  | Mem of int
+  | Length
+  | Reset
+  | Fold
+  | Iter
+  | Filter_map of int
+
+let show_tbl_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Run (k, n) -> Printf.sprintf "run %d %d" k n
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Remove_run (k, n) -> Printf.sprintf "remove_run %d %d" k n
+  | Find k -> Printf.sprintf "find %d" k
+  | Find_opt k -> Printf.sprintf "find_opt %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Length -> "length"
+  | Reset -> "reset"
+  | Fold -> "fold"
+  | Iter -> "iter"
+  | Filter_map p -> Printf.sprintf "filter_map %d" p
+
+(* Keys that share low bits or sit at the array's ends: negatives
+   (home at the last slots), [-flow - 2] pool keys, runs of neighbours,
+   keys equal modulo every capacity up to 1024 (on both sides of a
+   multiple, so their run wraps past the array's end), packed
+   [(slice lsl 22) lor flow] keys, and the extreme ints. *)
+let tbl_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-40) 40);
+        (2, map (fun f -> -f - 2) (int_range 0 300));
+        (3, map2 (fun m d -> (m * 1024) + d) (int_range (-6) 6)
+              (int_range (-2) 1));
+        (2, map2 (fun s f -> (s lsl 22) lor f) (int_range 0 40)
+              (int_range 0 3));
+        (1, oneofl [ min_int; min_int + 1; max_int - 1; max_int ]);
+        (1, int);
+      ])
+
+let tbl_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (16, map2 (fun k v -> Replace (k, v)) tbl_key small_nat);
+        (2, map2 (fun k n -> Run (k, n)) tbl_key (int_range 1 300));
+        (8, map (fun k -> Remove k) tbl_key);
+        (2, map2 (fun k n -> Remove_run (k, n)) tbl_key (int_range 1 300));
+        (6, map (fun k -> Find k) tbl_key);
+        (3, map (fun k -> Find_opt k) tbl_key);
+        (3, map (fun k -> Mem k) tbl_key);
+        (1, return Length);
+        (1, return Reset);
+        (1, return Fold);
+        (1, return Iter);
+        (2, map (fun p -> Filter_map p) (int_range 0 3));
+      ])
+
+(* Every operation must agree with the model, and [filter_map_inplace]
+   must show [f] each binding exactly once, including one that a
+   removal shifts back into a slot the scan has passed. *)
+let prop_int_tbl_vs_hashtbl =
+  QCheck.Test.make ~name:"int_tbl agrees with Hashtbl" ~count:300
+    (QCheck.make
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "create %d; %s" n
+           (String.concat "; " (List.map show_tbl_op ops)))
+       QCheck.Gen.(pair (int_range 0 300) (list_size (int_range 1 150) tbl_op)))
+    (fun (n, ops) ->
+      let t = Int_tbl.create n and m = Hashtbl.create 16 in
+      let sorted l = List.sort compare l in
+      let model () = sorted (Hashtbl.fold (fun k v l -> (k, v) :: l) m []) in
+      let got () = sorted (Int_tbl.fold (fun k v l -> (k, v) :: l) t []) in
+      let find_exn k =
+        match Int_tbl.find t k with v -> Some v | exception Not_found -> None
+      in
+      let step = function
+        | Replace (k, v) ->
+            Int_tbl.replace t k v;
+            Hashtbl.replace m k v;
+            true
+        | Run (k, n) ->
+            for i = 0 to n - 1 do
+              Int_tbl.replace t (k + i) i;
+              Hashtbl.replace m (k + i) i
+            done;
+            true
+        | Remove k ->
+            Int_tbl.remove t k;
+            Hashtbl.remove m k;
+            true
+        | Remove_run (k, n) ->
+            for i = 0 to n - 1 do
+              Int_tbl.remove t (k + i);
+              Hashtbl.remove m (k + i)
+            done;
+            true
+        | Find k -> find_exn k = Hashtbl.find_opt m k
+        | Find_opt k -> Int_tbl.find_opt t k = Hashtbl.find_opt m k
+        | Mem k -> Int_tbl.mem t k = Hashtbl.mem m k
+        | Length -> Int_tbl.length t = Hashtbl.length m
+        | Reset ->
+            Int_tbl.reset t;
+            Hashtbl.reset m;
+            Int_tbl.length t = 0
+        | Fold -> got () = model ()
+        | Iter ->
+            let seen = ref [] in
+            Int_tbl.iter (fun k v -> seen := (k, v) :: !seen) t;
+            sorted !seen = model ()
+        | Filter_map p ->
+            let f k v = if (k + v + p) land 3 = 0 then None else Some (v + p) in
+            let before = List.map fst (model ()) in
+            let visited = ref [] in
+            Int_tbl.filter_map_inplace
+              (fun k v ->
+                visited := k :: !visited;
+                f k v)
+              t;
+            Hashtbl.filter_map_inplace f m;
+            sorted !visited = before
+      in
+      List.for_all
+        (fun op -> step op && Int_tbl.length t = Hashtbl.length m)
+        ops
+      && got () = model ())
+
+(* A removal in the middle of a run shifts the rest of the run back,
+   into the slot just scanned: [filter_map_inplace] must still show [f]
+   the shifted keys, once each. In a table of 8 slots, 7, 15 and 23 all
+   have home slot 7 and fill slots 7, 0 and 1, a run that wraps; 1, 9
+   and 17 fill slots 1 to 3 around it. *)
+let test_int_tbl_filter_shifted () =
+  List.iter
+    (fun (keys, drop) ->
+      let t = Int_tbl.create 8 in
+      List.iter (fun k -> Int_tbl.replace t k k) keys;
+      let visited = ref [] in
+      Int_tbl.filter_map_inplace
+        (fun k v ->
+          visited := k :: !visited;
+          if List.mem k drop then None else Some v)
+        t;
+      let kept = List.filter (fun k -> not (List.mem k drop)) keys in
+      Alcotest.(check (list int))
+        "each key seen once" (List.sort compare keys)
+        (List.sort compare !visited);
+      Alcotest.(check (list int))
+        "kept" (List.sort compare kept)
+        (List.sort compare (Int_tbl.fold (fun k _ l -> k :: l) t []));
+      List.iter
+        (fun k -> Alcotest.(check bool) "found" true (Int_tbl.find t k = k))
+        kept)
+    [
+      ([ 7; 15; 23 ], [ 7 ]);
+      ([ 7; 15; 23 ], [ 15 ]);
+      ([ 7; 15; 23 ], [ 7; 15; 23 ]);
+      ([ 1; 9; 17 ], [ 1 ]);
+      ([ 1; 9; 17 ], [ 1; 9 ]);
+    ]
+
+(* Lookups and in-place updates run on every packet: [find] and [mem]
+   of present and absent keys and a [replace] of a present key
+   allocate nothing. *)
+let test_int_tbl_no_alloc () =
+  let t = Int_tbl.create 8 in
+  for k = -300 to 300 do
+    Int_tbl.replace t (3 * k) (ref k)
+  done;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for k = -300 to 300 do
+    let r = Int_tbl.find t (3 * k) in
+    if Int_tbl.mem t (3 * k) && not (Int_tbl.mem t ((3 * k) + 1)) then
+      incr hits;
+    Int_tbl.replace t (3 * k) r
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every key found" 601 !hits;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+
+(* A removed value must not stay reachable from the table (the filler
+   rule): after 10^4 distinct values are bound and removed, the table
+   holds no more than an emptied table of the same capacity whose
+   values are immediate, plus the one filler value. *)
+let test_int_tbl_removed_unreachable () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let n = 10_000 in
+  let boxed = Int_tbl.create 8 and flat = Int_tbl.create 8 in
+  for k = 0 to n - 1 do
+    Int_tbl.replace boxed k (Bytes.create 64);
+    Int_tbl.replace flat k k
+  done;
+  for k = 0 to n - 1 do
+    Int_tbl.remove boxed k;
+    Int_tbl.remove flat k
+  done;
+  Alcotest.(check int) "empty" 0 (Int_tbl.length boxed);
+  let extra = words boxed - words flat and one = words (Bytes.create 64) in
+  if extra < 0 || extra > one then
+    Alcotest.failf
+      "emptied table holds %d words more than an empty one (bound %d)" extra
+      one
+
+(* In OCaml 5.1, [Array.make] of more than 256 words with a young value
+   empties the minor heap first. Growth past 256 slots, with young
+   values, must not: 2 000 young values and the small arrays fit in
+   the minor heap many times over, so no collection is due. *)
+let test_int_tbl_growth_no_minor_gc () =
+  let t = Int_tbl.create 8 in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for k = 0 to 1_999 do
+    Int_tbl.replace t k (ref k)
+  done;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "size" 2_000 (Int_tbl.length t);
+  Alcotest.(check int) "minor collections" 0 (after - before)
+
 (* --- qcheck properties ------------------------------------------------ *)
 
 let prop_jain_scale_invariant =
@@ -361,7 +593,12 @@ let prop_log_bucket_contains =
 let () =
   let qsuite =
     List.map (QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_util"))
-      [ prop_jain_scale_invariant; prop_percentile_monotone; prop_log_bucket_contains ]
+      [
+        prop_jain_scale_invariant;
+        prop_percentile_monotone;
+        prop_log_bucket_contains;
+        prop_int_tbl_vs_hashtbl;
+      ]
   in
   Alcotest.run "taq_util"
     [
@@ -416,6 +653,13 @@ let () =
           Alcotest.test_case "grows" `Quick test_deque_grows;
           Alcotest.test_case "wraparound" `Quick test_deque_wraparound;
           Alcotest.test_case "iter" `Quick test_deque_iter_front_to_back;
+        ] );
+      ( "int_tbl",
+        [
+          Alcotest.test_case "filter_map sees shifted keys" `Quick test_int_tbl_filter_shifted;
+          Alcotest.test_case "lookups allocate nothing" `Quick test_int_tbl_no_alloc;
+          Alcotest.test_case "removed values unreachable" `Quick test_int_tbl_removed_unreachable;
+          Alcotest.test_case "growth forces no minor gc" `Quick test_int_tbl_growth_no_minor_gc;
         ] );
       ( "properties",
         qsuite @ [ QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_util") prop_deque_behaves_like_list ] );
