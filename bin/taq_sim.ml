@@ -31,8 +31,8 @@ let check_arg =
     & info [ "check" ] ~docv:"GROUPS"
         ~doc:
           "Enable runtime invariant checking. $(docv) is a comma-separated \
-           subset of engine, net, queueing, tcp, core, guard, fluid, resil \
-           (default: all). The first violation aborts the run.")
+           subset of engine, net, queueing, tcp, core, guard, resil (default: \
+           all). The first violation aborts the run.")
 
 let obs_arg =
   Arg.(
@@ -143,16 +143,6 @@ let within_horizon spec ~duration k =
       | Error msg -> `Error (false, msg))
   | None -> k ()
 
-(* Every mega shard models at least one flow (Mega_tier.run raises
-   otherwise): reject fewer flows than shards before any work. *)
-let flows_cover_shards ~flows ~shards k =
-  if flows < shards then
-    `Error
-      ( false,
-        Printf.sprintf "--flows (%d) must be at least --shards (%d)" flows
-          shards )
-  else k ()
-
 (* Print the counter report and, when tracing was requested, write the
    Chrome trace file from a merged snapshot. *)
 let finish_obs spec snap =
@@ -218,29 +208,24 @@ let jobs_arg =
           "Worker domains. 1 runs sequentially in-process; outputs are \
            byte-identical at any jobs count.")
 
-(* [sweep] and [mega] keep their results in the same cache: a rerun
-   serves what an earlier, perhaps killed, run stored. *)
+(* [sweep] keeps its results in a cache: a rerun serves what an
+   earlier, perhaps killed, run stored. *)
 let results_dir_arg =
   Arg.(
     value
     & opt string Harness.Cache.default_dir
     & info [ "results-dir" ] ~docv:"DIR"
         ~doc:
-          "On-disk result cache directory (mega uses it only with \
-           $(b,--checkpoint)). A rerun of the same command serves the \
-           results stored there and computes the rest, so a killed or \
-           cancelled run finishes where it stopped.")
+          "On-disk result cache directory. A rerun of the same command \
+           serves the results stored there and computes the rest, so a \
+           killed or cancelled run finishes where it stopped.")
 
 (* [sim] and [sweep] run the same long-flow point (Long_point) and take
-   the same RTT, run length, buffer and guard flags; [mega] shares the
-   RTT and the fluid step. *)
+   the same RTT, run length, buffer and guard flags. *)
 let rtt_arg =
   Arg.(
     value & opt positive 0.2
-    & info [ "rtt" ] ~docv:"S"
-        ~doc:
-          "Propagation RTT (mega: the foreground flows' RTT and the centre \
-           of the cohort's RTTs).")
+    & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
 
 let duration_arg =
   Arg.(
@@ -294,43 +279,10 @@ let disc_conv = name_conv Common.disc_of_string
 
 let disc_list = String.concat ", " Common.disc_names
 
-(* --- traffic backend ---------------------------------------------------- *)
-
-(* [--backend=hybrid] swaps the background cohort for the mean-field
-   fluid aggregate (lib/fluid): the env attaches a Source ticking every
-   --fluid-dt, and the foreground flows spawned by the subcommand stay
-   real packet-level TCP. The default packet backend takes exactly the
-   construction path it always did, so its outputs are byte-identical
-   to builds that predate the fluid subsystem. *)
-let backend_arg =
-  Arg.(
-    value
-    & opt (enum [ ("packet", `Packet); ("hybrid", `Hybrid) ]) `Packet
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Traffic backend: $(b,packet) (every flow is a real TCP state \
-           machine; the default) or $(b,hybrid) (the background cohort is a \
-           mean-field fluid aggregate coupled to the bottleneck — size it \
-           with $(b,--bg-flows), step it with $(b,--fluid-dt)).")
-
-let bg_flows_arg =
-  Arg.(
-    value & opt (at_least 1) 60
-    & info [ "bg-flows" ] ~docv:"N"
-        ~doc:
-          "Hybrid backend only: background flows modeled by the fluid \
-           aggregate.")
-
-let fluid_dt_arg =
-  Arg.(
-    value & opt positive 0.05
-    & info [ "fluid-dt" ] ~docv:"S"
-        ~doc:"Hybrid backend and mega only: fluid integration step, seconds.")
-
 (* The point [sim] and [sweep] run: the buffer from its RTTs, then the
-   backend and the queue at that buffer. *)
-let long_point ~queue ~guard ~backend ~bg_flows ~fluid_dt ~capacity ~flows ~rtt
-    ~duration ~buffer_rtts ~seed =
+   queue at that buffer. *)
+let long_point ~queue ~guard ~capacity ~flows ~rtt ~duration ~buffer_rtts ~seed
+    =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
   in
@@ -338,16 +290,6 @@ let long_point ~queue ~guard ~backend ~bg_flows ~fluid_dt ~capacity ~flows ~rtt
     Long_point.queue =
       Common.queue_of_disc ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts
         queue;
-    backend =
-      (match backend with
-      | `Packet -> Common.Packet
-      | `Hybrid ->
-          Common.Hybrid
-            (Taq_fluid.Model.make_params ~rtt_prop:rtt
-               ~pkt_bytes:Common.pkt_bytes ~dt:fluid_dt ~n_flows:bg_flows
-               ~capacity_bps:capacity
-               ~buffer_bytes:(buffer_pkts * Common.pkt_bytes)
-               ()));
     capacity_bps = capacity;
     buffer_pkts;
     flows;
@@ -443,7 +385,7 @@ let sim_cmd =
   in
   let flows =
     Arg.(
-      value & opt (at_least 0) 60
+      value & opt (at_least 1) 60
       & info [ "n"; "flows" ] ~docv:"N" ~doc:"Long-lived flows.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
@@ -455,14 +397,13 @@ let sim_cmd =
             "Record every enqueue/drop/delivery at the bottleneck and write \
              the packet log as CSV to $(docv).")
   in
-  let run queue capacity flows rtt duration buffer_rtts seed guard pcap backend
-      bg_flows fluid_dt spec =
+  let run queue capacity flows rtt duration buffer_rtts seed guard pcap spec =
     with_spec spec @@ fun spec ->
     within_horizon spec ~duration @@ fun () ->
     writable pcap @@ fun () ->
     let point =
-      long_point ~queue ~guard ~backend ~bg_flows ~fluid_dt ~capacity ~flows
-        ~rtt ~duration ~buffer_rtts ~seed
+      long_point ~queue ~guard ~capacity ~flows ~rtt ~duration ~buffer_rtts
+        ~seed
     in
     let log = ref None in
     let attach path env =
@@ -478,11 +419,11 @@ let sim_cmd =
           (Taq_metrics.Packet_log.count log)
           path)
       !log;
+    (* [backend=packet] as in a sweep row (see [sweep_point]). *)
     Printf.printf
-      "queue=%s backend=%s capacity=%.0fbps flows=%d buffer=%dpkts \
+      "queue=%s backend=packet capacity=%.0fbps flows=%d buffer=%dpkts \
        duration=%.0fs\n"
       (Common.queue_name point.queue)
-      (Common.backend_name point.backend)
       capacity flows point.buffer_pkts duration;
     Printf.printf "  short-term Jain (20s slices): %.3f\n" row.jain_short;
     Printf.printf "  long-term Jain:               %.3f\n" row.jain_long;
@@ -509,9 +450,6 @@ let sim_cmd =
               (Taq_core.Overload.report g)
               (Taq_core.Flow_tracker.peak_tracked tr)
               (Taq_core.Flow_tracker.cap_evictions tr));
-    (match env.Common.fluid with
-    | None -> ()
-    | Some src -> Printf.printf "  %s\n" (Taq_fluid.Source.report src));
     (match env.Common.faults with
     | None -> ()
     | Some inj ->
@@ -539,8 +477,7 @@ let sim_cmd =
     Term.(
       ret
         (const run $ queue $ capacity $ flows $ rtt_arg $ duration_arg
-       $ buffer_rtts_arg $ seed $ guard_arg $ pcap $ backend_arg $ bg_flows_arg
-       $ fluid_dt_arg $ spec_term ()))
+       $ buffer_rtts_arg $ seed $ guard_arg $ pcap $ spec_term ()))
 
 (* --- sweep ---------------------------------------------------------------- *)
 
@@ -551,21 +488,18 @@ let sim_cmd =
 let sweep_point (point : Long_point.point) ~fair_share ~rep =
   let env, row = Long_point.run point in
   let out = Taq_util.Out.printf in
-  out "queue=%s backend=%s capacity=%.0f fair_share=%.0f flows=%d rep=%d seed=%d\n"
+  (* backend=packet stays: cached rows print it, new keys would reseed. *)
+  out
+    "queue=%s backend=packet capacity=%.0f fair_share=%.0f flows=%d rep=%d \
+     seed=%d\n"
     (Common.queue_name point.queue)
-    (Common.backend_name point.backend)
     point.capacity_bps fair_share point.flows rep point.seed;
   out "  jain_short=%.3f jain_long=%.3f utilization=%.3f loss_rate=%.4f\n"
     row.jain_short row.jain_long row.utilization row.loss_rate;
-  (match Common.resil_rows env with
+  match Common.resil_rows env with
   | None -> ()
   | Some rows ->
-      List.iter
-        (fun row -> out "  %s\n" (Taq_resil.Monitor.row_line row))
-        rows);
-  match env.Common.fluid with
-  | None -> ()
-  | Some src -> out "  %s\n" (Taq_fluid.Source.report src)
+      List.iter (fun row -> out "  %s\n" (Taq_resil.Monitor.row_line row)) rows
 
 let sweep_cmd =
   let queues =
@@ -663,11 +597,9 @@ let sweep_cmd =
              exponential backoff) before quarantining them as failed.")
   in
   let run queues matrix tcps workloads fault_axis capacities fair_shares reps
-      rtt duration buffer_rtts guard backend bg_flows fluid_dt jobs
-      results_dir no_cache timeout_s retries faults_given resil_given spec =
-    if matrix && backend <> `Packet then
-      `Error (false, "--matrix cells are packet-backend only; drop --backend")
-    else if matrix && faults_given then
+      rtt duration buffer_rtts guard jobs results_dir no_cache timeout_s retries
+      faults_given resil_given spec =
+    if matrix && faults_given then
       `Error
         (false,
          "--matrix owns its fault injection: pick scenarios with \
@@ -705,16 +637,14 @@ let sweep_cmd =
                       Common.flows_for_fair_share ~capacity_bps:capacity
                         ~fair_share_bps:fair_share
                     in
-                    (* Each rep's seed comes from its task key; the
-                       key holds the backend the point resolves. *)
+                    (* Each rep's seed comes from its task key. *)
                     let point =
-                      long_point ~queue ~guard ~backend ~bg_flows ~fluid_dt
-                        ~capacity ~flows ~rtt ~duration ~buffer_rtts ~seed:0
+                      long_point ~queue ~guard ~capacity ~flows ~rtt ~duration
+                        ~buffer_rtts ~seed:0
                     in
                     List.init reps (fun rep ->
                         ( Task_key.sweep ~queue ~capacity ~fair_share ~rtt
-                            ~duration ~buffer_rtts ~rep ?guard_cap:guard
-                            ~backend:point.backend spec,
+                            ~duration ~buffer_rtts ~rep ?guard_cap:guard spec,
                           fun ~seed () ->
                             sweep_point { point with seed } ~fair_share ~rep )))
                   fair_shares)
@@ -903,9 +833,9 @@ let sweep_cmd =
       ret
         (const run $ queues $ matrix $ tcps $ workloads $ fault_axis
        $ capacities $ fair_shares $ reps $ rtt_arg $ duration_arg
-       $ buffer_rtts_arg $ guard_arg $ backend_arg $ bg_flows_arg $ fluid_dt_arg
-       $ jobs_arg $ results_dir_arg $ no_cache $ timeout_s $ retries
-       $ given faults_arg $ given resil_arg $ spec_term ()))
+       $ buffer_rtts_arg $ guard_arg $ jobs_arg $ results_dir_arg $ no_cache
+       $ timeout_s $ retries $ given faults_arg $ given resil_arg
+       $ spec_term ()))
 
 (* --- faults --------------------------------------------------------------- *)
 
@@ -1221,107 +1151,6 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(ret (const run $ out $ clients $ duration $ seed))
 
-(* --- mega ------------------------------------------------------------------ *)
-
-(* The mega tier from the CLI: a million (by default) modeled
-   background flows streamed out of the constant-memory cohort
-   generator, sharded across the Domain pool, each shard a hybrid
-   (fluid-background) environment. Counters are deterministic at any
-   --jobs, which is what the CI smoke diffs. *)
-let mega_cmd =
-  let flows =
-    Arg.(
-      value & opt (at_least 1) 1_000_000
-      & info [ "flows" ] ~docv:"N" ~doc:"Modeled background population.")
-  in
-  let shards =
-    Arg.(
-      value & opt (at_least 1) 4
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Independent sub-systems the population factors into.")
-  in
-  let capacity =
-    Arg.(
-      value & opt positive 2.4e9
-      & info [ "c"; "capacity" ] ~docv:"BPS"
-          ~doc:"Aggregate bottleneck capacity, split across shards.")
-  in
-  let fg_flows =
-    Arg.(
-      value & opt (at_least 0) 4
-      & info [ "fg-flows" ] ~docv:"N"
-          ~doc:"Packet-level foreground flows per shard.")
-  in
-  let duration =
-    Arg.(
-      value & opt positive 5.0
-      & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Cohort seed.")
-  in
-  let do_checkpoint =
-    Arg.(
-      value & flag
-      & info [ "checkpoint" ]
-          ~doc:
-            "Store every completed shard in the cache under --results-dir \
-             and serve the shards stored there (hex-float exact), so \
-             rerunning a killed run computes only the missing ones. Off by \
-             default: checkpointing is durable-run machinery, not part of \
-             the plain jobs-identity contract.")
-  in
-  let run flows shards capacity fg_flows rtt duration fluid_dt seed jobs
-      results_dir do_checkpoint spec =
-    flows_cover_shards ~flows ~shards @@ fun () ->
-    with_spec spec @@ fun spec ->
-    try
-      let p =
-        {
-          Mega_tier.total_flows = flows;
-          shards;
-          capacity_bps = capacity;
-          fg_flows;
-          rtt;
-          duration;
-          buffer_rtts = 1.0;
-          dt = fluid_dt;
-          seed;
-        }
-      in
-      let cache =
-        if not do_checkpoint then None
-        else begin
-          Harness.Pool.install_signal_cancellation ~label:"mega run" ();
-          Some
-            (Harness.Cache.create ~obs:(Run_spec.observer spec)
-               ~dir:results_dir ())
-        end
-      in
-      let r = Mega_tier.run ~jobs ?cache p in
-      Mega_tier.print r;
-      if Run_spec.check_enabled spec then
-        Printf.printf "invariant checks: clean (%d shard(s))\n" shards;
-      if Run_spec.obs_enabled spec then
-        finish_obs spec
-          (Obs.merge_all (Obs.root_snapshot () :: r.Mega_tier.obs_snaps));
-      `Ok ()
-    with
-    | Mega_tier.Interrupted ->
-        Printf.printf
-          "mega run cancelled: completed shards are checkpointed — rerun \
-           the same command to finish\n";
-        Stdlib.exit Harness.Pool.cancelled_exit_code
-    | Failure msg -> `Error (false, msg)
-  in
-  let doc = "Million-flow hybrid tier on the Domain worker pool" in
-  Cmd.v (Cmd.info "mega" ~doc)
-    Term.(
-      ret
-        (const run $ flows $ shards $ capacity $ fg_flows $ rtt_arg $ duration
-       $ fluid_dt_arg $ seed $ jobs_arg $ results_dir_arg $ do_checkpoint
-       $ spec_term ~faults:absent ~resil:absent ()))
-
 let () =
   let doc = "TAQ: Timeout Aware Queuing (EuroSys'14) reproduction toolkit" in
   let info = Cmd.info "taq_sim" ~version:"1.0.0" ~doc in
@@ -1329,6 +1158,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            experiment_cmd; sim_cmd; sweep_cmd; mega_cmd; faults_cmd;
+            experiment_cmd; sim_cmd; sweep_cmd; faults_cmd;
             model_cmd; trace_cmd; replay_cmd;
           ]))

@@ -1,7 +1,7 @@
-type group = Engine | Net | Queueing | Tcp | Core | Guard | Fluid | Resil
+type group = Engine | Net | Queueing | Tcp | Core | Guard | Resil
 
-let all_groups = [ Engine; Net; Queueing; Tcp; Core; Guard; Fluid; Resil ]
-let n_groups = 8
+let all_groups = [ Engine; Net; Queueing; Tcp; Core; Guard; Resil ]
+let n_groups = 7
 
 let index = function
   | Engine -> 0
@@ -10,8 +10,7 @@ let index = function
   | Tcp -> 3
   | Core -> 4
   | Guard -> 5
-  | Fluid -> 6
-  | Resil -> 7
+  | Resil -> 6
 
 let bit g = 1 lsl index g
 
@@ -22,7 +21,6 @@ let group_name = function
   | Tcp -> "tcp"
   | Core -> "core"
   | Guard -> "guard"
-  | Fluid -> "fluid"
   | Resil -> "resil"
 
 let group_of_string = function
@@ -32,7 +30,6 @@ let group_of_string = function
   | "tcp" -> Some Tcp
   | "core" -> Some Core
   | "guard" -> Some Guard
-  | "fluid" -> Some Fluid
   | "resil" -> Some Resil
   | _ -> None
 
@@ -53,7 +50,7 @@ let groups_of_string s =
           Error
             (Printf.sprintf
                "unknown check group %S (expected all, engine, net, queueing, \
-                tcp, core, guard, fluid, resil)"
+                tcp, core, guard, resil)"
                p))
     in
     go [] parts

@@ -17,8 +17,6 @@ type group =
   | Core       (** TAQ class accounting, flow tracker vs admission *)
   | Guard      (** overload guard: tracked-flows cap, hysteresis dwell,
                    cross-mode packet conservation *)
-  | Fluid      (** hybrid fluid backend: occupancy bounds, window clamp,
-                   conservation of fluid bytes at the bottleneck *)
   | Resil      (** resilience monitor: strictly monotone sample clock,
                    baseline frozen before the first injection, samples
                    inside their metric ranges *)

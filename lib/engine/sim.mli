@@ -64,10 +64,11 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 
 val every : t -> period:float -> until:float -> (unit -> unit) -> unit
 (** [every t ~period ~until f] runs [f] at [now + period],
-    [now + 2·period], … for every tick at or before [until] — the
-    fixed-step coupling hook used by continuous processes (the fluid
-    background backend) that must advance as ordinary calendar events
-    so they interleave deterministically with packet events. Raises
+    [now + period + period], … (each tick the previous one's time plus
+    [period], so each comes strictly after the one before) for every
+    tick at or before [until]. The ticks are ordinary calendar events,
+    so they interleave deterministically with packet events: the
+    resilience monitor samples this way. Raises
     [Invalid_argument] on a period that is not positive (NaN included)
     and on a NaN [until]. *)
 

@@ -23,7 +23,6 @@ let run_variant p ~ablation ~variant ~flows config =
     Long_point.run
       {
         queue = Common.Taq config;
-        backend = Common.Packet;
         capacity_bps;
         buffer_pkts;
         flows;

@@ -42,13 +42,8 @@ type env = {
   check : Check.t;
   obs : Obs.t;
   faults : Taq_fault.Injector.t option;
-  fluid : Taq_fluid.Source.t option;
   resil : Taq_resil.Monitor.t option;
 }
-
-type backend = Packet | Hybrid of Taq_fluid.Model.params
-
-let backend_name = function Packet -> "packet" | Hybrid _ -> "hybrid"
 
 let pkt_bytes = Tcp_config.packet_bytes
 
@@ -101,8 +96,8 @@ let resize ~capacity_bps ~buffer_pkts = function
       Taq { config with capacity_pkts; capacity_bps }
   | q -> q
 
-let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
-    ~capacity_bps ~buffer_pkts ?(slice = 20.0) ?(seed = 1) () =
+let make_env ?check ?obs ?faults ?resil ~queue ~capacity_bps ~buffer_pkts
+    ?(slice = 20.0) ?(seed = 1) () =
   (* One checker per environment: the simulator, link, TAQ middlebox and
      every TCP sender share it, so counters aggregate in one place. The
      observability instance works the same way: one per env, shared by
@@ -144,21 +139,6 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
      (including TAQ itself) when the Queueing group is on; [wrap]
      returns [disc] unchanged otherwise. *)
   let disc = Taq_queueing.Checked.wrap ~check disc in
-  (* Hybrid reverse coupling, for disciplines that drop arrivals
-     indiscriminately at overflow (TAQ's whole mechanism is that it
-     does not). Outside the shadow-model checker — packets the shared
-     buffer refuses never reach the real discipline, so the shadow
-     must not see them either. Packet-backend envs skip the wrap (and
-     its PRNG split) entirely: their construction path is untouched. *)
-  let fluid_filter, disc =
-    match (backend, queue) with
-    | Hybrid _, (Droptail | Red | Sfq | Drr | Choke | Choked | Codel | Las) ->
-        let f, disc =
-          Taq_fluid.Shared_loss.wrap ~prng:(Taq_util.Prng.split prng) disc
-        in
-        (Some f, disc)
-    | (Packet | Hybrid _), _ -> (None, disc)
-  in
   (* Counter instrumentation goes outermost so it observes exactly the
      operations the link performs (including shadow-model rejections
      were the checker ever to alter behaviour — it must not). *)
@@ -177,14 +157,6 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
           (Taq_fault.Injector.install ?taq:!taq ~net
              ~prng:(Taq_util.Prng.split prng) plan)
     | Some _ | None -> None
-  in
-  let fluid =
-    match backend with
-    | Packet -> None
-    | Hybrid params ->
-        Some
-          (Taq_fluid.Source.attach ~check ~obs ?filter:fluid_filter ~sim
-             ~link:(Dumbbell.link net) ~params ~until:Float.infinity ())
   in
   (* Resilience monitor: an explicit parameter set wins; otherwise the
      run spec's --resil parameters (if any). The monitor is
@@ -215,7 +187,6 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
     check;
     obs;
     faults;
-    fluid;
     resil;
   }
 

@@ -52,34 +52,17 @@ type env = {
   faults : Taq_fault.Injector.t option;
       (** present when a fault plan (explicit or the run spec's
           [--faults]) was installed on this environment *)
-  fluid : Taq_fluid.Source.t option;
-      (** present when the env was built with [backend = Hybrid _] *)
   resil : Taq_resil.Monitor.t option;
       (** present when resilience monitoring was requested (explicit
           [resil] parameter or the run spec's [--resil]); armed by
           {!run}, harvested with {!resil_rows} *)
 }
 
-(** {1 Traffic backends}
-
-    [Packet] is the default everywhere: every flow is a real
-    packet-level TCP state machine, and nothing in the environment
-    changes — runs are byte-identical to a build that predates the
-    hybrid backend. [Hybrid] adds a mean-field fluid background
-    aggregate ({!Taq_fluid}) on the bottleneck; the foreground cohort
-    of real flows still traverses the disc packet by packet. *)
-
-type backend = Packet | Hybrid of Taq_fluid.Model.params
-
-val backend_name : backend -> string
-(** ["packet" | "hybrid"]. *)
-
 val make_env :
   ?check:Taq_check.Check.t ->
   ?obs:Taq_obs.Obs.t ->
   ?faults:Taq_fault.Plan.t ->
   ?resil:Taq_resil.Policy.params ->
-  ?backend:backend ->
   queue:queue ->
   capacity_bps:float ->
   buffer_pkts:int ->
@@ -104,14 +87,7 @@ val make_env :
     of the env's root PRNG; fault-free envs draw exactly the random
     streams they always did. [resil] attaches a {!Taq_resil.Monitor}
     to the bottleneck against the resolved fault plan; the monitor is
-    read-only, so attaching it never changes the simulated trajectory.
-    [backend] (default [Packet]) selects the traffic backend: [Hybrid p]
-    attaches a {!Taq_fluid.Source} to the bottleneck (ticking every
-    [p.dt] for the whole run) and, for indiscriminate disciplines
-    (everything but TAQ), interposes the {!Taq_fluid.Shared_loss}
-    reverse coupling in front of the queue. Packet-backend envs take
-    exactly the construction path they always did — no extra PRNG
-    splits, no wrappers — so their runs stay byte-identical. *)
+    read-only, so attaching it never changes the simulated trajectory. *)
 
 val taq_config :
   ?admission:bool -> ?guard_cap:int -> capacity_bps:float ->

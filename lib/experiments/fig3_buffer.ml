@@ -51,7 +51,6 @@ let run_one p ~fair_share_pkts ~buffer_rtts =
       (Long_point.run
          {
            queue = p.queue;
-           backend = Common.Packet;
            capacity_bps;
            buffer_pkts;
            flows;

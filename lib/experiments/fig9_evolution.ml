@@ -22,7 +22,6 @@ let run_one p queue =
     Long_point.run
       {
         queue;
-        backend = Common.Packet;
         capacity_bps;
         buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0;
         flows = p.flows;

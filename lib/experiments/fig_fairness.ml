@@ -59,7 +59,6 @@ let run_one p ~queue ~capacity_bps ~fair_share_bps =
       (Long_point.run
          {
            queue;
-           backend = Common.Packet;
            capacity_bps;
            buffer_pkts;
            flows;

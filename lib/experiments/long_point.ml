@@ -2,7 +2,6 @@ module Slicer = Taq_metrics.Slicer
 
 type point = {
   queue : Common.queue;
-  backend : Common.backend;
   capacity_bps : float;
   buffer_pkts : int;
   flows : int;
@@ -25,7 +24,7 @@ let run ?(attach = ignore) p =
       p.queue
   in
   let env =
-    Common.make_env ~backend:p.backend ~queue ~capacity_bps:p.capacity_bps
+    Common.make_env ~queue ~capacity_bps:p.capacity_bps
       ~buffer_pkts:p.buffer_pkts ~seed:p.seed ()
   in
   attach env;

@@ -7,7 +7,6 @@
 
 type point = {
   queue : Common.queue;  (** resized to [capacity_bps] and [buffer_pkts] *)
-  backend : Common.backend;
   capacity_bps : float;
   buffer_pkts : int;
   flows : int;

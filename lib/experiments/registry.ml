@@ -146,24 +146,6 @@ let ablate ~full =
   Out.printf "\n-- admission threshold sweep (pthresh) --\n\n";
   Ablations.print_pthresh (Ablations.run_pthresh_sweep p)
 
-(* The hybrid fluid backend validated against its packet-level ground
-   truth; disagreement beyond tolerance is a failure (nonzero exit, a
-   failed test_counters case), exactly like a failed flood drill. *)
-let hybrid_validate ~full =
-  let p = if full then Hybrid_validate.default else Hybrid_validate.quick in
-  let rows = Hybrid_validate.run p in
-  Hybrid_validate.print rows;
-  let bad = List.filter (fun r -> not r.Hybrid_validate.ok) rows in
-  if bad <> [] then
-    failwith
-      (Printf.sprintf "hybrid-validate failed: %s"
-         (String.concat "; "
-            (List.concat_map (fun r -> r.Hybrid_validate.problems) bad)))
-
-let mega ~full =
-  let p = if full then Mega_tier.default else Mega_tier.quick in
-  Mega_tier.print (Mega_tier.run p)
-
 let targets =
   [
     {
@@ -248,20 +230,6 @@ let targets =
       name = "ablate";
       description = "ablations: recovery cap, overpenalized queue, epochs, pthresh";
       run = ablate;
-    };
-    {
-      name = "hybrid-validate";
-      description =
-        "hybrid fluid backend vs pure packet-level: Jain + drop-rate \
-         agreement on mid-size runs";
-      run = hybrid_validate;
-    };
-    {
-      name = "mega";
-      description =
-        "10^6 modeled background flows (mean-field fluid), sharded and \
-         constant-memory";
-      run = mega;
     };
   ]
 

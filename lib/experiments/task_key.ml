@@ -1,4 +1,4 @@
-let spec_suffix ?guard_cap ?(backend = Common.Packet) (spec : Run_spec.t) =
+let spec_suffix ?guard_cap (spec : Run_spec.t) =
   String.concat ""
     [
       (match spec.faults with
@@ -11,17 +11,13 @@ let spec_suffix ?guard_cap ?(backend = Common.Packet) (spec : Run_spec.t) =
       (match spec.resil with
       | Some p -> "/resil=" ^ Taq_resil.Policy.params_to_string p
       | None -> "");
-      (match backend with
-      | Common.Packet -> ""
-      | Common.Hybrid p ->
-          "/backend=hybrid/fluid=" ^ Taq_fluid.Model.params_to_string p);
     ]
 
 let sweep ~queue ~capacity ~fair_share ~rtt ~duration ~buffer_rtts ~rep
-    ?guard_cap ?backend spec =
+    ?guard_cap spec =
   Printf.sprintf "sweep/v1/queue=%s/cap=%.0f/fs=%.0f/rtt=%g/dur=%g/buf=%g/rep=%d%s"
     queue capacity fair_share rtt duration buffer_rtts rep
-    (spec_suffix ?guard_cap ?backend spec)
+    (spec_suffix ?guard_cap spec)
 
 let matrix ~disc ~tcp ~workload ~fault ?guard_cap () =
   Printf.sprintf "matrix/v1/disc=%s/tcp=%s/wl=%s%s%s" disc tcp workload

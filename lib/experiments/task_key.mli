@@ -6,10 +6,8 @@
 
     One printer renders the run-spec part of every key, in this order:
     [/faults=<canonical plan>] for a non-empty plan, [/guard=<cap>],
-    [/resil=<canonical params>], then
-    [/backend=hybrid/fluid=<canonical params>] for the hybrid backend.
-    The check and obs policies never enter a key: they do not change
-    what a run prints. *)
+    then [/resil=<canonical params>]. The check and obs policies never
+    enter a key: they do not change what a run prints. *)
 
 val sweep :
   queue:string ->
@@ -20,7 +18,6 @@ val sweep :
   buffer_rtts:float ->
   rep:int ->
   ?guard_cap:int ->
-  ?backend:Common.backend ->
   Run_spec.t ->
   string
 (** A classic sweep point:

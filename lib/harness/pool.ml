@@ -19,8 +19,6 @@ let cancel_flag = Atomic.make false
 
 let request_cancel () = Atomic.set cancel_flag true
 
-let cancel_requested () = Atomic.get cancel_flag
-
 let reset_cancel () = Atomic.set cancel_flag false
 
 let cancelled_exit_code = 130

@@ -91,8 +91,6 @@ val request_cancel : unit -> unit
     pools to stop picking up new tasks. In-flight tasks complete; queued tasks
     come back as ["cancelled"]. *)
 
-val cancel_requested : unit -> bool
-
 val reset_cancel : unit -> unit
 (** Test hook: clear the flag (tests; a CLI serving multiple runs). *)
 

@@ -21,15 +21,9 @@ type t = {
          every drop victim once all listeners and accounting have seen
          it. Absent for standalone links (no pooling). *)
   mutable busy : bool;
-  mutable background_bps : float;
-      (* Capacity claimed by an aggregate (fluid) background process:
-         packet transmissions proceed at the residual rate
-         [capacity_bps - background_bps]. 0 when no hybrid backend is
-         attached, in which case every transmission time is computed
-         exactly as before ([c -. 0.] = [c] bit for bit). *)
   mutable rate_factor : float;
       (* Brownout fault hook: transmissions proceed at
-         [(capacity - background) * rate_factor]. 1.0 (no brownout
+         [capacity * rate_factor]. 1.0 (no brownout
          active) is the IEEE multiplicative identity, so un-faulted
          links compute bit-identical transmission times. *)
   mutable up : bool;
@@ -145,15 +139,7 @@ let on_enqueue t f = t.enqueue_listeners <- f :: t.enqueue_listeners
 let on_deliver t f = t.deliver_listeners <- f :: t.deliver_listeners
 
 let tx_time t (p : Packet.t) =
-  float_of_int (p.size * 8)
-  /. ((t.capacity_bps -. t.background_bps) *. t.rate_factor)
-
-let set_background_bps t bps =
-  if bps < 0.0 || bps >= t.capacity_bps then
-    invalid_arg
-      (Printf.sprintf "Link.set_background_bps: %g outside [0, %g)" bps
-         t.capacity_bps);
-  t.background_bps <- bps
+  float_of_int (p.size * 8) /. (t.capacity_bps *. t.rate_factor)
 
 let set_rate_factor t f =
   if not (Float.is_finite f) || f <= 0.0 || f > 1.0 then
@@ -249,7 +235,6 @@ let create ?check ?release ~sim ~capacity_bps ~disc ~deliver () =
       deliver;
       release;
       busy = false;
-      background_bps = 0.0;
       rate_factor = 1.0;
       up = true;
       tx_pkt = Packet.dummy;
@@ -367,7 +352,5 @@ let stats t =
 let utilization t =
   let elapsed = Sim.now t.sim in
   if elapsed <= 0.0 then 0.0 else t.busy_time.(0) /. elapsed
-
-let capacity_bps t = t.capacity_bps
 
 let queue_length t = t.disc.Disc.length ()

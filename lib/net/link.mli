@@ -49,21 +49,11 @@ val create :
 val send : t -> Packet.t -> unit
 (** Offer a packet to the discipline (and kick the transmitter). *)
 
-val set_background_bps : t -> float -> unit
-(** Occupancy-injection hook for the hybrid fluid backend
-    ([Taq_fluid]): declare that an aggregate background process is
-    currently consuming this many bits/s of the transmitter, so
-    subsequent packet transmissions proceed at the residual rate
-    [capacity_bps - background]. A rate of 0 (the default — no fluid
-    source attached) leaves every transmission time bit-identical to a
-    link without the hook. Raises [Invalid_argument] unless the rate
-    is in [[0, capacity_bps)]. *)
-
 val set_rate_factor : t -> float -> unit
 (** Fault-injection hook (see [Taq_fault]'s [brownout@T+D:frac=F]):
     degrade the transmitter to this fraction of its nominal rate —
-    subsequent transmissions take [size / ((capacity - background) *
-    factor)] seconds. A packet already on the wire keeps its scheduled
+    subsequent transmissions take [size / (capacity * factor)]
+    seconds. A packet already on the wire keeps its scheduled
     completion. The default factor 1.0 is the exact multiplicative
     identity, so links without an active brownout compute
     bit-identical transmission times. Raises [Invalid_argument] unless
@@ -95,7 +85,5 @@ val stats : t -> stats
 
 val utilization : t -> float
 (** Fraction of elapsed simulation time the transmitter was busy. *)
-
-val capacity_bps : t -> float
 
 val queue_length : t -> int

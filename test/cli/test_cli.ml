@@ -8,8 +8,8 @@
    test in dune's build tree, with stdout and stderr sent to temporary
    files. The accepting cases check that the up-front checks let a good
    input through, that an output file opened early to test the path is
-   still written in full, and that [experiment] prints the same bytes
-   at any --jobs. *)
+   still written in full, that [experiment] prints the same bytes at
+   any --jobs, and that [sweep] serves what a results dir holds. *)
 
 let bin =
   Filename.concat (Filename.dirname Sys.executable_name) "../../bin/taq_sim.exe"
@@ -21,6 +21,20 @@ let temp_file suffix =
   let path = Filename.temp_file "taq_cli" suffix in
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
   path
+
+(* A fresh directory, removed with the files in it when the test
+   exits. *)
+let temp_dir () =
+  let dir = Filename.temp_dir "taq_cli" "" in
+  at_exit (fun () ->
+      (try
+         Array.iter
+           (fun f ->
+             try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+           (Sys.readdir dir)
+       with Sys_error _ -> ());
+      try Sys.rmdir dir with Sys_error _ -> ());
+  dir
 
 (* A path under a regular file: no run can create it. *)
 let unwritable name = Filename.concat (temp_file ".file") name
@@ -37,6 +51,15 @@ let run args =
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* The part of [s] before the first [sub], or all of [s]. *)
+let before s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i =
+    if i + m > n then s else if String.sub s i m = sub then String.sub s 0 i
+    else at (i + 1)
+  in
   at 0
 
 let rejects ~want args =
@@ -80,11 +103,53 @@ let test_p_full_model_inside () =
   let out = accepts [ "model"; "--full-model"; "-p"; "0.45" ] in
   starts_with ~prefix:"p = 0.4500 (full model" out
 
-(* --- mega: every shard needs a flow ------------------------------------ *)
+(* --- sim -n: a run needs a flow ---------------------------------------- *)
 
-let test_mega_fewer_flows_than_shards () =
-  rejects ~want:"--flows (3) must be at least --shards (4)"
-    [ "mega"; "--flows"; "3"; "--shards"; "4"; "-d"; "1" ]
+(* With no flows the dumbbell stays empty: the run would print a Jain
+   of 1 and a utilization of 0 and exit 0. *)
+let test_sim_no_flows () =
+  rejects ~want:"option '--flows': expected an integer >= 1, got \"0\""
+    [ "sim"; "--flows"; "0"; "-d"; "30" ]
+
+(* The group column of a --check report, in the order printed. *)
+let check_groups out =
+  List.filter_map
+    (fun line ->
+      match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+      | group :: _ :: "checks" :: _ -> Some group
+      | _ -> None)
+    (lines out)
+
+let test_sim_check_report () =
+  let out = accepts [ "sim"; "--flows"; "4"; "-d"; "2"; "--check" ] in
+  starts_with
+    ~prefix:"queue=droptail backend=packet capacity=600000bps flows=4 " out;
+  Alcotest.(check (list string)) "every group, then the total"
+    [ "engine"; "net"; "queueing"; "tcp"; "core"; "guard"; "resil"; "total" ]
+    (check_groups out)
+
+(* --- one traffic path: the fluid background's options are gone ---------- *)
+
+let test_no_mega () =
+  rejects ~want:"unknown command 'mega'" [ "mega"; "-d"; "1" ]
+
+let test_no_backend () =
+  rejects ~want:"unknown option '--backend'"
+    [ "sim"; "--backend=hybrid"; "-d"; "2" ]
+
+let test_no_bg_flows () =
+  rejects ~want:"unknown option '--bg-flows'"
+    [ "sim"; "--bg-flows"; "4"; "-d"; "2" ]
+
+let test_no_fluid_dt () =
+  rejects ~want:"unknown option '--fluid-dt'"
+    [ "sweep"; "--fluid-dt"; "0.01"; "-d"; "2"; "--no-cache" ]
+
+let test_no_fluid_check () =
+  rejects
+    ~want:"unknown check group \"fluid\" (expected all, engine, net, \
+           queueing, tcp, core, guard, resil)"
+    [ "sim"; "--check=fluid"; "-d"; "2" ]
 
 (* --- experiment -------------------------------------------------------- *)
 
@@ -185,6 +250,64 @@ let test_sim_obs_trace_written () =
   let json = read_file path in
   starts_with ~prefix:"{\"traceEvents\":[{" json
 
+(* --- sweep --results-dir ------------------------------------------------ *)
+
+let sweep_in dir args =
+  accepts
+    ([ "sweep"; "-d"; "3"; "--fair-shares"; "20000"; "--results-dir"; dir ]
+    @ args)
+
+(* The rows a sweep prints, without the summary table after them. *)
+let rows out = before out "\n-- sweep summary"
+
+(* A row is a cache payload: a warm rerun prints the stored rows, so
+   they match fresh ones byte for byte, [backend=packet] included. *)
+let test_sweep_warm_rerun () =
+  let dir = temp_dir () in
+  let fresh = sweep_in dir [] in
+  let warm = sweep_in dir [] in
+  Alcotest.(check bool) "fresh run computes" true
+    (contains fresh "cache: 0 hits, 2 misses");
+  Alcotest.(check bool) "warm run serves" true
+    (contains warm "cache: 2 hits, 0 misses");
+  Alcotest.(check string) "same rows" (rows fresh) (rows warm);
+  Alcotest.(check (list string)) "row heads"
+    [
+      "queue=droptail backend=packet capacity=600000 fair_share=20000 flows=30";
+      "queue=taq backend=packet capacity=600000 fair_share=20000 flows=30";
+    ]
+    (List.filter_map
+       (fun line ->
+         if String.starts_with ~prefix:"queue=" line then
+           Some (before line " rep=")
+         else None)
+       (lines warm))
+
+(* A results dir filled by an earlier build is served while the key
+   format holds: the entry's file name is the MD5 of the task key, and
+   its content the row and the cache's integrity trailer. The entry is
+   written here by hand, with figures no run computes, so a served row
+   shows as itself. *)
+let test_sweep_stored_key () =
+  let dir = temp_dir () in
+  let key =
+    "sweep/v1/queue=taq/cap=600000/fs=20000/rtt=0.2/dur=3/buf=1/rep=0"
+  in
+  let row =
+    "queue=taq backend=packet capacity=600000 fair_share=20000 flows=30 rep=0 \
+     seed=1\n\
+    \  jain_short=nan jain_long=0.123 utilization=0.456 loss_rate=0.7890\n"
+  in
+  Out_channel.with_open_bin
+    (Filename.concat dir (Digest.to_hex (Digest.string key) ^ ".txt"))
+    (fun oc ->
+      Printf.fprintf oc "%sTAQCACHEv1 %d %s\n" row (String.length row)
+        (Digest.to_hex (Digest.string row)));
+  let out = sweep_in dir [ "--queues"; "taq" ] in
+  Alcotest.(check bool) "served, not computed" true
+    (contains out "cache: 1 hits, 0 misses");
+  Alcotest.(check string) "the stored row" row (rows out)
+
 let () =
   Alcotest.run "cli"
     [
@@ -200,10 +323,21 @@ let () =
           Alcotest.test_case "full model 0.45 runs" `Quick
             test_p_full_model_inside;
         ] );
-      ( "mega",
+      ( "sim -n",
+        [ Alcotest.test_case "--flows 0 rejected" `Quick test_sim_no_flows ] );
+      ( "sim --check",
         [
-          Alcotest.test_case "fewer flows than shards rejected" `Quick
-            test_mega_fewer_flows_than_shards;
+          Alcotest.test_case "reports every group" `Quick
+            test_sim_check_report;
+        ] );
+      ( "packet path only",
+        [
+          Alcotest.test_case "mega rejected" `Quick test_no_mega;
+          Alcotest.test_case "--backend rejected" `Quick test_no_backend;
+          Alcotest.test_case "--bg-flows rejected" `Quick test_no_bg_flows;
+          Alcotest.test_case "--fluid-dt rejected" `Quick test_no_fluid_dt;
+          Alcotest.test_case "--check=fluid rejected" `Quick
+            test_no_fluid_check;
         ] );
       ( "experiment",
         [
@@ -240,5 +374,12 @@ let () =
           Alcotest.test_case "sim --pcap" `Quick test_sim_pcap_written;
           Alcotest.test_case "sim --obs=trace" `Quick
             test_sim_obs_trace_written;
+        ] );
+      ( "sweep --results-dir",
+        [
+          Alcotest.test_case "warm rerun serves every row" `Quick
+            test_sweep_warm_rerun;
+          Alcotest.test_case "stored entry served by its key" `Quick
+            test_sweep_stored_key;
         ] );
     ]

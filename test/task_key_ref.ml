@@ -7,18 +7,13 @@
 module Common = Taq_experiments.Common
 module Fault_plan = Taq_fault.Plan
 
-let backend_key_suffix = function
-  | Common.Packet -> ""
-  | Common.Hybrid p ->
-      Printf.sprintf "/backend=hybrid/fluid=%s" (Taq_fluid.Model.params_to_string p)
-
 let guard_suffix guard =
   match guard with
   | Some cap -> Printf.sprintf "/guard=%d" cap
   | None -> ""
 
 let sweep ~queue ~capacity ~fair_share ~rtt ~duration ~buffer_rtts ~rep
-    ~fault_plan ~guard ~resil_params ~backend =
+    ~fault_plan ~guard ~resil_params =
   let fault_suffix =
     match fault_plan with
     | Some plan when not (Fault_plan.is_empty plan) ->
@@ -32,9 +27,9 @@ let sweep ~queue ~capacity ~fair_share ~rtt ~duration ~buffer_rtts ~rep
     | None -> ""
   in
   Printf.sprintf
-    "sweep/v1/queue=%s/cap=%.0f/fs=%.0f/rtt=%g/dur=%g/buf=%g/rep=%d%s%s%s%s"
+    "sweep/v1/queue=%s/cap=%.0f/fs=%.0f/rtt=%g/dur=%g/buf=%g/rep=%d%s%s%s"
     queue capacity fair_share rtt duration buffer_rtts rep fault_suffix
-    (guard_suffix guard) resil_suffix (backend_key_suffix backend)
+    (guard_suffix guard) resil_suffix
 
 let matrix ~disc ~tcp ~workload ~fault ~guard =
   let cell_fault_suffix = if fault = "none" then "" else "/fault=" ^ fault in

@@ -66,18 +66,69 @@ let test_group_masking () =
 
 let test_groups_of_string () =
   (match Check.groups_of_string "all" with
-  | Ok gs -> Alcotest.(check int) "all" 8 (List.length gs)
+  | Ok gs -> Alcotest.(check int) "all" 7 (List.length gs)
   | Error e -> Alcotest.fail e);
-  (match Check.groups_of_string "fluid" with
-  | Ok gs -> Alcotest.(check bool) "fluid" true (gs = [ Check.Fluid ])
+  (match Check.groups_of_string "resil" with
+  | Ok gs -> Alcotest.(check bool) "resil" true (gs = [ Check.Resil ])
   | Error e -> Alcotest.fail e);
   (match Check.groups_of_string "net, tcp" with
   | Ok gs ->
       Alcotest.(check bool) "net,tcp" true (gs = [ Check.Net; Check.Tcp ])
   | Error e -> Alcotest.fail e);
+  (match Check.groups_of_string "fluid" with
+  | Ok _ -> Alcotest.fail "fluid accepted"
+  | Error e ->
+      Alcotest.(check string) "names the groups"
+        "unknown check group \"fluid\" (expected all, engine, net, queueing, \
+         tcp, core, guard, resil)"
+        e);
   match Check.groups_of_string "bogus" with
   | Ok _ -> Alcotest.fail "bogus accepted"
   | Error _ -> ()
+
+(* Each group has its own bit: a name parses to its group alone, an
+   instance with one group enabled counts for that group only, and the
+   report lists the groups in this order, then the total. *)
+let named_groups =
+  [
+    ("engine", Check.Engine); ("net", Check.Net); ("queueing", Check.Queueing);
+    ("tcp", Check.Tcp); ("core", Check.Core); ("guard", Check.Guard);
+    ("resil", Check.Resil);
+  ]
+
+let test_group_bits_distinct () =
+  List.iter
+    (fun (name, g) ->
+      (match Check.groups_of_string name with
+      | Ok gs ->
+          Alcotest.(check bool) (name ^ " parses alone") true (gs = [ g ])
+      | Error e -> Alcotest.fail e);
+      let c = Check.create ~mode:Check.Count ~groups:[ g ] () in
+      List.iter
+        (fun (other, g') ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s enabled, %s on" name other)
+            (g' = g) (Check.on c g');
+          Check.require c g' true (fun () -> "fine"))
+        named_groups;
+      Alcotest.(check int) (name ^ " counts its own check") 1
+        (Check.checks_run c g);
+      Alcotest.(check int) (name ^ " counts only its own") 1
+        (Check.total_checks c))
+    named_groups;
+  let listed =
+    Check.report (Check.create ())
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match
+             List.filter (( <> ) "") (String.split_on_char ' ' line)
+           with
+           | word :: _ :: "checks" :: _ -> Some word
+           | _ -> None)
+  in
+  Alcotest.(check (list string)) "report order"
+    (List.map fst named_groups @ [ "total" ])
+    listed
 
 let test_report_mentions_groups () =
   let c = Check.create ~mode:Check.Count () in
@@ -463,6 +514,8 @@ let () =
           Alcotest.test_case "raise mode" `Quick test_raise_mode;
           Alcotest.test_case "group masking" `Quick test_group_masking;
           Alcotest.test_case "groups_of_string" `Quick test_groups_of_string;
+          Alcotest.test_case "one bit per group" `Quick
+            test_group_bits_distinct;
           Alcotest.test_case "report" `Quick test_report_mentions_groups;
         ] );
       ( "hooks",

@@ -419,6 +419,55 @@ let test_sim_nan_horizon_rejected () =
   Alcotest.(check int) "calendar still runs" 1 !ran;
   Alcotest.(check (float 0.0)) "clock" 1.0 (Sim.now sim)
 
+(* [every] files each tick when the one before it runs, at that tick's
+   time plus the period. Ten steps of 0.1 sum to 0.99999999999999989,
+   so [~period:0.1 ~until:1.0] runs ten ticks, each strictly after the
+   one before, and files none past [until]. The ticks are ordinary
+   calendar entries: a one-shot filed up front at a tick's exact time
+   has the smaller seq and runs first. *)
+let test_sim_every_schedule () =
+  let sim = Sim.create ~check:engine_check () in
+  let log = ref [] in
+  let note name () = log := (name, Sim.now sim) :: !log in
+  let tick_times =
+    snd
+      (List.fold_left_map
+         (fun at _ -> (at +. 0.1, at))
+         0.1 (List.init 10 Fun.id))
+  in
+  let t3 = List.nth tick_times 2 in
+  Sim.every sim ~period:0.1 ~until:1.0 (note "tick");
+  List.iter
+    (fun (name, at) -> Sim.schedule sim ~at (note name))
+    [ ("a", 0.05); ("b", 0.35); ("c", 1.0); ("d", t3) ];
+  Sim.run sim;
+  let ticks =
+    List.filter_map
+      (fun (name, at) -> if name = "tick" then Some at else None)
+      (List.rev !log)
+  in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  Alcotest.(check int) "ten ticks" 10 (List.length ticks);
+  Alcotest.(check (float 0.0)) "last tick" 0.99999999999999989
+    (List.nth ticks 9);
+  Alcotest.(check bool) "each tick after the one before" true
+    (increasing ticks);
+  Alcotest.(check bool) "no tick after until" true
+    (List.for_all (fun at -> at <= 1.0) ticks);
+  let expected =
+    match List.map (fun at -> ("tick", at)) tick_times with
+    | t1 :: t2 :: t3 :: rest ->
+        [ ("a", 0.05); t1; t2; ("d", snd t3); t3; ("b", 0.35) ]
+        @ rest @ [ ("c", 1.0) ]
+    | _ -> assert false
+  in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "(time, seq) order" expected (List.rev !log);
+  Alcotest.(check int) "nothing filed past until" 0 (Sim.pending_events sim)
+
 (* --- qcheck properties ------------------------------------------------- *)
 
 let prop_heap_drains_sorted =
@@ -970,6 +1019,8 @@ let () =
           Alcotest.test_case "nan horizon rejected" `Quick
             test_sim_nan_horizon_rejected;
           Alcotest.test_case "heap depth exact" `Quick test_sim_heap_depth_exact;
+          Alcotest.test_case "every: tick schedule" `Quick
+            test_sim_every_schedule;
         ] );
       ( "properties",
         List.map (QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_engine"))

@@ -365,8 +365,7 @@ let test_ablations_structure () =
 let test_registry_complete () =
   let expected =
     [ "fig1"; "fig2"; "fig3"; "codel-fig3"; "hangs"; "fig6"; "fig8"; "fig9";
-      "fig10"; "fig11"; "fig12"; "cubic"; "http"; "aqm"; "flood"; "ablate";
-      "hybrid-validate"; "mega" ]
+      "fig10"; "fig11"; "fig12"; "cubic"; "http"; "aqm"; "flood"; "ablate" ]
   in
   Alcotest.(check (list string)) "all figure targets present" expected
     Registry.names;

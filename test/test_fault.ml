@@ -554,8 +554,8 @@ let prop_finite_plan_recovers =
 (* Keys are cache keys and seed sources at once, so the Task_key
    printer must reproduce the formats older result dirs were filled
    with (Task_key_ref) over every run-spec component it prints: fault
-   plans (empty ones included), guard caps, resilience parameters and
-   hybrid backends, at arbitrary point coordinates. *)
+   plans (empty ones included), guard caps and resilience parameters,
+   at arbitrary point coordinates. *)
 let gen_resil_params =
   QCheck.Gen.(
     let* period = float_range 0.05 5.0 in
@@ -573,24 +573,6 @@ let gen_resil_params =
         eps_occ_frac;
         eps_occ_floor;
       })
-
-let gen_backend =
-  QCheck.Gen.(
-    frequency
-      [
-        (1, return Common.Packet);
-        ( 1,
-          let* n_flows = int_range 1 100_000 in
-          let* rtt_prop = float_range 0.01 1.0 in
-          let* dt = float_range 0.001 0.5 in
-          let* capacity_bps = float_range 1e5 1e10 in
-          let* buffer_bytes = int_range 500 10_000_000 in
-          return
-            (Common.Hybrid
-               (Taq_fluid.Model.make_params ~rtt_prop
-                  ~pkt_bytes:Common.pkt_bytes ~dt ~n_flows ~capacity_bps
-                  ~buffer_bytes ())) );
-      ])
 
 let gen_sweep_keys =
   QCheck.Gen.(
@@ -611,15 +593,14 @@ let gen_sweep_keys =
     in
     let* guard = opt (int_range 1 100_000) in
     let* resil_params = opt gen_resil_params in
-    let* backend = gen_backend in
     let spec =
       { Run_spec.off with faults = fault_plan; resil = resil_params }
     in
     return
       ( Task_key_ref.sweep ~queue ~capacity ~fair_share ~rtt ~duration
-          ~buffer_rtts ~rep ~fault_plan ~guard ~resil_params ~backend,
+          ~buffer_rtts ~rep ~fault_plan ~guard ~resil_params,
         Task_key.sweep ~queue ~capacity ~fair_share ~rtt ~duration
-          ~buffer_rtts ~rep ?guard_cap:guard ~backend spec ))
+          ~buffer_rtts ~rep ?guard_cap:guard spec ))
 
 let gen_matrix_keys =
   QCheck.Gen.(

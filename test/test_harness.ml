@@ -2,17 +2,16 @@
    once, results stay input-ordered at jobs in {1,4}), deterministic
    task-seed derivation, per-task output capture, the on-disk result
    cache, the durable runner (a rerun after a kill, warm reruns, the
-   rule for trusting a stored snapshot, failed and unstorable tasks,
-   mega checkpoints), and qcheck properties: parallel and sequential
-   runs of the same task list produce identical per-task outputs, and
-   a truncated or corrupted cache entry is never served. *)
+   rule for trusting a stored snapshot, failed and unstorable tasks),
+   and qcheck properties: parallel and sequential runs of the same task
+   list produce identical per-task outputs, and a truncated or
+   corrupted cache entry is never served. *)
 
 module Task = Taq_harness.Task
 module Pool = Taq_harness.Pool
 module Capture = Taq_harness.Capture
 module Cache = Taq_harness.Cache
 module Durable = Taq_harness.Durable
-module Mega_tier = Taq_experiments.Mega_tier
 module Obs = Taq_obs.Obs
 
 let contains ~needle hay =
@@ -870,43 +869,6 @@ let test_durable_unwritable_cache () =
         "nothing served on a rerun" (times 6 "ran")
         (sources (run ())))
 
-(* Mega checkpoints end to end: a checkpointed run, then a warm one
-   that serves every shard bit-identically. *)
-let test_mega_checkpoint_resume () =
-  let p =
-    {
-      Mega_tier.quick with
-      total_flows = 2000;
-      shards = 2;
-      capacity_bps = 4e6;
-      duration = 1.0;
-    }
-  in
-  let bits r =
-    let s = r.Mega_tier.summary in
-    ( r.Mega_tier.shard,
-      s.Taq_workload.Mega.n,
-      List.map Int64.bits_of_float
-        [
-          r.Mega_tier.fluid_arrived_bytes; r.fluid_dropped_bytes; r.fg_jain;
-          r.fg_loss; r.utilization; s.mean_rtt; s.mean_pkt_bytes; s.min_rtt;
-          s.max_rtt;
-        ] )
-  in
-  with_temp_cache (fun cache ->
-      let fresh = Mega_tier.run ~jobs:2 ~cache p in
-      let warm = Mega_tier.run ~cache p in
-      Alcotest.(check int) "fresh run serves nothing" 0
-        fresh.Mega_tier.served_shards;
-      Alcotest.(check int) "every shard served" p.Mega_tier.shards
-        warm.Mega_tier.served_shards;
-      Alcotest.(check bool) "shard results bit-identical" true
-        (List.map bits fresh.Mega_tier.shard_results
-        = List.map bits warm.Mega_tier.shard_results);
-      Alcotest.(check string) "cohort identical"
-        (Taq_workload.Mega.summary_to_wire fresh.Mega_tier.cohort)
-        (Taq_workload.Mega.summary_to_wire warm.Mega_tier.cohort))
-
 (* --- suite ----------------------------------------------------------------- *)
 
 let () =
@@ -998,8 +960,6 @@ let () =
             test_durable_failed_task_rerun;
           Alcotest.test_case "unwritable cache: runs uncached" `Quick
             test_durable_unwritable_cache;
-          Alcotest.test_case "mega checkpoint resume" `Quick
-            test_mega_checkpoint_resume;
         ] );
       ( "properties",
         [

@@ -235,6 +235,71 @@ let test_link_burst_in_flight () =
   Alcotest.(check (list (pair int (float 0.0))))
     "in order, at completion" expected (List.rev !arrivals)
 
+(* The brownout hook: a packet already on the wire keeps its scheduled
+   completion, and each later one takes size·8 / (capacity·factor). At
+   8000 bps a 1000-byte packet takes 1 s at full rate and 2 s at half. *)
+let test_link_rate_factor () =
+  let sim = Sim.create () in
+  let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
+  let arrivals = ref [] in
+  let link =
+    Link.create ~sim ~capacity_bps:8000.0 ~disc
+      ~deliver:(fun p -> arrivals := (p.Packet.seq, Sim.now sim) :: !arrivals)
+      ()
+  in
+  Sim.schedule sim ~at:0.0 (fun () ->
+      Link.send link (mk_pkt ~seq:0 ~size:1000 ());
+      Link.send link (mk_pkt ~seq:1 ~size:1000 ()));
+  Sim.schedule sim ~at:0.5 (fun () -> Link.set_rate_factor link 0.5);
+  Sim.schedule sim ~at:3.5 (fun () ->
+      Link.set_rate_factor link 1.0;
+      Link.send link (mk_pkt ~seq:2 ~size:1000 ()));
+  Sim.run sim;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "on the wire: unchanged; next: half rate; restored: full rate"
+    [ (0, 1.0); (1, 3.0); (2, 4.5) ]
+    (List.rev !arrivals)
+
+let test_link_rate_factor_range () =
+  let sim = Sim.create () in
+  let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
+  let link =
+    Link.create ~sim ~capacity_bps:8000.0 ~disc ~deliver:(fun _ -> ()) ()
+  in
+  List.iter
+    (fun f ->
+      match Link.set_rate_factor link f with
+      | () -> Alcotest.failf "factor %g accepted" f
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -0.5; 1.5; Float.nan; Float.infinity ];
+  Link.set_rate_factor link 1.0;
+  Link.set_rate_factor link Float.min_float
+
+(* The delivery instant of a packet sent at 0 is its transmission time,
+   bit for bit: no other term enters the rate. *)
+let prop_tx_time_exact =
+  QCheck.Test.make ~name:"tx time is size*8/(capacity*factor) exactly"
+    ~count:200
+    QCheck.(
+      triple (int_range 40 1500)
+        (float_range 1e4 1e10 (* bps *))
+        (oneof [ always 1.0; float_range 0.01 1.0 ]))
+    (fun (size, capacity_bps, factor) ->
+      let sim = Sim.create () in
+      let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:4 () in
+      let at = ref nan in
+      let link =
+        Link.create ~sim ~capacity_bps ~disc
+          ~deliver:(fun _ -> at := Sim.now sim)
+          ()
+      in
+      Link.set_rate_factor link factor;
+      Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size ()));
+      Sim.run sim;
+      Int64.bits_of_float !at
+      = Int64.bits_of_float
+          (float_of_int (size * 8) /. (capacity_bps *. factor)))
+
 (* The link delivers where a zero-delay entry filed at the completion
    would run. A 1000-byte packet sent at 0 completes at 1.0. *)
 let exit_fixture () =
@@ -815,6 +880,7 @@ let qcheck_props =
       prop_delay_lines_fifo;
       prop_link_exit_matches_reference;
       prop_packet_pool_accounting;
+      prop_tx_time_exact;
     ]
 
 let () =
@@ -844,6 +910,9 @@ let () =
           Alcotest.test_case "utilization" `Quick test_link_utilization;
           Alcotest.test_case "work conserving" `Quick test_link_work_conserving;
           Alcotest.test_case "burst in flight" `Quick test_link_burst_in_flight;
+          Alcotest.test_case "rate factor" `Quick test_link_rate_factor;
+          Alcotest.test_case "rate factor outside (0, 1] rejected" `Quick
+            test_link_rate_factor_range;
           Alcotest.test_case "exit after an event due" `Quick
             test_link_exit_after_due_event;
           Alcotest.test_case "exit after a lane entry" `Quick
