@@ -78,8 +78,17 @@ let resil_arg =
 (* A subcommand without one of the four flags passes [absent] for it. *)
 let absent = Term.const None
 
-(* Whether a flag was given at all, whatever its value. *)
-let given arg = Term.(const Option.is_some $ arg)
+(* The name a flag was given under ("-d", "--duration" or a prefix of
+   it), or [None] when it was not given, whatever its value. *)
+let given arg =
+  Term.(const (fun (_, used) -> List.nth_opt used 0) $ with_used_args arg)
+
+(* The names of the [given] flags among [flags], in order. *)
+let all_given flags =
+  List.fold_right
+    (fun flag rest ->
+      Term.(const (fun g rest -> Option.to_list g @ rest) $ flag $ rest))
+    flags (Term.const [])
 
 (* [--check] and [--obs] take an optional value, so a word after either
    is read as that value: [experiment --check fig2] parses "fig2" as
@@ -171,10 +180,10 @@ let finite =
       Arg.conv_printer Arg.float )
 
 (* Every float flag but [model -p] is a capacity, fair share, RTT,
-   duration, buffer size, step or deadline, and parses through
-   [positive]. Zero or a negative value would run nothing, run one flow
-   per point or have [Sim] clamp every delay to 0, and still exit 0, or
-   raise from inside the library (exit 125). *)
+   duration or buffer size, and parses through [positive]. Zero or a
+   negative value would run nothing, run one flow per point or have
+   [Sim] clamp every delay to 0, and still exit 0, or raise from inside
+   the library (exit 125). *)
 let positive =
   Arg.conv
     ( (fun s ->
@@ -333,7 +342,7 @@ let experiment_cmd =
             Registry.names
         in
         let results =
-          Harness.Pool.run ~obs:(Run_spec.observer spec) ~jobs
+          Harness.Pool.run ~jobs
             (List.map
                (fun t ->
                  Harness.Task.make ~key:t.Registry.name (fun ~seed:_ ->
@@ -525,8 +534,10 @@ let sweep_cmd =
              per-metric resilience lines) each, and the merged per-cell \
              Jain/drop-rate/recovery table. The guard (--guard) stays an \
              axis of the cell key; the fault axis owns fault injection \
-             (--faults is rejected) and every cell runs the resilience \
-             monitor with canonical parameters (--resil is rejected).")
+             (--faults is rejected), every cell runs the resilience \
+             monitor with canonical parameters (--resil is rejected), and \
+             cells run at a fixed scale (the classic grid's flags are \
+             rejected).")
   in
   let fault_axis =
     Arg.(
@@ -578,42 +589,36 @@ let sweep_cmd =
       value & flag
       & info [ "no-cache" ] ~doc:"Recompute every point; do not read or write the cache.")
   in
-  let timeout_s =
-    Arg.(
-      value
-      & opt (some positive) None
-      & info [ "timeout-s" ] ~docv:"S"
-          ~doc:
-            "Per-task deadline in seconds. A point that exceeds it is \
-             recorded as failed (the worker moves on); with --retries the \
-             attempt is retried first.")
-  in
-  let retries =
-    Arg.(
-      value & opt (at_least 0) 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry failed or timed-out points up to $(docv) times (with \
-             exponential backoff) before quarantining them as failed.")
+  (* Each mode reads its own flags: one the chosen mode would ignore is
+     a usage error that names it as it was given. *)
+  let mode_error ~matrix ~grid_flags ~axis_flags ~faults ~resil =
+    if not matrix then
+      Option.map
+        (Printf.sprintf "%s is a matrix axis; it requires --matrix")
+        (List.nth_opt axis_flags 0)
+    else if Option.is_some faults then
+      Some
+        "--matrix owns its fault injection: pick scenarios with \
+         --fault-axis (none, flap, flood, brownout, jitter) instead of \
+         --faults"
+    else if Option.is_some resil then
+      Some
+        "--matrix cells always run the resilience monitor with canonical \
+         parameters (its recovery columns must be comparable across \
+         reports); drop --resil"
+    else
+      Option.map
+        (Printf.sprintf
+           "%s is a classic-grid flag; --matrix cells run at a fixed scale \
+            and would ignore it")
+        (List.nth_opt grid_flags 0)
   in
   let run queues matrix tcps workloads fault_axis capacities fair_shares reps
-      rtt duration buffer_rtts guard jobs results_dir no_cache timeout_s retries
-      faults_given resil_given spec =
-    if matrix && faults_given then
-      `Error
-        (false,
-         "--matrix owns its fault injection: pick scenarios with \
-          --fault-axis (none, flap, flood, brownout, jitter) instead of \
-          --faults")
-    else if matrix && resil_given then
-      `Error
-        (false,
-         "--matrix cells always run the resilience monitor with canonical \
-          parameters (its recovery columns must be comparable across \
-          reports); drop --resil")
-    else if (not matrix) && fault_axis <> Matrix.default_fault_axis then
-      `Error (false, "--fault-axis is a matrix axis; it requires --matrix")
-    else
+      rtt duration buffer_rtts guard jobs results_dir no_cache grid_flags
+      axis_flags faults resil spec =
+    match mode_error ~matrix ~grid_flags ~axis_flags ~faults ~resil with
+    | Some msg -> `Error (false, msg)
+    | None ->
       with_spec spec @@ fun spec ->
       (* Classic-grid hardening: a clause past the sweep duration would
          silently inject nothing in every point. *)
@@ -684,7 +689,7 @@ let sweep_cmd =
       | Error msg -> `Error (false, msg)
       | Ok points ->
       Harness.Pool.install_signal_cancellation ~label:"sweep" ();
-      (* The cache's and pool's own counters. *)
+      (* The cache's own counters. *)
       let obs = Run_spec.observer spec in
       (* Durability: points already in the results dir are served, the
          rest run and are stored as each finishes, so rerunning a killed
@@ -698,11 +703,11 @@ let sweep_cmd =
           r.Harness.Pool.key r.Harness.Pool.elapsed_s (Harness.Pool.status r)
       in
       let outcomes =
-        Harness.Durable.run ~obs ~jobs ?timeout_s ~retries ~on_done ?cache
+        Harness.Durable.run ~obs ~jobs ~on_done ?cache
           (List.map
              (fun (key, run) ->
                Harness.Task.make ~key (fun ~seed ->
-                   Harness.Capture.text (run ~seed)))
+                   fst (Taq_util.Out.with_buffer (run ~seed))))
              points)
       in
       let summary =
@@ -801,13 +806,13 @@ let sweep_cmd =
         results_dir;
       if obs_enabled then
         (* Per-point snapshots (collected by the pool around each
-           attempt, or served from the results dir) merged in input
+           task, or served from the results dir) merged in input
            order, plus the root collector (instances created outside
            any task, e.g. the cache). Integer sums commute, so --jobs 4
            prints exactly what --jobs 1 prints — and a rerun after a
            kill, or a warm one, prints exactly what a cold one would,
-           modulo the root collector's own cache./pool. infra counters,
-           which reflect real process history. *)
+           modulo the root collector's own cache. infra counters, which
+           reflect real process history. *)
         finish_obs spec
           (Obs.merge_all
              (Obs.root_snapshot () :: List.map Harness.Durable.obs outcomes));
@@ -834,8 +839,13 @@ let sweep_cmd =
         (const run $ queues $ matrix $ tcps $ workloads $ fault_axis
        $ capacities $ fair_shares $ reps $ rtt_arg $ duration_arg
        $ buffer_rtts_arg $ guard_arg $ jobs_arg $ results_dir_arg $ no_cache
-       $ timeout_s $ retries $ given faults_arg $ given resil_arg
-       $ spec_term ()))
+       $ all_given
+           [
+             given capacities; given fair_shares; given reps; given rtt_arg;
+             given duration_arg; given buffer_rtts_arg;
+           ]
+       $ all_given [ given tcps; given workloads; given fault_axis ]
+       $ given faults_arg $ given resil_arg $ spec_term ()))
 
 (* --- faults --------------------------------------------------------------- *)
 
@@ -914,7 +924,7 @@ let faults_cmd =
             in
             Harness.Pool.install_signal_cancellation ~label:"fault drills" ();
             let results =
-              Harness.Pool.run ~obs:(Run_spec.observer spec) ~jobs
+              Harness.Pool.run ~jobs
                 ~on_done:(fun ~completed ~total r ->
                   Printf.eprintf "[%d/%d] %s (%.1f s)\n%!" completed total
                     r.Harness.Pool.key r.Harness.Pool.elapsed_s)

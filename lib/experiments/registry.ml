@@ -237,4 +237,4 @@ let find name = List.find_opt (fun t -> t.name = name) targets
 
 let names = List.map (fun t -> t.name) targets
 
-let capture t ~full = Taq_harness.Capture.text (fun () -> t.run ~full)
+let capture t ~full = fst (Taq_util.Out.with_buffer (fun () -> t.run ~full))

@@ -38,14 +38,11 @@ let persist cache ~counters (r : string Pool.result) =
         Cache.store cache ~key:(obs_entry key)
           (Obs.snapshot_to_string r.Pool.obs)
 
-let run ?(obs = Obs.off) ?jobs ?timeout_s ?retries ?on_done ?cache tasks =
+let run ?(obs = Obs.off) ?jobs ?on_done ?cache tasks =
   let counters = Obs.enabled obs in
-  let pool ?on_done todo =
-    Pool.run ~obs ?jobs ?timeout_s ?retries ?on_done todo
-  in
   let served, ran =
     match cache with
-    | None -> (List.map (fun _ -> None) tasks, pool ?on_done tasks)
+    | None -> (List.map (fun _ -> None) tasks, Pool.run ?jobs ?on_done tasks)
     | Some cache ->
         (* Every task is probed before any runs, so tasks sharing a key
            all run on a cold cache. *)
@@ -61,7 +58,7 @@ let run ?(obs = Obs.off) ?jobs ?timeout_s ?retries ?on_done ?cache tasks =
           persist cache ~counters r;
           Option.iter (fun f -> f ~completed ~total r) on_done
         in
-        (List.map snd probed, pool ~on_done todo)
+        (List.map snd probed, Pool.run ?jobs ~on_done todo)
   in
   (* Stitch the pool's input-ordered results back between the served
      tasks. *)

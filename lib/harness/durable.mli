@@ -31,24 +31,21 @@ type served = {
 type outcome =
   | Hit of served  (** served from the cache *)
   | Ran of string Pool.result
-      (** executed by the pool (or cancelled, or lost: see {!Pool}) *)
+      (** executed by the pool (or cancelled: see {!Pool}) *)
 
 val run :
   ?obs:Taq_obs.Obs.t ->
   ?jobs:int ->
-  ?timeout_s:float ->
-  ?retries:int ->
   ?on_done:(completed:int -> total:int -> string Pool.result -> unit) ->
   ?cache:Cache.t ->
   string Task.t list ->
   outcome list
 (** Serve, run and store [tasks]; one outcome per task, in input order.
-    Without [cache] every task runs and nothing is stored. [obs]
-    (default [Taq_obs.Obs.off]) receives the pool's counters, and
-    counters are on exactly when it is enabled. [jobs], [timeout_s],
-    [retries] and [on_done] go to {!Pool.run}; [on_done] sees each
-    result after it has been stored. Tasks sharing a key each run (or
-    are each served). *)
+    Without [cache] every task runs and nothing is stored. Counters
+    are on exactly when [obs] (default [Taq_obs.Obs.off]) is enabled.
+    [jobs] and [on_done] go to {!Pool.run}; [on_done] sees each result
+    after it has been stored. Tasks sharing a key each run (or are each
+    served). *)
 
 val obs : outcome -> Taq_obs.Obs.snapshot
 (** The task's counters: stored, or collected by the pool. *)

@@ -250,6 +250,68 @@ let test_sim_obs_trace_written () =
   let json = read_file path in
   starts_with ~prefix:"{\"traceEvents\":[{" json
 
+(* --- sweep: one attempt per point ---------------------------------------- *)
+
+(* A point is a deterministic function of its key, so a deadline or a
+   retry would fail or hang the same way again: neither flag exists. *)
+let test_sweep_no_timeout () =
+  rejects ~want:"unknown option '--timeout-s'"
+    [ "sweep"; "--timeout-s"; "15"; "-d"; "3"; "--no-cache" ]
+
+let test_sweep_no_retries () =
+  rejects ~want:"unknown option '--retries'"
+    [ "sweep"; "--retries"; "1"; "-d"; "3"; "--no-cache" ]
+
+(* --- sweep: each mode reads its own flags ------------------------------- *)
+
+(* A flag the chosen mode would ignore is rejected by the name it was
+   given under, whatever its value: a default value counts. *)
+let axis_only flag value =
+  rejects
+    ~want:(flag ^ " is a matrix axis; it requires --matrix")
+    [ "sweep"; flag; value; "-d"; "3"; "--no-cache" ]
+
+let test_sweep_tcps_needs_matrix () = axis_only "--tcps" "sack"
+let test_sweep_workloads_needs_matrix () = axis_only "--workloads" "mice"
+
+let test_sweep_fault_axis_needs_matrix () =
+  axis_only "--fault-axis" "none,flap,flood"
+
+let grid_only flag value =
+  rejects
+    ~want:
+      (flag
+     ^ " is a classic-grid flag; --matrix cells run at a fixed scale and \
+        would ignore it")
+    [ "sweep"; "--matrix"; flag; value; "--no-cache" ]
+
+let test_matrix_capacities () = grid_only "--capacities" "1e6"
+let test_matrix_fair_shares () = grid_only "--fair-shares" "5e3"
+let test_matrix_reps () = grid_only "--reps" "3"
+let test_matrix_rtt () = grid_only "--rtt" "0.3"
+let test_matrix_duration () = grid_only "-d" "7"
+let test_matrix_buffer_rtts () = grid_only "--buffer-rtts" "2"
+
+(* The flags each mode reads still run it. *)
+let test_sweep_grid_flags_run () =
+  let out =
+    accepts
+      [ "sweep"; "--queues"; "droptail"; "--capacities"; "400000";
+        "--fair-shares"; "40e3"; "--reps"; "1"; "--rtt"; "0.2"; "-d"; "3";
+        "--buffer-rtts"; "1"; "--no-cache" ]
+  in
+  starts_with
+    ~prefix:"queue=droptail backend=packet capacity=400000 fair_share=40000 "
+    out
+
+let test_matrix_flags_run () =
+  let out =
+    accepts
+      [ "sweep"; "--matrix"; "--queues"; "droptail"; "--tcps"; "newreno";
+        "--workloads"; "mice"; "--fault-axis"; "none"; "--guard"; "--no-cache" ]
+  in
+  starts_with ~prefix:"cell disc=droptail tcp=newreno wl=mice fault=none " out
+
 (* --- sweep --results-dir ------------------------------------------------ *)
 
 let sweep_in dir args =
@@ -374,6 +436,33 @@ let () =
           Alcotest.test_case "sim --pcap" `Quick test_sim_pcap_written;
           Alcotest.test_case "sim --obs=trace" `Quick
             test_sim_obs_trace_written;
+        ] );
+      ( "sweep: one attempt",
+        [
+          Alcotest.test_case "--timeout-s rejected" `Quick test_sweep_no_timeout;
+          Alcotest.test_case "--retries rejected" `Quick test_sweep_no_retries;
+        ] );
+      ( "sweep: mode flags",
+        [
+          Alcotest.test_case "--tcps needs --matrix" `Quick
+            test_sweep_tcps_needs_matrix;
+          Alcotest.test_case "--workloads needs --matrix" `Quick
+            test_sweep_workloads_needs_matrix;
+          Alcotest.test_case "--fault-axis needs --matrix" `Quick
+            test_sweep_fault_axis_needs_matrix;
+          Alcotest.test_case "--matrix rejects --capacities" `Quick
+            test_matrix_capacities;
+          Alcotest.test_case "--matrix rejects --fair-shares" `Quick
+            test_matrix_fair_shares;
+          Alcotest.test_case "--matrix rejects --reps" `Quick test_matrix_reps;
+          Alcotest.test_case "--matrix rejects --rtt" `Quick test_matrix_rtt;
+          Alcotest.test_case "--matrix rejects -d" `Quick test_matrix_duration;
+          Alcotest.test_case "--matrix rejects --buffer-rtts" `Quick
+            test_matrix_buffer_rtts;
+          Alcotest.test_case "grid flags run the grid" `Quick
+            test_sweep_grid_flags_run;
+          Alcotest.test_case "matrix flags run the matrix" `Quick
+            test_matrix_flags_run;
         ] );
       ( "sweep --results-dir",
         [

@@ -453,7 +453,7 @@ let mini_sweep_tasks ?(checked = false) () =
     (fun (queue, name, fair_share) ->
       let key = Printf.sprintf "mini/%s/fs=%.0f" name fair_share in
       Harness.Task.make ~key (fun ~seed ->
-          Harness.Capture.text (fun () ->
+          fst (Taq_util.Out.with_buffer (fun () ->
               let capacity = 200e3 in
               let flows =
                 Common.flows_for_fair_share ~capacity_bps:capacity
@@ -471,7 +471,7 @@ let mini_sweep_tasks ?(checked = false) () =
               Taq_util.Out.printf "%s jain=%.6f util=%.6f loss=%.6f\n" key
                 (Taq_metrics.Slicer.long_term_jain env.Common.slicer ~flows:ids)
                 (Common.utilization env)
-                (Common.measured_loss_rate env))))
+                (Common.measured_loss_rate env)))))
     [
       (Common.Droptail, "droptail", 10e3);
       (Common.Sfq, "sfq", 10e3);

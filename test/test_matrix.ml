@@ -41,8 +41,8 @@ let compute_block ~disc ~tcp ~workload ~fault =
       (Task_key.matrix ~disc ~tcp ~workload ~fault ())
   in
   String.trim
-    (Taq_harness.Capture.text (fun () ->
-         Matrix.run_cell ~disc ~tcp ~workload ~fault ~seed ()))
+    (fst (Taq_util.Out.with_buffer (fun () ->
+         Matrix.run_cell ~disc ~tcp ~workload ~fault ~seed ())))
 
 let field fields name =
   match List.assoc_opt name fields with

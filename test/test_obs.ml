@@ -270,14 +270,14 @@ let mini_sweep_tasks () =
     (fun (queue, name) ->
       let key = Printf.sprintf "obs-mini/%s" name in
       Harness.Task.make ~key (fun ~seed ->
-          Harness.Capture.text (fun () ->
+          fst (Taq_util.Out.with_buffer (fun () ->
               let env =
                 Common.make_env ~obs:(Obs.of_policy counters_policy) ~queue
                   ~capacity_bps:200e3 ~buffer_pkts:20 ~seed ()
               in
               let _ids = Common.spawn_long_flows env ~n:4 ~rtt:0.1 () in
               Common.run env ~until:8.0;
-              Taq_util.Out.printf "%s done\n" key)))
+              Taq_util.Out.printf "%s done\n" key))))
     [
       (Common.Droptail, "droptail");
       (Common.Sfq, "sfq");
