@@ -62,21 +62,15 @@ let faults_arg =
    --resil are byte-identical. *)
 let resil_arg =
   Arg.(
-    value
-    & opt ~vopt:(Some "") (some string) None
-    & info [ "resil" ] ~docv:"SPEC"
+    value & flag
+    & info [ "resil" ]
         ~doc:
           "Monitor resilience SLOs: rolling windows of Jain fairness, drop \
            rate and bottleneck occupancy, a pre-fault baseline, peak \
            deviation inside fault windows, and per-metric time-to-recover \
-           after the fault plan clears. $(docv) is a comma-separated list of \
-           key=value overrides of the canonical parameters (period, sustain, \
-           eps-jain, eps-drop, eps-occ-frac, eps-occ-floor); bare $(b,--resil) \
-           uses the defaults. Deterministic: equal seeds report equal \
+           after the fault plan clears, judged by fixed SLOs (DESIGN.md, \
+           \"Resilience SLOs\"). Deterministic: equal seeds report equal \
            recovery times at any --jobs count.")
-
-(* A subcommand without one of the four flags passes [absent] for it. *)
-let absent = Term.const None
 
 (* The name a flag was given under ("-d", "--duration" or a prefix of
    it), or [None] when it was not given, whatever its value. *)
@@ -108,13 +102,14 @@ let target_hint ~check ~obs msg =
   | Some m, _ | None, Some m -> m
   | None, None -> msg
 
-let spec_term ?(check = check_arg) ?(obs = obs_arg) ?(faults = faults_arg)
-    ?(resil = resil_arg) () =
+(* [experiment] takes no --resil and [faults] no --faults: each passes
+   a constant term for the flag it lacks. *)
+let spec_term ?(faults = faults_arg) ?(resil = resil_arg) () =
   Term.(
     const (fun check obs faults resil ->
-        Run_spec.of_flags ?check ?obs ?faults ?resil ()
+        Run_spec.of_flags ?check ?obs ?faults ~resil ()
         |> Result.map_error (target_hint ~check ~obs))
-    $ check $ obs $ faults $ resil)
+    $ check_arg $ obs_arg $ faults $ resil)
 
 (* A file the run will write is opened for writing before any work, so
    a bad path fails up front, naming the path with exit 124, rather
@@ -288,19 +283,14 @@ let disc_conv = name_conv Common.disc_of_string
 
 let disc_list = String.concat ", " Common.disc_names
 
-(* The point [sim] and [sweep] run: the buffer from its RTTs, then the
-   queue at that buffer. *)
+(* The point [sim] and [sweep] run, its buffer sized in RTTs. *)
 let long_point ~queue ~guard ~capacity ~flows ~rtt ~duration ~buffer_rtts ~seed
     =
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
-  in
   {
-    Long_point.queue =
-      Common.queue_of_disc ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts
-        queue;
+    Long_point.queue = Common.queue_of_disc ?guard_cap:guard queue;
     capacity_bps = capacity;
-    buffer_pkts;
+    buffer_pkts =
+      Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts;
     flows;
     tcp = Common.default_tcp;
     rtt;
@@ -375,7 +365,7 @@ let experiment_cmd =
     Term.(
       ret
         (const run $ names_arg $ full_arg $ jobs_arg
-       $ spec_term ~resil:absent ()))
+       $ spec_term ~resil:(Term.const false) ()))
 
 (* --- sim ---------------------------------------------------------------- *)
 
@@ -703,7 +693,7 @@ let sweep_cmd =
           r.Harness.Pool.key r.Harness.Pool.elapsed_s (Harness.Pool.status r)
       in
       let outcomes =
-        Harness.Durable.run ~obs ~jobs ~on_done ?cache
+        Harness.Durable.run ~counters:obs_enabled ~jobs ~on_done ?cache
           (List.map
              (fun (key, run) ->
                Harness.Task.make ~key (fun ~seed ->
@@ -976,7 +966,7 @@ let faults_cmd =
     Term.(
       ret
         (const run $ list_flag $ scenario $ queues $ jobs_arg
-       $ spec_term ~faults:absent ()))
+       $ spec_term ~faults:(Term.const None) ()))
 
 (* --- model --------------------------------------------------------------- *)
 
@@ -1100,14 +1090,7 @@ let replay_cmd =
             duration;
           }
         in
-        (* Replay's geometry: a buffer of one propagation RTT. *)
-        let q =
-          Common.queue_of_disc ~capacity_bps:capacity
-            ~buffer_pkts:
-              (Common.buffer_for_rtts ~capacity_bps:capacity ~rtt:p.Fig1_scatter.rtt
-                 ~rtts:1.0)
-            queue
-        in
+        let q = Common.queue_of_disc queue in
         Printf.printf "replaying %d records (%d clients) at %.0f bps under %s\n\n"
           (Array.length trace)
           (Array.length (Taq_workload.Trace.client_ids trace))

@@ -38,7 +38,7 @@ let run_variant p ~ablation ~variant ~flows config =
    are regime dependent (notably the recovery cap, whose sign flips
    between moderate contention and the deep sub-packet regime). *)
 let run_queue_ablations (p : params) =
-  let base = Common.taq_config ~capacity_bps ~buffer_pkts () in
+  let base = Common.taq_config () in
   let levels = [ p.flows / 2; p.flows ] in
   List.concat_map
     (fun flows ->
@@ -70,8 +70,7 @@ let run_pthresh_sweep (p : params) =
     (fun pthresh ->
       let config =
         {
-          (Common.taq_config ~admission:true ~capacity_bps ~buffer_pkts ())
-          with
+          (Common.taq_config ()) with
           Taq_config.admission = Some { Taq_config.pthresh };
         }
       in

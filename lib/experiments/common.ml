@@ -49,11 +49,11 @@ let pkt_bytes = Tcp_config.packet_bytes
 
 let default_tcp = Tcp_config.make ~use_syn:false ()
 
-let taq_config ?(admission = false) ?guard_cap ~capacity_bps ~buffer_pkts () =
+let taq_config ?(admission = false) ?guard_cap () =
   let config =
     if admission then
-      Taq_config.with_admission ~capacity_pkts:buffer_pkts ~capacity_bps
-    else Taq_config.default ~capacity_pkts:buffer_pkts ~capacity_bps
+      Taq_config.with_admission ~capacity_pkts:1 ~capacity_bps:1.0
+    else Taq_config.default ~capacity_pkts:1 ~capacity_bps:1.0
   in
   match guard_cap with
   | None -> config
@@ -61,7 +61,7 @@ let taq_config ?(admission = false) ?guard_cap ~capacity_bps ~buffer_pkts () =
 
 (* Every discipline by name, in canonical order: the one table the CLI,
    the sweep matrix and the fault drills resolve names through. A TAQ
-   row carries its admission flag; its config is built per run. *)
+   row carries its admission flag. *)
 let disc_table =
   [
     ("droptail", `Fixed Droptail); ("red", `Fixed Red); ("sfq", `Fixed Sfq);
@@ -79,22 +79,11 @@ let disc_of_string s =
   if List.mem_assoc name disc_table then Ok name
   else Error (Printf.sprintf "unknown queue %S" s)
 
-let queue_of_disc ?guard_cap ?(capacity_bps = 1.0) ?(buffer_pkts = 1) name =
+let queue_of_disc ?guard_cap name =
   match Result.map (fun n -> List.assoc n disc_table) (disc_of_string name) with
   | Error msg -> invalid_arg ("Common.queue_of_disc: " ^ msg)
   | Ok (`Fixed q) -> q
-  | Ok (`Taq admission) ->
-      Taq (taq_config ~admission ?guard_cap ~capacity_bps ~buffer_pkts ())
-
-(* [Taq_config.default] validates the geometry; every other field is
-   the caller's. *)
-let resize ~capacity_bps ~buffer_pkts = function
-  | Taq config ->
-      let { Taq_config.capacity_pkts; capacity_bps; _ } =
-        Taq_config.default ~capacity_pkts:buffer_pkts ~capacity_bps
-      in
-      Taq { config with capacity_pkts; capacity_bps }
-  | q -> q
+  | Ok (`Taq admission) -> Taq (taq_config ~admission ?guard_cap ())
 
 let make_env ?check ?obs ?faults ?resil ~queue ~capacity_bps ~buffer_pkts
     ?(slice = 20.0) ?(seed = 1) () =
@@ -131,6 +120,12 @@ let make_env ?check ?obs ?faults ?resil ~queue ~capacity_bps ~buffer_pkts
           ()
     | Las -> Taq_queueing.Las.create ~capacity_pkts:buffer_pkts ()
     | Taq config ->
+        (* The run's geometry, validated as [Taq_config.default]
+           validates it; every other field is the caller's. *)
+        let { Taq_config.capacity_pkts; capacity_bps; _ } =
+          Taq_config.default ~capacity_pkts:buffer_pkts ~capacity_bps
+        in
+        let config = { config with capacity_pkts; capacity_bps } in
         let t = Taq_disc.create ~check ~sim ~config () in
         taq := Some t;
         Taq_disc.disc t
@@ -158,23 +153,17 @@ let make_env ?check ?obs ?faults ?resil ~queue ~capacity_bps ~buffer_pkts
              ~prng:(Taq_util.Prng.split prng) plan)
     | Some _ | None -> None
   in
-  (* Resilience monitor: an explicit parameter set wins; otherwise the
-     run spec's --resil parameters (if any). The monitor is
-     read-only (no PRNG draws, no queue perturbation), so attaching it
-     never changes the simulated trajectory — metrics with and without
-     --resil are byte-identical. It is armed by {!run}. *)
-  let resil_params =
-    match resil with Some p -> Some p | None -> spec.resil
-  in
+  (* Resilience monitor: an explicit [resil] wins; otherwise the run
+     spec's --resil. The monitor is read-only (no PRNG draws, no queue
+     perturbation), so attaching it never changes the simulated
+     trajectory — metrics with and without --resil are byte-identical.
+     It is armed by {!run}. *)
   let resil =
-    match resil_params with
-    | None -> None
-    | Some params ->
-        Some
-          (Taq_resil.Monitor.create ~params ~check ~obs ~sim
-             ~link:(Dumbbell.link net)
-             ~plan:(Option.value fault_plan ~default:[])
-             ())
+    if Option.value resil ~default:spec.resil then
+      Some
+        (Taq_resil.Monitor.create ~check ~obs ~sim ~link:(Dumbbell.link net)
+           ~plan:(Option.value fault_plan ~default:[]))
+    else None
   in
   {
     sim;
@@ -264,6 +253,4 @@ let buffer_for_rtts ~capacity_bps ~rtt ~rtts =
   Stdlib.max 1
     (int_of_float (capacity_bps *. rtt *. rtts /. (8.0 *. float_of_int pkt_bytes)))
 
-let taq_marker =
-  (* Placeholder geometry, resized per run by the experiment drivers. *)
-  queue_of_disc "taq"
+let taq_marker = queue_of_disc "taq"

@@ -13,6 +13,8 @@ type queue =
   | Codel  (** sojourn-time AQM, drops at dequeue *)
   | Las  (** least-attained-service + per-flow fair dropping *)
   | Taq of Taq_core.Taq_config.t
+      (** {!make_env} replaces the config's [capacity_pkts] and
+          [capacity_bps] with its own *)
 
 val queue_name : queue -> string
 
@@ -26,13 +28,9 @@ val disc_of_string : string -> (string, string) result
 (** The canonical name of a disc name or alias ([dt] for droptail,
     [taq-ac] for taq+ac), or an error naming the unknown name. *)
 
-val queue_of_disc :
-  ?guard_cap:int -> ?capacity_bps:float -> ?buffer_pkts:int -> string ->
-  queue
+val queue_of_disc : ?guard_cap:int -> string -> queue
 (** The queue a disc name or alias selects. TAQ variants get
-    {!taq_config} (with admission control for taq+ac) at the given
-    capacity and buffer; without them, at the placeholder geometry of
-    {!taq_marker}, for drivers that {!resize} it per run.
+    {!taq_config} (with admission control for taq+ac).
     @raise Invalid_argument on an unknown name. *)
 
 type env = {
@@ -53,8 +51,8 @@ type env = {
       (** present when a fault plan (explicit or the run spec's
           [--faults]) was installed on this environment *)
   resil : Taq_resil.Monitor.t option;
-      (** present when resilience monitoring was requested (explicit
-          [resil] parameter or the run spec's [--resil]); armed by
+      (** present when resilience monitoring was requested (an
+          explicit [resil] or the run spec's [--resil]); armed by
           {!run}, harvested with {!resil_rows} *)
 }
 
@@ -62,7 +60,7 @@ val make_env :
   ?check:Taq_check.Check.t ->
   ?obs:Taq_obs.Obs.t ->
   ?faults:Taq_fault.Plan.t ->
-  ?resil:Taq_resil.Policy.params ->
+  ?resil:bool ->
   queue:queue ->
   capacity_bps:float ->
   buffer_pkts:int ->
@@ -71,30 +69,38 @@ val make_env :
   unit ->
   env
 (** A fresh simulator, dumbbell and recorders: goodput in [slice]-second
-    slices (default 20) and flow evolution in 5 s windows. The env is fully
-    self-contained — flow ids and packet uids are allocated by the
-    env's own network, so independent envs can run concurrently in
-    separate domains. [check], [obs], [faults] and [resil] default to
-    what the installed {!Run_spec.current} asks for; an explicit
-    argument wins (only tests pass [check] or [obs]: the program sets
-    both through the run spec). [check] instruments every layer; when the Queueing
-    group is enabled the installed discipline is additionally wrapped
-    in {!Taq_queueing.Checked} shadow-model cross-checking. [obs]
-    threads one observability instance through the simulator, link,
-    discipline (via {!Taq_queueing.Observed}) and fault injector; pass
-    an explicit instance to isolate a single env's counters. [faults]
-    attaches a fault injector to the bottleneck, seeded from a split
-    of the env's root PRNG; fault-free envs draw exactly the random
-    streams they always did. [resil] attaches a {!Taq_resil.Monitor}
-    to the bottleneck against the resolved fault plan; the monitor is
-    read-only, so attaching it never changes the simulated trajectory. *)
+    slices (default 20) and flow evolution in 5 s windows. The
+    bottleneck runs at [capacity_bps] and buffers [buffer_pkts]
+    packets: this is the one place a run's queue gets its size, so a
+    TAQ config takes both here, whatever geometry it carried, and keeps
+    every other field. The env is fully self-contained — flow ids and
+    packet uids are allocated by the env's own network, so independent
+    envs can run concurrently in separate domains. [check], [obs],
+    [faults] and [resil] default to what the installed
+    {!Run_spec.current} asks for; an explicit argument wins (only
+    tests pass [check] or [obs]: the program sets both through the run
+    spec). [check] instruments every layer; when the Queueing group is
+    enabled the installed discipline is additionally wrapped in
+    {!Taq_queueing.Checked} shadow-model cross-checking. [obs] threads
+    one observability instance through the simulator, link, discipline
+    (via {!Taq_queueing.Observed}) and fault injector; pass an explicit
+    instance to isolate a single env's counters. [faults] attaches a
+    fault injector to the bottleneck, seeded from a split of the env's
+    root PRNG; fault-free envs draw exactly the random streams they
+    always did. [resil] attaches a {!Taq_resil.Monitor} to the
+    bottleneck against the resolved fault plan; the monitor is
+    read-only, so attaching it never changes the simulated trajectory.
+    @raise Invalid_argument ["Taq_config.default: capacity_pkts"] (or
+    ["... capacity_bps"]) when a TAQ queue gets a geometry
+    [Taq_config.default] rejects. *)
 
 val taq_config :
-  ?admission:bool -> ?guard_cap:int -> capacity_bps:float ->
-  buffer_pkts:int -> unit -> Taq_core.Taq_config.t
+  ?admission:bool -> ?guard_cap:int -> unit -> Taq_core.Taq_config.t
 (** The TAQ configuration used throughout the evaluation (estimated
-    epochs, paper defaults). [guard_cap] enables the overload guard
-    with that [max_tracked_flows] cap (flood drills / [--guard]). *)
+    epochs, paper defaults) at a placeholder geometry of one packet
+    and 1 bps, which {!make_env} replaces. [guard_cap] enables the
+    overload guard with that [max_tracked_flows] cap (flood drills /
+    [--guard]). *)
 
 val default_tcp : Taq_tcp.Tcp_config.t
 (** The evaluation's TCP: 500 B on-the-wire packets, NewReno, no
@@ -151,11 +157,4 @@ val buffer_for_rtts :
 (** Buffer size in packets equal to [rtts] round-trips of delay. *)
 
 val taq_marker : queue
-(** [queue_of_disc "taq"]: a TAQ queue selector at a placeholder
-    geometry, which experiment drivers {!resize} per run. *)
-
-val resize : capacity_bps:float -> buffer_pkts:int -> queue -> queue
-(** [queue] sized for a run: a TAQ config takes the run's capacity and
-    buffer, validated as [Taq_config.default] validates them, and keeps
-    every other field as the caller set it; other disciplines are
-    unchanged. *)
+(** [queue_of_disc "taq"]: TAQ at the evaluation's config. *)

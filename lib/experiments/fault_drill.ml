@@ -41,16 +41,14 @@ let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400)
   let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0 in
   let flood = Plan.has_flood plan in
   let queue =
-    (* Size the queue for the drill, as the experiment drivers do.
-       Flood plans get the overload guard (the machinery under drill)
+    (* Flood plans get the overload guard (the machinery under drill)
        plus admission control, whose waiting table is one of the
        guard's pressure signals. *)
     match queue with
     | Common.Taq _ when flood ->
         Common.Taq
-          (Common.taq_config ~admission:true ~guard_cap:flood_guard_cap
-             ~capacity_bps ~buffer_pkts ())
-    | q -> Common.resize ~capacity_bps ~buffer_pkts q
+          (Common.taq_config ~admission:true ~guard_cap:flood_guard_cap ())
+    | q -> q
   in
   let env = Common.make_env ~faults:plan ~queue ~capacity_bps ~buffer_pkts ~seed () in
   let completed = ref 0 in

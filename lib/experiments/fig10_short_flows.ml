@@ -1,30 +1,29 @@
 type params = {
   queues : Common.queue list;
-  capacity_bps : float;
   long_flows : int;
   short_flow_lengths : int list;
-  rtt : float;
   warmup : float;
   spacing : float;
   timeout : float;
   repeats : int;  (* independent runs averaged per point *)
-  seed : int;
 }
+
+let capacity_bps = 1000e3
+let rtt = 0.2
+let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0
+let seed = 29
 
 let default =
   {
     queues = [ Common.taq_marker; Common.Droptail ];
-    capacity_bps = 1000e3;
     long_flows = 50;
     (* 32 short flows spanning 1..80 packets, like the figure's x axis. *)
     short_flow_lengths =
       List.init 32 (fun i -> Stdlib.max 1 (int_of_float (2.58 *. float_of_int (i + 1))));
-    rtt = 0.2;
     warmup = 60.0;
     spacing = 12.0;
     timeout = 120.0;
     repeats = 3;
-    seed = 29;
   }
 
 let quick =
@@ -39,15 +38,8 @@ let quick =
 type row = { queue : string; packets : int; download_time : float }
 
 let run_one p queue ~seed =
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
-  in
-  let queue = Common.resize ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
-  let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts ~seed ()
-  in
-  ignore
-    (Common.spawn_long_flows env ~n:p.long_flows ~rtt:p.rtt ~rtt_jitter:0.1 ());
+  let env = Common.make_env ~queue ~capacity_bps ~buffer_pkts ~seed () in
+  ignore (Common.spawn_long_flows env ~n:p.long_flows ~rtt ~rtt_jitter:0.1 ());
   (* Short flows need the SYN handshake: TAQ's NewFlow logic keys off
      seeing connections start. *)
   let tcp = Taq_tcp.Tcp_config.make ~use_syn:true () in
@@ -56,7 +48,7 @@ let run_one p queue ~seed =
     (fun i packets ->
       let at = p.warmup +. (float_of_int i *. p.spacing) in
       ignore
-        (Common.spawn_finite_flow env ~tcp ~segments:packets ~rtt:p.rtt ~at
+        (Common.spawn_finite_flow env ~tcp ~segments:packets ~rtt ~at
            ~on_complete:(fun finished ->
              results := (packets, finished -. at) :: !results)
            ()))
@@ -84,7 +76,7 @@ let run p =
     (fun queue ->
       let runs =
         List.init (Stdlib.max 1 p.repeats) (fun i ->
-            run_one p queue ~seed:(p.seed + i))
+            run_one p queue ~seed:(seed + i))
       in
       match runs with
       | [] -> []

@@ -8,21 +8,19 @@
 
 type params = {
   queues : Common.queue list;
-  capacity_bps : float;
   long_flows : int;
   short_flow_lengths : int list;  (** packets per short flow *)
-  rtt : float;
   warmup : float;  (** let long flows reach steady state first *)
   spacing : float;  (** gap between short-flow injections *)
   timeout : float;  (** give up waiting after this long *)
-  repeats : int;  (** independent runs averaged per point *)
-  seed : int;
+  repeats : int;
+      (** independent runs averaged per point, seeded 29, 30, ... *)
 }
 
 val default : params
-(** The paper's setting: 1 Mbps, 50 long flows (20 Kbps fair share),
-    32 short flows of 1–80 packets, TAQ; droptail included for
-    contrast. *)
+(** The paper's setting: 1 Mbps, 200 ms RTT, one RTT of buffering, 50
+    long flows (20 Kbps fair share), 32 short flows of 1–80 packets,
+    TAQ; droptail included for contrast. *)
 
 val quick : params
 

@@ -2,40 +2,26 @@ module Cdf = Taq_metrics.Cdf
 module Sim = Taq_engine.Sim
 module Web_session = Taq_workload.Web_session
 
-type params = {
-  capacity_bps : float;
-  clients : int;
-  max_conns : int;
-  objects_per_page : int;
-  think_mean : float;  (** pause between page loads *)
-  rtt : float;
-  duration : float;
-  small_bucket : int * int;
-  large_bucket : int * int;
-  large_every : int;
-  seed : int;
-}
+type params = { clients : int; duration : float }
+
+let capacity_bps = 1000e3
+let rtt = 0.2
+let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0
+let max_conns = 4
+let objects_per_page = 6
+let think_mean = 6.0
+let small_bucket = (10_000, 20_000)
+let large_bucket = (100_000, 110_000)
+let large_every = 5
+let seed = 37
 
 (* Sustained overload: clients browse in a closed loop (page, think,
    page ...), offering roughly twice the bottleneck capacity — the
    paper's peak-load replay regime, where pools churn and admission
    control has standing work to do. *)
-let default =
-  {
-    capacity_bps = 1000e3;
-    clients = 60;
-    max_conns = 4;
-    objects_per_page = 6;
-    think_mean = 6.0;
-    rtt = 0.2;
-    duration = 900.0;
-    small_bucket = (10_000, 20_000);
-    large_bucket = (100_000, 110_000);
-    large_every = 5;
-    seed = 37;
-  }
+let default = { clients = 60; duration = 900.0 }
 
-let quick = { default with clients = 40; think_mean = 6.0; duration = 400.0 }
+let quick = { clients = 40; duration = 400.0 }
 
 type bucket_result = {
   queue : string;
@@ -48,29 +34,19 @@ type bucket_result = {
 type queue_choice = Dt | Taq_ac
 
 let run_queue p choice =
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
-  in
   let queue, queue_name =
     match choice with
     | Dt -> (Common.Droptail, "droptail")
-    | Taq_ac ->
-        ( Common.Taq
-            (Common.taq_config ~admission:true ~capacity_bps:p.capacity_bps
-               ~buffer_pkts ()),
-          "taq+ac" )
+    | Taq_ac -> (Common.Taq (Common.taq_config ~admission:true ()), "taq+ac")
   in
-  let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
-      ~seed:p.seed ()
-  in
-  let prng = Taq_util.Prng.create ~seed:p.seed in
+  let env = Common.make_env ~queue ~capacity_bps ~buffer_pkts ~seed () in
+  let prng = Taq_util.Prng.create ~seed in
   (* Admission control rejects SYNs; clients must retry, so the TCP
      config models the handshake. The admission wait is charged to the
      download (started_at is when the connection attempt began). *)
   let tcp = Taq_tcp.Tcp_config.make ~use_syn:true ~syn_retry_doubling:false () in
   let sessions = ref [] in
-  let small_lo, small_hi = p.small_bucket and large_lo, large_hi = p.large_bucket in
+  let small_lo, small_hi = small_bucket and large_lo, large_hi = large_bucket in
   for client = 0 to p.clients - 1 do
     let client_prng = Taq_util.Prng.split prng in
     let outstanding = ref 0 in
@@ -78,9 +54,9 @@ let run_queue p choice =
     let rec next_page () =
       if Sim.now env.Common.sim < p.duration then begin
         let session = Option.get !session_ref in
-        for k = 0 to p.objects_per_page - 1 do
+        for k = 0 to objects_per_page - 1 do
           let lo, hi =
-            if k mod p.large_every = p.large_every - 1 then (large_lo, large_hi)
+            if k mod large_every = large_every - 1 then (large_lo, large_hi)
             else (small_lo, small_hi)
           in
           incr outstanding;
@@ -92,14 +68,14 @@ let run_queue p choice =
       decr outstanding;
       if !outstanding = 0 then begin
         let think =
-          Taq_util.Prng.exponential client_prng ~mean:p.think_mean
+          Taq_util.Prng.exponential client_prng ~mean:think_mean
         in
         Sim.schedule_after env.Common.sim ~delay:think next_page
       end
     in
     let session =
-      Web_session.create ~net:env.Common.net ~tcp ~pool:client ~rtt:p.rtt
-        ~max_conns:p.max_conns ~on_fetch_done ()
+      Web_session.create ~net:env.Common.net ~tcp ~pool:client ~rtt
+        ~max_conns ~on_fetch_done ()
     in
     session_ref := Some session;
     sessions := session :: !sessions;
@@ -135,7 +111,7 @@ let run_queue p choice =
         (if Array.length samples = 0 then None else Some (Cdf.of_samples samples));
     }
   in
-  [ collect "10-20KB" p.small_bucket; collect "100-110KB" p.large_bucket ]
+  [ collect "10-20KB" small_bucket; collect "100-110KB" large_bucket ]
 
 let run p = run_queue p Dt @ run_queue p Taq_ac
 

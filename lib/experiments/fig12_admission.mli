@@ -1,28 +1,19 @@
 (** Figure 12: object download-time CDFs with admission control.
 
-    Clients browse in a closed loop — a page of objects over up to
-    four connections, a think pause, the next page — offering a
-    sustained overload of the 1 Mbps bottleneck, the regime of the
-    paper's peak-load trace replay. Object sizes are drawn from two
-    controlled buckets (10–20 KB and 100–110 KB, as in the figure).
-    Per-object download times — {e including} connection-setup
-    waiting, so admission-control delay is charged — are compared
-    between droptail and TAQ with admission control enabled. *)
+    Clients browse in a closed loop — a page of six objects over up
+    to four connections, an exponential think pause of mean 6 s, the
+    next page — offering a sustained overload of the 1 Mbps, 200 ms-RTT
+    bottleneck (one RTT of buffering), the regime of the paper's
+    peak-load trace replay. Object sizes are drawn from two controlled
+    buckets (10–20 KB and 100–110 KB, as in the figure; every fifth
+    object from the large one). Per-object download times —
+    {e including} connection-setup waiting, so admission-control delay
+    is charged — are compared between droptail and TAQ with admission
+    control enabled. *)
 
 type params = {
-  capacity_bps : float;
-  clients : int;
-  max_conns : int;
-  objects_per_page : int;
-  think_mean : float;  (** pause between page loads; with the client
-                           count this sets the sustained overload
-                           level *)
-  rtt : float;
+  clients : int;  (** with the think pause, sets the overload level *)
   duration : float;
-  small_bucket : int * int;  (** bytes, inclusive range *)
-  large_bucket : int * int;
-  large_every : int;  (** every k-th request draws from the large bucket *)
-  seed : int;
 }
 
 val default : params

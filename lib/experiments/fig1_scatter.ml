@@ -1,30 +1,18 @@
 module Trace = Taq_workload.Trace
 module Web_session = Taq_workload.Web_session
 
-type params = {
-  capacity_bps : float;
-  trace : Trace.params;
-  trace_seed : int;
-  max_conns : int;
-  rtt : float;
-  duration : float;
-  seed : int;
-}
+type params = { capacity_bps : float; trace : Trace.params; duration : float }
+
+let trace_seed = 101
+let max_conns = 4
+let rtt = 0.3
+let seed = 41
 
 let default =
-  {
-    capacity_bps = 2000e3;
-    trace = Trace.default_params;
-    trace_seed = 101;
-    max_conns = 4;
-    rtt = 0.3;
-    duration = 1800.0;
-    seed = 41;
-  }
+  { capacity_bps = 2000e3; trace = Trace.default_params; duration = 1800.0 }
 
 let quick =
   {
-    default with
     capacity_bps = 600e3;
     trace =
       {
@@ -56,11 +44,10 @@ type result = {
 
 let run_trace p ~queue ~trace =
   let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
+    Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt ~rtts:1.0
   in
   let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
-      ~seed:p.seed ()
+    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts ~seed ()
   in
   let tcp = Taq_tcp.Tcp_config.make ~use_syn:true () in
   let sessions = Hashtbl.create 64 in
@@ -69,8 +56,8 @@ let run_trace p ~queue ~trace =
     | Some s -> s
     | None ->
         let s =
-          Web_session.create ~net:env.Common.net ~tcp ~pool:client ~rtt:p.rtt
-            ~max_conns:p.max_conns ()
+          Web_session.create ~net:env.Common.net ~tcp ~pool:client ~rtt
+            ~max_conns ()
         in
         Web_session.start s;
         Hashtbl.replace sessions client s;
@@ -138,7 +125,7 @@ let run_trace p ~queue ~trace =
   { rows; completed = !completed; unfinished = !unfinished; spread_orders }
 
 let run p =
-  let trace = Trace.generate ~params:p.trace ~seed:p.trace_seed () in
+  let trace = Trace.generate ~params:p.trace ~seed:trace_seed () in
   run_trace p ~queue:Common.Droptail ~trace
 
 let print r =

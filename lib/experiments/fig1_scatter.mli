@@ -12,16 +12,15 @@
 type params = {
   capacity_bps : float;
   trace : Taq_workload.Trace.params;
-  trace_seed : int;
-  max_conns : int;
-  rtt : float;
   duration : float;  (** replay window (trace is clipped) *)
-  seed : int;
 }
 
 val default : params
 (** The paper's setting scaled to simulation: 2 Mbps access link,
-    trace calibrated to the university proxy's observation window. *)
+    trace calibrated to the university proxy's observation window.
+    Every run has a 300 ms RTT, one RTT of buffering, up to 4
+    connections per client and seed 41; the trace is generated with
+    seed 101. *)
 
 val quick : params
 (** A 10-minute, 40-client replay. *)
@@ -53,8 +52,6 @@ val run : params -> result
 val run_trace :
   params -> queue:Common.queue -> trace:Taq_workload.Trace.t -> result
 (** Replay an arbitrary trace (e.g. one loaded from CSV) under any
-    queue, used as given: a TAQ [queue] should carry a config for
-    [params.capacity_bps] and a buffer of one [params.rtt].
-    [params.trace]/[trace_seed] are ignored. *)
+    queue. [params.trace] is ignored. *)
 
 val print : result -> unit

@@ -12,11 +12,12 @@ type params = {
   variants : Tcp_config.variant list;
   loss_probabilities : float list;
   flows_per_mbps : int list;
-  wmax : int;
-  rtt : float;
   duration : float;
-  seed : int;
 }
+
+let wmax = 6
+let rtt = 0.1
+let seed = 31
 
 let default =
   {
@@ -26,10 +27,7 @@ let default =
     (* Contention scaled by capacity so each bottleneck operates at a
        comparable point of the small packet regime. *)
     flows_per_mbps = [ 40; 80; 120 ];
-    wmax = 6;
-    rtt = 0.1;
     duration = 2000.0;
-    seed = 31;
   }
 
 let quick =
@@ -59,7 +57,7 @@ type row = {
 let validation_tcp ~rtt ~rcv_wnd =
   Tcp_config.make ~use_syn:false ~min_rto:(2.0 *. rtt) ~rcv_wnd ()
 
-let model_distribution ~wmax ~p =
+let model_distribution ~p =
   (* Clamp to the model's domain: beyond p = 0.5 TCP never leaves the
      timeout machinery; the stationary distribution is all-silence. *)
   if p >= 0.499 then begin
@@ -76,9 +74,9 @@ let l1_distance a b =
   Array.iteri (fun i x -> acc := !acc +. Float.abs (x -. b.(i))) a;
   !acc
 
-let finish ~setting ~p ~wmax ~delivered occ =
+let finish ~setting ~p ~delivered occ =
   let sim = Taq_metrics.Occupancy.distribution occ in
-  let model = model_distribution ~wmax ~p in
+  let model = model_distribution ~p in
   let epochs = Taq_metrics.Occupancy.observations occ in
   {
     setting;
@@ -111,14 +109,9 @@ let run_bernoulli p_params ~variant ~p =
   let sim = spec_sim () in
   let disc = Taq_net.Disc.fifo_of_queue ~name:"clean" ~capacity_pkts:10_000 () in
   let net = Dumbbell.create ~sim ~capacity_bps:1e8 ~disc () in
-  let tcp =
-    { (validation_tcp ~rtt:p_params.rtt ~rcv_wnd:p_params.wmax) with
-      Tcp_config.variant }
-  in
-  let occ =
-    Taq_metrics.Occupancy.create ~sim ~epoch:p_params.rtt ~wmax:p_params.wmax ()
-  in
-  let prng = Taq_util.Prng.create ~seed:p_params.seed in
+  let tcp = { (validation_tcp ~rtt ~rcv_wnd:wmax) with Tcp_config.variant } in
+  let occ = Taq_metrics.Occupancy.create ~sim ~epoch:rtt ~wmax () in
+  let prng = Taq_util.Prng.create ~seed in
   let delivered = ref 0 in
   (* Stationary Bernoulli loss as a fault plan: one forward-path tap
      shared by every flow, drawing from the injector's split stream. *)
@@ -129,8 +122,8 @@ let run_bernoulli p_params ~variant ~p =
   (* A handful of independent flows to grow the sample faster. *)
   for _ = 1 to 8 do
     let session =
-      Tcp_session.create ~net ~config:tcp ~rtt_prop:p_params.rtt
-        ~total_segments:max_int ()
+      Tcp_session.create ~net ~config:tcp ~rtt_prop:rtt ~total_segments:max_int
+        ()
     in
     Tcp_receiver.on_segment (Tcp_session.receiver session) (fun _ ->
         incr delivered);
@@ -140,7 +133,7 @@ let run_bernoulli p_params ~variant ~p =
   Sim.run ~until:p_params.duration sim;
   finish
     ~setting:(Printf.sprintf "bernoulli/%s" (variant_name variant))
-    ~p ~wmax:p_params.wmax ~delivered:!delivered occ
+    ~p ~delivered:!delivered occ
 
 (* The paper's validation setting: a droptail bottleneck, TCP SACK,
    flows with variable RTTs (which desynchronizes losses, keeping them
@@ -154,24 +147,23 @@ let run_bottleneck p_params ~capacity_bps ~flows_per_mbps =
   in
   let sim = spec_sim () in
   let buffer_pkts =
-    Taq_queueing.Droptail.capacity_for_rtt ~capacity_bps ~rtt:p_params.rtt
+    Taq_queueing.Droptail.capacity_for_rtt ~capacity_bps ~rtt
       ~pkt_bytes:Common.pkt_bytes
   in
   let disc = Taq_queueing.Droptail.create ~capacity_pkts:buffer_pkts in
   let net = Dumbbell.create ~sim ~capacity_bps ~disc () in
   let loss = Taq_metrics.Loss_monitor.attach (Dumbbell.link net) in
-  let epoch = 2.0 *. p_params.rtt in
-  let occ = Taq_metrics.Occupancy.create ~sim ~epoch ~wmax:p_params.wmax () in
-  let prng = Taq_util.Prng.create ~seed:p_params.seed in
+  let epoch = 2.0 *. rtt in
+  let occ = Taq_metrics.Occupancy.create ~sim ~epoch ~wmax () in
+  let prng = Taq_util.Prng.create ~seed in
   let delivered = ref 0 in
   for _ = 1 to flows do
     let rtt_prop =
-      Taq_util.Prng.uniform prng ~lo:(p_params.rtt *. 0.5)
-        ~hi:(p_params.rtt *. 1.5)
+      Taq_util.Prng.uniform prng ~lo:(rtt *. 0.5) ~hi:(rtt *. 1.5)
     in
     let tcp =
       {
-        (validation_tcp ~rtt:(rtt_prop +. p_params.rtt) ~rcv_wnd:1_000_000) with
+        (validation_tcp ~rtt:(rtt_prop +. rtt) ~rcv_wnd:1_000_000) with
         Tcp_config.variant = Tcp_config.Sack;
       }
     in
@@ -188,7 +180,7 @@ let run_bottleneck p_params ~capacity_bps ~flows_per_mbps =
   let setting =
     Printf.sprintf "%gKbps/%dflows" (capacity_bps /. 1e3) flows
   in
-  finish ~setting ~p ~wmax:p_params.wmax ~delivered:!delivered occ
+  finish ~setting ~p ~delivered:!delivered occ
 
 let run p =
   List.concat_map
@@ -208,7 +200,6 @@ let run p =
     p.modes
 
 let print rows =
-  let wmax = match rows with [] -> 6 | r :: _ -> Array.length r.sim - 1 in
   let class_cols =
     List.concat_map
       (fun k -> [ Printf.sprintf "sim_%d" k; Printf.sprintf "mdl_%d" k ])

@@ -24,15 +24,13 @@ type params = {
   loss_probabilities : float list;  (** targets for Bernoulli mode *)
   flows_per_mbps : int list;  (** contention levels for Bottleneck,
                                   scaled by capacity *)
-  wmax : int;
-  rtt : float;
   duration : float;
-  seed : int;
 }
 
 val default : params
 (** Bernoulli at p ∈ 0.05..0.3 plus bottlenecks at 200 K, 750 K and
-    1 Mbps — the paper's three simulated capacities. *)
+    1 Mbps — the paper's three simulated capacities. Every run uses
+    the model's Wmax of 6, a 100 ms RTT and seed 31. *)
 
 val quick : params
 

@@ -2,23 +2,21 @@ type params = {
   queues : Common.queue list;
   user_counts : int list;
   conns_per_user : int list;
-  capacity_bps : float;
-  rtt : float;
-  object_segments : int;
   duration : float;
-  seed : int;
 }
+
+let capacity_bps = 1000e3
+let rtt = 0.2
+let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0
+let object_bytes = 30 * Taq_tcp.Tcp_config.mss
+let seed = 43
 
 let default =
   {
     queues = [ Common.Droptail; Common.taq_marker ];
     user_counts = [ 200; 400 ];
     conns_per_user = [ 4; 2 ];
-    capacity_bps = 1000e3;
-    rtt = 0.2;
-    object_segments = 30;
     duration = 600.0;
-    seed = 43;
   }
 
 let quick =
@@ -39,22 +37,14 @@ type row = {
 }
 
 let run_one p queue ~users ~conns =
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
-  in
-  let queue = Common.resize ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
-  let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
-      ~seed:p.seed ()
-  in
+  let env = Common.make_env ~queue ~capacity_bps ~buffer_pkts ~seed () in
   let hangs = Taq_metrics.Hangs.create () in
   let tcp = Taq_tcp.Tcp_config.make ~use_syn:true () in
-  let object_bytes = p.object_segments * Taq_tcp.Tcp_config.mss in
-  let prng = Taq_util.Prng.create ~seed:p.seed in
+  let prng = Taq_util.Prng.create ~seed in
   for user = 0 to users - 1 do
     let session =
       Taq_workload.Web_session.create ~net:env.Common.net ~tcp ~pool:user
-        ~rtt:p.rtt ~max_conns:conns ~hangs ()
+        ~rtt ~max_conns:conns ~hangs ()
     in
     (* An endless backlog: the browser always has the next object to
        fetch, so every silent period is a genuine hang. *)

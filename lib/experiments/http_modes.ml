@@ -2,30 +2,18 @@ module Sim = Taq_engine.Sim
 module Web_session = Taq_workload.Web_session
 module Persistent_session = Taq_workload.Persistent_session
 
-type params = {
-  capacity_bps : float;
-  clients : int;
-  conns_per_client : int;
-  objects_per_client : int;
-  object_bytes : int;
-  rtt : float;
-  duration : float;
-  seed : int;
-}
+type params = { clients : int; objects_per_client : int; duration : float }
 
-let default =
-  {
-    capacity_bps = 600e3;
-    clients = 40;
-    conns_per_client = 4;
-    objects_per_client = 60;
-    object_bytes = 15_000;
-    rtt = 0.2;
-    duration = 600.0;
-    seed = 53;
-  }
+let capacity_bps = 600e3
+let rtt = 0.2
+let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0
+let conns_per_client = 4
+let object_bytes = 15_000
+let seed = 53
 
-let quick = { default with clients = 25; objects_per_client = 30; duration = 300.0 }
+let default = { clients = 40; objects_per_client = 60; duration = 600.0 }
+
+let quick = { clients = 25; objects_per_client = 30; duration = 300.0 }
 
 type row = {
   queue : string;
@@ -40,24 +28,17 @@ type row = {
 type mode = Per_object | Persistent
 
 let run_one p queue mode =
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
-  in
-  let queue = Common.resize ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
-  let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
-      ~seed:p.seed ()
-  in
+  let env = Common.make_env ~queue ~capacity_bps ~buffer_pkts ~seed () in
   let tcp = Taq_tcp.Tcp_config.make ~use_syn:true () in
-  let prng = Taq_util.Prng.create ~seed:p.seed in
+  let prng = Taq_util.Prng.create ~seed in
   let times = ref [] and flows = ref 0 in
   for client = 0 to p.clients - 1 do
     let start_at = Taq_util.Prng.float prng 30.0 in
     match mode with
     | Per_object ->
         let session =
-          Web_session.create ~net:env.Common.net ~tcp ~pool:client ~rtt:p.rtt
-            ~max_conns:p.conns_per_client
+          Web_session.create ~net:env.Common.net ~tcp ~pool:client ~rtt
+            ~max_conns:conns_per_client
             (* requested->finished in both modes: the persistent mode's
                pipelining delay must be charged the same way as the
                per-object mode's connection-slot wait. *)
@@ -69,7 +50,7 @@ let run_one p queue mode =
             ()
         in
         for _ = 1 to p.objects_per_client do
-          Web_session.request session ~size:p.object_bytes
+          Web_session.request session ~size:object_bytes
         done;
         Sim.schedule env.Common.sim ~at:start_at (fun () ->
             Web_session.start session);
@@ -79,7 +60,7 @@ let run_one p queue mode =
     | Persistent ->
         let session =
           Persistent_session.create ~net:env.Common.net ~tcp ~pool:client
-            ~rtt:p.rtt ~conns:p.conns_per_client
+            ~rtt ~conns:conns_per_client
             ~on_fetch_done:(fun f ->
               times :=
                 (f.Persistent_session.finished_at
@@ -90,7 +71,7 @@ let run_one p queue mode =
         Sim.schedule env.Common.sim ~at:start_at (fun () ->
             Persistent_session.start session;
             for _ = 1 to p.objects_per_client do
-              Persistent_session.request session ~size:p.object_bytes
+              Persistent_session.request session ~size:object_bytes
             done;
             flows := !flows + List.length (Persistent_session.flow_ids session))
   done;

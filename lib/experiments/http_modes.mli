@@ -10,18 +10,11 @@
     driven through per-object connections ({!Taq_workload.Web_session})
     versus persistent pipelined connections
     ({!Taq_workload.Persistent_session}), under droptail and under
-    TAQ. *)
+    TAQ. Each client fetches 15 KB objects over 4 connections through
+    a 600 Kbps, 200 ms-RTT bottleneck with one RTT of buffering
+    (seed 53). *)
 
-type params = {
-  capacity_bps : float;
-  clients : int;
-  conns_per_client : int;
-  objects_per_client : int;
-  object_bytes : int;
-  rtt : float;
-  duration : float;
-  seed : int;
-}
+type params = { clients : int; objects_per_client : int; duration : float }
 
 val default : params
 

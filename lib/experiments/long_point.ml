@@ -19,12 +19,8 @@ type row = {
 }
 
 let run ?(attach = ignore) p =
-  let queue =
-    Common.resize ~capacity_bps:p.capacity_bps ~buffer_pkts:p.buffer_pkts
-      p.queue
-  in
   let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps
+    Common.make_env ~queue:p.queue ~capacity_bps:p.capacity_bps
       ~buffer_pkts:p.buffer_pkts ~seed:p.seed ()
   in
   attach env;

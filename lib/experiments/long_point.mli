@@ -6,7 +6,7 @@
     here and one column in each printer. *)
 
 type point = {
-  queue : Common.queue;  (** resized to [capacity_bps] and [buffer_pkts] *)
+  queue : Common.queue;
   capacity_bps : float;
   buffer_pkts : int;
   flows : int;
@@ -26,13 +26,12 @@ type row = {
 }
 
 val run : ?attach:(Common.env -> unit) -> point -> Common.env * row
-(** Resize the queue, build the env (faults and resilience from the
-    run spec), start the flows, run to [duration] and read the row.
-    The order is fixed, because the PRNG draws depend on it. [attach]
-    sees the env before any flow starts: [sim --pcap] hangs its packet
-    log there. The env is returned for what a caller reads beyond the
-    row: flow evolution, TAQ and fault reports, resilience rows,
-    counters. *)
+(** Build the env (faults and resilience from the run spec), start
+    the flows, run to [duration] and read the row. The order is fixed,
+    because the PRNG draws depend on it. [attach] sees the env before
+    any flow starts: [sim --pcap] hangs its packet log there. The env
+    is returned for what a caller reads beyond the row: flow
+    evolution, TAQ and fault reports, resilience rows, counters. *)
 
 val mean : row list -> row
 (** The field-wise mean of rows, summed in list order.

@@ -126,18 +126,17 @@ let run_cell ~disc ~tcp ~workload ?(fault = "none") ?guard_cap ~seed () =
     | None, "flood" -> Some Fault_drill.flood_guard_cap
     | None, _ -> None
   in
-  let queue = Common.queue_of_disc ?guard_cap ~capacity_bps ~buffer_pkts disc in
+  let queue = Common.queue_of_disc ?guard_cap disc in
   let profile =
     match Tcp_config.of_name tcp with Some t -> t | None -> assert false
   in
   let elephant_tcp = { profile with Tcp_config.use_syn = false } in
-  (* Explicit faults + resilience parameters: the matrix axis owns the
-     plan (the run spec's --faults plan must not leak into cells) and
-     every cell is monitored with the canonical default SLO parameters
-     so recovery columns mean the same thing in every report. *)
+  (* Explicit faults and monitor: the matrix axis owns the plan (the
+     run spec's --faults plan must not leak into cells), and every cell
+     is monitored whatever the run spec's --resil says. *)
   let env =
-    Common.make_env ~faults:plan ~resil:Taq_resil.Policy.default ~queue
-      ~capacity_bps ~buffer_pkts ~slice:1.0 ~seed ()
+    Common.make_env ~faults:plan ~resil:true ~queue ~capacity_bps ~buffer_pkts
+      ~slice:1.0 ~seed ()
   in
   let j, completed =
     match workload with

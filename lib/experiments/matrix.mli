@@ -65,7 +65,7 @@ val run_cell :
 (** Run one cell under fault-axis scenario [fault] (default ["none"])
     and print its [cell ...] report line plus one [resil ...] line per
     monitored metric via {!Taq_util.Out}. The cell owns its fault plan
-    and resilience parameters (canonical defaults), so the run spec's
+    and always runs the resilience monitor, so the run spec's
     [--faults]/[--resil] never leak in; its check/obs policies apply
     exactly as in every other experiment. Flood cells configure
     TAQ's overload guard ({!Fault_drill.flood_guard_cap}) unless

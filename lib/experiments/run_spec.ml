@@ -5,12 +5,12 @@ type t = {
   check : Check.group list option;
   obs : Obs.policy option;
   faults : Taq_fault.Plan.t option;
-  resil : Taq_resil.Policy.params option;
+  resil : bool;
 }
 
-let off = { check = None; obs = None; faults = None; resil = None }
+let off = { check = None; obs = None; faults = None; resil = false }
 
-let of_flags ?check ?obs ?faults ?resil () =
+let of_flags ?check ?obs ?faults ?(resil = false) () =
   let parse parser = function
     | None -> Ok None
     | Some s -> Result.map Option.some (parser s)
@@ -19,7 +19,6 @@ let of_flags ?check ?obs ?faults ?resil () =
   let* check = parse Check.groups_of_string check in
   let* obs = parse Obs.policy_of_spec obs in
   let* faults = parse Taq_fault.Scenarios.plan_of_string faults in
-  let* resil = parse Taq_resil.Policy.params_of_spec resil in
   Ok { check; obs; faults; resil }
 
 (* Atomic (not Domain.DLS) so the spec installed on the main domain

@@ -12,7 +12,7 @@ type t = {
       (** [--check]: the groups checked, in [Raise] mode *)
   obs : Taq_obs.Obs.policy option;  (** [--obs] *)
   faults : Taq_fault.Plan.t option;  (** [--faults] *)
-  resil : Taq_resil.Policy.params option;  (** [--resil] *)
+  resil : bool;  (** [--resil] *)
 }
 
 val off : t
@@ -22,14 +22,13 @@ val of_flags :
   ?check:string ->
   ?obs:string ->
   ?faults:string ->
-  ?resil:string ->
+  ?resil:bool ->
   unit ->
   (t, string) result
 (** Parse the flag values, an absent flag meaning off, with
-    {!Taq_check.Check.groups_of_string}, {!Taq_obs.Obs.policy_of_spec},
-    {!Taq_fault.Scenarios.plan_of_string} and
-    {!Taq_resil.Policy.params_of_spec}. The first error, in that
-    order, is the result. *)
+    {!Taq_check.Check.groups_of_string}, {!Taq_obs.Obs.policy_of_spec}
+    and {!Taq_fault.Scenarios.plan_of_string}. The first error, in
+    that order, is the result. *)
 
 val install : t -> unit
 (** Make [t] the process's run spec. Write-once: a second call raises

@@ -8,9 +8,7 @@ let spec_suffix ?guard_cap (spec : Run_spec.t) =
       (match guard_cap with
       | Some cap -> Printf.sprintf "/guard=%d" cap
       | None -> "");
-      (match spec.resil with
-      | Some p -> "/resil=" ^ Taq_resil.Policy.params_to_string p
-      | None -> "");
+      (if spec.resil then "/resil=" ^ Taq_resil.Monitor.slo else "");
     ]
 
 let sweep ~queue ~capacity ~fair_share ~rtt ~duration ~buffer_rtts ~rep

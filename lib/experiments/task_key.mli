@@ -6,8 +6,8 @@
 
     One printer renders the run-spec part of every key, in this order:
     [/faults=<canonical plan>] for a non-empty plan, [/guard=<cap>],
-    then [/resil=<canonical params>]. The check and obs policies never
-    enter a key: they do not change what a run prints. *)
+    then [/resil=]{!Taq_resil.Monitor.slo}. The check and obs policies
+    never enter a key: they do not change what a run prints. *)
 
 val sweep :
   queue:string ->
@@ -35,8 +35,8 @@ val matrix :
 (** A matrix cell: [matrix/v1/disc=D/tcp=T/wl=W], then [/fault=F]
     unless [fault] is ["none"] (so the fault axis never reseeds the
     fault-free cells), then the run-spec part. A cell owns its fault
-    plan and resilience parameters, so only the guard can appear
-    there. *)
+    plan and always runs the resilience monitor, so only the guard can
+    appear there. *)
 
 val faults : scenario:string -> queue:string -> string
 (** A fault drill: [faults/v1/<scenario>/queue=<queue>]. *)

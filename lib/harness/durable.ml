@@ -38,8 +38,7 @@ let persist cache ~counters (r : string Pool.result) =
         Cache.store cache ~key:(obs_entry key)
           (Obs.snapshot_to_string r.Pool.obs)
 
-let run ?(obs = Obs.off) ?jobs ?on_done ?cache tasks =
-  let counters = Obs.enabled obs in
+let run ?(counters = false) ?jobs ?on_done ?cache tasks =
   let served, ran =
     match cache with
     | None -> (List.map (fun _ -> None) tasks, Pool.run ?jobs ?on_done tasks)

@@ -34,15 +34,15 @@ type outcome =
       (** executed by the pool (or cancelled: see {!Pool}) *)
 
 val run :
-  ?obs:Taq_obs.Obs.t ->
+  ?counters:bool ->
   ?jobs:int ->
   ?on_done:(completed:int -> total:int -> string Pool.result -> unit) ->
   ?cache:Cache.t ->
   string Task.t list ->
   outcome list
 (** Serve, run and store [tasks]; one outcome per task, in input order.
-    Without [cache] every task runs and nothing is stored. Counters
-    are on exactly when [obs] (default [Taq_obs.Obs.off]) is enabled.
+    Without [cache] every task runs and nothing is stored. [counters]
+    (default false) says whether snapshots are stored and required.
     [jobs] and [on_done] go to {!Pool.run}; [on_done] sees each result
     after it has been stored. Tasks sharing a key each run (or are each
     served). *)

@@ -72,6 +72,32 @@ let stationary_power t =
   done;
   !dist
 
+(* Gauss-Jordan elimination with partial pivoting on the augmented
+   [n x (n+1)] system [a], in place: afterwards row [i]'s solution is
+   [a.(i).(n) /. a.(i).(i)]. A pivot below 1e-14 means the system is
+   singular, reported as [singular]. *)
+let eliminate a ~singular =
+  let n = Array.length a in
+  for col = 0 to n - 1 do
+    let pivot = ref col in
+    for r = col + 1 to n - 1 do
+      if Float.abs a.(r).(col) > Float.abs a.(!pivot).(col) then pivot := r
+    done;
+    let tmp = a.(col) in
+    a.(col) <- a.(!pivot);
+    a.(!pivot) <- tmp;
+    if Float.abs a.(col).(col) < 1e-14 then invalid_arg singular;
+    for r = 0 to n - 1 do
+      if r <> col then begin
+        let f = a.(r).(col) /. a.(col).(col) in
+        if f <> 0.0 then
+          for c = col to n do
+            a.(r).(c) <- a.(r).(c) -. (f *. a.(col).(c))
+          done
+      end
+    done
+  done
+
 let stationary_exact t =
   (* Solve x (P - I) = 0 with the normalization Σx = 1: transpose to
      (P^T - I) x = 0, replace the last equation by Σx = 1. *)
@@ -86,27 +112,7 @@ let stationary_exact t =
     a.(n - 1).(j) <- 1.0
   done;
   a.(n - 1).(n) <- 1.0;
-  (* Gaussian elimination with partial pivoting. *)
-  for col = 0 to n - 1 do
-    let pivot = ref col in
-    for r = col + 1 to n - 1 do
-      if Float.abs a.(r).(col) > Float.abs a.(!pivot).(col) then pivot := r
-    done;
-    let tmp = a.(col) in
-    a.(col) <- a.(!pivot);
-    a.(!pivot) <- tmp;
-    if Float.abs a.(col).(col) < 1e-14 then
-      invalid_arg "Markov.stationary_exact: singular system";
-    for r = 0 to n - 1 do
-      if r <> col then begin
-        let f = a.(r).(col) /. a.(col).(col) in
-        if f <> 0.0 then
-          for c = col to n do
-            a.(r).(c) <- a.(r).(c) -. (f *. a.(col).(c))
-          done
-      end
-    done
-  done;
+  eliminate a ~singular:"Markov.stationary_exact: singular system";
   let x = Array.init n (fun i -> a.(i).(n) /. a.(i).(i)) in
   (* Clean tiny negatives from roundoff and renormalize. *)
   let x = Array.map (fun v -> Float.max 0.0 v) x in
@@ -141,26 +147,7 @@ let hitting_times t ~targets =
       done
     end
   done;
-  (* Gaussian elimination with partial pivoting. *)
-  for col = 0 to m - 1 do
-    let pivot = ref col in
-    for r = col + 1 to m - 1 do
-      if Float.abs a.(r).(col) > Float.abs a.(!pivot).(col) then pivot := r
-    done;
-    let tmp = a.(col) in
-    a.(col) <- a.(!pivot);
-    a.(!pivot) <- tmp;
-    if Float.abs a.(col).(col) < 1e-14 then
-      invalid_arg "Markov.hitting_times: target unreachable from some state";
-    for r = 0 to m - 1 do
-      if r <> col then begin
-        let f = a.(r).(col) /. a.(col).(col) in
-        if f <> 0.0 then
-          for c = col to m do
-            a.(r).(c) <- a.(r).(c) -. (f *. a.(col).(c))
-          done
-      end
-    done
-  done;
+  eliminate a
+    ~singular:"Markov.hitting_times: target unreachable from some state";
   Array.init n (fun i ->
       if is_target.(i) then 0.0 else a.(idx.(i)).(m) /. a.(idx.(i)).(idx.(i)))

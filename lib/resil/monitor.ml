@@ -16,12 +16,29 @@ type row = {
 let n_metrics = 3
 let metric_names = [| "jain"; "drop_rate"; "occupancy" |]
 
+(* The SLO vocabulary (DESIGN.md "Resilience SLOs"): the sampling
+   window, the consecutive in-tolerance samples that count as a
+   sustained return, and each metric's tolerance band around its
+   baseline. Occupancy's band is a fraction of the baseline with a
+   floor in packets, since a shallow baseline would otherwise demand
+   sub-packet precision. *)
+let period = 0.5
+let sustain = 3
+let eps_jain = 0.05
+let eps_drop = 0.02
+let eps_occ_frac = 0.5
+let eps_occ_floor = 3.0
+
+let slo =
+  Printf.sprintf
+    "period=%g,sustain=%d,eps-jain=%g,eps-drop=%g,eps-occ-frac=%g,eps-occ-floor=%g"
+    period sustain eps_jain eps_drop eps_occ_frac eps_occ_floor
+
 type t = {
   sim : Sim.t;
   link : Link.t;
   check : Check.t;
   obs : Obs.t;
-  p : Policy.params;
   first_fault : float;  (* Plan.first_start; infinity for empty plan *)
   clear_at : float;  (* Plan.horizon; infinity when it never clears *)
   spans : (float * float) list;
@@ -44,14 +61,13 @@ type t = {
   mutable finalized : bool;
 }
 
-let create ?(params = Policy.default) ~check ~obs ~sim ~link ~plan () =
+let create ~check ~obs ~sim ~link ~plan =
   let clear_at = if Plan.is_empty plan then infinity else Plan.horizon plan in
   {
     sim;
     link;
     check;
     obs;
-    p = params;
     first_fault = Plan.first_start plan;
     clear_at;
     spans = Plan.spans plan;
@@ -99,16 +115,16 @@ let window_jain t =
       if s2 = 0.0 then 1.0 else s *. s /. (n *. s2)
 
 let eps t i =
-  if i = 0 then t.p.eps_jain
-  else if i = 1 then t.p.eps_drop
-  else Float.max t.p.eps_occ_floor (t.p.eps_occ_frac *. t.baseline.(2))
+  if i = 0 then eps_jain
+  else if i = 1 then eps_drop
+  else Float.max eps_occ_floor (eps_occ_frac *. t.baseline.(2))
 
 (* A sample at [now] summarizes the window (now - period, now]; it is
    a fault-window sample when that window overlaps any clause span
    (zero-length spans — restarts — are covered by the strict/half-open
    combination). *)
 let sample_in_fault t now =
-  List.exists (fun (s, e) -> now > s && now -. t.p.period < e) t.spans
+  List.exists (fun (s, e) -> now > s && now -. period < e) t.spans
 
 let tick t () =
   let now = Sim.now t.sim in
@@ -176,7 +192,7 @@ let tick t () =
           if Float.abs (sample.(i) -. t.baseline.(i)) <= eps t i then begin
             if t.streak.(i) = 0 then t.streak_start.(i) <- now;
             t.streak.(i) <- t.streak.(i) + 1;
-            if t.streak.(i) >= t.p.sustain then
+            if t.streak.(i) >= sustain then
               t.recover.(i) <- t.streak_start.(i) -. t.clear_at
           end
           else t.streak.(i) <- 0
@@ -190,7 +206,7 @@ let arm t ~until =
     let st = Link.stats t.link in
     t.last_offered <- st.Link.offered;
     t.last_dropped <- st.Link.dropped;
-    Sim.every t.sim ~period:t.p.period ~until (tick t)
+    Sim.every t.sim ~period ~until (tick t)
   end
 
 let finalize t =

@@ -14,9 +14,14 @@
     - the {b peak deviation} from baseline over ticks whose window
       overlaps any clause's fault span ([Plan.spans]);
     - the {b time to recover}: after the plan clears ([Plan.horizon]),
-      the first instant from which [sustain] consecutive samples stay
-      within the metric's tolerance of baseline, reported relative to
-      the clear instant — or [No_recovery] when the run ends first.
+      the first instant from which 3 consecutive samples stay within
+      the metric's tolerance of baseline, reported relative to the
+      clear instant — or [No_recovery] when the run ends first.
+
+    The SLOs are constants, listed in {!slo}: samples every 0.5 s,
+    and tolerances of 0.05 (Jain), 0.02 (drop rate) and half the
+    baseline but at least 3 packets (occupancy). DESIGN.md "Resilience
+    SLOs" says why.
 
     The monitor is read-only: it draws no randomness and perturbs no
     queue, so attaching it never changes the simulated trajectory. *)
@@ -41,14 +46,18 @@ val metric_names : string array
 (** Test hook: [[|"jain"; "drop_rate"; "occupancy"|]] — row order of {!rows}.
     *)
 
+val slo : string
+(** The SLO constants, rendered as
+    [period=0.5,sustain=3,eps-jain=0.05,eps-drop=0.02,eps-occ-frac=0.5,eps-occ-floor=3].
+    Sweep task keys carry it, so a change to a constant keys new
+    results instead of serving ones computed under the old SLOs. *)
+
 val create :
-  ?params:Policy.params ->
   check:Taq_check.Check.t ->
   obs:Taq_obs.Obs.t ->
   sim:Taq_engine.Sim.t ->
   link:Taq_net.Link.t ->
   plan:Taq_fault.Plan.t ->
-  unit ->
   t
 (** Build a monitor for [link] under [plan]. Nothing is scheduled yet
     — call {!arm}. [check]'s [Resil] group verifies a strictly
@@ -57,9 +66,9 @@ val create :
     one). *)
 
 val arm : t -> until:float -> unit
-(** Schedule the sampling ticker ([period], [2·period], … up to
-    [until]). First call wins; later calls are no-ops, so embedders
-    may arm defensively. *)
+(** Schedule the sampling ticker (every 0.5 s up to [until]). First
+    call wins; later calls are no-ops, so embedders may arm
+    defensively. *)
 
 val note_delivery : t -> flow:int -> bytes:int -> unit
 (** Credit [bytes] delivered to [flow] in the current window — feed

@@ -151,6 +151,32 @@ let test_no_fluid_check () =
            queueing, tcp, core, guard, resil)"
     [ "sim"; "--check=fluid"; "-d"; "2" ]
 
+(* --- --resil is a flag --------------------------------------------------- *)
+
+(* The SLOs are constants, so a value given to --resil is a usage
+   error on every subcommand that takes the flag. cmdliner wraps its
+   message at 80 columns: blanks are squashed before comparing. *)
+let squash s =
+  String.map (function '\n' -> ' ' | c -> c) s
+  |> String.split_on_char ' '
+  |> List.filter (( <> ) "")
+  |> String.concat " "
+
+let resil_value args () =
+  let r = run (args @ [ "--resil=period=0.25" ]) in
+  Alcotest.(check int) "exit code" 124 r.code;
+  let want =
+    "option '--resil' is a flag, it cannot take the argument 'period=0.25'"
+  in
+  if not (contains (squash r.err) want) then
+    Alcotest.failf "stderr lacks %S:\n%s" want r.err;
+  Alcotest.(check string) "nothing ran" "" r.out
+
+let test_sim_bare_resil () =
+  let out = accepts [ "sim"; "--flows"; "4"; "-d"; "2"; "--resil" ] in
+  Alcotest.(check bool) "resilience rows printed" true
+    (contains out "\n  resil metric=jain ")
+
 (* --- experiment -------------------------------------------------------- *)
 
 let test_experiment_unknown () =
@@ -400,6 +426,16 @@ let () =
           Alcotest.test_case "--fluid-dt rejected" `Quick test_no_fluid_dt;
           Alcotest.test_case "--check=fluid rejected" `Quick
             test_no_fluid_check;
+        ] );
+      ( "--resil",
+        [
+          Alcotest.test_case "sim --resil=SPEC rejected" `Quick
+            (resil_value [ "sim"; "-d"; "3" ]);
+          Alcotest.test_case "sweep --resil=SPEC rejected" `Quick
+            (resil_value [ "sweep"; "-d"; "3"; "--no-cache" ]);
+          Alcotest.test_case "faults --resil=SPEC rejected" `Quick
+            (resil_value [ "faults" ]);
+          Alcotest.test_case "bare --resil runs" `Quick test_sim_bare_resil;
         ] );
       ( "experiment",
         [

@@ -13,7 +13,7 @@ let guard_suffix guard =
   | None -> ""
 
 let sweep ~queue ~capacity ~fair_share ~rtt ~duration ~buffer_rtts ~rep
-    ~fault_plan ~guard ~resil_params =
+    ~fault_plan ~guard ~resil =
   let fault_suffix =
     match fault_plan with
     | Some plan when not (Fault_plan.is_empty plan) ->
@@ -21,10 +21,10 @@ let sweep ~queue ~capacity ~fair_share ~rtt ~duration ~buffer_rtts ~rep
     | Some _ | None -> ""
   in
   let resil_suffix =
-    match resil_params with
-    | Some p ->
-        Printf.sprintf "/resil=%s" (Taq_resil.Policy.params_to_string p)
-    | None -> ""
+    if resil then
+      "/resil=period=0.5,sustain=3,eps-jain=0.05,eps-drop=0.02,\
+       eps-occ-frac=0.5,eps-occ-floor=3"
+    else ""
   in
   Printf.sprintf
     "sweep/v1/queue=%s/cap=%.0f/fs=%.0f/rtt=%g/dur=%g/buf=%g/rep=%d%s%s%s"

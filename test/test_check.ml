@@ -169,10 +169,9 @@ let smoke queue () =
 
 let smoke_taq () =
   let check = Check.create ~mode:Check.Raise () in
-  let config = Common.taq_config ~admission:true ~capacity_bps:400e3 ~buffer_pkts:25 () in
   let env =
-    Common.make_env ~check ~queue:(Common.Taq config) ~capacity_bps:400e3
-      ~buffer_pkts:25 ~seed:7 ()
+    Common.make_env ~check ~queue:(Common.queue_of_disc "taq+ac")
+      ~capacity_bps:400e3 ~buffer_pkts:25 ~seed:7 ()
   in
   let _ids = Common.spawn_long_flows env ~n:12 ~rtt:0.1 ~rtt_jitter:0.1 () in
   Common.run env ~until:20.0;
@@ -476,8 +475,7 @@ let mini_sweep_tasks ?(checked = false) () =
       (Common.Droptail, "droptail", 10e3);
       (Common.Sfq, "sfq", 10e3);
       (Common.Droptail, "droptail", 20e3);
-      (Common.Taq (Common.taq_config ~capacity_bps:200e3 ~buffer_pkts:20 ()),
-       "taq", 10e3);
+      (Common.taq_marker, "taq", 10e3);
     ]
 
 let outputs ?checked ~jobs () =

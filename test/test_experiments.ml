@@ -39,41 +39,57 @@ let test_env_taq_accessible () =
   in
   Alcotest.(check bool) "taq disc exposed" true (env.Common.taq <> None)
 
-let test_resize_keeps_marker_settings () =
-  let sized q =
-    match Common.resize ~capacity_bps:1e6 ~buffer_pkts:40 q with
-    | Common.Taq c -> c
-    | _ -> Alcotest.fail "resize must keep TAQ a TAQ queue"
+(* make_env sizes the queue it is given: the marker carries a
+   one-packet, 1 bps placeholder, which alone would run TAQ at a
+   utilization of 0.08 here. *)
+let test_env_sizes_taq () =
+  let env =
+    Common.make_env ~queue:Common.taq_marker ~capacity_bps:1e6 ~buffer_pkts:20
+      ~seed:3 ()
   in
+  ignore (Common.spawn_long_flows env ~n:20 ~rtt:0.2 ());
+  Common.run env ~until:60.0;
+  let utilization = Common.utilization env in
   Alcotest.(check bool)
-    "plain marker: the evaluation config" true
-    (sized Common.taq_marker
-    = Common.taq_config ~capacity_bps:1e6 ~buffer_pkts:40 ());
-  Alcotest.(check bool)
-    "taq+ac with a guard keeps both" true
-    (sized (Common.queue_of_disc ~guard_cap:7 "taq+ac")
-    = Common.taq_config ~admission:true ~guard_cap:7 ~capacity_bps:1e6
-        ~buffer_pkts:40 ());
-  (* Only the geometry changes: an uncapped recovery queue and an RTT
-     oracle stay as the caller set them. *)
-  let custom =
-    {
-      (Common.taq_config ~capacity_bps:1.0 ~buffer_pkts:1 ()) with
-      Taq_core.Taq_config.recovery_share = 1.0;
-      epoch_source = Taq_core.Taq_config.Oracle 0.1;
-    }
+    (Printf.sprintf "utilization %.3f above 0.9" utilization)
+    true (utilization > 0.9)
+
+(* Jain, utilization and loss of a short TAQ run under [config]. *)
+let taq_row config =
+  let env =
+    Common.make_env ~queue:(Common.Taq config) ~capacity_bps:400e3
+      ~buffer_pkts:20 ~seed:5 ()
   in
+  let flows = Common.spawn_long_flows env ~n:16 ~rtt:0.1 () in
+  Common.run env ~until:30.0;
+  ( Taq_metrics.Slicer.long_term_jain env.Common.slicer ~flows,
+    Common.utilization env,
+    Common.measured_loss_rate env )
+
+(* Only the geometry is make_env's: an uncapped recovery queue and an
+   RTT oracle stay as the caller set them, so each runs differently
+   from the evaluation config, and a zero-packet buffer is rejected as
+   Taq_config.default rejects it. *)
+let test_env_keeps_marker_settings () =
+  let base = Common.taq_config () in
+  let default_row = taq_row base in
   Alcotest.(check bool)
-    "recovery share and epoch source kept" true
-    (sized (Common.Taq custom)
-    = { custom with capacity_pkts = 40; capacity_bps = 1e6 });
+    "uncapped recovery share runs differently" true
+    (taq_row { base with Taq_core.Taq_config.recovery_share = 1.0 }
+    <> default_row);
+  Alcotest.(check bool)
+    "oracle epochs run differently" true
+    (taq_row
+       {
+         base with
+         Taq_core.Taq_config.epoch_source = Taq_core.Taq_config.Oracle 0.1;
+       }
+    <> default_row);
   Alcotest.check_raises "the geometry is validated"
     (Invalid_argument "Taq_config.default: capacity_pkts") (fun () ->
       ignore
-        (Common.resize ~capacity_bps:1e6 ~buffer_pkts:0 (Common.Taq custom)));
-  Alcotest.(check bool)
-    "other disciplines untouched" true
-    (Common.resize ~capacity_bps:1e6 ~buffer_pkts:40 Common.Red = Common.Red)
+        (Common.make_env ~queue:Common.taq_marker ~capacity_bps:1e6
+           ~buffer_pkts:0 ()))
 
 (* --- Fairness driver (figs 2/8/11) -------------------------------------- *)
 
@@ -98,7 +114,7 @@ let test_fairness_row_structure () =
       Alcotest.(check bool) "flows derived" true (r.Fig_fairness.flows >= 10))
     rows
 
-(* The driver resizes the marker it is given: a tracker cap far below
+(* The driver keeps the marker it is given: a tracker cap far below
    the flow count must change the run (it used to be dropped). *)
 let test_fairness_keeps_guard () =
   let run queue = Fig_fairness.run (tiny_fairness [ queue ]) in
@@ -245,13 +261,7 @@ let test_fig10_short_flows_complete_and_scale () =
 (* --- fig12 -------------------------------------------------------------------- *)
 
 let test_fig12_produces_cdfs () =
-  let p =
-    {
-      Fig12_admission.quick with
-      Fig12_admission.clients = 10;
-      duration = 120.0;
-    }
-  in
+  let p = { Fig12_admission.clients = 10; duration = 120.0 } in
   let results = Fig12_admission.run p in
   Alcotest.(check int) "4 bucket results" 4 (List.length results);
   (* Both queues must complete some small objects in this mild setup. *)
@@ -269,7 +279,6 @@ let test_fig12_produces_cdfs () =
 let test_fig1_spread () =
   let p =
     {
-      Fig1_scatter.quick with
       Fig1_scatter.trace =
         {
           Taq_workload.Trace.default_params with
@@ -310,14 +319,7 @@ let test_fig1_replay_admission () =
     }
   in
   let replay disc =
-    let buffer_pkts =
-      Common.buffer_for_rtts ~capacity_bps:p.Fig1_scatter.capacity_bps
-        ~rtt:p.Fig1_scatter.rtt ~rtts:1.0
-    in
-    Fig1_scatter.run_trace p ~trace
-      ~queue:
-        (Common.queue_of_disc ~capacity_bps:p.Fig1_scatter.capacity_bps
-           ~buffer_pkts disc)
+    Fig1_scatter.run_trace p ~trace ~queue:(Common.queue_of_disc disc)
   in
   Alcotest.(check bool)
     "taq+ac replays differently from taq" true
@@ -328,7 +330,6 @@ let test_fig1_replay_admission () =
 let test_hangs_contention_increases_hangs () =
   let p =
     {
-      Hangs_experiment.quick with
       Hangs_experiment.queues = [ Common.Droptail ];
       user_counts = [ 20; 80 ];
       conns_per_user = [ 4 ];
@@ -386,8 +387,9 @@ let () =
           Alcotest.test_case "buffer for rtts" `Quick test_buffer_for_rtts;
           Alcotest.test_case "queue kinds" `Quick test_env_queue_kinds;
           Alcotest.test_case "taq accessible" `Quick test_env_taq_accessible;
-          Alcotest.test_case "resize keeps marker settings" `Quick
-            test_resize_keeps_marker_settings;
+          Alcotest.test_case "make_env sizes taq" `Quick test_env_sizes_taq;
+          Alcotest.test_case "make_env keeps marker settings" `Quick
+            test_env_keeps_marker_settings;
         ] );
       ( "fairness",
         [

@@ -306,9 +306,8 @@ let test_taq_restart_relearns () =
   let capacity_bps = 400e3 in
   let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt:0.1 ~rtts:1.0 in
   let env =
-    Common.make_env ~faults:[]
-      ~queue:(Common.Taq (Common.taq_config ~capacity_bps ~buffer_pkts ()))
-      ~capacity_bps ~buffer_pkts ~seed:3 ()
+    Common.make_env ~faults:[] ~queue:Common.taq_marker ~capacity_bps
+      ~buffer_pkts ~seed:3 ()
   in
   let t = Option.get env.Common.taq in
   ignore (Common.spawn_long_flows env ~n:6 ~rtt:0.1 ());
@@ -530,8 +529,7 @@ let prop_finite_plan_recovers =
       in
       let check = Check.create ~mode:Check.Raise ~groups:[ Check.Net ] () in
       let env =
-        Common.make_env ~check ~faults:plan
-          ~queue:(Common.Taq (Common.taq_config ~capacity_bps ~buffer_pkts ()))
+        Common.make_env ~check ~faults:plan ~queue:Common.taq_marker
           ~capacity_bps ~buffer_pkts ~seed:5 ()
       in
       let flows = 4 and segments = 100 in
@@ -554,25 +552,8 @@ let prop_finite_plan_recovers =
 (* Keys are cache keys and seed sources at once, so the Task_key
    printer must reproduce the formats older result dirs were filled
    with (Task_key_ref) over every run-spec component it prints: fault
-   plans (empty ones included), guard caps and resilience parameters,
+   plans (empty ones included), guard caps and the resilience monitor,
    at arbitrary point coordinates. *)
-let gen_resil_params =
-  QCheck.Gen.(
-    let* period = float_range 0.05 5.0 in
-    let* sustain = int_range 1 10 in
-    let* eps_jain = float_range 0.001 0.5 in
-    let* eps_drop = float_range 0.001 0.5 in
-    let* eps_occ_frac = float_range 0.01 2.0 in
-    let* eps_occ_floor = float_range 0.5 50.0 in
-    return
-      {
-        Taq_resil.Policy.period;
-        sustain;
-        eps_jain;
-        eps_drop;
-        eps_occ_frac;
-        eps_occ_floor;
-      })
 
 let gen_sweep_keys =
   QCheck.Gen.(
@@ -592,13 +573,11 @@ let gen_sweep_keys =
         ]
     in
     let* guard = opt (int_range 1 100_000) in
-    let* resil_params = opt gen_resil_params in
-    let spec =
-      { Run_spec.off with faults = fault_plan; resil = resil_params }
-    in
+    let* resil = bool in
+    let spec = { Run_spec.off with faults = fault_plan; resil } in
     return
       ( Task_key_ref.sweep ~queue ~capacity ~fair_share ~rtt ~duration
-          ~buffer_rtts ~rep ~fault_plan ~guard ~resil_params,
+          ~buffer_rtts ~rep ~fault_plan ~guard ~resil,
         Task_key.sweep ~queue ~capacity ~fair_share ~rtt ~duration
           ~buffer_rtts ~rep ?guard_cap:guard spec ))
 

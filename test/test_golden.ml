@@ -34,7 +34,7 @@ let measure ?faults queue =
   (jain, util, loss, drops)
 
 let taq ?admission ?guard_cap () =
-  Common.Taq (Common.taq_config ?admission ?guard_cap ~capacity_bps ~buffer_pkts ())
+  Common.Taq (Common.taq_config ?admission ?guard_cap ())
 
 (* --- the golden tables --------------------------------------------------
 

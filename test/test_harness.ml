@@ -621,12 +621,11 @@ let check_same_as ~reference label outcomes =
    reference's counters and payloads. (CI repeats this against the
    real binary with a real SIGKILL.) *)
 let test_durable_resume_counters_identical () =
-  let obs = Obs.create () in
   with_temp_cache (fun cache ->
       let run ?on_done ?(jobs = 2) () =
-        Durable.run ~obs ~jobs ?on_done ~cache (durable_tasks ())
+        Durable.run ~counters:true ~jobs ?on_done ~cache (durable_tasks ())
       in
-      let reference = Durable.run ~obs ~jobs:2 (durable_tasks ()) in
+      let reference = Durable.run ~counters:true ~jobs:2 (durable_tasks ()) in
       Fun.protect ~finally:Pool.reset_cancel (fun () ->
           Alcotest.(check (list string))
             "killed after three completions"
@@ -652,9 +651,8 @@ let test_durable_resume_counters_identical () =
    with; a store filled with counters off holds no snapshots, so with
    counters on its tasks are recomputed rather than served bare. *)
 let test_durable_warm_counters () =
-  let counted = Obs.create () in
-  let run ?(obs = counted) cache =
-    Durable.run ~obs ~jobs:2 ~cache (durable_tasks ())
+  let run ?(counters = true) cache =
+    Durable.run ~counters ~jobs:2 ~cache (durable_tasks ())
   in
   with_temp_cache (fun cache ->
       let cold = run cache in
@@ -663,10 +661,10 @@ let test_durable_warm_counters () =
       Alcotest.(check (list string)) "warm" (times 6 "hit") (sources warm);
       check_same_as ~reference:cold "warm" warm);
   with_temp_cache (fun cache ->
-      let reference = Durable.run ~obs:counted (durable_tasks ()) in
+      let reference = Durable.run ~counters:true (durable_tasks ()) in
       Alcotest.(check (list string))
         "counters off: computed" (times 6 "ran")
-        (sources (run ~obs:Obs.off cache));
+        (sources (run ~counters:false cache));
       let recomputed = run cache in
       Alcotest.(check (list string))
         "no snapshots stored: recomputed" (times 6 "ran")
@@ -680,10 +678,11 @@ let test_durable_warm_counters () =
    snapshot; the rerun must recompute that task alone and merge to the
    reference's counters. *)
 let check_spoiled_snapshot_recomputed spoil =
-  let obs = Obs.create () in
   with_temp_dir (fun dir ->
       let cache = Cache.create ~dir () in
-      let run () = Durable.run ~obs ~jobs:2 ~cache (durable_tasks ()) in
+      let run () =
+        Durable.run ~counters:true ~jobs:2 ~cache (durable_tasks ())
+      in
       let reference = run () in
       spoil dir cache "durable/p2";
       let rerun = run () in
@@ -712,7 +711,7 @@ let test_durable_unparseable_snapshot () =
 let test_durable_counters_off_serves_payloads () =
   with_temp_cache (fun cache ->
       let filled =
-        Durable.run ~obs:(Obs.create ()) ~jobs:2 ~cache (durable_tasks ())
+        Durable.run ~counters:true ~jobs:2 ~cache (durable_tasks ())
       in
       let bare = Durable.run ~jobs:2 ~cache (durable_tasks ()) in
       Alcotest.(check (list string)) "all served" (times 6 "hit") (sources bare);

@@ -272,6 +272,16 @@ let test_hitting_times_empty_targets () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty targets must raise"
 
+(* State 0 is absorbing, so no step from it ever reaches the target. *)
+let test_hitting_times_unreachable () =
+  let m =
+    Markov.create ~labels:[| "stuck"; "a"; "goal" |]
+      ~matrix:[| [| 1.0; 0.0; 0.0 |]; [| 0.0; 0.5; 0.5 |]; [| 0.0; 0.0; 1.0 |] |]
+  in
+  Alcotest.check_raises "singular system"
+    (Invalid_argument "Markov.hitting_times: target unreachable from some state")
+    (fun () -> ignore (Markov.hitting_times m ~targets:[ 2 ]))
+
 let test_epochs_to_timeout_decreasing_in_p () =
   (* Higher loss means a flow survives fewer epochs before its first
      timeout. *)
@@ -420,6 +430,8 @@ let () =
         [
           Alcotest.test_case "two state" `Quick test_hitting_times_two_state;
           Alcotest.test_case "empty targets" `Quick test_hitting_times_empty_targets;
+          Alcotest.test_case "unreachable target" `Quick
+            test_hitting_times_unreachable;
           Alcotest.test_case "decreasing in p" `Quick
             test_epochs_to_timeout_decreasing_in_p;
           Alcotest.test_case "window ordering" `Quick

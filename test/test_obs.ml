@@ -281,8 +281,7 @@ let mini_sweep_tasks () =
     [
       (Common.Droptail, "droptail");
       (Common.Sfq, "sfq");
-      (Common.Taq (Common.taq_config ~capacity_bps:200e3 ~buffer_pkts:20 ()),
-       "taq");
+      (Common.taq_marker, "taq");
     ]
 
 let merged_counters ~jobs =
@@ -391,9 +390,7 @@ let () =
           Alcotest.test_case "droptail unperturbed" `Quick
             (test_obs_does_not_perturb Common.Droptail);
           Alcotest.test_case "taq unperturbed" `Quick
-            (test_obs_does_not_perturb
-               (Common.Taq
-                  (Common.taq_config ~capacity_bps:200e3 ~buffer_pkts:20 ())));
+            (test_obs_does_not_perturb Common.taq_marker);
           Alcotest.test_case "counters consistent" `Quick
             test_counters_consistent;
         ] );

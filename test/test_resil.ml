@@ -1,11 +1,9 @@
-(* Tests for taq_resil: the --resil parameter spec (defaults,
-   overrides, canonical rendering, rejects), the recovery monitor's
-   semantics against real dumbbell runs (baseline freeze, Recovered /
-   No_recovery / Not_applicable), seed determinism of the resilience
-   rows, and the monitor's read-only contract — attaching one never
-   changes the simulated trajectory. *)
+(* Tests for taq_resil: the recovery monitor's semantics against real
+   dumbbell runs (baseline freeze, Recovered / No_recovery /
+   Not_applicable), seed determinism of the resilience rows, and the
+   monitor's read-only contract — attaching one never changes the
+   simulated trajectory. *)
 
-module Policy = Taq_resil.Policy
 module Monitor = Taq_resil.Monitor
 module Common = Taq_experiments.Common
 module Plan = Taq_fault.Plan
@@ -15,84 +13,16 @@ module Obs = Taq_obs.Obs
 module Sim = Taq_engine.Sim
 module Packet = Taq_net.Packet
 
-(* --- Policy: spec parsing ---------------------------------------------------- *)
-
-let params_ok s =
-  match Policy.params_of_spec s with
-  | Ok p -> p
-  | Error msg -> Alcotest.failf "spec %S rejected: %s" s msg
-
-let test_policy_default () =
-  Alcotest.(check bool)
-    "empty spec is the default policy" true
-    (params_ok "" = Policy.default);
-  let d = Policy.default in
-  Alcotest.(check (float 1e-9)) "default period" 0.5 d.Policy.period;
-  Alcotest.(check int) "default sustain" 3 d.Policy.sustain
-
-let test_policy_overrides () =
-  let p = params_ok "period=0.25,sustain=5" in
-  Alcotest.(check (float 1e-9)) "period overridden" 0.25 p.Policy.period;
-  Alcotest.(check int) "sustain overridden" 5 p.Policy.sustain;
-  Alcotest.(check (float 1e-9))
-    "untouched keys keep their defaults" Policy.default.Policy.eps_jain
-    p.Policy.eps_jain;
-  let q =
-    params_ok
-      "period=1,sustain=2,eps-jain=0.1,eps-drop=0.05,eps-occ-frac=0.25,eps-occ-floor=5"
-  in
-  Alcotest.(check (float 1e-9)) "eps-jain" 0.1 q.Policy.eps_jain;
-  Alcotest.(check (float 1e-9)) "eps-drop" 0.05 q.Policy.eps_drop;
-  Alcotest.(check (float 1e-9)) "eps-occ-frac" 0.25 q.Policy.eps_occ_frac;
-  Alcotest.(check (float 1e-9)) "eps-occ-floor" 5.0 q.Policy.eps_occ_floor
-
-let test_policy_canonical () =
-  (* The canonical rendering is sweep-key vocabulary: parsing it back
-     must reproduce the exact parameters, and rendering is total. *)
-  List.iter
-    (fun spec ->
-      let p = params_ok spec in
-      let s = Policy.params_to_string p in
-      Alcotest.(check bool)
-        (Printf.sprintf "canonical %S re-parses to itself" s)
-        true
-        (Policy.params_of_spec s = Ok p))
-    [ ""; "period=0.25"; "sustain=7,eps-occ-floor=1.5"; "eps-jain=0.01" ]
-
-let test_policy_rejects () =
-  List.iter
-    (fun s ->
-      match Policy.params_of_spec s with
-      | Ok _ -> Alcotest.failf "spec %S should have been rejected" s
-      | Error msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%S error message non-empty" s)
-            true
-            (String.length msg > 0))
-    [
-      "period=0" (* non-positive period *);
-      "period=-1" (* negative period *);
-      "period=nan" (* NaN *);
-      "period=inf" (* non-finite *);
-      "sustain=0" (* sustain must be >= 1 *);
-      "sustain=2.5" (* sustain is an integer *);
-      "eps-jain=-0.1" (* negative tolerance *);
-      "eps-drop=nan" (* NaN tolerance *);
-      "wibble=3" (* unknown key *);
-      "period" (* not key=value *);
-    ]
-
 (* --- Monitor: semantics over real runs --------------------------------------- *)
 
-(* A small long-flow dumbbell under [plan], monitored with [params];
-   returns the finalized rows. Everything derives from [seed]. *)
-let monitored_run ?(params = Policy.default) ?(queue = Common.Droptail)
-    ?(seed = 1) ~plan ~until () =
+(* A small long-flow dumbbell under [plan], monitored; returns the
+   finalized rows. Everything derives from [seed]. *)
+let monitored_run ?(queue = Common.Droptail) ?(seed = 1) ~plan ~until () =
   let capacity_bps = 400e3 in
   let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt:0.1 ~rtts:1.0 in
   let env =
-    Common.make_env ~faults:plan ~resil:params ~queue ~capacity_bps
-      ~buffer_pkts ~slice:1.0 ~seed ()
+    Common.make_env ~faults:plan ~resil:true ~queue ~capacity_bps ~buffer_pkts
+      ~slice:1.0 ~seed ()
   in
   ignore (Common.spawn_long_flows env ~n:8 ~rtt:0.1 ());
   Common.run env ~until;
@@ -210,12 +140,8 @@ let test_monitor_read_only () =
       Common.buffer_for_rtts ~capacity_bps ~rtt:0.1 ~rtts:1.0
     in
     let env =
-      if with_resil then
-        Common.make_env ~faults:(plan_of "flap@4+1") ~resil:Policy.default
-          ~queue:Common.taq_marker ~capacity_bps ~buffer_pkts ~seed:9 ()
-      else
-        Common.make_env ~faults:(plan_of "flap@4+1") ~queue:Common.taq_marker
-          ~capacity_bps ~buffer_pkts ~seed:9 ()
+      Common.make_env ~faults:(plan_of "flap@4+1") ~resil:with_resil
+        ~queue:Common.taq_marker ~capacity_bps ~buffer_pkts ~seed:9 ()
     in
     ignore (Common.spawn_long_flows env ~n:6 ~rtt:0.1 ());
     Common.run env ~until:20.0;
@@ -263,7 +189,7 @@ let test_run_spec_write_once () =
     "nothing installed: all off" true
     (Run_spec.current () = Run_spec.off);
   let spec =
-    match Run_spec.of_flags ~check:"all" ~obs:"counters" ~resil:"" () with
+    match Run_spec.of_flags ~check:"all" ~obs:"counters" ~resil:true () with
     | Ok s -> s
     | Error msg -> Alcotest.fail msg
   in
@@ -305,13 +231,6 @@ let test_run_spec_write_once () =
 let () =
   Alcotest.run "taq_resil"
     [
-      ( "policy",
-        [
-          Alcotest.test_case "defaults" `Quick test_policy_default;
-          Alcotest.test_case "overrides" `Quick test_policy_overrides;
-          Alcotest.test_case "canonical rendering" `Quick test_policy_canonical;
-          Alcotest.test_case "rejects invalid" `Quick test_policy_rejects;
-        ] );
       ( "monitor",
         [
           Alcotest.test_case "row shape" `Quick test_monitor_row_shape;
